@@ -5,6 +5,12 @@ isolation: QS build, QM abstraction, ID generation, store lookup, the
 two SQLI steps, and the stored-injection plugin scan (benign and
 malicious inputs).  Also ablates the two-step detection design: how much
 work the cheap structural check saves on structurally-mutated attacks.
+
+The ``hook:`` rows are the whole hook (``Database.septic_seconds_total``
+per query) at its three memo states: **L1 hit** — this exact statement's
+verdict is cached; **L2 hit** — the statement is new, its shape is not
+(QM, internal ID and the comparison's outcome come from the shape
+memos); **cold** — nothing is memoised, every product is derived.
 """
 
 from repro.core.detector import AttackDetector
@@ -25,6 +31,62 @@ SQL = ("SELECT r.watts, r.taken_at, r.comment FROM readings r "
 
 def _stack():
     return validate(parse_one(SQL))
+
+
+HOOK_SCHEMA = (
+    "CREATE TABLE devices (id INT, serial VARCHAR(20), pin INT);"
+    "CREATE TABLE readings (device_id INT, watts INT, taken_at INT, "
+    "comment VARCHAR(80));"
+    "INSERT INTO devices VALUES (1, 'WM-100-A', 1234);"
+    "INSERT INTO readings VALUES (1, 40, 1, 'ok');"
+)
+HOOK_SQL = "/* septic:waspmon:history:86 */ " + SQL
+
+
+def _hook_costs(samples=300, rounds=5):
+    """``{state: hook µs per query}``, best of *rounds* means."""
+    from repro.core.logger import SepticLogger
+    from repro.core.septic import Mode, Septic
+    from repro.sqldb.connection import Connection
+
+    def fresh_septic(store=None, mode=Mode.PREVENTION):
+        return Septic(mode=mode, store=store,
+                      logger=SepticLogger(verbose=False))
+
+    trainer = fresh_septic(mode=Mode.TRAINING)
+    database = Database(septic=trainer)
+    database.seed(HOOK_SCHEMA)
+    conn = Connection(database)
+    assert conn.query(HOOK_SQL).ok
+    numbers = iter(range(10000, 10 ** 9))
+
+    def new_text():
+        return HOOK_SQL.replace("1234", str(next(numbers)))
+
+    def measure(prepare, sql_for):
+        best = None
+        for _ in range(rounds):
+            total = 0.0
+            for _ in range(samples):
+                prepare()
+                sql = sql_for()
+                before = database.septic_seconds_total
+                assert conn.query(sql).ok
+                total += database.septic_seconds_total - before
+            mean = total / samples
+            best = mean if best is None else min(best, mean)
+        return 1e6 * best
+
+    def cold():
+        # a SEPTIC that has the models and has memoised nothing
+        database.septic = fresh_septic(store=trainer.store)
+
+    costs = {"cold": measure(cold, new_text)}
+    database.septic = fresh_septic(store=trainer.store)
+    assert conn.query(HOOK_SQL).ok and conn.query(HOOK_SQL).ok
+    costs["L2 hit"] = measure(lambda: None, new_text)
+    costs["L1 hit"] = measure(lambda: None, lambda: HOOK_SQL)
+    return costs
 
 
 def test_microcosts_artifact(report):
@@ -49,6 +111,13 @@ def test_microcosts_artifact(report):
                 % (qs_us, qm_us))
     report.metric("qs_build", round(qs_us, 3), "us")
     report.metric("qm_build", round(qm_us, 3), "us")
+    hook = _hook_costs()
+    for state in ("L1 hit", "L2 hit", "cold"):
+        report.line("hook: %-6s %6.2f us" % (state, hook[state]))
+        report.metric("hook_" + state.lower().replace(" ", "_"),
+                      round(hook[state], 3), "us")
+    # each level must pay for itself
+    assert hook["L1 hit"] < hook["L2 hit"] < hook["cold"]
 
 
 def test_bench_qs_build(benchmark):

@@ -27,18 +27,17 @@ _BARE_TOKEN_RE = re.compile(r"^[A-Za-z0-9_.:/@-]{1,120}$")
 class QueryId(object):
     """The composed query identifier."""
 
-    __slots__ = ("external", "internal")
+    __slots__ = ("external", "internal", "value")
 
     def __init__(self, internal, external=None):
         self.internal = internal
         self.external = external
-
-    @property
-    def value(self):
-        """The full ID (concatenation of both identifiers)."""
-        if self.external is not None:
-            return "%s§%s" % (self.external, self.internal)
-        return self.internal
+        #: the full ID (concatenation of both identifiers), composed
+        #: once: the hook reads it for every store lookup and log call
+        self.value = (
+            "%s§%s" % (external, internal) if external is not None
+            else internal
+        )
 
     def __eq__(self, other):
         return isinstance(other, QueryId) and self.value == other.value

@@ -110,6 +110,11 @@ class SepticLogger(object):
         #: discarded), exposed so operators can tell the register is lossy
         self.dropped_events = 0
         self._sequence = 0
+        #: non-significant records currently held, and an index below
+        #: which every held record is significant — what lets a full
+        #: register make room without walking itself (see _evict_for)
+        self._expendable = 0
+        self._scan_from = 0
         self._lock = make_lock()
 
     def log(self, kind, **fields):
@@ -117,12 +122,15 @@ class SepticLogger(object):
             faults_mod.fire("logger.record")
         with self._lock:
             self._sequence += 1
-            if not self.verbose and kind not in _SIGNIFICANT:
+            significant = kind in _SIGNIFICANT
+            if not self.verbose and not significant:
                 return None
             record = EventRecord(kind, sequence=self._sequence, **fields)
             if len(self.events) < self.max_events:
                 self.events.append(record)
-            elif kind in _SIGNIFICANT:
+                if not significant:
+                    self._expendable += 1
+            elif significant:
                 self._evict_for(record)
             else:
                 self.dropped_events += 1
@@ -134,18 +142,35 @@ class SepticLogger(object):
                 self.sink = None
         return record
 
+    def skip(self, count):
+        """Advance the sequence past *count* events nobody will record.
+
+        For a caller that knows its next *count* events are all
+        non-significant and that this logger is not ``verbose``: they
+        would each be numbered and discarded, and this numbers them in
+        one step.  (Not a ``logger.record`` fault site: such a caller
+        must not be running under a fault plan.)
+        """
+        with self._lock:
+            self._sequence += count
+
     def _evict_for(self, record):
-        """Make room for a significant *record* in a full register."""
-        victim = None
-        for index, event in enumerate(self.events):
-            if event.kind not in _SIGNIFICANT:
-                victim = index
-                break
-        # no expendable record: sacrifice the oldest significant one so
-        # the newest evidence survives
-        del self.events[victim if victim is not None else 0]
+        """Make room for a significant *record* in a full register: the
+        oldest expendable record goes, or — with only evidence held —
+        the oldest evidence, so the newest always survives."""
+        events = self.events
+        victim = 0
+        if self._expendable:
+            victim = self._scan_from
+            while events[victim].kind in _SIGNIFICANT:
+                victim += 1
+            self._expendable -= 1
+            self._scan_from = victim
+        elif self._scan_from:
+            self._scan_from -= 1
+        del events[victim]
         self.dropped_events += 1
-        self.events.append(record)
+        events.append(record)
 
     # -- queries over the register ----------------------------------------
 
@@ -168,6 +193,8 @@ class SepticLogger(object):
         with self._lock:
             self.events = []
             self.dropped_events = 0
+            self._expendable = 0
+            self._scan_from = 0
 
     def export_json(self, path):
         """Dump the event register as JSON (SIEM-style export)."""

@@ -21,17 +21,29 @@ watchdog timeout) never escapes raw.  It is logged, counted, fed to the
 circuit breaker, and converted into the configured fail-policy outcome —
 ``fail_closed`` drops the query like an attack, ``fail_open`` lets it
 run detection-style (see :mod:`repro.core.resilience`).
+
+Two memo levels keep the hook cheap without changing a verdict.  **L1**:
+a pipeline-cache entry (one exact statement) remembers that its last
+full run ended benign against a known model, and with what
+(:class:`_Verdict`); while all of that still holds, a repeat costs the
+check plus the run's bookkeeping.  **L2**: a statement not seen before
+still rarely has a new *shape*; the manager interns QM and internal ID
+per shape, and the benign outcome of the node-by-node comparison is
+remembered per ``(shape, learned model)``.  Attacks, unknown queries,
+TRAINING and every contained fault always take the full path.
 """
 
 from repro import faults as faults_mod
 from repro.core import resilience
-from repro.core.detector import AttackDetector, AttackType
+from repro.core.detector import BENIGN, AttackDetector, AttackType
 from repro.core.id_generator import IdGenerator
 from repro.core.logger import EventKind, SepticLogger
-from repro.core.manager import QSQMManager
+from repro.core.manager import BoundedMemo, QSQMManager
+from repro.core.query_model import BOTTOM
 from repro.core.resilience import FailPolicy
 from repro.core.store import QMStore
 from repro.sqldb.errors import QueryBlocked
+from repro.sqldb.items import DATA_KINDS
 
 
 class Mode(object):
@@ -111,6 +123,30 @@ class SepticStats(object):
             return {name: getattr(self, name) for name in self._COUNTERS}
 
 
+class _Verdict(object):
+    """Why one cached statement's last full run ended benign against a
+    known model — everything that run's outcome depended on, as read
+    *before* it was used (immutable; see ``Septic._verdict_holds``)."""
+
+    __slots__ = ("full_id", "model", "basis", "events")
+
+    def __init__(self, full_id, model, basis, events):
+        self.full_id = full_id
+        #: the learned model object the store served for the ID
+        self.model = model
+        #: what :meth:`Septic._basis` returned to the run
+        self.basis = basis
+        #: non-significant events the run logged (all of its events)
+        self.events = events
+
+
+def _abstracts_all_data(model):
+    """Every data node of *model* is ⊥ (true of every model SEPTIC
+    derives; a hand-written one may pin a literal)."""
+    return all(node.value is BOTTOM for node in model
+               if node.kind in DATA_KINDS)
+
+
 class Septic(object):
     """The mechanism, ready to be plugged into a Database's hook point."""
 
@@ -145,6 +181,10 @@ class Septic(object):
         #: the database whose data dir co-persists the store (set by
         #: :meth:`bind_store`) — its retry stats ride ``status()``
         self.bound_database = None
+        #: ``(shape, id(learned model)) -> (model, detector)`` for which
+        #: the SQLI comparison came out benign — a pure function of the
+        #: two, so it is not walked again (see :meth:`_compare`)
+        self._benign = BoundedMemo()
         # a recovered store entry is an operator-relevant incident
         self.store.on_recover = self._store_recovered
 
@@ -272,6 +312,12 @@ class Septic(object):
         ever escapes: this is the crash-containment boundary.
         """
         self.stats.bump("queries_processed")
+        memo = getattr(context, "memo", None)
+        verdict = memo.verdict if memo is not None else None
+        if verdict is not None and self._verdict_holds(verdict):
+            # all the run not made would leave behind: its event numbers
+            self.logger.skip(verdict.events)
+            return
         self.breaker.on_query()
         checkpoint = None
         if faults_mod.ACTIVE is not None and self.watchdog_budget:
@@ -306,10 +352,42 @@ class Septic(object):
                         query_id=lookup.query_id.value)
         if checkpoint is not None:
             checkpoint()
-        if self._mode == Mode.TRAINING:
+        mode = self._mode
+        if mode == Mode.TRAINING:
             self._learn(lookup, context, training=True)
             return
-        self._normal_mode(lookup, context, checkpoint)
+        self._normal_mode(lookup, context, checkpoint, mode)
+
+    def _verdict_holds(self, verdict):
+        """Whether a full run now would repeat the one *verdict* records.
+
+        The only condition under which :meth:`process_query` may skip
+        the run.  The store must still serve the very model object that
+        run compared against (one lock-free read of the published view,
+        so learning an unrelated query invalidates nothing); mode, the
+        three switches, detector and plugins must be the ones it read;
+        and nothing may be in force that makes a run do more than
+        compare — an armed fault plan, a verifying store, a verbose
+        register, or a breaker that is open, probing or counting faults.
+        """
+        return (
+            faults_mod.ACTIVE is None
+            and self.store.serves(verdict.full_id, verdict.model)
+            and verdict.basis == self._basis(self._mode)
+            and self.breaker.quiescent
+            and not self.logger.verbose
+        )
+
+    def _basis(self, mode):
+        """``(mode, detect_sqli, detect_stored, incremental_learning,
+        detector, plugins)`` — the settings a run in normal mode reads.
+        The plugins are copied out of the detector's list, which can be
+        edited in place."""
+        config = self.config
+        detector = self.detector
+        return (mode, config.detect_sqli, config.detect_stored,
+                config.incremental_learning, detector,
+                tuple(detector.plugins))
 
     def _contain(self, exc, context, watchdog):
         """Absorb one internal fault per the fail policy (never re-raise
@@ -370,11 +448,17 @@ class Septic(object):
             )
         return created
 
-    def _normal_mode(self, lookup, context, checkpoint=None):
+    def _normal_mode(self, lookup, context, checkpoint, mode):
         structure = lookup.structure
         query_id = lookup.query_id
         model = lookup.model
         known = lookup.known
+        # everything the outcome depends on is read once, here, and used
+        # from these locals: the verdict left behind must name exactly
+        # what this run used, whatever another thread flips meanwhile
+        basis = self._basis(mode)
+        (_, detect_sqli, detect_stored, incremental_learning, detector,
+         _) = basis
         # The internal hash changes whenever the structure changes, so a
         # mutated query will not match exactly.  When the query carries
         # an external identifier (call site), the manager also returns
@@ -382,8 +466,8 @@ class Septic(object):
         candidates = None if known else lookup.candidates
         if known:
             self.logger.log(EventKind.QM_FOUND, query_id=query_id.value)
-        if self.config.detect_sqli:
-            detection = self._sqli_detection(structure, model, candidates,
+        if detect_sqli:
+            detection = self._sqli_detection(lookup, detector, candidates,
                                              checkpoint)
             if checkpoint is not None:
                 checkpoint()
@@ -396,9 +480,9 @@ class Septic(object):
                 self.logger.log(EventKind.COMPARISON_OK,
                                 query_id=query_id.value)
             known = known or bool(candidates)
-        if self.config.detect_stored:
-            detection = self.detector.detect_stored(structure,
-                                                    checkpoint=checkpoint)
+        if detect_stored:
+            detection = detector.detect_stored(structure,
+                                               checkpoint=checkpoint)
             if checkpoint is not None:
                 checkpoint()
             if detection.is_attack:
@@ -408,20 +492,29 @@ class Septic(object):
             # Unknown query: incremental learning (administrator reviews
             # these later, paper §II-E).
             self.stats.bump("unknown_queries")
-            if self.config.incremental_learning:
+            if incremental_learning:
                 self._learn(lookup, context, training=False)
         self.logger.log(EventKind.QUERY_EXECUTED, query_id=query_id.value)
         if checkpoint is not None:
             checkpoint()
+        memo = getattr(context, "memo", None)
+        if memo is not None and model is not None:
+            # benign against a known model.  The run logged QS_BUILT,
+            # ID_GENERATED, QM_FOUND and QUERY_EXECUTED, plus
+            # COMPARISON_OK when it compared — none of them significant.
+            memo.verdict = _Verdict(query_id.value, model, basis,
+                                    4 + bool(detect_sqli))
 
-    def _sqli_detection(self, structure, model, candidates, checkpoint=None):
+    def _sqli_detection(self, lookup, detector, candidates, checkpoint=None):
         """Run the two-step comparison.
 
         Returns a Detection, or ``None`` when there is nothing to compare
         against (no model and no call-site candidates).
         """
-        if model is not None:
-            return self.detector.detect_sqli(structure, model)
+        structure = lookup.structure
+        if lookup.model is not None:
+            return self._compare(structure, lookup.model, lookup.shape,
+                                 detector)
         if candidates:
             # match against every model learned for this call site; an
             # attack is flagged only if none matches
@@ -429,13 +522,36 @@ class Septic(object):
             for candidate in candidates:
                 if checkpoint is not None:
                     checkpoint()
-                detection = self.detector.detect_sqli(structure, candidate)
+                detection = detector.detect_sqli(structure, candidate)
                 if not detection.is_attack:
                     return detection
                 if best is None or (detection.step or 0) > (best.step or 0):
                     best = detection  # prefer the most precise mismatch
             return best
         return None
+
+    def _compare(self, structure, model, shape, detector):
+        """``detector.detect_sqli`` against the learned *model*.
+
+        Whether the comparison passes depends only on the query's shape
+        and the model — data values face ⊥ and are not looked at, which
+        is checked of the model — so a pass is remembered per ``(shape,
+        model object)`` and the walk skipped next time.  A mismatch is
+        never remembered: its report quotes the query's values.  An
+        armed fault plan always gets the real call (``detector.run``
+        fires inside it).
+        """
+        if shape is None or faults_mod.ACTIVE is not None:
+            return detector.detect_sqli(structure, model)
+        key = (shape, id(model))
+        seen = self._benign.get(key)
+        # the entry holds the model, so its id cannot have been reused
+        if seen is not None and seen[0] is model and seen[1] is detector:
+            return BENIGN
+        detection = detector.detect_sqli(structure, model)
+        if not detection.is_attack and _abstracts_all_data(model):
+            self._benign.put(key, (model, detector))
+        return detection
 
     def _handle_attack(self, detection, query_id, context, model):
         self.stats.bump("attacks_detected")

@@ -15,7 +15,8 @@ entries hold everything the pipeline derived from one raw query string:
 * the parsed AST statements and the comment list (external-ID channel);
 * for single-statement entries, the validated item stack; and
 * a :class:`SepticMemo` slot in which the QS&QM manager caches the
-  query structure, query model and composed query ID.
+  query structure, query model and composed query ID, and SEPTIC the
+  verdict of its last full run.
 
 Keying on the **schema version** makes invalidation automatic and
 race-free: any DDL bumps :attr:`repro.sqldb.engine.Database.schema_version`,
@@ -44,17 +45,26 @@ class SepticMemo(object):
     """Per-cache-entry memo of the SEPTIC hook's derived products.
 
     Filled lazily by :meth:`repro.core.manager.QSQMManager.receive` on
-    the first hook invocation for the entry; afterwards the hook cost
-    converges to the model-store dict lookup.  ``query_id`` is written
+    the first hook invocation for the entry.  ``query_id`` is written
     last so concurrent readers either see a complete memo or none.
+
+    ``verdict`` is the hook's own slot: after a full run that ended
+    *benign against a known model*, :class:`repro.core.septic.Septic`
+    leaves there what made that true, and repeats of this exact
+    statement skip the run while all of it still holds (see
+    ``Septic._verdict_holds``).  It is one immutable object, replaced
+    whole, so a reader never sees half of one.
     """
 
-    __slots__ = ("structure", "model_of_query", "query_id")
+    __slots__ = ("structure", "model_of_query", "shape", "query_id",
+                 "verdict")
 
     def __init__(self):
         self.structure = None
         self.model_of_query = None
+        self.shape = None
         self.query_id = None
+        self.verdict = None
 
     @property
     def ready(self):
@@ -78,7 +88,7 @@ class CacheEntry(object):
         #: on first execution (multi-statement scripts may contain DDL
         #: whose later statements only validate mid-script)
         self.stack = None
-        #: SEPTIC's memoized QS/QM/ID products for this entry
+        #: SEPTIC's memoized QS/QM/ID products and verdict for this entry
         self.septic_memo = SepticMemo()
         #: memoized physical plan, as ``(planner fingerprint, plan)`` —
         #: single-statement entries only, filled by ``Executor.prepare``

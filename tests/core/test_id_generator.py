@@ -97,5 +97,12 @@ class TestComposition(object):
         b = gen.generate(["septic:site2"], model)
         assert a != b
 
+    def test_value_is_composed_once(self):
+        # it used to be re-formatted on every read, hash and comparison
+        qid = QueryId("abc", external="site")
+        assert qid.value == "site§abc"
+        assert qid.value is qid.value
+        assert hash(qid) == hash("site§abc")
+
     def test_queryid_repr(self):
         assert "QueryId" in repr(QueryId("abc", external="e"))

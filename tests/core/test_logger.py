@@ -1,5 +1,7 @@
 """Tests for the logger / event register."""
 
+import pytest
+
 from repro.core.logger import EventKind, EventRecord, SepticLogger
 
 
@@ -126,6 +128,106 @@ class TestBoundedRegisterKeepsEvidence(object):
         assert logger.dropped_events == 1
         logger.clear()
         assert logger.dropped_events == 0
+
+
+class _CountingList(list):
+    """A register that counts how many records are looked at."""
+
+    looked_at = 0
+
+    def __getitem__(self, index):
+        type(self).looked_at += 1
+        return list.__getitem__(self, index)
+
+    def __iter__(self):
+        for item in list.__iter__(self):
+            type(self).looked_at += 1
+            yield item
+
+
+def _reference_log(events, max_events, verbose, kind, sequence):
+    """The register's rule, written the obvious way: the eviction scan
+    from the front on every full-register significant record.  Returns
+    the number of records lost."""
+    from repro.core.logger import _SIGNIFICANT
+
+    if not verbose and kind not in _SIGNIFICANT:
+        return 0
+    if len(events) < max_events:
+        events.append((kind, sequence))
+        return 0
+    if kind not in _SIGNIFICANT:
+        return 1
+    victim = 0
+    for index, (held, _sequence) in enumerate(events):
+        if held not in _SIGNIFICANT:
+            victim = index
+            break
+    del events[victim]
+    events.append((kind, sequence))
+    return 1
+
+
+class TestEvictionCost(object):
+    """A full register used to walk itself, front to back, for every
+    significant record — under an attack flood (a quiet register holds
+    nothing else) that is ``max_events`` looks per attack."""
+
+    def _logger(self, **kwargs):
+        logger = SepticLogger(**kwargs)
+        logger.events = _CountingList()
+        _CountingList.looked_at = 0
+        return logger
+
+    def test_attack_flood_on_a_quiet_register_looks_at_nothing(self):
+        logger = self._logger(verbose=False, max_events=50)
+        for index in range(550):
+            logger.log(EventKind.ATTACK_DETECTED, query=str(index))
+            logger.log(EventKind.QUERY_EXECUTED)       # discarded unseen
+        assert _CountingList.looked_at == 0
+        assert [e.query for e in logger.events] == [
+            str(index) for index in range(500, 550)]
+        assert logger.dropped_events == 500
+
+    def test_scan_resumes_where_it_stopped(self):
+        logger = self._logger(verbose=True, max_events=40)
+        for index in range(40):                 # evidence, then chatter
+            logger.log(EventKind.QM_CREATED if index < 20
+                       else EventKind.QUERY_EXECUTED)
+        for _ in range(30):
+            logger.log(EventKind.ATTACK_DETECTED)
+        # 20 looks to pass the evidence once, one per eviction after —
+        # not 20 per eviction
+        assert _CountingList.looked_at <= 20 + 30
+        kinds = [e.kind for e in logger.events]
+        assert kinds == ([EventKind.QM_CREATED] * 10
+                         + [EventKind.ATTACK_DETECTED] * 30)
+        assert logger.dropped_events == 30
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_matches_the_obvious_rule_on_random_traffic(self, seed):
+        import random
+
+        rng = random.Random(seed)
+        kinds = [EventKind.ATTACK_DETECTED, EventKind.QM_CREATED,
+                 EventKind.QUERY_EXECUTED, EventKind.QS_BUILT]
+        logger = SepticLogger(verbose=True, max_events=7)
+        reference, lost = [], 0
+        for sequence in range(1, 400):
+            if rng.random() < 0.02:
+                logger.verbose = not logger.verbose
+            if rng.random() < 0.01:
+                logger.clear()
+                reference, lost = [], 0
+            # long runs of one kind: floods of evidence, floods of noise
+            kind = rng.choice(kinds[:2] if (sequence // 25) % 2
+                              else kinds)
+            lost += _reference_log(reference, 7, logger.verbose, kind,
+                                   sequence)
+            logger.log(kind)
+            assert [(e.kind, e.sequence) for e in logger.events] == \
+                reference
+            assert logger.dropped_events == lost
 
 
 class TestExportJson(object):

@@ -908,3 +908,94 @@ def test_shard_subsystem_never_reads_the_wall_clock():
     for path in _python_files(SHARD_ROOT):
         problems.extend(_wall_clock_violations(path))
     assert problems == [], "\n".join(problems)
+
+
+#: the one predicate under which SEPTIC's hook may return before its
+#: full run (the verdict memo's validity check)
+_HOOK_SHORTCUT_PREDICATE = "_verdict_holds"
+
+
+def _hook_shortcut_violations(path):
+    """Early exits of ``Septic.process_query``.
+
+    The hook may skip its full run in exactly one place: a ``return``
+    directly under a top-level ``if`` whose test calls
+    ``self._verdict_holds(...)``, the single statement of what must
+    still be true.  Any other ``return`` in the method — a second
+    shortcut, or the same one behind a different or weakened test — is
+    a path on which a query goes unexamined without that argument
+    having been made.
+    """
+    with open(path) as handle:
+        tree = ast.parse(handle.read(), filename=path)
+    rel = os.path.relpath(path, REPO_ROOT)
+    hooks = [
+        node for cls in ast.walk(tree)
+        if isinstance(cls, ast.ClassDef) and cls.name == "Septic"
+        for node in cls.body
+        if isinstance(node, ast.FunctionDef)
+        and node.name == "process_query"
+    ]
+    if len(hooks) != 1:
+        return ["%s: expected one Septic.process_query, found %d"
+                % (rel, len(hooks))]
+    hook = hooks[0]
+
+    def is_predicate_call(node):
+        return (isinstance(node, ast.Call)
+                and isinstance(node.func, ast.Attribute)
+                and node.func.attr == _HOOK_SHORTCUT_PREDICATE
+                and isinstance(node.func.value, ast.Name)
+                and node.func.value.id == "self")
+
+    def guarded(test):
+        # the predicate itself, or a conjunction it is a term of
+        terms = (test.values if isinstance(test, ast.BoolOp)
+                 and isinstance(test.op, ast.And) else [test])
+        return any(is_predicate_call(term) for term in terms)
+
+    sanctioned = set()
+    for stmt in hook.body:
+        if isinstance(stmt, ast.If) and guarded(stmt.test):
+            sanctioned.update(id(node) for node in stmt.body
+                              if isinstance(node, ast.Return))
+    problems = []
+    returns = [node for node in ast.walk(hook)
+               if isinstance(node, ast.Return)]
+    for node in returns:
+        if id(node) not in sanctioned:
+            problems.append(
+                "%s:%d: return in process_query outside `if ... "
+                "self.%s(...):`" % (rel, node.lineno,
+                                    _HOOK_SHORTCUT_PREDICATE))
+    if len(sanctioned) > 1:
+        problems.append("%s: %d shortcuts in process_query, one allowed"
+                        % (rel, len(sanctioned)))
+    return problems
+
+
+def test_hook_returns_early_only_under_the_validity_predicate():
+    path = os.path.join(SRC_ROOT, "repro", "core", "septic.py")
+    assert _hook_shortcut_violations(path) == []
+    # and the gate is looking at a hook that does have the shortcut
+    with open(path) as handle:
+        assert "self.%s(" % _HOOK_SHORTCUT_PREDICATE in handle.read()
+
+
+def test_hook_shortcut_gate_catches_a_second_exit(tmp_path):
+    bad = tmp_path / "bad_septic.py"
+    bad.write_text(
+        "class Septic(object):\n"
+        "    def process_query(self, context):\n"
+        "        verdict = context.memo.verdict\n"
+        "        if verdict is not None and self._verdict_holds(verdict):\n"
+        "            return\n"
+        "        if context.sql in self._seen:\n"
+        "            return\n"
+        "        if verdict is not None or self._verdict_holds(verdict):\n"
+        "            return\n"
+        "        self._process(context, None)\n"
+    )
+    problems = _hook_shortcut_violations(str(bad))
+    assert len(problems) == 2
+    assert ":7:" in problems[0] and ":9:" in problems[1]
