@@ -7,10 +7,13 @@ malicious inputs).  Also ablates the two-step detection design: how much
 work the cheap structural check saves on structurally-mutated attacks.
 
 The ``hook:`` rows are the whole hook (``Database.septic_seconds_total``
-per query) at its three memo states: **L1 hit** — this exact statement's
-verdict is cached; **L2 hit** — the statement is new, its shape is not
-(QM, internal ID and the comparison's outcome come from the shape
-memos); **cold** — nothing is memoised, every product is derived.
+per query) at its three memo states: **L1 hit** — the statement's cache
+entry holds a verdict (reached on this text or on another text of its
+shape); **L2 hit** — the statement has no cache entry, its shape is
+known to SEPTIC (QM, internal ID and the comparison's outcome come from
+the shape memos); **cold** — nothing is memoised, every product is
+derived.  The pipeline cache is emptied before every L2 and cold sample:
+a new text alone no longer reaches L2, it rides its shape's entry.
 """
 
 from repro.core.detector import AttackDetector
@@ -80,11 +83,13 @@ def _hook_costs(samples=300, rounds=5):
     def cold():
         # a SEPTIC that has the models and has memoised nothing
         database.septic = fresh_septic(store=trainer.store)
+        database.pipeline_cache.clear()
 
     costs = {"cold": measure(cold, new_text)}
     database.septic = fresh_septic(store=trainer.store)
     assert conn.query(HOOK_SQL).ok and conn.query(HOOK_SQL).ok
-    costs["L2 hit"] = measure(lambda: None, new_text)
+    costs["L2 hit"] = measure(database.pipeline_cache.clear, new_text)
+    assert conn.query(HOOK_SQL).ok and conn.query(HOOK_SQL).ok
     costs["L1 hit"] = measure(lambda: None, lambda: HOOK_SQL)
     return costs
 

@@ -5,6 +5,12 @@ decode→parse→validate pipeline and the SEPTIC QS/QM/ID derivation are
 memoized, so the per-query cost converges to a cache lookup plus the
 model-store comparison.  This bench measures:
 
+* **text hit / shape hit / cold** — one 26-node query (the micro-cost
+  bench's) end to end through ``Connection.query`` at the cache's three
+  states: the exact text seen before (one lookup); a text never seen
+  whose *shape* was (decode + tokenize + key, then the shared entry with
+  this text's literals bound late); nothing cached (parse, validate,
+  SEPTIC derivation, plan);
 * **cold** — every query through a cache-disabled database
   (``cache_size=0``), i.e. the seed repo's hot path;
 * **warm** — the same query mix through a cached database after one
@@ -60,6 +66,8 @@ QUERY_MIX = [
 ]
 
 LOOPS = 200
+STATE_SAMPLES = 400
+STATE_ROUNDS = 5
 THREADS = 4
 THREAD_LOOPS = 50
 
@@ -81,6 +89,47 @@ def _time_loop(conn, loops):
         for sql in QUERY_MIX:
             conn.query(sql)
     return time.perf_counter() - start
+
+
+def _state_costs():
+    """``{state: µs per query}`` for the 26-node query, best of
+    ``STATE_ROUNDS`` means."""
+    from bench_microcosts import HOOK_SCHEMA, HOOK_SQL
+
+    septic = Septic(mode=Mode.TRAINING, logger=SepticLogger(verbose=False))
+    database = Database(septic=septic)
+    database.seed(HOOK_SCHEMA)
+    conn = Connection(database)
+    conn.query_or_raise(HOOK_SQL)
+    septic.mode = Mode.PREVENTION
+    conn.query_or_raise(HOOK_SQL)
+    cache = database.pipeline_cache
+    numbers = iter(range(10000, 10 ** 9))
+
+    def measure(prepare, sql_for):
+        best = None
+        for _ in range(STATE_ROUNDS):
+            total = 0.0
+            for _ in range(STATE_SAMPLES):
+                prepare()
+                sql = sql_for()
+                start = time.perf_counter()
+                outcome = conn.query(sql)
+                total += time.perf_counter() - start
+                assert outcome.ok
+            mean = total / STATE_SAMPLES
+            best = mean if best is None else min(best, mean)
+        return 1e6 * best
+
+    costs = {"text hit": measure(lambda: None, lambda: HOOK_SQL)}
+    shape_hits = cache.shape_hits
+    costs["shape hit"] = measure(
+        lambda: None, lambda: HOOK_SQL.replace("1234", str(next(numbers))))
+    assert cache.shape_hits - shape_hits == STATE_SAMPLES * STATE_ROUNDS
+    misses = cache.misses
+    costs["cold"] = measure(cache.clear, lambda: HOOK_SQL)
+    assert cache.misses - misses == STATE_SAMPLES * STATE_ROUNDS
+    return costs
 
 
 def test_pipeline_cache_artifact(report, benchmark):
@@ -142,11 +191,27 @@ def test_pipeline_cache_artifact(report, benchmark):
         widths=[20, 12, 16, 10],
     )
     report.line()
-    report.line("warm cache counters: entries=%d hits=%d misses=%d "
-                "hit_rate=%.3f" % (cache_stats["entries"],
-                                   cache_stats["hits"],
-                                   cache_stats["misses"],
-                                   cache_stats["hit_rate"]))
+    report.line("warm cache counters: entries=%d hits=%d (shape_hits=%d) "
+                "misses=%d hit_rate=%.3f" % (cache_stats["entries"],
+                                             cache_stats["hits"],
+                                             cache_stats["shape_hits"],
+                                             cache_stats["misses"],
+                                             cache_stats["hit_rate"]))
+    report.line()
+    states = _state_costs()
+    report.line("One 26-node query through Connection.query, by cache state")
+    report.table(
+        ["state", "per query (us)", "what it pays"],
+        [
+            ["text hit", "%.1f" % states["text hit"],
+             "lookup + L1 hook + execute"],
+            ["shape hit", "%.1f" % states["shape hit"],
+             "+ decode, tokenize, shape key, bind literals"],
+            ["cold", "%.1f" % states["cold"],
+             "+ parse, validate, SEPTIC derivation, plan"],
+        ],
+        widths=[12, 16, 44],
+    )
     report.line()
     report.line("Threaded run — %d threads x %d loops over a shared "
                 "SEPTIC database" % (THREADS, THREAD_LOOPS))
@@ -172,6 +237,10 @@ def test_pipeline_cache_artifact(report, benchmark):
     report.metric("warm_vs_cold_speedup", round(speedup, 2), "x")
     report.metric("warm_hit_rate", round(cache_stats["hit_rate"], 4),
                   "fraction")
+    for state in ("text hit", "shape hit", "cold"):
+        report.metric(state.replace(" ", "_"), round(states[state], 2), "us")
+    # each probe must pay for itself
+    assert states["text hit"] < states["shape hit"] < states["cold"]
     assert errors == []
     assert stats["queries_processed"] == expected_processed
     assert stats["attacks_detected"] == expected_attacks

@@ -15,7 +15,7 @@ from repro.core.query_model import BOTTOM, QueryModel
 from repro.core.query_structure import QueryStructure
 from repro.core.resilience import make_lock
 from repro.core.store import QMStore
-from repro.sqldb.items import DATA_KINDS, Item
+from repro.sqldb.items import DATA_KINDS, Item, Slot
 
 #: capacity of every shape-keyed memo (entries per map).  A client can
 #: mint query shapes at will, so none of these maps may grow with them.
@@ -52,7 +52,7 @@ class BoundedMemo(object):
 _MISSING = object()
 
 
-def structure_and_shape(stack):
+def structure_and_shape(stack, values=()):
     """Copy the DBMS stack into a QS and derive its *shape* in one pass.
 
     The shape is a flat hashable tuple ``(kind, value-or-⊥, ...)`` — the
@@ -61,17 +61,23 @@ def structure_and_shape(stack):
     ``(structure, None)`` when an element value is not a ``str`` (only
     hand-built stacks): ``1``, ``1.0`` and ``True`` hash alike but
     canonicalise differently, so such stacks are derived the long way.
+    Data items of a shared statement's stack take their value from the
+    execution's *values*; the shape has ⊥ there either way.
     """
     nodes = []
     shape = []
     for item in stack:
         kind = item.kind
         value = item.value
-        nodes.append(Item(kind, value))
         if kind in DATA_KINDS:
+            if value.__class__ is Slot:
+                value = value.bound(values)
+            nodes.append(Item(kind, value))
             value = BOTTOM
         elif type(value) is not str:
-            return QueryStructure.from_stack(stack), None
+            return QueryStructure.from_stack(stack, values), None
+        else:
+            nodes.append(Item(kind, value))
         shape.append(kind)
         shape.append(value)
     return QueryStructure(nodes), tuple(shape)
@@ -130,10 +136,11 @@ class QSQMManager(object):
         perform the store lookup.  Returns a :class:`LookupResult`.
 
         When the engine hands over a pipeline-cache memo
-        (``context.memo``), the QS build, QM abstraction and ID
-        composition are served from (or written back to) that memo, so a
-        cache-hot query's hook cost collapses to the store lookup.  All
-        products are pure functions of the cached stack+comments;
+        (``context.memo``), QM abstraction and ID composition are served
+        from (or written back to) that memo: both are pure functions of
+        the entry's stack shape and comments, which every execution of
+        the entry shares.  The QS is this execution's own — it holds the
+        values — and is copied out of the stack each time.
         ``query_id`` is published last so a concurrently-read memo is
         either complete or ignored.
 
@@ -146,17 +153,17 @@ class QSQMManager(object):
         hang in either stage is caught here.
         """
         memo = getattr(context, "memo", None)
+        values = getattr(context, "values", ())
         if memo is not None and memo.ready:
-            structure = memo.structure
+            structure = QueryStructure.from_stack(context.stack, values)
             model_of_query = memo.model_of_query
             shape = memo.shape
             query_id = memo.query_id
         else:
             structure, model_of_query, shape, query_id = self._derive(
-                context.stack, context.comments
+                context.stack, context.comments, values
             )
             if memo is not None:
-                memo.structure = structure
                 memo.model_of_query = model_of_query
                 memo.shape = shape
                 memo.query_id = query_id
@@ -171,9 +178,9 @@ class QSQMManager(object):
         return LookupResult(structure, model_of_query, query_id, model,
                             candidates, shape)
 
-    def _derive(self, stack, comments):
+    def _derive(self, stack, comments, values=()):
         """``(QS, QM, shape, query ID)`` of one validated stack."""
-        structure, shape = structure_and_shape(stack)
+        structure, shape = structure_and_shape(stack, values)
         known = self._shapes.get(shape) if shape is not None else None
         if known is None:
             model_of_query = QueryModel.from_structure(structure)

@@ -6,7 +6,7 @@ copies that stack into its own structure whose nodes have the form
 Figure 2a).
 """
 
-from repro.sqldb.items import DATA_KINDS, Item
+from repro.sqldb.items import DATA_KINDS, Item, Slot
 
 
 class QueryStructure(object):
@@ -18,10 +18,16 @@ class QueryStructure(object):
         self.nodes = list(nodes)
 
     @classmethod
-    def from_stack(cls, stack):
+    def from_stack(cls, stack, values=()):
         """Copy the DBMS's validated item stack (paper: SEPTIC "receives
-        this structure and creates another stack with that data")."""
-        return cls(Item(item.kind, item.value) for item in stack)
+        this structure and creates another stack with that data").  The
+        stack of a shared statement holds slots where its data goes;
+        *values* is what this execution put there."""
+        return cls(
+            Item(item.kind, item.value.bound(values)
+                 if item.value.__class__ is Slot else item.value)
+            for item in stack
+        )
 
     def __len__(self):
         return len(self.nodes)

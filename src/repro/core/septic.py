@@ -23,14 +23,19 @@ circuit breaker, and converted into the configured fail-policy outcome —
 run detection-style (see :mod:`repro.core.resilience`).
 
 Two memo levels keep the hook cheap without changing a verdict.  **L1**:
-a pipeline-cache entry (one exact statement) remembers that its last
-full run ended benign against a known model, and with what
-(:class:`_Verdict`); while all of that still holds, a repeat costs the
-check plus the run's bookkeeping.  **L2**: a statement not seen before
-still rarely has a new *shape*; the manager interns QM and internal ID
-per shape, and the benign outcome of the node-by-node comparison is
-remembered per ``(shape, learned model)``.  Attacks, unknown queries,
-TRAINING and every contained fault always take the full path.
+a pipeline-cache entry (one statement shape, executed with many values)
+remembers that its last full run ended benign against a known model,
+and with what (:class:`_Verdict`); while all of that still holds, the
+next execution costs the check plus the run's bookkeeping.  The verdict
+serves other values than the ones it was reached with only where the
+run did not look at them: the learned model has ⊥ for every data node
+and no stored-injection plugin inspected them (INSERT/UPDATE/REPLACE
+under ``detect_stored`` always run the plugins on the values at hand).
+**L2**: a statement not seen before still rarely has a new *shape*; the
+manager interns QM and internal ID per shape, and the benign outcome of
+the node-by-node comparison is remembered per ``(shape, learned
+model)``.  Attacks, unknown queries, TRAINING and every contained fault
+always take the full path.
 """
 
 from repro import faults as faults_mod
@@ -128,9 +133,9 @@ class _Verdict(object):
     known model — everything that run's outcome depended on, as read
     *before* it was used (immutable; see ``Septic._verdict_holds``)."""
 
-    __slots__ = ("full_id", "model", "basis", "events")
+    __slots__ = ("full_id", "model", "basis", "events", "values")
 
-    def __init__(self, full_id, model, basis, events):
+    def __init__(self, full_id, model, basis, events, values):
         self.full_id = full_id
         #: the learned model object the store served for the ID
         self.model = model
@@ -138,6 +143,28 @@ class _Verdict(object):
         self.basis = basis
         #: non-significant events the run logged (all of its events)
         self.events = events
+        #: the values vector the run saw, when its outcome depended on
+        #: it; ``None`` when any values would have ended the same
+        self.values = values
+
+    def covers(self, values):
+        """Whether the run would have ended the same on *values*."""
+        return self.values is None or self.values == values
+
+
+def _remembered(context, memo):
+    """The verdict of an earlier full run of this statement that covers
+    this execution's values: the one its shape keeps, else the one its
+    very text keeps."""
+    verdict = memo.verdict
+    if verdict is not None and verdict.covers(context.values):
+        return verdict
+    text = context.text
+    if text is not None:
+        verdict = text.verdict
+        if verdict is not None and verdict.covers(context.values):
+            return verdict
+    return None
 
 
 def _abstracts_all_data(model):
@@ -273,6 +300,7 @@ class Septic(object):
         retry_stats = getattr(database, "retry_stats", None)
         storage_stats = getattr(database, "storage_stats", None)
         net_stats = getattr(database, "net_stats", None)
+        pipeline_cache = getattr(database, "pipeline_cache", None)
         return {
             "retry_stats": (
                 retry_stats.as_dict() if retry_stats is not None else None
@@ -286,6 +314,12 @@ class Septic(object):
             # scrub_repairs and friends
             "storage": (
                 storage_stats() if storage_stats is not None else None
+            ),
+            # pipeline-cache counters: hits (served without parsing, of
+            # which shape_hits missed by text), misses (parsed)
+            "pipeline_cache": (
+                pipeline_cache.stats_dict()
+                if pipeline_cache is not None else None
             ),
             "mode": self._mode,
             "effective_mode": self.effective_mode,
@@ -314,6 +348,10 @@ class Septic(object):
         self.stats.bump("queries_processed")
         memo = getattr(context, "memo", None)
         verdict = memo.verdict if memo is not None else None
+        if memo is not None and (verdict is None
+                                 or verdict.values is not None):
+            # none for the shape, or one tied to the values it saw
+            verdict = _remembered(context, memo)
         if verdict is not None and self._verdict_holds(verdict):
             # all the run not made would leave behind: its event numbers
             self.logger.skip(verdict.events)
@@ -345,8 +383,10 @@ class Septic(object):
 
     def _process(self, context, checkpoint):
         lookup = self.manager.receive(context, checkpoint)
+        # (a prepared execution renders its text on demand: not for a
+        # record the register is about to discard)
         self.logger.log(EventKind.QS_BUILT,
-                        query=context.sql,
+                        query=context.sql if self.logger.verbose else None,
                         detail="%d nodes" % len(lookup.structure))
         self.logger.log(EventKind.ID_GENERATED,
                         query_id=lookup.query_id.value)
@@ -502,8 +542,18 @@ class Septic(object):
             # benign against a known model.  The run logged QS_BUILT,
             # ID_GENERATED, QM_FOUND and QUERY_EXECUTED, plus
             # COMPARISON_OK when it compared — none of them significant.
-            memo.verdict = _Verdict(query_id.value, model, basis,
-                                    4 + bool(detect_sqli))
+            # The entry is shared by every text of the statement's
+            # shape; the outcome holds for their values too unless the
+            # plugins read these or the model pins a literal.
+            inspected = detect_stored and \
+                structure.command() in ("INSERT", "UPDATE")
+            shared = not inspected and _abstracts_all_data(model)
+            holder = memo if shared or context.text is None \
+                else context.text
+            holder.verdict = _Verdict(
+                query_id.value, model, basis, 4 + bool(detect_sqli),
+                None if shared else context.values,
+            )
 
     def _sqli_detection(self, lookup, detector, candidates, checkpoint=None):
         """Run the two-step comparison.

@@ -68,9 +68,15 @@ class Literal(Expr):
 
 
 class Param(Expr):
-    """A ``?`` placeholder (prepared-statement style)."""
+    """A value slot: a ``?`` placeholder, or the place where a data
+    literal stood in a statement the pipeline cache shares between
+    texts.  ``index`` is the slot's position in the values vector an
+    execution supplies; the node itself never holds a value."""
 
-    __slots__ = ()
+    __slots__ = ("index",)
+
+    def __init__(self, index=None):
+        self.index = index
 
 
 class ColumnRef(Expr):

@@ -1,66 +1,84 @@
-"""Query-pipeline cache: memoizes the decode→parse→validate products.
+"""Query-pipeline cache: text probe, shape entry, late binding.
 
 The paper's Figure 5 argument is that in-DBMS protection costs almost
-nothing on top of query processing.  For that to hold at scale, the
-processing itself must not redo work: a web application issues the same
-handful of query *shapes* millions of times, and re-tokenizing,
-re-parsing and re-validating each one from scratch dwarfs the SEPTIC
-hook it is supposed to showcase.
+nothing on top of query processing.  For that to hold at scale the
+processing must not redo work: a web application issues a handful of
+query *shapes* millions of times with different form values written
+into them, and re-parsing, re-validating and re-planning every text
+dwarfs the SEPTIC hook it is supposed to showcase.  SEPTIC's query
+model is a statement shape with ⊥ for data; a cache entry is the same
+idea one stage earlier.
 
-:class:`PipelineCache` is an LRU map keyed by
-``(connection charset, raw SQL text, catalog schema version)`` whose
-entries hold everything the pipeline derived from one raw query string:
+A :class:`CacheEntry` is built once per statement **shape** and is
+read-only afterwards: the AST with a ``Param`` slot where each data
+literal stood, the validated item stack (``Slot`` in its data items),
+SEPTIC's memo and the physical plan.  An execution brings a *values
+vector* that evaluator, plan operators and SEPTIC read late; nothing
+per-execution is written into the entry, so sessions share it freely.
 
-* the charset-decoded text (the exact bytes SEPTIC must see);
-* the parsed AST statements and the comment list (external-ID channel);
-* for single-statement entries, the validated item stack; and
-* a :class:`SepticMemo` slot in which the QS&QM manager caches the
-  query structure, query model and composed query ID, and SEPTIC the
-  verdict of its last full run.
+:class:`PipelineCache` is one LRU map.  Every key carries the
+connection charset and the catalog schema version (DDL bumps it, stale
+entries stop matching and age out — nothing ever walks the cache to
+invalidate), and is one of:
 
-Keying on the **schema version** makes invalidation automatic and
-race-free: any DDL bumps :attr:`repro.sqldb.engine.Database.schema_version`,
-so stale entries simply stop matching and age out of the LRU.  Nothing
-ever has to walk the cache to invalidate it.
+raw SQL text → :class:`TextBinding`
+    The first probe: an exact repeat costs one lookup.
+``("shape", wildcard key, pins, pinned literals, comments)`` → entry
+    Probed on a text miss, after decoding and tokenizing — both can
+    change what a text means, so the key is made of the tokens the
+    parser would see (:func:`repro.sqldb.lexer.wildcard_key`: the token
+    stream with every data literal's value removed).  *Pins* are the
+    literal tokens the parser left as literals because a later stage
+    reads them by value — LIMIT/OFFSET, ORDER/GROUP BY, a bare literal
+    in the select list, lengths in type names; they are matched
+    verbatim, so ``LIMIT 10`` and ``LIMIT 20`` are two entries.  So are
+    the comments: they carry SEPTIC's external identifier.  Only a
+    single SELECT/INSERT/REPLACE/UPDATE/DELETE without ``?`` has a
+    shape; DDL, scripts, SHOW ... are cached by text alone.
+``("stmt", statement id, parameter types)`` → entry
+    A prepared statement: its ``?`` are the slots, the parameters the
+    values.  A slot's type decides its item kind and whether an index
+    can serve it, hence the types in the key.
 
-Correctness notes:
-
-* decoding is a pure function of ``(charset, raw_sql)`` and parsing a
-  pure function of the decoded text, so those products are shareable
-  across sessions unconditionally;
-* validation additionally reads the catalog, hence the schema version
-  in the key;
-* cached AST statements are *shared* between executions — the executor
-  treats statements as read-only (see ``Executor._select``'s copy-free
-  UNION handling), and prepared statements clone before binding.
+Why texts may share an entry under SEPTIC: a shape hit means the token
+streams are equal except for the values of slot literals, and neither
+parser nor validator branches on such a value, so the item stacks are
+equal up to their data nodes — same query model, same query ID.  A text
+whose injected content changes the token stream has another key and
+never meets the entry of the statement it imitates.
 """
 
 from collections import OrderedDict
 
 from repro import faults as faults_mod
 from repro.core.resilience import make_lock
+from repro.sqldb.lexer import slot_values, wildcard_key
+
+#: wildcard keys whose pinned-literal positions are remembered; cleared
+#: whole when full (a client can mint keys at will)
+PINS_MAX = 4096
 
 
 class SepticMemo(object):
     """Per-cache-entry memo of the SEPTIC hook's derived products.
 
     Filled lazily by :meth:`repro.core.manager.QSQMManager.receive` on
-    the first hook invocation for the entry.  ``query_id`` is written
-    last so concurrent readers either see a complete memo or none.
+    the first hook invocation for the entry; the products depend on the
+    statement's shape and comments, never on its values.  ``query_id``
+    is written last so concurrent readers either see a complete memo or
+    none.
 
     ``verdict`` is the hook's own slot: after a full run that ended
     *benign against a known model*, :class:`repro.core.septic.Septic`
-    leaves there what made that true, and repeats of this exact
-    statement skip the run while all of it still holds (see
-    ``Septic._verdict_holds``).  It is one immutable object, replaced
-    whole, so a reader never sees half of one.
+    leaves there what made that true, and later executions skip the run
+    while all of it still holds (see ``Septic._verdict_holds``).  It is
+    one immutable object, replaced whole, so a reader never sees half
+    of one.
     """
 
-    __slots__ = ("structure", "model_of_query", "shape", "query_id",
-                 "verdict")
+    __slots__ = ("model_of_query", "shape", "query_id", "verdict")
 
     def __init__(self):
-        self.structure = None
         self.model_of_query = None
         self.shape = None
         self.query_id = None
@@ -72,23 +90,30 @@ class SepticMemo(object):
 
 
 class CacheEntry(object):
-    """Everything derived from one ``(charset, raw_sql, schema_version)``."""
+    """Everything derived from one statement shape (see the module
+    docstring); shared between executions and read-only once filled."""
 
-    __slots__ = ("decoded", "statements", "comments", "stack",
+    __slots__ = ("statements", "comments", "slots", "slot_tags", "stack",
                  "septic_memo", "plan")
 
-    def __init__(self, decoded, statements, comments):
-        #: charset-decoded query text (what the parser and SEPTIC see)
-        self.decoded = decoded
-        #: parsed AST statements (shared, read-only)
+    def __init__(self, statements, comments, slots=(), slot_tags=()):
+        #: parsed AST statements, ``Param`` nodes where values go
         self.statements = statements
         #: comment bodies (the external-identifier channel)
         self.comments = comments
+        #: token positions of the literals that became slots, in slot
+        #: order (literal text only; a prepared statement's slots are
+        #: its ``?``)
+        self.slots = slots
+        #: literal type tag of each slot (``int``/``float``/``string``/
+        #: ``null``/``bool``) — all that validation and planning may
+        #: know about a value
+        self.slot_tags = slot_tags
         #: validated item stack — single-statement entries only, filled
         #: on first execution (multi-statement scripts may contain DDL
         #: whose later statements only validate mid-script)
         self.stack = None
-        #: SEPTIC's memoized QS/QM/ID products and verdict for this entry
+        #: SEPTIC's memoized QM/ID products and verdict for this entry
         self.septic_memo = SepticMemo()
         #: memoized physical plan, as ``(planner fingerprint, plan)`` —
         #: single-statement entries only, filled by ``Executor.prepare``
@@ -101,6 +126,22 @@ class CacheEntry(object):
         return len(self.statements) == 1
 
 
+class TextBinding(object):
+    """What the cache knows about one raw text: the entry of its shape,
+    the text's own literals as that entry's values vector, and its
+    decoded form.  ``verdict`` is SEPTIC's slot for a verdict reached
+    with exactly these values that other texts of the shape cannot
+    share (the entry's memo keeps the ones they can)."""
+
+    __slots__ = ("entry", "values", "decoded", "verdict")
+
+    def __init__(self, entry, values, decoded):
+        self.entry = entry
+        self.values = values
+        self.decoded = decoded
+        self.verdict = None
+
+
 class PipelineCache(object):
     """Thread-safe LRU cache of :class:`CacheEntry` objects."""
 
@@ -108,54 +149,133 @@ class PipelineCache(object):
         if max_entries <= 0:
             raise ValueError("max_entries must be positive")
         self.max_entries = max_entries
+        #: key -> :class:`TextBinding` under a raw-text key, else the
+        #: :class:`CacheEntry` itself
         self._entries = OrderedDict()
+        #: wildcard key -> token positions of its pinned literals
+        self._pins = {}
         self._lock = make_lock()
+        #: lookups served without parsing / lookups that had to parse
         self.hits = 0
         self.misses = 0
+        #: the hits that missed by text and were served by shape
+        self.shape_hits = 0
         self.evictions = 0
 
-    def get(self, charset, raw_sql, schema_version):
-        """The entry for the key, or ``None`` (counted as hit/miss).
+    # -- by key ------------------------------------------------------------
+
+    def _lookup(self, key):
+        """The record under *key* (refreshed), or ``None``; lock held.
 
         A ``cache.lookup`` fault may raise (the engine degrades to the
         cold path) or corrupt the lookup into a miss — never into a
         wrong entry.
         """
-        key = (charset, raw_sql, schema_version)
+        record = self._entries.get(key)
+        if faults_mod.ACTIVE is not None:
+            record = faults_mod.fire("cache.lookup", record,
+                                     faults_mod.forget)
+        if record is not None:
+            self._entries.move_to_end(key)
+        return record
+
+    def get(self, charset, key, schema_version):
+        """The entry under *key* — a raw SQL text or a prepared
+        statement's ``("stmt", id, types)`` — or ``None`` (counted
+        as hit/miss)."""
         with self._lock:
-            entry = self._entries.get(key)
-            if faults_mod.ACTIVE is not None:
-                entry = faults_mod.fire("cache.lookup", entry,
-                                        faults_mod.forget)
-            if entry is None:
+            record = self._lookup((charset, key, schema_version))
+            if record is None:
                 self.misses += 1
                 return None
-            self._entries.move_to_end(key)
             self.hits += 1
-            return entry
+        return record.entry if isinstance(record, TextBinding) else record
 
-    def put(self, charset, raw_sql, schema_version, entry):
-        """Insert *entry*; evicts the least-recently-used beyond capacity.
+    def probe(self, charset, raw_sql, schema_version):
+        """The engine's first probe: the :class:`TextBinding` of a text
+        seen before, else ``None`` — not yet a miss, the shape probe
+        follows."""
+        with self._lock:
+            record = self._lookup((charset, raw_sql, schema_version))
+            if record is not None:
+                self.hits += 1
+            return record
 
-        Returns the entry actually cached — when two threads race to fill
-        the same key, the first insertion wins and both use it, so the
-        SEPTIC memo is shared rather than split.
+    def put(self, charset, key, schema_version, record):
+        """Insert *record* — a :class:`TextBinding` under a raw SQL
+        text, a :class:`CacheEntry` under any other key; evicts the
+        least-recently-used beyond capacity.
+
+        Returns the record actually cached — when two threads race to
+        fill the same key, the first insertion wins and both use it, so
+        the SEPTIC memo is shared rather than split.
         """
-        key = (charset, raw_sql, schema_version)
+        key = (charset, key, schema_version)
         with self._lock:
             existing = self._entries.get(key)
             if existing is not None:
                 self._entries.move_to_end(key)
                 return existing
-            self._entries[key] = entry
+            self._entries[key] = record
             while len(self._entries) > self.max_entries:
                 self._entries.popitem(last=False)
                 self.evictions += 1
-            return entry
+            return record
+
+    # -- by shape ----------------------------------------------------------
+
+    @staticmethod
+    def _shape_key(wild, lexed, pins):
+        # the pin positions are in the key too, so a hit means exactly
+        # this: every token but the entry's slots matched verbatim
+        tokens = lexed.tokens
+        return ("shape", wild, pins,
+                tuple(tokens[pos].value for pos in pins),
+                tuple(lexed.comments))
+
+    def probe_shape(self, charset, lexed, schema_version):
+        """The second probe, for a tokenized text that missed by text.
+
+        Returns ``(wild, entry, values)``: *wild* is the text's wildcard
+        key (``None``: the statement takes no slots), *entry* the shape
+        entry serving it or ``None``, *values* its literals in the
+        entry's slot order.  Counts the lookup as a hit (and a shape
+        hit) or as a miss.
+        """
+        wild = wildcard_key(lexed.tokens)
+        pins = self._pins.get(wild) if wild is not None else None
+        key = None
+        if pins is not None:
+            key = (charset, self._shape_key(wild, lexed, pins),
+                   schema_version)
+        with self._lock:
+            record = self._lookup(key) if key is not None else None
+            if record is None:
+                self.misses += 1
+                return wild, None, None
+            self.hits += 1
+            self.shape_hits += 1
+        return wild, record, slot_values(lexed.tokens, record.slots)
+
+    def put_shape(self, charset, wild, lexed, schema_version, entry):
+        """File *entry*, just parsed from *lexed* with slots, under its
+        shape key.  Returns the entry actually cached (see :meth:`put`).
+        """
+        slots = set(entry.slots)
+        # a literal token is the one kind the wildcard key gives no value
+        pins = tuple(pos for pos in range(len(wild) // 2)
+                     if wild[2 * pos + 1] is None and pos not in slots)
+        with self._lock:
+            if len(self._pins) >= PINS_MAX and wild not in self._pins:
+                self._pins.clear()
+            self._pins[wild] = pins
+        return self.put(charset, self._shape_key(wild, lexed, pins),
+                        schema_version, entry)
 
     def clear(self):
         with self._lock:
             self._entries.clear()
+            self._pins.clear()
 
     def __len__(self):
         with self._lock:
@@ -173,6 +293,7 @@ class PipelineCache(object):
             "max_entries": self.max_entries,
             "hits": self.hits,
             "misses": self.misses,
+            "shape_hits": self.shape_hits,
             "evictions": self.evictions,
             "hit_rate": self.hit_rate,
         }

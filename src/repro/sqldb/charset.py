@@ -59,7 +59,7 @@ def fold_confusables(text):
     This is the step that turns a sanitizer-invisible ``U+02BC`` into a
     live single quote inside the DBMS.
     """
-    if all(ord(ch) < 128 for ch in text):
+    if text.isascii():
         return text
     return "".join(UNICODE_CONFUSABLES.get(ch, ch) for ch in text)
 

@@ -12,11 +12,13 @@ actually run, closing the semantic mismatch.
 
 Two scale-oriented layers sit around that pipeline:
 
-* a **pipeline cache** (:mod:`repro.sqldb.cache`): the decode/parse/
-  validate products of each distinct ``(charset, raw SQL)`` pair are
-  memoized per catalog :attr:`~Database.schema_version`, so repeated
-  query shapes skip straight to the SEPTIC hook and the executor.  DDL
-  bumps the schema version, which invalidates by construction;
+* a **pipeline cache** (:mod:`repro.sqldb.cache`): the parse/validate/
+  plan products of each statement *shape* are memoized per catalog
+  :attr:`~Database.schema_version` and shared by every text that
+  differs only in its data literals, which travel beside the statement
+  as a values vector; a repeated text costs one lookup, a new text of a
+  known shape decoding and tokenizing.  DDL bumps the schema version,
+  which invalidates by construction;
 * a **per-session execution layer** (:class:`Session`): connection-scoped
   state — the open transaction snapshot, the connection charset and
   ``LAST_INSERT_ID()`` — lives on a session object created per
@@ -36,7 +38,7 @@ from repro.core.logger import EventKind
 from repro.sqldb import ast_nodes as ast
 from repro.sqldb import charset as charset_mod
 from repro.sqldb import wal as wal_mod
-from repro.sqldb.cache import CacheEntry, PipelineCache
+from repro.sqldb.cache import CacheEntry, PipelineCache, TextBinding
 from repro.sqldb.errors import (
     ExecutionError,
     MultiStatementError,
@@ -48,7 +50,9 @@ from repro.sqldb.errors import (
     WalError,
 )
 from repro.sqldb.executor import Executor
+from repro.sqldb.lexer import slot_values, tokenize
 from repro.sqldb.parser import parse_sql
+from repro.sqldb.prepared import slot_tags
 from repro.sqldb.storage import (
     PagedTable,
     ReadView,
@@ -230,16 +234,19 @@ class LockManager(object):
 class QueryContext(object):
     """Everything SEPTIC's hook receives about one statement."""
 
-    __slots__ = ("sql", "statement", "stack", "comments", "database",
-                 "memo", "stage_stats")
+    __slots__ = ("_sql", "statement", "stack", "comments", "database",
+                 "memo", "values", "text", "stage_stats")
 
     def __init__(self, sql, statement, stack, comments, database,
-                 memo=None):
-        #: the decoded query text (post charset decoding)
-        self.sql = sql
-        #: the parsed AST statement
+                 memo=None, values=(), text=None):
+        #: the decoded query text; ``None`` (a prepared execution) is
+        #: rendered from statement and values when somebody asks
+        self._sql = sql
+        #: the parsed AST statement (``Param`` slots where values go)
         self.statement = statement
-        #: the validated item stack (bottom → top)
+        #: the validated item stack (bottom → top); data items of a
+        #: shared statement hold a :class:`~repro.sqldb.items.Slot`,
+        #: resolved in *values*
         self.stack = stack
         #: comment bodies found in the query (external ID channel)
         self.comments = comments
@@ -247,9 +254,25 @@ class QueryContext(object):
         #: pipeline-cache memo slot (:class:`repro.sqldb.cache.SepticMemo`)
         #: the QS&QM manager fills on first sight; ``None`` when uncached
         self.memo = memo
+        #: this execution's values vector (data literals / parameters)
+        self.values = values
+        #: the query text's :class:`repro.sqldb.cache.TextBinding` when
+        #: it is cached (its ``verdict`` slot is per text, where the
+        #: memo's is per statement shape)
+        self.text = text
         #: per-stage instrumentation (:class:`repro.sqldb.plan.StageStats`)
         #: filled by the executor after the statement's plan ran
         self.stage_stats = None
+
+    @property
+    def sql(self):
+        """The query text as decoded — what the events quote."""
+        if self._sql is None:
+            try:
+                self._sql = to_sql(self.statement, self.values)
+            except TypeError:
+                self._sql = "<prepared:%s>" % type(self.statement).__name__
+        return self._sql
 
     @property
     def command(self):
@@ -1090,39 +1113,26 @@ class Database(object):
     def wal(self):
         return self._wal
 
-    def _lock_plan_for(self, stmt, plan_tables=None, prepared=None):
+    def _lock_plan_for(self, stmt, prepared=None):
         """The statement's lock plan under the configured mode.
 
         When the *prepared* physical plan is passed, the result is
         memoized on it — the lock plan is deterministic per plan, and
         the AST walk is a measurable share of a warm query, so cached
-        plans classify once, not per execution.  (*plan_tables* is kept
-        for signature compatibility: before MVCC it widened read plans
-        with shared locks for tables the AST walk missed; reads no
-        longer lock tables at all.)
+        plans classify once, not per execution.
 
         ``exclusive`` mode degrades every plan to catalog-exclusive —
         exactly one statement in the engine at a time, the serialized
         baseline the concurrency benchmarks compare against."""
-        if prepared is not None:
+        if prepared is None:
+            plan = lock_plan(stmt)
+        else:
             plan = prepared.lock_plan
             if plan is None:
-                plan = self._merged_lock_plan(stmt, prepared.tables)
-                prepared.lock_plan = plan
-        else:
-            plan = self._merged_lock_plan(stmt, plan_tables)
-        if plan is None:
-            return None
-        if self.lock_mode == "exclusive":
+                plan = prepared.lock_plan = lock_plan(stmt)
+        if plan is not None and self.lock_mode == "exclusive":
             return LockPlan(catalog_shared=False)
         return plan
-
-    @staticmethod
-    def _merged_lock_plan(stmt, plan_tables):
-        # plan_tables (the base tables the physical plan scans) used to
-        # widen the lock set with shared entries; under MVCC reads take
-        # no table locks at all, so classification alone is the plan
-        return lock_plan(stmt)
 
     def _next_tx_id(self):
         with self._stats_lock:
@@ -1136,15 +1146,16 @@ class Database(object):
         if self._commit_points_since_checkpoint >= self.checkpoint_interval:
             self.checkpoint()  # stays pending while a tx is open
 
-    def _wal_prepare(self, stmt, session):
+    def _wal_prepare(self, stmt, values):
         """Pre-execution capture for a statement that must be logged:
-        its canonical SQL plus the clock/RNG position, so replay recalls
+        its canonical SQL (the execution's *values* written into their
+        slots) plus the clock/RNG position, so replay recalls
         ``NOW()``/``RAND()`` bit-identically.  Returns ``None`` for
         statements the WAL does not persist."""
         if not isinstance(stmt, _DURABLE_STATEMENTS):
             return None
         try:
-            sql_text = to_sql(stmt)
+            sql_text = to_sql(stmt, values)
         except TypeError as exc:
             raise WalError(
                 "cannot serialize %s for the WAL (%s)"
@@ -1527,19 +1538,16 @@ class Database(object):
             session = self._default_session
         effective_charset = charset or session.charset
         cache = self.pipeline_cache
-        entry = None
+        bound = None
         if cache is not None:
             try:
-                entry = cache.get(effective_charset, sql,
-                                  self.schema_version)
+                bound = cache.probe(effective_charset, sql,
+                                    self.schema_version)
             except Exception:
-                entry = None  # a broken cache degrades to the cold path
-        if entry is None:
+                bound = None  # a broken cache degrades to the cold path
+        if bound is None:
             try:
-                if faults_mod.ACTIVE is not None:
-                    faults_mod.fire("charset.decode")
-                decoded = charset_mod.decode_query(sql, effective_charset)
-                statements, comments = parse_sql(decoded)
+                bound = self._bind_text(sql, effective_charset, cache)
             except SQLError as exc:
                 return [], exc
             except Exception as exc:
@@ -1547,16 +1555,7 @@ class Database(object):
                     "engine fault while preparing query (%s: %s)"
                     % (type(exc).__name__, exc)
                 )
-            entry = CacheEntry(decoded, statements, comments)
-            if cache is not None:
-                # put() returns the winning entry on a racy double-fill,
-                # so every thread shares one SEPTIC memo per key
-                try:
-                    entry = cache.put(
-                        effective_charset, sql, self.schema_version, entry
-                    )
-                except Exception:
-                    pass  # cache insertion is best-effort
+        entry = bound.entry
         if len(entry.statements) > 1 and not multi:
             return [], MultiStatementError(
                 "You have an error in your SQL syntax near ';' "
@@ -1573,8 +1572,10 @@ class Database(object):
             try:
                 results.append(
                     self._run_statement(
-                        entry.decoded, stmt, entry.comments,
+                        bound.decoded, stmt, entry.comments,
                         session=session, entry=memo_entry,
+                        values=bound.values,
+                        text=bound if memo_entry is not None else None,
                     )
                 )
             except SQLError as exc:
@@ -1586,45 +1587,81 @@ class Database(object):
                 )
         return results, None
 
-    def run_statement(self, statement, comments=(), sql_text=None,
-                      session=None, entry=None):
-        """Run an already-parsed statement through validation, the SEPTIC
-        hook and execution (the prepared-statement execute path).
-
-        *entry* may carry a :class:`~repro.sqldb.cache.CacheEntry` whose
-        key pins this exact statement (prepared executions key one per
-        ``(statement id, bound params)``): its memoized stack, SEPTIC
-        products and physical plan are then reused instead of being
-        rebuilt, so a hot bind-and-execute skips validation and
-        planning the same way a hot literal query does.
-        """
-        if sql_text is None:
-            from repro.sqldb.unparse import to_sql
-
+    def _bind_text(self, sql, charset, cache):
+        """The :class:`~repro.sqldb.cache.TextBinding` of a text the
+        cache has not seen: decode, tokenize, and take the entry of the
+        text's shape — parsing only when that shape is new too — with
+        the text's own literals as the values.  The binding is cached,
+        so the text's exact repeat skips all of this."""
+        if faults_mod.ACTIVE is not None:
+            faults_mod.fire("charset.decode")
+        decoded = charset_mod.decode_query(sql, charset)
+        lexed = tokenize(decoded)
+        version = self.schema_version
+        wild = entry = None
+        values = ()
+        if cache is not None:
             try:
-                sql_text = to_sql(statement)
-            except TypeError:
-                sql_text = "<prepared:%s>" % type(statement).__name__
-        return self._run_statement(sql_text, statement, list(comments),
-                                   session=session, entry=entry)
+                wild, entry, values = cache.probe_shape(charset, lexed,
+                                                        version)
+            except Exception:
+                wild = entry = None  # a broken cache: parse, own entry
+        parsed = entry is None
+        if parsed:
+            statements, comments = parse_sql(decoded, lexed,
+                                             slots=wild is not None)
+            values = slot_values(lexed.tokens, lexed.slots)
+            entry = CacheEntry(statements, comments, lexed.slots,
+                               slot_tags(values))
+        bound = TextBinding(entry, values, decoded)
+        if cache is not None:
+            try:
+                if parsed and wild is not None:
+                    # on a racy double-fill the first insertion wins,
+                    # so every thread shares one SEPTIC memo per shape
+                    bound.entry = cache.put_shape(charset, wild, lexed,
+                                                  version, entry)
+                bound = cache.put(charset, sql, version, bound)
+            except Exception:
+                pass  # cache insertion is best-effort
+        return bound
+
+    def run_statement(self, statement, comments=(), session=None,
+                      entry=None, values=()):
+        """Run an already-parsed statement through validation, the SEPTIC
+        hook and execution (the prepared-statement execute path), with
+        *values* in its ``Param`` slots.
+
+        *entry* may carry the statement's
+        :class:`~repro.sqldb.cache.CacheEntry` (a prepared statement
+        keeps one per parameter type signature): its memoized stack,
+        SEPTIC products and physical plan are then reused, so a hot
+        execute skips validation and planning the same way a hot literal
+        query does.  The text the events quote is rendered from
+        statement and values if an event needs it.
+        """
+        return self._run_statement(None, statement, list(comments),
+                                   session=session, entry=entry,
+                                   values=values)
 
     def _run_statement(self, decoded_sql, stmt, comments, session=None,
-                       entry=None):
+                       entry=None, values=(), text=None):
         if session is None:
             session = self._default_session
         with self._stats_lock:
             self.statements_received += 1
         stack = entry.stack if entry is not None else None
         if stack is None:
+            slot_tags = entry.slot_tags if entry is not None else ()
             with self.catalog_lock:
-                stack = validate(stmt, self.tables)
+                stack = validate(stmt, self.tables, slot_tags)
             if entry is not None:
                 entry.stack = stack
         context = None
         if self.septic is not None and stack:
             memo = entry.septic_memo if entry is not None else None
             context = QueryContext(decoded_sql, stmt, stack, comments, self,
-                                   memo=memo)
+                                   memo=memo, values=values, text=text)
             start = time.perf_counter()
             try:
                 self.septic.process_query(context)
@@ -1671,11 +1708,11 @@ class Database(object):
         try:
             wal_state = None
             if wal_mod.ATTACHED and self._wal is not None:
-                wal_state = self._wal_prepare(stmt, session)
+                wal_state = self._wal_prepare(stmt, values)
             try:
                 result = self._executor.execute(
                     stmt, session=session, prepared=prepared,
-                    query_context=context,
+                    query_context=context, params=values,
                 )
             except ExecutionError:
                 # the statement failed but may have had partial effects
@@ -1701,7 +1738,7 @@ class Database(object):
         if result.last_insert_id is not None:
             session.last_insert_id = result.last_insert_id
         if self.log_stage_timings and context is not None:
-            self._log_stage_timings(decoded_sql, context)
+            self._log_stage_timings(context.sql, context)
         return result
 
     def _log_stage_timings(self, sql_text, context):

@@ -15,6 +15,7 @@ from repro.sqldb.errors import ExecutionError
 from repro.sqldb.expression import EvalContext
 from repro.sqldb.plan import ExecutionResult, ExecState
 from repro.sqldb.planner import Planner
+from repro.sqldb.prepared import slot_tags
 from repro.sqldb.storage import Column, ResultSet, WriteTxn
 
 __all__ = ["Executor", "ExecutionResult"]
@@ -63,25 +64,33 @@ class Executor(object):
         is cached on it alongside the planner-toggle fingerprint: a
         toggle flip replans instead of running a stale strategy, and
         DDL invalidates through the entry itself (the cache key
-        includes ``schema_version``)."""
+        includes ``schema_version``).  The entry also says what type
+        each value slot of the statement holds; the plan serves every
+        execution of the entry, whatever values it brings."""
         if not isinstance(stmt, _PLANNED):
             return None
         fingerprint = self._fingerprint()
+        slot_tags = ()
         if entry is not None:
             cached = entry.plan
             if cached is not None and cached[0] == fingerprint:
                 return cached[1]
+            slot_tags = entry.slot_tags
         planner = Planner(self._db,
                           enable_hash_join=self.enable_hash_join,
-                          enable_topk=self.enable_topk)
+                          enable_topk=self.enable_topk,
+                          slot_tags=slot_tags)
         plan = planner.plan_statement(stmt)
         if entry is not None and plan is not None:
             entry.plan = (fingerprint, plan)
         return plan
 
-    def _subquery_plan(self, select):
+    def _subquery_plan(self, select, params):
         key = id(select)
-        fingerprint = (self._db.schema_version,) + self._fingerprint()
+        # a prepared statement's AST is shared by its type signatures,
+        # so the slots' types are part of what the plan depends on
+        fingerprint = (self._db.schema_version, tuple(map(type, params))) \
+            + self._fingerprint()
         memo = self._subplan_memo.get(key)
         # the identity check makes recycled id() values harmless; the
         # strong reference in the memo keeps live keys stable
@@ -90,7 +99,8 @@ class Executor(object):
             return memo[2]
         planner = Planner(self._db,
                           enable_hash_join=self.enable_hash_join,
-                          enable_topk=self.enable_topk)
+                          enable_topk=self.enable_topk,
+                          slot_tags=slot_tags(params))
         plan = planner.plan_statement(select)
         if len(self._subplan_memo) >= _SUBPLAN_MEMO_LIMIT:
             self._subplan_memo.clear()
@@ -114,10 +124,13 @@ class Executor(object):
     # -- entry point -----------------------------------------------------
 
     def execute(self, stmt, session=None, prepared=None,
-                query_context=None):
+                query_context=None, params=()):
+        """Run *stmt*; *params* is the values vector its ``Param``
+        slots read (the statement and its plan are shared, read-only)."""
         if session is None:
             session = self._db.default_session
-        ctx = EvalContext(self._db, executor=self, session=session)
+        ctx = EvalContext(self._db, executor=self, session=session,
+                          params=params)
         if prepared is None and isinstance(stmt, _PLANNED):
             prepared = self.prepare(stmt)
         if isinstance(stmt, ast.Select):
@@ -217,7 +230,9 @@ class Executor(object):
     def run_select_rows(self, select, outer_ctx=None):
         """Run a subquery SELECT, returning raw row tuples."""
         session = outer_ctx.session if outer_ctx is not None else None
-        ctx = EvalContext(self._db, executor=self, session=session)
+        params = outer_ctx.params if outer_ctx is not None else ()
+        ctx = EvalContext(self._db, executor=self, session=session,
+                          params=params)
         outer_row = None
         if outer_ctx is not None:
             ctx._parent = outer_ctx
@@ -225,7 +240,7 @@ class Executor(object):
             outer_row = ctx.row
             # a subquery reads under the statement's pinned snapshot
             ctx.read_view = outer_ctx.read_view
-        plan = self._subquery_plan(select)
+        plan = self._subquery_plan(select, params)
         state = ExecState(ctx, outer_row=outer_row)
         rows = [out for _, out in plan.root.rows(state)]
         state.stats.note_materialized(len(rows))

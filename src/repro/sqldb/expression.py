@@ -6,6 +6,9 @@ read-only view).  Rows are dicts keyed by both plain column name and
 current row and bookkeeping such as simulated SLEEP time.
 """
 
+import functools
+import re
+
 from repro.sqldb import ast_nodes as ast
 from repro.sqldb import functions
 from repro.sqldb.errors import ExecutionError
@@ -20,9 +23,13 @@ from repro.sqldb.types import (
 class EvalContext(object):
     """Everything an expression needs to evaluate against one row."""
 
-    def __init__(self, database, row=None, executor=None, session=None):
+    def __init__(self, database, row=None, executor=None, session=None,
+                 params=()):
         self.database = database
         self.row = row or {}
+        #: this execution's values vector — what ``Param`` slots of the
+        #: (shared, read-only) statement evaluate to
+        self.params = params
         #: executor is needed to run subqueries; None forbids them.
         self.executor = executor
         #: the per-connection session (LAST_INSERT_ID, transactions);
@@ -39,7 +46,8 @@ class EvalContext(object):
         self.write_txn = None
 
     def child(self, row):
-        ctx = EvalContext(self.database, row, self.executor, self.session)
+        ctx = EvalContext(self.database, row, self.executor, self.session,
+                          self.params)
         ctx._parent = self
         ctx.read_view = self.read_view
         ctx.write_txn = self.write_txn
@@ -71,12 +79,18 @@ class EvalContext(object):
 
 def evaluate(node, ctx):
     """Evaluate expression *node* in *ctx*, returning a Python value."""
+    if isinstance(node, ast.Param):
+        # first: with the pipeline cache on, a statement's data
+        # constants are slots, and filters read them once per row
+        try:
+            value = ctx.params[node.index]
+        except (IndexError, TypeError):
+            raise ExecutionError("unbound parameter in expression")
+        return value if value.__class__ is not bool else int(value)
     if isinstance(node, ast.Literal):
         if node.type_tag == "bool":
             return 1 if node.value else 0
         return node.value
-    if isinstance(node, ast.Param):
-        raise ExecutionError("unbound parameter in expression")
     if isinstance(node, ast.ColumnRef):
         return ctx.lookup(node.name, node.table)
     if isinstance(node, ast.FuncCall):
@@ -145,6 +159,14 @@ def evaluate(node, ctx):
     if isinstance(node, ast.Star):
         raise ExecutionError("'*' not allowed in this context")
     raise ExecutionError("cannot evaluate %r" % type(node).__name__)
+
+
+def render_constant(node):
+    """How a plan label shows a constant: a literal's value, or ``?N``
+    for a slot (the plan is shared; the value belongs to an execution)."""
+    if isinstance(node, ast.Param):
+        return "?%s" % node.index
+    return repr(node.value)
 
 
 def _agg_key(node):
@@ -259,8 +281,6 @@ def _in_list(node, ctx):
 
 
 def _like(node, ctx):
-    import re
-
     value = evaluate(node.expr, ctx)
     pattern = evaluate(node.pattern, ctx)
     if value is None or pattern is None:
@@ -273,16 +293,20 @@ def _like(node, ctx):
         except re.error:
             raise ExecutionError("Got error from regexp: %r" % pat)
     else:
-        regex = _like_to_regex(pat)
-        result = re.match(regex, text, re.IGNORECASE | re.DOTALL) is not None
+        result = _like_regex(pat).match(text) is not None
     if node.negated:
         result = not result
     return 1 if result else 0
 
 
-def _like_to_regex(pattern):
-    import re
+@functools.lru_cache(maxsize=512)
+def _like_regex(pattern):
+    """The compiled regex of a LIKE pattern: a statement applies one
+    pattern to every row, an application a handful to every request."""
+    return re.compile(_like_to_regex(pattern), re.IGNORECASE | re.DOTALL)
 
+
+def _like_to_regex(pattern):
     out = []
     i = 0
     while i < len(pattern):

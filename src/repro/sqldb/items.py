@@ -61,6 +61,31 @@ DATA_KINDS = frozenset(
 )
 
 
+class Slot(object):
+    """The value of a data item whose literal is supplied per execution.
+
+    A pipeline-cache entry's stack is validated once for every text of
+    its shape; its data items hold a ``Slot`` where the text's literal
+    goes, and whoever reads values (SEPTIC, building its QS) takes them
+    from the execution's values vector through :meth:`bound`.
+    """
+
+    __slots__ = ("index",)
+
+    def __init__(self, index):
+        self.index = index
+
+    def __repr__(self):
+        return "?%d" % self.index
+
+    def bound(self, values):
+        """The item's value under the execution's *values*."""
+        value = values[self.index]
+        if value.__class__ is bool:
+            return 1 if value else 0    # MySQL: TRUE/FALSE are Item_int
+        return value
+
+
 class Item(object):
     """One node of the item stack.
 

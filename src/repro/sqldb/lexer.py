@@ -15,6 +15,8 @@ MySQL quirks reproduced here:
 * backtick-quoted identifiers.
 """
 
+import re
+
 from repro.sqldb.errors import LexerError
 
 
@@ -90,19 +92,77 @@ class Token(object):
 class LexResult(object):
     """Tokens plus side-channel information the engine needs."""
 
-    __slots__ = ("tokens", "comments")
+    __slots__ = ("tokens", "comments", "slots")
 
     def __init__(self, tokens, comments):
         self.tokens = tokens
         #: All comment bodies in source order (used by the ID generator to
         #: pick up external identifiers).
         self.comments = comments
+        #: positions (in ``tokens``) of the literal tokens a slotting
+        #: parse turned into value slots, in slot order
+        self.slots = ()
+
+
+#: token type -> (Python conversion, literal type tag) of a data literal
+LITERALS = {
+    TokenType.INT: (int, "int"),
+    TokenType.FLOAT: (float, "float"),
+    TokenType.STRING: (str, "string"),
+    TokenType.HEX: (str, "string"),
+}
+
+#: statements whose data literals may become value slots
+_SLOTTED_COMMANDS = frozenset(
+    ["SELECT", "INSERT", "REPLACE", "UPDATE", "DELETE"]
+)
+
+
+def slot_values(tokens, positions):
+    """The values vector: the literals at *positions*, converted the
+    way the parser converts them."""
+    return tuple(LITERALS[tokens[pos].type][0](tokens[pos].value)
+                 for pos in positions)
+
+
+def wildcard_key(tokens):
+    """The token stream as a flat ``(type, value, ...)`` tuple with
+    every data literal's value replaced by ``None`` — what all texts of
+    one statement shape have in common — or ``None`` when the statement
+    takes no slots: not a single SELECT/INSERT/REPLACE/UPDATE/DELETE,
+    or one that already carries ``?`` placeholders."""
+    first = tokens[0]
+    if first.type != TokenType.KEYWORD or \
+            first.value not in _SLOTTED_COMMANDS:
+        return None
+    key = []
+    ended = False
+    for tok in tokens:
+        kind = tok.type
+        if kind == TokenType.EOF:
+            break
+        separator = kind == TokenType.OP and tok.value == ";"
+        if ended and not separator:
+            return None     # a second statement follows
+        if kind in LITERALS:
+            key.append(kind)
+            key.append(None)
+            continue
+        if kind == TokenType.PARAM:
+            return None
+        ended = separator
+        key.append(kind)
+        key.append(tok.value)
+    return tuple(key)
 
 
 _IDENT_START = frozenset(
     "abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ_$"
 )
 _IDENT_CONT = _IDENT_START | frozenset("0123456789")
+#: the rest of an identifier (``_IDENT_CONT`` as one scan)
+_IDENT_TAIL = re.compile(r"[A-Za-z0-9_$]*")
+_OPERATOR_SET = frozenset(_OPERATORS)
 _DIGITS = frozenset("0123456789")
 _HEX_DIGITS = frozenset("0123456789abcdefABCDEF")
 
@@ -208,9 +268,7 @@ def tokenize(sql):
             continue
         # -- identifiers / keywords ------------------------------------
         if ch in _IDENT_START:
-            j = i + 1
-            while j < n and sql[j] in _IDENT_CONT:
-                j += 1
+            j = _IDENT_TAIL.match(sql, i + 1).end()
             word = sql[i:j]
             upper = word.upper()
             if upper in KEYWORDS:
@@ -231,16 +289,16 @@ def tokenize(sql):
             tokens.append(Token(TokenType.PARAM, "?", i))
             i += 1
             continue
-        # -- operators -------------------------------------------------
-        for op in _OPERATORS:
-            if sql.startswith(op, i):
-                tokens.append(Token(TokenType.OP, op, i))
-                i += len(op)
-                break
-        else:
-            raise LexerError(
-                "unexpected character %r at position %d" % (ch, i)
-            )
+        # -- operators (maximal munch: three characters, two, one) -----
+        op = sql[i : i + 3]
+        while op not in _OPERATOR_SET:
+            op = op[:-1]
+            if not op:
+                raise LexerError(
+                    "unexpected character %r at position %d" % (ch, i)
+                )
+        tokens.append(Token(TokenType.OP, op, i))
+        i += len(op)
     tokens.append(Token(TokenType.EOF, "", n))
     return LexResult(tokens, comments)
 

@@ -11,7 +11,7 @@ how MySQL treats piggy-backed queries.
 
 from repro.sqldb import ast_nodes as ast
 from repro.sqldb.errors import ParseError
-from repro.sqldb.lexer import TokenType, tokenize
+from repro.sqldb.lexer import LITERALS, TokenType, tokenize
 
 _COMPARISON_OPS = frozenset(["=", "<=>", "!=", "<>", "<", ">", "<=", ">="])
 _JOIN_KEYWORDS = frozenset(["JOIN", "INNER", "LEFT", "RIGHT", "CROSS"])
@@ -22,14 +22,20 @@ _TYPE_KEYWORDS = frozenset(
 )
 
 
-def parse_sql(sql):
+def parse_sql(sql, lexed=None, slots=False):
     """Parse *sql* (already charset-decoded) into a list of statements.
 
-    Returns ``(statements, comments)``.
+    Returns ``(statements, comments)``.  *lexed* is the text's
+    :class:`~repro.sqldb.lexer.LexResult` when the caller already
+    tokenized it; with *slots* (see :class:`Parser`) its ``slots``
+    receives the token positions of the literals that became slots.
     """
-    lexed = tokenize(sql)
-    parser = Parser(lexed.tokens)
+    if lexed is None:
+        lexed = tokenize(sql)
+    parser = Parser(lexed.tokens, slots=slots)
     statements = parser.parse_statements()
+    if slots:
+        lexed.slots = tuple(parser.slots)
     return statements, lexed.comments
 
 
@@ -44,11 +50,30 @@ def parse_one(sql):
 
 
 class Parser(object):
-    """Token-stream parser.  One instance parses one statement list."""
+    """Token-stream parser.  One instance parses one statement list.
 
-    def __init__(self, tokens):
+    With *slots*, a data literal (INT/FLOAT/STRING/HEX token) becomes a
+    ``Param`` slot and :attr:`slots` records its token position, so one
+    AST serves every text that differs only in those literals.  Which
+    literals become slots depends on grammar position alone, never on a
+    literal's value.  The ones that stay ``Literal`` are those some
+    later stage reads by value: LIMIT/OFFSET, anything under ORDER BY or
+    GROUP BY (``ORDER BY 2`` is a column position), a select-list field
+    that is nothing but a literal (it names its own column), and the
+    lengths inside type names.  ``?`` placeholders are numbered in
+    source order either way.
+    """
+
+    def __init__(self, tokens, slots=False):
         self._tokens = tokens
         self._pos = 0
+        #: token positions of the literals turned into slots
+        self.slots = []
+        self._slotting = slots
+        #: > 0 while parsing a clause whose literals stay literals
+        self._pinned = 0
+        #: ``?`` placeholders seen so far
+        self._params = 0
 
     # -- token helpers --------------------------------------------------
 
@@ -103,6 +128,14 @@ class Parser(object):
             "expected identifier, found %r near position %d"
             % (tok.value, tok.pos)
         )
+
+    def _parse_pinned_expr(self):
+        """An expression whose literals stay ``Literal`` nodes."""
+        self._pinned += 1
+        try:
+            return self._parse_expr()
+        finally:
+            self._pinned -= 1
 
     # -- statements -----------------------------------------------------
 
@@ -198,9 +231,9 @@ class Parser(object):
             group_by, having = [], None
             if self._accept_kw("GROUP"):
                 self._expect_kw("BY")
-                group_by.append(self._parse_expr())
+                group_by.append(self._parse_pinned_expr())
                 while self._accept(TokenType.OP, ","):
-                    group_by.append(self._parse_expr())
+                    group_by.append(self._parse_pinned_expr())
                 if self._accept_kw("HAVING"):
                     having = self._parse_expr()
             order_by = self._parse_order_by()
@@ -250,6 +283,10 @@ class Parser(object):
             self._advance()
             return ast.SelectField(ast.Star(table=table))
         expr = self._parse_expr()
+        if self._slotting and isinstance(expr, ast.Param):
+            # the field is one literal and nothing else (the slot just
+            # taken): it heads its own column, so it stays a literal
+            expr = self._literal(self._tokens[self.slots.pop()])
         alias = None
         if self._accept_kw("AS"):
             alias = self._expect_ident()
@@ -312,7 +349,7 @@ class Parser(object):
         if self._accept_kw("ORDER"):
             self._expect_kw("BY")
             while True:
-                expr = self._parse_expr()
+                expr = self._parse_pinned_expr()
                 direction = "ASC"
                 if self._accept_kw("DESC"):
                     direction = "DESC"
@@ -326,12 +363,12 @@ class Parser(object):
     def _parse_limit(self):
         if not self._accept_kw("LIMIT"):
             return None
-        first = self._parse_expr()
+        first = self._parse_pinned_expr()
         if self._accept(TokenType.OP, ","):
-            second = self._parse_expr()
+            second = self._parse_pinned_expr()
             return ast.Limit(second, offset=first)
         if self._accept_kw("OFFSET"):
-            offset = self._parse_expr()
+            offset = self._parse_pinned_expr()
             return ast.Limit(first, offset=offset)
         return ast.Limit(first)
 
@@ -676,21 +713,16 @@ class Parser(object):
 
     def _parse_primary(self):
         tok = self._peek()
-        if tok.type == TokenType.INT:
+        if tok.type in LITERALS:
             self._advance()
-            return ast.Literal(int(tok.value), "int")
-        if tok.type == TokenType.FLOAT:
-            self._advance()
-            return ast.Literal(float(tok.value), "float")
-        if tok.type == TokenType.STRING:
-            self._advance()
-            return ast.Literal(tok.value, "string")
-        if tok.type == TokenType.HEX:
-            self._advance()
-            return ast.Literal(tok.value, "string")
+            if self._slotting and not self._pinned:
+                self.slots.append(self._pos - 1)
+                return ast.Param(len(self.slots) - 1)
+            return self._literal(tok)
         if tok.type == TokenType.PARAM:
             self._advance()
-            return ast.Param()
+            self._params += 1
+            return ast.Param(self._params - 1)
         if tok.type == TokenType.KEYWORD:
             if tok.value == "NULL":
                 self._advance()
@@ -743,6 +775,11 @@ class Parser(object):
         raise ParseError(
             "unexpected token %r at position %d" % (tok.value, tok.pos)
         )
+
+    @staticmethod
+    def _literal(tok):
+        convert, tag = LITERALS[tok.type]
+        return ast.Literal(convert(tok.value), tag)
 
     def _parse_func_call(self, name):
         self._expect(TokenType.OP, "(")

@@ -31,7 +31,7 @@ import heapq
 from repro import faults as faults_mod
 from repro.sqldb import ast_nodes as ast
 from repro.sqldb.errors import ExecutionError
-from repro.sqldb.expression import evaluate, _agg_key
+from repro.sqldb.expression import evaluate, render_constant, _agg_key
 from repro.sqldb.storage import ResultSet
 from repro.sqldb.types import compare, is_truthy, sort_key
 
@@ -235,32 +235,37 @@ class SeqScan(PlanNode):
 
 
 class IndexEqScan(PlanNode):
-    """Index bucket probe for ``col = literal``."""
+    """Index bucket probe for ``col = constant``.  The probe key is a
+    ``Literal``/``Param`` node evaluated when the scan opens: the plan
+    belongs to the statement's shape, the key to one execution."""
 
     kind = "index_eq_scan"
-    __slots__ = ("table_name", "alias", "column", "value")
+    __slots__ = ("table_name", "alias", "column", "key")
 
-    def __init__(self, table_name, alias, column, value):
+    def __init__(self, table_name, alias, column, key):
         PlanNode.__init__(self)
         self.table_name = table_name
         self.alias = alias
         self.column = column
-        self.value = value
+        self.key = key
 
     def label(self):
-        return "IndexEqScan(%s.%s = %r)" % (self.table_name, self.column,
-                                            self.value)
+        return "IndexEqScan(%s.%s = %s)" % (self.table_name, self.column,
+                                            render_constant(self.key))
 
     def _generate(self, state):
-        table = state.ctx.database.table(self.table_name)
+        ctx = state.ctx
+        table = ctx.database.table(self.table_name)
         state.stats.count("index_eq")
-        stored = table.index_lookup_iter(self.column, self.value,
-                                         view=state.ctx.read_view)
+        stored = table.index_lookup_iter(self.column,
+                                         evaluate(self.key, ctx),
+                                         view=ctx.read_view)
         return _env_rows(stored, self.alias, state.outer_row)
 
 
 class IndexRangeScan(PlanNode):
-    """Bisect scan over a sorted index for an inequality/BETWEEN."""
+    """Bisect scan over a sorted index for an inequality/BETWEEN; the
+    bounds are constant nodes evaluated at open (``None``: open side)."""
 
     kind = "index_range_scan"
     __slots__ = ("table_name", "alias", "column", "low", "high",
@@ -280,20 +285,23 @@ class IndexRangeScan(PlanNode):
     def label(self):
         bounds = []
         if self.low is not None:
-            bounds.append("%s %r" % (">=" if self.low_incl else ">",
-                                     self.low))
+            bounds.append("%s %s" % (">=" if self.low_incl else ">",
+                                     render_constant(self.low)))
         if self.high is not None:
-            bounds.append("%s %r" % ("<=" if self.high_incl else "<",
-                                     self.high))
+            bounds.append("%s %s" % ("<=" if self.high_incl else "<",
+                                     render_constant(self.high)))
         return "IndexRangeScan(%s.%s %s)" % (self.table_name, self.column,
                                              ", ".join(bounds))
 
     def _generate(self, state):
-        table = state.ctx.database.table(self.table_name)
+        ctx = state.ctx
+        table = ctx.database.table(self.table_name)
         state.stats.count("index_range")
-        stored = table.index_range_iter(self.column, self.low, self.high,
+        low = None if self.low is None else evaluate(self.low, ctx)
+        high = None if self.high is None else evaluate(self.high, ctx)
+        stored = table.index_range_iter(self.column, low, high,
                                         self.low_incl, self.high_incl,
-                                        view=state.ctx.read_view)
+                                        view=ctx.read_view)
         return _env_rows(stored, self.alias, state.outer_row)
 
 

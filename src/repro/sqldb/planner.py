@@ -134,10 +134,16 @@ class Planner(object):
     derived subplans included — and collects every base table the tree
     touches for lock planning."""
 
-    def __init__(self, database, enable_hash_join=True, enable_topk=True):
+    def __init__(self, database, enable_hash_join=True, enable_topk=True,
+                 slot_tags=()):
         self._db = database
         self.enable_hash_join = enable_hash_join
         self.enable_topk = enable_topk
+        #: literal type tag per value slot of the statement.  A plan is
+        #: shared by every execution of its statement, so planning may
+        #: depend on a slot's type and never on its value; operators
+        #: evaluate the slot when they open.
+        self._slot_tags = slot_tags
         self._ids = 0
         self._tables = set()
 
@@ -346,15 +352,17 @@ class Planner(object):
         """Choose the access path for *ref* from the WHERE clause.
 
         Walks the flattened operands of (arbitrarily nested) AND chains
-        and returns ``("eq", column, value)`` for an index bucket probe,
-        ``("range", column, low, high, low_incl, high_incl)`` for a
-        bisect scan, or ``None`` for a full scan.  Equality wins over
-        range.  Unqualified column refs are only trusted when the caller
-        says the statement is unambiguous (single table, no joins) —
-        with joins in scope, only ``alias.column`` predicates narrow the
-        probe side.  Narrowing is always a superset of the WHERE match
-        (the full predicate still filters afterwards), so a declined
-        plan costs a scan, never correctness.
+        and returns ``("eq", column, constant)`` for an index bucket
+        probe, ``("range", column, low, high, low_incl, high_incl)`` for
+        a bisect scan, or ``None`` for a full scan; the constants are
+        the ``Literal``/``Param`` nodes themselves, evaluated when the
+        scan opens.  Equality wins over range.  Unqualified column refs
+        are only trusted when the caller says the statement is
+        unambiguous (single table, no joins) — with joins in scope,
+        only ``alias.column`` predicates narrow the probe side.
+        Narrowing is always a superset of the WHERE match (the full
+        predicate still filters afterwards), so a declined plan costs a
+        scan, never correctness.
         """
         if where is None:
             return None
@@ -367,17 +375,40 @@ class Planner(object):
         for expr in _and_operands(where):
             pair = _equality_pair(expr, alias, allow_unqualified)
             if (pair is not None and pair[0] in indexed
-                    and _literal_fits_column(table, pair[0], pair[1])):
+                    and self._fits_column(table, pair[0], pair[1])):
                 return ("eq",) + pair
             if range_plan is None:
                 bounds = _range_bounds(expr, alias, allow_unqualified)
                 if (bounds is not None and bounds[0] in indexed
-                        and all(value is None
-                                or _literal_fits_column(table, bounds[0],
-                                                        value)
-                                for value in (bounds[1], bounds[2]))):
+                        and all(constant is None
+                                or self._fits_column(table, bounds[0],
+                                                     constant)
+                                for constant in (bounds[1], bounds[2]))):
                     range_plan = ("range",) + bounds
         return range_plan
+
+    def _fits_column(self, table, column, constant):
+        """Index access is only trusted when the constant's class
+        matches the column's storage class: stored values are
+        homogeneous after ``store_convert``, so within a class the
+        index key order/equality agrees with :func:`compare` — but a
+        numeric constant against a string column coerces row-by-row and
+        must fall back to a scan.  NULL never matches through an index
+        (nor through ``=``).  Decided from the constant's type tag, so
+        the decision holds for every value a slot will take."""
+        if isinstance(constant, ast.Param):
+            index = constant.index
+            if index is None or index >= len(self._slot_tags):
+                return False
+            tag = self._slot_tags[index]
+        else:
+            tag = constant.type_tag
+        cls = type_class(table.column(column).type_name)
+        if cls == "n":
+            return tag in ("bool", "int", "float", "string")
+        if cls == "s":
+            return tag == "string"
+        return False
 
     def _equi_join_keys(self, join, left_aliases, alias_map):
         """``(left "alias.col", right "alias.col")`` when the ON clause
@@ -520,19 +551,22 @@ def _scoped_column(expr, alias, allow_unqualified):
     return expr.name.lower() if expr.table.lower() == alias else None
 
 
+#: expression nodes whose value does not depend on the row
+_CONSTANTS = (ast.Literal, ast.Param)
+
+
 def _equality_pair(expr, alias, allow_unqualified=True):
-    """``col = literal`` (either side) scoped to *alias*, else ``None``."""
+    """``(column, constant node)`` for ``col = constant`` (either side)
+    scoped to *alias*, else ``None``."""
     if not isinstance(expr, ast.BinaryOp) or expr.op != "=":
         return None
     for left, right in ((expr.left, expr.right), (expr.right, expr.left)):
         if isinstance(left, ast.ColumnRef) and isinstance(right,
-                                                          ast.Literal):
+                                                          _CONSTANTS):
             column = _scoped_column(left, alias, allow_unqualified)
             if column is None:
                 continue
-            if right.value is None:
-                return None  # NULL never matches through '='
-            return column, right.value
+            return column, right
     return None
 
 
@@ -542,52 +576,37 @@ _FLIPPED = {"<": ">", ">": "<", "<=": ">=", ">=": "<="}
 
 def _range_bounds(expr, alias, allow_unqualified):
     """``(col, low, high, low_incl, high_incl)`` for an index range
-    scan (``<``/``>``/``<=``/``>=``/``BETWEEN`` against a literal)."""
+    scan (``<``/``>``/``<=``/``>=``/``BETWEEN`` against a constant);
+    *low*/*high* are constant nodes, ``None`` for an open side."""
     if isinstance(expr, ast.Between) and not expr.negated:
         column = _scoped_column(expr.expr, alias, allow_unqualified)
         if (column is not None
-                and isinstance(expr.low, ast.Literal)
-                and isinstance(expr.high, ast.Literal)
-                and expr.low.value is not None
-                and expr.high.value is not None):
-            return (column, expr.low.value, expr.high.value, True, True)
+                and isinstance(expr.low, _CONSTANTS)
+                and isinstance(expr.high, _CONSTANTS)):
+            return (column, expr.low, expr.high, True, True)
         return None
     if not isinstance(expr, ast.BinaryOp) or expr.op not in _FLIPPED:
         return None
     op = expr.op
     if isinstance(expr.left, ast.ColumnRef) and isinstance(expr.right,
-                                                           ast.Literal):
-        ref, literal = expr.left, expr.right.value
+                                                           _CONSTANTS):
+        ref, constant = expr.left, expr.right
     elif isinstance(expr.right, ast.ColumnRef) and isinstance(expr.left,
-                                                              ast.Literal):
-        ref, literal = expr.right, expr.left.value
+                                                              _CONSTANTS):
+        ref, constant = expr.right, expr.left
         op = _FLIPPED[op]
     else:
         return None
     column = _scoped_column(ref, alias, allow_unqualified)
-    if column is None or literal is None:
+    if column is None:
         return None
     if op == "<":
-        return (column, None, literal, True, False)
+        return (column, None, constant, True, False)
     if op == "<=":
-        return (column, None, literal, True, True)
+        return (column, None, constant, True, True)
     if op == ">":
-        return (column, literal, None, False, True)
-    return (column, literal, None, True, True)
-
-
-def _literal_fits_column(table, column, literal):
-    """Index access is only trusted when the literal's class matches
-    the column's storage class: stored values are homogeneous after
-    ``store_convert``, so within a class the index key order/equality
-    agrees with :func:`compare` — but a numeric literal against a
-    string column coerces row-by-row and must fall back to a scan."""
-    cls = type_class(table.column(column).type_name)
-    if cls == "n":
-        return isinstance(literal, (bool, int, float, str))
-    if cls == "s":
-        return isinstance(literal, str)
-    return False
+        return (column, constant, None, False, True)
+    return (column, constant, None, True, True)
 
 
 def _field_label(expr):
@@ -599,6 +618,8 @@ def _field_label(expr):
     if isinstance(expr, ast.Literal):
         from repro.sqldb.types import render_value
         return render_value(expr.value)
+    if isinstance(expr, ast.Param):
+        return "?"
     return type(expr).__name__.lower()
 
 
@@ -714,8 +735,10 @@ class DistributedPlanner(object):
             return None
         for operand in _and_operands(stmt.where):
             pair = _equality_pair(operand, alias)
-            if pair is not None and pair[0].lower() == key:
-                return pair
+            if (pair is not None and pair[0].lower() == key
+                    and isinstance(pair[1], ast.Literal)
+                    and pair[1].type_tag != "null"):
+                return pair[0], pair[1].value
         return None
 
     # -- writes --------------------------------------------------------

@@ -1,4 +1,4 @@
-"""Prepared statements: parse once, bind ``?`` parameters per execution.
+"""Prepared statements: parse once, supply ``?`` values per execution.
 
 Two properties matter for the reproduction:
 
@@ -19,12 +19,8 @@ from repro.sqldb.errors import ExecutionError, ParseError
 
 #: process-wide statement-id allocator (``next()`` is atomic); ids are
 #: what the wire protocol hands to clients and what the pipeline-cache
-#: key pins, so two prepares of the same text never share bind state
+#: key pins, so two prepares of the same text never share an entry
 _STATEMENT_IDS = itertools.count(1)
-
-#: the value types the binary protocol can bind — also exactly the
-#: types that are hashable and therefore usable in a cache key
-_BINDABLE_TYPES = (type(None), bool, int, float, str)
 
 
 def literal_for(value):
@@ -45,78 +41,11 @@ def literal_for(value):
     )
 
 
-def count_params(node):
-    """Number of ``?`` placeholders in a statement/expression tree."""
-    return len(_collect_param_sites(node))
-
-
-def bind_params(statement, params):
-    """Return a deep copy of *statement* with every ``?`` replaced, in
-    order, by the corresponding value from *params*."""
-    sites = _collect_param_sites(statement)
-    if len(sites) != len(params):
-        raise ExecutionError(
-            "statement expects %d parameters, got %d"
-            % (len(sites), len(params)),
-            errno=2031,
-        )
-    clone = _clone(statement)
-    clone_sites = _collect_param_sites(clone)
-    for (holder, key), value in zip(clone_sites, params):
-        literal = literal_for(value)
-        if isinstance(key, int):
-            holder[key] = literal
-        else:
-            setattr(holder, key, literal)
-    return clone
-
-
-def _clone(node):
-    """Deep-copy an AST (lists and Node subclasses only)."""
-    if isinstance(node, list):
-        return [_clone(item) for item in node]
-    if isinstance(node, tuple):
-        # tuples (UPDATE assignments, CASE whens) become lists in the
-        # clone so a Param sitting directly inside one stays bindable
-        return [_clone(item) for item in node]
-    if isinstance(node, ast.Node):
-        copy = object.__new__(type(node))
-        for field in node._fields():
-            setattr(copy, field, _clone(getattr(node, field)))
-        return copy
-    return node
-
-
-def _collect_param_sites(root):
-    """Find every Param node and where it hangs: a list of
-    ``(container, key)`` pairs where ``container[key]`` /
-    ``getattr(container, key)`` is the Param, in source order."""
-    sites = []
-
-    def visit(holder, key, node):
-        if isinstance(node, ast.Param):
-            sites.append((holder, key))
-            return
-        if isinstance(node, list):
-            for index, item in enumerate(node):
-                visit(node, index, item)
-            return
-        if isinstance(node, tuple):
-            for item in node:
-                visit(None, None, item)
-            return
-        if isinstance(node, ast.Node):
-            for field in node._fields():
-                child = getattr(node, field)
-                if isinstance(child, ast.Param):
-                    sites.append((node, field))
-                elif isinstance(child, (list, ast.Node)):
-                    visit(node, field, child)
-                elif isinstance(child, tuple):
-                    visit(None, None, child)
-
-    visit(None, None, root)
-    return sites
+def slot_tags(values):
+    """The literal type tag of each value of a values vector — all that
+    validation and planning may know about it.  Refuses a value the
+    binary protocol cannot bind."""
+    return tuple(literal_for(value).type_tag for value in values)
 
 
 class PreparedStatement(object):
@@ -126,7 +55,7 @@ class PreparedStatement(object):
     """
 
     def __init__(self, database, statement, comments, charset,
-                 session=None):
+                 param_count, session=None):
         self._database = database
         self._statement = statement
         self._comments = comments
@@ -134,75 +63,73 @@ class PreparedStatement(object):
         #: the owning connection's session (LAST_INSERT_ID scope);
         #: ``None`` falls back to the database's default session
         self._session = session
-        self.param_count = count_params(statement)
+        self.param_count = param_count
         #: server-side statement id (COM_STMT_PREPARE returns it, and
         #: the pipeline cache keys executions under it)
         self.statement_id = next(_STATEMENT_IDS)
 
     def execute(self, *params):
-        """Bind *params* and run the statement through the normal
-        pipeline (validation → SEPTIC hook → execution).
+        """Run the statement with *params* in its ``?`` slots, through
+        the normal pipeline (validation → SEPTIC hook → execution).
 
-        Executions ride the pipeline cache keyed by
-        ``(statement id, bound values)``: the statement was parsed once
-        at prepare time, and a repeated bind of the same values reuses
-        the cached entry's bound AST, validated item stack, SEPTIC memo
-        and physical plan — zero re-parse, zero re-plan.  The plan must
-        be keyed per value set because access paths bake bound
-        constants (an ``IndexEqScan`` probes the literal it was planned
-        with); the LRU keeps the per-value fan-out bounded.
+        Nothing is copied or rewritten: the statement parsed at prepare
+        time is the one that runs, and the parameters travel beside it
+        as the execution's values vector.  Executions ride the pipeline
+        cache keyed by ``(statement id, parameter types)`` — the
+        types decide the item kinds SEPTIC sees and the access path, the
+        values decide neither — so after the first execution of a type
+        signature every later one reuses its validated item stack,
+        SEPTIC memo and physical plan whatever values it binds.
         """
         if len(params) == 1 and isinstance(params[0], (list, tuple)):
             params = tuple(params[0])
+        if len(params) != self.param_count:
+            raise ExecutionError(
+                "statement expects %d parameters, got %d"
+                % (self.param_count, len(params)),
+                errno=2031,
+            )
         database = self._database
         cache = getattr(database, "pipeline_cache", None)
-        if cache is None or not all(
-                isinstance(p, _BINDABLE_TYPES) for p in params):
-            # unbindable values fall through so bind_params raises the
-            # proper error; cache-off degrades to bind-and-run
-            bound = bind_params(self._statement, params)
-            return database.run_statement(
-                bound, comments=self._comments, session=self._session
-            )
-        # type names ride along so 1, 1.0 and True (equal as dict keys)
-        # cannot collide into one another's bound statements
-        key = ("stmt", self.statement_id,
-               tuple((type(p).__name__, p) for p in params))
+        # the types themselves: 1, 1.0 and True (equal as dict keys)
+        # must not ride one another's entry
+        key = ("stmt", self.statement_id, tuple(map(type, params)))
         entry = None
-        try:
-            entry = cache.get(self._charset, key, database.schema_version)
-        except Exception:
-            entry = None  # a broken cache degrades to the cold path
+        if cache is not None:
+            try:
+                entry = cache.get(self._charset, key,
+                                  database.schema_version)
+            except Exception:
+                entry = None  # a broken cache degrades to the cold path
         if entry is None:
             from repro.sqldb.cache import CacheEntry
-            from repro.sqldb.unparse import to_sql
 
-            bound = bind_params(self._statement, params)
-            try:
-                sql_text = to_sql(bound)
-            except TypeError:
-                sql_text = "<prepared:%s>" % type(bound).__name__
-            entry = CacheEntry(sql_text, [bound], list(self._comments))
-            try:
-                entry = cache.put(
-                    self._charset, key, database.schema_version, entry
-                )
-            except Exception:
-                pass  # cache insertion is best-effort
+            entry = CacheEntry([self._statement], list(self._comments),
+                               slot_tags=slot_tags(params))
+            if cache is not None:
+                try:
+                    entry = cache.put(self._charset, key,
+                                      database.schema_version, entry)
+                except Exception:
+                    pass  # cache insertion is best-effort
         return database.run_statement(
-            entry.statements[0], comments=entry.comments,
-            sql_text=entry.decoded, session=self._session, entry=entry,
+            self._statement, comments=entry.comments,
+            session=self._session, entry=entry, values=params,
         )
 
 
 def parse_prepared(database, sql, charset, session=None):
     """Parse *sql* (single statement) for later execution."""
     from repro.sqldb import charset as charset_mod
+    from repro.sqldb.lexer import TokenType, tokenize
     from repro.sqldb.parser import parse_sql
 
     decoded = charset_mod.decode_query(sql, charset)
-    statements, comments = parse_sql(decoded)
+    lexed = tokenize(decoded)
+    statements, comments = parse_sql(decoded, lexed)
     if len(statements) != 1:
         raise ParseError("can only prepare a single statement")
+    param_count = sum(1 for tok in lexed.tokens
+                      if tok.type == TokenType.PARAM)
     return PreparedStatement(database, statements[0], comments, charset,
-                             session=session)
+                             param_count, session=session)

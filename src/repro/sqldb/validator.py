@@ -19,23 +19,38 @@ Stack layout (bottom → top), matching the paper's Figure 2:
 
 from repro.sqldb import ast_nodes as ast
 from repro.sqldb.errors import ValidationError
-from repro.sqldb.items import Item, ItemKind
+from repro.sqldb.items import Item, ItemKind, Slot
+
+#: literal type tag -> the DATA item kind MySQL gives such a literal
+#: (TRUE/FALSE are ``Item_int`` 1/0)
+_DATA_KINDS = {
+    "int": ItemKind.INT_ITEM,
+    "float": ItemKind.REAL_ITEM,
+    "string": ItemKind.STRING_ITEM,
+    "null": ItemKind.NULL_ITEM,
+    "bool": ItemKind.INT_ITEM,
+}
 
 
-def validate(statement, catalog=None):
+def validate(statement, catalog=None, slot_tags=()):
     """Validate *statement* and return its item stack (a list, bottom→top).
 
     *catalog* is a mapping ``table_name -> Table`` (or ``None`` to skip
     name resolution — used by unit tests that only care about the stack
-    shape).
+    shape).  *slot_tags* gives the literal type tag of each value slot
+    (``Param`` node) of the statement: a slot validates to the data item
+    a literal of that type would, holding a
+    :class:`~repro.sqldb.items.Slot` in place of the value; a ``?``
+    without a tag is an unbound placeholder.
     """
-    builder = _StackBuilder(catalog)
+    builder = _StackBuilder(catalog, slot_tags)
     return builder.build(statement)
 
 
 class _StackBuilder(object):
-    def __init__(self, catalog):
+    def __init__(self, catalog, slot_tags=()):
         self._catalog = catalog
+        self._slot_tags = slot_tags
         self._stack = []
         #: tables in scope, innermost query last; each entry is a dict
         #: alias -> table_name
@@ -263,7 +278,11 @@ class _StackBuilder(object):
         if isinstance(node, ast.Literal):
             self._literal(node)
         elif isinstance(node, ast.Param):
-            self._push(ItemKind.PARAM_ITEM, "?")
+            index = node.index
+            if index is not None and index < len(self._slot_tags):
+                self._push(_DATA_KINDS[self._slot_tags[index]], Slot(index))
+            else:
+                self._push(ItemKind.PARAM_ITEM, "?")
         elif isinstance(node, ast.ColumnRef):
             self._push(
                 ItemKind.FIELD_ITEM, self._check_column(node.name, node.table)
@@ -348,16 +367,12 @@ class _StackBuilder(object):
             )
 
     def _literal(self, node):
-        if node.type_tag == "int":
-            self._push(ItemKind.INT_ITEM, node.value)
-        elif node.type_tag == "float":
-            self._push(ItemKind.REAL_ITEM, node.value)
-        elif node.type_tag == "string":
-            self._push(ItemKind.STRING_ITEM, node.value)
-        elif node.type_tag == "null":
-            self._push(ItemKind.NULL_ITEM, None)
-        elif node.type_tag == "bool":
-            # MySQL represents TRUE/FALSE as Item_int 1/0.
-            self._push(ItemKind.INT_ITEM, 1 if node.value else 0)
-        else:
+        kind = _DATA_KINDS.get(node.type_tag)
+        if kind is None:
             raise ValidationError("unknown literal tag %r" % node.type_tag)
+        value = node.value
+        if node.type_tag == "bool":
+            value = 1 if value else 0
+        elif node.type_tag == "null":
+            value = None
+        self._push(kind, value)

@@ -1,5 +1,7 @@
 """Shared fixtures for the test suite."""
 
+import re
+
 import pytest
 
 from repro import faults
@@ -25,6 +27,33 @@ TICKET_QUERY = (
     "/* septic:tickets.php:7 */ SELECT * FROM tickets "
     "WHERE reservID = '%s' AND creditCard = %s"
 )
+
+
+_COMMENT = re.compile(r"(/\*.*?\*/)", re.S)
+_NUMBER = re.compile(r"(?<![\w.'])[1-9]\d*(?![\w.'])")
+_QUOTED_WORD = re.compile(r"(?<=')[A-Za-z]{2,}(?=')")
+
+
+def vary_literals(sql, rng):
+    """*sql* with other data in it: every bare number and every quoted
+    plain word replaced by a seeded one of the same length (comments are
+    left alone — they carry SEPTIC's external identifier).  The token
+    kinds do not change, so the result has the statement's shape."""
+
+    def number(match):
+        digits = match.group(0)
+        return rng.choice("123456789") + "".join(
+            rng.choice("0123456789") for _ in digits[1:])
+
+    def word(match):
+        return "".join(rng.choice("abcdefghijklmnopqrstuvwxyz")
+                       for _ in match.group(0))
+
+    parts = _COMMENT.split(sql)
+    for index in range(0, len(parts), 2):
+        parts[index] = _QUOTED_WORD.sub(word,
+                                        _NUMBER.sub(number, parts[index]))
+    return "".join(parts)
 
 
 @pytest.fixture(autouse=True)

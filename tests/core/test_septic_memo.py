@@ -104,7 +104,14 @@ class TestL1Hit(object):
         before = full_runs["receive"]
         assert conn.execute_prepared(handle, 1, 3).ok
         assert full_runs["receive"] == before
-        assert conn.execute_prepared(handle, 7, 3).ok   # new values: L2
+        # new values, same entry: a SELECT's verdict did not depend on
+        # the old ones
+        assert conn.execute_prepared(handle, 7, 3).ok
+        assert full_runs["receive"] == before
+        # new types: another entry, a full run — which finds a REAL
+        # where the model has an INT
+        outcome = conn.execute_prepared(handle, 7.5, 3)
+        assert isinstance(outcome.error, QueryBlocked)
         assert full_runs["receive"] == before + 1
 
     def test_no_cache_no_l1(self, full_runs):
@@ -481,7 +488,8 @@ class TestShapeMemo(object):
         query_id = entry.septic_memo.query_id
         pinned = QueryModel(
             Item(node.kind, node.value)
-            for node in entry.septic_memo.structure)     # a = 1, c = 3
+            for node in QueryStructure.from_stack(
+                entry.stack, (1, 3)))                    # a = 1, c = 3
         septic.store.clear()
         septic.store.put(query_id, pinned)
         remembered = len(septic._benign)
@@ -552,12 +560,17 @@ def test_l1_hit_budget(monkeypatch, counted_locks):
     for name in ("detect_sqli", "detect_stored"):
         _count_calls(monkeypatch, counts, AttackDetector, name)
     for sql in (SELECT, UPDATE):
-        entry = database.pipeline_cache.get("utf8", sql,
-                                            database.schema_version)
-        assert entry.septic_memo.verdict is not None
-        context = QueryContext(entry.decoded, entry.statements[0],
+        text = database.pipeline_cache.probe("utf8", sql,
+                                             database.schema_version)
+        entry = text.entry
+        # the SELECT's verdict serves its whole shape, the UPDATE's
+        # (the plugins read its values) this text alone
+        holder = entry.septic_memo if sql is SELECT else text
+        assert holder.verdict is not None
+        context = QueryContext(text.decoded, entry.statements[0],
                                entry.stack, entry.comments, database,
-                               memo=entry.septic_memo)
+                               memo=entry.septic_memo, values=text.values,
+                               text=text)
         processed = septic.stats.queries_processed
         counted_locks.acquisitions = 0
         septic.process_query(context)

@@ -3,16 +3,26 @@ never what it decides or records.
 
 The statements the four applications issue for their recorded requests,
 plus those of every ``repro.attacks`` case, are replayed through local
-``query``, ``execute_prepared`` and the wire — three times each, so that
+``query``, ``execute_prepared`` and the wire — four times, so that
 every statement meets the hook cold (nothing memoised), L2-hot (its
-shape known, its text not) and L1-hot (its own verdict cached).  The
-same replay runs against a control with every memo off: no pipeline
-cache, and shape memos that forget what they are told.  Blocked/allowed
-per statement, ``SepticStats.as_dict()`` and kind + query ID + sequence
-number of every significant event must be identical after each pass, in
-PREVENTION and DETECTION and under all four Figure 5 configurations.
+shape known to SEPTIC, the pipeline cache empty), shape-hot (the same
+statements with *other literals*: texts never seen, whose cache entries
+were warmed by a different text of the shape) and L1-hot (its own text
+cached).  The same replay runs against a control with every memo off:
+no pipeline cache, and shape memos that forget what they are told.
+Blocked/allowed per statement, ``SepticStats.as_dict()`` and kind +
+query ID + sequence number of every significant event must be identical
+after each pass, in PREVENTION and DETECTION and under all four Figure 5
+configurations.
+
+The second half is the argument that makes sharing an entry safe, as a
+property over the same statements and seeded mutations of them: equal
+shape keys ⇒ equal item-stack shapes ⇒ same QM and ID, and no attack
+ever finds a verdict waiting for it.
 """
 
+import random
+import re
 from collections import Counter
 
 import pytest
@@ -23,19 +33,26 @@ from repro.apps.waspmon import WaspMon
 from repro.apps.zerocms import ZeroCMS
 from repro.attacks.corpus import waspmon_attacks
 from repro.core import manager as manager_mod
-from repro.core.manager import QSQMManager
+from repro.core import septic as septic_mod
+from repro.core.manager import QSQMManager, structure_and_shape
+from repro.core.query_structure import QueryStructure
 from repro.core.query_model import QueryModel
 from repro.core.septic import Mode, Septic, SepticConfig
 from repro.core.training import SepticTrainer
 from repro.net.client import NetClient
 from repro.net.server import NetServer
+from repro.sqldb import charset as charset_mod
 from repro.sqldb.connection import Connection
-from repro.sqldb.engine import Database
+from repro.sqldb.engine import Database, QueryContext
 from repro.sqldb.errors import QueryBlocked, SQLError
+from repro.sqldb.parser import parse_sql
+from repro.sqldb.validator import validate
 from repro.web.app import PhpRuntime
 
+from tests.conftest import vary_literals
+
 APPS = (WaspMon, AddressBook, Refbase, ZeroCMS)
-PASSES = ("cold", "L2-hot", "L1-hot")
+PASSES = ("cold", "L2-hot", "shape-hot", "L1-hot")
 
 
 def _recorded_requests(app):
@@ -96,6 +113,17 @@ def statements():
     assert len(sink) > 80
     assert {charset for _sql, charset in sink} == {"utf8", "gbk"}
     return sink
+
+
+@pytest.fixture(scope="module")
+def variants(statements):
+    """The same statements with other literals of the same kinds."""
+    rng = random.Random(20260930)
+    out = [(vary_literals(sql, rng), charset)
+           for sql, charset in statements]
+    changed = sum(1 for old, new in zip(statements, out) if old != new)
+    assert changed > len(statements) // 2
+    return out
 
 
 # -- the three entry points ---------------------------------------------------
@@ -179,11 +207,13 @@ def _significant(septic):
             for event in septic.logger.events]
 
 
-def _replay(statements, entry_point, mode, flags, cache_size, counts=None):
+def _replay(statements, variants, entry_point, mode, flags, cache_size,
+            counts=None):
     """Train, hand the models to a fresh SEPTIC (empty memos) in *mode*
-    under *flags*, and replay three times.  Returns one observation per
-    stage — training, then each pass — and, per pass, what *counts*
-    (a ``Counter`` some patched callables bump) read."""
+    under *flags*, and replay once per pass — *variants* in the
+    shape-hot pass, over the cache the L2-hot pass filled.  Returns one
+    observation per stage — training, then each pass — and, per pass,
+    what *counts* (a ``Counter`` some patched callables bump) read."""
     database, trainer, _apps = _trained_stack(cache_size)
     observed = [("training", None, trainer.stats.as_dict(),
                  _significant(trainer))]
@@ -194,12 +224,13 @@ def _replay(statements, entry_point, mode, flags, cache_size, counts=None):
     per_pass = []
     try:
         for name in PASSES:
-            if name != "L1-hot" and database.pipeline_cache is not None:
+            if name in ("cold", "L2-hot") and \
+                    database.pipeline_cache is not None:
                 database.pipeline_cache.clear()
             if counts is not None:
                 counts.clear()
-            verdicts = [driver.run(sql, charset)
-                        for sql, charset in statements]
+            texts = variants if name == "shape-hot" else statements
+            verdicts = [driver.run(sql, charset) for sql, charset in texts]
             observed.append((name, verdicts, septic.stats.as_dict(),
                              _significant(septic)))
             per_pass.append(Counter(counts))
@@ -222,9 +253,14 @@ def _count_avoidable_work(monkeypatch):
         counts["from_structure"] += 1
         return from_structure(cls, structure)
 
+    def counting_parse(*args, **kwargs):
+        counts["parse"] += 1
+        return parse_sql(*args, **kwargs)
+
     monkeypatch.setattr(QSQMManager, "receive", counting_receive)
     monkeypatch.setattr(QueryModel, "from_structure",
                         classmethod(counting_from_structure))
+    monkeypatch.setattr("repro.sqldb.engine.parse_sql", counting_parse)
     return counts
 
 
@@ -236,29 +272,30 @@ def controls():
     return {}
 
 
-def _control(controls, statements, entry_point, mode, flags, monkeypatch):
+def _control(controls, statements, variants, entry_point, mode, flags,
+             monkeypatch):
     key = (entry_point, mode, flags)
     if key not in controls:
         with monkeypatch.context() as patch:
             patch.setattr(manager_mod.BoundedMemo, "put",
                           lambda self, key_, value: None)
-            controls[key], _ = _replay(statements, entry_point, mode,
-                                       flags, cache_size=0)
+            controls[key], _ = _replay(statements, variants, entry_point,
+                                       mode, flags, cache_size=0)
     return controls[key]
 
 
 @pytest.mark.parametrize("flags", ["NN", "YN", "NY", "YY"])
 @pytest.mark.parametrize("mode", [Mode.PREVENTION, Mode.DETECTION])
 @pytest.mark.parametrize("entry_point", sorted(ENTRY_POINTS))
-def test_memos_change_no_verdict_stat_or_event(statements, controls,
-                                               monkeypatch, entry_point,
-                                               mode, flags):
-    control = _control(controls, statements, entry_point, mode, flags,
-                       monkeypatch)
+def test_memos_change_no_verdict_stat_or_event(statements, variants,
+                                               controls, monkeypatch,
+                                               entry_point, mode, flags):
+    control = _control(controls, statements, variants, entry_point, mode,
+                       flags, monkeypatch)
     counts = _count_avoidable_work(monkeypatch)
-    # large enough that the third pass finds every entry of the second
-    memoised, (cold, l2_hot, l1_hot) = _replay(
-        statements, entry_point, mode, flags, cache_size=4096,
+    # large enough that the last pass finds every entry of the second
+    memoised, (cold, l2_hot, shape_hot, l1_hot) = _replay(
+        statements, variants, entry_point, mode, flags, cache_size=4096,
         counts=counts)
     for expected, actual in zip(control, memoised):
         stage = "%s/%s/%s/%s" % (entry_point, mode, flags, expected[0])
@@ -272,15 +309,23 @@ def test_memos_change_no_verdict_stat_or_event(statements, controls,
     assert l2_hot["from_structure"] == l1_hot["from_structure"] == 0
     assert l1_hot["receive"] < cold["receive"] // 2
     assert l1_hot["receive"] < l2_hot["receive"]
+    assert shape_hot["from_structure"] == 0
+    if entry_point != "execute_prepared":
+        # (a zero-parameter handle per text has no other text to share
+        # with; literal texts do, and skip parser and full run alike)
+        assert l1_hot["parse"] == 0 < cold["parse"]
+        assert shape_hot["parse"] < cold["parse"] // 2
+        assert shape_hot["receive"] < l2_hot["receive"]
 
 
-def test_the_replay_blocks_and_passes(statements, controls, monkeypatch):
+def test_the_replay_blocks_and_passes(statements, variants, controls,
+                                      monkeypatch):
     """The corpus exercises both verdicts (else equality above is
     vacuous), and DETECTION blocks nothing."""
-    prevention = _control(controls, statements, "query", Mode.PREVENTION,
-                          "YY", monkeypatch)
-    detection = _control(controls, statements, "query", Mode.DETECTION,
-                         "YY", monkeypatch)
+    prevention = _control(controls, statements, variants, "query",
+                          Mode.PREVENTION, "YY", monkeypatch)
+    detection = _control(controls, statements, variants, "query",
+                         Mode.DETECTION, "YY", monkeypatch)
     for _name, verdicts, stats, _events in prevention[1:]:
         assert verdicts.count("blocked") >= 15
         assert verdicts.count("ok") >= 60
@@ -289,3 +334,105 @@ def test_the_replay_blocks_and_passes(statements, controls, monkeypatch):
         assert "blocked" not in verdicts
         assert stats["attacks_detected"] > 0
         assert stats["queries_dropped"] == 0
+
+
+# -- sharing an entry is safe -------------------------------------------------
+
+_KEYWORD = re.compile(
+    r"\b(select|from|where|and|or|insert|into|values|update|set|delete|"
+    r"order|by|limit|like|union)\b", re.I)
+_QUOTED = re.compile(r"'([^'\\]*)'")
+
+
+def _mutations(sql, rng):
+    """Seeded rewrites of one text.  Some keep its meaning, some change
+    its data, some turn it into an injection — the property below must
+    hold whatever they do."""
+    yield vary_literals(sql, rng)
+    yield _KEYWORD.sub(lambda m: m.group(0).swapcase(), sql)
+    yield sql.replace(" ", rng.choice(["  ", "\t", "\n", " \r\n "]))
+    yield sql + rng.choice([" /* probe */", " # probe", " -- probe"])
+    yield sql.replace(" ", " /**/ ", 1)
+    payload = rng.choice([" OR 1=1 -- ", " UNION SELECT 1, 2 -- ",
+                          "; DROP TABLE users -- "])
+    # GBK %bf%5c: the lead byte eats the escaping backslash, the quote
+    # that follows closes the string
+    yield _QUOTED.sub(lambda m: "'%s¿\\'%s'" % (m.group(1), payload),
+                      sql, count=1)
+    # U+02BC folds to a quote after any escaping was applied
+    yield _QUOTED.sub(lambda m: "'%sʼ%s'" % (m.group(1), payload),
+                      sql, count=1)
+    # a stored-injection payload: same shape, other data
+    yield _QUOTED.sub(lambda m: "'<script>alert(%d)</script>'"
+                      % rng.randrange(100), sql, count=1)
+
+
+def _cold_stack(database, sql, charset):
+    """The item stack the cold path gives *sql*: literals in place."""
+    decoded = charset_mod.decode_query(sql, charset)
+    statements, _comments = parse_sql(decoded)
+    return validate(statements[0], database.tables)
+
+
+def test_texts_that_share_an_entry_share_a_stack_shape(statements,
+                                                       monkeypatch):
+    rng = random.Random(4099)
+    texts = []
+    for sql, charset in statements:
+        texts.append((sql, charset))
+        for mutated in _mutations(sql, rng):
+            # both decoders see every mutation: what is data under one
+            # is an injection under the other
+            texts.append((mutated, "utf8"))
+            texts.append((mutated, "gbk"))
+    with monkeypatch.context() as patch:
+        patch.setattr(manager_mod.BoundedMemo, "put",
+                      lambda self, key_, value: None)
+        control_db, trainer, _apps = _trained_stack(cache_size=0)
+        control = Septic(mode=Mode.PREVENTION, store=trainer.store)
+        control_db.septic = control
+        driver = _Local(control_db)
+        truth = [[driver.run(sql, charset) for sql, charset in texts]
+                 for _round in range(2)]
+    database, trainer, _apps = _trained_stack(cache_size=1 << 16)
+    septic = Septic(mode=Mode.PREVENTION, store=trainer.store)
+    database.septic = septic
+    driver = _Local(database)
+    for expected in truth:
+        assert [driver.run(sql, charset)
+                for sql, charset in texts] == expected
+    assert septic.stats.as_dict() == control.stats.as_dict()
+    assert truth[0].count("blocked") > 100 and truth[0].count("ok") > 300
+
+    cache = database.pipeline_cache
+    groups = {}
+    for (sql, charset), verdict in zip(texts, truth[1]):
+        text = cache.probe(charset, sql, database.schema_version)
+        if text is None:
+            continue            # did not lex or parse: nothing cached
+        entry = text.entry
+        if verdict == "blocked":
+            # no verdict of an earlier benign run covers an attack
+            context = QueryContext(text.decoded, None, entry.stack, [],
+                                   database, values=text.values, text=text)
+            assert septic_mod._remembered(
+                context, entry.septic_memo) is None, sql
+        if not entry.single_statement:
+            continue
+        try:
+            cold = _cold_stack(database, sql, charset)
+        except SQLError as exc:
+            assert entry.stack is None, sql
+            cold = type(exc).__name__
+        else:
+            if entry.stack is not None:
+                # the late-bound stack is the cold stack, item for item
+                assert QueryStructure.from_stack(
+                    entry.stack, text.values).nodes == cold, sql
+            cold = structure_and_shape(cold)[1]
+        groups.setdefault(id(entry), []).append((cold, sql))
+    shared = [group for group in groups.values() if len(group) > 1]
+    assert len(shared) > 30
+    for group in shared:
+        shapes = {shape for shape, _sql in group}
+        assert len(shapes) == 1, [sql for _shape, sql in group][:3]

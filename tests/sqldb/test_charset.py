@@ -34,6 +34,21 @@ class TestFoldConfusables(object):
     def test_unmapped_unicode_survives(self):
         assert fold_confusables("héllo") == "héllo"
 
+    def test_one_non_ascii_character_anywhere_leaves_the_fast_path(self):
+        # the ASCII test must look at every character, not a prefix
+        head = "SELECT * FROM t WHERE a = '" + "x" * 200
+        assert fold_confusables(head + "ʼ") == head + "'"
+        assert fold_confusables("ʼ" + head) == "'" + head
+        assert fold_confusables(head + "\x7f") == head + "\x7f"
+        assert fold_confusables(head + "\x80") == head + "\x80"
+
+    def test_escaped_percent_survives_decoding(self):
+        from repro.sqldb.charset import decode_query
+
+        text = "SELECT * FROM t WHERE a LIKE '50\\%' AND b = 'ʼ'"
+        assert decode_query(text, "utf8") == text.replace("ʼ", "'")
+        assert decode_query(text, "latin1") == text
+
     def test_paper_payload(self):
         # the §II-D1 second-order payload decodes to a live quote + comment
         assert fold_confusables("ID34FGʼ-- ") == "ID34FG'-- "

@@ -206,6 +206,32 @@ class TestOperators(object):
         assert q("'HELLO' LIKE 'hello'") == 1  # case-insensitive
         assert q("'50%' LIKE '50\\\\%'") == 1
 
+    def test_like_compiled_patterns_are_memoised_not_confused(self, q):
+        from repro.sqldb import expression
+
+        # an escaped wildcard is a literal character, a bare one is not
+        assert q("'50%' LIKE '50\\\\%'") == 1
+        assert q("'500' LIKE '50\\\\%'") == 0
+        assert q("'500' LIKE '50%'") == 1
+        assert q("'a_c' LIKE 'a\\\\_c'") == 1
+        assert q("'abc' LIKE 'a\\\\_c'") == 0
+        # non-ASCII text and pattern, case-folded like the rest
+        assert q("'Ünïcode →quote' LIKE 'ünï%→q_ote'") == 1
+        assert q("'naïve' LIKE 'na_ve'") == 1
+        assert q("'naïve' LIKE 'naive'") == 0
+        # regex metacharacters in a pattern are text
+        assert q("'a.c' LIKE 'a.c'") == 1
+        assert q("'abc' LIKE 'a.c'") == 0
+        assert q("'x(1)' LIKE 'x(%)'") == 1
+        # one compiled regex per distinct pattern, in a bounded map
+        hits = expression._like_regex.cache_info().hits
+        assert q("'abc' LIKE 'a.c'") == 0
+        info = expression._like_regex.cache_info()
+        assert info.hits == hits + 1
+        for index in range(info.maxsize + 10):
+            assert q("'p%d' LIKE 'p%d'" % (index, index)) == 1
+        assert expression._like_regex.cache_info().currsize == info.maxsize
+
     def test_regexp(self, q):
         assert q("'hello' REGEXP '^he'") == 1
         assert q("'hello' REGEXP 'z'") == 0

@@ -27,7 +27,7 @@ def _fresh_db():
 
 class TestPipelineCacheUnit(object):
     def _entry(self):
-        return CacheEntry("SELECT 1", ["stmt"], [])
+        return CacheEntry(["stmt"], [])
 
     def test_miss_then_hit(self):
         cache = PipelineCache(4)
@@ -74,6 +74,110 @@ class TestPipelineCacheUnit(object):
         assert stats["entries"] == 1
         assert stats["hits"] == 1 and stats["misses"] == 1
         assert stats["hit_rate"] == 0.5
+
+
+class TestShapeKey(object):
+    """What lands two texts on one entry, and what keeps them apart."""
+
+    BASE = ("/* septic:a.php:1 */ SELECT reservID FROM tickets "
+            "WHERE creditCard = 1234 AND reservID <> 'none'")
+
+    def _entry(self, database, sql, charset="utf8"):
+        conn = Connection(database, charset=charset)
+        assert conn.query(sql).ok, sql
+        text = database.pipeline_cache.probe(
+            charset, sql, database.schema_version)
+        return text.entry, text.values
+
+    @pytest.mark.parametrize("other, values", [
+        (BASE.replace("1234", "9999"), (9999, "none")),
+        (BASE.replace("'none'", "'x''y'"), (1234, "x'y")),
+        (BASE.replace(" WHERE", "\n\t  WHERE"), (1234, "none")),
+        (BASE.replace("SELECT", "select").replace("AND", "and"),
+         (1234, "none")),
+        (BASE.replace("1234", "0001234"), (1234, "none")),
+    ])
+    def test_same_shape_same_entry(self, other, values):
+        database = _fresh_db()
+        entry, base_values = self._entry(database, self.BASE)
+        assert base_values == (1234, "none")
+        shared, other_values = self._entry(database, other)
+        assert shared is entry
+        assert other_values == values
+        assert database.pipeline_cache.shape_hits == 1
+
+    @pytest.mark.parametrize("other", [
+        BASE.replace("a.php:1", "a.php:2"),             # call site
+        BASE + " /* note */",                           # any comment
+        BASE.replace("reservID FROM", "reservid FROM"),  # identifier
+        BASE.replace("1234", "'1234'"),                 # literal kind
+        BASE.replace("1234", "1234.0"),
+        BASE.replace("'none'", "0x6e6f6e65"),
+        BASE.replace("<>", "!="),                       # operator
+        BASE.replace("1234", "1234 OR 1=1"),            # structure
+        BASE.replace("'none'", "'none' -- "),
+    ])
+    def test_other_shape_other_entry(self, other):
+        database = _fresh_db()
+        entry, _values = self._entry(database, self.BASE)
+        apart, _values = self._entry(database, other)
+        assert apart is not entry
+        assert database.pipeline_cache.shape_hits == 0
+
+    @pytest.mark.parametrize("first, second", [
+        ("SELECT * FROM tickets LIMIT 1", "SELECT * FROM tickets LIMIT 2"),
+        ("SELECT * FROM tickets LIMIT 2 OFFSET 1",
+         "SELECT * FROM tickets LIMIT 2 OFFSET 0"),
+        ("SELECT id, reservID FROM tickets ORDER BY 1",
+         "SELECT id, reservID FROM tickets ORDER BY 2"),
+        ("SELECT 1, id FROM tickets", "SELECT 2, id FROM tickets"),
+        ("SELECT id, COUNT(*) FROM tickets GROUP BY id + 1",
+         "SELECT id, COUNT(*) FROM tickets GROUP BY id + 2"),
+        ("SELECT CAST(id AS CHAR(1)) FROM tickets",
+         "SELECT CAST(id AS CHAR(2)) FROM tickets"),
+    ])
+    def test_literals_read_by_value_stay_in_the_key(self, first, second):
+        database = _fresh_db()
+        uncached = Database(cache_size=0)
+        uncached.seed(TICKETS_SCHEMA)
+        one, _values = self._entry(database, first)
+        two, _values = self._entry(database, second)
+        assert one is not two
+        for sql in (first, second, first):
+            got = database.run(sql)[0].result_set
+            want = uncached.run(sql)[0].result_set
+            assert (got.columns, got.rows) == (want.columns, want.rows)
+
+    def test_charset_and_schema_version_keep_entries_apart(self):
+        database = _fresh_db()
+        entry, _values = self._entry(database, self.BASE)
+        gbk, _values = self._entry(database, self.BASE, charset="gbk")
+        assert gbk is not entry
+        database.run("CREATE TABLE other (id INT)")
+        later, _values = self._entry(database, self.BASE)
+        assert later is not entry
+
+    def test_unslotted_statements_are_cached_by_text_only(self):
+        database = _fresh_db()
+        cache = database.pipeline_cache
+        for sql in ("SHOW TABLES", "DESCRIBE tickets",
+                    "SELECT * FROM tickets WHERE id = 1; SELECT 2",
+                    "CREATE TABLE t9 (a VARCHAR(9) DEFAULT 'x')"):
+            database.run(sql, multi=True)
+            text = cache.probe("utf8", sql, database.schema_version)
+            if text is not None:            # DDL moved the version on
+                assert text.entry.slots == () and text.values == ()
+        assert cache.shape_hits == 0
+
+    def test_stats_count_parses_as_misses_and_shape_hits_apart(self):
+        database = _fresh_db()
+        cache = database.pipeline_cache
+        cache.hits = cache.misses = 0
+        for card in (1, 2, 3, 3, 3):
+            database.run(self.BASE.replace("1234", str(card)))
+        stats = cache.stats_dict()
+        assert (stats["misses"], stats["hits"], stats["shape_hits"]) == \
+            (1, 4, 2)
 
 
 class TestDatabaseCacheIntegration(object):

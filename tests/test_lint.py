@@ -999,3 +999,80 @@ def test_hook_shortcut_gate_catches_a_second_exit(tmp_path):
     problems = _hook_shortcut_violations(str(bad))
     assert len(problems) == 2
     assert ":7:" in problems[0] and ":9:" in problems[1]
+
+
+#: where planner.py / plan.py may read ``.value`` off an AST node: the
+#: places the parser guarantees a ``Literal`` (it never turns these into
+#: slots — see ``repro.sqldb.parser.Parser``), and the distributed
+#: planner, which only ever sees the router's own slot-free parse
+_LITERAL_VALUE_READERS = frozenset([
+    "_field_label",         # a select-list field that is a bare literal
+    "_pair_key_fn",         # ORDER BY <position>
+    "_order_union_rows",    # ORDER BY <position> over a UNION
+    "DistributedPlanner",
+])
+
+
+def _slot_value_read_violations(path, allowed=_LITERAL_VALUE_READERS):
+    """Late binding gate for the plan layer.
+
+    A physical plan belongs to a statement *shape*: the same operator
+    tree runs for every values vector, so nothing in planner.py or
+    plan.py may look at a constant's value while planning — a ``Param``
+    slot has none.  Constants are read in one way, ``evaluate(node,
+    ctx)`` when an operator opens, which resolves slots in the
+    execution's values.  A ``.value`` read outside the few functions
+    that handle parser-pinned literals is a constant baked into a
+    shared plan (or an ``AttributeError`` on the first slot).
+    """
+    with open(path) as handle:
+        tree = ast.parse(handle.read(), filename=path)
+    rel = os.path.relpath(path, REPO_ROOT)
+    problems = []
+
+    def walk(node, scopes):
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            scopes = scopes + (node.name,)
+        if (isinstance(node, ast.Attribute) and node.attr == "value"
+                and isinstance(node.ctx, ast.Load)
+                and not allowed.intersection(scopes)):
+            problems.append(
+                "%s:%d: .value read in %s — plan-layer code must not "
+                "look at a constant's value (it may be a slot); "
+                "evaluate() it when the operator opens"
+                % (rel, node.lineno, ".".join(scopes) or "<module>"))
+        for child in ast.iter_child_nodes(node):
+            walk(child, scopes)
+
+    walk(tree, ())
+    return problems
+
+
+def test_plan_layer_reads_constants_late():
+    for module in ("planner.py", "plan.py"):
+        path = os.path.join(SRC_ROOT, "repro", "sqldb", module)
+        problems = _slot_value_read_violations(path)
+        assert problems == [], "\n".join(problems)
+
+
+def test_late_binding_gate_catches_a_baked_constant(tmp_path):
+    bad = tmp_path / "planner.py"
+    bad.write_text(
+        "def _equality_pair(expr):\n"
+        "    return expr.left.name, expr.right.value\n"     # flagged
+        "class IndexEqScan:\n"
+        "    def label(self):\n"
+        "        return repr(self.key.value)\n"             # flagged
+        "    def _generate(self, state):\n"
+        "        return evaluate(self.key, state.ctx)\n"    # the way
+        "def _field_label(expr):\n"
+        "    return str(expr.value)\n"                      # pinned: fine
+        "class DistributedPlanner:\n"
+        "    def _limit_ints(self, limit):\n"
+        "        return int(limit.count.value)\n"           # router: fine
+        "def store(node, v):\n"
+        "    node.value = v\n"                              # a write
+    )
+    problems = _slot_value_read_violations(str(bad))
+    assert len(problems) == 2
+    assert ":2:" in problems[0] and ":5:" in problems[1]
