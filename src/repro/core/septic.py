@@ -27,10 +27,12 @@ a pipeline-cache entry (one statement shape, executed with many values)
 remembers that its last full run ended benign against a known model,
 and with what (:class:`_Verdict`); while all of that still holds, the
 next execution costs the check plus the run's bookkeeping.  The verdict
-serves other values than the ones it was reached with only where the
-run did not look at them: the learned model has ⊥ for every data node
-and no stored-injection plugin inspected them (INSERT/UPDATE/REPLACE
-under ``detect_stored`` always run the plugins on the values at hand).
+serves other values than the ones it was reached with where the learned
+model has ⊥ for every data node; where the run's stored-injection
+plugins read the values (INSERT/UPDATE/REPLACE under ``detect_stored``)
+it names the slots they read, and the check runs the same plugins over
+this execution's strings in those slots — a hit there takes the full
+run, the only place an attack is reported or dropped.
 **L2**: a statement not seen before still rarely has a new *shape*; the
 manager interns QM and internal ID per shape, and the benign outcome of
 the node-by-node comparison is remembered per ``(shape, learned
@@ -48,7 +50,7 @@ from repro.core.query_model import BOTTOM
 from repro.core.resilience import FailPolicy
 from repro.core.store import QMStore
 from repro.sqldb.errors import QueryBlocked
-from repro.sqldb.items import DATA_KINDS
+from repro.sqldb.items import DATA_KINDS, Slot
 
 
 class Mode(object):
@@ -133,9 +135,9 @@ class _Verdict(object):
     known model — everything that run's outcome depended on, as read
     *before* it was used (immutable; see ``Septic._verdict_holds``)."""
 
-    __slots__ = ("full_id", "model", "basis", "events", "values")
+    __slots__ = ("full_id", "model", "basis", "events", "slots", "values")
 
-    def __init__(self, full_id, model, basis, events, values):
+    def __init__(self, full_id, model, basis, events, slots, values):
         self.full_id = full_id
         #: the learned model object the store served for the ID
         self.model = model
@@ -143,8 +145,11 @@ class _Verdict(object):
         self.basis = basis
         #: non-significant events the run logged (all of its events)
         self.events = events
-        #: the values vector the run saw, when its outcome depended on
-        #: it; ``None`` when any values would have ended the same
+        #: indices of the value slots the run's stored-injection plugins
+        #: inspected; every execution's strings there face them again
+        self.slots = slots
+        #: the values vector the run saw, when the model pins a literal;
+        #: ``None`` when it has ⊥ for all data
         self.values = values
 
     def covers(self, values):
@@ -165,6 +170,22 @@ def _remembered(context, memo):
         if verdict is not None and verdict.covers(context.values):
             return verdict
     return None
+
+
+def _inputs_pass(verdict, values):
+    """Whether every string this execution puts in a slot the verdict's
+    run inspected passes every plugin that run used (pinned literals
+    are part of the entry's key: that run saw them).  A plugin that
+    raises passes nothing: the full run contains its fault."""
+    plugins = verdict.basis[-1]
+    try:
+        return not any(
+            plugin.inspect(values[index])
+            for index in verdict.slots
+            if isinstance(values[index], str)
+            for plugin in plugins)
+    except Exception:
+        return False
 
 
 def _abstracts_all_data(model):
@@ -352,7 +373,8 @@ class Septic(object):
                                  or verdict.values is not None):
             # none for the shape, or one tied to the values it saw
             verdict = _remembered(context, memo)
-        if verdict is not None and self._verdict_holds(verdict):
+        if verdict is not None and self._verdict_holds(verdict) \
+                and _inputs_pass(verdict, context.values):
             # all the run not made would leave behind: its event numbers
             self.logger.skip(verdict.events)
             return
@@ -401,8 +423,8 @@ class Septic(object):
     def _verdict_holds(self, verdict):
         """Whether a full run now would repeat the one *verdict* records.
 
-        The only condition under which :meth:`process_query` may skip
-        the run.  The store must still serve the very model object that
+        With :func:`_inputs_pass`, the only condition under which
+        :meth:`process_query` may skip the run.  The store must still serve the very model object that
         run compared against (one lock-free read of the published view,
         so learning an unrelated query invalidates nothing); mode, the
         three switches, detector and plugins must be the ones it read;
@@ -544,15 +566,18 @@ class Septic(object):
             # COMPARISON_OK when it compared — none of them significant.
             # The entry is shared by every text of the statement's
             # shape; the outcome holds for their values too unless the
-            # plugins read these or the model pins a literal.
-            inspected = detect_stored and \
-                structure.command() in ("INSERT", "UPDATE")
-            shared = not inspected and _abstracts_all_data(model)
+            # model pins a literal — given that the values the plugins
+            # read here pass them again there.
+            slots = ()
+            if detect_stored and structure.command() in ("INSERT", "UPDATE"):
+                slots = tuple(item.value.index for item in context.stack
+                              if item.value.__class__ is Slot)
+            shared = _abstracts_all_data(model)
             holder = memo if shared or context.text is None \
                 else context.text
             holder.verdict = _Verdict(
                 query_id.value, model, basis, 4 + bool(detect_sqli),
-                None if shared else context.values,
+                slots, None if shared else context.values,
             )
 
     def _sqli_detection(self, lookup, detector, candidates, checkpoint=None):

@@ -327,7 +327,8 @@ class WriteAheadLog(object):
         self.synced_lsn = start_lsn - 1
         #: durability points (autocommit statements + commit markers)
         self.commits = 0
-        self._commits_since_sync = 0
+        #: how many of them an fsync has covered
+        self._synced_commits = 0
         #: bookkeeping counters (benchmarks and tests read these)
         self.records_appended = 0
         self.fsync_calls = 0
@@ -362,15 +363,10 @@ class WriteAheadLog(object):
             self.next_lsn += 1
             self.records_appended += 1
             self.bytes_written += len(blob)
-            if durability_point:
-                self.commits += 1
-                self._commits_since_sync += 1
-                if self.sync_mode == "commit" or (
-                    self.sync_mode == "batch"
-                    and self._commits_since_sync >= self.batch_commits
-                ):
-                    self.fsync()
-            return record.lsn
+            flush = durability_point and self._note_commit()
+        if flush:
+            self.fsync()
+        return record.lsn
 
     def append_record(self, record, durability_point=False):
         """Append an already-stamped :class:`WalRecord` verbatim.
@@ -401,29 +397,48 @@ class WriteAheadLog(object):
             self.next_lsn = record.lsn + 1
             self.records_appended += 1
             self.bytes_written += len(blob)
-            if durability_point:
-                self.commits += 1
-                self._commits_since_sync += 1
-                if self.sync_mode == "commit" or (
-                    self.sync_mode == "batch"
-                    and self._commits_since_sync >= self.batch_commits
-                ):
-                    self.fsync()
-            return record.lsn
+            flush = durability_point and self._note_commit()
+        if flush:
+            self.fsync()
+        return record.lsn
+
+    def _note_commit(self):
+        """Count one durability point (under the lock); whether the sync
+        mode wants a flush for it."""
+        self.commits += 1
+        return self.sync_mode == "commit" or (
+            self.sync_mode == "batch"
+            and self.commits - self._synced_commits >= self.batch_commits
+        )
 
     def fsync(self):
-        """Flush buffered appends to stable storage."""
+        """Flush buffered appends to stable storage.
+
+        The lock is not held across the system call (unless the caller
+        holds it, as checkpoint and close do): appends and frontier
+        reads on other threads go on meanwhile.  The call vouches only
+        for what was appended before it started — the frontier and
+        commit count are captured first — and syncs a duplicate of the
+        descriptor, which a concurrent log rotation cannot close."""
         with self._lock:
             if self.closed:
                 return
             if faults_mod.ACTIVE is not None:
                 faults_mod.fire("wal.fsync")
             self._handle.flush()
-            if self.sync_mode != "off":
-                os.fsync(self._handle.fileno())
+            target = self.next_lsn - 1
+            commits = self.commits
+            fd = os.dup(self._handle.fileno()) \
+                if self.sync_mode != "off" else None
+        if fd is not None:
+            try:
+                os.fsync(fd)
+            finally:
+                os.close(fd)
+        with self._lock:
             self.fsync_calls += 1
-            self._commits_since_sync = 0
-            self.synced_lsn = self.next_lsn - 1
+            self._synced_commits = max(self._synced_commits, commits)
+            self.synced_lsn = max(self.synced_lsn, target)
 
     def sync_to(self, lsn):
         """Group commit: make every record up to *lsn* durable.
@@ -439,8 +454,8 @@ class WriteAheadLog(object):
         with self._lock:
             if self.closed or lsn <= self.synced_lsn:
                 return False
-            self.fsync()
-            return True
+        self.fsync()
+        return True
 
     @property
     def last_lsn(self):
@@ -460,7 +475,7 @@ class WriteAheadLog(object):
         the crash path.
         """
         with self._lock:
-            return self._commits_since_sync
+            return self.commits - self._synced_commits
 
     # -- checkpoints -------------------------------------------------------
 
@@ -486,15 +501,14 @@ class WriteAheadLog(object):
             lsn = self.next_lsn - 1
             body = dict(state)
             body["lsn"] = lsn
+            # encoded once: the blob the CRC covers is the blob on disk
+            # (load_checkpoint re-derives it from whatever it parses)
             blob = json.dumps(body, sort_keys=True)
-            document = {
-                "crc": zlib.crc32(blob.encode("utf-8")) & 0xFFFFFFFF,
-                "body": body,
-            }
             target = checkpoint_path(self.data_dir)
             tmp = target + ".tmp"
             with open(tmp, "w") as handle:
-                json.dump(document, handle, indent=1, sort_keys=True)
+                handle.write('{"crc": %d, "body": %s}' % (
+                    zlib.crc32(blob.encode("utf-8")) & 0xFFFFFFFF, blob))
                 handle.flush()
                 if self.sync_mode != "off":
                     os.fsync(handle.fileno())

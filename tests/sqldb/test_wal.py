@@ -7,6 +7,11 @@ atomic at every step, and the hot path pays exactly one module-attribute
 read when no WAL is attached.
 """
 
+import json
+import os
+import threading
+import zlib
+
 import pytest
 
 from repro import faults
@@ -153,6 +158,58 @@ class TestCheckpoint(object):
     def test_missing_checkpoint_is_none(self, tmp_path):
         assert wal.load_checkpoint(str(tmp_path)) is None
 
+    def test_image_is_the_checksummed_blob(self, tmp_path):
+        """One encode: the bytes the CRC covers are the bytes on disk."""
+        log = wal.WriteAheadLog(str(tmp_path))
+        log.write_checkpoint({"tables": [{"name": "t", "rows": [[1, "é"]]}]})
+        log.close()
+        with open(wal.checkpoint_path(str(tmp_path))) as handle:
+            text = handle.read()
+        body = wal.load_checkpoint(str(tmp_path))
+        blob = json.dumps(body, sort_keys=True)
+        assert text == '{"crc": %d, "body": %s}' % (
+            zlib.crc32(blob.encode("utf-8")) & 0xFFFFFFFF, blob)
+
+    def test_indented_checkpoint_of_the_parent_commit_recovers(self,
+                                                               tmp_path):
+        data_dir = str(tmp_path)
+        database = Database()
+        database.attach_wal(data_dir)
+        conn = Connection(database)
+        conn.query("CREATE TABLE t (id INT PRIMARY KEY, v VARCHAR(20))")
+        conn.query("INSERT INTO t VALUES (1, 'one'), (2, 'two')")
+        database.checkpoint()
+        conn.query("INSERT INTO t VALUES (3, 'three')")
+        database.close()
+        # test-only: the layout write_checkpoint had until this change
+        body = wal.load_checkpoint(data_dir)
+        blob = json.dumps(body, sort_keys=True)
+        with open(wal.checkpoint_path(data_dir), "w") as handle:
+            json.dump({"crc": zlib.crc32(blob.encode("utf-8")) & 0xFFFFFFFF,
+                       "body": body}, handle, indent=1, sort_keys=True)
+        assert wal.load_checkpoint(data_dir) == body
+        recovered = Database.recover(data_dir)
+        rows = Connection(recovered).query("SELECT id, v FROM t ORDER BY id")
+        assert rows.rows == [(1, "one"), (2, "two"), (3, "three")]
+        recovered.close()
+
+    def test_torn_checkpoint_never_loads(self, tmp_path):
+        """A cut anywhere in the image is refused, never half-read (the
+        tmp + replace protocol keeps such a file from becoming *the*
+        checkpoint; this is the second line)."""
+        log = wal.WriteAheadLog(str(tmp_path))
+        log.write_checkpoint({"tables": [{"name": "t", "rows": [[1, "x"]]}],
+                              "schema_version": 2})
+        log.close()
+        path = wal.checkpoint_path(str(tmp_path))
+        with open(path) as handle:
+            text = handle.read()
+        for cut in range(len(text)):
+            with open(path, "w") as handle:
+                handle.write(text[:cut])
+            with pytest.raises(WalCorruptionError):
+                wal.load_checkpoint(str(tmp_path))
+
 
 class TestSyncModes(object):
     def test_commit_mode_fsyncs_every_durability_point(self, tmp_path):
@@ -226,6 +283,48 @@ class TestSyncModes(object):
         assert log.pending_unsynced_commits == 2
         scan = wal.scan_log(wal.log_path(str(tmp_path)))
         assert [record.lsn for record in scan.records] == [1, 2]
+
+    def test_fsync_does_not_hold_the_lock_across_the_syscall(
+            self, tmp_path, monkeypatch):
+        log = wal.WriteAheadLog(str(tmp_path), sync_mode="batch",
+                                batch_commits=100)
+        first = log.append(wal.WalRecord.STMT, sql="X",
+                           durability_point=True)
+        parked, release = threading.Event(), threading.Event()
+        real_fsync = os.fsync
+
+        def parking_fsync(fd):
+            parked.set()
+            assert release.wait(10)
+            real_fsync(fd)
+
+        monkeypatch.setattr(wal.os, "fsync", parking_fsync)
+        flusher = threading.Thread(target=log.sync_to, args=(first,))
+        flusher.start()
+        try:
+            assert parked.wait(10)
+            appended = []
+            writer = threading.Thread(target=lambda: appended.append(
+                log.append(wal.WalRecord.STMT, sql="Y",
+                           durability_point=True)))
+            writer.start()
+            writer.join(10)
+            # neither the append nor a frontier read waited for the flush
+            assert not writer.is_alive() and appended == [first + 1]
+            assert log.last_lsn == first + 1
+        finally:
+            release.set()
+            flusher.join(10)
+        assert not flusher.is_alive()
+        # the flush vouches for what preceded it, and nothing more
+        assert log.synced_lsn == first
+        assert log.pending_unsynced_commits == 1
+        monkeypatch.setattr(wal.os, "fsync", real_fsync)
+        assert log.sync_to(first) is False
+        assert log.sync_to(first + 1) is True
+        assert log.synced_lsn == first + 1
+        assert log.pending_unsynced_commits == 0 and log.fsync_calls == 2
+        log.close()
 
     def test_unknown_mode_rejected(self, tmp_path):
         with pytest.raises(ValueError):
