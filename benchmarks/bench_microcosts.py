@@ -14,6 +14,14 @@ known to SEPTIC (QM, internal ID and the comparison's outcome come from
 the shape memos); **cold** — nothing is memoised, every product is
 derived.  The pipeline cache is emptied before every L2 and cold sample:
 a new text alone no longer reaches L2, it rides its shape's entry.
+**write path** is a warm INSERT shape executed with values never seen:
+the shape's verdict holds and the stored-injection plugins read this
+execution's strings (before that, each such write took the full run).
+
+``filter`` is the engine's side of the same ledger: µs per stored row
+of the ``Filter(SeqScan)`` under every keyed UPDATE/DELETE, measured as
+a prepared DELETE of an absent key on a 2,000-row table — scan, env
+row, compiled predicate, nothing else.
 """
 
 from repro.core.detector import AttackDetector
@@ -91,7 +99,47 @@ def _hook_costs(samples=300, rounds=5):
     costs["L2 hit"] = measure(database.pipeline_cache.clear, new_text)
     assert conn.query(HOOK_SQL).ok and conn.query(HOOK_SQL).ok
     costs["L1 hit"] = measure(lambda: None, lambda: HOOK_SQL)
+    # a warm write shape, new values every time (trained first: the
+    # store is shared)
+    insert = ("/* septic:waspmon:add:12 */ INSERT INTO readings VALUES "
+              "(1, %d, %d, 'reading %d of the day')")
+    database.septic = trainer
+    assert conn.query(insert % (0, 0, 0)).ok
+    database.septic = fresh_septic(store=trainer.store)
+    assert conn.query(insert % (1, 1, 1)).ok
+
+    def new_insert():
+        number = next(numbers)
+        return insert % (number % 500, number, number)
+
+    costs["write path"] = measure(lambda: None, new_insert)
     return costs
+
+
+def _filter_cost(rows=2000, executions=20, rounds=5):
+    """µs per stored row of ``Filter(SeqScan)``, best of *rounds*."""
+    import time
+
+    from repro.sqldb.connection import Connection
+
+    database = Database()
+    conn = Connection(database)
+    assert conn.query(
+        "CREATE TABLE kv (k INT PRIMARY KEY, v VARCHAR(32), n INT)").ok
+    for start in range(0, rows, 250):
+        assert conn.query("INSERT INTO kv (k, v, n) VALUES " + ", ".join(
+            "(%d, 'val-%06d', %d)" % (key, key, key % 997)
+            for key in range(start, start + 250))).ok
+    delete = conn.prepare("DELETE FROM kv WHERE k = ?")
+    best = None
+    for _ in range(rounds):
+        start = time.perf_counter()
+        for miss in range(executions):
+            outcome = conn.execute_prepared(delete, -1 - miss)
+            assert outcome.ok and outcome.affected_rows == 0
+        sample = (time.perf_counter() - start) / (executions * rows)
+        best = sample if best is None else min(best, sample)
+    return 1e6 * best
 
 
 def test_microcosts_artifact(report):
@@ -117,12 +165,18 @@ def test_microcosts_artifact(report):
     report.metric("qs_build", round(qs_us, 3), "us")
     report.metric("qm_build", round(qm_us, 3), "us")
     hook = _hook_costs()
-    for state in ("L1 hit", "L2 hit", "cold"):
-        report.line("hook: %-6s %6.2f us" % (state, hook[state]))
+    for state in ("L1 hit", "L2 hit", "cold", "write path"):
+        report.line("hook: %-10s %6.2f us" % (state, hook[state]))
         report.metric("hook_" + state.lower().replace(" ", "_"),
                       round(hook[state], 3), "us")
-    # each level must pay for itself
+    # each level must pay for itself, and a write with new values rides
+    # its shape's verdict: the check plus the plugins, not a run
     assert hook["L1 hit"] < hook["L2 hit"] < hook["cold"]
+    assert hook["L1 hit"] < hook["write path"] < hook["L2 hit"]
+    filter_us = _filter_cost()
+    report.line("filter: %.2f us/row (SeqScan + Filter, 2,000-row kv)"
+                % filter_us)
+    report.metric("filter_per_row", round(filter_us, 3), "us")
 
 
 def test_bench_qs_build(benchmark):

@@ -44,7 +44,8 @@ class RFIPlugin(StoredInjectionPlugin):
     attack_type = "STORED_RFI"
 
     def suspicious(self, text):
-        return bool(_RFI_URL_RE.search(text))
+        # every scheme ends in a colon: most inputs stop at this test
+        return ":" in text and bool(_RFI_URL_RE.search(text))
 
     def confirm(self, text):
         return bool(_RFI_CONFIRM_RE.search(text))

@@ -179,13 +179,15 @@ def _inputs_pass(verdict, values):
     raises passes nothing: the full run contains its fault."""
     plugins = verdict.basis[-1]
     try:
-        return not any(
-            plugin.inspect(values[index])
-            for index in verdict.slots
-            if isinstance(values[index], str)
-            for plugin in plugins)
+        for index in verdict.slots:
+            value = values[index]
+            if isinstance(value, str):
+                for plugin in plugins:
+                    if plugin.inspect(value):
+                        return False
     except Exception:
         return False
+    return True
 
 
 def _abstracts_all_data(model):
@@ -366,15 +368,18 @@ class Septic(object):
         returns normally to let execution proceed.  No other exception
         ever escapes: this is the crash-containment boundary.
         """
-        self.stats.bump("queries_processed")
+        stats = self.stats
+        with stats._lock:       # bump(), without its lookups by name
+            stats.queries_processed += 1
         memo = getattr(context, "memo", None)
         verdict = memo.verdict if memo is not None else None
         if memo is not None and (verdict is None
                                  or verdict.values is not None):
             # none for the shape, or one tied to the values it saw
             verdict = _remembered(context, memo)
-        if verdict is not None and self._verdict_holds(verdict) \
-                and _inputs_pass(verdict, context.values):
+        if verdict is not None and self._verdict_holds(verdict) and (
+                not verdict.slots
+                or _inputs_pass(verdict, context.values)):
             # all the run not made would leave behind: its event numbers
             self.logger.skip(verdict.events)
             return

@@ -23,6 +23,11 @@ deterministic virtual clock, and the strategy counters that
 :attr:`Executor.plan_stats` rolls up.  ``EXPLAIN`` is a straight
 rendering of the tree (:func:`render_explain`), as are the golden-plan
 snapshots (:func:`render_tree`) — there is no parallel bookkeeping.
+
+An operator compiles the expressions it is given when it is built
+(:func:`repro.sqldb.expression.compile_expr`) and calls the closures
+``fn(row, ctx)`` per row with the statement's one context.  They belong
+to the node: they die with the plan and hold nothing of an execution.
 """
 
 import functools
@@ -31,9 +36,14 @@ import heapq
 from repro import faults as faults_mod
 from repro.sqldb import ast_nodes as ast
 from repro.sqldb.errors import ExecutionError
-from repro.sqldb.expression import evaluate, render_constant, _agg_key
+from repro.sqldb.expression import (
+    ATTEMPTED_PREFIX, compile_expr, compile_predicate, render_constant,
+    _agg_key,
+)
 from repro.sqldb.storage import ResultSet
-from repro.sqldb.types import compare, is_truthy, sort_key
+from repro.sqldb.types import (
+    coerce_to_number, compare, render_value, sort_key,
+)
 
 
 class ExecutionResult(object):
@@ -240,7 +250,7 @@ class IndexEqScan(PlanNode):
     belongs to the statement's shape, the key to one execution."""
 
     kind = "index_eq_scan"
-    __slots__ = ("table_name", "alias", "column", "key")
+    __slots__ = ("table_name", "alias", "column", "key", "probe")
 
     def __init__(self, table_name, alias, column, key):
         PlanNode.__init__(self)
@@ -248,6 +258,7 @@ class IndexEqScan(PlanNode):
         self.alias = alias
         self.column = column
         self.key = key
+        self.probe = compile_expr(key)
 
     def label(self):
         return "IndexEqScan(%s.%s = %s)" % (self.table_name, self.column,
@@ -258,7 +269,7 @@ class IndexEqScan(PlanNode):
         table = ctx.database.table(self.table_name)
         state.stats.count("index_eq")
         stored = table.index_lookup_iter(self.column,
-                                         evaluate(self.key, ctx),
+                                         self.probe(ctx.row, ctx),
                                          view=ctx.read_view)
         return _env_rows(stored, self.alias, state.outer_row)
 
@@ -269,7 +280,7 @@ class IndexRangeScan(PlanNode):
 
     kind = "index_range_scan"
     __slots__ = ("table_name", "alias", "column", "low", "high",
-                 "low_incl", "high_incl")
+                 "low_incl", "high_incl", "bounds")
 
     def __init__(self, table_name, alias, column, low, high,
                  low_incl, high_incl):
@@ -281,6 +292,7 @@ class IndexRangeScan(PlanNode):
         self.high = high
         self.low_incl = low_incl
         self.high_incl = high_incl
+        self.bounds = (_compiled(low), _compiled(high))
 
     def label(self):
         bounds = []
@@ -297,8 +309,7 @@ class IndexRangeScan(PlanNode):
         ctx = state.ctx
         table = ctx.database.table(self.table_name)
         state.stats.count("index_range")
-        low = None if self.low is None else evaluate(self.low, ctx)
-        high = None if self.high is None else evaluate(self.high, ctx)
+        low, high = (bound and bound(ctx.row, ctx) for bound in self.bounds)
         stored = table.index_range_iter(self.column, low, high,
                                         self.low_incl, self.high_incl,
                                         view=ctx.read_view)
@@ -356,11 +367,11 @@ class DerivedScan(PlanNode):
 
 class Filter(PlanNode):
     kind = "filter"
-    __slots__ = ("expr", "role")
+    __slots__ = ("predicate", "role")
 
     def __init__(self, child, expr, role="where"):
         PlanNode.__init__(self, (child,))
-        self.expr = expr
+        self.predicate = compile_predicate(expr)
         self.role = role
 
     def label(self):
@@ -368,16 +379,16 @@ class Filter(PlanNode):
 
     def _generate(self, state):
         ctx = state.ctx
-        expr = self.expr
+        predicate = self.predicate
         for row in self.children[0].rows(state):
-            if is_truthy(evaluate(expr, ctx.child(row))):
+            if predicate(row, ctx):
                 yield row
 
 
 class Project(PlanNode):
     """Env rows in, ``(env_row, out_tuple)`` pairs out.  Specs are fixed
     at plan time: ``("col", "alias.col")`` for plain column pulls,
-    ``("expr", node)`` for anything evaluated."""
+    ``("expr", node)`` for anything evaluated — kept compiled."""
 
     kind = "project"
     __slots__ = ("columns", "specs")
@@ -385,7 +396,9 @@ class Project(PlanNode):
     def __init__(self, child, columns, specs):
         PlanNode.__init__(self, (child,))
         self.columns = list(columns)
-        self.specs = tuple(specs)
+        self.specs = tuple(
+            (tag, payload if tag == "col" else compile_expr(payload))
+            for tag, payload in specs)
 
     def label(self):
         return "Project(%s)" % ", ".join(self.columns)
@@ -399,7 +412,7 @@ class Project(PlanNode):
                 if tag == "col":
                     out.append(row.get(payload))
                 else:
-                    out.append(evaluate(payload, ctx.child(row)))
+                    out.append(payload(row, ctx))
             yield (row, tuple(out))
 
 
@@ -430,22 +443,17 @@ class Limit(PlanNode):
     O(n), not O(table)."""
 
     kind = "limit"
-    __slots__ = ("count_expr", "offset_expr")
+    __slots__ = ("window",)
 
     def __init__(self, child, count_expr, offset_expr):
         PlanNode.__init__(self, (child,))
-        self.count_expr = count_expr
-        self.offset_expr = offset_expr
+        self.window = (compile_expr(count_expr), _compiled(offset_expr))
 
     def label(self):
         return "Limit"
 
     def _generate(self, state):
-        ctx = state.ctx
-        count = max(int(evaluate(self.count_expr, ctx)), 0)
-        offset = 0
-        if self.offset_expr is not None:
-            offset = max(int(evaluate(self.offset_expr, ctx)), 0)
+        count, offset = _window(self.window, state.ctx)
         if count == 0:
             return
         emitted = 0
@@ -475,7 +483,7 @@ class NestedLoopJoin(PlanNode):
                  counted=True):
         PlanNode.__init__(self, (left, right))
         self.join_kind = join_kind
-        self.on = on
+        self.on = None if on is None else compile_predicate(on)
         self.right_cols = tuple(right_cols)
         self.counted = counted
 
@@ -500,9 +508,7 @@ class NestedLoopJoin(PlanNode):
                 matched = False
                 for a in left_rows:
                     merged = _merge(a, b)
-                    if on is None or is_truthy(
-                        evaluate(on, ctx.child(merged))
-                    ):
+                    if on is None or on(merged, ctx):
                         matched = True
                         yield merged
                 if not matched:
@@ -514,9 +520,7 @@ class NestedLoopJoin(PlanNode):
             for a in self.children[0].rows(state):
                 for b in right_rows:
                     merged = _merge(a, b)
-                    if on is None or is_truthy(
-                        evaluate(on, ctx.child(merged))
-                    ):
+                    if on is None or on(merged, ctx):
                         yield merged
             return
         if kind == "LEFT":
@@ -528,9 +532,7 @@ class NestedLoopJoin(PlanNode):
                 matched = False
                 for b in right_rows:
                     merged = _merge(a, b)
-                    if on is None or is_truthy(
-                        evaluate(on, ctx.child(merged))
-                    ):
+                    if on is None or on(merged, ctx):
                         matched = True
                         yield merged
                 if not matched:
@@ -557,7 +559,7 @@ class HashJoin(PlanNode):
                  right_cols, right_table):
         PlanNode.__init__(self, (left, right))
         self.join_kind = join_kind
-        self.on = on
+        self.on = compile_predicate(on)
         self.left_key = left_key
         self.right_key = right_key
         self.right_cols = tuple(right_cols)
@@ -602,7 +604,7 @@ class HashJoin(PlanNode):
                     continue
                 for inner in buckets.get(sort_key(value), ()):
                     merged = merged_for(outer, inner)
-                    if is_truthy(evaluate(on, ctx.child(merged))):
+                    if on(merged, ctx):
                         matches[pos].append(merged)
         else:
             # build on outer, probe inner (inner order per bucket is
@@ -619,7 +621,7 @@ class HashJoin(PlanNode):
                     continue
                 for pos in buckets.get(sort_key(value), ()):
                     merged = merged_for(outer_rows[pos], inner)
-                    if is_truthy(evaluate(on, ctx.child(merged))):
+                    if on(merged, ctx):
                         matches[pos].append(merged)
         if self.join_kind == "INNER":
             for bucket in matches:
@@ -663,8 +665,9 @@ class Aggregate(PlanNode):
 
     def __init__(self, child, group_by, aggregates):
         PlanNode.__init__(self, (child,))
-        self.group_by = tuple(group_by)
-        self.aggregates = tuple(aggregates)
+        self.group_by = tuple(compile_expr(expr) for expr in group_by)
+        self.aggregates = tuple(_compile_aggregate(node)
+                                for node in aggregates)
 
     def label(self):
         return "Aggregate(group_by=%d, aggs=%d)" % (len(self.group_by),
@@ -678,10 +681,8 @@ class Aggregate(PlanNode):
         order = []
         if self.group_by:
             for row in rows:
-                key = tuple(
-                    _group_key(evaluate(expr, ctx.child(row)))
-                    for expr in self.group_by
-                )
+                key = tuple(_group_key(expr(row, ctx))
+                            for expr in self.group_by)
                 if key not in groups:
                     groups[key] = []
                     order.append(key)
@@ -692,10 +693,8 @@ class Aggregate(PlanNode):
         for key in order:
             members = groups[key]
             rep = dict(members[0]) if members else {}
-            for agg in self.aggregates:
-                rep["__agg__%s" % _agg_key(agg)] = _eval_aggregate(
-                    agg, members, ctx
-                )
+            for agg_key, fold in self.aggregates:
+                rep[agg_key] = fold(members, ctx)
             yield rep
 
 
@@ -705,12 +704,13 @@ class Sort(PlanNode):
 
     kind = "sort"
     blocking = True
-    __slots__ = ("order_by", "columns")
+    __slots__ = ("order_by", "columns", "keys_for")
 
     def __init__(self, child, order_by, columns):
         PlanNode.__init__(self, (child,))
         self.order_by = tuple(order_by)
         self.columns = list(columns)
+        self.keys_for = _pair_key_fn(self.order_by, self.columns)
 
     def label(self):
         return "Sort(%d keys)" % len(self.order_by)
@@ -718,9 +718,9 @@ class Sort(PlanNode):
     def _generate(self, state):
         ctx = state.ctx
         state.stats.count("full_sorts")
-        keys_for = _pair_key_fn(self.order_by, self.columns, ctx)
+        keys_for = self.keys_for
         decorated = [
-            (keys_for(pair), position, pair)
+            (keys_for(pair, ctx), position, pair)
             for position, pair in enumerate(self.children[0].rows(state))
         ]
         state.stats.note_materialized(len(decorated))
@@ -739,27 +739,24 @@ class TopK(PlanNode):
 
     kind = "topk"
     blocking = True
-    __slots__ = ("order_by", "columns", "count_expr", "offset_expr")
+    __slots__ = ("order_by", "columns", "window", "keys_for")
 
     def __init__(self, child, order_by, columns, count_expr, offset_expr):
         PlanNode.__init__(self, (child,))
         self.order_by = tuple(order_by)
         self.columns = list(columns)
-        self.count_expr = count_expr
-        self.offset_expr = offset_expr
+        self.window = (compile_expr(count_expr), _compiled(offset_expr))
+        self.keys_for = _pair_key_fn(self.order_by, self.columns)
 
     def label(self):
         return "TopK(%d keys)" % len(self.order_by)
 
     def _generate(self, state):
         ctx = state.ctx
-        count = max(int(evaluate(self.count_expr, ctx)), 0)
-        offset = 0
-        if self.offset_expr is not None:
-            offset = max(int(evaluate(self.offset_expr, ctx)), 0)
+        count, offset = _window(self.window, ctx)
         k = offset + count
         state.stats.count("topk_orders")
-        keys_for = _pair_key_fn(self.order_by, self.columns, ctx)
+        keys_for = self.keys_for
         descending = [o.direction == "DESC" for o in self.order_by]
 
         def compare_items(a, b):
@@ -774,7 +771,7 @@ class TopK(PlanNode):
             return -1 if a[1] < b[1] else 1     # stability tiebreak
 
         decorated = (
-            (keys_for(pair), position, pair)
+            (keys_for(pair, ctx), position, pair)
             for position, pair in enumerate(self.children[0].rows(state))
         )
         top = heapq.nsmallest(k, decorated,
@@ -793,20 +790,20 @@ class Union(PlanNode):
 
     kind = "union"
     blocking = True
-    __slots__ = ("all_flags", "order_by", "limit", "columns")
+    __slots__ = ("all_flags", "order_by", "window", "columns")
 
     def __init__(self, children, all_flags, order_by, limit, columns):
         PlanNode.__init__(self, children)
         self.all_flags = tuple(all_flags)
         self.order_by = tuple(order_by)
-        self.limit = limit
+        self.window = None if limit is None else (
+            compile_expr(limit.count), _compiled(limit.offset))
         self.columns = list(columns)
 
     def label(self):
         return "Union(%d branches)" % (len(self.children) - 1)
 
     def _generate(self, state):
-        ctx = state.ctx
         rows = [out for _, out in self.children[0].rows(state)]
         dedupe = False
         for branch, all_flag in zip(self.children[1:], self.all_flags):
@@ -826,11 +823,8 @@ class Union(PlanNode):
             rows = deduped
         if self.order_by:
             rows = _order_union_rows(rows, self.order_by, self.columns)
-        if self.limit is not None:
-            count = max(int(evaluate(self.limit.count, ctx)), 0)
-            offset = 0
-            if self.limit.offset is not None:
-                offset = max(int(evaluate(self.limit.offset, ctx)), 0)
+        if self.window is not None:
+            count, offset = _window(self.window, state.ctx)
             rows = rows[offset:offset + count]
         for out in rows:
             yield (None, out)
@@ -1031,11 +1025,15 @@ class InsertSink(PlanNode):
 
     kind = "insert_sink"
     blocking = True
-    __slots__ = ("stmt",)
+    __slots__ = ("stmt", "rows_of", "on_duplicate")
 
     def __init__(self, stmt):
         PlanNode.__init__(self)
         self.stmt = stmt
+        self.rows_of = [[compile_expr(expr) for expr in row]
+                        for row in stmt.rows]
+        self.on_duplicate = [(col, compile_expr(expr))
+                             for col, expr in stmt.on_duplicate or ()]
 
     def label(self):
         return "InsertSink(%s)" % self.stmt.table.lower()
@@ -1053,15 +1051,13 @@ class InsertSink(PlanNode):
         # first-writer-wins conflict on the rows REPLACE / ON DUPLICATE
         # KEY UPDATE would mutate — surfaces before any row is touched.
         pending = []
-        for row_exprs in stmt.rows:
+        for row_exprs in self.rows_of:
             if len(row_exprs) != len(columns):
                 raise ExecutionError(
                     "Column count doesn't match value count", errno=1136
                 )
-            values = {}
-            for col, expr in zip(columns, row_exprs):
-                values[col.lower()] = evaluate(expr, ctx)
-            pending.append(values)
+            pending.append({col.lower(): expr(ctx.row, ctx)
+                            for col, expr in zip(columns, row_exprs)})
         if stmt.replace or stmt.on_duplicate:
             for values in pending:
                 for conflict in _unique_conflicts(table, values):
@@ -1078,7 +1074,7 @@ class InsertSink(PlanNode):
             except ExecutionError as exc:
                 if exc.errno == 1062 and stmt.on_duplicate:
                     inserted += _apply_on_duplicate(
-                        table, stmt.on_duplicate, values, ctx, txn
+                        table, self.on_duplicate, values, ctx, txn
                     )
                     continue
                 if stmt.ignore:
@@ -1098,20 +1094,54 @@ class InsertSink(PlanNode):
         )
 
 
-class UpdateSink(PlanNode):
-    """UPDATE execution over an env-row child (scan + filter).  Targets
-    are fully materialized before the first mutation: the scan must not
-    observe its own writes, and injected faults in the child stream
-    must fire pre-mutation."""
+class _TargetSink(PlanNode):
+    """What UPDATE and DELETE share: an env-row child (scan + filter)
+    whose rows are fully materialized, ordered and cut to the LIMIT
+    before the first mutation — the scan must not observe its own
+    writes, and injected faults in the child stream must fire
+    pre-mutation."""
 
-    kind = "update_sink"
     blocking = True
-    __slots__ = ("stmt", "alias")
+    __slots__ = ("stmt", "alias", "order", "limit")
 
     def __init__(self, child, stmt, alias):
         PlanNode.__init__(self, (child,))
         self.stmt = stmt
         self.alias = alias
+        self.order = [(compile_expr(item.expr), item.direction == "DESC")
+                      for item in stmt.order_by or ()]
+        self.limit = None if stmt.limit is None \
+            else compile_expr(stmt.limit.count)
+
+    def _targets(self, state):
+        """``(stored row, env row)`` per target, in statement order
+        (matters with LIMIT: MySQL deletes/updates the first N *in
+        order*)."""
+        ctx = state.ctx
+        source_key = "__source__%s" % self.alias
+        targets = [
+            (row[source_key], row)
+            for row in self.children[0].rows(state)
+        ]
+        state.stats.note_materialized(len(targets))
+        for expr, reverse in reversed(self.order):
+            targets.sort(key=lambda pair: sort_key(expr(pair[1], ctx)),
+                         reverse=reverse)
+        if self.limit is not None:
+            targets = targets[: max(int(self.limit(ctx.row, ctx)), 0)]
+        return targets
+
+
+class UpdateSink(_TargetSink):
+    """UPDATE execution over the targets :class:`_TargetSink` selects."""
+
+    kind = "update_sink"
+    __slots__ = ("assignments",)
+
+    def __init__(self, child, stmt, alias):
+        _TargetSink.__init__(self, child, stmt, alias)
+        self.assignments = [(col, compile_expr(expr))
+                            for col, expr in stmt.assignments]
 
     def label(self):
         return "UpdateSink(%s)" % self.alias
@@ -1121,18 +1151,8 @@ class UpdateSink(PlanNode):
         if faults_mod.ACTIVE is not None:
             faults_mod.fire("operator.next")
         ctx = state.ctx
-        stmt = self.stmt
-        table = ctx.database.table(stmt.table)
-        source_key = "__source__%s" % self.alias
-        targets = [
-            (row[source_key], row)
-            for row in self.children[0].rows(state)
-        ]
-        state.stats.note_materialized(len(targets))
-        targets = _order_dml_targets(stmt.order_by, targets, ctx)
-        if stmt.limit is not None:
-            count = int(evaluate(stmt.limit.count, ctx))
-            targets = targets[: max(count, 0)]
+        table = ctx.database.table(self.stmt.table)
+        targets = self._targets(state)
         txn = ctx.write_txn
         # First-writer-wins pass over every target before the first
         # mutation: a conflict aborts the statement with zero rows
@@ -1142,15 +1162,13 @@ class UpdateSink(PlanNode):
         changed = 0
         for stored, env in targets:
             updates = {}
-            for col, expr in stmt.assignments:
+            for col, expr in self.assignments:
                 if not table.has_column(col):
                     raise ExecutionError(
                         "Unknown column '%s' in 'field list'" % col,
                         errno=1054,
                     )
-                updates[col.lower()] = table.convert(
-                    col, evaluate(expr, ctx.child(env))
-                )
+                updates[col.lower()] = table.convert(col, expr(env, ctx))
             delta = {k: v for k, v in updates.items()
                      if stored.get(k) != v}
             if delta:
@@ -1163,18 +1181,12 @@ class UpdateSink(PlanNode):
         )
 
 
-class DeleteSink(PlanNode):
-    """DELETE execution over an env-row child; same materialize-then-
-    mutate discipline as :class:`UpdateSink`."""
+class DeleteSink(_TargetSink):
+    """DELETE execution; same materialize-then-mutate discipline as
+    :class:`UpdateSink`."""
 
     kind = "delete_sink"
-    blocking = True
-    __slots__ = ("stmt", "alias")
-
-    def __init__(self, child, stmt, alias):
-        PlanNode.__init__(self, (child,))
-        self.stmt = stmt
-        self.alias = alias
+    __slots__ = ()
 
     def label(self):
         return "DeleteSink(%s)" % self.alias
@@ -1184,19 +1196,8 @@ class DeleteSink(PlanNode):
         if faults_mod.ACTIVE is not None:
             faults_mod.fire("operator.next")
         ctx = state.ctx
-        stmt = self.stmt
-        table = ctx.database.table(stmt.table)
-        source_key = "__source__%s" % self.alias
-        targets = [
-            (row[source_key], row)
-            for row in self.children[0].rows(state)
-        ]
-        state.stats.note_materialized(len(targets))
-        targets = _order_dml_targets(stmt.order_by, targets, ctx)
-        if stmt.limit is not None:
-            count = int(evaluate(stmt.limit.count, ctx))
-            targets = targets[: max(count, 0)]
-        doomed = [stored for stored, _ in targets]
+        table = ctx.database.table(self.stmt.table)
+        doomed = [stored for stored, _ in self._targets(state)]
         if doomed:
             # delete_rows runs the first-writer-wins check over every
             # target before removing any, so a conflict leaves the
@@ -1323,35 +1324,51 @@ def _group_key(value):
     return ("v", float(value))
 
 
-def _pair_key_fn(order_by, columns, ctx):
-    """ORDER BY key extractor over ``(env_row, out_tuple)`` pairs:
-    positional refs and unqualified output-name refs read the output
-    tuple, anything else evaluates against the env row."""
+def _compiled(node):
+    """An optional expression's closure (``None`` stays ``None``)."""
+    return None if node is None else compile_expr(node)
+
+
+def _window(window, ctx):
+    """``(count, offset)`` of a compiled LIMIT for this execution."""
+    count, offset = window
+    return (max(int(count(ctx.row, ctx)), 0),
+            0 if offset is None else max(int(offset(ctx.row, ctx)), 0))
+
+
+def _pair_key_fn(order_by, columns):
+    """ORDER BY key extractor ``keys_for(pair, ctx)`` over ``(env_row,
+    out_tuple)`` pairs: positional refs and unqualified output-name
+    refs read the output tuple, anything else evaluates against the
+    env row."""
     lowered = [c.lower() for c in columns]
 
-    def keys_for(pair):
-        src, out = pair
-        key = []
-        for order in order_by:
-            expr = order.expr
-            if isinstance(expr, ast.Literal) and expr.type_tag == "int":
-                idx = expr.value - 1
-                if idx < 0 or idx >= len(out):
+    def reader(expr):
+        if isinstance(expr, ast.Literal) and expr.type_tag == "int":
+            position = expr.value
+
+            def positional(src, out, ctx):
+                if not 0 < position <= len(out):
                     raise ExecutionError(
-                        "Unknown column '%d' in 'order clause'"
-                        % expr.value
+                        "Unknown column '%d' in 'order clause'" % position
                     )
-                value = out[idx]
-            elif (
-                isinstance(expr, ast.ColumnRef)
-                and expr.table is None
-                and expr.name.lower() in lowered
-            ):
-                value = out[lowered.index(expr.name.lower())]
-            else:
-                value = evaluate(expr, ctx.child(src))
-            key.append(sort_key(value))
-        return key
+                return out[position - 1]
+            return positional
+        if (
+            isinstance(expr, ast.ColumnRef)
+            and expr.table is None
+            and expr.name.lower() in lowered
+        ):
+            idx = lowered.index(expr.name.lower())
+            return lambda src, out, ctx: out[idx]
+        fn = compile_expr(expr)
+        return lambda src, out, ctx: fn(src, ctx)
+
+    readers = [reader(order.expr) for order in order_by]
+
+    def keys_for(pair, ctx):
+        src, out = pair
+        return [sort_key(read(src, out, ctx)) for read in readers]
 
     return keys_for
 
@@ -1383,57 +1400,42 @@ def _order_union_rows(rows, order_by, columns):
     return rows
 
 
-def _eval_aggregate(node, rows, ctx):
+def _compile_aggregate(node):
+    """``(env-row key, fold(rows, ctx))`` of one aggregate call."""
     name = node.name.upper()
+    key = "__agg__%s" % _agg_key(node)
     if name == "COUNT" and node.args and isinstance(node.args[0], ast.Star):
-        return len(rows)
-    values = []
-    for row in rows:
-        value = evaluate(node.args[0], ctx.child(row))
-        if value is not None:
-            values.append(value)
-    if node.distinct:
-        unique = []
-        for value in values:
-            if all(compare(value, v) != 0 for v in unique):
-                unique.append(value)
-        values = unique
-    if name == "COUNT":
-        return len(values)
-    if not values:
-        return None
-    if name == "SUM":
-        from repro.sqldb.types import coerce_to_number
-        return sum(coerce_to_number(v) for v in values)
-    if name == "AVG":
-        from repro.sqldb.types import coerce_to_number
-        nums = [coerce_to_number(v) for v in values]
-        return sum(nums) / float(len(nums))
-    if name == "MIN":
-        return min(values, key=sort_key)
-    if name == "MAX":
-        return max(values, key=sort_key)
-    if name == "GROUP_CONCAT":
-        from repro.sqldb.types import render_value
-        return ",".join(render_value(v) for v in values)
-    raise ExecutionError("unknown aggregate %r" % name)
+        return key, lambda rows, ctx: len(rows)
+    argument = compile_expr(node.args[0])
+    distinct = node.distinct
 
+    def fold(rows, ctx):
+        values = [value for value in [argument(row, ctx) for row in rows]
+                  if value is not None]
+        if distinct:
+            unique = []
+            for value in values:
+                if all(compare(value, v) != 0 for v in unique):
+                    unique.append(value)
+            values = unique
+        if name == "COUNT":
+            return len(values)
+        if not values:
+            return None
+        if name == "SUM":
+            return sum(coerce_to_number(v) for v in values)
+        if name == "AVG":
+            nums = [coerce_to_number(v) for v in values]
+            return sum(nums) / float(len(nums))
+        if name == "MIN":
+            return min(values, key=sort_key)
+        if name == "MAX":
+            return max(values, key=sort_key)
+        if name == "GROUP_CONCAT":
+            return ",".join(render_value(v) for v in values)
+        raise ExecutionError("unknown aggregate %r" % name)
 
-def _order_dml_targets(order_by, targets, ctx):
-    """ORDER BY for UPDATE/DELETE target selection (matters with
-    LIMIT: MySQL deletes/updates the first N *in order*)."""
-    if not order_by:
-        return targets
-    decorated = list(targets)
-    for item in reversed(order_by):
-        reverse = item.direction == "DESC"
-        decorated.sort(
-            key=lambda pair: sort_key(
-                evaluate(item.expr, ctx.child(pair[1]))
-            ),
-            reverse=reverse,
-        )
-    return decorated
+    return key, fold
 
 
 def _unique_conflicts(table, values):
@@ -1454,42 +1456,23 @@ def _apply_on_duplicate(table, assignments, new_values, ctx, txn=None):
     """ON DUPLICATE KEY UPDATE: update the conflicting row.
 
     ``VALUES(col)`` inside an assignment refers to the value the
-    failed insert attempted for *col* (MySQL semantics).
+    failed insert attempted for *col* (MySQL semantics): the env row
+    carries those under :data:`ATTEMPTED_PREFIX`, where the compiled
+    ``VALUES`` call looks.
     """
     conflicts = _unique_conflicts(table, new_values)
     if not conflicts:
         return 0
     target = conflicts[0]
     env = {"%s.%s" % (table.name, k): v for k, v in target.items()}
+    for name in table.column_names():
+        env[ATTEMPTED_PREFIX + name.lower()] = new_values.get(name.lower())
     updates = {}
     for col, expr in assignments:
-        resolved = _resolve_values_refs(expr, new_values)
-        value = table.convert(col, evaluate(resolved, ctx.child(env)))
+        value = table.convert(col, expr(env, ctx))
         if target.get(col.lower()) != value:
             updates[col.lower()] = value
     if updates:
         table.update_row(target, updates, txn=txn)
     # MySQL reports 2 affected rows when an ODKU update changed one
     return 2 if updates else 0
-
-
-def _resolve_values_refs(expr, new_values):
-    """Replace ``VALUES(col)`` calls with the attempted insert value."""
-    if isinstance(expr, ast.FuncCall) and expr.name == "VALUES" and \
-            len(expr.args) == 1 and isinstance(expr.args[0], ast.ColumnRef):
-        value = new_values.get(expr.args[0].name.lower())
-        from repro.sqldb.prepared import literal_for
-        return literal_for(value)
-    if isinstance(expr, ast.BinaryOp):
-        return ast.BinaryOp(
-            expr.op,
-            _resolve_values_refs(expr.left, new_values),
-            _resolve_values_refs(expr.right, new_values),
-        )
-    if isinstance(expr, ast.FuncCall):
-        return ast.FuncCall(
-            expr.name,
-            [_resolve_values_refs(a, new_values) for a in expr.args],
-            expr.distinct,
-        )
-    return expr

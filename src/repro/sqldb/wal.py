@@ -352,18 +352,9 @@ class WriteAheadLog(object):
         with self._lock:
             if self.closed:
                 raise WalError("WAL is closed")
-            if faults_mod.ACTIVE is not None:
-                faults_mod.fire("wal.append")
             record = WalRecord(self.next_lsn, op, tx=tx, sql=sql,
                                clock=clock, rand=rand, failed=failed)
-            payload = record.to_payload()
-            blob = _HEADER.pack(len(payload),
-                                zlib.crc32(payload) & 0xFFFFFFFF) + payload
-            self._handle.write(blob)
-            self.next_lsn += 1
-            self.records_appended += 1
-            self.bytes_written += len(blob)
-            flush = durability_point and self._note_commit()
+            flush = self._write(record, durability_point)
         if flush:
             self.fsync()
         return record.lsn
@@ -388,23 +379,26 @@ class WriteAheadLog(object):
                     "cannot append record LSN %d below the log frontier %d"
                     % (record.lsn, self.next_lsn)
                 )
-            if faults_mod.ACTIVE is not None:
-                faults_mod.fire("wal.append")
-            payload = record.to_payload()
-            blob = _HEADER.pack(len(payload),
-                                zlib.crc32(payload) & 0xFFFFFFFF) + payload
-            self._handle.write(blob)
-            self.next_lsn = record.lsn + 1
-            self.records_appended += 1
-            self.bytes_written += len(blob)
-            flush = durability_point and self._note_commit()
+            flush = self._write(record, durability_point)
         if flush:
             self.fsync()
         return record.lsn
 
-    def _note_commit(self):
-        """Count one durability point (under the lock); whether the sync
-        mode wants a flush for it."""
+    def _write(self, record, durability_point):
+        """Frame and write *record* (under the lock).  Returns whether
+        the sync mode wants a flush for it — done by the caller, after
+        the lock is released."""
+        if faults_mod.ACTIVE is not None:
+            faults_mod.fire("wal.append")
+        payload = record.to_payload()
+        blob = _HEADER.pack(len(payload),
+                            zlib.crc32(payload) & 0xFFFFFFFF) + payload
+        self._handle.write(blob)
+        self.next_lsn = record.lsn + 1
+        self.records_appended += 1
+        self.bytes_written += len(blob)
+        if not durability_point:
+            return False
         self.commits += 1
         return self.sync_mode == "commit" or (
             self.sync_mode == "batch"
@@ -412,14 +406,12 @@ class WriteAheadLog(object):
         )
 
     def fsync(self):
-        """Flush buffered appends to stable storage.
-
-        The lock is not held across the system call (unless the caller
-        holds it, as checkpoint and close do): appends and frontier
-        reads on other threads go on meanwhile.  The call vouches only
-        for what was appended before it started — the frontier and
-        commit count are captured first — and syncs a duplicate of the
-        descriptor, which a concurrent log rotation cannot close."""
+        """Flush buffered appends to stable storage.  The lock is not
+        held across the system call (unless the caller holds it, as
+        checkpoint and close do), so appends and frontier reads go on
+        meanwhile: the call vouches for what was appended before it
+        started, and syncs a duplicate of the descriptor, which a
+        concurrent log rotation cannot close."""
         with self._lock:
             if self.closed:
                 return
@@ -502,7 +494,6 @@ class WriteAheadLog(object):
             body = dict(state)
             body["lsn"] = lsn
             # encoded once: the blob the CRC covers is the blob on disk
-            # (load_checkpoint re-derives it from whatever it parses)
             blob = json.dumps(body, sort_keys=True)
             target = checkpoint_path(self.data_dir)
             tmp = target + ".tmp"

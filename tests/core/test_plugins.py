@@ -1,6 +1,7 @@
 """Tests for the stored-injection plugins."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.core.plugins import (
     LFIPlugin,
@@ -83,6 +84,30 @@ class TestRFI(object):
     ])
     def test_benign_passes(self, text):
         assert not self.plugin.inspect(text)
+
+
+class TestStepOneShortcuts(object):
+    """The cheap tests put in front of three step-1 regexes rule out
+    only texts the regex would have ruled out."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(text=st.text(alphabet=":;|&`$\n%<({ 0a3b7c268AHTPStpfdxe/.-",
+                        max_size=24))
+    def test_shortcut_never_changes_step_one(self, text):
+        from repro.core.plugins import fileinc, osci, rce
+
+        for plugin, full in ((RFIPlugin(), fileinc._RFI_URL_RE),
+                             (OSCIPlugin(), osci._METACHAR_RE),
+                             (RCEPlugin(), rce._STEP1_RE)):
+            assert plugin.suspicious(text) == bool(full.search(text)), \
+                (plugin, text)
+
+    @pytest.mark.parametrize("text", [
+        "http://x", "PHP :", "data:", "a;b", "%0A", "%3b", "%7C", "%26",
+        "a\nb", "`x`", "$x", "%3C", "%28", "(", "{", "<", "50%", "%", ""])
+    def test_edges(self, text):
+        self.test_shortcut_never_changes_step_one.hypothesis.inner_test(
+            self, text)
 
 
 class TestLFI(object):

@@ -1076,3 +1076,149 @@ def test_late_binding_gate_catches_a_baked_constant(tmp_path):
     problems = _slot_value_read_violations(str(bad))
     assert len(problems) == 2
     assert ":2:" in problems[0] and ":5:" in problems[1]
+
+
+_LOOPS = (ast.For, ast.While, ast.ListComp, ast.SetComp, ast.DictComp,
+          ast.GeneratorExp)
+
+
+def _per_row_interpretation_violations(path):
+    """Expressions are compiled with the plan, not interpreted per row.
+
+    An operator compiles the expressions it holds when the planner
+    builds it (``repro.sqldb.expression.compile_expr``) and calls the
+    closures ``fn(row, ctx)`` in its loops.  A call to ``evaluate(``
+    inside a loop walks the AST again for every row, and ``.child(``
+    there builds a context per row — the two costs the plan layer shed.
+    One-shot uses outside any loop (a constant read when an operator
+    opens) would be legitimate; per-row ones are not.
+    """
+    with open(path) as handle:
+        tree = ast.parse(handle.read(), filename=path)
+    rel = os.path.relpath(path, REPO_ROOT)
+    problems = []
+
+    def walk(node, in_loop):
+        if in_loop and isinstance(node, ast.Call):
+            func = node.func
+            name = (func.id if isinstance(func, ast.Name)
+                    else func.attr if isinstance(func, ast.Attribute)
+                    else None)
+            if name == "evaluate" or (name == "child"
+                                      and isinstance(func, ast.Attribute)):
+                problems.append(
+                    "%s:%d: %s() inside a loop — per-row work goes "
+                    "through a closure compiled with the plan"
+                    % (rel, node.lineno, name))
+        in_loop = in_loop or isinstance(node, _LOOPS)
+        for child in ast.iter_child_nodes(node):
+            walk(child, in_loop)
+
+    walk(tree, False)
+    return problems
+
+
+def test_operators_never_interpret_per_row():
+    path = os.path.join(SRC_ROOT, "repro", "sqldb", "plan.py")
+    assert _per_row_interpretation_violations(path) == []
+    # and the gate is looking at operators that do call closures
+    with open(path) as handle:
+        assert "compile_expr(" in handle.read()
+
+
+def test_per_row_gate_catches_an_interpreting_loop(tmp_path):
+    bad = tmp_path / "plan.py"
+    bad.write_text(
+        "class Filter:\n"
+        "    def _generate(self, state):\n"
+        "        limit = evaluate(self.count, state.ctx)\n"      # at open
+        "        for row in self.children[0].rows(state):\n"
+        "            if evaluate(self.expr, state.ctx.child(row)):\n"  # x2
+        "                yield row\n"
+        "        return [expression.evaluate(e, ctx) for e in self.keys]\n"
+    )
+    problems = _per_row_interpretation_violations(str(bad))
+    assert len(problems) == 3
+    assert all(":5:" in problem for problem in problems[:2])
+    assert ":7:" in problems[2]
+
+
+_MAP_FACTORIES = ("dict", "OrderedDict", "defaultdict", "WeakKeyDictionary",
+                  "WeakValueDictionary")
+_MAP_MUTATORS = ("setdefault", "update", "pop", "popitem", "clear",
+                 "__setitem__")
+
+
+def _identity_map_violations(path):
+    """Compiled closures belong to whoever compiled them.
+
+    A module-level table from node to closure in ``expression.py`` —
+    keyed by ``id(node)`` or by the node — outlives every plan: it kept
+    the INSERT statements of a bulk load alive long after their cache
+    entries were gone.  The module's maps are constants (operator
+    tables, the makers by node *class*); nothing there may call
+    ``id()``, and no module-level map may be stored into.
+    """
+    with open(path) as handle:
+        tree = ast.parse(handle.read(), filename=path)
+    rel = os.path.relpath(path, REPO_ROOT)
+    maps = set()
+    for stmt in tree.body:
+        if not isinstance(stmt, ast.Assign):
+            continue
+        value = stmt.value
+        factory = value.func if isinstance(value, ast.Call) else None
+        factory = getattr(factory, "id", getattr(factory, "attr", None))
+        if isinstance(value, (ast.Dict, ast.DictComp)) \
+                or factory in _MAP_FACTORIES:
+            maps.update(target.id for target in stmt.targets
+                        if isinstance(target, ast.Name))
+    problems = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) \
+                and node.func.id == "id":
+            problems.append("%s:%d: id() — nothing may be keyed by a "
+                            "node's identity" % (rel, node.lineno))
+        target = None
+        if isinstance(node, ast.Subscript) \
+                and isinstance(node.ctx, (ast.Store, ast.Del)):
+            target = node.value
+        elif isinstance(node, ast.Call) \
+                and isinstance(node.func, ast.Attribute) \
+                and node.func.attr in _MAP_MUTATORS:
+            target = node.func.value
+        if isinstance(target, ast.Name) and target.id in maps:
+            problems.append("%s:%d: module-level map %s is written to"
+                            % (rel, node.lineno, target.id))
+    return problems
+
+
+def test_expression_module_keeps_no_table_of_closures():
+    path = os.path.join(SRC_ROOT, "repro", "sqldb", "expression.py")
+    assert _identity_map_violations(path) == []
+    # and it does hold module-level maps for the gate to look at
+    with open(path) as handle:
+        assert "\n_MAKERS = {" in handle.read()
+
+
+def test_identity_map_gate_catches_a_side_table(tmp_path):
+    bad = tmp_path / "expression.py"
+    bad.write_text(
+        "import weakref\n"
+        "_OPS = {'+': 1}\n"                          # a constant: fine
+        "_COMPILED = {}\n"
+        "_BY_NODE = weakref.WeakKeyDictionary()\n"
+        "def compile_expr(node):\n"
+        "    fn = _COMPILED.get(id(node))\n"          # id()
+        "    if fn is None:\n"
+        "        fn = _COMPILED[id(node)] = make(node)\n"    # id(), store
+        "        _BY_NODE.setdefault(node, fn)\n"     # store
+        "    local = {}\n"
+        "    local['x'] = _OPS['+']\n"                # a local: fine
+        "    return fn\n"
+    )
+    problems = _identity_map_violations(str(bad))
+    assert len(problems) == 4
+    assert sum("id()" in problem for problem in problems) == 2
+    assert any("_COMPILED is written" in problem for problem in problems)
+    assert any("_BY_NODE is written" in problem for problem in problems)
