@@ -37,7 +37,7 @@ ATTEMPTED_PREFIX = "__values__"
 
 
 class EvalContext(object):
-    """Everything an expression needs to evaluate against one row."""
+    """What an expression reads besides its row; one per statement."""
 
     def __init__(self, database, row=None, executor=None, session=None,
                  params=()):

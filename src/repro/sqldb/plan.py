@@ -1115,8 +1115,7 @@ class _TargetSink(PlanNode):
 
     def _targets(self, state):
         """``(stored row, env row)`` per target, in statement order
-        (matters with LIMIT: MySQL deletes/updates the first N *in
-        order*)."""
+        (with LIMIT, MySQL updates/deletes the first N *in order*)."""
         ctx = state.ctx
         source_key = "__source__%s" % self.alias
         targets = [
@@ -1406,7 +1405,9 @@ def _compile_aggregate(node):
     key = "__agg__%s" % _agg_key(node)
     if name == "COUNT" and node.args and isinstance(node.args[0], ast.Star):
         return key, lambda rows, ctx: len(rows)
-    argument = compile_expr(node.args[0])
+    # (an aggregate without arguments fails as it did: per row, at run)
+    argument = compile_expr(node.args[0]) if node.args \
+        else lambda row, ctx: node.args[0]
     distinct = node.distinct
 
     def fold(rows, ctx):

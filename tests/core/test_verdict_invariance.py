@@ -17,8 +17,14 @@ configurations.
 
 The second half is the argument that makes sharing an entry safe, as a
 property over the same statements and seeded mutations of them: equal
-shape keys ⇒ equal item-stack shapes ⇒ same QM and ID, and no attack
-ever finds a verdict waiting for it.
+shape keys ⇒ equal item-stack shapes ⇒ same QM and ID, and an attack
+that finds its shape's benign verdict waiting fails the verdict's check
+of its inputs and is blocked by the full run, as the control blocks it.
+
+The last part sends stored-injection payloads — one per default plugin —
+through *warm* INSERT, REPLACE and UPDATE shapes, by ``query``,
+``execute_prepared``, the wire and a 2-shard router, against the same
+control.
 """
 
 import random
