@@ -439,7 +439,7 @@ class Septic(object):
         """
         return (
             faults_mod.ACTIVE is None
-            and self.manager.store.serves(verdict.full_id, verdict.model)
+            and self.store.serves(verdict.full_id, verdict.model)
             and verdict.basis == self._basis(self._mode)
             and self.breaker.quiescent
             and not self.logger.verbose

@@ -392,8 +392,8 @@ def _like(node):
     regexp = node.op == "REGEXP"
     fixed = None
     if not regexp and isinstance(node.pattern, ast.Literal) \
-            and node.pattern.value is not None:
-        fixed = _like_regex(str(pattern_of(None, None)))
+            and node.pattern.type_tag == "string":
+        fixed = _like_regex(node.pattern.value)
 
     def like(row, ctx):
         value = expr(row, ctx)
