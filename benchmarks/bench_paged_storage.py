@@ -43,7 +43,7 @@ def _bounded_residency(workdir):
         db.run(FILL % (i, "x" * 12, i))
         peak = max(peak, db.storage_stats()["pages_cached"])
     stats = db.storage_stats()
-    table_pages = len(db.tables["t"].pages())
+    table_pages = len(db.tables["t"].store.pages())
     db.close()
     return peak, stats, table_pages
 

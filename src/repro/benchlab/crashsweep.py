@@ -75,35 +75,53 @@ def state_digest(database):
     return sha1(blob.encode("utf-8")).hexdigest()
 
 
-def verify_index_consistency(database):
-    """Cross-check every live index of *database* against a full scan.
+def _by_rowid(rows):
+    """``(rowid, columns)`` per row image, in rowid order."""
+    return sorted(((row.rowid, dict(row)) for row in rows),
+                  key=lambda pair: pair[0])
 
-    For each indexed column: every distinct key's ``index_lookup`` must
-    return exactly the rows a fresh scan finds for that key, and the
-    open-ended ``index_range`` must return exactly the non-NULL rows.
-    Returns a list of human-readable problem strings (empty = healthy).
-    Rows are compared by identity — an index that returns equal-looking
-    copies instead of the table's own row objects is still broken.
+
+def verify_index_consistency(database):
+    """Cross-check every index of *database* against a full scan, by
+    rowid.
+
+    For each indexed column: every distinct key's lookup (the NULL
+    bucket included) must return exactly the rows a scan finds for that
+    key, and the open-ended range exactly the non-NULL rows, in key
+    order.  A row is its rowid *and* its image, so an index that hands
+    back a stale image of the right row is as broken as one that hands
+    back the wrong row; ``row_count`` must agree with the scan too.
+    Only the scan/lookup iterators the plan layer itself uses are
+    touched, so this holds for any row store.  Returns a list of
+    human-readable problem strings (empty = healthy).
     """
     problems = []
     for name in sorted(database.tables):
         table = database.tables[name]
+        scanned = list(table.iter_rows())
+        if table.row_count() != len(scanned):
+            problems.append("%s: row_count %d != scanned %d"
+                            % (name, table.row_count(), len(scanned)))
         for column in sorted(table.indexed_columns()):
             by_key = {}
-            for row in table.rows:
+            for row in scanned:
                 by_key.setdefault(sort_key(row.get(column)), []).append(row)
             for expected in by_key.values():
                 value = expected[0].get(column)
-                got = table.index_lookup(column, value)
-                if sorted(map(id, got)) != sorted(map(id, expected)):
+                got = list(table.index_lookup_iter(column, value))
+                if _by_rowid(got) != _by_rowid(expected):
                     problems.append(
                         "%s.%s: lookup(%r) -> %d rows, scan -> %d"
                         % (name, column, value, len(got), len(expected))
                     )
-            non_null = [row for row in table.rows
+            ranged = list(table.index_range_iter(column))
+            keys = [sort_key(row.get(column)) for row in ranged]
+            if keys != sorted(keys):
+                problems.append("%s.%s: range scan out of key order"
+                                % (name, column))
+            non_null = [row for row in scanned
                         if row.get(column) is not None]
-            ranged = table.index_range(column)
-            if sorted(map(id, ranged)) != sorted(map(id, non_null)):
+            if _by_rowid(ranged) != _by_rowid(non_null):
                 problems.append(
                     "%s.%s: open range -> %d rows, scan -> %d"
                     % (name, column, len(ranged), len(non_null))
@@ -589,59 +607,6 @@ def format_failover_result(result):
     )
 
 
-def _row_fingerprint(row):
-    """Stable value-based identity for a row image.  The in-memory
-    verifier compares object identities, which is meaningless for paged
-    tables: a row evicted and re-read comes back as a fresh dict."""
-    return sha1(
-        json.dumps(row, sort_keys=True, default=str).encode("utf-8")
-    ).hexdigest()
-
-
-def verify_paged_consistency(database):
-    """Cross-check every index against a full scan, by value.
-
-    For each indexed column the rows from ``index_lookup_iter`` /
-    ``index_range_iter`` must be exactly the scan rows with the matching
-    key (as a multiset of row fingerprints), and range scans must come
-    back in key order.  Works on any storage backend because it never
-    touches backend internals — only the scan/lookup iterator API the
-    plan layer itself uses."""
-    problems = []
-    for name in sorted(database.tables):
-        table = database.tables[name]
-        scanned = list(table.iter_rows())
-        if table.row_count() != len(scanned):
-            problems.append("%s: row_count %d != scanned %d"
-                            % (name, table.row_count(), len(scanned)))
-        for column in sorted(table.indexed_columns()):
-            groups = {}
-            for row in scanned:
-                value = row.get(column)
-                if value is None:
-                    continue
-                entry = groups.setdefault(sort_key(value), (value, []))
-                entry[1].append(_row_fingerprint(row))
-            for value, expected in groups.values():
-                got = sorted(_row_fingerprint(r)
-                             for r in table.index_lookup_iter(column, value))
-                if got != sorted(expected):
-                    problems.append(
-                        "%s.%s=%r: lookup %d rows, scan %d"
-                        % (name, column, value, len(got), len(expected)))
-            non_null = sorted(_row_fingerprint(r) for r in scanned
-                              if r.get(column) is not None)
-            ranged = list(table.index_range_iter(column))
-            keys = [sort_key(r.get(column)) for r in ranged]
-            if keys != sorted(keys):
-                problems.append("%s.%s: range scan out of key order"
-                                % (name, column))
-            if sorted(_row_fingerprint(r) for r in ranged) != non_null:
-                problems.append("%s.%s: range scan row set != scan"
-                                % (name, column))
-    return problems
-
-
 def _run_paged_workload(data_dir, seed, pool_pages, checkpoint_after,
                         crash_plan=None):
     """Run the seed's workload on paged storage, digesting every
@@ -788,7 +753,7 @@ def run_paged_crash_sweep(workdir, seed, pool_pages=4, checkpoint_after=None,
             if (commits >= len(digests)
                     or state_digest(database) != digests[commits]):
                 mismatches.append((write_index, offset, commits))
-            for problem in verify_paged_consistency(database):
+            for problem in verify_index_consistency(database):
                 consistency_problems.append((write_index, offset, problem))
             database.close()
             kills += 1
@@ -870,7 +835,7 @@ def run_corruption_sweep(workdir, seed, flips=6, pool_pages=6):
     detected = 0
     for _ in range(flips):
         pages = sorted({page for table in database.tables.values()
-                        for page in table.pages()})
+                        for page in table.store.pages()})
         if not pages:
             break
         page_no = rng.choice(pages)

@@ -21,9 +21,10 @@ must hold at least (tree height + a small working margin) frames; the
 4-page property-test pool handles the 2-level trees small workloads
 build, production defaults are far above any realistic height.
 
-Rows are stored without their ``__rowid__`` marker (the key column *is*
-the rowid); decode re-attaches it so row dicts coming off a page are
-indistinguishable from freshly-inserted ones.
+Rows are :class:`Row` images: the rowid rides *beside* the columns, so
+a page stores plain column dicts (the key column *is* the rowid) and
+decode re-attaches it — a row coming off a page is indistinguishable
+from a freshly-inserted one.
 """
 
 import json
@@ -31,34 +32,40 @@ from bisect import bisect_left, bisect_right
 
 from repro.sqldb.errors import PagerError
 
-#: hidden per-row key the paged table plants in each row dict
-ROWID_KEY = "__rowid__"
+
+class Row(dict):
+    """One row image: column name → value, plus the row's identity.
+
+    ``rowid`` is the one name a row keeps across versions, evictions
+    and rollbacks; it is an attribute, not a key, so no scan,
+    ``SELECT *``, digest or encoder ever sees it.  ``dict(row)`` is the
+    plain column mapping."""
+
+    __slots__ = ("rowid",)
+
+    def clone(self):
+        """A fresh image of the same row."""
+        image = Row(self)
+        image.rowid = self.rowid
+        return image
+
 
 LEAF = "L"
 INTERIOR = "I"
 
 
 def encode_node(node):
-    """A node's page payload.  Rows are serialised without their
-    ``__rowid__`` (recomputed from ``k`` on decode)."""
-    if node["t"] == LEAF:
-        rows = []
-        for row in node["r"]:
-            if ROWID_KEY in row:
-                row = {key: value for key, value in row.items()
-                       if key != ROWID_KEY}
-            rows.append(row)
-        doc = {"t": LEAF, "k": node["k"], "r": rows, "n": node["n"]}
-    else:
-        doc = {"t": INTERIOR, "k": node["k"], "c": node["c"]}
-    return json.dumps(doc, separators=(",", ":"), sort_keys=True).encode("utf-8")
+    """A node's page payload (a row's rowid is not in it: ``k`` holds
+    the rowids, decode re-attaches them)."""
+    return json.dumps(node, separators=(",", ":"), sort_keys=True).encode("utf-8")
 
 
 def decode_node(payload):
     doc = json.loads(payload.decode("utf-8"))
     if doc["t"] == LEAF:
-        for rowid, row in zip(doc["k"], doc["r"]):
-            row[ROWID_KEY] = rowid
+        doc["r"] = rows = list(map(Row, doc["r"]))
+        for rowid, row in zip(doc["k"], rows):
+            row.rowid = rowid
     return doc
 
 

@@ -54,7 +54,8 @@ from repro.sqldb.lexer import slot_values, tokenize
 from repro.sqldb.parser import parse_sql
 from repro.sqldb.prepared import slot_tags
 from repro.sqldb.storage import (
-    PagedTable,
+    MemoryRows,
+    PagedRows,
     ReadView,
     Table,
     WriteTxn,
@@ -577,16 +578,21 @@ class Database(object):
 
     # -- catalog -----------------------------------------------------------
 
+    def _row_store(self, pages_meta=None):
+        """The row store a table of this database keeps its images in —
+        wiring from ``storage``; *pages_meta* re-opens a paged store
+        onto its checkpointed pages."""
+        if self.storage != "paged":
+            return MemoryRows()
+        if self.page_store is None:
+            raise WalError(
+                "paged storage requires a data directory: open the "
+                "database through Database.recover()"
+            )
+        return PagedRows(self.page_store, pages_meta)
+
     def create_table(self, name, columns):
-        if self.storage == "paged":
-            if self.page_store is None:
-                raise WalError(
-                    "paged storage requires a data directory: open the "
-                    "database through Database.recover()"
-                )
-            table = PagedTable(name, columns, self.page_store)
-        else:
-            table = Table(name, columns)
+        table = Table(name, columns, self._row_store())
         with self.catalog_lock:
             self.tables[table.name] = table
             self.schema_version += 1
@@ -596,11 +602,9 @@ class Database(object):
         with self.catalog_lock:
             table = self.tables.pop(name.lower())
             self.schema_version += 1
-        dispose = getattr(table, "dispose", None)
-        if dispose is not None:
-            # free the table's pages; a mid-transaction DROP that later
-            # rolls back rebuilds the tree from the BEGIN snapshot
-            dispose()
+        # free the table's pages; a mid-transaction DROP that later
+        # rolls back reloads the rows from the BEGIN snapshot
+        table.dispose()
 
     def bump_schema_version(self):
         """Record a catalog change done in place (ALTER TABLE paths)."""
@@ -969,7 +973,7 @@ class Database(object):
                 "page_count": store.pager.page_count,
                 "freelist": sorted(store.pager.freelist),
                 "tables": {
-                    name: table.pages_meta()
+                    name: table.store.pages_meta()
                     for name, table in self.tables.items()
                 },
             }
@@ -1000,7 +1004,7 @@ class Database(object):
         with self.catalog_lock:
             scan = {}
             for name, table in self.tables.items():
-                for page_no in table.pages():
+                for page_no in table.store.pages():
                     scan[page_no] = name
         store.scrubber.set_scan_set(scan)
 
@@ -1062,7 +1066,7 @@ class Database(object):
         table is gone or the checkpoint was deferred."""
         with self.catalog_lock:
             table = self.tables.get(table_name)
-        if table is None or not isinstance(table, PagedTable):
+        if table is None:
             return False
         table.load_rows(rows)
         # the old (corrupt) tree's pages were freed by load_rows; a
@@ -1255,17 +1259,13 @@ class Database(object):
     def _restore_checkpoint(self, body):
         try:
             tables = {}
+            pages_meta = {}
             if self.page_store is not None:
                 pages_meta = (body.get("pages") or {}).get("tables", {})
-                for data in body.get("tables", []):
-                    table = self._open_paged_table(
-                        data, pages_meta.get(data["name"])
-                    )
-                    tables[table.name] = table
-            else:
-                for data in body.get("tables", []):
-                    table = Table.from_dict(data)
-                    tables[table.name] = table
+            for data in body.get("tables", []):
+                table = self._open_table(data,
+                                         pages_meta.get(data["name"]))
+                tables[table.name] = table
         except (KeyError, TypeError, ValueError) as exc:
             raise WalCorruptionError(
                 "checkpoint table snapshot is malformed (%s: %s)"
@@ -1282,23 +1282,24 @@ class Database(object):
         self._tx_counter = body.get("tx_counter", 0)
         return body.get("lsn", 0)
 
-    def _open_paged_table(self, data, pages_meta):
-        """Re-attach one checkpointed table to its on-disk tree.
+    def _open_table(self, data, pages_meta):
+        """One checkpointed table, back in a row store.
 
         With page metadata the existing tree is adopted and verified
         page-by-page; a checksum failure anywhere falls back to
         rebuilding the tree from the checkpoint's logical rows (the
         corrupt tree's pages are abandoned — they are absent from the
         rebuilt scrub set, so they never alarm again).  Without
-        metadata (pre-paged checkpoint) the rows are loaded fresh."""
+        metadata (memory storage, or a pre-paged checkpoint) the rows
+        are loaded fresh."""
         if pages_meta is not None:
-            table = PagedTable.open(data, self.page_store, pages_meta)
+            store = self._row_store(pages_meta)
             try:
-                table.verify_scan()
-                return table
+                store.verify_scan()
+                return Table.from_dict(data, store, adopt=True)
             except PageCorruptionError as exc:
                 self._pages_rebuilt.append((data["name"], exc.page_no))
-        return PagedTable.from_rows(data, self.page_store)
+        return Table.from_dict(data, self._row_store())
 
     def _fast_forward_rand(self, draws):
         while self._rand_calls < draws:

@@ -27,6 +27,17 @@ _PLANNED = (ast.Select, ast.Insert, ast.Update, ast.Delete, ast.Explain)
 _SUBPLAN_MEMO_LIMIT = 256
 
 
+def _column_of(cdef):
+    """The storage :class:`Column` a parsed column definition declares."""
+    return Column(
+        cdef.name, cdef.type_name, length=cdef.length,
+        not_null=cdef.not_null, primary_key=cdef.primary_key,
+        auto_increment=cdef.auto_increment,
+        default=cdef.default.value if cdef.default is not None else None,
+        unique=cdef.unique,
+    )
+
+
 class Executor(object):
     """Executes validated statements against a :class:`Database` catalog."""
 
@@ -257,24 +268,8 @@ class Executor(object):
             raise ExecutionError(
                 "Table '%s' already exists" % stmt.name, errno=1050
             )
-        columns = []
-        for cdef in stmt.columns:
-            default = None
-            if cdef.default is not None:
-                default = cdef.default.value
-            columns.append(
-                Column(
-                    cdef.name,
-                    cdef.type_name,
-                    length=cdef.length,
-                    not_null=cdef.not_null,
-                    primary_key=cdef.primary_key,
-                    auto_increment=cdef.auto_increment,
-                    default=default,
-                    unique=cdef.unique,
-                )
-            )
-        self._db.create_table(name, columns)
+        self._db.create_table(name, [_column_of(cdef)
+                                     for cdef in stmt.columns])
         return ExecutionResult(affected_rows=0)
 
     def _drop_table(self, stmt):
@@ -293,23 +288,7 @@ class Executor(object):
             raise ExecutionError(
                 "Duplicate column name '%s'" % cdef.name, errno=1060
             )
-        default = cdef.default.value if cdef.default is not None else None
-        column = Column(
-            cdef.name, cdef.type_name, length=cdef.length,
-            not_null=cdef.not_null, primary_key=cdef.primary_key,
-            auto_increment=cdef.auto_increment, default=default,
-            unique=cdef.unique,
-        )
-        table.columns.append(column)
-        table._by_name[column.name] = column
-        from repro.sqldb.types import store_convert
-        fill = None
-        if default is not None:
-            fill = store_convert(default, column.type_name, column.length)
-        elif column.not_null:
-            fill = "" if column.type_name in ("VARCHAR", "TEXT",
-                                              "CHAR") else 0
-        table.fill_column(column.name, fill)
+        table.add_column(_column_of(cdef))
         self._db.bump_schema_version()
         return ExecutionResult(affected_rows=table.row_count())
 
@@ -325,9 +304,7 @@ class Executor(object):
             raise ExecutionError(
                 "A table must have at least 1 column", errno=1090
             )
-        table.columns = [c for c in table.columns if c.name != name]
-        del table._by_name[name]
-        table.strip_column(name)
+        table.drop_column(name)
         self._db.bump_schema_version()
         return ExecutionResult(affected_rows=table.row_count())
 

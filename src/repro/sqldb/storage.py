@@ -1,42 +1,52 @@
-"""In-memory storage engine: tables, columns, rows, result sets.
+"""Storage engine: one :class:`Table` over a row store; result sets.
 
-Secondary indexes are maintained **incrementally**: every mutation that
-goes through the Table API (:meth:`Table.insert`, :meth:`update_row`,
-:meth:`delete_rows`, :meth:`truncate`) applies a per-row delta to each
-live :class:`_ColumnIndex` instead of invalidating it, so an INSERT into
-a million-row table costs O(1) index work rather than an O(n) rebuild on
-the next lookup.  The table's ``version`` counter survives as a
-consistency check: an index whose version disagrees with the table's is
-stale (some mutation bypassed the API — e.g. a legacy :meth:`touch`) and
-rebuilds itself on next use; the ``index_stats()['rebuilds']`` counter
-makes that observable, and the regression tests pin it at zero across
-transaction rollbacks.
+The module is split along one line: *what a row version means* versus
+*where a row image lives*.
 
-Index keys are :func:`repro.sqldb.types.sort_key` tuples, the same total
-order the comparison engine uses — which makes one structure serve both
-hash (equality) probes and bisect-based **range** scans
-(:meth:`Table.index_range` for ``<``/``>``/``BETWEEN``), and fixes a
-latent mismatch where the old index key lowercased strings but the
-comparator also folded confusables.
+:class:`Table` owns everything about meaning — schema, auto-increment,
+version chains, tombstones, snapshot visibility, first-writer-wins,
+commit sealing, vacuum, secondary indexes, uniqueness, rollback
+snapshots and the checkpoint form.  It exists once, for every backend.
 
-Rows are **multiversioned**.  A mutation never edits a stored dict in
-place: UPDATE installs a fresh dict and chains the superseded image
-behind it (:class:`_RowVersion`), DELETE moves the row into a tombstone
-list, and both stay *pending* — owned by a :class:`WriteTxn` and
-invisible to snapshot readers — until the transaction seals them with a
-commit stamp (:func:`seal_txn`).  Readers carry a :class:`ReadView`
-(a watermark pinned at statement or transaction start) through
+A **row store** owns placement and nothing else: append / replace /
+remove / get by rowid, iteration of the latest state in rowid order,
+``clear`` and ``len``.  :class:`MemoryRows` keeps the images in a
+Python list; :class:`PagedRows` keeps them in B-tree pages behind the
+buffer pool.  The engine hands a table its store
+(``Database(storage=...)`` decides which); nothing above this module
+can tell them apart.
+
+The **rowid** is the one row identity: assigned once at insert,
+monotone (rowid order == insertion order == scan order), carried by
+every image of the row (:class:`~repro.sqldb.btree.Row`) *beside* its
+columns.  Version metadata, index buckets and rollback snapshots are
+all keyed by it, so a row re-read from a page after an eviction — a
+different dict object — still finds its history.
+
+Rows are **multiversioned**.  A mutation never edits a stored image in
+place: UPDATE installs a fresh image and chains the superseded one
+behind it (:class:`_RowVersion`), DELETE leaves a :class:`_Tombstone`,
+and both stay *pending* — owned by a :class:`WriteTxn`, invisible to
+snapshot readers — until the transaction seals them with a commit
+stamp (:func:`seal_txn`).  Readers carry a :class:`ReadView` through
 :meth:`Table.iter_rows` / :meth:`index_lookup_iter` /
-:meth:`index_range_iter`; ``view=None`` keeps the historical
-latest-state behaviour the DML path relies on.  Version metadata lives
-*beside* the rows (keyed by dict identity), never inside them, so
-checkpoint serialization, digests and the env-row layer see plain
-column→value dicts exactly as before.
+:meth:`index_range_iter`; ``view=None`` reads the latest state, which
+is what the DML path works on.
+
+Secondary indexes (:class:`_ColumnIndex`) bucket **rowids** by
+:func:`repro.sqldb.types.sort_key` — the comparison engine's own total
+order, so one structure serves equality probes and bisect range scans —
+and are maintained **incrementally**: every mutation through the Table
+API applies a per-row delta.  ``Table.version`` is the consistency
+check: an index whose version lags (something reshaped the rows behind
+the API's back — ALTER TABLE, :meth:`Table.touch`) rebuilds on next
+use, and ``index_stats()['rebuilds']`` makes that observable.
 """
 
+import sys
 from bisect import bisect_left, bisect_right, insort
 
-from repro.sqldb.btree import BTree, ROWID_KEY
+from repro.sqldb.btree import BTree, Row
 from repro.sqldb.errors import ExecutionError, WriteConflictError
 from repro.sqldb.types import sort_key, store_convert
 
@@ -100,11 +110,12 @@ _NULL_KEY = sort_key(None)
 class _ColumnIndex(object):
     """One incrementally-maintained index over one column.
 
-    ``map`` buckets row dicts by :func:`sort_key`; ``sorted_keys`` keeps
-    the distinct keys ordered for bisect range scans.  ``version`` must
-    equal the owning table's version for the index to be trusted.
-    Bucket membership is by row-dict *identity* (two equal rows are
-    distinct entries), matching how the executor mutates rows in place.
+    ``map`` buckets **rowids** by :func:`sort_key`, each bucket in
+    ascending rowid order (so an index probe returns rows in the order a
+    filtered scan would, whatever history built the bucket);
+    ``sorted_keys`` keeps the distinct keys ordered for bisect range
+    scans.  ``version`` must equal the owning table's version for the
+    index to be trusted.
     """
 
     __slots__ = ("column", "version", "map", "sorted_keys")
@@ -126,21 +137,19 @@ class _ColumnIndex(object):
         key = sort_key(row.get(self.column))
         bucket = self.map.get(key)
         if bucket is None:
-            self.map[key] = [row]
+            self.map[key] = [row.rowid]
             insort(self.sorted_keys, key)
         else:
-            bucket.append(row)
+            insort(bucket, row.rowid)
 
-    def remove(self, row, value_key=None):
-        key = sort_key(row.get(self.column)) if value_key is None \
-            else value_key
+    def remove(self, row):
+        key = sort_key(row.get(self.column))
         bucket = self.map.get(key)
         if bucket is None:
             return
-        for pos, candidate in enumerate(bucket):
-            if candidate is row:
-                del bucket[pos]
-                break
+        where = bisect_left(bucket, row.rowid)
+        if where < len(bucket) and bucket[where] == row.rowid:
+            del bucket[where]
         if not bucket:
             del self.map[key]
             where = bisect_left(self.sorted_keys, key)
@@ -148,13 +157,12 @@ class _ColumnIndex(object):
                     and self.sorted_keys[where] == key):
                 del self.sorted_keys[where]
 
-    def reindex(self, row, old_key):
-        """Move *row* after its indexed value changed from *old_key*."""
-        new_key = sort_key(row.get(self.column))
-        if new_key == old_key:
-            return
-        self.remove(row, value_key=old_key)
-        self.add(row)
+    def replace(self, old_row, new_row):
+        """Re-bucket a row whose image changed (same rowid)."""
+        if sort_key(old_row.get(self.column)) \
+                != sort_key(new_row.get(self.column)):
+            self.remove(old_row)
+            self.add(new_row)
 
 
 class ReadView(object):
@@ -214,10 +222,10 @@ class _RowVersion(object):
 
 
 class _RowMeta(object):
-    """Version metadata for the *current* dict of one row.
+    """Version metadata for the *current* image of one rowid.
 
-    Rows without a meta entry are legacy/settled rows: committed before
-    any tracked history, visible at every watermark.  ``begin`` is the
+    Rows without a meta entry are settled rows: committed before any
+    tracked history, visible at every watermark.  ``begin`` is the
     commit stamp (``None`` while pending), ``owner`` the pending
     :class:`WriteTxn` (``None`` once sealed), ``prior`` the chain of
     superseded :class:`_RowVersion` images.
@@ -236,28 +244,28 @@ class _Tombstone(object):
 
     ``row``/``begin``/``prior`` describe the deleted version chain just
     like a meta; ``end`` is the deletion stamp (``None`` while the
-    delete is pending under ``owner``).
+    delete is pending under ``owner``).  ``epoch`` is the table's
+    delete epoch when the row left the latest state — what lets a scan
+    that overlaps the delete count the row exactly once (see
+    :meth:`Table._iter_visible`).
     """
 
-    __slots__ = ("row", "begin", "prior", "end", "owner")
+    __slots__ = ("row", "begin", "prior", "end", "owner", "epoch")
 
-    def __init__(self, row, begin, prior, end, owner):
+    def __init__(self, row, begin, prior, end, owner, epoch):
         self.row = row
         self.begin = begin
         self.prior = prior
         self.end = end
         self.owner = owner
+        self.epoch = epoch
 
 
 def seal_txn(txn, stamp, collect=False):
     """Commit every pending version *txn* installed, stamping it with
     *stamp*.  With ``collect=True`` (no read view can need history) the
     sealed metadata is dropped on the spot: rows settle back into
-    legacy always-visible state and resolved tombstones disappear.
-
-    Each entry is dispatched to its table's :meth:`Table._seal_entry`
-    so storage backends can hook the commit point (the paged backend
-    writes the now-committed row into its B-tree here).
+    always-visible state and resolved tombstones disappear.
 
     The caller (``Database._seal_txn``) holds the engine's MVCC lock and
     publishes the commit counter only after this returns, so a reader
@@ -269,17 +277,37 @@ def seal_txn(txn, stamp, collect=False):
     txn.sealed = True
 
 
-class Table(object):
-    """One table: schema plus a list of row dicts (column name → value)."""
+def _implicit_default(col):
+    """What a NOT NULL column stores when handed NULL (MySQL's
+    non-strict mode): the type's zero value."""
+    if col.type_name in ("VARCHAR", "TEXT", "CHAR"):
+        return ""
+    if col.type_name in ("DATETIME", "DATE"):
+        return "0000-00-00 00:00:00"
+    return 0
 
-    def __init__(self, name, columns):
+
+def _absent_value(col):
+    """What a row stores in *col* when nothing supplied a value: the
+    declared DEFAULT, else the implicit default of a NOT NULL column,
+    else NULL.  INSERT and ALTER TABLE ADD COLUMN both fill from here."""
+    if col.default is not None:
+        return store_convert(col.default, col.type_name, col.length)
+    return _implicit_default(col) if col.not_null else None
+
+
+class Table(object):
+    """One table: schema, row versions, indexes and uniqueness over a
+    row store (``store``) that only knows where row images live."""
+
+    def __init__(self, name, columns, store=None):
         self.name = name.lower()
         self.columns = columns
-        self.rows = []
-        self._auto_counter = 0
         self._by_name = {col.name: col for col in columns}
         if len(self._by_name) != len(columns):
             raise ExecutionError("Duplicate column name in table %r" % name)
+        self.store = MemoryRows() if store is None else store
+        self._auto_counter = 0
         #: secondary indexes: index name -> column name
         self.indexes = {}
         #: bumped on every mutation; acts as the index consistency check
@@ -290,10 +318,15 @@ class Table(object):
             "rebuilds": 0, "incremental": 0, "restores": 0,
             "lookups": 0, "range_lookups": 0,
         }
-        #: id(current row dict) -> _RowMeta for rows with tracked history
+        #: rowid -> _RowMeta (a live row with tracked history) or
+        #: _Tombstone (a deleted row older snapshots may still see)
         self._meta = {}
-        #: _Tombstone entries: deleted rows older snapshots may still see
+        #: the tombstones, oldest first; only ever rebound or shrunk in
+        #: place, never appended to, so an overlapping scan walks a
+        #: complete statement's worth or none of it
         self._tombstones = []
+        #: bumped once per statement that removes rows
+        self._delete_epoch = 0
 
     def has_column(self, name):
         return name.lower() in self._by_name
@@ -303,6 +336,12 @@ class Table(object):
 
     def column_names(self):
         return [col.name for col in self.columns]
+
+    @property
+    def rows(self):
+        """The latest-state row images as a list (inspection and tests;
+        scans stream through :meth:`iter_rows`)."""
+        return list(self.store.rows())
 
     # -- mutation API (keeps live indexes in lockstep) --------------------
 
@@ -318,34 +357,25 @@ class Table(object):
                 self._index_stats["incremental"] += 1
 
     def _build_insert_row(self, values):
-        """Materialize the stored dict for an INSERT: type conversion
+        """Materialize the stored image for an INSERT: type conversion
         (including silent VARCHAR truncation), auto-increment, defaults
-        and NOT NULL backfills.  Returns ``(row, used_auto)``; shared by
-        every storage backend."""
-        row = {}
+        and NOT NULL backfills.  Returns ``(row, used_auto)``."""
+        row = Row()
         used_auto = None
         for col in self.columns:
+            value = None
             if col.name in values:
                 value = store_convert(
                     values[col.name], col.type_name, col.length
                 )
-            elif col.auto_increment:
-                value = None
-            elif col.default is not None:
-                value = store_convert(col.default, col.type_name, col.length)
-            else:
-                value = None
+            elif not col.auto_increment:
+                value = _absent_value(col)
             if value is None and col.auto_increment:
                 self._auto_counter += 1
                 value = self._auto_counter
                 used_auto = value
             if value is None and col.not_null:
-                if col.type_name in ("VARCHAR", "TEXT", "CHAR"):
-                    value = ""
-                elif col.type_name in ("DATETIME", "DATE"):
-                    value = "0000-00-00 00:00:00"
-                else:
-                    value = 0
+                value = _implicit_default(col)
             row[col.name] = value
             if col.auto_increment and isinstance(value, int):
                 self._auto_counter = max(self._auto_counter, value)
@@ -362,13 +392,14 @@ class Table(object):
         """
         row, used_auto = self._build_insert_row(values)
         self._check_unique(row)
+        row.rowid = self.store.new_rowid()
         # publish the pending metadata BEFORE the row becomes reachable:
         # a lock-free reader that catches the append must already find
         # the meta that marks it invisible
         if txn is not None:
-            self._meta[id(row)] = _RowMeta(None, txn, None)
+            self._meta[row.rowid] = _RowMeta(None, txn, None)
             txn.record(self, "write", row)
-        self.rows.append(row)
+        self.store.append(row, pending=txn is not None)
         self._apply_delta(lambda index: index.add(row))
         return used_auto
 
@@ -380,7 +411,7 @@ class Table(object):
         run this over every target *before* the first mutation, so a
         conflicting statement has zero partial effects and is safe to
         retry."""
-        meta = self._meta.get(id(row))
+        meta = self._meta.get(row.rowid)
         if meta is None:
             return
         if meta.owner is not None:
@@ -398,31 +429,32 @@ class Table(object):
                 % self.name
             )
 
+    def _current(self, row):
+        """The stored image of *row*'s rowid (``None`` once deleted)."""
+        rowid = getattr(row, "rowid", None)
+        return None if rowid is None else self.store.get(rowid)
+
     def update_row(self, row, updates, txn=None):
         """Install a new version of one stored row.
 
-        The stored dict is never edited in place: a fresh dict replaces
-        *row* at its position (and in every live index bucket), and the
-        superseded image is chained behind the new version's metadata so
-        pinned read views keep seeing it.  Raises
-        :class:`WriteConflictError` if another transaction owns a
-        pending version of the row.  Returns the new current dict."""
-        self.check_write(row, txn)
-        old_keys = {
-            column: sort_key(row.get(column))
-            for column in self._index_cache
-        }
-        new_row = dict(row)
-        new_row.update(updates)
-        for pos, stored in enumerate(self.rows):
-            if stored is row:
-                break
-        else:
+        The stored image is never edited in place: a fresh one replaces
+        it in the store, and the superseded image is chained behind the
+        new version's metadata so pinned read views keep seeing it.
+        Raises :class:`WriteConflictError` if another transaction owns a
+        pending version of the row.  Returns the new current image."""
+        current = self._current(row)
+        if current is None:
             raise ExecutionError(
                 "row is not stored in table '%s'" % self.name
             )
-        meta = self._meta.get(id(row))
-        if txn is not None:
+        self.check_write(current, txn)
+        new_row = current.clone()
+        new_row.update(updates)
+        rowid = new_row.rowid
+        meta = self._meta.get(rowid)
+        if txn is None:
+            self._meta.pop(rowid, None)
+        else:
             if meta is not None and meta.owner is txn:
                 # re-update inside one txn: keep the last *committed*
                 # image as the chain head, drop the intra-txn image
@@ -430,57 +462,60 @@ class Table(object):
             else:
                 begin = meta.begin if meta is not None else 0
                 prior = _RowVersion(
-                    row, begin, meta.prior if meta is not None else None
+                    current, begin, meta.prior if meta is not None else None
                 )
-            # publish the pending meta BEFORE the dict swap: a lock-free
-            # reader must never observe new_row without the metadata
-            # that marks it invisible
-            self._meta[id(new_row)] = _RowMeta(None, txn, prior)
+            # publish the pending meta BEFORE the image swap: a
+            # lock-free reader must never observe new_row without the
+            # metadata that marks it invisible
+            self._meta[rowid] = _RowMeta(None, txn, prior)
             txn.record(self, "write", new_row)
-        self.rows[pos] = new_row
-        # the superseded dict is unreachable from rows now; its entry
-        # (pending intra-txn image, or stale sealed meta) can go
-        self._meta.pop(id(row), None)
-
-        def delta(index):
-            index.remove(row, value_key=old_keys[index.column])
-            index.add(new_row)
-
-        self._apply_delta(delta)
+        self.store.replace(new_row, pending=txn is not None)
+        self._apply_delta(lambda index: index.replace(current, new_row))
         return new_row
 
-    def delete_rows(self, doomed, txn=None):
-        """Remove the given row dicts (by identity).
+    def _entomb(self, doomed, txn):
+        """Take the current images *doomed* out of the latest state.
 
-        With *txn*, each removed row becomes a pending tombstone:
-        invisible to the deleting transaction, still visible to pinned
-        snapshots until the delete seals (and to everyone if it never
-        does).  Raises :class:`WriteConflictError` — before touching
+        With *txn* each leaves a pending tombstone: invisible to the
+        deleting transaction, still visible to pinned snapshots until
+        the delete seals (and to everyone if it never does).  The order
+        is what :meth:`_iter_visible` relies on: tombstones are marked
+        in ``_meta`` and listed, *then* the epoch moves, *then* the rows
+        leave the store."""
+        if txn is None:
+            for row in doomed:
+                self._meta.pop(row.rowid, None)
+        else:
+            fresh = []
+            for row in doomed:
+                meta = self._meta.get(row.rowid)
+                if meta is None:
+                    begin, prior = 0, None
+                elif meta.owner is txn:
+                    # deleting a row this txn wrote: the pending image
+                    # was never committed, only the prior chain matters
+                    begin, prior = None, meta.prior
+                else:
+                    begin, prior = meta.begin, meta.prior
+                tomb = _Tombstone(row, begin, prior, None, txn,
+                                  self._delete_epoch)
+                self._meta[row.rowid] = tomb
+                txn.record(self, "delete", tomb)
+                fresh.append(tomb)
+            self._tombstones = self._tombstones + fresh
+            self._delete_epoch += 1
+        self.store.remove([row.rowid for row in doomed],
+                          pending=txn is not None)
+
+    def delete_rows(self, doomed, txn=None):
+        """Remove the given rows (named by rowid; ones already gone are
+        skipped).  Raises :class:`WriteConflictError` — before touching
         anything — if any target has a pending version elsewhere."""
-        doomed = list(doomed)
+        doomed = [current for current in map(self._current, doomed)
+                  if current is not None]
         for row in doomed:
             self.check_write(row, txn)
-        doomed_ids = {id(row) for row in doomed}
-        self.rows = [row for row in self.rows if id(row) not in doomed_ids]
-        fresh_tombs = []
-        for row in doomed:
-            meta = self._meta.pop(id(row), None)
-            if txn is None:
-                continue
-            if meta is not None and meta.owner is txn:
-                # deleting a row this txn wrote: the pending image was
-                # never committed, so only the prior chain matters
-                tomb = _Tombstone(row, None, meta.prior, None, txn)
-            else:
-                begin = meta.begin if meta is not None else 0
-                prior = meta.prior if meta is not None else None
-                tomb = _Tombstone(row, begin, prior, None, txn)
-            fresh_tombs.append(tomb)
-            txn.record(self, "delete", tomb)
-        if fresh_tombs:
-            # one rebind, not per-row appends: overlapping scans see all
-            # of this statement's tombstones or none of them
-            self._tombstones = self._tombstones + fresh_tombs
+        self._entomb(doomed, txn)
 
         def delta(index):
             for row in doomed:
@@ -491,21 +526,13 @@ class Table(object):
     def truncate(self, txn=None):
         """Drop every row and reset AUTO_INCREMENT (TRUNCATE TABLE)."""
         if txn is not None:
-            for row in self.rows:
+            doomed = list(self.store.rows())
+            for row in doomed:
                 self.check_write(row, txn)
-            for row in self.rows:
-                meta = self._meta.pop(id(row), None)
-                if meta is not None and meta.owner is txn:
-                    tomb = _Tombstone(row, None, meta.prior, None, txn)
-                else:
-                    begin = meta.begin if meta is not None else 0
-                    prior = meta.prior if meta is not None else None
-                    tomb = _Tombstone(row, begin, prior, None, txn)
-                self._tombstones.append(tomb)
-                txn.record(self, "delete", tomb)
+            self._entomb(doomed, txn)
         else:
-            self._meta = {}
-        self.rows = []
+            self._meta = {tomb.row.rowid: tomb for tomb in self._tombstones}
+            self.store.clear()
         self._auto_counter = 0
 
         def delta(index):
@@ -515,63 +542,76 @@ class Table(object):
         self._apply_delta(delta)
 
     def _seal_entry(self, txn, kind, payload, stamp, collect):
-        """Seal one pending entry of *txn* at commit (:func:`seal_txn`
-        dispatches here per table so backends can hook the commit
-        point).  Entries superseded later in the same transaction are
-        skipped."""
+        """Seal one pending entry of *txn* at commit and let the store
+        settle the rowid (a paged store writes the now-committed image
+        into its tree here).  Entries superseded later in the same
+        transaction are skipped: a rowid settles at its *last* entry."""
         if kind == "write":
-            meta = self._meta.get(id(payload))
-            if meta is None or meta.owner is not txn:
+            rowid = payload.rowid
+            meta = self._meta.get(rowid)
+            if (meta is None or meta.owner is not txn
+                    or self.store.get(rowid) is not payload):
                 return
             meta.begin = stamp
             meta.owner = None
             if collect:
-                del self._meta[id(payload)]
+                del self._meta[rowid]
         else:
-            tomb = payload
-            if tomb.owner is not txn:
+            if payload.owner is not txn:
                 return
-            tomb.end = stamp
-            tomb.owner = None
+            rowid = payload.row.rowid
+            payload.end = stamp
+            payload.owner = None
             if collect:
+                self._meta.pop(rowid, None)
                 try:
-                    self._tombstones.remove(tomb)
+                    self._tombstones.remove(payload)
                 except ValueError:
                     pass
+        self.store.settle(rowid)
 
     # -- ALTER TABLE support (DDL runs under the exclusive catalog lock,
     #    so no read view can be live while these reshape rows) -----------
 
-    def fill_column(self, name, fill):
-        """ALTER TABLE ADD COLUMN: give every stored row the new column.
-
-        DDL is a version-history barrier — historical images with the
-        old shape would confuse later readers — so MVCC state is reset.
-        Indexes are left stale on purpose (rebuild on next use)."""
-        for row in self.rows:
-            row[name] = fill
+    def _reshape(self, mutator):
+        """Apply *mutator* to every stored image.  DDL is a
+        version-history barrier — historical images with the old shape
+        would confuse later readers — so MVCC state is reset.  Indexes
+        are left stale on purpose (rebuild on next use)."""
         self.reset_mvcc()
+        self.store.rewrite(mutator)
         self.touch()
 
-    def strip_column(self, name):
-        """ALTER TABLE DROP COLUMN: remove the column from every row."""
-        for row in self.rows:
-            row.pop(name, None)
-        self.reset_mvcc()
-        self.touch()
+    def add_column(self, column):
+        """ALTER TABLE ADD COLUMN: existing rows get what an INSERT
+        that omits the column would have stored."""
+        self.columns.append(column)
+        self._by_name[column.name] = column
+        fill = _absent_value(column)
+
+        def fill_in(row):
+            row[column.name] = fill
+
+        self._reshape(fill_in)
+
+    def drop_column(self, name):
+        """ALTER TABLE DROP COLUMN."""
+        self.columns = [col for col in self.columns if col.name != name]
+        del self._by_name[name]
+        self._reshape(lambda row: row.pop(name, None))
 
     # -- MVCC visibility ---------------------------------------------------
 
     def reset_mvcc(self):
-        """Forget all version history and tombstones (recovery replay,
-        rollback restore, and DDL barriers: only current rows matter)."""
+        """Forget all version history and tombstones (recovery replay
+        and DDL barriers: only current rows matter).  Pending state
+        becomes plain state, so the store settles it first."""
+        self.store.settle()
         self._meta = {}
         self._tombstones = []
 
     def _visible_row(self, row, meta, view):
         """The image of *row* visible under *view*, or ``None``."""
-        if meta is None:
-            return row          # legacy/settled row: always visible
         if meta.owner is not None:
             if view.txn is not None and meta.owner is view.txn:
                 return row      # reader owns the pending version
@@ -601,22 +641,42 @@ class Table(object):
         return None
 
     def _iter_visible(self, view):
-        # the meta lookup must be per-row against the LIVE dict: a
-        # lock-free reader can overlap a writer, and a pending version
-        # installed mid-scan has to be judged by its metadata, not by
-        # whether the table happened to carry history at scan start
-        for row in self.rows:
-            meta = self._meta.get(id(row))
+        """Every row image visible under *view*, each rowid at most
+        once — also while one writer inserts, updates and deletes
+        underneath (readers take no table lock).
+
+        The store pass judges each image by the rowid's metadata, read
+        per row against the LIVE dict: a version installed mid-scan is
+        judged by its own meta, not by whether the table carried
+        history when the scan began.  A deleted row is visible through
+        exactly one of the two passes: the store iterator (taken first)
+        still walks every row removed after it was taken, and the epoch
+        (read second) splits the tombstones — one from an earlier epoch
+        had left the store before the iterator existed and is yielded by
+        the tombstone pass; a later one is yielded where the store pass
+        meets its row (or was judged as the live row it then still
+        was)."""
+        rows = self.store.rows()
+        epoch = self._delete_epoch
+        metas = self._meta
+        for row in rows:
+            meta = metas.get(row.rowid)
             if meta is None:
                 yield row
                 continue
-            visible = self._visible_row(row, meta, view)
+            if meta.__class__ is _RowMeta:
+                visible = self._visible_row(row, meta, view)
+            elif meta.epoch >= epoch:
+                visible = self._tomb_visible(meta, view)
+            else:
+                continue
             if visible is not None:
                 yield visible
         for tomb in self._tombstones:
-            visible = self._tomb_visible(tomb, view)
-            if visible is not None:
-                yield visible
+            if tomb.epoch < epoch:
+                visible = self._tomb_visible(tomb, view)
+                if visible is not None:
+                    yield visible
 
     def _index_safe_for(self, view):
         """An index only reflects *current* rows; with any pending
@@ -624,7 +684,7 @@ class Table(object):
         the full visibility scan.  The fallback is a superset of any
         index narrowing, which is safe because the planner always keeps
         the complete WHERE in a Filter above the scan."""
-        return view is None or (not self._meta and not self._tombstones)
+        return view is None or not self._meta
 
     def vacuum(self, horizon=None):
         """Garbage-collect version history no read view can need.
@@ -635,33 +695,35 @@ class Table(object):
         the horizon needs nothing at all.  Pending entries always stay.
         Returns the number of entries dropped."""
         removed = 0
-        for key in list(self._meta):
-            meta = self._meta[key]
-            if meta.owner is not None or meta.begin is None:
-                continue
-            if horizon is None or meta.begin <= horizon:
-                del self._meta[key]
-                removed += 1
         kept = []
         for tomb in self._tombstones:
             if (tomb.owner is None and tomb.end is not None
                     and (horizon is None or tomb.end <= horizon)):
+                self._meta.pop(tomb.row.rowid, None)
                 removed += 1
             else:
                 kept.append(tomb)
         self._tombstones = kept
+        for rowid, meta in list(self._meta.items()):
+            if (meta.__class__ is _RowMeta and meta.owner is None
+                    and meta.begin is not None
+                    and (horizon is None or meta.begin <= horizon)):
+                del self._meta[rowid]
+                removed += 1
         return removed
 
     def mvcc_stats(self):
         """Observability: how much version history the table carries."""
-        chains = 0
-        for meta in self._meta.values():
-            node = meta.prior
-            while node is not None:
-                chains += 1
-                node = node.prior
+        versioned = chains = 0
+        for meta in list(self._meta.values()):
+            if meta.__class__ is _RowMeta:
+                versioned += 1
+                node = meta.prior
+                while node is not None:
+                    chains += 1
+                    node = node.prior
         return {
-            "versioned_rows": len(self._meta),
+            "versioned_rows": versioned,
             "chained_images": chains,
             "tombstones": len(self._tombstones),
         }
@@ -675,24 +737,21 @@ class Table(object):
     # -- transaction snapshots --------------------------------------------
 
     def snapshot_state(self):
-        """Everything a ROLLBACK must restore: rows, the auto-increment
-        counter, the mutable schema (ALTER TABLE edits columns in place,
-        CREATE/DROP INDEX edits the index map in place), *and* the live
-        index structure — captured as positions into the row snapshot so
-        :meth:`restore_state` can rebind buckets to the restored row
-        dicts without an O(n·log n) rebuild."""
-        positions = {id(row): pos for pos, row in enumerate(self.rows)}
-        index_states = []
-        for column, index in self._index_cache.items():
-            if index.version != self.version:
-                continue    # stale — not worth carrying across the tx
-            buckets = [
-                (key, [positions[id(row)] for row in bucket])
-                for key, bucket in index.map.items()
-            ]
-            index_states.append((column, buckets, list(index.sorted_keys)))
+        """Everything a ROLLBACK must restore: row images (with their
+        rowids), the auto-increment counter, the mutable schema (ALTER
+        TABLE edits columns in place, CREATE/DROP INDEX edits the index
+        map in place), *and* the live index structure — rowid buckets,
+        which :meth:`restore_state` reinstates as they are, without an
+        O(n·log n) rebuild."""
+        index_states = [
+            (column,
+             {key: list(bucket) for key, bucket in index.map.items()},
+             list(index.sorted_keys))
+            for column, index in self._index_cache.items()
+            if index.version == self.version    # stale: not worth carrying
+        ]
         return (
-            [dict(row) for row in self.rows],
+            [row.clone() for row in self.store.rows()],
             self._auto_counter,
             list(self.columns),
             dict(self.indexes),
@@ -702,13 +761,15 @@ class Table(object):
     def restore_state(self, state):
         """Undo every mutation since :meth:`snapshot_state`.
 
-        Rows are rebuilt as fresh dicts, so any version metadata keyed
-        to the replaced dicts is meaningless: MVCC state is reset and
-        the restored rows are legacy always-visible (they were committed
-        state when the snapshot was taken)."""
+        Pending images are discarded, not settled (this is an undo);
+        the restored rows keep their rowids and are always-visible —
+        they were committed state when the snapshot was taken."""
         rows, auto, columns, indexes, index_states = state
-        self.reset_mvcc()
-        self.rows = [dict(row) for row in rows]
+        self._meta = {}
+        self._tombstones = []
+        self.store.clear()
+        for row in rows:
+            self.store.append(row.clone())
         self._auto_counter = auto
         self.columns = list(columns)
         self._by_name = {col.name: col for col in self.columns}
@@ -717,10 +778,8 @@ class Table(object):
         self._index_cache = {}
         for column, buckets, sorted_keys in index_states:
             index = _ColumnIndex(column)
-            index.map = {
-                key: [self.rows[pos] for pos in bucket]
-                for key, bucket in buckets
-            }
+            index.map = {key: list(bucket)
+                         for key, bucket in buckets.items()}
             index.sorted_keys = list(sorted_keys)
             index.version = self.version
             self._index_cache[column] = index
@@ -729,23 +788,45 @@ class Table(object):
     # -- durability (checkpoint snapshots) --------------------------------
 
     def to_dict(self):
-        """JSON-serializable full state (the checkpoint unit)."""
+        """JSON-serializable full state (the checkpoint unit): plain
+        column dicts, the same bytes whatever store holds the rows."""
         return {
             "name": self.name,
             "columns": [col.to_dict() for col in self.columns],
-            "rows": [dict(row) for row in self.rows],
+            "rows": [dict(row) for row in self.store.rows()],
             "auto_counter": self._auto_counter,
             "indexes": dict(self.indexes),
         }
 
     @classmethod
-    def from_dict(cls, data):
+    def from_dict(cls, data, store=None, adopt=False):
+        """Rebuild a table from its checkpoint entry.  With *adopt* the
+        *store* already holds the rows (a paged store re-opened onto its
+        checkpointed pages) and ``data["rows"]`` is not loaded."""
         table = cls(data["name"],
-                    [Column.from_dict(c) for c in data["columns"]])
-        table.rows = [dict(row) for row in data.get("rows", [])]
+                    [Column.from_dict(c) for c in data["columns"]], store)
         table._auto_counter = data.get("auto_counter", 0)
         table.indexes = dict(data.get("indexes", {}))
+        if not adopt:
+            table.load_rows(data.get("rows", []))
         return table
+
+    def load_rows(self, rows):
+        """Replace the content with the plain column dicts *rows*, under
+        fresh rowids (checkpoint load, page-corruption rebuild)."""
+        self._meta = {}
+        self._tombstones = []
+        self.store.clear()
+        for columns in rows:
+            row = Row(columns)
+            row.rowid = self.store.new_rowid()
+            self.store.append(row)
+        self.touch()
+
+    def dispose(self):
+        """Release what the rows occupy (DROP TABLE); a rollback of the
+        DROP reloads them from the BEGIN snapshot."""
+        self.store.clear()
 
     # -- secondary indexes ------------------------------------------------
 
@@ -769,12 +850,14 @@ class Table(object):
             )
         del self.indexes[name.lower()]
 
+    def _unique_columns(self):
+        return [col for col in self.columns
+                if col.primary_key or col.unique]
+
     def indexed_columns(self):
         """Columns reachable through an index (incl. PK/unique)."""
         columns = set(self.indexes.values())
-        for col in self.columns:
-            if col.primary_key or col.unique:
-                columns.add(col.name)
+        columns.update(col.name for col in self._unique_columns())
         return columns
 
     def _live_index(self, column):
@@ -786,9 +869,18 @@ class Table(object):
             index = _ColumnIndex(column)
             self._index_cache[column] = index
         if index.version != self.version:
-            index.build(self.rows, self.version)
+            index.build(self.store.rows(), self.version)
             self._index_stats["rebuilds"] += 1
         return index
+
+    def _fetch(self, rowids):
+        """The current images of *rowids* (a bucket is copied first:
+        the consumer may mutate the table while it iterates)."""
+        get = self.store.get
+        for rowid in tuple(rowids):
+            row = get(rowid)
+            if row is not None:
+                yield row
 
     def iter_rows(self, view=None):
         """Stored rows, lazily — the streaming scan API the plan
@@ -796,7 +888,7 @@ class Table(object):
         :class:`ReadView`, yields the row images visible at the view's
         watermark instead of latest state."""
         if view is None:
-            return iter(self.rows)
+            return self.store.rows()
         return self._iter_visible(view)
 
     def index_lookup(self, column, value, view=None):
@@ -817,7 +909,7 @@ class Table(object):
         index = self._live_index(column)
         self._index_stats["lookups"] += 1
         key = sort_key(self.convert(column, value))
-        return iter(index.map.get(key, ()))
+        return self._fetch(index.map.get(key, ()))
 
     def index_range(self, column, low=None, high=None,
                     low_inclusive=True, high_inclusive=True, view=None):
@@ -855,712 +947,282 @@ class Table(object):
         else:
             stop = len(keys)
         for key in keys[start:stop]:
-            if key[0] == _NULL_KEY[0]:
-                continue
-            for row in index.map[key]:
-                yield row
+            if key[0] != _NULL_KEY[0]:
+                yield from self._fetch(index.map[key])
 
     def index_stats(self):
         """Counters the tests use to prove maintenance is incremental."""
         return dict(self._index_stats)
 
-    def _check_unique(self, new_row, ignore_row=None):
-        """PK/UNIQUE enforcement through the live index: the folded-key
-        bucket narrows candidates, then the exact ``==`` filter keeps
-        the original (storage-representation) equality semantics."""
-        for col in self.columns:
-            if not (col.primary_key or col.unique):
-                continue
-            value = new_row.get(col.name)
+    def _unique_matches(self, values):
+        """``(column, value, row)`` for every current row holding the
+        storage-form value *values* has on a PK/UNIQUE column: the
+        folded-key bucket narrows candidates, the exact ``==`` keeps the
+        storage-representation equality semantics.  Uniqueness is a
+        property of the latest state, so pending rows from other
+        transactions participate."""
+        for col in self._unique_columns():
+            value = values.get(col.name)
             if value is None:
                 continue
-            index = self._live_index(col.name)
-            for row in index.map.get(sort_key(value), ()):
-                if row is ignore_row or row is new_row:
-                    continue
+            bucket = self._live_index(col.name).map.get(sort_key(value), ())
+            for row in self._fetch(bucket):
                 if row.get(col.name) == value:
-                    raise ExecutionError(
-                        "Duplicate entry '%s' for key '%s'"
-                        % (value, col.name),
-                        errno=1062,
-                    )
+                    yield col, value, row
+
+    def _check_unique(self, new_row):
+        """PK/UNIQUE enforcement for an image about to be inserted."""
+        for col, value, _ in self._unique_matches(new_row):
+            raise ExecutionError(
+                "Duplicate entry '%s' for key '%s'" % (value, col.name),
+                errno=1062,
+            )
 
     def unique_conflicts(self, values):
         """Current rows that collide with *values* on any PK/UNIQUE
-        column, in physical row order (REPLACE / ON DUPLICATE KEY
-        UPDATE target discovery — ODKU updates the *first* conflict).
-
-        Scans the physical row list (not a snapshot): uniqueness is a
-        property of the latest state, so pending rows from other
-        transactions participate — the first-writer-wins check is what
-        turns such a collision into a retryable conflict."""
-        keys = [c.name for c in self.columns
-                if c.primary_key or c.unique]
-        conflicts = []
-        for row in self.rows:
-            if any(
-                values.get(key) is not None
-                and row.get(key) == self.convert(key, values[key])
-                for key in keys
-            ):
-                conflicts.append(row)
-        return conflicts
+        column, in rowid order (REPLACE / ON DUPLICATE KEY UPDATE target
+        discovery — ODKU updates the *first* conflict; the
+        first-writer-wins check is what turns a collision with another
+        transaction's pending row into a retryable conflict)."""
+        stored = {col.name: self.convert(col.name, values[col.name])
+                  for col in self._unique_columns()
+                  if values.get(col.name) is not None}
+        hits = {row.rowid: row for _, _, row in self._unique_matches(stored)}
+        return [hits[rowid] for rowid in sorted(hits)]
 
     def convert(self, column_name, value):
         col = self._by_name[column_name.lower()]
         return store_convert(value, col.type_name, col.length)
 
     def row_count(self):
-        """Number of current rows (backend-agnostic ``len``)."""
-        return len(self.rows)
+        """Number of current rows."""
+        return len(self.store)
 
     def __len__(self):
-        return len(self.rows)
+        return len(self.store)
 
     def __repr__(self):
         return "Table(%r, %d cols, %d rows)" % (
-            self.name, len(self.columns), len(self.rows)
+            self.name, len(self.columns), len(self.store)
         )
 
 
-class _RowidIndex(object):
-    """A :class:`_ColumnIndex` shaped for paged tables: buckets hold
-    **rowids** instead of row dicts, because the dict for a page-resident
-    row is recreated on every reload and identity cannot anchor it."""
+class MemoryRows(object):
+    """Row store of the in-memory backend: the images in one list, in
+    rowid order, beside the list of their rowids (what :meth:`get`
+    bisects).
 
-    __slots__ = ("column", "map", "sorted_keys")
+    **The overlap rule.**  Snapshot scans take no table lock, so an
+    iterator from :meth:`rows` may be walking the list while the
+    table's one writer mutates it.  Appending and replacing touch the
+    list in place — the iterator meets the new image or not, and the
+    version metadata says what it means either way — but removing
+    *rebinds* to fresh lists: an iterator taken earlier keeps walking
+    every row that was there when it was taken, which
+    :meth:`Table._iter_visible` relies on to count a row being deleted
+    exactly once.  The two lists are published as one tuple, so a
+    reader never pairs the rowids of one generation with the rows of
+    another, and there is no dict here to catch mid-resize.
 
-    def __init__(self, column):
-        self.column = column
-        self.map = {}
-        self.sorted_keys = []
-
-    def add(self, key, rowid):
-        bucket = self.map.get(key)
-        if bucket is None:
-            self.map[key] = [rowid]
-            insort(self.sorted_keys, key)
-        else:
-            bucket.append(rowid)
-
-    def remove(self, key, rowid):
-        bucket = self.map.get(key)
-        if bucket is None:
-            return
-        try:
-            bucket.remove(rowid)
-        except ValueError:
-            return
-        if not bucket:
-            del self.map[key]
-            where = bisect_left(self.sorted_keys, key)
-            if (where < len(self.sorted_keys)
-                    and self.sorted_keys[where] == key):
-                del self.sorted_keys[where]
-
-
-class PagedTable(Table):
-    """A table whose rows live in B-tree pages behind the buffer pool.
-
-    Serves the exact same scan/mutation/MVCC API as the in-memory
-    :class:`Table` — the plan operators and the executor cannot tell
-    the backends apart — but the authoritative row store is a
-    rowid-keyed :class:`~repro.sqldb.btree.BTree` over checksummed
-    pages, so the working set is bounded by the buffer pool, not RAM.
-
-    **The anchoring invariant.**  MVCC metadata is keyed by row-dict
-    identity, but a page-resident row's dict is recreated on every
-    reload — identity cannot survive eviction.  So every row whose dict
-    identity *matters* (pending versions, and sealed versions whose
-    history a pinned view may still need) is held in ``_anchors``
-    (rowid → dict); ``_iter_pairs`` yields the anchor in place of the
-    tree's copy for those rowids, ``_deleted`` hides tree rows with a
-    pending delete, and a tree row with no anchor is by construction a
-    settled legacy row — always visible, exactly what the base class
-    assumes for rows without metadata.  Commit (:meth:`_seal_entry`)
-    writes sealed content into the tree *unconditionally* (the tree
-    must agree with the checkpoint's logical rows at recovery);
-    ``collect`` only decides whether the anchor survives for old views.
-
-    Secondary/unique indexes map sort keys to **rowids**
-    (:class:`_RowidIndex`) for the same reason, lazily rebuilt when the
-    indexed column set changes and maintained incrementally otherwise.
-
-    Rowids are monotone and assigned in insertion order, so tree order
-    == insertion order == the scan order the memory backend yields.
+    Every image is final where it is put, so ``pending`` changes
+    nothing and :meth:`settle` has nothing to do.
     """
 
-    def __init__(self, name, columns, store):
-        Table.__init__(self, name, columns)
-        self._store = store
-        self._tree = BTree(store, root=None)
+    def __init__(self):
+        self._lists = ([], [])      # (rowids, rows), parallel
         self._next_rowid = 1
-        self._row_count = 0
-        #: rowid -> row dict for rows whose identity must survive
-        self._anchors = {}
-        #: tree-resident rowids with a pending (unsealed) delete
-        self._deleted = set()
-        #: column -> _RowidIndex (lazy; None = not built)
-        self._maps = None
 
-    # -- the merged latest-state row stream -------------------------------
+    def new_rowid(self):
+        rowid = self._next_rowid
+        self._next_rowid = rowid + 1
+        return rowid
 
-    def _iter_pairs(self):
-        """``(rowid, row)`` of the latest state in rowid order: anchors
-        shadow their tree copies, pending deletes hide theirs, and
-        anchor-only rowids (pending inserts) merge in order."""
-        anchor_ids = sorted(self._anchors)
-        ai = 0
+    def __len__(self):
+        return len(self._lists[0])
+
+    def rows(self):
+        return iter(self._lists[1])
+
+    def get(self, rowid):
+        rowids, rows = self._lists
+        at = bisect_left(rowids, rowid)
+        if at < len(rowids) and rowids[at] == rowid:
+            return rows[at]
+        return None
+
+    def append(self, row, pending=False):
+        """Store a row whose rowid is above every one stored."""
+        rowids, rows = self._lists
+        rows.append(row)        # rows first: a rowid always has its row
+        rowids.append(row.rowid)
+
+    def replace(self, row, pending=False):
+        rowids, rows = self._lists
+        at = bisect_left(rowids, row.rowid)
+        if at < len(rowids) and rowids[at] == row.rowid:
+            rows[at] = row
+
+    def remove(self, rowids, pending=False):
+        old_ids, old_rows = self._lists
+        new_ids, new_rows = [], []
+        start = 0
+        for rowid in sorted(rowids):
+            at = bisect_left(old_ids, rowid, start)
+            if at < len(old_ids) and old_ids[at] == rowid:
+                new_ids += old_ids[start:at]
+                new_rows += old_rows[start:at]
+                start = at + 1
+        new_ids += old_ids[start:]
+        new_rows += old_rows[start:]
+        self._lists = (new_ids, new_rows)
+
+    def settle(self, rowid=None):
+        pass
+
+    def rewrite(self, mutator):
+        for row in self._lists[1]:
+            mutator(row)
+
+    def clear(self):
+        self._lists = ([], [])
+
+
+class PagedRows(object):
+    """Row store of the paged backend: the images in a rowid-keyed
+    :class:`~repro.sqldb.btree.BTree` over checksummed pages, so the
+    working set is bounded by the buffer pool, not RAM.  Tree order ==
+    rowid order == the scan order :class:`MemoryRows` yields.
+
+    **The pending-overlay rule.**  An image stored — or a removal made —
+    with ``pending=True`` belongs to an open transaction and must not
+    reach a page: the pages have to agree with the committed rows the
+    checkpoint describes, whatever moment a crash picks.  It waits in
+    ``_pending`` (rowid → image, or ``None`` for a removal), where
+    :meth:`get` and :meth:`rows` see it in place of the tree's copy, and
+    moves into the tree when the table seals it (:meth:`settle`).
+    :meth:`clear` drops it unwritten — that is the rollback.
+    """
+
+    def __init__(self, page_store, meta=None):
+        """*meta* is a persisted :meth:`pages_meta`: re-open onto the
+        existing pages instead of starting an empty tree."""
+        meta = meta or {}
+        self._page_store = page_store
+        self._tree = BTree(page_store, root=meta.get("root"))
+        self._next_rowid = meta.get("next_rowid", 1)
+        self._count = meta.get("count", 0)
+        self._pending = {}
+
+    def new_rowid(self):
+        rowid = self._next_rowid
+        self._next_rowid = rowid + 1
+        return rowid
+
+    def __len__(self):
+        return self._count
+
+    def rows(self):
+        pending = self._pending
+        waiting = sorted(pending)
+        waiting.append(sys.maxsize)     # sentinel: nothing pending beyond
+        at = 0
+        head = waiting[0]
         for rowid, row in self._tree.items():
-            while ai < len(anchor_ids) and anchor_ids[ai] < rowid:
-                pending = anchor_ids[ai]
-                ai += 1
-                yield pending, self._anchors[pending]
-            if ai < len(anchor_ids) and anchor_ids[ai] == rowid:
-                ai += 1
-                yield rowid, self._anchors[rowid]
-                continue
-            if rowid in self._deleted:
-                continue
-            yield rowid, row
-        while ai < len(anchor_ids):
-            pending = anchor_ids[ai]
-            ai += 1
-            yield pending, self._anchors[pending]
+            if rowid >= head:
+                while head < rowid:     # pending rows not in the tree yet
+                    if pending[head] is not None:
+                        yield pending[head]
+                    at += 1
+                    head = waiting[at]
+                if head == rowid:       # the pending image shadows this one
+                    row = pending[rowid]
+                    at += 1
+                    head = waiting[at]
+                    if row is None:
+                        continue
+            yield row
+        for rowid in waiting[at:-1]:
+            if pending[rowid] is not None:
+                yield pending[rowid]
 
-    def _fetch_row(self, rowid):
-        """The current dict for *rowid*, or ``None`` if gone/hidden."""
-        row = self._anchors.get(rowid)
-        if row is not None:
-            return row
-        if rowid in self._deleted:
-            return None
+    def get(self, rowid):
+        if rowid in self._pending:
+            return self._pending[rowid]
         return self._tree.get(rowid)
 
-    def iter_rows(self, view=None):
-        if view is None:
-            return (row for _, row in self._iter_pairs())
-        return self._iter_visible(view)
+    def append(self, row, pending=False):
+        """Store a row whose rowid is above every one stored."""
+        self.replace(row, pending)
+        self._count += 1
 
-    def _iter_visible(self, view):
-        for _, row in self._iter_pairs():
-            meta = self._meta.get(id(row))
-            if meta is None:
-                yield row
-                continue
-            visible = self._visible_row(row, meta, view)
-            if visible is not None:
-                yield visible
-        for tomb in self._tombstones:
-            visible = self._tomb_visible(tomb, view)
-            if visible is not None:
-                yield visible
-
-    # -- rowid-bucket secondary indexes -----------------------------------
-
-    def _live_maps(self):
-        needed = self.indexed_columns()
-        if self._maps is None or set(self._maps) != needed:
-            maps = {column: _RowidIndex(column) for column in needed}
-            for rowid, row in self._iter_pairs():
-                for column, index in maps.items():
-                    index.add(sort_key(row.get(column)), rowid)
-            self._maps = maps
-            self._index_stats["rebuilds"] += 1
-        return self._maps
-
-    def _maps_add(self, row, rowid):
-        if self._maps is None:
-            return
-        for column, index in self._maps.items():
-            index.add(sort_key(row.get(column)), rowid)
-
-    def _maps_remove(self, row, rowid):
-        if self._maps is None:
-            return
-        for column, index in self._maps.items():
-            index.remove(sort_key(row.get(column)), rowid)
-
-    def _maps_replace(self, old_row, new_row, rowid):
-        if self._maps is None:
-            return
-        for column, index in self._maps.items():
-            old_key = sort_key(old_row.get(column))
-            new_key = sort_key(new_row.get(column))
-            if old_key == new_key:
-                continue
-            index.remove(old_key, rowid)
-            index.add(new_key, rowid)
-
-    # -- mutations ---------------------------------------------------------
-
-    def insert(self, values, txn=None):
-        row, used_auto = self._build_insert_row(values)
-        self._check_unique(row)
-        rowid = self._next_rowid
-        self._next_rowid += 1
-        row[ROWID_KEY] = rowid
-        if txn is not None:
-            # pending: anchored + invisible until the txn seals (the
-            # meta is published with the anchor, same ordering rule as
-            # the base class)
-            self._meta[id(row)] = _RowMeta(None, txn, None)
-            txn.record(self, "write", row)
-            self._anchors[rowid] = row
+    def replace(self, row, pending=False):
+        if pending:
+            self._pending[row.rowid] = row
         else:
-            self._tree.put(rowid, row)
-        self._maps_add(row, rowid)
-        self._row_count += 1
-        self.version += 1
-        return used_auto
+            self._pending.pop(row.rowid, None)
+            self._tree.put(row.rowid, row)
 
-    def update_row(self, row, updates, txn=None):
-        rowid = row.get(ROWID_KEY)
-        if rowid is None:
-            raise ExecutionError(
-                "row is not stored in table '%s'" % self.name
-            )
-        current = self._anchors.get(rowid)
-        if current is None:
-            if rowid in self._deleted or not self._tree.contains(rowid):
-                raise ExecutionError(
-                    "row is not stored in table '%s'" % self.name
-                )
-            current = row
-        self.check_write(current, txn)
-        new_row = dict(current)
-        new_row.update(updates)
-        new_row[ROWID_KEY] = rowid
-        meta = self._meta.get(id(current))
-        if txn is not None:
-            if meta is not None and meta.owner is txn:
-                # re-update inside one txn: keep the last *committed*
-                # image as the chain head, drop the intra-txn image
-                prior = meta.prior
+    def remove(self, rowids, pending=False):
+        for rowid in rowids:
+            if pending:
+                self._pending[rowid] = None
             else:
-                begin = meta.begin if meta is not None else 0
-                prior = _RowVersion(
-                    current, begin,
-                    meta.prior if meta is not None else None,
-                )
-            self._meta[id(new_row)] = _RowMeta(None, txn, prior)
-            txn.record(self, "write", new_row)
-            self._anchors[rowid] = new_row
-            self._meta.pop(id(current), None)
-        else:
-            self._anchors.pop(rowid, None)
-            self._meta.pop(id(current), None)
-            self._tree.put(rowid, new_row)
-        self._maps_replace(current, new_row, rowid)
-        self.version += 1
-        return new_row
+                self._pending.pop(rowid, None)
+                self._tree.delete(rowid)
+            self._count -= 1
 
-    def delete_rows(self, doomed, txn=None):
-        doomed = list(doomed)
-        for row in doomed:
-            self.check_write(row, txn)
-        fresh_tombs = []
-        for row in doomed:
-            rowid = row.get(ROWID_KEY)
-            if rowid is None:
-                continue
-            current = self._anchors.get(rowid)
-            in_tree = (rowid not in self._deleted
-                       and self._tree.contains(rowid))
-            if current is None and not in_tree:
-                continue
-            if current is None:
-                current = row
-            meta = self._meta.pop(id(current), None)
-            self._anchors.pop(rowid, None)
-            if txn is not None:
-                if meta is not None and meta.owner is txn:
-                    tomb = _Tombstone(current, None, meta.prior, None, txn)
-                else:
-                    begin = meta.begin if meta is not None else 0
-                    prior = meta.prior if meta is not None else None
-                    tomb = _Tombstone(current, begin, prior, None, txn)
-                fresh_tombs.append(tomb)
-                txn.record(self, "delete", tomb)
-                if in_tree:
-                    self._deleted.add(rowid)
-            else:
-                if in_tree:
-                    self._tree.delete(rowid)
-            self._maps_remove(current, rowid)
-            self._row_count -= 1
-        if fresh_tombs:
-            self._tombstones = self._tombstones + fresh_tombs
-        self.version += 1
-
-    def truncate(self, txn=None):
-        pairs = list(self._iter_pairs())
-        if txn is not None:
-            for _, row in pairs:
-                self.check_write(row, txn)
-            for rowid, row in pairs:
-                meta = self._meta.pop(id(row), None)
-                if meta is not None and meta.owner is txn:
-                    tomb = _Tombstone(row, None, meta.prior, None, txn)
-                else:
-                    begin = meta.begin if meta is not None else 0
-                    prior = meta.prior if meta is not None else None
-                    tomb = _Tombstone(row, begin, prior, None, txn)
-                self._tombstones.append(tomb)
-                txn.record(self, "delete", tomb)
-                self._anchors.pop(rowid, None)
-                if self._tree.contains(rowid):
-                    self._deleted.add(rowid)
-        else:
-            self._meta = {}
-            self._anchors = {}
-            self._deleted = set()
-            self._tree.clear()
-        self._auto_counter = 0
-        self._row_count = 0
-        self._maps = None
-        self.version += 1
-
-    def _seal_entry(self, txn, kind, payload, stamp, collect):
-        """Commit hook: sealed row content goes into the tree **always**
-        — the pages must agree with the checkpoint's logical rows at
-        recovery — while ``collect`` only decides whether the anchor
-        (identity for old views) survives."""
-        if kind == "write":
-            meta = self._meta.get(id(payload))
-            live = meta is not None and meta.owner is txn
-            Table._seal_entry(self, txn, kind, payload, stamp, collect)
-            if not live:
-                return      # superseded later in the same txn
-            rowid = payload.get(ROWID_KEY)
-            if rowid is not None and self._anchors.get(rowid) is payload:
-                self._tree.put(rowid, payload)
-                if collect:
-                    del self._anchors[rowid]
-        else:
-            tomb = payload
-            live = tomb.owner is txn
-            Table._seal_entry(self, txn, kind, payload, stamp, collect)
-            if not live:
+    def settle(self, rowid=None):
+        """Write what is pending for *rowid* (everything, without one)
+        into the tree: images first, then removals."""
+        if rowid is not None:
+            if rowid not in self._pending:
                 return
-            rowid = tomb.row.get(ROWID_KEY)
-            if rowid is not None and rowid in self._deleted:
-                self._deleted.discard(rowid)
+            pending = {rowid: self._pending.pop(rowid)}
+        else:
+            pending, self._pending = self._pending, {}
+        for rowid in sorted(pending):
+            if pending[rowid] is not None:
+                self._tree.put(rowid, pending[rowid])
+        for rowid in sorted(pending):
+            if pending[rowid] is None:
                 self._tree.delete(rowid)
 
-    # -- MVCC lifecycle ----------------------------------------------------
-
-    def reset_mvcc(self):
-        """Pending state becomes plain state (same semantics as the base:
-        clearing the metadata makes pending rows visible) — so anchors
-        flush into the tree and pending deletes apply, *then* the
-        metadata is dropped."""
-        for rowid in sorted(self._anchors):
-            self._tree.put(rowid, self._anchors[rowid])
-        for rowid in sorted(self._deleted):
-            self._tree.delete(rowid)
-        self._anchors = {}
-        self._deleted = set()
-        Table.reset_mvcc(self)
-
-    def vacuum(self, horizon=None):
-        removed = Table.vacuum(self, horizon)
-        # an anchor whose metadata was just collected has settled: its
-        # content is already in the tree (written at seal), so the tree
-        # copy takes over and the anchor can go
-        for rowid in list(self._anchors):
-            if id(self._anchors[rowid]) not in self._meta:
-                del self._anchors[rowid]
-        return removed
-
-    # -- ALTER TABLE -------------------------------------------------------
-
-    def fill_column(self, name, fill):
-        self.reset_mvcc()
-
-        def mutator(row):
-            row[name] = fill
-
+    def rewrite(self, mutator):
+        """Apply *mutator* to every image in place; the caller has
+        settled the overlay."""
         self._tree.update_rows(mutator)
-        self._maps = None
-        self.touch()
 
-    def strip_column(self, name):
-        self.reset_mvcc()
-
-        def mutator(row):
-            row.pop(name, None)
-
-        self._tree.update_rows(mutator)
-        self._maps = None
-        self.touch()
-
-    # -- transaction snapshots ---------------------------------------------
-
-    def snapshot_state(self):
-        """Same 5-tuple shape as the base (``Session.rollback`` inspects
-        columns/indexes at fixed positions); rows keep their rowids so
-        the restore can rebuild the tree with identity-equivalent keys."""
-        rows = []
-        for rowid, row in self._iter_pairs():
-            copy = dict(row)
-            copy[ROWID_KEY] = rowid
-            rows.append(copy)
-        return (
-            rows,
-            self._auto_counter,
-            list(self.columns),
-            dict(self.indexes),
-            [],
-        )
-
-    def restore_state(self, state):
-        rows, auto, columns, indexes, _index_states = state
-        # discard the overlay WITHOUT flushing (this is an undo, not a
-        # settle), then rebuild the tree from the snapshot
-        self._meta = {}
-        self._tombstones = []
-        self._anchors = {}
-        self._deleted = set()
+    def clear(self):
+        """Free every page; idempotent."""
+        self._pending = {}
         self._tree.clear()
-        self._auto_counter = auto
-        self.columns = list(columns)
-        self._by_name = {col.name: col for col in self.columns}
-        self.indexes = dict(indexes)
-        self._row_count = 0
-        next_rowid = self._next_rowid
-        for row in rows:
-            row = dict(row)
-            rowid = row.get(ROWID_KEY)
-            if rowid is None:
-                rowid = next_rowid
-                row[ROWID_KEY] = rowid
-            self._tree.put(rowid, row)
-            self._row_count += 1
-            next_rowid = max(next_rowid, rowid + 1)
-        self._next_rowid = max(self._next_rowid, next_rowid)
-        self._maps = None
-        self.version += 1
+        self._count = 0
 
-    # -- durability --------------------------------------------------------
-
-    def to_dict(self):
-        """Logical rows with the rowid marker stripped: digests and
-        checkpoint bodies are backend-agnostic (a paged table and a
-        memory table with the same content serialize identically)."""
-        rows = []
-        for _, row in self._iter_pairs():
-            rows.append({key: value for key, value in row.items()
-                         if key != ROWID_KEY})
-        return {
-            "name": self.name,
-            "columns": [col.to_dict() for col in self.columns],
-            "rows": rows,
-            "auto_counter": self._auto_counter,
-            "indexes": dict(self.indexes),
-        }
+    # -- what the checkpoint, recovery and the scrubber need --------------
 
     def pages_meta(self):
         """The physical bootstrap the checkpoint persists per table."""
         return {
             "root": self._tree.root,
             "next_rowid": self._next_rowid,
-            "count": self._row_count,
+            "count": self._count,
         }
 
-    @classmethod
-    def open(cls, data, store, meta):
-        """Re-open a table onto its existing pages (*data* is the
-        logical checkpoint entry, *meta* the persisted ``pages_meta``)."""
-        table = cls(data["name"],
-                    [Column.from_dict(c) for c in data["columns"]],
-                    store)
-        table._auto_counter = data.get("auto_counter", 0)
-        table.indexes = dict(data.get("indexes", {}))
-        root = meta.get("root")
-        table._tree.root = root if root is not None else None
-        table._next_rowid = meta.get("next_rowid", 1)
-        table._row_count = meta.get("count", 0)
-        return table
-
-    @classmethod
-    def from_rows(cls, data, store):
-        """Build a table (and fresh pages) from a logical checkpoint
-        entry — the bootstrap path and the corruption-repair fallback."""
-        table = cls(data["name"],
-                    [Column.from_dict(c) for c in data["columns"]],
-                    store)
-        table._auto_counter = data.get("auto_counter", 0)
-        table.indexes = dict(data.get("indexes", {}))
-        table.load_rows(data.get("rows", []))
-        return table
-
-    def load_rows(self, rows):
-        """Replace the tree content with *rows* (fresh rowids)."""
-        self._meta = {}
-        self._tombstones = []
-        self._anchors = {}
-        self._deleted = set()
-        self._tree.clear()
-        self._row_count = 0
-        for row in rows:
-            row = dict(row)
-            rowid = self._next_rowid
-            self._next_rowid += 1
-            row[ROWID_KEY] = rowid
-            self._tree.put(rowid, row)
-            self._row_count += 1
-        self._maps = None
-        self.version += 1
-
     def verify_scan(self):
-        """Walk every row (faulting every page through its checksum);
-        raises :class:`~repro.sqldb.errors.PageCorruptionError` on
-        damage.  Returns the number of rows seen and re-syncs the
-        persisted row count (the count is advisory, the tree is the
-        authority)."""
-        # fault every tree page (interiors included — a leaf-chain walk
-        # alone would miss a damaged interior off the leftmost path)
+        """Fault every page of the tree through its checksum (interiors
+        included — a leaf-chain walk alone would miss a damaged interior
+        off the leftmost path) and walk every row; raises
+        :class:`~repro.sqldb.errors.PageCorruptionError` on damage.
+        Returns the number of rows seen and re-syncs the persisted row
+        count (the count is advisory, the tree is the authority)."""
         for page_no in self._tree.pages():
-            self._store.pool.fetch(page_no)
-        count = 0
-        for _ in self._iter_pairs():
-            count += 1
-        self._row_count = count
-        return count
+            self._page_store.pool.fetch(page_no)
+        self._count = sum(1 for _ in self.rows())
+        return self._count
 
     def pages(self):
-        """Page numbers this table's tree occupies (scrubber scan set)."""
+        """Page numbers the tree occupies (scrubber scan set)."""
         return self._tree.pages()
-
-    def dispose(self):
-        """Free every page (DROP TABLE)."""
-        self._anchors = {}
-        self._deleted = set()
-        self._maps = None
-        self._tree.clear()
-        self._row_count = 0
-
-    # -- index access ------------------------------------------------------
-
-    def index_lookup_iter(self, column, value, view=None):
-        if not self._index_safe_for(view):
-            return self._iter_visible(view)
-        column = column.lower()
-        key = sort_key(self.convert(column, value))
-        maps = self._live_maps()
-        index = maps.get(column)
-        if index is None:
-            # not an indexed column: filter the scan (same result set
-            # as the base class's build-on-demand index)
-            return (row for _, row in self._iter_pairs()
-                    if sort_key(row.get(column)) == key)
-        self._index_stats["lookups"] += 1
-        rowids = list(index.map.get(key, ()))
-        return (row for row in map(self._fetch_row, rowids)
-                if row is not None)
-
-    def index_range_iter(self, column, low=None, high=None,
-                         low_inclusive=True, high_inclusive=True,
-                         view=None):
-        if not self._index_safe_for(view):
-            yield from self._iter_visible(view)
-            return
-        column = column.lower()
-        maps = self._live_maps()
-        index = maps.get(column)
-        if index is None:
-            yield from Table.index_range_iter(
-                self, column, low, high, low_inclusive, high_inclusive,
-                view=view,
-            )
-            return
-        self._index_stats["range_lookups"] += 1
-        keys = index.sorted_keys
-        if low is not None:
-            low_key = sort_key(self.convert(column, low))
-            start = (bisect_left(keys, low_key) if low_inclusive
-                     else bisect_right(keys, low_key))
-        else:
-            start = bisect_right(keys, _NULL_KEY)
-        if high is not None:
-            high_key = sort_key(self.convert(column, high))
-            stop = (bisect_right(keys, high_key) if high_inclusive
-                    else bisect_left(keys, high_key))
-        else:
-            stop = len(keys)
-        for key in keys[start:stop]:
-            if key[0] == _NULL_KEY[0]:
-                continue
-            for rowid in list(index.map[key]):
-                row = self._fetch_row(rowid)
-                if row is not None:
-                    yield row
-
-    def _check_unique(self, new_row, ignore_row=None):
-        ignore_rowid = None
-        if ignore_row is not None:
-            ignore_rowid = ignore_row.get(ROWID_KEY)
-        own_rowid = new_row.get(ROWID_KEY)
-        for col in self.columns:
-            if not (col.primary_key or col.unique):
-                continue
-            value = new_row.get(col.name)
-            if value is None:
-                continue
-            index = self._live_maps().get(col.name)
-            if index is None:
-                continue
-            for rowid in list(index.map.get(sort_key(value), ())):
-                if rowid == ignore_rowid or rowid == own_rowid:
-                    continue
-                row = self._fetch_row(rowid)
-                if row is None or row is new_row or row is ignore_row:
-                    continue
-                if row.get(col.name) == value:
-                    raise ExecutionError(
-                        "Duplicate entry '%s' for key '%s'"
-                        % (value, col.name),
-                        errno=1062,
-                    )
-
-    def unique_conflicts(self, values):
-        hits = set()
-        for col in self.columns:
-            if not (col.primary_key or col.unique):
-                continue
-            value = values.get(col.name)
-            if value is None:
-                continue
-            value = self.convert(col.name, value)
-            index = self._live_maps().get(col.name)
-            if index is None:
-                continue
-            for rowid in index.map.get(sort_key(value), ()):
-                row = self._fetch_row(rowid)
-                if row is not None and row.get(col.name) == value:
-                    hits.add(rowid)
-        # ascending rowid == insertion order == the base class's
-        # physical row order (ODKU updates the first conflict)
-        conflicts = []
-        for rowid in sorted(hits):
-            row = self._fetch_row(rowid)
-            if row is not None:
-                conflicts.append(row)
-        return conflicts
-
-    # -- misc --------------------------------------------------------------
-
-    def row_count(self):
-        return self._row_count
-
-    def __len__(self):
-        return self._row_count
-
-    def __repr__(self):
-        return "PagedTable(%r, %d cols, %d rows)" % (
-            self.name, len(self.columns), self._row_count
-        )
 
 
 class ResultSet(object):

@@ -57,7 +57,7 @@ class TestReplicaFedRepair(object):
         replica_set.tick(2 * replica_set.heartbeat_interval)
         golden = state_digest(primary)
 
-        page_no = sorted(primary.tables["items"].pages())[0]
+        page_no = sorted(primary.tables["items"].store.pages())[0]
         break_local_sources(replica_set, primary, page_no)
         assert scrub_full_pass(primary) == 1
 
@@ -82,7 +82,7 @@ class TestReplicaFedRepair(object):
         # primary's durable frontier
         conn.query_or_raise("INSERT INTO items (name) VALUES ('late')")
         golden = state_digest(primary)
-        page_no = sorted(primary.tables["items"].pages())[0]
+        page_no = sorted(primary.tables["items"].store.pages())[0]
         break_local_sources(replica_set, primary, page_no)
         scrub_full_pass(primary)
 

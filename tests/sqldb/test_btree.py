@@ -1,9 +1,11 @@
 """The rowid-keyed B-tree over buffer-pool pages: ordering, byte-budget
 splits, lazy deletes and the corruption-tolerant page walk."""
 
+import json
+
 import pytest
 
-from repro.sqldb.btree import BTree, ROWID_KEY, decode_node, encode_node
+from repro.sqldb.btree import BTree, Row, decode_node, encode_node
 from repro.sqldb.errors import PageCorruptionError
 from repro.sqldb.pager import PageStore, flip_page_bit
 
@@ -21,15 +23,17 @@ def fill(tree, count, payload="row-%04d"):
 
 class TestNodeCodec(object):
     def test_leaf_round_trip_reattaches_rowids(self):
-        node = {"t": "L", "k": [3, 7],
-                "r": [{"v": "a", ROWID_KEY: 3}, {"v": "b", ROWID_KEY: 7}],
-                "n": 0}
+        rows = [Row(v="a"), Row(v="b")]
+        rows[0].rowid, rows[1].rowid = 3, 7
+        node = {"t": "L", "k": [3, 7], "r": rows, "n": 0}
         decoded = decode_node(encode_node(node))
         assert decoded["k"] == [3, 7]
-        assert decoded["r"][0] == {"v": "a", ROWID_KEY: 3}
-        assert decoded["r"][1][ROWID_KEY] == 7
-        # the serialized form itself never carries the marker
-        assert ROWID_KEY not in encode_node(node).decode("utf-8")
+        assert decoded["r"] == [{"v": "a"}, {"v": "b"}]
+        assert [row.rowid for row in decoded["r"]] == [3, 7]
+        # the rowid rides beside the columns: never a key, never in
+        # the serialized form
+        assert json.loads(encode_node(node))["r"] == [{"v": "a"},
+                                                      {"v": "b"}]
 
     def test_interior_round_trip(self):
         node = {"t": "I", "k": [10, 20], "c": [1, 2, 3]}

@@ -68,7 +68,7 @@ class TestScrubRepairChain(object):
         return db
 
     def _corrupt_live_page(self, db, tmp_path, name="db"):
-        page_no = sorted(db.tables["t"].pages())[0]
+        page_no = sorted(db.tables["t"].store.pages())[0]
         pager_mod.flip_page_bit(str(tmp_path / name), page_no, 333,
                                 page_size=512)
         return page_no
@@ -156,7 +156,7 @@ class TestRecoveryTimeRebuildFallback(object):
                    % (i, i))
         db.checkpoint()
         golden = state_digest(db)
-        pages = sorted(db.tables["t"].pages())
+        pages = sorted(db.tables["t"].store.pages())
         db.close()
         pager_mod.flip_page_bit(str(tmp_path / "db"), pages[0], 333,
                                 page_size=512)

@@ -1,6 +1,10 @@
-"""The paged backend behind the scan APIs: memory/paged parity, MVCC
-across evictions, pin discipline under a tiny pool, recovery round
-trips and the buffer-pool accounting surfaced through Septic.status().
+"""What only the paged row store has: whole-workload parity with the
+in-memory store under eviction, the pending overlay, pin discipline
+under a tiny pool, recovery round trips and the buffer-pool accounting
+surfaced through Septic.status().  Behaviour the two stores share —
+MVCC, indexes, transactions — is tested once, on both, by the
+``...Paged`` twins in test_storage / test_mvcc / test_index_maintenance
+/ test_transactions_indexes.
 """
 
 import json
@@ -8,13 +12,13 @@ import random
 
 import pytest
 
-from repro.benchlab.crashsweep import state_digest, verify_paged_consistency
+from repro.benchlab.crashsweep import state_digest, verify_index_consistency
 from repro.core.septic import Septic
 from repro.sqldb.connection import Connection
 from repro.sqldb.engine import Database
 from repro.sqldb.errors import PagerError
 from repro.sqldb.pager import PageStore
-from repro.sqldb.storage import PagedTable
+from repro.sqldb.storage import PagedRows
 
 
 def paged_db(tmp_path, name="paged", **kwargs):
@@ -59,7 +63,7 @@ class TestParityWithMemoryBackend(object):
             got = paged.run(probe)[0].result_set.rows
             assert got == expected, probe
         assert state_digest(paged) == state_digest(memory)
-        assert verify_paged_consistency(paged) == []
+        assert verify_index_consistency(paged) == []
         # the workload was actually big enough to exercise eviction
         stats = paged.storage_stats()
         assert stats["evictions"] > 0
@@ -67,69 +71,55 @@ class TestParityWithMemoryBackend(object):
         memory.close()
         paged.close()
 
-    def test_transactions_and_rollback_parity(self, tmp_path):
-        memory = Database.recover(str(tmp_path / "mem"), seed=1)
-        paged = paged_db(tmp_path)
-        script = (
-            "CREATE TABLE a (id INT PRIMARY KEY, v INT); "
-            "INSERT INTO a (id, v) VALUES (1, 10), (2, 20); "
-            "BEGIN; UPDATE a SET v = 99 WHERE id = 1; ROLLBACK; "
-            "BEGIN; UPDATE a SET v = 77 WHERE id = 2; COMMIT"
-        )
-        for db in (memory, paged):
-            Connection(db, multi_statements=True).multi_query(script)
-        assert (paged.run("SELECT id, v FROM a ORDER BY id")[0]
-                .result_set.rows
-                == memory.run("SELECT id, v FROM a ORDER BY id")[0]
-                .result_set.rows)
-        memory.close()
-        paged.close()
 
+class TestPendingOverlay(object):
+    """An open transaction's images and removals wait beside the tree:
+    no page — resident, spilled or checkpointed — holds one before the
+    transaction seals, and a rollback leaves the pages as they were."""
 
-class TestMvccAcrossEvictions(object):
-    def test_snapshot_survives_pool_churn(self, tmp_path):
-        """The MVCC regression the ISSUE pins: a transaction's snapshot
-        must hold even after every page it read has been evicted and
-        reloaded underneath it."""
-        db = paged_db(tmp_path)
-        db.seed("CREATE TABLE accounts (id INT PRIMARY KEY, bal INT); "
-                "INSERT INTO accounts (id, bal) VALUES (1, 100), (2, 100)")
-        a, b = Connection(db), Connection(db)
-        a.begin()
-        assert a.query_or_raise(
-            "SELECT bal FROM accounts WHERE id = 1"
-        ).result_set.scalar() == 100
-        b.query_or_raise("UPDATE accounts SET bal = 55 WHERE id = 1")
-        # churn the 4-frame pool far past capacity
-        db.run("CREATE TABLE filler (k INT, pad VARCHAR(30))")
-        for i in range(120):
-            db.run("INSERT INTO filler (k, pad) VALUES (%d, '%s')"
-                   % (i, "x" * 20))
-        assert db.storage_stats()["evictions"] > 0
-        assert a.query_or_raise(
-            "SELECT bal FROM accounts WHERE id = 1"
-        ).result_set.scalar() == 100, "snapshot torn by eviction"
-        a.commit()
-        assert a.query_or_raise(
-            "SELECT bal FROM accounts WHERE id = 1"
-        ).result_set.scalar() == 55
+    storage = "paged"
+
+    @pytest.fixture
+    def open_transaction(self, backend):
+        db = backend.database(
+            "CREATE TABLE accounts (id INT PRIMARY KEY, bal INT); "
+            "INSERT INTO accounts (id, bal) VALUES (1, 100), (2, 100)")
+        conn = Connection(db)
+        conn.begin()
+        conn.query_or_raise("UPDATE accounts SET bal = 7 WHERE id = 1")
+        conn.query_or_raise("INSERT INTO accounts (id, bal) VALUES (3, 5)")
+        conn.query_or_raise("DELETE FROM accounts WHERE id = 2")
+        # push every frame out: what the pages hold is now what a crash
+        # would find in the spill/home files
+        backend.churn(db)
+        return db, conn
+
+    @staticmethod
+    def _in_pages(db):
+        tree = db.table("accounts").store._tree
+        return [(row["id"], row["bal"]) for _rowid, row in tree.items()]
+
+    @staticmethod
+    def _latest(db):
+        return [(row["id"], row["bal"])
+                for row in db.table("accounts").iter_rows()]
+
+    def test_pending_images_reach_pages_only_at_commit(self,
+                                                       open_transaction):
+        db, conn = open_transaction
+        assert self._in_pages(db) == [(1, 100), (2, 100)]
+        assert self._latest(db) == [(1, 7), (3, 5)]
+        assert len(db.table("accounts")) == 2
+        conn.commit()
+        assert self._in_pages(db) == self._latest(db) == [(1, 7), (3, 5)]
         db.close()
 
-    def test_own_pending_writes_visible_after_churn(self, tmp_path):
-        db = paged_db(tmp_path)
-        db.seed("CREATE TABLE accounts (id INT PRIMARY KEY, bal INT); "
-                "INSERT INTO accounts (id, bal) VALUES (1, 100)")
-        a = Connection(db)
-        a.begin()
-        a.query_or_raise("UPDATE accounts SET bal = 7 WHERE id = 1")
-        db.run("CREATE TABLE filler (k INT, pad VARCHAR(30))")
-        for i in range(120):
-            db.run("INSERT INTO filler (k, pad) VALUES (%d, '%s')"
-                   % (i, "y" * 20))
-        assert a.query_or_raise(
-            "SELECT bal FROM accounts WHERE id = 1"
-        ).result_set.scalar() == 7
-        a.commit()
+    def test_rollback_leaves_the_pages_alone(self, open_transaction):
+        db, conn = open_transaction
+        conn.rollback()
+        assert self._in_pages(db) == self._latest(db) \
+            == [(1, 100), (2, 100)]
+        assert verify_index_consistency(db) == []
         db.close()
 
 
@@ -214,11 +204,11 @@ class TestRecoveryRoundTrip(object):
         db.close()
         recovered = paged_db(tmp_path)
         assert state_digest(recovered) == golden
-        assert isinstance(recovered.tables["t"], PagedTable)
+        assert isinstance(recovered.tables["t"].store, PagedRows)
         assert recovered.run(
             "SELECT COUNT(*) FROM t WHERE qty = 4242"
         )[0].result_set.scalar() == 1
-        assert verify_paged_consistency(recovered) == []
+        assert verify_index_consistency(recovered) == []
         recovered.close()
 
     def test_reopen_into_memory_backend_reads_the_same_wal(self, tmp_path):

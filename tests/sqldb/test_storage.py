@@ -1,13 +1,16 @@
-"""Direct tests for the storage engine (Table/Column/ResultSet)."""
+"""Direct tests for the storage engine (Table/Column/ResultSet), on
+both row stores (see ``conftest.backend``)."""
 
 import pytest
 
+from repro.sqldb.connection import Connection
 from repro.sqldb.errors import ExecutionError
 from repro.sqldb.storage import Column, ResultSet, Table
 
 
-def make_table():
-    return Table("t", [
+@pytest.fixture
+def table(backend):
+    return backend.table("t", [
         Column("id", "INT", primary_key=True, auto_increment=True),
         Column("name", "VARCHAR", length=10, not_null=True),
         Column("score", "FLOAT", default=1.5),
@@ -16,47 +19,39 @@ def make_table():
 
 
 class TestTable(object):
-    def test_auto_increment_sequence(self):
-        table = make_table()
+    def test_auto_increment_sequence(self, table):
         assert table.insert({"name": "a"}) == 1
         assert table.insert({"name": "b"}) == 2
         assert len(table) == 2
 
-    def test_explicit_id_advances_counter(self):
-        table = make_table()
+    def test_explicit_id_advances_counter(self, table):
         table.insert({"id": 10, "name": "a"})
         assert table.insert({"name": "b"}) == 11
 
-    def test_default_applied(self):
-        table = make_table()
+    def test_default_applied(self, table):
         table.insert({"name": "a"})
         assert table.rows[0]["score"] == 1.5
 
-    def test_not_null_text_backfill(self):
-        table = make_table()
+    def test_not_null_text_backfill(self, table):
         table.insert({})
         assert table.rows[0]["name"] == ""
 
-    def test_varchar_truncation(self):
-        table = make_table()
+    def test_varchar_truncation(self, table):
         table.insert({"name": "abcdefghijKLMNOP"})
         assert table.rows[0]["name"] == "abcdefghij"
 
-    def test_primary_key_conflict(self):
-        table = make_table()
+    def test_primary_key_conflict(self, table):
         table.insert({"id": 1, "name": "a"})
         with pytest.raises(ExecutionError) as err:
             table.insert({"id": 1, "name": "b"})
         assert err.value.errno == 1062
 
-    def test_unique_conflict(self):
-        table = make_table()
+    def test_unique_conflict(self, table):
         table.insert({"name": "a", "tag": "x"})
         with pytest.raises(ExecutionError):
             table.insert({"name": "b", "tag": "x"})
 
-    def test_unique_allows_null_duplicates(self):
-        table = make_table()
+    def test_unique_allows_null_duplicates(self, table):
         table.insert({"name": "a"})
         table.insert({"name": "b"})  # both tags NULL: fine
         assert len(table) == 2
@@ -65,16 +60,76 @@ class TestTable(object):
         with pytest.raises(ExecutionError):
             Table("bad", [Column("x", "INT"), Column("x", "INT")])
 
-    def test_has_column_and_names(self):
-        table = make_table()
+    def test_has_column_and_names(self, table):
         assert table.has_column("NAME")       # case-insensitive
         assert not table.has_column("nope")
         assert table.column_names() == ["id", "name", "score", "tag"]
 
-    def test_convert_uses_column_type(self):
-        table = make_table()
+    def test_convert_uses_column_type(self, table):
         assert table.convert("score", "2.5x") == 2.5
         assert table.convert("name", 123) == "123"
+
+    def test_rowid_never_shows_through(self, table):
+        table.insert({"name": "a"})
+        row = table.rows[0]
+        assert row.rowid == 1
+        assert sorted(row) == ["id", "name", "score", "tag"]
+        assert table.to_dict()["rows"] == [dict(row)]
+        assert type(table.to_dict()["rows"][0]) is dict
+
+    def test_update_and_delete_name_rows_by_rowid(self, table):
+        table.insert({"name": "a"})
+        table.insert({"name": "b"})
+        first = table.rows[0]
+        newer = table.update_row(first, {"name": "z"})
+        assert newer.rowid == first.rowid and first["name"] == "a"
+        # a superseded image still names its row
+        table.delete_rows([first])
+        assert [row["name"] for row in table.rows] == ["b"]
+        with pytest.raises(ExecutionError):
+            table.update_row(newer, {"name": "gone"})
+        with pytest.raises(ExecutionError):
+            table.update_row({"id": 2, "name": "b"}, {"name": "plain dict"})
+
+
+class TestTablePaged(TestTable):
+    storage = "paged"
+
+
+class TestAlterBackfill(object):
+    """ALTER TABLE ADD COLUMN fills existing rows with what an INSERT
+    that omits the column stores — one rule, owned by the table."""
+
+    @pytest.mark.parametrize("definition, expected", [
+        ("e DATETIME NOT NULL", "0000-00-00 00:00:00"),
+        ("e DATE NOT NULL", "0000-00-00 00:00:00"),
+        ("e VARCHAR(8) NOT NULL", ""),
+        ("e INT NOT NULL", 0),
+        ("e INT", None),
+        ("e VARCHAR(3) DEFAULT 'abcdef'", "abc"),
+    ])
+    def test_backfill_agrees_with_insert(self, backend, definition,
+                                         expected):
+        database = backend.database("CREATE TABLE t (a INT); "
+                                    "INSERT INTO t (a) VALUES (1)")
+        conn = Connection(database)
+        conn.query_or_raise("ALTER TABLE t ADD COLUMN %s" % definition)
+        conn.query_or_raise("INSERT INTO t (a) VALUES (2)")
+        rows = conn.query_or_raise("SELECT a, e FROM t ORDER BY a").rows
+        assert rows == [(1, expected), (2, expected)]
+
+    def test_drop_column_forgets_the_schema_entry(self, backend):
+        database = backend.database(
+            "CREATE TABLE t (a INT, b INT); INSERT INTO t VALUES (1, 2)")
+        conn = Connection(database)
+        conn.query_or_raise("ALTER TABLE t DROP COLUMN b")
+        table = database.table("t")
+        assert table.column_names() == ["a"] and not table.has_column("b")
+        assert table.rows == [{"a": 1}]
+
+
+class TestAlterBackfillPaged(TestAlterBackfill):
+    storage = "paged"
 
 
 class TestResultSet(object):

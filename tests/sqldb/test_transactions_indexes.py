@@ -1,4 +1,5 @@
-"""Tests for transactions, secondary indexes and EXPLAIN."""
+"""Tests for transactions, secondary indexes and EXPLAIN, on both row
+stores (see ``conftest.backend``)."""
 
 import pytest
 
@@ -7,9 +8,8 @@ from repro.sqldb.engine import Database
 
 
 @pytest.fixture
-def bank():
-    database = Database()
-    database.seed(
+def bank(backend):
+    database = backend.database(
         """
         CREATE TABLE accounts (
             id INT PRIMARY KEY AUTO_INCREMENT,
@@ -99,6 +99,10 @@ class TestTransactions(object):
         assert out.result_set.scalar() == 100
 
 
+class TestTransactionsPaged(TestTransactions):
+    storage = "paged"
+
+
 class TestIndexes(object):
     def test_create_and_drop(self, bank):
         database, conn = bank
@@ -173,6 +177,10 @@ class TestIndexes(object):
         assert out.rows == [(1,)]
 
 
+class TestIndexesPaged(TestIndexes):
+    storage = "paged"
+
+
 class TestExplain(object):
     def test_full_scan(self, bank):
         _, conn = bank
@@ -216,3 +224,7 @@ class TestExplain(object):
             "/* septic:s:1 */ EXPLAIN SELECT * FROM t WHERE a = 1 OR 1=1"
         )
         assert not outcome.ok
+
+
+class TestExplainPaged(TestExplain):
+    storage = "paged"

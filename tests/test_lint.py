@@ -1222,3 +1222,93 @@ def test_identity_map_gate_catches_a_side_table(tmp_path):
     assert sum("id()" in problem for problem in problems) == 2
     assert any("_COMPILED is written" in problem for problem in problems)
     assert any("_BY_NODE is written" in problem for problem in problems)
+
+
+_VERSION_RECORDS = frozenset(["_RowMeta", "_RowVersion", "_Tombstone"])
+_VERSION_LOGIC = frozenset(["check_write", "_visible_row", "_tomb_visible",
+                            "_seal_entry", "vacuum"])
+
+
+def _row_store_split_violations(path):
+    """``storage.py`` is split along one line: *what a row version
+    means* lives in the one ``Table`` class, *where a row image lives*
+    in the row stores (the ``...Rows`` classes).
+
+    A second ``...Table`` class is a second owner of MVCC, indexes and
+    uniqueness; a version record built outside ``Table``, or a row
+    store that defines visibility / conflict / seal / vacuum logic, is
+    the parallel path growing back.
+    """
+    with open(path) as handle:
+        tree = ast.parse(handle.read(), filename=path)
+    rel = os.path.relpath(path, REPO_ROOT)
+    problems = []
+    classes = [node for node in tree.body if isinstance(node, ast.ClassDef)]
+    tables = [node.name for node in classes if node.name.endswith("Table")]
+    if tables != ["Table"]:
+        problems.append("%s: classes named ...Table: %r — exactly one, "
+                        "Table, owns row versions" % (rel, tables))
+    inside_table = set()
+    for cls in classes:
+        if cls.name == "Table":
+            inside_table.update(id(node) for node in ast.walk(cls))
+        if cls.name.endswith("Rows"):
+            for node in cls.body:
+                if isinstance(node, ast.FunctionDef) \
+                        and node.name in _VERSION_LOGIC:
+                    problems.append(
+                        "%s:%d: row store %s defines %s() — a store only "
+                        "knows where images live"
+                        % (rel, node.lineno, cls.name, node.name))
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) \
+                and node.func.id in _VERSION_RECORDS \
+                and id(node) not in inside_table:
+            problems.append("%s:%d: %s built outside class Table"
+                            % (rel, node.lineno, node.func.id))
+    return problems
+
+
+def test_one_table_owns_row_versions():
+    path = os.path.join(SRC_ROOT, "repro", "sqldb", "storage.py")
+    assert _row_store_split_violations(path) == []
+    # and there are row stores for the gate to look at
+    with open(path) as handle:
+        source = handle.read()
+    assert "\nclass MemoryRows(" in source and "\nclass PagedRows(" in source
+    # nothing else in src/ builds a version record either
+    for other in _python_files(SRC_ROOT):
+        if other == path:
+            continue
+        with open(other) as handle:
+            tree = ast.parse(handle.read(), filename=other)
+        names = {node.func.id for node in ast.walk(tree)
+                 if isinstance(node, ast.Call)
+                 and isinstance(node.func, ast.Name)}
+        assert not names & _VERSION_RECORDS, other
+
+
+def test_row_store_split_gate_catches_a_second_owner(tmp_path):
+    bad = tmp_path / "storage.py"
+    bad.write_text(
+        "class Table:\n"
+        "    def update_row(self, row, txn):\n"
+        "        self._meta[row.rowid] = _RowMeta(None, txn, None)\n"  # fine
+        "class PagedTable(Table):\n"                      # a second owner
+        "    def insert(self, row, txn):\n"
+        "        self._meta[row.rowid] = _RowMeta(None, txn, None)\n"
+        "class PagedRows:\n"
+        "    def get(self, rowid):\n"                     # fine
+        "        return None\n"
+        "    def vacuum(self, horizon):\n"                # version logic
+        "        return 0\n"
+        "def bury(row):\n"
+        "    return _Tombstone(row, 0, None, None, None, 0)\n"
+    )
+    problems = _row_store_split_violations(str(bad))
+    assert len(problems) == 4
+    assert any("['Table', 'PagedTable']" in problem for problem in problems)
+    assert any("PagedRows defines vacuum()" in problem
+               for problem in problems)
+    assert sum("built outside class Table" in problem
+               for problem in problems) == 2
