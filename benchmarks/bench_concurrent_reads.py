@@ -5,7 +5,7 @@ per-table reader–writer locks).  This bench replays a read-heavy
 workload through the virtual-time :class:`LockContentionModel` — the
 same discrete-event kernel BenchLab uses — once under ``lock_mode=
 "shared"`` (the new hierarchy) and once under ``lock_mode="exclusive"``
-(every statement takes the catalog exclusively: the old serialized
+(the model degrades every plan to catalog-exclusive: the old serialized
 engine).  Service times are measured once on the real engine and pinned
 across both runs, so the only variable is the admitted schedule.
 
@@ -20,7 +20,7 @@ just fast-on-paper: no deadlock, no torn reads, counters consistent.
 import threading
 import time
 
-from repro.benchlab.harness import run_concurrent_read_experiment
+from repro.benchlab.harness import run_lock_experiment
 from repro.sqldb.engine import Database
 
 SETUP = (
@@ -49,18 +49,18 @@ WORKERS = 8
 def test_concurrent_read_speedup(report):
     # measure real service times once, pin them for both schedules so
     # the only difference between the runs is the admitted schedule
-    base = run_concurrent_read_experiment(
-        SETUP, READ_WORKLOAD, workers=1, loops=1, lock_mode="shared"
+    base = run_lock_experiment(
+        SETUP, READ_WORKLOAD, readers=1, loops=1, lock_mode="shared"
     )
     per_stmt = base.service_total / max(base.statements, 1)
     pinned = [per_stmt] * len(READ_WORKLOAD)
-    shared = run_concurrent_read_experiment(
-        SETUP, READ_WORKLOAD, workers=WORKERS, loops=6,
-        lock_mode="shared", service_times=pinned,
+    shared = run_lock_experiment(
+        SETUP, READ_WORKLOAD, readers=WORKERS, loops=6,
+        lock_mode="shared", reader_service=pinned,
     )
-    serialized = run_concurrent_read_experiment(
-        SETUP, READ_WORKLOAD, workers=WORKERS, loops=6,
-        lock_mode="exclusive", service_times=pinned,
+    serialized = run_lock_experiment(
+        SETUP, READ_WORKLOAD, readers=WORKERS, loops=6,
+        lock_mode="exclusive", reader_service=pinned,
     )
     speedup = shared.speedup_vs(serialized)
     report.line("Concurrent read path — %d workers, pure-SELECT workload"
@@ -99,13 +99,13 @@ def test_mixed_workload_still_overlaps(report):
         "INSERT INTO audit (note) VALUES ('checkpointed')",
     ]
     pinned = [0.001] * len(workload)
-    shared = run_concurrent_read_experiment(
-        SETUP, workload, workers=WORKERS, loops=4,
-        lock_mode="shared", service_times=pinned,
+    shared = run_lock_experiment(
+        SETUP, workload, readers=WORKERS, loops=4,
+        lock_mode="shared", reader_service=pinned,
     )
-    serialized = run_concurrent_read_experiment(
-        SETUP, workload, workers=WORKERS, loops=4,
-        lock_mode="exclusive", service_times=pinned,
+    serialized = run_lock_experiment(
+        SETUP, workload, readers=WORKERS, loops=4,
+        lock_mode="exclusive", reader_service=pinned,
     )
     speedup = shared.speedup_vs(serialized)
     report.line("Mixed workload (4 reads + 1 insert per loop), %d workers"
@@ -119,7 +119,7 @@ def test_mixed_workload_still_overlaps(report):
 
 def test_real_threads_correctness(report):
     """8 OS threads against the real engine: safety, not throughput."""
-    database = Database(lock_mode="shared")
+    database = Database()
     database.seed(SETUP)
     errors = []
     read_rows = []

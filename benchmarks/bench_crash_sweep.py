@@ -13,7 +13,8 @@ import shutil
 import tempfile
 import time
 
-from repro.benchlab.crashsweep import format_sweep_result, run_crash_sweep
+from repro.benchlab.crashsweep import (WAL_BATCH_SWEEP, WAL_COMMIT_SWEEP,
+                                       format_report, run_sweep)
 
 SWEEPS = [
     (1, None),
@@ -30,6 +31,12 @@ BATCH_SWEEPS = [
 ]
 
 
+def _tagged(result, invariant):
+    """Problems of *result* carrying *invariant*."""
+    return sum(1 for _site, tag, _detail in result.problems
+               if tag == invariant)
+
+
 def test_crash_sweep_artifact(report, benchmark):
     def run_sweeps():
         results = []
@@ -37,8 +44,8 @@ def test_crash_sweep_artifact(report, benchmark):
         try:
             for seed, checkpoint_after in SWEEPS:
                 start = time.perf_counter()
-                result = run_crash_sweep(workdir, seed,
-                                         checkpoint_after=checkpoint_after)
+                result = run_sweep(WAL_COMMIT_SWEEP, workdir, seed,
+                                   checkpoint_after=checkpoint_after)
                 results.append((result, time.perf_counter() - start))
         finally:
             shutil.rmtree(workdir, ignore_errors=True)
@@ -50,23 +57,23 @@ def test_crash_sweep_artifact(report, benchmark):
                 "recover, compare")
     report.line()
     for result, elapsed in results:
-        report.line("%s  (%.1fs)" % (format_sweep_result(result), elapsed))
+        report.line("%s  (%.1fs)" % (format_report(result), elapsed))
     report.line()
-    total_offsets = sum(r.offsets_tested for r, _t in results)
-    lost_or_phantom = sum(len(r.mismatches) for r, _t in results)
+    total_offsets = sum(r.sites for r, _t in results)
+    lost_or_phantom = sum(_tagged(r, "digest") for r, _t in results)
     report.line("total: %d recoveries across %d workloads, "
                 "%d lost-or-phantom states" % (
                     total_offsets, len(results), lost_or_phantom))
     report.metric("crash_recoveries", total_offsets, "recoveries")
     report.metric("lost_or_phantom_states", lost_or_phantom, "states")
     report.metric("index_mismatches_post_recovery",
-                  sum(len(r.index_mismatches) for r, _t in results),
+                  sum(_tagged(r, "index") for r, _t in results),
                   "mismatches")
 
     for result, _elapsed in results:
-        assert result.ok, format_sweep_result(result)
-        assert result.offsets_tested == result.log_bytes + 1
-        assert result.blocked >= 1
+        assert result.ok, format_report(result)
+        assert result.sites == result.counters["log_bytes"] + 1
+        assert result.counters["blocked"] >= 1
 
 
 def test_crash_sweep_batch_sync(report):
@@ -78,9 +85,8 @@ def test_crash_sweep_batch_sync(report):
     try:
         for seed, checkpoint_after in BATCH_SWEEPS:
             start = time.perf_counter()
-            result = run_crash_sweep(workdir, seed,
-                                     checkpoint_after=checkpoint_after,
-                                     sync_mode="batch")
+            result = run_sweep(WAL_BATCH_SWEEP, workdir, seed,
+                               checkpoint_after=checkpoint_after)
             results.append((result, time.perf_counter() - start))
     finally:
         shutil.rmtree(workdir, ignore_errors=True)
@@ -88,10 +94,10 @@ def test_crash_sweep_batch_sync(report):
     report.line("E13b — crash-point sweep under batch (group) fsync")
     report.line()
     for result, elapsed in results:
-        report.line("%s  (%.1fs)" % (format_sweep_result(result), elapsed))
+        report.line("%s  (%.1fs)" % (format_report(result), elapsed))
     report.line()
-    lost_or_phantom = sum(len(r.mismatches) for r, _t in results)
-    backlog = max(r.max_unsynced_backlog for r, _t in results)
+    lost_or_phantom = sum(_tagged(r, "digest") for r, _t in results)
+    backlog = max(r.counters["max_unsynced_backlog"] for r, _t in results)
     report.line("lost-or-phantom states: %d; deepest unsynced commit "
                 "backlog crossed by a kill point: %d" % (
                     lost_or_phantom, backlog))
@@ -100,9 +106,9 @@ def test_crash_sweep_batch_sync(report):
     report.metric("batch_max_unsynced_backlog", backlog, "commits")
 
     for result, _elapsed in results:
-        assert result.ok, format_sweep_result(result)
-        assert result.sync_mode == "batch"
-        assert result.offsets_tested == result.log_bytes + 1
+        assert result.ok, format_report(result)
+        assert result.name == "wal-batch"
+        assert result.sites == result.counters["log_bytes"] + 1
         # the batch kill window was actually exercised: at least one
         # point in the workload had multiple commits awaiting fsync
     assert backlog >= 1

@@ -6,7 +6,7 @@ table no longer stalls them.  This bench replays a read workload
 against a concurrent same-table writer through the virtual-time
 :class:`LockContentionModel` — once under ``lock_mode="shared"`` (the
 MVCC lock plans: reads lock nothing, DML locks its target table) and
-once under ``lock_mode="exclusive"`` (the serialized engine).  Service
+once under ``lock_mode="exclusive"`` (the model's serialized baseline).  Service
 times are pinned so the only variable is the admitted schedule.
 
 Gate: at 8 readers the MVCC schedule must carry at least 4× the
@@ -21,7 +21,7 @@ every SELECT sees the transfer invariant (SUM constant) hold.
 
 import threading
 
-from repro.benchlab.harness import run_mixed_workload_experiment
+from repro.benchlab.harness import run_lock_experiment
 from repro.sqldb.engine import Database
 
 SETUP = (
@@ -51,15 +51,15 @@ LOOPS = 5
 
 def test_mixed_workload(report):
     pinned = [0.001] * len(READ_WORKLOAD)
-    mvcc = run_mixed_workload_experiment(
+    mvcc = run_lock_experiment(
         SETUP, READ_WORKLOAD, WRITER_SQL, readers=READERS, loops=LOOPS,
         lock_mode="shared", reader_service=pinned, writer_service=1.0,
     )
-    serialized = run_mixed_workload_experiment(
+    serialized = run_lock_experiment(
         SETUP, READ_WORKLOAD, WRITER_SQL, readers=READERS, loops=LOOPS,
         lock_mode="exclusive", reader_service=pinned, writer_service=1.0,
     )
-    speedup = mvcc.reader_speedup_vs(serialized)
+    speedup = mvcc.speedup_vs(serialized)
     report.line("MVCC mixed workload — %d readers vs one same-table "
                 "UPDATE (1 s service time)" % READERS)
     report.line()
@@ -67,14 +67,14 @@ def test_mixed_workload(report):
         ["mode", "reads", "reader makespan", "writer makespan",
          "reads/s"],
         [
-            ["mvcc", "%d" % mvcc.reader_statements,
-             "%.6f s" % mvcc.reader_makespan,
+            ["mvcc", "%d" % mvcc.statements,
+             "%.6f s" % mvcc.makespan,
              "%.6f s" % mvcc.writer_makespan,
-             "%.0f" % mvcc.reader_throughput],
-            ["exclusive", "%d" % serialized.reader_statements,
-             "%.6f s" % serialized.reader_makespan,
+             "%.0f" % mvcc.throughput],
+            ["exclusive", "%d" % serialized.statements,
+             "%.6f s" % serialized.makespan,
              "%.6f s" % serialized.writer_makespan,
-             "%.0f" % serialized.reader_throughput],
+             "%.0f" % serialized.throughput],
         ],
         widths=[12, 8, 18, 18, 12],
     )
@@ -85,9 +85,9 @@ def test_mixed_workload(report):
                 % mvcc.readers_overlapped_writer)
     report.metric("mixed_read_speedup_8w", round(speedup, 3), "x")
     report.metric("mvcc_reader_throughput_8w",
-                  round(mvcc.reader_throughput, 1), "stmts/s")
+                  round(mvcc.throughput, 1), "stmts/s")
     report.metric("exclusive_reader_throughput_8w",
-                  round(serialized.reader_throughput, 1), "stmts/s")
+                  round(serialized.throughput, 1), "stmts/s")
     # acceptance gate: >= 4x read throughput with a same-table writer
     assert speedup >= 4.0, (
         "MVCC readers only reached %.2fx over the serialized baseline "
@@ -96,13 +96,13 @@ def test_mixed_workload(report):
     # true overlap: readers drain while the 1 s writer is still running
     assert mvcc.readers_overlapped_writer
     assert not serialized.readers_overlapped_writer
-    assert mvcc.reader_statements == serialized.reader_statements
+    assert mvcc.statements == serialized.statements
 
 
 def test_mixed_workload_real_threads(report):
     """8 reader threads vs a same-table writer on the real engine: no
     deadlock, and no reader ever observes a torn transfer."""
-    database = Database(lock_mode="shared")
+    database = Database()
     database.seed(SETUP)
     total = 40 * 100
     errors = []

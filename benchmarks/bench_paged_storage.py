@@ -19,10 +19,10 @@ import tempfile
 import time
 
 from repro.benchlab.crashsweep import (
-    format_corruption_result,
-    format_paged_sweep_result,
-    run_corruption_sweep,
-    run_paged_crash_sweep,
+    BITFLIP_SWEEP,
+    PAGED_SWEEP,
+    format_report,
+    run_sweep,
 )
 from repro.sqldb.engine import Database
 
@@ -87,9 +87,9 @@ def test_paged_storage(report, benchmark):
             crash = []
             for seed in SWEEP_SEEDS:
                 start = time.perf_counter()
-                crash.append((run_paged_crash_sweep(workdir, seed),
+                crash.append((run_sweep(PAGED_SWEEP, workdir, seed),
                               time.perf_counter() - start))
-            corrupt = [run_corruption_sweep(workdir, seed, flips=6)
+            corrupt = [run_sweep(BITFLIP_SWEEP, workdir, seed, flips=6)
                        for seed in SWEEP_SEEDS]
             return residency, warm, crash, corrupt
 
@@ -122,19 +122,19 @@ def test_paged_storage(report, benchmark):
                 "then seeded bit-flip corruption")
     report.line()
     for result, elapsed in crash:
-        report.line("%s  (%.1fs)" % (format_paged_sweep_result(result),
-                                     elapsed))
+        report.line("%s  (%.1fs)" % (format_report(result), elapsed))
     report.line()
     for result in corrupt:
-        report.line(format_corruption_result(result))
+        report.line(format_report(result))
     report.line()
 
-    kills = sum(r.kills for r, _t in crash)
-    lost = sum(len(r.mismatches) for r, _t in crash)
-    torn = sum(r.torn_repaired for r, _t in crash)
-    injected = sum(r.injected for r in corrupt)
-    detected = sum(r.detected for r in corrupt)
-    false_repairs = sum(r.false_repairs for r in corrupt)
+    kills = sum(r.sites for r, _t in crash)
+    lost = sum(1 for r, _t in crash
+               for _site, tag, _detail in r.problems if tag == "digest")
+    torn = sum(r.counters["torn_repaired"] for r, _t in crash)
+    injected = sum(r.counters["injected"] for r in corrupt)
+    detected = sum(r.counters["detected"] for r in corrupt)
+    false_repairs = sum(r.counters["false_repairs"] for r in corrupt)
     report.line("total: %d kills, %d lost-or-phantom states, %d torn "
                 "pages repaired; %d/%d flips detected, %d false repairs"
                 % (kills, lost, torn, detected, injected, false_repairs))
@@ -158,10 +158,10 @@ def test_paged_storage(report, benchmark):
     assert stats["evictions"] > 0
     assert ratio <= 1.5, "warm paged scans %.2fx the in-RAM baseline" % ratio
     for result, _elapsed in crash:
-        assert result.ok, format_paged_sweep_result(result)
-        assert result.kills == result.raw_writes * len(result.offsets)
+        assert result.ok, format_report(result)
+        assert result.sites == result.counters["raw_writes"] * 4
     for result in corrupt:
-        assert result.ok, format_corruption_result(result)
+        assert result.ok, format_report(result)
     assert torn > 0
     assert detected == injected
     assert false_repairs == 0

@@ -3,7 +3,7 @@
 Two artifacts in one run:
 
 1. the **kill-the-primary-at-every-commit sweep**
-   (``repro.benchlab.crashsweep.run_failover_sweep``) over three seeded
+   (``repro.benchlab.crashsweep.FAILOVER_SWEEP``) over three seeded
    workloads (including the SEPTIC-blocked-write one): at every commit
    boundary the primary is crashed, the lease expires in virtual time,
    and the election must pick the max-applied-LSN replica whose state
@@ -22,8 +22,8 @@ import shutil
 import tempfile
 import time
 
-from repro.benchlab.crashsweep import (format_failover_result,
-                                       run_failover_sweep)
+from repro.benchlab.crashsweep import (FAILOVER_SWEEP, format_report,
+                                       run_sweep)
 from repro.benchlab.harness import run_failover_experiment
 
 SWEEP_SEEDS = [1, 2, 3]
@@ -43,7 +43,7 @@ def test_replica_failover(report, benchmark):
         try:
             for seed in SWEEP_SEEDS:
                 start = time.perf_counter()
-                result = run_failover_sweep(workdir, seed)
+                result = run_sweep(FAILOVER_SWEEP, workdir, seed)
                 sweeps.append((result, time.perf_counter() - start))
             des = run_failover_experiment(
                 workdir + "/des", replicas=REPLICAS, readers=8,
@@ -69,11 +69,10 @@ def test_replica_failover(report, benchmark):
     report.line()
     report.line("kill-the-primary-at-every-commit sweep:")
     for result, elapsed in sweeps:
-        report.line("  %s  (%.1fs)" % (format_failover_result(result),
-                                       elapsed))
-        assert result.ok, format_failover_result(result)
-    kills = sum(r.commit_points for r, _t in sweeps)
-    fenced = sum(r.fenced_rejects for r, _t in sweeps)
+        report.line("  %s  (%.1fs)" % (format_report(result), elapsed))
+        assert result.ok, format_report(result)
+    kills = sum(r.counters["kills"] for r, _t in sweeps)
+    fenced = sum(r.counters["fenced_rejects"] for r, _t in sweeps)
     report.line("  total: %d primary kills, 0 lost commits, 0 phantoms, "
                 "%d zombie batches fenced" % (kills, fenced))
     report.line()

@@ -22,8 +22,9 @@ import shutil
 import tempfile
 
 from repro.benchlab.crashsweep import (
-    format_sharded_result,
-    run_sharded_sweep,
+    SHARDED_SWEEP,
+    format_report,
+    run_sweep,
 )
 from repro.benchlab.harness import run_scaleout_experiment
 from repro.shard import ShardRouter
@@ -82,7 +83,8 @@ def test_sharded_scaleout(report):
             single_fraction = _routed_workload(router)
             peak, total_rows = _topk_peak(router)
             fleet_status = router.status()
-        sweeps = [run_sharded_sweep(workdir, seed, shards=2, writes=6)
+        sweeps = [run_sweep(SHARDED_SWEEP, workdir, seed, shards=2,
+                            writes=6)
                   for seed in SWEEP_SEEDS]
     finally:
         shutil.rmtree(workdir, ignore_errors=True)
@@ -105,9 +107,9 @@ def test_sharded_scaleout(report):
     report.line("cross-shard TopK: %d rows streamed, %d materialized "
                 "(limit %d)" % (total_rows, peak, TOPK_LIMIT))
     report.line()
-    for seed, sweep in zip(SWEEP_SEEDS, sweeps):
-        report.line(format_sharded_result(sweep))
-        report.line()
+    for sweep in sweeps:
+        report.line(format_report(sweep))
+    report.line()
 
     report.metric("scale_out_factor", round(factor, 2), "x")
     report.metric("throughput_1_shard", round(one.throughput, 1), "req/s")
@@ -116,11 +118,13 @@ def test_sharded_scaleout(report):
     report.metric("single_shard_route_fraction",
                   round(single_fraction, 3), "fraction")
     report.metric("gather_peak_rows_topk", peak, "rows")
-    report.metric("sweep_kills", sum(s.kills for s in sweeps), "kills")
+    report.metric("sweep_kills", sum(s.counters["kills"] for s in sweeps),
+                  "kills")
     report.metric("sweep_torn_reads",
-                  sum(len(s.torn_reads) for s in sweeps), "reads")
-    report.metric("sweep_lost_rows", sum(s.lost_rows for s in sweeps),
-                  "rows")
+                  sum(1 for s in sweeps for _site, tag, _detail in s.problems
+                      if tag == "scatter"), "reads")
+    report.metric("sweep_lost_rows",
+                  sum(s.counters["lost_rows"] for s in sweeps), "rows")
 
     # the PR's acceptance gates
     assert factor >= 3.0, (
@@ -130,5 +134,4 @@ def test_sharded_scaleout(report):
         "O(limit), streamed %d rows total)" % (peak, TOPK_LIMIT,
                                                total_rows))
     for seed, sweep in zip(SWEEP_SEEDS, sweeps):
-        assert sweep.ok, "seed %r:\n%s" % (seed,
-                                           format_sharded_result(sweep))
+        assert sweep.ok, "seed %r:\n%s" % (seed, format_report(sweep))

@@ -34,7 +34,6 @@ from repro.benchlab.netlab import (
     NetLabResult,
     run_netlab_experiment,
     run_pipelined,
-    run_round_trip,
 )
 from repro.benchlab.chaos import (
     ChaosResult,
@@ -63,5 +62,4 @@ __all__ = [
     "NetLabResult",
     "run_netlab_experiment",
     "run_pipelined",
-    "run_round_trip",
 ]

@@ -1,23 +1,32 @@
-"""Crash-point sweep: prove recovery at *every* possible kill point.
+"""Crash sweeps: prove recovery at *every* possible kill site.
 
-The WAL's correctness claim — "after a crash, recovery yields exactly
-the committed prefix" — is easy to assert and easy to get subtly wrong
-(a record fsynced one byte short, a commit marker that lands before its
-transaction's statements, a rolled-back write resurrected by replay).
-This harness does not sample crash points; it enumerates them:
+The durability claims of the stack — "after a crash, recovery yields
+exactly the committed prefix", "a failover loses no acknowledged
+commit", "a torn page is repaired, never rebuilt", "a scatter read
+mid-failover is never torn" — are easy to assert and easy to get subtly
+wrong.  The sweeps here do not sample crash points; they enumerate
+them.  Every sweep has the same shape, so there is one kernel
+(:func:`run_sweep`) and six declarative configurations of it:
 
-1. run a seeded workload against a WAL-backed database (per-commit
-   fsync, unbuffered writes), capturing a **state digest at every
-   durability point** — the exact sequence of states a client could
-   have been acknowledged about;
-2. read the golden log back as bytes and, for every byte offset ``X``
-   from 0 to the full length, plant ``log[:X]`` in a fresh victim
-   directory (plus the checkpoint file, when the workload wrote one)
-   and run full recovery over it;
-3. the recovered state must equal ``digests[k]`` where ``k`` counts the
-   durability-point records *entirely contained* in the first ``X``
-   bytes — committed-prefix consistency, computed independently of the
-   recovery code under test.
+* a **golden run** executes a seeded workload once, uncrashed, and
+  records a state digest at every durability point — the exact sequence
+  of states a client could have been acknowledged about
+  (:class:`WorkloadRun`);
+* a **kill-site enumerator** lists every place the run could have died
+  (every byte of the log, every commit boundary, every raw page write x
+  byte offset, ...);
+* a **crash-and-recover fn** reproduces the run up to one site in a
+  fresh victim directory, kills it there, recovers, and returns the
+  invariants the survivor violates — each tagged, so a report says
+  *which* guarantee broke *where*;
+* **whole-sweep expectations** check that the sweep exercised what it
+  claims to (a sweep that enumerated nothing must not pass).
+
+The kernel owns what the configurations would otherwise repeat: the
+golden/victim directory lifecycle, closing whatever a site opened (also
+when an invariant raises), the per-site loop, problem collection and
+counter accumulation.  One op driver (:func:`drive_ops`) runs workload
+ops for every configuration — golden or victim, local or routed.
 
 Workloads include DDL (CREATE/ALTER/INDEX/TRUNCATE/DROP), transactions
 (committed and rolled back), a SEPTIC-blocked statement mid-transaction
@@ -26,8 +35,8 @@ multi-row INSERT with partial effects, and ``NOW()``/``RAND()`` to
 exercise deterministic replay of the environment functions.  An indexed
 table with insert/update/delete churn rides along, and every recovered
 victim additionally passes :func:`verify_index_consistency` — each live
-index must agree with a fresh full scan, or the recovery counts as a
-mismatch even when the row digest matches.
+index must agree with a fresh full scan, or the site counts as a
+problem even when the row digest matches.
 """
 
 import json
@@ -35,11 +44,14 @@ import os
 import random
 import shutil
 from bisect import bisect_right
+from collections import Counter, namedtuple
+from contextlib import ExitStack, closing
 from hashlib import sha1
 
+from repro.replica import ReplicaSet
+from repro.shard import ShardRouter
 from repro.sqldb import pager as pager_mod
 from repro.sqldb import wal as wal_mod
-from repro.sqldb.pager import SimulatedCrash
 from repro.sqldb.connection import Connection
 from repro.sqldb.engine import Database
 from repro.sqldb.errors import QueryBlocked
@@ -67,10 +79,7 @@ def state_digest(database):
     """Stable digest of everything the WAL promises to preserve: every
     table's schema, rows (in order), auto-increment counter and
     indexes."""
-    body = {
-        name: database.tables[name].to_dict()
-        for name in sorted(database.tables)
-    }
+    body = {name: table.to_dict() for name, table in database.tables.items()}
     blob = json.dumps(body, sort_keys=True)
     return sha1(blob.encode("utf-8")).hexdigest()
 
@@ -103,6 +112,7 @@ def verify_index_consistency(database):
             problems.append("%s: row_count %d != scanned %d"
                             % (name, table.row_count(), len(scanned)))
         for column in sorted(table.indexed_columns()):
+            index = "%s.%s" % (name, column)
             by_key = {}
             for row in scanned:
                 by_key.setdefault(sort_key(row.get(column)), []).append(row)
@@ -110,22 +120,16 @@ def verify_index_consistency(database):
                 value = expected[0].get(column)
                 got = list(table.index_lookup_iter(column, value))
                 if _by_rowid(got) != _by_rowid(expected):
-                    problems.append(
-                        "%s.%s: lookup(%r) -> %d rows, scan -> %d"
-                        % (name, column, value, len(got), len(expected))
-                    )
+                    problems.append("%s: lookup(%r) -> %d rows, scan -> %d"
+                                    % (index, value, len(got), len(expected)))
             ranged = list(table.index_range_iter(column))
             keys = [sort_key(row.get(column)) for row in ranged]
             if keys != sorted(keys):
-                problems.append("%s.%s: range scan out of key order"
-                                % (name, column))
-            non_null = [row for row in scanned
-                        if row.get(column) is not None]
+                problems.append("%s: range scan out of key order" % index)
+            non_null = [row for row in scanned if row.get(column) is not None]
             if _by_rowid(ranged) != _by_rowid(non_null):
-                problems.append(
-                    "%s.%s: open range -> %d rows, scan -> %d"
-                    % (name, column, len(ranged), len(non_null))
-                )
+                problems.append("%s: open range -> %d rows, scan -> %d"
+                                % (index, len(ranged), len(non_null)))
     return problems
 
 
@@ -208,263 +212,273 @@ def generate_workload(seed):
     return ops
 
 
+# -- the kernel ---------------------------------------------------------------
+
+
 class WorkloadRun(object):
-    """Golden-run artifacts the sweep validates against."""
+    """The golden record of one sweep: what the uncrashed run did, which
+    every kill site is judged against."""
 
-    __slots__ = ("digests", "checkpoint_index", "blocked", "ops",
-                 "max_unsynced_backlog")
+    __slots__ = ("seed", "ops", "digests", "blocked", "counters", "facts")
 
-    def __init__(self, digests, checkpoint_index, blocked, ops,
-                 max_unsynced_backlog=0):
+    def __init__(self, seed, ops, digests):
+        self.seed = seed
+        #: operations executed
+        self.ops = ops
         #: state digest after durability point ``k`` (``digests[0]`` is
         #: the empty database)
         self.digests = digests
-        #: durability-point count at the checkpoint, or ``None``
-        self.checkpoint_index = checkpoint_index
         #: statements the marker septic dropped during the run
-        self.blocked = blocked
-        #: operations executed
-        self.ops = ops
-        #: high-water mark of acknowledged-but-unsynced commits during
-        #: the run (always 0 in ``commit`` sync mode; in ``batch`` mode
-        #: this proves the append-to-deferred-fsync kill window was
-        #: actually open while the workload ran)
-        self.max_unsynced_backlog = max_unsynced_backlog
+        self.blocked = 0
+        #: golden-side numbers the report's counters start from (log
+        #: bytes, raw writes, ...); the recover fn accumulates on top
+        self.counters = {}
+        #: configuration-specific artifacts the recover fn reads (log
+        #: bytes, frame ends, per-boundary totals, ...)
+        self.facts = {}
+
+
+class SweepReport(namedtuple("SweepReport",
+                             "name seed sites counters problems")):
+    """Outcome of one sweep, whatever its configuration: the number of
+    kill ``sites`` enumerated (each one crashed, recovered, judged),
+    ``counters`` naming what the sweep exercised (golden-side numbers
+    plus whatever the recover fn counted across sites), and one
+    ``(site, invariant, detail)`` problem per violated invariant —
+    ``site`` is ``None`` for a whole-sweep expectation."""
+
+    @property
+    def ok(self):
+        return not self.problems
+
+
+def format_report(report):
+    """Human-readable sweep report (the benchmark artifact body); the
+    first few problems ride along so a failed assertion explains
+    itself."""
+    lines = ["%s sweep seed=%s: %d kill sites, %s -> %s" % (
+        report.name, report.seed, report.sites,
+        ", ".join("%s=%s" % pair for pair in sorted(report.counters.items())),
+        "OK" if report.ok else "%d PROBLEMS" % len(report.problems))]
+    lines.extend("  site %r: %s: %s" % problem
+                 for problem in report.problems[:5])
+    return "\n".join(lines)
+
+
+#: A sweep, declaratively.  ``golden(own, golden_dir, seed, **params)``
+#: runs the workload uncrashed and returns its :class:`WorkloadRun`;
+#: ``sites(golden)`` enumerates the kill sites; ``recover(own,
+#: victim_dir, golden, site, counters)`` crashes one victim at *site*,
+#: recovers it and yields an ``(invariant, detail)`` pair per invariant
+#: the survivor violates; ``expect(golden, counters)`` yields the same
+#: for the sweep as a whole, after the last site (default: nothing
+#: beyond the kernel's own "at least one site").  ``own(closing(x))``
+#: hands a Database / ReplicaSet / ShardRouter to the kernel and returns
+#: it; the kernel closes it when the site (for ``golden``: the sweep)
+#: ends — raise or not.
+SweepConfig = namedtuple("SweepConfig", "name golden sites recover expect",
+                         defaults=(lambda golden, counters: (),))
+
+
+def run_sweep(config, workdir, seed, **params):
+    """Run one sweep configuration; returns its :class:`SweepReport`.
+
+    Everything the sweep creates lives in two directories under
+    *workdir* (the golden run's and the current victim's, the latter
+    emptied before every site); both are gone, and everything the
+    configuration opened is closed, when this returns or raises.
+    """
+    golden_dir = os.path.join(workdir, "%s-golden-%s" % (config.name, seed))
+    victim_dir = os.path.join(workdir, "%s-victim-%s" % (config.name, seed))
+
+    def fresh(path):
+        shutil.rmtree(path, ignore_errors=True)
+        os.makedirs(path)
+        return path
+
+    problems = []
+    try:
+        with ExitStack() as sweep_scope:
+            golden = config.golden(sweep_scope.enter_context,
+                                   fresh(golden_dir), seed, **params)
+            counters = Counter(golden.counters, blocked=golden.blocked)
+            sites = list(config.sites(golden))
+            if not sites:
+                problems.append((None, "coverage", "no kill site enumerated"))
+            for site in sites:
+                with ExitStack() as site_scope:
+                    found = config.recover(site_scope.enter_context,
+                                           fresh(victim_dir), golden, site,
+                                           counters)
+                    problems.extend((site,) + problem for problem in found)
+            problems.extend((None,) + problem
+                            for problem in config.expect(golden, counters))
+    finally:
+        shutil.rmtree(golden_dir, ignore_errors=True)
+        shutil.rmtree(victim_dir, ignore_errors=True)
+    return SweepReport(config.name, seed, len(sites), dict(counters),
+                       problems)
+
+
+def drive_ops(ops, execute, points, on_point=None, after_op=None,
+              stop_at=None):
+    """The one op driver: ``execute(kind, sql)`` each op in turn.
+
+    ``points()`` counts the durability points so far; when an op adds
+    one, ``on_point()`` fires (the golden runs digest there).
+    ``after_op(index)`` is the ship / tick / checkpoint hook.  The drive
+    stops once ``points()`` reaches *stop_at* — exactly that many
+    acknowledged, nothing after.  Returns the index of the first op not
+    executed."""
+    last = points()
+    for index, (kind, sql) in enumerate(ops):
+        execute(kind, sql)
+        now = points()
+        if now - last > 1:
+            raise AssertionError("op %d produced %d durability points, the "
+                                 "golden digests need at most one per op"
+                                 % (index, now - last))
+        if now > last:
+            last = now
+            if on_point is not None:
+                on_point()
+        if after_op is not None:
+            after_op(index)
+        if stop_at is not None and now >= stop_at:
+            return index + 1
+    return len(ops)
+
+
+def _sql_executor(database):
+    """``execute`` for :func:`drive_ops` over one local connection."""
+    connection = Connection(database, multi_statements=True)
+    run = {"q": connection.query, "m": connection.multi_query}
+    return lambda kind, sql: run[kind](sql)
+
+
+def _digest_run(database, seed, ops, checkpoint_after):
+    """Drive *ops* over *database*, digesting every durability point;
+    ``checkpoint_after`` (an op index) writes a mid-workload checkpoint.
+    Returns the :class:`WorkloadRun`."""
+    run = WorkloadRun(seed, ops, [state_digest(database)])
+    backlog = [0]
+
+    def after_op(index):
+        backlog.append(database.wal.pending_unsynced_commits)
+        if index == checkpoint_after and database.checkpoint() is not None:
+            # durability-point count at the checkpoint
+            run.facts["checkpoint_index"] = len(run.digests) - 1
+
+    drive_ops(ops, _sql_executor(database), lambda: database.wal.commits,
+              on_point=lambda: run.digests.append(state_digest(database)),
+              after_op=after_op)
+    run.blocked = database.septic.blocked
+    # the backlog high-water mark of acknowledged-but-unsynced commits
+    # is always 0 in ``commit`` sync mode; in ``batch`` mode it proves
+    # the append-to-deferred-fsync kill window was actually open
+    run.counters.update(durability_points=len(run.digests) - 1,
+                        max_unsynced_backlog=max(backlog))
+    return run
 
 
 def run_workload(data_dir, seed, sync_mode="commit", checkpoint_after=None):
     """Execute the seed's workload durably, digesting every durability
     point.  ``checkpoint_after`` (an op index) writes a mid-workload
     checkpoint, so the sweep also covers checkpoint+log recovery."""
-    septic = MarkerSeptic()
-    database = Database.recover(data_dir, seed=seed, septic=septic,
-                                wal_sync=sync_mode)
-    connection = Connection(database, multi_statements=True)
-    digests = [state_digest(database)]
-    checkpoint_index = None
-    ops = generate_workload(seed)
-    last = database.wal.commits
-    max_backlog = 0
-    for index, (kind, sql) in enumerate(ops):
-        if kind == "m":
-            connection.multi_query(sql)
-        else:
-            connection.query(sql)
-        commits = database.wal.commits
-        if commits - last > 1:
-            raise AssertionError(
-                "workload op %d produced %d durability points; the "
-                "golden digest sequence needs at most one per op"
-                % (index, commits - last)
-            )
-        if commits > last:
-            digests.append(state_digest(database))
-            last = commits
-        backlog = database.wal.pending_unsynced_commits
-        if backlog > max_backlog:
-            max_backlog = backlog
-        if checkpoint_after is not None and index == checkpoint_after:
-            if database.checkpoint() is not None:
-                checkpoint_index = len(digests) - 1
-    database.close()
-    return WorkloadRun(digests, checkpoint_index, septic.blocked, ops,
-                       max_unsynced_backlog=max_backlog)
+    with closing(Database.recover(data_dir, seed=seed, septic=MarkerSeptic(),
+                                  wal_sync=sync_mode)) as database:
+        return _digest_run(database, seed, generate_workload(seed),
+                           checkpoint_after)
 
 
-class SweepResult(object):
-    """Outcome of one crash-point sweep."""
-
-    __slots__ = ("seed", "log_bytes", "offsets_tested",
-                 "durability_points", "blocked", "mismatches",
-                 "index_mismatches", "checkpointed", "sync_mode",
-                 "max_unsynced_backlog")
-
-    def __init__(self, seed, log_bytes, offsets_tested, durability_points,
-                 blocked, mismatches, checkpointed, index_mismatches=(),
-                 sync_mode="commit", max_unsynced_backlog=0):
-        self.seed = seed
-        self.log_bytes = log_bytes
-        self.offsets_tested = offsets_tested
-        self.durability_points = durability_points
-        self.blocked = blocked
-        #: (offset, expected_index) pairs where recovery diverged
-        self.mismatches = mismatches
-        #: (offset, problem) pairs where a recovered index disagreed
-        #: with a full scan
-        self.index_mismatches = list(index_mismatches)
-        self.checkpointed = checkpointed
-        #: WAL sync discipline the golden run used
-        self.sync_mode = sync_mode
-        #: peak acked-but-unsynced commit backlog of the golden run
-        self.max_unsynced_backlog = max_unsynced_backlog
-
-    @property
-    def ok(self):
-        return not self.mismatches and not self.index_mismatches
-
-    def __repr__(self):
-        return ("SweepResult(seed=%r, %d bytes, %d offsets, %d commits, "
-                "%d mismatches)") % (self.seed, self.log_bytes,
-                                     self.offsets_tested,
-                                     self.durability_points,
-                                     len(self.mismatches))
+def _state_problems(database, expected_digest):
+    """The two invariants every recovered database answers for: its
+    digest is the golden digest of the committed prefix (nothing lost,
+    nothing resurrected), and every index agrees with a full scan."""
+    if state_digest(database) != expected_digest:
+        yield "digest", "not the committed prefix (lost commit or phantom)"
+    for problem in verify_index_consistency(database):
+        yield "index", problem
 
 
-def run_crash_sweep(workdir, seed, checkpoint_after=None, stride=1,
-                    sync_mode="commit"):
-    """Kill-at-every-byte sweep for one seeded workload.
+#: what the replica sets under test share, bare or behind a router
+_SET_KNOBS = dict(septic_factory=MarkerSeptic, heartbeat_interval=1,
+                  lease_intervals=2)
 
-    With ``stride > 1`` only every stride-th offset is tested (plus the
-    final one); record boundaries are always included, since those are
-    the offsets where the expected state changes.
+
+# -- WAL: kill at every byte offset of the log --------------------------------
+
+
+def _wal_sweep(sync_mode):
+    """For every byte offset ``X`` of the golden log, plant ``log[:X]``
+    (plus the checkpoint file, when the workload wrote one) and run full
+    recovery over it; the result must equal ``digests[k]`` where ``k``
+    counts the durability-point frames *entirely contained* in the first
+    ``X`` bytes.
 
     With ``sync_mode="batch"`` the golden run defers fsyncs (group
     commit), so the byte prefixes enumerate crashes *inside* the
-    append-to-deferred-fsync window — commits acknowledged to the
-    client but not yet synced.  The invariant is the same: every
-    prefix must recover to exactly the committed states its bytes
-    contain, never a torn or phantom one; batch mode merely makes more
-    of those prefixes reachable by a real power cut (bounded loss,
-    quantified by :attr:`SweepResult.max_unsynced_backlog`).
-    """
-    golden_dir = os.path.join(workdir, "golden-%s" % seed)
-    run = run_workload(golden_dir, seed, sync_mode=sync_mode,
-                       checkpoint_after=checkpoint_after)
-    data = wal_mod.read_log_bytes(wal_mod.log_path(golden_dir))
-    # durability-point frame ends, computed from the bytes themselves —
-    # independent of the recovery code the sweep is judging
-    ends = []
-    for record, end in wal_mod.iter_frames(data):
-        is_commit_point = record.op == wal_mod.WalRecord.COMMIT or (
-            record.op == wal_mod.WalRecord.STMT and record.tx == 0
-        )
-        if is_commit_point:
-            ends.append(end)
-    base_index = run.checkpoint_index or 0
-    offsets = sorted(set(
-        list(range(0, len(data) + 1, stride)) + [len(data)]
-        + [end for _record, end in wal_mod.iter_frames(data)]
-    ))
-    checkpoint_src = wal_mod.checkpoint_path(golden_dir)
-    checkpointed = os.path.exists(checkpoint_src)
-    victim_dir = os.path.join(workdir, "victim-%s" % seed)
-    mismatches = []
-    index_mismatches = []
-    for offset in offsets:
-        shutil.rmtree(victim_dir, ignore_errors=True)
-        os.makedirs(victim_dir)
-        if checkpointed:
-            shutil.copy(checkpoint_src,
-                        wal_mod.checkpoint_path(victim_dir))
-        wal_mod.write_log_bytes(wal_mod.log_path(victim_dir),
-                                data[:offset])
-        expected = base_index + bisect_right(ends, offset)
-        recovered = Database.recover(victim_dir, seed=seed)
-        digest = state_digest(recovered)
-        for problem in verify_index_consistency(recovered):
-            index_mismatches.append((offset, problem))
-        recovered.close()
-        if digest != run.digests[expected]:
-            mismatches.append((offset, expected))
-    shutil.rmtree(victim_dir, ignore_errors=True)
-    return SweepResult(seed, len(data), len(offsets), len(ends),
-                       run.blocked, mismatches, checkpointed,
-                       index_mismatches=index_mismatches,
-                       sync_mode=sync_mode,
-                       max_unsynced_backlog=run.max_unsynced_backlog)
+    append-to-deferred-fsync window — commits acknowledged to the client
+    but not yet synced.  The invariant is the same; batch mode merely
+    makes more of those prefixes reachable by a real power cut (bounded
+    loss, quantified by the ``max_unsynced_backlog`` counter)."""
+
+    def golden(_own, data_dir, seed, checkpoint_after=None):
+        run = run_workload(data_dir, seed, sync_mode, checkpoint_after)
+        data = wal_mod.read_log_bytes(wal_mod.log_path(data_dir))
+        checkpoint = wal_mod.checkpoint_path(data_dir)
+        # durability-point frame ends, computed from the bytes
+        # themselves — independent of the recovery code being judged
+        ends = [end for record, end in wal_mod.iter_frames(data)
+                if record.op == wal_mod.WalRecord.COMMIT
+                or (record.op == wal_mod.WalRecord.STMT and record.tx == 0)]
+        run.facts.update(data=data, ends=ends, checkpoint=checkpoint)
+        # durability points still in the log (a checkpoint rotates the
+        # earlier ones away)
+        run.counters.update(log_bytes=len(data), durability_points=len(ends),
+                            checkpointed=int(os.path.exists(checkpoint)))
+        return run
+
+    return SweepConfig("wal-" + sync_mode, golden,
+                       lambda golden: range(len(golden.facts["data"]) + 1),
+                       _wal_recover)
 
 
-def format_sweep_result(result):
-    """Human-readable sweep report (the benchmark artifact body)."""
-    return (
-        "crash sweep seed=%s sync=%s: %d log bytes, %d kill offsets, "
-        "%d durability points, %d blocked statements, checkpoint=%s -> %s"
-        % (result.seed, result.sync_mode, result.log_bytes,
-           result.offsets_tested, result.durability_points,
-           result.blocked, result.checkpointed,
-           "OK" if result.ok else "%d MISMATCHES"
-           % (len(result.mismatches) + len(result.index_mismatches)))
-    )
+def _wal_recover(own, victim_dir, golden, offset, _counters):
+    facts = golden.facts
+    if golden.counters["checkpointed"]:
+        shutil.copy(facts["checkpoint"], wal_mod.checkpoint_path(victim_dir))
+    wal_mod.write_log_bytes(wal_mod.log_path(victim_dir),
+                            facts["data"][:offset])
+    expected = (facts.get("checkpoint_index", 0)
+                + bisect_right(facts["ends"], offset))
+    recovered = own(closing(Database.recover(victim_dir, seed=golden.seed)))
+    return _state_problems(recovered, golden.digests[expected])
 
 
-# -- failover sweep (kill the primary at every commit boundary) --------------
+WAL_COMMIT_SWEEP = _wal_sweep("commit")
+WAL_BATCH_SWEEP = _wal_sweep("batch")
 
 
-class FailoverSweepResult(object):
-    """Outcome of one kill-the-primary-at-every-commit sweep."""
-
-    __slots__ = ("seed", "replicas", "commit_points", "promotions",
-                 "wrong_elections", "digest_mismatches", "index_mismatches",
-                 "catchup_mismatches", "fenced_rejects", "fencing_failures",
-                 "blocked")
-
-    def __init__(self, seed, replicas, commit_points, promotions,
-                 wrong_elections, digest_mismatches, index_mismatches,
-                 catchup_mismatches, fenced_rejects, fencing_failures,
-                 blocked):
-        self.seed = seed
-        self.replicas = replicas
-        #: durability points of the golden run (= kill points swept)
-        self.commit_points = commit_points
-        #: successful promotions observed (must equal commit_points + 1:
-        #: one per kill point plus the zombie scenario)
-        self.promotions = promotions
-        #: (k, elected, expected) where election did not pick the
-        #: max-applied-LSN replica
-        self.wrong_elections = wrong_elections
-        #: (k, node) where a post-promotion state diverged from the
-        #: golden digest at the kill point — a lost committed
-        #: transaction or a phantom
-        self.digest_mismatches = digest_mismatches
-        #: (k, problem) index-vs-scan disagreements on the new primary
-        self.index_mismatches = index_mismatches
-        #: (k, node) where the healed lagging replica failed to converge
-        self.catchup_mismatches = catchup_mismatches
-        #: stale-epoch batches rejected in the zombie scenario (> 0)
-        self.fenced_rejects = fenced_rejects
-        #: descriptions of fencing holes (zombie records accepted)
-        self.fencing_failures = fencing_failures
-        #: statements the marker septic dropped during the golden run
-        self.blocked = blocked
-
-    @property
-    def ok(self):
-        return (not self.wrong_elections and not self.digest_mismatches
-                and not self.index_mismatches
-                and not self.catchup_mismatches
-                and not self.fencing_failures
-                and self.fenced_rejects > 0
-                and self.promotions == self.commit_points + 1)
-
-    def __repr__(self):
-        return ("FailoverSweepResult(seed=%r, %d commit points, "
-                "%d promotions, %d wrong elections, %d digest mismatches)"
-                % (self.seed, self.commit_points, self.promotions,
-                   len(self.wrong_elections),
-                   len(self.digest_mismatches)))
+# -- failover: kill the primary at every commit boundary ----------------------
+#
+# For each durability point ``k`` of the golden run: build a fresh
+# replica set, replay the workload with synchronous shipping until the
+# primary has acknowledged exactly ``k`` commits (partitioning the last
+# replica halfway so one candidate genuinely lags), crash the primary,
+# and let the heartbeat/lease machinery elect.  The elected node must be
+# the max-applied-LSN replica, its state must equal the golden digest at
+# ``k``, its indexes must agree with a full scan, and the healed lagging
+# replica must converge to the same state from the new primary's log.
+# One extra site per seed partitions the primary instead of killing it
+# and asserts every post-promotion record the zombie ships is rejected
+# by epoch fencing.
 
 
-def _drive_until_commit(replica_set, connection, ops, target, lag_after,
-                        lag_node):
-    """Run *ops* against the primary, synchronously shipping after each
-    op, until its WAL holds *target* durability points.  *lag_node* is
-    partitioned once *lag_after* commits land, so it falls behind and
-    the election has a real choice to get right."""
-    primary_wal = replica_set.primary.database.wal
-    for kind, sql in ops:
-        if kind == "m":
-            connection.multi_query(sql)
-        else:
-            connection.query(sql)
-        replica_set.ship()
-        commits = primary_wal.commits
-        if lag_after is not None and commits >= lag_after:
-            if lag_node.name not in replica_set._partitioned:
-                replica_set.partition(lag_node)
-            lag_after = None
-        if commits >= target:
-            return commits
-    return primary_wal.commits
+def _failover_sites(golden):
+    commit_points = len(golden.digests) - 1
+    return ([("kill", k) for k in range(1, commit_points + 1)]
+            + [("zombie", max(1, commit_points // 2))])
 
 
 def _await_promotion(replica_set):
@@ -478,402 +492,225 @@ def _await_promotion(replica_set):
     return replica_set.promotions > before
 
 
-def run_failover_sweep(workdir, seed, replicas=2):
-    """Kill the primary at every commit boundary of the seed's workload.
+def _failover_recover(own, set_dir, golden, site, counters):
+    scenario, k = site
+    replica_set = own(closing(ReplicaSet(set_dir, replicas=2,
+                                         seed=golden.seed, **_SET_KNOBS)))
+    primary = replica_set.primary
+    # partitioned once half of the k commits have landed, so it falls
+    # behind and the election has a real choice to get right
+    lag_node = replica_set.nodes[-1]
+    lag_after = (k + 1) // 2 if scenario == "kill" and k >= 2 else None
 
-    For each durability point ``k`` of the golden run: build a fresh
-    replica set, replay the workload with synchronous shipping until the
-    primary has acknowledged exactly ``k`` commits (partitioning the
-    last replica halfway so one candidate genuinely lags), crash the
-    primary, and let the heartbeat/lease machinery elect.  The elected
-    node must be the max-applied-LSN replica, its state must equal the
-    golden digest at ``k`` (zero committed transactions lost, zero
-    phantoms), its indexes must agree with a full scan, and the healed
-    lagging replica must converge to the same state from the new
-    primary's log.  One extra scenario per seed partitions the primary
-    instead of killing it and asserts every post-promotion record the
-    zombie ships is rejected by epoch fencing.
-    """
-    from repro.replica import ReplicaSet
+    def ship(_index):
+        replica_set.ship()
+        if (lag_after is not None
+                and primary.database.wal.commits >= lag_after
+                and lag_node.name not in replica_set._partitioned):
+            replica_set.partition(lag_node)
 
-    golden_dir = os.path.join(workdir, "failover-golden-%s" % seed)
-    run = run_workload(golden_dir, seed)
-    commit_points = len(run.digests) - 1
-    set_dir = os.path.join(workdir, "failover-set-%s" % seed)
-    promotions = 0
-    wrong_elections = []
-    digest_mismatches = []
-    index_mismatches = []
-    catchup_mismatches = []
+    drive_ops(golden.ops, _sql_executor(primary.database),
+              lambda: primary.database.wal.commits, after_op=ship, stop_at=k)
+    if scenario == "zombie":
+        yield from _fence_zombie(replica_set, primary, counters)
+        return
+    replica_set.kill_primary()
+    counters["kills"] += 1
+    if not _await_promotion(replica_set):
+        yield "election", "no promotion"
+        return
+    counters["promotions"] += 1
+    elected = replica_set.primary
+    expected = sorted(replica_set.nodes[1:],
+                      key=lambda n: (-n.applied_lsn, n.name))[0]
+    if elected is not expected:
+        yield "election", ("elected %s, the max-applied-LSN replica is %s"
+                           % (elected.name, expected.name))
+    yield from _state_problems(elected.database, golden.digests[k])
+    # the lagging replica heals and converges from the new primary
+    if lag_after is not None:
+        replica_set.heal(lag_node)
+        replica_set.tick(2 * replica_set.heartbeat_interval)
+        if (lag_node.alive and lag_node.role == "replica"
+                and state_digest(lag_node.database) != golden.digests[k]):
+            yield "catchup", "%s did not converge" % lag_node.name
 
-    def build_set():
-        shutil.rmtree(set_dir, ignore_errors=True)
-        replica_set = ReplicaSet(
-            set_dir, replicas=replicas, septic_factory=MarkerSeptic,
-            seed=seed, heartbeat_interval=1, lease_intervals=2,
-        )
-        connection = Connection(replica_set.primary.database,
-                                multi_statements=True)
-        return replica_set, connection
 
-    for k in range(1, commit_points + 1):
-        replica_set, connection = build_set()
-        lag_node = replica_set.nodes[-1]
-        lag_after = (k + 1) // 2 if k >= 2 else None
-        _drive_until_commit(replica_set, connection, run.ops, k,
-                            lag_after, lag_node)
-        replica_set.kill_primary()
-        if not _await_promotion(replica_set):
-            wrong_elections.append((k, None, "no promotion"))
-            replica_set.close()
-            continue
-        promotions += 1
-        new_primary = replica_set.primary
-        candidates = [node for node in replica_set.nodes[1:]]
-        expected = sorted(
-            candidates, key=lambda n: (-n.applied_lsn, n.name))[0]
-        if new_primary is not expected:
-            wrong_elections.append((k, new_primary.name, expected.name))
-        if state_digest(new_primary.database) != run.digests[k]:
-            digest_mismatches.append((k, new_primary.name))
-        for problem in verify_index_consistency(new_primary.database):
-            index_mismatches.append((k, problem))
-        # the lagging replica heals and converges from the new primary
-        if k >= 2:
-            replica_set.heal(lag_node)
-            replica_set.tick(2 * replica_set.heartbeat_interval)
-            if (lag_node.alive and lag_node.role == "replica"
-                    and state_digest(lag_node.database) != run.digests[k]):
-                catchup_mismatches.append((k, lag_node.name))
-        replica_set.close()
-
-    # zombie scenario: partition (not kill) the primary mid-workload,
-    # let the survivors elect, then have the deposed primary keep
-    # committing and shipping — fencing must reject every record
-    fenced_rejects = 0
-    fencing_failures = []
-    k = max(1, commit_points // 2)
-    replica_set, connection = build_set()
-    _drive_until_commit(replica_set, connection, run.ops, k, None, None)
-    zombie = replica_set.primary
+def _fence_zombie(replica_set, zombie, counters):
+    """Partition (not kill) the primary, let the survivors elect, then
+    have the deposed primary keep committing and shipping — fencing must
+    reject every record."""
     replica_set.partition(zombie)
     if not _await_promotion(replica_set):
-        fencing_failures.append("no promotion in the zombie scenario")
-    else:
-        promotions += 1
-        replica_set.tick(replica_set.heartbeat_interval)
-        survivor_digests = {
-            node.name: state_digest(node.database)
-            for node in replica_set.nodes if node is not zombie
-        }
-        zombie_conn = Connection(zombie.database)
-        zombie_conn.query(
-            "INSERT INTO items (name, qty) VALUES ('zombie', 13)")
-        before = [node.fenced_batches for node in replica_set.nodes]
-        replica_set.ship(source=zombie)
-        for node, count in zip(replica_set.nodes, before):
-            fenced_rejects += node.fenced_batches - count
-        for node in replica_set.nodes:
-            if node is zombie:
-                continue
-            if state_digest(node.database) != survivor_digests[node.name]:
-                fencing_failures.append(
-                    "%s state changed after a zombie shipment" % node.name)
-        if fenced_rejects == 0:
-            fencing_failures.append(
-                "no survivor fenced the zombie's batches")
-    replica_set.close()
-    shutil.rmtree(set_dir, ignore_errors=True)
-    return FailoverSweepResult(
-        seed, replicas, commit_points, promotions, wrong_elections,
-        digest_mismatches, index_mismatches, catchup_mismatches,
-        fenced_rejects, fencing_failures, run.blocked,
-    )
+        yield "fencing", "no promotion in the zombie scenario"
+        return
+    counters["promotions"] += 1
+    replica_set.tick(replica_set.heartbeat_interval)
+    survivors = [node for node in replica_set.nodes if node is not zombie]
+    digests = [state_digest(node.database) for node in survivors]
+    fenced = sum(node.fenced_batches for node in survivors)
+    Connection(zombie.database).query(
+        "INSERT INTO items (name, qty) VALUES ('zombie', 13)")
+    replica_set.ship(source=zombie)
+    counters["fenced_rejects"] += sum(
+        node.fenced_batches for node in survivors) - fenced
+    for node, digest in zip(survivors, digests):
+        if state_digest(node.database) != digest:
+            yield "fencing", "%s changed after a zombie shipment" % node.name
 
 
-def format_failover_result(result):
-    """Human-readable failover-sweep report (benchmark artifact body)."""
-    return (
-        "failover sweep seed=%s: %d commit-boundary kills over %d-replica "
-        "sets, %d promotions, %d blocked statements, %d fenced zombie "
-        "batches -> %s"
-        % (result.seed, result.commit_points, result.replicas,
-           result.promotions, result.blocked, result.fenced_rejects,
-           "OK" if result.ok else "%d PROBLEMS"
-           % (len(result.wrong_elections) + len(result.digest_mismatches)
-              + len(result.index_mismatches)
-              + len(result.catchup_mismatches)
-              + len(result.fencing_failures)))
-    )
+def _failover_expect(golden, counters):
+    if counters["fenced_rejects"] == 0:
+        yield "fencing", "no survivor fenced the zombie's batches"
+    if counters["promotions"] != len(golden.digests):
+        yield "promotions", "%d, not one per site" % counters["promotions"]
 
 
-def _run_paged_workload(data_dir, seed, pool_pages, checkpoint_after,
-                        crash_plan=None):
+FAILOVER_SWEEP = SweepConfig(
+    "failover", lambda _own, data_dir, seed: run_workload(data_dir, seed),
+    _failover_sites, _failover_recover, _failover_expect)
+
+
+# -- paged storage: kill at every raw page write, then flip bits --------------
+
+
+def _paged_run(own, data_dir, seed, pool_pages, crash_plan=None):
     """Run the seed's workload on paged storage, digesting every
     durability point, with a mid-workload checkpoint and a final
     checkpoint (the big page-write burst the kill sweep targets).
 
     With ``crash_plan`` ``(write_index, byte_offset)`` a crash is
     planted before the first op, in whole-run raw-write coordinates.
-    Returns ``(database, digests, total_raw_writes, blocked)`` —
-    ``total_raw_writes`` is ``None`` when the plan fired (the database
-    is returned un-closed, mid-crash, for the caller to reopen)."""
-    septic = MarkerSeptic()
-    database = Database.recover(data_dir, seed=seed, septic=septic,
-                                wal_sync="commit", storage="paged",
-                                pool_pages=pool_pages)
+    Returns ``(database, run)`` — ``run`` is ``None`` when the plan
+    fired (the database is left mid-crash for the caller to reopen)."""
+    database = own(closing(Database.recover(
+        data_dir, seed=seed, septic=MarkerSeptic(), wal_sync="commit",
+        storage="paged", pool_pages=pool_pages)))
     if crash_plan is not None:
         database.page_store.pager.plant_crash(*crash_plan)
-    connection = Connection(database, multi_statements=True)
-    digests = [state_digest(database)]
     ops = generate_workload(seed)
-    if checkpoint_after is None:
-        checkpoint_after = len(ops) // 2
-    last = database.wal.commits
     try:
-        for index, (kind, sql) in enumerate(ops):
-            if kind == "m":
-                connection.multi_query(sql)
-            else:
-                connection.query(sql)
-            commits = database.wal.commits
-            if commits - last > 1:
-                raise AssertionError(
-                    "workload op %d produced %d durability points"
-                    % (index, commits - last))
-            if commits > last:
-                digests.append(state_digest(database))
-                last = commits
-            if index == checkpoint_after:
-                database.checkpoint()
+        run = _digest_run(database, seed, ops, len(ops) // 2)
         database.checkpoint()
-    except SimulatedCrash:
-        return database, digests, None, septic.blocked
-    return (database, digests, database.page_store.pager.raw_writes,
-            septic.blocked)
+    except pager_mod.SimulatedCrash:
+        if crash_plan is None:
+            raise AssertionError("golden paged run crashed without a plan")
+        return database, None
+    return database, run
 
 
-class PagedSweepResult(object):
-    """Outcome of a kill-at-every-page-write sweep on paged storage."""
-
-    __slots__ = ("seed", "raw_writes", "kills", "offsets",
-                 "durability_points", "blocked", "mismatches",
-                 "consistency_problems", "rebuilds", "dw_applied",
-                 "torn_repaired")
-
-    def __init__(self, seed, raw_writes, kills, offsets,
-                 durability_points, blocked, mismatches,
-                 consistency_problems, rebuilds, dw_applied,
-                 torn_repaired):
-        #: workload seed
-        self.seed = seed
-        #: raw page-file writes in the golden run (kill coordinate space)
-        self.raw_writes = raw_writes
-        #: crashes actually exercised (kill points x byte offsets)
-        self.kills = kills
-        #: byte offsets tried at each write
-        self.offsets = offsets
-        #: durability points in the golden run
-        self.durability_points = durability_points
-        #: statements the marker septic dropped
-        self.blocked = blocked
-        #: (write_index, offset, commits) where the recovered digest
-        #: diverged from the golden digest — lost commits / phantoms
-        self.mismatches = mismatches
-        #: (write_index, offset, problem) index-vs-scan violations
-        self.consistency_problems = consistency_problems
-        #: (write_index, offset, entry) tables recovery had to rebuild
-        #: from logical rows — torn writes must instead be repaired
-        #: in place from the doublewrite area, so this stays empty
-        self.rebuilds = rebuilds
-        #: doublewrite images applied across all recoveries
-        self.dw_applied = dw_applied
-        #: torn home pages repaired across all recoveries
-        self.torn_repaired = torn_repaired
-
-    @property
-    def ok(self):
-        return (self.kills > 0 and not self.mismatches
-                and not self.consistency_problems and not self.rebuilds)
-
-
-def run_paged_crash_sweep(workdir, seed, pool_pages=4, checkpoint_after=None,
-                          stride=1, offsets=None):
-    """Kill the engine at every raw page-file write x byte offset.
-
-    A golden paged run fixes the write schedule (spill flushes during
-    the workload under a small pool, then the checkpoint's doublewrite
-    body, seal and sorted home writes) and the digest at every
-    durability point.  Each victim replays the same deterministic
-    workload with a crash planted at one ``(write_index, byte_offset)``
-    — the write is truncated at the offset and the process "dies".
-    Recovery (:meth:`Database.reopen`) must then reproduce the golden
-    digest for the durable commit count, repair every torn page from
-    the doublewrite area (never by rebuilding a table), and leave every
-    index consistent with a full scan."""
-    if offsets is None:
-        half = pager_mod.DEFAULT_PAGE_SIZE // 2
-        offsets = (0, 1, half, pager_mod.DEFAULT_PAGE_SIZE - 1)
-    golden_dir = os.path.join(workdir, "paged-golden-%s" % seed)
-    shutil.rmtree(golden_dir, ignore_errors=True)
-    database, digests, total, blocked = _run_paged_workload(
-        golden_dir, seed, pool_pages, checkpoint_after)
-    if total is None:
-        raise AssertionError("golden paged run crashed without a plan")
+def _paged_golden(own, data_dir, seed):
+    """The golden paged run fixes the write schedule: spill flushes
+    during the workload under a small pool, then the checkpoint's
+    doublewrite body, seal and sorted home writes."""
+    database, run = _paged_run(own, data_dir, seed, 4)
+    run.counters["raw_writes"] = database.page_store.pager.raw_writes
     database.close()
-    shutil.rmtree(golden_dir, ignore_errors=True)
-
-    kills = 0
-    mismatches = []
-    consistency_problems = []
-    rebuilds = []
-    dw_applied = 0
-    torn_repaired = 0
-    victim_dir = os.path.join(workdir, "paged-victim-%s" % seed)
-    for write_index in range(0, total, stride):
-        for offset in offsets:
-            shutil.rmtree(victim_dir, ignore_errors=True)
-            database, _victim_digests, done, _ = _run_paged_workload(
-                victim_dir, seed, pool_pages, checkpoint_after,
-                crash_plan=(write_index, offset))
-            if done is not None:
-                # the plan never fired (schedule drift) — a correctness
-                # bug in the sweep itself, not the engine
-                database.close()
-                raise AssertionError(
-                    "no crash at write %d (golden schedule has %d)"
-                    % (write_index, total))
-            commits = database.wal.commits
-            database.reopen()
-            report = (database.recovery_report or {}).get("pages") or {}
-            dw_applied += report.get("dw_applied", 0)
-            torn_repaired += report.get("torn_repaired", 0)
-            for entry in report.get("rebuilt_tables") or []:
-                rebuilds.append((write_index, offset, entry))
-            if (commits >= len(digests)
-                    or state_digest(database) != digests[commits]):
-                mismatches.append((write_index, offset, commits))
-            for problem in verify_index_consistency(database):
-                consistency_problems.append((write_index, offset, problem))
-            database.close()
-            kills += 1
-    shutil.rmtree(victim_dir, ignore_errors=True)
-    return PagedSweepResult(
-        seed, total, kills, tuple(offsets), len(digests) - 1, blocked,
-        mismatches, consistency_problems, rebuilds, dw_applied,
-        torn_repaired,
-    )
+    return run
 
 
-def format_paged_sweep_result(result):
-    """Human-readable paged-sweep report (benchmark artifact body)."""
-    return (
-        "paged crash sweep seed=%s: %d kills over %d raw writes x %d "
-        "offsets, %d durability points, %d blocked statements, "
-        "%d doublewrite images applied, %d torn pages repaired -> %s"
-        % (result.seed, result.kills, result.raw_writes,
-           len(result.offsets), result.durability_points, result.blocked,
-           result.dw_applied, result.torn_repaired,
-           "OK" if result.ok else "%d PROBLEMS"
-           % (len(result.mismatches) + len(result.consistency_problems)
-              + len(result.rebuilds)))
-    )
+def _paged_sites(golden):
+    """Every raw write of the golden schedule x four cuts inside it."""
+    size = pager_mod.DEFAULT_PAGE_SIZE
+    return [(write_index, cut)
+            for write_index in range(golden.counters["raw_writes"])
+            for cut in (0, 1, size // 2, size - 1)]
 
 
-class CorruptionSweepResult(object):
-    """Outcome of a seeded bit-flip corruption sweep."""
-
-    __slots__ = ("seed", "injected", "detected", "repairs",
-                 "repairs_by_source", "false_repairs", "unrepaired",
-                 "digest_ok", "blocked")
-
-    def __init__(self, seed, injected, detected, repairs,
-                 repairs_by_source, false_repairs, unrepaired, digest_ok,
-                 blocked):
-        self.seed = seed
-        #: single-bit flips written to the page file
-        self.injected = injected
-        #: flips the scrubber caught as fresh corruptions
-        self.detected = detected
-        #: successful repairs, total and per source
-        self.repairs = repairs
-        self.repairs_by_source = repairs_by_source
-        #: intact pages the scrubber tried to rewrite (must stay 0)
-        self.false_repairs = false_repairs
-        #: pages still quarantined at the end (must stay 0)
-        self.unrepaired = unrepaired
-        #: logical state unchanged after all repairs
-        self.digest_ok = digest_ok
-        self.blocked = blocked
-
-    @property
-    def ok(self):
-        return (self.injected > 0 and self.detected == self.injected
-                and self.unrepaired == 0 and self.false_repairs == 0
-                and self.digest_ok)
+def _paged_recover(own, victim_dir, golden, site, counters):
+    """Replay the same deterministic workload with the write truncated
+    at the site and the process "dead".  Recovery
+    (:meth:`Database.reopen`) must reproduce the golden digest for the
+    durable commit count, repair every torn page from the doublewrite
+    area (never by rebuilding a table), and leave every index
+    consistent with a full scan."""
+    database, run = _paged_run(own, victim_dir, golden.seed, 4,
+                               crash_plan=site)
+    if run is not None:
+        # the plan never fired (schedule drift) — a correctness bug in
+        # the sweep itself, not the engine
+        raise AssertionError("no crash at write %d (golden schedule has %d)"
+                             % (site[0], golden.counters["raw_writes"]))
+    commits = database.wal.commits
+    database.reopen()
+    pages = (database.recovery_report or {}).get("pages") or {}
+    counters["dw_applied"] += pages.get("dw_applied", 0)
+    counters["torn_repaired"] += pages.get("torn_repaired", 0)
+    for entry in pages.get("rebuilt_tables") or []:
+        yield "rebuild", "recovery rebuilt %r from logical rows" % (entry,)
+    expected = (golden.digests[commits] if commits < len(golden.digests)
+                else None)
+    yield from _state_problems(database, expected)
 
 
-def run_corruption_sweep(workdir, seed, flips=6, pool_pages=6):
-    """Flip one seeded bit per round in the page file, then scrub.
+PAGED_SWEEP = SweepConfig("paged", _paged_golden, _paged_sites,
+                          _paged_recover)
 
-    Every flip must be detected on the next full scrub pass (CRC32
-    covers the whole page, so any single-bit flip breaks it), repaired
-    from one of the scrubber's sources without changing logical state,
-    and never trigger a rewrite of an intact page.  Pages are re-listed
-    each round because a WAL-redo repair rebuilds the owning table onto
-    fresh pages."""
-    data_dir = os.path.join(workdir, "corrupt-%s" % seed)
-    shutil.rmtree(data_dir, ignore_errors=True)
-    database, _digests, total, blocked = _run_paged_workload(
-        data_dir, seed, pool_pages, None)
-    if total is None:
-        raise AssertionError("corruption-sweep setup run crashed")
-    baseline = state_digest(database)
+
+def _bitflip_golden(own, data_dir, seed, flips=6):
+    """The paged workload, left open: the rounds corrupt and scrub this
+    very database, so repairs accumulate like they would in service."""
+    database, run = _paged_run(own, data_dir, seed, 6)
+    run.facts.update(database=database, baseline=state_digest(database),
+                     rng=random.Random("corrupt-%s" % seed), flips=flips)
+    run.counters["detected"] = 0
+    return run
+
+
+def _bitflip_recover(_own, _victim_dir, golden, _round, counters):
+    """Flip one seeded bit in the page file, then scrub.  Every flip
+    must be detected on the next full scrub pass (CRC32 covers the whole
+    page, so any single-bit flip breaks it).  Pages are re-listed each
+    round because a WAL-redo repair rebuilds the owning table onto fresh
+    pages."""
+    database, rng = golden.facts["database"], golden.facts["rng"]
+    pages = sorted({page for table in database.tables.values()
+                    for page in table.store.pages()})
+    if not pages:
+        return
+    page_size = database.page_store.pager.page_size
+    page_no = rng.choice(pages)
+    bit = rng.randrange(page_size * 8)
     scrubber = database.page_store.scrubber
-    rng = random.Random("corrupt-%s" % seed)
-    injected = 0
-    detected = 0
-    for _ in range(flips):
-        pages = sorted({page for table in database.tables.values()
-                        for page in table.store.pages()})
-        if not pages:
-            break
-        page_no = rng.choice(pages)
-        bit = rng.randrange(database.page_store.pager.page_size * 8)
-        before = scrubber.detected
-        pager_mod.flip_page_bit(data_dir, page_no, bit,
-                                page_size=database.page_store.pager.page_size)
-        injected += 1
-        scrubber.scan_all()
-        if scrubber.detected == before + 1:
-            detected += 1
+    before = scrubber.detected
+    pager_mod.flip_page_bit(database.data_dir, page_no, bit,
+                            page_size=page_size)
+    counters["injected"] += 1
+    scrubber.scan_all()
+    if scrubber.detected == before + 1:
+        counters["detected"] += 1
+    else:
+        yield "detection", "page %d bit %d went unnoticed" % (page_no, bit)
+
+
+def _bitflip_expect(golden, counters):
+    """After the last round: every page must verify again, repaired
+    from one of the scrubber's sources without changing logical state
+    and without ever rewriting an intact page."""
+    database = golden.facts["database"]
+    scrubber = database.page_store.scrubber
     scrubber.scan_all()     # a clean pass: everything must verify again
     stats = scrubber.stats_dict()
-    unrepaired = stats["quarantined"]
-    digest_ok = state_digest(database) == baseline
-    database.close()
-    shutil.rmtree(data_dir, ignore_errors=True)
-    return CorruptionSweepResult(
-        seed, injected, detected, stats["scrub_repairs"],
-        dict(stats["repairs_by_source"]), stats["false_repairs"],
-        unrepaired, digest_ok, blocked,
-    )
+    counters["false_repairs"] = stats["false_repairs"]
+    counters["unrepaired"] = stats["quarantined"]
+    for source, count in stats["repairs_by_source"].items():
+        counters["repaired_from_" + source] = count
+    if counters["injected"] == 0:
+        yield "coverage", "no bit was flipped"
+    if stats["quarantined"]:
+        yield "repair", "%d pages still quarantined" % stats["quarantined"]
+    if stats["false_repairs"]:
+        yield "false_repair", "%d intact pages" % stats["false_repairs"]
+    if state_digest(database) != golden.facts["baseline"]:
+        yield "digest", "logical state changed across repairs"
 
 
-def format_corruption_result(result):
-    """Human-readable corruption-sweep report."""
-    sources = ", ".join("%s=%d" % pair for pair in
-                        sorted(result.repairs_by_source.items())) or "none"
-    return (
-        "corruption sweep seed=%s: %d bit flips, %d detected, %d "
-        "repaired (%s), %d false repairs, %d unrepaired -> %s"
-        % (result.seed, result.injected, result.detected, result.repairs,
-           sources, result.false_repairs, result.unrepaired,
-           "OK" if result.ok else "PROBLEMS")
-    )
+BITFLIP_SWEEP = SweepConfig(
+    "bitflip", _bitflip_golden, lambda golden: range(golden.facts["flips"]),
+    _bitflip_recover, _bitflip_expect)
 
 
-# -- sharded crash sweep ------------------------------------------------
+# -- sharded: kill any shard's primary at every commit boundary ---------------
 #
 # The cross-shard extension of the failover sweep: a hash-sharded fleet
 # (each shard its own replica set) runs a keyed workload through the
@@ -938,243 +775,125 @@ def generate_sharded_workload(seed, writes=10):
     return ops
 
 
-def fleet_digest(router):
-    """Combined digest over every shard primary (order-stable)."""
+def _fleet_snapshot(router):
+    """``(digest, (rows, sum))`` straight off the shard primaries: the
+    combined state digest (order-stable) and the ground truth a scatter
+    COUNT/SUM must agree with."""
     parts = []
+    count = total = 0
     for shard in range(router.shard_count):
         database = router.primary_database(shard)
         parts.append("" if database is None else state_digest(database))
-    return sha1("|".join(parts).encode("ascii")).hexdigest()
+        if database is not None and "accounts" in database.tables:
+            for row in database.tables["accounts"].rows:
+                count += 1
+                total += row.get("amount") or 0
+    return sha1("|".join(parts).encode("ascii")).hexdigest(), (count, total)
 
 
-def _fleet_totals(router):
-    """(row_count, amount_sum) straight off the shard primaries — the
-    ground truth a scatter read must agree with."""
-    count = 0
-    total = 0
-    for shard in range(router.shard_count):
-        database = router.primary_database(shard)
-        if database is None or "accounts" not in database.tables:
-            continue
-        for row in database.tables["accounts"].rows:
-            count += 1
-            total += row.get("amount") or 0
-    return count, total
+def _drive_fleet(router, ops, on_point=None, stop_at=None):
+    """Drive *ops* through the router, shipping after each op.  Every
+    ``"w"`` op is a commit boundary and must be acked; every ``"x"`` op
+    must be blocked.  Returns :func:`drive_ops`'s resume index."""
+    done = []
 
-
-class ShardedSweepResult(object):
-    """Outcome of one kill-any-shard-primary-at-every-commit sweep."""
-
-    __slots__ = ("seed", "shards", "replicas", "boundaries", "kills",
-                 "promotions", "torn_reads", "lost_rows", "phantom_rows",
-                 "digest_mismatches", "index_mismatches", "blocked",
-                 "scatter_reads")
-
-    def __init__(self, seed, shards, replicas, boundaries, kills,
-                 promotions, torn_reads, lost_rows, phantom_rows,
-                 digest_mismatches, index_mismatches, blocked,
-                 scatter_reads):
-        self.seed = seed
-        self.shards = shards
-        self.replicas = replicas
-        #: commit boundaries of the golden run (each swept × shards)
-        self.boundaries = boundaries
-        self.kills = kills
-        self.promotions = promotions
-        #: (k, shard, expected, got) scatter reads that disagreed with
-        #: the committed prefix mid-failover
-        self.torn_reads = torn_reads
-        #: acked rows missing after failover, summed over runs
-        self.lost_rows = lost_rows
-        #: unacked rows that resurrected, summed over runs
-        self.phantom_rows = phantom_rows
-        #: (k, shard) final fleet digests diverging from golden
-        self.digest_mismatches = digest_mismatches
-        #: (k, shard, problem) index-vs-scan disagreements
-        self.index_mismatches = index_mismatches
-        #: statements the marker septic dropped in the golden run
-        self.blocked = blocked
-        #: scatter reads issued mid-failover across the sweep
-        self.scatter_reads = scatter_reads
-
-    @property
-    def ok(self):
-        return (not self.torn_reads and not self.lost_rows
-                and not self.phantom_rows and not self.digest_mismatches
-                and not self.index_mismatches and self.blocked >= 2
-                and self.kills == self.boundaries * self.shards
-                and self.promotions == self.kills)
-
-    def __repr__(self):
-        return ("ShardedSweepResult(seed=%r, %d boundaries x %d shards, "
-                "%d kills, %d torn reads, %d lost, %d phantom)"
-                % (self.seed, self.boundaries, self.shards, self.kills,
-                   len(self.torn_reads), self.lost_rows,
-                   self.phantom_rows))
-
-
-def _replay_sharded(router, ops, stop_after=None):
-    """Drive *ops* through the router, shipping after each op.  Returns
-    ``(boundary_states, blocked)`` where ``boundary_states[k]`` is the
-    ``(count, total, digest)`` snapshot after the k-th commit boundary
-    (``boundary_states[0]`` = before any write).  Stops once
-    *stop_after* boundaries have landed."""
-    boundary_states = [(0, 0, fleet_digest(router))]
-    blocked = 0
-    for kind, sql in ops:
-        if stop_after is not None and len(boundary_states) > stop_after:
-            break
+    def execute(kind, sql):
         outcome = router.query(sql)
         router.ship()
-        if kind == "w":
-            if not outcome.ok:
-                raise AssertionError(
-                    "workload write failed: %s -> %s" % (sql, outcome.error)
-                )
-            count, total = _fleet_totals(router)
-            boundary_states.append((count, total, fleet_digest(router)))
-        elif kind == "x":
-            if outcome.ok or getattr(outcome.error, "errno", None) != 3090:
-                raise AssertionError(
-                    "marker septic let %r through: %r" % (sql, outcome)
-                )
-            blocked += 1
-    return boundary_states, blocked
+        if kind == "w" and not outcome.ok:
+            raise AssertionError("workload write failed: %s -> %s"
+                                 % (sql, outcome.error))
+        errno = getattr(outcome.error, "errno", None)
+        if kind == "x" and (outcome.ok or errno != 3090):
+            raise AssertionError("marker septic let %r through: %r"
+                                 % (sql, outcome))
+        done.append(kind)
+
+    return drive_ops(ops, execute, lambda: done.count("w"), on_point,
+                     stop_at=stop_at)
 
 
-def run_sharded_sweep(workdir, seed, shards=2, replicas=1, writes=10):
-    """Kill every shard's primary at every commit boundary mid-scatter.
+def _sharded_golden(own, path, seed, shards=2, replicas=1, writes=10):
+    """The full workload through a fresh sharded fleet, snapshotting
+    ``(rows, sum)`` and the fleet digest at every commit boundary."""
+    fleet = dict(shards=shards, replicas=replicas, seed=seed, **_SET_KNOBS)
+    router = own(ShardRouter(path, **fleet))
+    run = WorkloadRun(seed, generate_sharded_workload(seed, writes=writes), [])
+    run.facts.update(fleet=fleet, totals=[])
 
-    Golden run first: the full workload through a fresh sharded fleet,
-    snapshotting ``(rows, sum, digest)`` at every commit boundary.  Then
-    for every boundary ``k`` and every shard ``s``: fresh fleet, replay
-    exactly ``k`` boundaries, crash shard ``s``'s primary, and — with
-    the failover still in flight — issue a cross-shard scatter read
-    through the router.  The read must see exactly the golden ``k``
-    snapshot (no torn cross-shard state), the election must promote,
-    and finishing the workload must converge every shard to the golden
-    final digest (no lost, no phantom rows).  Indexes are cross-checked
-    against full scans on every post-failover primary.
-    """
-    from repro.shard import ShardRouter
+    def snapshot():
+        digest, totals = _fleet_snapshot(router)
+        run.digests.append(digest)
+        run.facts["totals"].append(totals)
 
-    ops = generate_sharded_workload(seed, writes=writes)
-
-    def build_router(tag):
-        path = os.path.join(workdir, "sharded-%s-%s" % (seed, tag))
-        shutil.rmtree(path, ignore_errors=True)
-        return ShardRouter(
-            path, shards=shards, replicas=replicas,
-            septic_factory=MarkerSeptic, seed=seed if isinstance(seed, int)
-            else 1, heartbeat_interval=1, lease_intervals=2,
-        )
-
-    golden = build_router("golden")
-    try:
-        golden_states, blocked = _replay_sharded(golden, ops)
-        golden_final = golden_states[-1][2]
-    finally:
-        golden.close()
-    boundaries = len(golden_states) - 1
-
-    kills = 0
-    promotions = 0
-    scatter_reads = 0
-    torn_reads = []
-    lost_rows = 0
-    phantom_rows = 0
-    digest_mismatches = []
-    index_mismatches = []
-
-    for k in range(1, boundaries + 1):
-        for shard in range(shards):
-            router = build_router("victim")
-            try:
-                _replay_sharded(router, ops, stop_after=k)
-                victim_set = router.shard_sets[shard]
-                promotions_before = victim_set.promotions
-                router.kill_primary(shard)
-                kills += 1
-                # scatter read mid-failover: the router's virtual-tick
-                # retry backoff is what drives the election forward
-                outcome = router.query(
-                    "SELECT COUNT(*), SUM(amount) FROM accounts"
-                )
-                scatter_reads += 1
-                expected_count, expected_total, _ = golden_states[k]
-                if not outcome.ok:
-                    torn_reads.append((k, shard, "error",
-                                       str(outcome.error)))
-                else:
-                    got_count, got_total = outcome.rows[0]
-                    if (got_count, got_total or 0) != (expected_count,
-                                                       expected_total):
-                        torn_reads.append(
-                            (k, shard,
-                             (expected_count, expected_total),
-                             (got_count, got_total))
-                        )
-                        if got_count < expected_count:
-                            lost_rows += expected_count - got_count
-                        elif got_count > expected_count:
-                            phantom_rows += got_count - expected_count
-                if victim_set.primary is None:
-                    _await_promotion(victim_set)
-                if victim_set.promotions > promotions_before:
-                    promotions += 1
-                # finish the workload over the promoted fleet
-                remaining = _count_remaining(ops, k)
-                if remaining:
-                    _replay_sharded(router, remaining)
-                final = fleet_digest(router)
-                if final != golden_final:
-                    digest_mismatches.append((k, shard))
-                for ordinal in range(shards):
-                    database = router.primary_database(ordinal)
-                    if database is None:
-                        index_mismatches.append((k, shard, "no primary"))
-                        continue
-                    for problem in verify_index_consistency(database):
-                        index_mismatches.append((k, shard, problem))
-            finally:
-                router.close()
-
-    return ShardedSweepResult(
-        seed=seed, shards=shards, replicas=replicas,
-        boundaries=boundaries, kills=kills, promotions=promotions,
-        torn_reads=torn_reads, lost_rows=lost_rows,
-        phantom_rows=phantom_rows, digest_mismatches=digest_mismatches,
-        index_mismatches=index_mismatches, blocked=blocked,
-        scatter_reads=scatter_reads,
-    )
+    snapshot()
+    _drive_fleet(router, run.ops, snapshot)
+    router.close()
+    # every "x" op was blocked, or the drive would have raised
+    run.blocked = [kind for kind, _sql in run.ops].count("x")
+    run.counters["durability_points"] = len(run.digests) - 1
+    return run
 
 
-def _count_remaining(ops, boundaries_done):
-    """The op suffix after the first *boundaries_done* commit
-    boundaries (what the victim run still has to execute)."""
-    landed = 0
-    for index, (kind, _sql) in enumerate(ops):
-        if kind == "w":
-            landed += 1
-            if landed == boundaries_done:
-                return ops[index + 1:]
-    return []
+def _sharded_sites(golden):
+    return [(k, shard) for k in range(1, len(golden.digests))
+            for shard in range(golden.facts["fleet"]["shards"])]
 
 
-def format_sharded_result(result):
-    lines = [
-        "sharded crash sweep: seed=%r %d shards x %d replicas" % (
-            result.seed, result.shards, result.replicas),
-        "  %d commit boundaries, %d kills (every shard at every "
-        "boundary), %d promotions" % (result.boundaries, result.kills,
-                                      result.promotions),
-        "  %d scatter reads mid-failover, %d torn" % (
-            result.scatter_reads, len(result.torn_reads)),
-        "  lost rows: %d, phantom rows: %d" % (result.lost_rows,
-                                               result.phantom_rows),
-        "  digest mismatches: %d, index mismatches: %d, blocked: %d" % (
-            len(result.digest_mismatches), len(result.index_mismatches),
-            result.blocked),
-        "  verdict: %s" % ("OK" if result.ok else "FAILED"),
-    ]
-    return "\n".join(lines)
+def _sharded_recover(own, path, golden, site, counters):
+    """Fresh fleet, replay exactly ``k`` boundaries, crash shard ``s``'s
+    primary, and — with the failover still in flight — issue a
+    cross-shard scatter read through the router.  The read must see
+    exactly the golden ``k`` snapshot (no torn cross-shard state), the
+    election must promote, and finishing the workload must converge
+    every shard to the golden final digest (no lost, no phantom rows).
+    Indexes are cross-checked against full scans on every post-failover
+    primary."""
+    k, shard = site
+    router = own(ShardRouter(path, **golden.facts["fleet"]))
+    resume = _drive_fleet(router, golden.ops, stop_at=k)
+    victim_set = router.shard_sets[shard]
+    promotions_before = victim_set.promotions
+    router.kill_primary(shard)
+    counters["kills"] += 1
+    # scatter read mid-failover: the router's virtual-tick retry backoff
+    # is what drives the election forward
+    outcome = router.query("SELECT COUNT(*), SUM(amount) FROM accounts")
+    counters["scatter_reads"] += 1
+    expected = golden.facts["totals"][k]
+    if not outcome.ok:
+        yield "scatter", "error: %s" % outcome.error
+    else:
+        got_count, got_total = outcome.rows[0]
+        counters["lost_rows"] += max(0, expected[0] - got_count)
+        counters["phantom_rows"] += max(0, got_count - expected[0])
+        if (got_count, got_total or 0) != expected:
+            yield "scatter", "%r, not %r" % (outcome.rows[0], expected)
+    if victim_set.primary is None:
+        _await_promotion(victim_set)
+    if victim_set.promotions > promotions_before:
+        counters["promotions"] += 1
+    else:
+        yield "election", "shard %d did not promote" % shard
+    # finish the workload over the promoted fleet
+    _drive_fleet(router, golden.ops[resume:])
+    if _fleet_snapshot(router)[0] != golden.digests[-1]:
+        yield "digest", "final fleet state diverged (lost or phantom rows)"
+    for ordinal in range(router.shard_count):
+        database = router.primary_database(ordinal)
+        if database is None:
+            yield "index", "shard %d has no primary" % ordinal
+        else:
+            for problem in verify_index_consistency(database):
+                yield "index", problem
+
+
+def _sharded_expect(golden, counters):
+    if counters["blocked"] < 2:
+        yield "coverage", "%d blocked, 2 planted" % counters["blocked"]
+    if counters["kills"] != len(_sharded_sites(golden)):
+        yield "coverage", "%d kills, not one per site" % counters["kills"]
+
+
+SHARDED_SWEEP = SweepConfig("sharded", _sharded_golden, _sharded_sites,
+                            _sharded_recover, _sharded_expect)

@@ -11,8 +11,8 @@ configurations (NN / YN / NY / YY), reporting average-latency overheads.
 ``run_scaling_experiment`` reproduces the §II-F ramp: 1→4 machines with
 one browser each, then 8/12/16/20 browsers on four machines.
 
-``run_concurrent_read_experiment`` measures the engine's statement-level
-lock hierarchy: it classifies a real workload with the engine's own
+``run_lock_experiment`` measures the engine's statement-level lock
+hierarchy: it classifies a real workload with the engine's own
 :func:`repro.sqldb.engine.lock_plan`, measures each statement's real
 single-threaded service time, then replays N virtual workers through a
 discrete-event model of the reader–writer locks
@@ -25,14 +25,15 @@ lock hierarchy admits.
 
 import random
 import time
+from collections import defaultdict
 
 from repro.benchlab.machines import BrowserClient, NetworkLink, ServerMachine
-from repro.benchlab.simulation import Simulator
+from repro.benchlab.simulation import FifoResource, Simulator
 from repro.benchlab.workload import workload_for
 from repro.core.logger import SepticLogger
 from repro.core.septic import Mode, Septic, SepticConfig
 from repro.sqldb.connection import Connection
-from repro.sqldb.engine import Database
+from repro.sqldb.engine import Database, LockPlan
 from repro.sqldb.parser import parse_sql
 from repro.web.server import WebServer
 
@@ -343,148 +344,125 @@ class LockContentionModel(object):
         }
 
 
-class ContentionResult(object):
-    """Outcome of one :func:`run_concurrent_read_experiment` run."""
+class _Record(object):
+    """A result record: keyword construction over ``__slots__``, every
+    field required, nothing else accepted."""
 
-    __slots__ = ("lock_mode", "workers", "statements", "makespan",
-                 "service_total", "lock_stats")
+    __slots__ = ()
 
-    def __init__(self, lock_mode, workers, statements, makespan,
-                 service_total, lock_stats):
-        self.lock_mode = lock_mode
-        self.workers = workers
-        self.statements = statements
-        #: virtual seconds from first issue to last completion
-        self.makespan = makespan
-        #: sum of single-threaded service times (the serial floor)
-        self.service_total = service_total
-        self.lock_stats = lock_stats
+    def __init__(self, **kwargs):
+        for name in self.__slots__:
+            setattr(self, name, kwargs.pop(name))
+        if kwargs:
+            raise TypeError("unexpected fields: %s" % sorted(kwargs))
+
+    def as_dict(self):
+        return {name: getattr(self, name) for name in self.__slots__}
+
+
+class LockExperimentResult(_Record):
+    """Outcome of one :func:`run_lock_experiment` run.
+
+    ``makespan`` is virtual seconds until the *last reader* finished
+    (the whole schedule, when there is no writer); ``service_total`` the
+    serial floor of the read side (sum of service times);
+    ``writer_makespan`` virtual seconds until the writer's statement
+    finished (``None`` without one)."""
+
+    __slots__ = ("lock_mode", "readers", "statements", "makespan",
+                 "service_total", "writer_makespan", "writer_service",
+                 "lock_stats")
 
     @property
     def throughput(self):
+        """Read-side statements per virtual second."""
         if self.makespan <= 0:
             return 0.0
         return self.statements / self.makespan
 
     def speedup_vs(self, baseline):
-        """Aggregate-throughput ratio against another run."""
+        """Read-side throughput ratio against another run."""
         if baseline.throughput == 0:
             return 0.0
         return self.throughput / baseline.throughput
-
-    def __repr__(self):
-        return ("ContentionResult(%s, %d workers, %d stmts, "
-                "makespan=%.6f)" % (self.lock_mode, self.workers,
-                                    self.statements, self.makespan))
-
-
-class MixedWorkloadResult(object):
-    """Outcome of one :func:`run_mixed_workload_experiment` run."""
-
-    __slots__ = ("lock_mode", "readers", "reader_statements",
-                 "reader_makespan", "writer_makespan",
-                 "reader_service_total", "writer_service", "lock_stats")
-
-    def __init__(self, lock_mode, readers, reader_statements,
-                 reader_makespan, writer_makespan, reader_service_total,
-                 writer_service, lock_stats):
-        self.lock_mode = lock_mode
-        self.readers = readers
-        self.reader_statements = reader_statements
-        #: virtual seconds until the *last reader* finished
-        self.reader_makespan = reader_makespan
-        #: virtual seconds until the writer's statement finished
-        self.writer_makespan = writer_makespan
-        #: serial floor of the read side (sum of service times)
-        self.reader_service_total = reader_service_total
-        self.writer_service = writer_service
-        self.lock_stats = lock_stats
-
-    @property
-    def reader_throughput(self):
-        if self.reader_makespan <= 0:
-            return 0.0
-        return self.reader_statements / self.reader_makespan
-
-    def reader_speedup_vs(self, baseline):
-        """Read-side throughput ratio against another run."""
-        if baseline.reader_throughput == 0:
-            return 0.0
-        return self.reader_throughput / baseline.reader_throughput
 
     @property
     def readers_overlapped_writer(self):
         """True when the read side completed while the writer's long
         statement was still holding its table lock — the "writers never
         block readers" claim, visible in the schedule itself."""
-        return self.reader_makespan < self.writer_makespan
+        return (self.writer_makespan is not None
+                and self.makespan < self.writer_makespan)
 
     def __repr__(self):
-        return ("MixedWorkloadResult(%s, %d readers, %d stmts, "
-                "reader_makespan=%.6f, writer_makespan=%.6f)"
-                % (self.lock_mode, self.readers, self.reader_statements,
-                   self.reader_makespan, self.writer_makespan))
+        return ("LockExperimentResult(%s, %d readers, %d stmts, "
+                "makespan=%.6f, writer_makespan=%r)"
+                % (self.lock_mode, self.readers, self.statements,
+                   self.makespan, self.writer_makespan))
 
 
-def run_mixed_workload_experiment(setup_sql, reader_workload, writer_sql,
-                                  readers=8, loops=5, lock_mode="shared",
-                                  reader_service=None, writer_service=None):
-    """Readers racing one long writer on the *same* table, in virtual
-    time — the MVCC demonstration experiment.
+def run_lock_experiment(setup_sql, reader_workload, writer_sql=None,
+                        readers=8, loops=5, lock_mode="shared",
+                        reader_service=None, writer_service=None):
+    """Replay *reader_workload* on *readers* virtual threads under the
+    engine's lock hierarchy — optionally racing one long writer — and
+    report the admitted schedule, in virtual time.
 
-    *reader_workload* (a list of single-statement SQL strings, SELECTs
-    over the writer's target table) is replayed by *readers* virtual
-    workers, *loops* times each, while a single virtual writer runs
-    *writer_sql* once with service time *writer_service* (long, so its
-    table lock is held across the whole read phase).  Statements are
-    classified with the engine's own lock-plan logic under *lock_mode*,
-    exactly as :func:`run_concurrent_read_experiment` does; service
-    times are measured live unless pinned via *reader_service* /
-    *writer_service* (benchmarks comparing two modes should pin both
-    runs to the same times).
+    *setup_sql* seeds a real :class:`Database`; each statement of
+    *reader_workload* (single-statement SQL strings) is parsed once,
+    classified with the engine's own lock-plan logic, and its
+    single-threaded service time is measured live unless pinned via
+    *reader_service* (one float per statement — benchmarks comparing two
+    modes should pin both runs to the same times).  Then *readers*
+    virtual threads each run the workload *loops* times through
+    :class:`LockContentionModel`.
 
-    Under the MVCC plans ("shared" mode) SELECTs take no table locks —
-    the read side never queues behind the writer's table-X hold and
-    finishes while the UPDATE is still running
-    (:attr:`MixedWorkloadResult.readers_overlapped_writer`).  Under
-    "exclusive" mode everything serializes through the catalog lock,
-    which is the baseline the read-speedup claim is measured against.
+    With *writer_sql* a single virtual writer runs that statement once,
+    issued first, with service time *writer_service* (long, so its table
+    lock is held across the whole read phase) — the MVCC demonstration:
+    under the engine's plans SELECTs take no table locks, so the read
+    side never queues behind the writer's table-X hold and finishes
+    while the UPDATE is still running
+    (:attr:`LockExperimentResult.readers_overlapped_writer`).
 
-    Returns a :class:`MixedWorkloadResult`.
+    ``lock_mode="exclusive"`` is the serialized baseline the speedup
+    claims are measured against: a property of this *model*, not of the
+    engine — every plan is degraded to catalog-exclusive, exactly one
+    statement in the engine at a time.
     """
-    database = Database(lock_mode=lock_mode)
+    if lock_mode not in ("shared", "exclusive"):
+        raise ValueError("lock_mode must be 'shared' or 'exclusive'")
+    database = Database()
     if setup_sql:
         database.seed(setup_sql)
-    plans = []
-    measured = []
-    for index, sql in enumerate(reader_workload):
+
+    def classify(sql, service):
         statements, _comments = parse_sql(sql)
         if len(statements) != 1:
             raise ValueError("workload entries must hold one statement: %r"
                              % sql)
-        plans.append(database._lock_plan_for(statements[0]))
-        if reader_service is not None:
-            measured.append(reader_service[index])
-        else:
+        plan = database._lock_plan_for(statements[0])
+        if plan is not None and lock_mode == "exclusive":
+            plan = LockPlan(catalog_shared=False)
+        if service is None:
             start = time.perf_counter()
             database.run(sql)
-            measured.append(max(time.perf_counter() - start, 1e-7))
-    statements, _comments = parse_sql(writer_sql)
-    if len(statements) != 1:
-        raise ValueError("writer_sql must hold one statement: %r"
-                         % writer_sql)
-    writer_plan = database._lock_plan_for(statements[0])
-    if writer_service is None:
-        start = time.perf_counter()
-        database.run(writer_sql)
-        writer_service = max(time.perf_counter() - start, 1e-7)
+            service = max(time.perf_counter() - start, 1e-7)
+        return plan, service
+
+    if reader_service is None:
+        reader_service = [None] * len(reader_workload)
+    script = [classify(sql, service)
+              for sql, service in zip(reader_workload, reader_service)]
+    writer = None
+    if writer_sql is not None:
+        writer = classify(writer_sql, writer_service)
     simulator = Simulator()
     model = LockContentionModel(simulator)
-    script = [(plans[i], measured[i]) for i in range(len(reader_workload))]
-    done = {"reader_last": 0.0, "writer_last": 0.0, "statements": 0}
+    done = {"statements": 0, "reader_last": 0.0, "writer_last": None}
 
     def start_reader():
-        items = list(script) * loops
+        items = script * loops
 
         def run_next(index):
             if index == len(items):
@@ -504,89 +482,29 @@ def run_mixed_workload_experiment(setup_sql, reader_workload, writer_sql,
         def finished():
             done["writer_last"] = simulator.now
 
-        model.run_statement(writer_plan, writer_service, finished)
+        model.run_statement(*writer, done=finished)
 
     # the writer issues first: in exclusive mode every reader queues
-    # behind its hold, in MVCC mode none of them do
-    simulator.schedule(0.0, start_writer)
-    for worker in range(readers):
-        simulator.schedule((worker + 1) * 1e-9, start_reader)
+    # behind its hold, in MVCC mode none of them do; the 1 ns stagger
+    # fixes the issue order deterministically without changing load
+    starters = [start_reader] * readers
+    if writer is not None:
+        starters.insert(0, start_writer)
+    for slot, start in enumerate(starters):
+        simulator.schedule(slot * 1e-9, start)
     simulator.run()
-    return MixedWorkloadResult(
-        lock_mode, readers, done["statements"], done["reader_last"],
-        done["writer_last"], sum(measured) * readers * loops,
-        writer_service, model.lock_stats(),
+    return LockExperimentResult(
+        lock_mode=lock_mode, readers=readers,
+        statements=done["statements"], makespan=done["reader_last"],
+        service_total=sum(service for _plan, service in script)
+        * readers * loops,
+        writer_makespan=done["writer_last"],
+        writer_service=None if writer is None else writer[1],
+        lock_stats=model.lock_stats(),
     )
 
 
-def run_concurrent_read_experiment(setup_sql, workload, workers=8,
-                                   loops=5, lock_mode="shared",
-                                   service_times=None):
-    """Replay *workload* on *workers* virtual threads under the engine's
-    lock hierarchy and report the admitted schedule.
-
-    *setup_sql* seeds a real :class:`Database` (built with *lock_mode*);
-    each statement of *workload* is parsed once, classified with the
-    engine's own lock-plan logic, and its single-threaded service time
-    is measured live (pass *service_times*, one float per workload
-    statement, to pin them — benchmarks comparing two modes should
-    measure once and pin both runs to the same times).  Then *workers*
-    virtual threads each run the workload *loops* times through
-    :class:`LockContentionModel` and the makespan of the whole schedule
-    is measured in virtual time.
-
-    Returns a :class:`ContentionResult`.
-    """
-    database = Database(lock_mode=lock_mode)
-    if setup_sql:
-        database.seed(setup_sql)
-    plans = []
-    measured = []
-    for index, sql in enumerate(workload):
-        statements, _comments = parse_sql(sql)
-        if len(statements) != 1:
-            raise ValueError("workload entries must hold one statement: %r"
-                             % sql)
-        plans.append(database._lock_plan_for(statements[0]))
-        if service_times is not None:
-            measured.append(service_times[index])
-        else:
-            start = time.perf_counter()
-            database.run(sql)
-            measured.append(max(time.perf_counter() - start, 1e-7))
-    simulator = Simulator()
-    model = LockContentionModel(simulator)
-    script = [(plans[i], measured[i]) for i in range(len(workload))]
-    total = {"statements": 0}
-    completion = {"last": 0.0}
-
-    def start_worker(items):
-        def run_next(index):
-            if index == len(items):
-                completion["last"] = max(completion["last"], simulator.now)
-                return
-            plan, service = items[index]
-            model.run_statement(plan, service,
-                                lambda: advance(index))
-
-        def advance(index):
-            total["statements"] += 1
-            run_next(index + 1)
-
-        run_next(0)
-
-    for worker in range(workers):
-        # stagger issue order deterministically without changing load
-        items = list(script) * loops
-        simulator.schedule(worker * 1e-9, start_worker, items)
-    simulator.run()
-    return ContentionResult(
-        lock_mode, workers, total["statements"], completion["last"],
-        sum(measured) * workers * loops, model.lock_stats(),
-    )
-
-
-class FailoverExperimentResult(object):
+class FailoverExperimentResult(_Record):
     """What :func:`run_failover_experiment` measured."""
 
     __slots__ = ("replicas", "readers", "read_service", "heartbeat_seconds",
@@ -596,15 +514,6 @@ class FailoverExperimentResult(object):
                  "restore_time", "outage_intervals", "failed_reads",
                  "writes_ok", "write_failures", "promotions", "rows_expected",
                  "rows_on_primary", "converged")
-
-    def __init__(self, **kwargs):
-        for name in self.__slots__:
-            setattr(self, name, kwargs.pop(name))
-        if kwargs:
-            raise TypeError("unexpected fields: %s" % sorted(kwargs))
-
-    def as_dict(self):
-        return {name: getattr(self, name) for name in self.__slots__}
 
     def __repr__(self):
         return ("FailoverExperimentResult(replicas=%d, thr before/during/"
@@ -673,7 +582,7 @@ def run_failover_experiment(workdir, replicas=2, readers=6, seed=1,
     router = replica_set.connect(max_lag_lsn=max_lag_lsn, seed=seed)
     simulator = Simulator()
     rng = random.Random(seed)
-    busy_until = {}
+    serving = defaultdict(FifoResource)     # one serial server per node
     counts = {"failed_reads": 0, "writes_ok": 0, "write_failures": 0}
     state = {"promote_time": None, "restore_time": None}
     completions = []
@@ -715,9 +624,7 @@ def run_failover_experiment(workdir, replicas=2, readers=6, seed=1,
             delay *= 1.0 + 0.5 * rng.random()
             simulator.schedule(delay, issue_read, reader_id, attempt + 1)
             return
-        start = max(simulator.now, busy_until.get(node.name, 0.0))
-        finish = start + read_service
-        busy_until[node.name] = finish
+        finish = serving[node.name].serve(simulator.now, read_service)
         simulator.schedule(finish - simulator.now, finish_read,
                            reader_id, node)
 
@@ -786,22 +693,13 @@ def run_failover_experiment(workdir, replicas=2, readers=6, seed=1,
     )
 
 
-class ScaleOutResult(object):
+class ScaleOutResult(_Record):
     """What :func:`run_scaleout_experiment` measured for one fleet size."""
 
     __slots__ = ("shards", "clients", "duration", "service_seconds",
                  "scatter_fraction", "completed", "single_shard",
                  "scatter", "throughput", "per_shard_served",
                  "balance_ratio")
-
-    def __init__(self, **kwargs):
-        for name in self.__slots__:
-            setattr(self, name, kwargs.pop(name))
-        if kwargs:
-            raise TypeError("unexpected fields: %s" % sorted(kwargs))
-
-    def as_dict(self):
-        return {name: getattr(self, name) for name in self.__slots__}
 
     def __repr__(self):
         return ("ScaleOutResult(shards=%d, %.0f req/s, balance=%.2f)"
@@ -834,26 +732,20 @@ def run_scaleout_experiment(shards=4, clients=16, seed=1, duration=5.0,
     catalog = ShardCatalog(shards)
     simulator = Simulator()
     rng = random.Random(seed)
-    busy_until = [0.0] * shards
-    served = [0] * shards
+    fleet = [FifoResource() for _ in range(shards)]
     counts = {"completed": 0, "single": 0, "scatter": 0}
-
-    def occupy(shard):
-        start = max(busy_until[shard], simulator.now)
-        finish = start + service_seconds
-        busy_until[shard] = finish
-        served[shard] += 1
-        return finish
 
     def issue():
         if simulator.now >= duration:
             return
         if shards > 1 and rng.random() < scatter_fraction:
-            finish = max(occupy(shard) for shard in range(shards))
+            finish = max(shard.serve(simulator.now, service_seconds)
+                         for shard in fleet)
             kind = "scatter"
         else:
             key = "user%05d" % rng.randrange(keyspace)
-            finish = occupy(catalog.shard_of(key))
+            finish = fleet[catalog.shard_of(key)].serve(simulator.now,
+                                                        service_seconds)
             kind = "single"
         simulator.schedule(finish - simulator.now, complete, kind)
 
@@ -869,6 +761,7 @@ def run_scaleout_experiment(shards=4, clients=16, seed=1, duration=5.0,
                            issue)
     simulator.run(until=duration + service_seconds * 4)
 
+    served = [shard.served for shard in fleet]
     low, high = min(served), max(served)
     return ScaleOutResult(
         shards=shards, clients=clients, duration=duration,
@@ -877,6 +770,6 @@ def run_scaleout_experiment(shards=4, clients=16, seed=1, duration=5.0,
         completed=counts["completed"], single_shard=counts["single"],
         scatter=counts["scatter"],
         throughput=counts["completed"] / duration,
-        per_shard_served=list(served),
+        per_shard_served=served,
         balance_ratio=(low / float(high)) if high else 1.0,
     )

@@ -26,7 +26,7 @@ anywhere here (the lint gate in ``tests/test_lint.py`` enforces that):
 time exists only as the Simulator's virtual ``now``.
 """
 
-from repro.benchlab.simulation import Simulator
+from repro.benchlab.simulation import FifoResource, Simulator
 
 
 class NetLabResult(object):
@@ -63,88 +63,39 @@ class NetLabResult(object):
         }
 
 
-class _SharedServer(object):
-    """A single-executor server: commands queue for exclusive service.
-
-    ``free_at`` is the virtual time the executor next idles; scheduling
-    a command at time *t* completes at ``max(t, free_at) + service``.
-    """
-
-    def __init__(self, service_ticks):
-        self.service_ticks = service_ticks
-        self.free_at = 0.0
-        self.busy_ticks = 0.0
-
-    def serve(self, arrival, count=1):
-        """Serve *count* back-to-back commands arriving at *arrival*;
-        returns the completion time of the last one."""
-        start = max(arrival, self.free_at)
-        self.free_at = start + self.service_ticks * count
-        self.busy_ticks += self.service_ticks * count
-        return self.free_at
-
-
-def run_round_trip(connections=8, commands_per_connection=50,
-                   rtt_ticks=10.0, service_ticks=1.0):
-    """One-command-per-round-trip discipline: every command pays RTT."""
-    sim = Simulator()
-    server = _SharedServer(service_ticks)
-    state = {"done": 0, "finish": 0.0, "round_trips": 0}
-
-    def send(conn, remaining):
-        if remaining <= 0:
-            state["done"] += 1
-            state["finish"] = max(state["finish"], sim.now)
-            return
-        state["round_trips"] += 1
-        arrival = sim.now + rtt_ticks / 2.0
-        completed = server.serve(arrival)
-        respond_at = completed + rtt_ticks / 2.0
-        sim.schedule(respond_at - sim.now, send, conn, remaining - 1)
-
-    for conn in range(connections):
-        sim.schedule(0.0, send, conn, commands_per_connection)
-    sim.run()
-    return NetLabResult("round_trip", connections,
-                        connections * commands_per_connection,
-                        state["finish"], server.busy_ticks,
-                        state["round_trips"])
-
-
 def run_pipelined(connections=8, commands_per_connection=50,
                   rtt_ticks=10.0, service_ticks=1.0, window=16):
     """Pipelined discipline: a window of commands shares one round trip.
 
     Each connection ships ``min(window, remaining)`` commands in one
-    burst; the server executes the burst back-to-back (the real
-    server's batched executor hop) and the responses ride home
-    together, in order.
+    burst; the single-executor server (a :class:`FifoResource`) runs the
+    burst back-to-back — the real server's batched executor hop — and
+    the responses ride home together, in order.  ``window=1`` *is* the
+    round-trip discipline: every command pays the full RTT.
     """
     if window < 1:
         raise ValueError("window must be >= 1 (got %r)" % window)
     sim = Simulator()
-    server = _SharedServer(service_ticks)
-    state = {"done": 0, "finish": 0.0, "round_trips": 0}
+    server = FifoResource()
+    state = {"finish": 0.0, "round_trips": 0}
 
-    def send(conn, remaining):
+    def send(remaining):
         if remaining <= 0:
-            state["done"] += 1
             state["finish"] = max(state["finish"], sim.now)
             return
         burst = min(window, remaining)
         state["round_trips"] += 1
-        arrival = sim.now + rtt_ticks / 2.0
-        completed = server.serve(arrival, burst)
+        completed = server.serve(sim.now + rtt_ticks / 2.0,
+                                 service_ticks * burst)
         respond_at = completed + rtt_ticks / 2.0
-        sim.schedule(respond_at - sim.now, send, conn, remaining - burst)
+        sim.schedule(respond_at - sim.now, send, remaining - burst)
 
-    for conn in range(connections):
-        sim.schedule(0.0, send, conn, commands_per_connection)
+    for _conn in range(connections):
+        sim.schedule(0.0, send, commands_per_connection)
     sim.run()
-    return NetLabResult("pipelined", connections,
-                        connections * commands_per_connection,
-                        state["finish"], server.busy_ticks,
-                        state["round_trips"])
+    return NetLabResult("round_trip" if window == 1 else "pipelined",
+                        connections, connections * commands_per_connection,
+                        state["finish"], server.busy, state["round_trips"])
 
 
 def run_netlab_experiment(connections=8, commands_per_connection=50,
@@ -152,8 +103,8 @@ def run_netlab_experiment(connections=8, commands_per_connection=50,
     """Both disciplines under identical parameters; returns a dict with
     each result and the pipelining speedup (deterministic — two calls
     with equal arguments produce equal numbers)."""
-    base = run_round_trip(connections, commands_per_connection,
-                          rtt_ticks, service_ticks)
+    base = run_pipelined(connections, commands_per_connection,
+                         rtt_ticks, service_ticks, window=1)
     piped = run_pipelined(connections, commands_per_connection,
                           rtt_ticks, service_ticks, window)
     speedup = (piped.throughput / base.throughput

@@ -4,6 +4,10 @@ Classic event-heap design: events are ``(time, sequence, callback)``
 triples; :meth:`Simulator.schedule` enqueues, :meth:`Simulator.run`
 drains in timestamp order.  The sequence number makes ordering total and
 deterministic for simultaneous events.
+
+:class:`FifoResource` is the one queueing primitive the closed-loop
+experiments share: a serial server whose work is priced in virtual time
+(the netlab executor, a replica serving reads, a shard).
 """
 
 import heapq
@@ -60,3 +64,31 @@ class Simulator(object):
 
     def __repr__(self):
         return "Simulator(now=%.6f, pending=%d)" % (self.now, self.pending)
+
+
+class FifoResource(object):
+    """A serial FIFO server in virtual time: work queues for exclusive
+    service and never overlaps.
+
+    ``free_at`` is the virtual time the server next idles; work arriving
+    at *t* completes at ``max(t, free_at) + service``.  No events are
+    scheduled here — the caller schedules its own completion callback at
+    the returned time."""
+
+    __slots__ = ("free_at", "busy", "served")
+
+    def __init__(self):
+        self.free_at = 0.0
+        #: total service time charged
+        self.busy = 0.0
+        #: :meth:`serve` calls
+        self.served = 0
+
+    def serve(self, arrival, service):
+        """Queue *service* units of work arriving at *arrival*; returns
+        its completion time."""
+        start = max(arrival, self.free_at)
+        self.free_at = start + service
+        self.busy += service
+        self.served += 1
+        return self.free_at

@@ -439,8 +439,7 @@ class Database(object):
     _EPOCH = "2016-07-05 12:00:00"
 
     def __init__(self, name="repro", septic=None, charset="utf8", seed=1,
-                 septic_fail_open=False, cache_size=512,
-                 lock_mode="shared", storage="memory",
+                 septic_fail_open=False, cache_size=512, storage="memory",
                  page_size=4096, pool_pages=64):
         self.name = name
         #: ``"memory"`` keeps rows in plain lists (the historical
@@ -455,13 +454,6 @@ class Database(object):
         self.pool_pages = pool_pages
         #: the :class:`repro.sqldb.pager.PageStore` (paged storage only)
         self.page_store = None
-        #: ``"shared"`` (default) uses the table-granular reader–writer
-        #: hierarchy — concurrent SELECTs overlap; ``"exclusive"`` makes
-        #: every statement take the catalog lock exclusively, i.e. the
-        #: old fully-serialized engine, kept as the benchmark baseline.
-        if lock_mode not in ("shared", "exclusive"):
-            raise ValueError("lock_mode must be 'shared' or 'exclusive'")
-        self.lock_mode = lock_mode
         #: statement-scope RW locks (catalog + per table)
         self.lock_manager = LockManager()
         #: policy when the SEPTIC hook itself crashes (not a QueryBlocked):
@@ -1118,24 +1110,17 @@ class Database(object):
         return self._wal
 
     def _lock_plan_for(self, stmt, prepared=None):
-        """The statement's lock plan under the configured mode.
+        """The statement's lock plan.
 
         When the *prepared* physical plan is passed, the result is
         memoized on it — the lock plan is deterministic per plan, and
         the AST walk is a measurable share of a warm query, so cached
-        plans classify once, not per execution.
-
-        ``exclusive`` mode degrades every plan to catalog-exclusive —
-        exactly one statement in the engine at a time, the serialized
-        baseline the concurrency benchmarks compare against."""
+        plans classify once, not per execution."""
         if prepared is None:
-            plan = lock_plan(stmt)
-        else:
-            plan = prepared.lock_plan
-            if plan is None:
-                plan = prepared.lock_plan = lock_plan(stmt)
-        if plan is not None and self.lock_mode == "exclusive":
-            return LockPlan(catalog_shared=False)
+            return lock_plan(stmt)
+        plan = prepared.lock_plan
+        if plan is None:
+            plan = prepared.lock_plan = lock_plan(stmt)
         return plan
 
     def _next_tx_id(self):

@@ -1,11 +1,9 @@
 """NetLab: the virtual-time pipelining model must be deterministic and
 must reproduce the shape the socket bench measures on real TCP."""
 
-from repro.benchlab.netlab import (
-    run_netlab_experiment,
-    run_pipelined,
-    run_round_trip,
-)
+import pytest
+
+from repro.benchlab.netlab import run_netlab_experiment, run_pipelined
 
 
 class TestDeterminism(object):
@@ -21,7 +19,8 @@ class TestDeterminism(object):
         assert first == second
 
     def test_all_commands_complete(self):
-        result = run_round_trip(connections=3, commands_per_connection=7)
+        result = run_pipelined(connections=3, commands_per_connection=7,
+                               window=1)
         assert result.commands == 21
         assert result.server_busy_ticks == 21 * 1.0
         assert result.round_trips == 21
@@ -48,12 +47,33 @@ class TestPipeliningShape(object):
         predicted = (rtt + service) / (rtt / window + service)
         assert abs(outcome["speedup"] - predicted) / predicted < 0.1
 
+    @pytest.mark.parametrize("params,expected", [
+        (dict(connections=3, commands_per_connection=7),
+         {"discipline": "round_trip", "connections": 3, "commands": 21,
+          "makespan": 79.0, "throughput": 0.26582278481012656,
+          "server_busy_ticks": 21.0, "round_trips": 21}),
+        (dict(connections=5, commands_per_connection=40, rtt_ticks=7.0,
+              service_ticks=0.3),
+         {"discipline": "round_trip", "connections": 5, "commands": 200,
+          "makespan": 293.2000000000003, "throughput": 0.6821282401091399,
+          "server_busy_ticks": 59.99999999999979, "round_trips": 200}),
+    ], ids=["3x7", "5x40-fractional"])
+    def test_window_one_is_the_round_trip_discipline(self, params,
+                                                     expected):
+        """``run_pipelined(window=1)`` replaced a hand-written
+        ``run_round_trip``; these are that function's numbers, bit for
+        bit (virtual time is deterministic)."""
+        assert run_pipelined(window=1, **params).as_dict() == expected
+
     def test_window_one_degenerates_to_round_trips(self):
-        base = run_round_trip(connections=2, commands_per_connection=20)
         piped = run_pipelined(connections=2, commands_per_connection=20,
                               window=1)
-        assert piped.makespan == base.makespan
-        assert piped.round_trips == base.round_trips
+        # every command pays its own round trip
+        assert piped.round_trips == piped.commands == 40
+        assert piped.discipline == "round_trip"
+        windowed = run_pipelined(connections=2, commands_per_connection=20,
+                                 window=4)
+        assert windowed.makespan < piped.makespan
 
     def test_saturated_server_caps_the_speedup(self):
         # when service dominates rtt, the server is the bottleneck and

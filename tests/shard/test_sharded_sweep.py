@@ -1,11 +1,13 @@
 """Smoke coverage for the sharded crash sweep (the full 3-seed sweep
 runs in ``benchmarks/bench_sharded_scaleout.py``)."""
 
+import os
+
 from repro.benchlab.crashsweep import (
-    ShardedSweepResult,
-    format_sharded_result,
+    SHARDED_SWEEP,
+    format_report,
     generate_sharded_workload,
-    run_sharded_sweep,
+    run_sweep,
 )
 
 
@@ -26,12 +28,15 @@ class TestWorkload(object):
 
 
 def test_sweep_is_clean(tmp_path):
-    result = run_sharded_sweep(str(tmp_path), seed=3, shards=2,
-                               replicas=1, writes=4)
-    assert isinstance(result, ShardedSweepResult)
-    assert result.boundaries == 5
-    assert result.kills == result.boundaries * 2
-    assert result.promotions == result.kills
-    assert result.scatter_reads == result.kills
-    assert result.ok, format_sharded_result(result)
-    assert "verdict: OK" in format_sharded_result(result)
+    report = run_sweep(SHARDED_SWEEP, str(tmp_path), 3, shards=2,
+                       replicas=1, writes=4)
+    assert report.ok, format_report(report)
+    counters = report.counters
+    assert counters["durability_points"] == 5   # commit boundaries
+    assert report.sites == counters["kills"] == 5 * 2
+    assert counters["promotions"] == 10
+    assert counters["scatter_reads"] == 10
+    assert counters["lost_rows"] == counters["phantom_rows"] == 0
+    assert counters["blocked"] == 2
+    assert format_report(report).endswith("-> OK")
+    assert os.listdir(str(tmp_path)) == []

@@ -10,37 +10,70 @@ Seed 2 also writes a mid-workload checkpoint, so the sweep covers
 checkpoint+log-tail recovery and the replay watermark.
 """
 
+import os
+
 import pytest
 
 from repro.benchlab.crashsweep import (
-    format_sweep_result,
+    WAL_BATCH_SWEEP,
+    WAL_COMMIT_SWEEP,
+    format_report,
     generate_workload,
-    run_crash_sweep,
+    run_sweep,
     run_workload,
 )
 from repro.sqldb import wal
 from repro.sqldb.engine import Database
 
 
+#: label, seed, checkpoint_after, kill offsets, durability points in the
+#: log — the coverage the parent's artifacts record, pinned so a sweep
+#: that silently enumerates fewer sites turns red
 SWEEPS = [
-    ("seed1", 1, None),
-    ("seed2-checkpointed", 2, 8),
-    ("seed3", 3, None),
+    ("seed1", 1, None, 3592, 25),
+    ("seed2-checkpointed", 2, 8, 2460, 18),
+    ("seed3", 3, None, 3594, 25),
 ]
 
 
-@pytest.mark.parametrize("label,seed,checkpoint_after",
+@pytest.mark.parametrize("label,seed,checkpoint_after,offsets,points",
                          SWEEPS, ids=[s[0] for s in SWEEPS])
 def test_crash_sweep_recovers_committed_prefix_at_every_offset(
-        tmp_path, label, seed, checkpoint_after):
-    result = run_crash_sweep(str(tmp_path), seed,
-                             checkpoint_after=checkpoint_after)
-    assert result.ok, format_sweep_result(result)
+        tmp_path, label, seed, checkpoint_after, offsets, points):
+    report = run_sweep(WAL_COMMIT_SWEEP, str(tmp_path), seed,
+                       checkpoint_after=checkpoint_after)
+    assert report.ok, format_report(report)
     # the sweep must actually have exercised what it claims to:
-    assert result.offsets_tested == result.log_bytes + 1
-    assert result.durability_points >= 10
-    assert result.blocked >= 1  # the mid-transaction SEPTIC block fired
-    assert result.checkpointed == (checkpoint_after is not None)
+    assert report.sites == report.counters["log_bytes"] + 1 == offsets
+    assert report.counters["durability_points"] == points
+    assert report.counters["blocked"] == 1  # the mid-tx SEPTIC block fired
+    assert report.counters["checkpointed"] == (checkpoint_after is not None)
+    assert report.counters["max_unsynced_backlog"] == 0
+    assert os.listdir(str(tmp_path)) == []      # no litter
+
+
+def test_batch_sync_sweep_crosses_the_unsynced_backlog(tmp_path):
+    """The batch (group fsync) configuration over a thinned offset list
+    — every frame end, its neighbours and every 9th byte (the full
+    sweep runs in ``benchmarks/bench_crash_sweep.py``)."""
+    def thinned(golden):
+        ends = {end for _record, end
+                in wal.iter_frames(golden.facts["data"])}
+        total = len(golden.facts["data"])
+        picked = set(range(0, total + 1, 9)) | {total}
+        for end in ends:
+            picked.update((end - 1, end, min(end + 1, total)))
+        return sorted(picked)
+
+    report = run_sweep(WAL_BATCH_SWEEP._replace(sites=thinned),
+                       str(tmp_path), 1)
+    assert report.ok, format_report(report)
+    assert report.name == "wal-batch"
+    assert report.counters["log_bytes"] == 3591
+    assert report.counters["durability_points"] == 25
+    # the deferred-fsync kill window was actually open during the run
+    assert report.counters["max_unsynced_backlog"] == 15
+    assert os.listdir(str(tmp_path)) == []
 
 
 def test_workloads_cover_the_hard_cases():

@@ -9,8 +9,6 @@ writer), and DDL still excludes everything.
 
 import threading
 
-import pytest
-
 from repro.sqldb.connection import Connection
 from repro.sqldb.engine import (
     Database,
@@ -146,16 +144,6 @@ class TestDatabaseLockModes(object):
         database = Database()
         plan = database._lock_plan_for(parse_one("SELECT 1 FROM t"))
         assert plan.catalog_shared
-
-    def test_exclusive_mode_serializes_everything(self):
-        database = Database(lock_mode="exclusive")
-        plan = database._lock_plan_for(parse_one("SELECT 1 FROM t"))
-        assert not plan.catalog_shared
-        assert plan.tables == ()
-
-    def test_invalid_mode_rejected(self):
-        with pytest.raises(ValueError):
-            Database(lock_mode="optimistic")
 
     def test_statements_release_their_locks(self):
         database = Database()

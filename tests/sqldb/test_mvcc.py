@@ -15,7 +15,7 @@ import threading
 
 import pytest
 
-from repro.benchlab.harness import run_mixed_workload_experiment
+from repro.benchlab.harness import run_lock_experiment
 from repro.sqldb.connection import Connection
 from repro.sqldb.engine import Database
 from repro.sqldb.errors import WriteConflictError
@@ -414,17 +414,17 @@ class TestConcurrentReadersAndWriter(object):
         write = "UPDATE accounts SET bal = bal + 1"
         pinned = dict(reader_service=[1e-3], writer_service=1.0,
                       readers=8, loops=5)
-        mvcc = run_mixed_workload_experiment(
+        mvcc = run_lock_experiment(
             setup, reads, write, lock_mode="shared", **pinned
         )
-        serial = run_mixed_workload_experiment(
+        serial = run_lock_experiment(
             setup, reads, write, lock_mode="exclusive", **pinned
         )
         # every reader finished while the writer still held its lock
         assert mvcc.readers_overlapped_writer
-        assert mvcc.reader_makespan < mvcc.writer_service
+        assert mvcc.makespan < mvcc.writer_service
         # the exclusive baseline parks all reads behind the writer
         assert not serial.readers_overlapped_writer
-        assert serial.reader_makespan > serial.writer_service
-        assert mvcc.reader_speedup_vs(serial) >= 4.0
-        assert mvcc.reader_statements == serial.reader_statements == 40
+        assert serial.makespan > serial.writer_service
+        assert mvcc.speedup_vs(serial) >= 4.0
+        assert mvcc.statements == serial.statements == 40

@@ -7,10 +7,10 @@ import os
 import pytest
 
 from repro.benchlab.crashsweep import (
-    format_corruption_result,
-    format_paged_sweep_result,
-    run_corruption_sweep,
-    run_paged_crash_sweep,
+    BITFLIP_SWEEP,
+    PAGED_SWEEP,
+    format_report,
+    run_sweep,
     state_digest,
 )
 from repro.sqldb import pager as pager_mod
@@ -35,26 +35,32 @@ def scrub_full_pass(db):
 
 class TestPagedCrashSweep(object):
     def test_kill_at_every_page_write_offset(self, tmp_path):
-        result = run_paged_crash_sweep(str(tmp_path), seed=11)
-        assert result.ok, format_paged_sweep_result(result)
+        report = run_sweep(PAGED_SWEEP, str(tmp_path), 11)
+        assert report.ok, format_report(report)
         # the sweep must have exercised what it claims: crashes at
-        # every raw write, torn pages seen and repaired from the
-        # doublewrite area, no logical rebuild ever needed
-        assert result.kills == result.raw_writes * len(result.offsets)
-        assert result.torn_repaired > 0
-        assert result.dw_applied >= result.torn_repaired
-        assert result.blocked >= 1
-        assert result.rebuilds == []
+        # every raw write x 4 in-page offsets, torn pages seen and
+        # repaired from the doublewrite area, no logical rebuild ever
+        # needed (a rebuild is a problem, so ``ok`` covers it)
+        counters = report.counters
+        assert report.sites == counters["raw_writes"] * 4 == 40
+        assert counters["torn_repaired"] == 8
+        assert counters["dw_applied"] == 16
+        assert counters["dw_applied"] >= counters["torn_repaired"] > 0
+        assert counters["durability_points"] == 26
+        assert counters["blocked"] == 1
+        assert os.listdir(str(tmp_path)) == []
 
     def test_corruption_sweep_detects_and_repairs_every_flip(
             self, tmp_path):
-        result = run_corruption_sweep(str(tmp_path), seed=11, flips=5)
-        assert result.ok, format_corruption_result(result)
-        assert result.injected == 5
-        assert result.detected == 5
-        assert result.false_repairs == 0
-        assert result.unrepaired == 0
-        assert result.digest_ok
+        report = run_sweep(BITFLIP_SWEEP, str(tmp_path), 11, flips=5)
+        assert report.ok, format_report(report)
+        counters = report.counters
+        assert report.sites == 5
+        assert counters["injected"] == counters["detected"] == 5
+        assert counters["repaired_from_doublewrite"] == 5
+        assert counters["false_repairs"] == 0
+        assert counters["unrepaired"] == 0
+        assert os.listdir(str(tmp_path)) == []
 
 
 class TestScrubRepairChain(object):

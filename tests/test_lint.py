@@ -1312,3 +1312,235 @@ def test_row_store_split_gate_catches_a_second_owner(tmp_path):
                for problem in problems)
     assert sum("built outside class Table" in problem
                for problem in problems) == 2
+
+
+BENCHLAB_ROOT = os.path.join(SRC_ROOT, "repro", "benchlab")
+
+_SWEEP_KERNEL = "run_sweep"
+_SWEEP_DRIVERS = frozenset([_SWEEP_KERNEL, "drive_ops"])
+#: calls that kill or recover a victim — what a sweep does once per site
+_CRASH_CALLS = frozenset(["recover", "reopen", "kill_primary", "plant_crash",
+                          "flip_page_bit", "write_log_bytes"])
+
+
+def _call_name(node):
+    func = node.func
+    if isinstance(func, ast.Attribute):
+        return func.attr
+    return func.id if isinstance(func, ast.Name) else None
+
+
+def _dotted_call(node):
+    func = node.func
+    if isinstance(func, ast.Attribute) and isinstance(func.value, ast.Name):
+        return "%s.%s" % (func.value.id, func.attr)
+    return None
+
+
+def _collects_problems(node):
+    """A yield, or an append/extend onto something named like a problem
+    list — how a driver reports a violated invariant."""
+    if isinstance(node, (ast.Yield, ast.YieldFrom)):
+        return True
+    if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute) \
+            and node.func.attr in ("append", "extend"):
+        names = {sub.id for sub in ast.walk(node.func.value)
+                 if isinstance(sub, ast.Name)}
+        names.update(sub.attr for sub in ast.walk(node.func.value)
+                     if isinstance(sub, ast.Attribute))
+        return any(word in name.lower() for name in names
+                   for word in ("problem", "mismatch", "failure", "wrong"))
+    return False
+
+
+def _sweep_kernel_violations(path):
+    """``crashsweep.py`` has one sweep kernel.  A configuration supplies
+    a golden run, a site enumerator, a recover fn and expectations; the
+    loop over kill sites, the victim-directory lifecycle and the report
+    are the kernel's alone:
+
+    * exactly one class named ``...Result`` / ``...Report``;
+    * ``SweepReport(...)`` is built, and ``shutil.rmtree`` /
+      ``os.makedirs`` are called, only inside ``run_sweep``;
+    * no other module-level function (bar the one op driver) holds a
+      loop that both crashes/recovers a victim — or iterates something
+      named ``...site...`` — and collects problems: that is a sixth
+      hand-rolled driver coming back.
+    """
+    with open(path) as handle:
+        tree = ast.parse(handle.read(), filename=path)
+    rel = os.path.relpath(path, REPO_ROOT)
+    problems = []
+    reports = [node.name for node in tree.body
+               if isinstance(node, ast.ClassDef)
+               and node.name.endswith(("Result", "Report"))]
+    if len(reports) != 1:
+        problems.append("%s: result/report classes %r — the kernel returns "
+                        "exactly one" % (rel, reports))
+    inside_kernel = set()
+    for node in tree.body:
+        if isinstance(node, ast.FunctionDef) and node.name == _SWEEP_KERNEL:
+            inside_kernel.update(id(sub) for sub in ast.walk(node))
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Call) or id(node) in inside_kernel:
+            continue
+        if _dotted_call(node) in ("shutil.rmtree", "os.makedirs"):
+            problems.append("%s:%d: %s outside %s — the kernel owns the "
+                            "directory lifecycle"
+                            % (rel, node.lineno, _dotted_call(node),
+                               _SWEEP_KERNEL))
+        elif reports and _call_name(node) == reports[0]:
+            problems.append("%s:%d: %s built outside %s"
+                            % (rel, node.lineno, reports[0], _SWEEP_KERNEL))
+    for function in tree.body:
+        if not isinstance(function, ast.FunctionDef) \
+                or function.name in _SWEEP_DRIVERS:
+            continue
+        for loop in ast.walk(function):
+            if not isinstance(loop, (ast.For, ast.While)):
+                continue
+            over_sites = isinstance(loop, ast.For) and any(
+                "site" in name.lower() for name in
+                [sub.id for sub in ast.walk(loop.iter)
+                 if isinstance(sub, ast.Name)]
+                + [sub.attr for sub in ast.walk(loop.iter)
+                   if isinstance(sub, ast.Attribute)])
+            body = [sub for stmt in loop.body for sub in ast.walk(stmt)]
+            crashes = any(isinstance(sub, ast.Call)
+                          and _call_name(sub) in _CRASH_CALLS
+                          for sub in body)
+            if (over_sites or crashes) \
+                    and any(_collects_problems(sub) for sub in body):
+                problems.append(
+                    "%s:%d: %s() loops over kill sites and collects "
+                    "problems — that is %s's job"
+                    % (rel, loop.lineno, function.name, _SWEEP_KERNEL))
+    return problems
+
+
+def test_crashsweep_has_one_kernel():
+    path = os.path.join(BENCHLAB_ROOT, "crashsweep.py")
+    assert _sweep_kernel_violations(path) == []
+    # and the gate is looking at a kernel that exists
+    with open(path) as handle:
+        source = handle.read()
+    assert "\ndef run_sweep(" in source and "\ndef drive_ops(" in source
+    assert "\nclass SweepReport(" in source
+
+
+def test_sweep_kernel_gate_catches_a_sixth_driver(tmp_path):
+    bad = tmp_path / "crashsweep.py"
+    bad.write_text(
+        "import os, shutil\n"
+        "class SweepReport: pass\n"
+        "class TornSweepResult: pass\n"                  # a second result
+        "def run_sweep(config, workdir, seed):\n"
+        "    shutil.rmtree(workdir)\n"                    # fine: the kernel
+        "    os.makedirs(workdir)\n"
+        "    problems = []\n"
+        "    for site in config.sites(None):\n"
+        "        problems.extend(config.recover(site))\n"
+        "    return SweepReport()\n"
+        "def _recover(own, victim_dir, golden, site, counters):\n"
+        "    for node in golden.nodes:\n"                 # fine: not sites
+        "        yield 'fencing', node\n"
+        "def run_torn_sweep(workdir, seed):\n"            # the sixth driver
+        "    mismatches = []\n"
+        "    for offset in range(9):\n"
+        "        shutil.rmtree(workdir)\n"
+        "        db = Database.recover(workdir)\n"
+        "        if digest(db) != offset:\n"
+        "            mismatches.append(offset)\n"
+        "    return SweepReport()\n"
+        "def run_site_sweep(config):\n"
+        "    for site in config.sites(None):\n"
+        "        yield site, 'digest'\n"
+    )
+    problems = _sweep_kernel_violations(str(bad))
+    assert len(problems) == 5, problems
+    assert any("['SweepReport', 'TornSweepResult']" in p for p in problems)
+    assert sum("shutil.rmtree outside run_sweep" in p for p in problems) == 1
+    assert sum("SweepReport built outside run_sweep" in p
+               for p in problems) == 1
+    assert any("run_torn_sweep() loops over kill sites" in p
+               for p in problems)
+    assert any("run_site_sweep() loops over kill sites" in p
+               for p in problems)
+
+
+_FIFO_RESOURCE = ("simulation.py", "FifoResource")
+
+
+def _fifo_arithmetic_violations(path):
+    """Serial-server arithmetic — ``start = max(arrival, free_at)``
+    followed by storing ``start + service`` into a ``busy...`` /
+    ``free_at`` slot — lives only in :class:`FifoResource`.  Three
+    private copies of it (netlab's server, the failover DES's dict, the
+    scale-out DES's list) were one concept."""
+    with open(path) as handle:
+        tree = ast.parse(handle.read(), filename=path)
+    rel = os.path.relpath(path, REPO_ROOT)
+    exempt = set()
+    if os.path.basename(path) == _FIFO_RESOURCE[0]:
+        for node in tree.body:
+            if isinstance(node, ast.ClassDef) \
+                    and node.name == _FIFO_RESOURCE[1]:
+                exempt.update(id(sub) for sub in ast.walk(node))
+    problems = []
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Assign) or id(node) in exempt \
+                or not (isinstance(node.value, ast.BinOp)
+                        and isinstance(node.value.op, ast.Add)):
+            continue
+        for target in node.targets:
+            while isinstance(target, ast.Subscript):
+                target = target.value
+            name = getattr(target, "attr", None) or getattr(target, "id", "")
+            if name.startswith("busy") or name == "free_at":
+                problems.append(
+                    "%s:%d: FIFO arithmetic into %r — serve it through "
+                    "%s" % (rel, node.lineno, name, _FIFO_RESOURCE[1]))
+    return problems
+
+
+def test_fifo_arithmetic_lives_in_the_shared_resource():
+    problems = []
+    for path in _python_files(BENCHLAB_ROOT):
+        problems.extend(_fifo_arithmetic_violations(path))
+    assert problems == [], "\n".join(problems)
+    # the exempt class exists and is what the experiments use
+    with open(os.path.join(BENCHLAB_ROOT, _FIFO_RESOURCE[0])) as handle:
+        assert "\nclass %s(" % _FIFO_RESOURCE[1] in handle.read()
+    for user in ("netlab.py", "harness.py"):
+        with open(os.path.join(BENCHLAB_ROOT, user)) as handle:
+            assert "FifoResource()" in handle.read(), user
+
+
+def test_fifo_gate_catches_a_private_server(tmp_path):
+    bad = tmp_path / "netlab.py"
+    bad.write_text(
+        "class _SharedServer:\n"
+        "    def serve(self, arrival, count):\n"
+        "        start = max(arrival, self.free_at)\n"
+        "        self.free_at = start + self.service_ticks * count\n"
+        "        return self.free_at\n"
+        "def occupy(busy_until, shard, now, service):\n"
+        "    start = max(busy_until[shard], now)\n"
+        "    busy_until[shard] = start + service\n"
+        "    total = start + service\n"                   # fine: no slot
+        "    return total\n"
+    )
+    problems = _fifo_arithmetic_violations(str(bad))
+    assert len(problems) == 2
+    assert any("'free_at'" in problem for problem in problems)
+    assert any("'busy_until'" in problem for problem in problems)
+    # the very same class body is fine where it belongs
+    home = tmp_path / "simulation.py"
+    home.write_text(
+        "class FifoResource:\n"
+        "    def serve(self, arrival, service):\n"
+        "        start = max(arrival, self.free_at)\n"
+        "        self.free_at = start + service\n"
+        "        return self.free_at\n"
+    )
+    assert _fifo_arithmetic_violations(str(home)) == []
