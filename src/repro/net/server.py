@@ -331,7 +331,7 @@ class NetServer(object):
                 pass
             writer.close()
             return
-        worker = None
+        worker = conn = None
         try:
             conn = await self._handshake(reader, writer)
             if conn is None:
@@ -376,6 +376,15 @@ class NetServer(object):
                 writer.close()
             except Exception:
                 pass
+            if conn is not None:
+                # however the client left (COM_QUIT, EOF, reset, torn
+                # frame, server stop), its session ends here.  The
+                # rollback may queue for the catalog lock, so it runs
+                # off the loop; shielded, so a server stop that lands
+                # on this wait cannot cancel the release itself
+                await asyncio.shield(
+                    asyncio.get_running_loop().run_in_executor(
+                        self._pool, conn.close))
 
     async def _handshake(self, reader, writer):
         """Charset negotiation; returns the engine-side
@@ -459,10 +468,16 @@ class NetServer(object):
                     break
                 batch.append(nxt)
             self._bump("active")
+            hop = loop.run_in_executor(self._pool, self._run_batch, conn,
+                                       batch)
             try:
-                frames, need_lsn = await loop.run_in_executor(
-                    self._pool, self._run_batch, conn, batch
-                )
+                frames, need_lsn = await asyncio.shield(hop)
+            except asyncio.CancelledError:
+                # the connection is going away mid-batch, but an engine
+                # thread still runs on its session: let it finish before
+                # anyone closes that session
+                await asyncio.wait([hop])
+                raise
             finally:
                 self._bump("active", -1)
             if need_lsn is not None and self.group is not None:

@@ -17,7 +17,7 @@ primary's.  That falls out of two rules:
    replay determinism (virtual clock, RNG fast-forward) is inherited
    rather than re-implemented.  A lint gate keeps it that way.
 
-Commit grouping mirrors ``Database._replay_records`` in streaming form:
+Commit grouping is recovery's own (:class:`repro.sqldb.wal.CommitGrouper`):
 autocommit statements apply immediately; transactional statements buffer
 until their COMMIT marker arrives (ROLLBACK discards them).  The
 :attr:`~ReplicaApplier.applied_lsn` watermark therefore only ever
@@ -37,9 +37,9 @@ class ReplicaApplier(object):
 
     def __init__(self, database):
         self.database = database
-        #: statement records of transactions whose COMMIT has not
-        #: arrived yet, keyed by transaction id
-        self._open_tx = {}
+        #: groups shipped records into committed units; buffers the
+        #: transactions whose COMMIT has not arrived yet
+        self._units = None
         #: LSN of the newest record ingested (and durably logged)
         self.last_seen_lsn = 0
         #: LSN of the newest *durability point* applied — the replica's
@@ -56,7 +56,7 @@ class ReplicaApplier(object):
     @property
     def in_flight(self):
         """Transactions currently buffered (shipped but uncommitted)."""
-        return len(self._open_tx)
+        return len(self._units.open_tx)
 
     def resync(self):
         """Align the applier with the database's recovered state.
@@ -68,36 +68,23 @@ class ReplicaApplier(object):
         transactions that were still open at the crash are re-buffered
         from the log — their COMMIT may yet arrive from the primary.
         """
-        self._open_tx.clear()
+        units = self._units = wal_mod.CommitGrouper()
         db = self.database
         self.last_seen_lsn = db.durable_lsn
         self.applied_lsn = db.durable_lsn
         if db.data_dir is None:
             return
         scan = wal_mod.scan_log(wal_mod.log_path(db.data_dir))
-        applied = None
         for rec in scan.records:
-            if rec.op == wal_mod.WalRecord.BEGIN:
-                self._open_tx[rec.tx] = []
-            elif rec.op == wal_mod.WalRecord.STMT:
-                if rec.tx:
-                    self._open_tx.setdefault(rec.tx, []).append(rec)
-                else:
-                    applied = rec.lsn
-            elif rec.op == wal_mod.WalRecord.COMMIT:
-                self._open_tx.pop(rec.tx, None)
-                applied = rec.lsn
-            elif rec.op == wal_mod.WalRecord.ROLLBACK:
-                self._open_tx.pop(rec.tx, None)
-        if self._open_tx:
+            units.feed(rec)
+        if units.open_tx:
             # open-tx statement records at the log tail are ingested but
             # not applied: the applied watermark stays at the last
             # durability point (everything before the log's first record
             # lives in the checkpoint and is fully applied)
-            if applied is None:
-                applied = (scan.records[0].lsn - 1 if scan.records
-                           else db.durable_lsn)
-            self.applied_lsn = applied
+            self.applied_lsn = units.commit_lsn or (
+                scan.records[0].lsn - 1 if scan.records
+                else db.durable_lsn)
 
     def offer(self, record):
         """Ingest one shipped record.  Returns ``True`` when the record
@@ -129,17 +116,9 @@ class ReplicaApplier(object):
             # log-before-apply: a crash right here replays on restart
             wal.append_record(record, durability_point=durable)
         self.last_seen_lsn = record.lsn
-        if record.op == wal_mod.WalRecord.BEGIN:
-            self._open_tx[record.tx] = []
-        elif record.op == wal_mod.WalRecord.STMT:
-            if record.tx:
-                self._open_tx.setdefault(record.tx, []).append(record)
-            else:
-                self._apply_unit([record], record.lsn)
-        elif record.op == wal_mod.WalRecord.COMMIT:
-            self._apply_unit(self._open_tx.pop(record.tx, []), record.lsn)
-        elif record.op == wal_mod.WalRecord.ROLLBACK:
-            self._open_tx.pop(record.tx, None)
+        unit = self._units.feed(record)
+        if unit is not None:
+            self._apply_unit(unit, record.lsn)
         return True
 
     def _apply_unit(self, records, commit_lsn):
@@ -155,8 +134,8 @@ class ReplicaApplier(object):
         """Drop buffered uncommitted transactions (promotion: units the
         dead primary never committed must not survive as phantoms).
         Returns the number of transactions discarded."""
-        dropped = len(self._open_tx)
-        self._open_tx.clear()
+        dropped = len(self._units.open_tx)
+        self._units.open_tx.clear()
         return dropped
 
     def __repr__(self):

@@ -359,6 +359,14 @@ class Connection(object):
     def in_transaction(self):
         return self._session.in_transaction
 
+    def close(self):
+        """End the connection (idempotent).  An open transaction rolls
+        back — what MySQL does for a client that goes away — and the
+        statement registry empties, so a departed client leaves nothing
+        that keeps the server from checkpointing."""
+        self._session.rollback()
+        self._statements.clear()
+
     def query_or_raise(self, sql):
         """Run one statement, raising on error (admin/seed convenience)."""
         outcome = self.query(sql)

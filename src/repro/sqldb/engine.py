@@ -20,7 +20,7 @@ Two scale-oriented layers sit around that pipeline:
   known shape decoding and tokenizing.  DDL bumps the schema version,
   which invalidates by construction;
 * a **per-session execution layer** (:class:`Session`): connection-scoped
-  state — the open transaction snapshot, the connection charset and
+  state — the open transaction, the connection charset and
   ``LAST_INSERT_ID()`` — lives on a session object created per
   connection, so one server instance can serve concurrent clients
   without sharing what MySQL scopes per connection.
@@ -49,7 +49,7 @@ from repro.sqldb.errors import (
     WalCorruptionError,
     WalError,
 )
-from repro.sqldb.executor import Executor
+from repro.sqldb.executor import DDL_STATEMENTS, Executor
 from repro.sqldb.lexer import slot_values, tokenize
 from repro.sqldb.parser import parse_sql
 from repro.sqldb.prepared import slot_tags
@@ -60,6 +60,7 @@ from repro.sqldb.storage import (
     Table,
     WriteTxn,
     seal_txn,
+    undo_txn,
 )
 from repro.sqldb.unparse import to_sql
 from repro.sqldb.validator import validate
@@ -68,12 +69,8 @@ from repro.sqldb.validator import validate
 #: state; SELECT/EXPLAIN and the transaction-control statements are
 #: handled separately — the latter become begin/commit/rollback markers)
 _DURABLE_STATEMENTS = (
-    ast.Insert, ast.Update, ast.Delete,
-    ast.CreateTable, ast.DropTable,
-    ast.CreateIndex, ast.DropIndex,
-    ast.AlterTableAddColumn, ast.AlterTableDropColumn,
-    ast.TruncateTable,
-)
+    ast.Insert, ast.Update, ast.Delete, ast.TruncateTable,
+) + DDL_STATEMENTS
 
 #: process-wide replay parse memo (WAL SQL text → parsed statement).
 #: Replay re-parses the same canonical text for every recovery of the
@@ -85,46 +82,9 @@ _REPLAY_PARSE_MEMO = {}
 #: statements that read but never mutate table or catalog state
 _READ_STATEMENTS = (ast.Select, ast.Explain, ast.ShowTables, ast.Describe)
 
-#: statements that rewrite the catalog itself (schema changes)
-_DDL_STATEMENTS = (
-    ast.CreateTable, ast.DropTable,
-    ast.CreateIndex, ast.DropIndex,
-    ast.AlterTableAddColumn, ast.AlterTableDropColumn,
-)
-
-#: transaction control — Session.begin/rollback do their own locking
+#: transaction control — no statement locks (a ROLLBACK with versions
+#: to undo takes the catalog itself, in Session.rollback)
 _TX_STATEMENTS = (ast.Begin, ast.Commit, ast.Rollback)
-
-
-def referenced_tables(node, found=None):
-    """Every table name an AST subtree references, lowercased.
-
-    Generic slot walk over :class:`repro.sqldb.ast_nodes.Node` trees —
-    collects :class:`TableRef` names anywhere (FROM lists, joins,
-    subqueries in any clause) plus the string ``table`` attributes DML
-    and DDL statements carry.
-    """
-    if found is None:
-        found = set()
-    if isinstance(node, (list, tuple)):
-        for item in node:
-            referenced_tables(item, found)
-        return found
-    if not isinstance(node, ast.Node):
-        return found
-    if isinstance(node, ast.TableRef):
-        found.add(node.name.lower())
-        return found
-    if isinstance(node, ast.ColumnRef):
-        # a column's qualifier may be a FROM-clause *alias*, not a
-        # table — the real table always appears as a TableRef anyway
-        return found
-    table = getattr(node, "table", None)
-    if isinstance(table, str):
-        found.add(table.lower())
-    for field in node._fields():
-        referenced_tables(getattr(node, field, None), found)
-    return found
 
 
 class LockPlan(object):
@@ -159,15 +119,16 @@ def lock_plan(stmt):
       by subqueries take nothing);
     * DDL: catalog exclusive (conflicts with everything — every other
       statement holds the catalog at least shared);
-    * BEGIN/COMMIT/ROLLBACK: ``None`` — :class:`Session` takes the
-      catalog lock itself around snapshot/restore.
+    * BEGIN/COMMIT/ROLLBACK: ``None`` — only a ROLLBACK that has
+      versions to undo locks anything, and :class:`Session` takes the
+      catalog itself for that.
 
     Unknown statement kinds get the conservative catalog-exclusive
     plan.
     """
     if isinstance(stmt, _TX_STATEMENTS):
         return None
-    if isinstance(stmt, _DDL_STATEMENTS):
+    if isinstance(stmt, DDL_STATEMENTS):
         return LockPlan(catalog_shared=False)
     if isinstance(stmt, _READ_STATEMENTS):
         return LockPlan(True, [])
@@ -284,142 +245,99 @@ class Session(object):
     """Per-connection server-side state (what MySQL scopes per session).
 
     Holds the connection charset, ``LAST_INSERT_ID()`` and the open
-    transaction snapshot.  :class:`repro.sqldb.connection.Connection`
-    creates one per connection; callers that talk to the
-    :class:`Database` directly use its default session.
+    transaction.  :class:`repro.sqldb.connection.Connection` creates one
+    per connection; callers that talk to the :class:`Database` directly
+    use its default session.
     """
 
-    __slots__ = ("database", "charset", "last_insert_id", "_tx_snapshot",
-                 "_tx_begin_schema", "tx_id", "tx_read_stamp", "write_txn")
+    __slots__ = ("database", "charset", "last_insert_id", "tx_id",
+                 "tx_read_stamp", "write_txn")
 
     def __init__(self, database, charset=None):
         self.database = database
         self.charset = charset or database.charset
         self.last_insert_id = 0
-        self._tx_snapshot = None
-        self._tx_begin_schema = 0
         #: WAL transaction id while a transaction is open (0 otherwise /
         #: when no WAL is attached)
         self.tx_id = 0
         #: MVCC snapshot watermark pinned at BEGIN (None when autocommit)
         self.tx_read_stamp = None
-        #: the open transaction's :class:`~repro.sqldb.storage.WriteTxn`
-        #: — every pending row version it installed, sealed at COMMIT
+        #: the open transaction (None when autocommit): a
+        #: :class:`~repro.sqldb.storage.WriteTxn` owning every pending
+        #: row version it installed — COMMIT seals them, ROLLBACK undoes
+        #: them, nothing else describes the transaction
         self.write_txn = None
 
     # -- transactions ----------------------------------------------------
     #
-    # Snapshot semantics: BEGIN copies the catalog and every table's
-    # full state (rows, auto-increment counter, columns, indexes);
-    # ROLLBACK restores all of it (tables created mid-transaction
-    # vanish, tables dropped mid-transaction come back with their rows,
-    # in-place ALTER TABLE / CREATE INDEX edits revert with them);
-    # COMMIT discards the snapshot.  A BEGIN inside an open transaction
-    # implicitly commits it (MySQL behaviour).
+    # A transaction is the row versions it owns.  The catalog is not
+    # transactional: DDL and TRUNCATE end the open transaction with an
+    # implicit COMMIT before they run (the executor does that), and so
+    # does a BEGIN inside one — all MySQL behaviour.
 
     def begin(self):
-        if self._tx_snapshot is not None:
+        if self.write_txn is not None:
             self.commit()  # implicit commit, like MySQL
         db = self.database
-        # a BEGIN snapshot must be statement-consistent across every
-        # table: take the catalog exclusively so no statement overlaps
-        db.lock_manager.catalog.acquire_write()
-        try:
-            with db.catalog_lock:
-                catalog = dict(db.tables)
-                states = {
-                    name: table.snapshot_state()
-                    for name, table in catalog.items()
-                }
-        finally:
-            db.lock_manager.catalog.release_write()
-        self._tx_snapshot = (catalog, states)
-        self._tx_begin_schema = db.schema_version
         # pin the snapshot-isolation read position: everything committed
-        # so far is visible to this transaction, nothing newer will be
-        self.tx_read_stamp = db._commit_stamp
-        self.write_txn = WriteTxn(read_stamp=self.tx_read_stamp)
-        db._tx_sessions.add(self)
+        # so far is visible to this transaction, nothing newer will be.
+        # Registered under the lock a seal holds, so no commit can decide
+        # "nobody needs the old images" between the two.
+        with db._mvcc_lock:
+            self.tx_read_stamp = db._commit_stamp
+            self.write_txn = WriteTxn(read_stamp=self.tx_read_stamp)
+            db._tx_sessions.add(self)
         if wal_mod.ATTACHED and db._wal is not None:
             self.tx_id = db._next_tx_id()
             db._wal.append(wal_mod.WalRecord.BEGIN, tx=self.tx_id)
 
     def commit(self):
+        if self.write_txn is None:
+            return  # COMMIT outside a transaction is a no-op
         db = self.database
         lsn = None
-        if (
-            wal_mod.ATTACHED
-            and db._wal is not None
-            and self._tx_snapshot is not None
-            and self.tx_id
-        ):
+        if wal_mod.ATTACHED and db._wal is not None and self.tx_id:
             db._wal.append(wal_mod.WalRecord.COMMIT, tx=self.tx_id,
                            durability_point=True)
             lsn = db._wal.last_lsn
         # seal pending versions with the commit LSN before the commit
         # point may trigger a checkpoint (whose vacuum walks sealed meta)
-        if self.write_txn is not None:
-            db._seal_txn(self.write_txn, lsn=lsn)
-            self.write_txn = None
-        self.tx_read_stamp = None
+        db._seal_txn(self.write_txn, lsn=lsn)
         if lsn is not None:
             db._note_commit_point()
-        self.tx_id = 0
-        self._tx_snapshot = None
-        db._tx_sessions.discard(self)
+        self._end()
 
     def rollback(self):
-        snapshot = self._tx_snapshot
-        if snapshot is None:
+        txn = self.write_txn
+        if txn is None:
             return  # ROLLBACK outside a transaction is a no-op
-        catalog, states = snapshot
         db = self.database
         # a transaction that never wrote (read-only, or every statement
-        # failed its pre-mutation conflict check) has nothing to undo;
-        # restoring the BEGIN snapshot anyway would clobber rows other
-        # sessions committed while this transaction was open
-        wrote = self.write_txn is not None and self.write_txn.entries
-        if not wrote and db.schema_version == self._tx_begin_schema:
-            if wal_mod.ATTACHED and db._wal is not None and self.tx_id:
-                db._wal.append(wal_mod.WalRecord.ROLLBACK, tx=self.tx_id)
-            self.write_txn = None
-            self.tx_read_stamp = None
-            self.tx_id = 0
-            self._tx_snapshot = None
-            db._tx_sessions.discard(self)
-            return
-        # restoring rewrites every table: exclude all other statements
-        db.lock_manager.catalog.acquire_write()
-        try:
-            with db.catalog_lock:
-                catalog_changed = set(db.tables) != set(catalog)
-                # restore the catalog: tables created mid-transaction
-                # are dropped, tables dropped mid-transaction reappear
-                db.tables = dict(catalog)
-                schema_reverted = False
-                for name, state in states.items():
-                    table = db.tables[name]
-                    if (table.columns != state[2]
-                            or table.indexes != state[3]):
-                        schema_reverted = True  # undoing in-place DDL
-                    table.restore_state(state)
-                if catalog_changed or schema_reverted:
-                    db.bump_schema_version()
-        finally:
-            db.lock_manager.catalog.release_write()
+        # failed its pre-mutation conflict check) has nothing to undo
+        # and takes no lock
+        if txn.entries:
+            # versions leave the tables: exclude all other statements
+            db.lock_manager.catalog.acquire_write()
+            try:
+                with db.catalog_lock:
+                    undo_txn(txn)
+            finally:
+                db.lock_manager.catalog.release_write()
         if wal_mod.ATTACHED and db._wal is not None and self.tx_id:
             db._wal.append(wal_mod.WalRecord.ROLLBACK, tx=self.tx_id)
-        # pending versions die with the restore (restore_state resets
-        # each table's MVCC metadata); just drop the txn handle
+        self._end()
+
+    def _end(self):
+        """Back to autocommit (the transaction is sealed, undone, or
+        lost to a restart)."""
         self.write_txn = None
         self.tx_read_stamp = None
         self.tx_id = 0
-        self._tx_snapshot = None
-        db._tx_sessions.discard(self)
+        self.database._tx_sessions.discard(self)
 
     @property
     def in_transaction(self):
-        return self._tx_snapshot is not None
+        return self.write_txn is not None
 
 
 class Database(object):
@@ -594,9 +512,7 @@ class Database(object):
         with self.catalog_lock:
             table = self.tables.pop(name.lower())
             self.schema_version += 1
-        # free the table's pages; a mid-transaction DROP that later
-        # rolls back reloads the rows from the BEGIN snapshot
-        table.dispose()
+        table.dispose()  # free the table's pages: DROP TABLE is final
 
     def bump_schema_version(self):
         """Record a catalog change done in place (ALTER TABLE paths)."""
@@ -696,11 +612,11 @@ class Database(object):
         """
         if txn is None or txn.sealed:
             return
-        others_in_tx = any(
-            session.write_txn is not txn
-            for session in list(self._tx_sessions)
-        )
         with self._mvcc_lock:
+            others_in_tx = any(
+                session.write_txn is not txn
+                for session in list(self._tx_sessions)
+            )
             stamp = max(self._commit_stamp + 1, lsn or 0)
             seal_txn(txn, stamp,
                      collect=not self._active_views and not others_in_tx)
@@ -836,11 +752,7 @@ class Database(object):
         self._rand_calls = 0
         self._tx_counter = 0
         for session in list(self._tx_sessions):
-            session._tx_snapshot = None
-            session.tx_id = 0
-            session.write_txn = None
-            session.tx_read_stamp = None
-        self._tx_sessions.clear()
+            session._end()
         with self._mvcc_lock:
             self._active_views = {}
         self._recovered_lsn = 0
@@ -1033,16 +945,7 @@ class Database(object):
         scratch = Database(name=self.name, seed=self._rand_seed,
                            cache_size=0)
         try:
-            checkpoint = wal_mod.load_checkpoint(data_dir)
-            applied_lsn = 0
-            if checkpoint is not None:
-                applied_lsn = scratch._restore_checkpoint(checkpoint)
-            try:
-                scan = wal_mod.scan_log(wal_mod.log_path(data_dir))
-            except WalCorruptionError as exc:
-                scan = wal_mod.ScanResult(exc.clean_records, exc.offset, 0)
-            scratch._replay_records(scan.records, applied_lsn)
-            scratch._finish_recovery()
+            scratch._redo(data_dir, wal_mod.load_checkpoint(data_dir))
             source = scratch.tables.get(table_name)
             if source is None:
                 return False
@@ -1204,27 +1107,15 @@ class Database(object):
                 "torn_repaired": torn,
                 "page_count": self.page_store.pager.page_count,
             }
-        applied_lsn = 0
-        if checkpoint is not None:
-            applied_lsn = self._restore_checkpoint(checkpoint)
-        path = wal_mod.log_path(data_dir)
-        corruption = None
-        try:
-            scan = wal_mod.scan_log(path)
-        except WalCorruptionError as exc:
-            corruption = exc
-            scan = wal_mod.ScanResult(exc.clean_records, exc.offset, 0)
-        replayed = self._replay_records(scan.records, applied_lsn)
-        last_lsn = scan.records[-1].lsn if scan.records else 0
-        self._recovered_lsn = max(applied_lsn, last_lsn)
+        applied_lsn, scan, _, replayed, corruption = self._redo(
+            data_dir, checkpoint)
         self._recovered_dir = data_dir
-        if os.path.exists(path) and scan.torn_bytes:
+        if scan.torn_bytes:
             # a torn tail is the normal crash artifact: cut it off
-            wal_mod.truncate_log(path, scan.clean_offset)
-        self._finish_recovery()
+            wal_mod.truncate_log(scan.path, scan.clean_offset)
         self.recovery_report = {
             "checkpoint_lsn": applied_lsn,
-            "log_records": len(scan.records),
+            "log_records": scan.records_seen,
             "replayed_statements": replayed,
             "torn_bytes": scan.torn_bytes,
             "corrupt": corruption is not None,
@@ -1238,8 +1129,49 @@ class Database(object):
                 corruption.database = self
                 raise corruption
             # salvage mode: keep the clean prefix, drop the damage
-            wal_mod.truncate_log(path, scan.clean_offset)
+            wal_mod.truncate_log(scan.path, scan.clean_offset)
         return self
+
+    def _redo(self, data_dir, checkpoint):
+        """The one redo pass recovery, the dry-run audit and scrub
+        repair share: restore *checkpoint* (``None``: start empty),
+        replay every *committed* unit the log of *data_dir* holds above
+        the checkpoint LSN, then open the recovery epoch.
+
+        A unit is either one autocommit statement record or the
+        statement records of a transaction closed by a commit marker;
+        units apply in commit-LSN order, each as soon as its closing
+        record streams by, so memory holds only the statements of
+        still-open transactions, never the whole log.  Rolled-back and
+        unfinished transactions contribute nothing.  Units at or below
+        the checkpoint LSN were already captured by the checkpoint and
+        are skipped — this is what makes double replay idempotent.
+
+        Mid-log corruption ends the pass at the clean prefix and is
+        handed back, not raised.  Returns ``(checkpoint_lsn, stream,
+        units, replayed, corruption)`` — the drained
+        :class:`~repro.sqldb.wal.LogStream`, the
+        :class:`~repro.sqldb.wal.CommitGrouper` it fed, the number of
+        statements redone."""
+        applied_lsn = 0
+        if checkpoint is not None:
+            applied_lsn = self._restore_checkpoint(checkpoint)
+        stream = wal_mod.LogStream(wal_mod.log_path(data_dir))
+        units = wal_mod.CommitGrouper()
+        replayed = 0
+        corruption = None
+        try:
+            for rec in stream:
+                unit = units.feed(rec)
+                if unit is not None and rec.lsn > applied_lsn:
+                    for held in unit:
+                        self._replay_statement(held)
+                    replayed += len(unit)
+        except WalCorruptionError as exc:
+            corruption = exc
+        self._recovered_lsn = max(applied_lsn, stream.last_lsn)
+        self._finish_recovery()
+        return applied_lsn, stream, units, replayed, corruption
 
     def _restore_checkpoint(self, body):
         try:
@@ -1290,42 +1222,6 @@ class Database(object):
         while self._rand_calls < draws:
             self._rand.random()
             self._rand_calls += 1
-
-    def _replay_records(self, records, applied_lsn):
-        """Apply the committed units of *records* above *applied_lsn*.
-
-        A unit is either one autocommit statement record or the
-        statement records of a transaction closed by a commit marker;
-        units apply in commit-LSN order.  Rolled-back and unfinished
-        transactions contribute nothing.  Records at or below the
-        watermark were already captured by the checkpoint and are
-        skipped — this is what makes double replay idempotent.
-
-        *records* may be any iterable (including a
-        :func:`repro.sqldb.wal.scan_log_stream`): each unit applies as
-        soon as its commit record arrives, so memory holds only the
-        statements of still-open transactions, never the whole log.
-        """
-        replayed = 0
-        open_tx = {}
-        for rec in records:
-            if rec.lsn <= applied_lsn:
-                continue
-            if rec.op == wal_mod.WalRecord.BEGIN:
-                open_tx[rec.tx] = []
-            elif rec.op == wal_mod.WalRecord.STMT:
-                if rec.tx:
-                    open_tx.setdefault(rec.tx, []).append(rec)
-                else:
-                    self._replay_statement(rec)
-                    replayed += 1
-            elif rec.op == wal_mod.WalRecord.COMMIT:
-                for held in open_tx.pop(rec.tx, []):
-                    self._replay_statement(held)
-                    replayed += 1
-            elif rec.op == wal_mod.WalRecord.ROLLBACK:
-                open_tx.pop(rec.tx, None)
-        return replayed
 
     def _replay_statement(self, rec):
         """Re-execute one logged statement deterministically.
@@ -1404,65 +1300,26 @@ class Database(object):
         is reported (``corrupt_offset``) rather than raised: the clean
         prefix is still verified.
 
-        The log is consumed through one streaming pass
-        (:func:`repro.sqldb.wal.scan_log_stream`): audit stats are
-        collected on the records as they flow into replay, so the file
-        is never held in memory whole.
+        The log is consumed through one streaming pass (:meth:`_redo`),
+        so the file is never held in memory whole.
         """
         db = cls(name=name, seed=seed, cache_size=0)
-        checkpoint = wal_mod.load_checkpoint(data_dir)
-        applied_lsn = 0
-        if checkpoint is not None:
-            applied_lsn = db._restore_checkpoint(checkpoint)
-        stream = wal_mod.scan_log_stream(wal_mod.log_path(data_dir))
-        stats = {
-            "ops": {},
-            "commit_lsn": applied_lsn,
-            "open_tx": set(),
-            "committed": 0,
-            "rolled_back": 0,
-            "corrupt_offset": None,
-        }
-
-        def audited():
-            try:
-                for rec in stream:
-                    ops = stats["ops"]
-                    ops[rec.op] = ops.get(rec.op, 0) + 1
-                    if rec.op == wal_mod.WalRecord.BEGIN:
-                        stats["open_tx"].add(rec.tx)
-                    elif rec.op == wal_mod.WalRecord.COMMIT:
-                        stats["open_tx"].discard(rec.tx)
-                        stats["committed"] += 1
-                        stats["commit_lsn"] = max(stats["commit_lsn"],
-                                                  rec.lsn)
-                    elif rec.op == wal_mod.WalRecord.ROLLBACK:
-                        stats["open_tx"].discard(rec.tx)
-                        stats["rolled_back"] += 1
-                    elif (rec.op == wal_mod.WalRecord.STMT
-                            and rec.tx == 0):
-                        stats["commit_lsn"] = max(stats["commit_lsn"],
-                                                  rec.lsn)
-                    yield rec
-            except WalCorruptionError as exc:
-                stats["corrupt_offset"] = exc.offset
-
-        replayed = db._replay_records(audited(), applied_lsn)
-        db._recovered_lsn = max(applied_lsn, stream.last_lsn)
-        db._finish_recovery()
+        applied_lsn, stream, units, replayed, corruption = db._redo(
+            data_dir, wal_mod.load_checkpoint(data_dir))
         return {
             "data_dir": data_dir,
             "checkpoint_lsn": applied_lsn,
             "log_records": stream.records_seen,
-            "records_by_op": stats["ops"],
-            "commit_lsn": stats["commit_lsn"],
+            "records_by_op": stream.ops,
+            "commit_lsn": max(applied_lsn, units.commit_lsn),
             "last_lsn": db._recovered_lsn,
             "replayed_statements": replayed,
-            "committed_transactions": stats["committed"],
-            "rolled_back_transactions": stats["rolled_back"],
-            "unfinished_transactions": len(stats["open_tx"]),
+            "committed_transactions": units.committed,
+            "rolled_back_transactions": units.rolled_back,
+            "unfinished_transactions": len(units.open_tx),
             "torn_bytes": stream.torn_bytes,
-            "corrupt_offset": stats["corrupt_offset"],
+            "corrupt_offset": (None if corruption is None
+                               else corruption.offset),
             "tables": {
                 tname: len(db.tables[tname])
                 for tname in sorted(db.tables)

@@ -18,10 +18,22 @@ from repro.sqldb.planner import Planner
 from repro.sqldb.prepared import slot_tags
 from repro.sqldb.storage import Column, ResultSet, WriteTxn
 
-__all__ = ["Executor", "ExecutionResult"]
+__all__ = ["DDL_STATEMENTS", "Executor", "ExecutionResult"]
 
 #: statement kinds that go through the planner
 _PLANNED = (ast.Select, ast.Insert, ast.Update, ast.Delete, ast.Explain)
+
+#: statements that rewrite the catalog itself (schema changes)
+DDL_STATEMENTS = (
+    ast.CreateTable, ast.DropTable,
+    ast.CreateIndex, ast.DropIndex,
+    ast.AlterTableAddColumn, ast.AlterTableDropColumn,
+)
+
+#: the catalog is not transactional: like MySQL (5.7 manual 13.3.3),
+#: these end the open transaction with an implicit COMMIT before they
+#: run — even when they then fail
+_IMPLICIT_COMMIT = DDL_STATEMENTS + (ast.TruncateTable,)
 
 #: bound on the by-identity subquery-plan memo
 _SUBPLAN_MEMO_LIMIT = 256
@@ -179,6 +191,8 @@ class Executor(object):
                     self._db._seal_txn(txn)
             self._absorb(state.stats, query_context)
             return result
+        if isinstance(stmt, _IMPLICIT_COMMIT):
+            session.commit()
         if isinstance(stmt, ast.CreateTable):
             return self._create_table(stmt)
         if isinstance(stmt, ast.DropTable):
@@ -231,8 +245,7 @@ class Executor(object):
         under: the session's open transaction (sealed at COMMIT), or a
         fresh statement-scoped one the caller must seal itself.
         Returns ``(txn, owns_seal)``."""
-        if (session is not None and session.in_transaction
-                and session.write_txn is not None):
+        if session.write_txn is not None:
             return session.write_txn, False
         return WriteTxn(), True
 

@@ -403,17 +403,6 @@ def is_aggregate(name):
     return name.upper() in AGGREGATES
 
 
-def is_known_function(name):
-    upper = name.upper()
-    return (
-        upper in _SIMPLE
-        or upper in AGGREGATES
-        or upper in ("NOW", "CURDATE", "CURRENT_DATE", "DATABASE", "VERSION",
-                     "USER", "CURRENT_USER", "LAST_INSERT_ID", "SLEEP",
-                     "BENCHMARK", "RAND")
-    )
-
-
 def call_scalar(name, args, context):
     """Invoke scalar function *name*.
 

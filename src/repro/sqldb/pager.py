@@ -924,13 +924,6 @@ class PageStore(object):
         self.pager.clear_spill()
         self.pool.mark_all_clean()
 
-    def allocation_state(self):
-        return {
-            "page_count": self.pager.page_count,
-            "freelist": sorted(self.pager.freelist),
-            "batch": self.batch_id,
-        }
-
     def restore_allocation(self, state):
         self.pager.set_allocation(state.get("page_count", 0),
                                   state.get("freelist", []))

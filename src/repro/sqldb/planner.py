@@ -1,9 +1,7 @@
 """Query planning — the *plan* half of the plan/execute split.
 
-Statements travel ``AST → logical plan → physical plan``:
-:func:`build_logical` is the shape of the statement with every physical
-choice erased (what the planner reasons *about*), and :class:`Planner`
-lowers it to a tree of :mod:`repro.sqldb.plan` operators.  This module
+Statements travel ``AST → physical plan``: :class:`Planner` lowers a
+statement to a tree of :mod:`repro.sqldb.plan` operators.  This module
 is the single owner of every access-path, join-strategy and top-k
 decision the engine makes:
 
@@ -30,96 +28,6 @@ from repro.sqldb import plan as plan_mod
 from repro.sqldb.errors import ExecutionError
 from repro.sqldb.functions import is_aggregate
 from repro.sqldb.types import type_class
-
-
-# -- logical plan ------------------------------------------------------
-
-
-class LogicalNode(object):
-    """One step of a logical plan: an operation name, a human-readable
-    detail string, and input nodes.  Deliberately free of physical
-    detail — no index names, no join algorithms."""
-
-    __slots__ = ("op", "detail", "inputs")
-
-    def __init__(self, op, detail=None, inputs=()):
-        self.op = op
-        self.detail = detail
-        self.inputs = tuple(inputs)
-
-    def render(self, depth=0):
-        text = self.op if self.detail is None \
-            else "%s(%s)" % (self.op, self.detail)
-        lines = ["  " * depth + text]
-        for node in self.inputs:
-            lines.append(node.render(depth + 1))
-        return "\n".join(lines)
-
-    def __repr__(self):
-        return "<logical %s>" % self.op
-
-
-def build_logical(stmt):
-    """Logical plan for a plannable statement (``None`` otherwise)."""
-    if isinstance(stmt, ast.Explain):
-        return build_logical(stmt.select)
-    if isinstance(stmt, ast.Select):
-        return _logical_select(stmt)
-    if isinstance(stmt, ast.Insert):
-        return LogicalNode("insert", stmt.table.lower())
-    if isinstance(stmt, ast.Update):
-        return LogicalNode("update", stmt.table.lower(),
-                           (_logical_dml_source(stmt),))
-    if isinstance(stmt, ast.Delete):
-        return LogicalNode("delete", stmt.table.lower(),
-                           (_logical_dml_source(stmt),))
-    return None
-
-
-def _logical_dml_source(stmt):
-    node = LogicalNode("scan", stmt.table.lower())
-    if stmt.where is not None:
-        node = LogicalNode("filter", "where", (node,))
-    return node
-
-
-def _logical_table(ref):
-    if isinstance(ref, ast.DerivedTable):
-        return LogicalNode("derived", ref.alias.lower(),
-                           (_logical_select(ref.select),))
-    alias = (ref.alias or ref.name).lower()
-    detail = ref.name.lower() if alias == ref.name.lower() \
-        else "%s as %s" % (ref.name.lower(), alias)
-    return LogicalNode("scan", detail)
-
-
-def _logical_select(stmt):
-    if stmt.tables:
-        node = _logical_table(stmt.tables[0])
-        for ref in stmt.tables[1:]:
-            node = LogicalNode("cross", None,
-                               (node, _logical_table(ref)))
-        for join in stmt.joins:
-            node = LogicalNode("join", join.kind.lower(),
-                               (node, _logical_table(join.table)))
-    else:
-        node = LogicalNode("single_row")
-    if stmt.where is not None:
-        node = LogicalNode("filter", "where", (node,))
-    if stmt.group_by or _collect_aggregates(stmt):
-        node = LogicalNode("aggregate", None, (node,))
-        if stmt.having is not None:
-            node = LogicalNode("filter", "having", (node,))
-    node = LogicalNode("project", None, (node,))
-    if stmt.distinct:
-        node = LogicalNode("distinct", None, (node,))
-    if stmt.order_by:
-        node = LogicalNode("order", None, (node,))
-    if stmt.limit is not None:
-        node = LogicalNode("limit", None, (node,))
-    for _, branch in stmt.unions:
-        node = LogicalNode("union", None, (node, _logical_select(branch)))
-    return node
 
 
 # -- physical planning -------------------------------------------------

@@ -5,12 +5,12 @@ The module is split along one line: *what a row version means* versus
 
 :class:`Table` owns everything about meaning — schema, auto-increment,
 version chains, tombstones, snapshot visibility, first-writer-wins,
-commit sealing, vacuum, secondary indexes, uniqueness, rollback
-snapshots and the checkpoint form.  It exists once, for every backend.
+commit sealing, rollback (undo by rowid), vacuum, secondary indexes,
+uniqueness and the checkpoint form.  It exists once, for every backend.
 
 A **row store** owns placement and nothing else: append / replace /
-remove / get by rowid, iteration of the latest state in rowid order,
-``clear`` and ``len``.  :class:`MemoryRows` keeps the images in a
+remove / get / revert by rowid, iteration of the latest state in rowid
+order, ``clear`` and ``len``.  :class:`MemoryRows` keeps the images in a
 Python list; :class:`PagedRows` keeps them in B-tree pages behind the
 buffer pool.  The engine hands a table its store
 (``Database(storage=...)`` decides which); nothing above this module
@@ -19,7 +19,7 @@ can tell them apart.
 The **rowid** is the one row identity: assigned once at insert,
 monotone (rowid order == insertion order == scan order), carried by
 every image of the row (:class:`~repro.sqldb.btree.Row`) *beside* its
-columns.  Version metadata, index buckets and rollback snapshots are
+columns.  Version metadata, index buckets and a transaction's undo are
 all keyed by it, so a row re-read from a page after an eviction — a
 different dict object — still finds its history.
 
@@ -28,10 +28,10 @@ place: UPDATE installs a fresh image and chains the superseded one
 behind it (:class:`_RowVersion`), DELETE leaves a :class:`_Tombstone`,
 and both stay *pending* — owned by a :class:`WriteTxn`, invisible to
 snapshot readers — until the transaction seals them with a commit
-stamp (:func:`seal_txn`).  Readers carry a :class:`ReadView` through
-:meth:`Table.iter_rows` / :meth:`index_lookup_iter` /
-:meth:`index_range_iter`; ``view=None`` reads the latest state, which
-is what the DML path works on.
+stamp (:func:`seal_txn`) or takes them back (:func:`undo_txn`).
+Readers carry a :class:`ReadView` through :meth:`Table.iter_rows` /
+:meth:`index_lookup_iter` / :meth:`index_range_iter`; ``view=None``
+reads the latest state, which is what the DML path works on.
 
 Secondary indexes (:class:`_ColumnIndex`) bucket **rowids** by
 :func:`repro.sqldb.types.sort_key` — the comparison engine's own total
@@ -191,7 +191,9 @@ class WriteTxn(object):
 
     One instance covers either a single autocommit statement (sealed by
     the executor when the statement finishes) or a whole explicit
-    transaction (sealed by ``Session.commit`` with the WAL commit LSN).
+    transaction (sealed by ``Session.commit`` with the WAL commit LSN,
+    undone by ``Session.rollback``) — its entries are the whole
+    description of what the transaction changed.
     ``read_stamp`` is the transaction's snapshot watermark and drives
     first-writer-wins detection; autocommit statements leave it ``None``
     (they read latest state, so only *pending* versions can conflict).
@@ -201,13 +203,15 @@ class WriteTxn(object):
 
     def __init__(self, read_stamp=None):
         self.read_stamp = read_stamp
-        #: (table, kind, payload): kind "write" carries the pending row
-        #: dict, kind "delete" carries the _Tombstone.
+        #: (table, kind, payload, auto): kind "write" carries the pending
+        #: row image (an insert when nothing committed sits behind it,
+        #: else an update), kind "delete" carries the _Tombstone; *auto*
+        #: is an insert's AUTO_INCREMENT mark (see :meth:`Table.undo`).
         self.entries = []
         self.sealed = False
 
-    def record(self, table, kind, payload):
-        self.entries.append((table, kind, payload))
+    def record(self, table, kind, payload, auto=None):
+        self.entries.append((table, kind, payload, auto))
 
 
 class _RowVersion(object):
@@ -261,6 +265,16 @@ class _Tombstone(object):
         self.epoch = epoch
 
 
+def _committed_behind(meta):
+    """The last committed version behind a pending meta or tombstone —
+    what its transaction's ROLLBACK brings back (the tombstone itself
+    when it buried a committed row) — or ``None`` when the transaction
+    created the row."""
+    if meta.__class__ is _Tombstone and meta.begin is not None:
+        return meta
+    return meta.prior
+
+
 def seal_txn(txn, stamp, collect=False):
     """Commit every pending version *txn* installed, stamping it with
     *stamp*.  With ``collect=True`` (no read view can need history) the
@@ -271,10 +285,21 @@ def seal_txn(txn, stamp, collect=False):
     publishes the commit counter only after this returns, so a reader
     can never pin a watermark >= *stamp* while the stamps are half
     applied."""
-    for table, kind, payload in txn.entries:
+    for table, kind, payload, _ in txn.entries:
         table._seal_entry(txn, kind, payload, stamp, collect)
     txn.entries = []
     txn.sealed = True
+
+
+def undo_txn(txn):
+    """Take back every pending version *txn* installed, newest first
+    (ROLLBACK).  Only the transaction's own entries are visited, each by
+    rowid: what other sessions committed or have pending is not read,
+    let alone written.  The caller (``Session.rollback``) holds the
+    catalog exclusively, so no statement overlaps the undo."""
+    for table, kind, payload, auto in reversed(txn.entries):
+        table.undo(txn, kind, payload, auto)
+    txn.entries = []
 
 
 def _implicit_default(col):
@@ -308,6 +333,9 @@ class Table(object):
             raise ExecutionError("Duplicate column name in table %r" % name)
         self.store = MemoryRows() if store is None else store
         self._auto_counter = 0
+        #: rowid of the newest insert: while it is still a transaction's
+        #: to undo, undoing it may rewind the counter (:meth:`undo`)
+        self._auto_tip = None
         #: secondary indexes: index name -> column name
         self.indexes = {}
         #: bumped on every mutation; acts as the index consistency check
@@ -315,7 +343,7 @@ class Table(object):
         #: column -> _ColumnIndex, maintained incrementally
         self._index_cache = {}
         self._index_stats = {
-            "rebuilds": 0, "incremental": 0, "restores": 0,
+            "rebuilds": 0, "incremental": 0,
             "lookups": 0, "range_lookups": 0,
         }
         #: rowid -> _RowMeta (a live row with tracked history) or
@@ -390,15 +418,16 @@ class Table(object):
         snapshot readers until the transaction seals.  Returns the
         auto-increment id used (or ``None``).
         """
+        mark = (self._auto_counter, self._auto_tip)
         row, used_auto = self._build_insert_row(values)
-        self._check_unique(row)
-        row.rowid = self.store.new_rowid()
+        self._check_unique(row, txn)
+        row.rowid = self._auto_tip = self.store.new_rowid()
         # publish the pending metadata BEFORE the row becomes reachable:
         # a lock-free reader that catches the append must already find
         # the meta that marks it invisible
         if txn is not None:
             self._meta[row.rowid] = _RowMeta(None, txn, None)
-            txn.record(self, "write", row)
+            txn.record(self, "write", row, mark)
         self.store.append(row, pending=txn is not None)
         self._apply_delta(lambda index: index.add(row))
         return used_auto
@@ -570,6 +599,49 @@ class Table(object):
                     pass
         self.store.settle(rowid)
 
+    def undo(self, txn, kind, payload, auto):
+        """Take back one pending entry of *txn* at ROLLBACK: its rowid
+        returns to the last committed state.  A pending insert leaves
+        the store and the indexes, a pending update puts the chained
+        committed image and its stamp back, a pending delete lifts its
+        tombstone and re-admits the row.  An entry superseded later in
+        the transaction finds its rowid already reverted by the newer
+        one (so does one a DDL barrier settled) and is skipped.
+
+        *auto* is an insert's ``(counter, tip)`` from before it ran: if
+        no insert followed it, the counter goes back too — the chain of
+        marks rewinds AUTO_INCREMENT exactly as far as the rolled-back
+        inserts are the table's newest, which is where a recovery of
+        the same log (it never sees them) leaves it."""
+        rowid = payload.rowid if kind == "write" else payload.row.rowid
+        meta = self._meta.get(rowid)
+        if meta is not None and meta.owner is txn:
+            current = self.store.get(rowid)
+            version = _committed_behind(meta)
+            if meta.__class__ is _Tombstone:
+                tombs = self._tombstones    # newest first: it is near the end
+                at = len(tombs) - 1
+                while tombs[at] is not meta:
+                    at -= 1
+                del tombs[at]
+            committed = None if version is None else version.row
+            if version is not None and version.begin:
+                self._meta[rowid] = _RowMeta(version.begin, None,
+                                             version.prior)
+            else:
+                del self._meta[rowid]       # no row, or a settled one
+            self.store.revert(rowid, committed)
+
+            def delta(index):
+                if current is not None:
+                    index.remove(current)
+                if committed is not None:
+                    index.add(committed)
+
+            self._apply_delta(delta)
+        if auto is not None and self._auto_tip == rowid:
+            self._auto_counter, self._auto_tip = auto
+
     # -- ALTER TABLE support (DDL runs under the exclusive catalog lock,
     #    so no read view can be live while these reshape rows) -----------
 
@@ -605,10 +677,12 @@ class Table(object):
     def reset_mvcc(self):
         """Forget all version history and tombstones (recovery replay
         and DDL barriers: only current rows matter).  Pending state
-        becomes plain state, so the store settles it first."""
+        becomes plain state, so the store settles it first — and an
+        insert that is plain state keeps its AUTO_INCREMENT value."""
         self.store.settle()
         self._meta = {}
         self._tombstones = []
+        self._auto_tip = None
 
     def _visible_row(self, row, meta, view):
         """The image of *row* visible under *view*, or ``None``."""
@@ -734,57 +808,6 @@ class Table(object):
         consistency check that forces a rebuild on next lookup."""
         self.version += 1
 
-    # -- transaction snapshots --------------------------------------------
-
-    def snapshot_state(self):
-        """Everything a ROLLBACK must restore: row images (with their
-        rowids), the auto-increment counter, the mutable schema (ALTER
-        TABLE edits columns in place, CREATE/DROP INDEX edits the index
-        map in place), *and* the live index structure — rowid buckets,
-        which :meth:`restore_state` reinstates as they are, without an
-        O(n·log n) rebuild."""
-        index_states = [
-            (column,
-             {key: list(bucket) for key, bucket in index.map.items()},
-             list(index.sorted_keys))
-            for column, index in self._index_cache.items()
-            if index.version == self.version    # stale: not worth carrying
-        ]
-        return (
-            [row.clone() for row in self.store.rows()],
-            self._auto_counter,
-            list(self.columns),
-            dict(self.indexes),
-            index_states,
-        )
-
-    def restore_state(self, state):
-        """Undo every mutation since :meth:`snapshot_state`.
-
-        Pending images are discarded, not settled (this is an undo);
-        the restored rows keep their rowids and are always-visible —
-        they were committed state when the snapshot was taken."""
-        rows, auto, columns, indexes, index_states = state
-        self._meta = {}
-        self._tombstones = []
-        self.store.clear()
-        for row in rows:
-            self.store.append(row.clone())
-        self._auto_counter = auto
-        self.columns = list(columns)
-        self._by_name = {col.name: col for col in self.columns}
-        self.indexes = dict(indexes)
-        self.version += 1
-        self._index_cache = {}
-        for column, buckets, sorted_keys in index_states:
-            index = _ColumnIndex(column)
-            index.map = {key: list(bucket)
-                         for key, bucket in buckets.items()}
-            index.sorted_keys = list(sorted_keys)
-            index.version = self.version
-            self._index_cache[column] = index
-            self._index_stats["restores"] += 1
-
     # -- durability (checkpoint snapshots) --------------------------------
 
     def to_dict(self):
@@ -824,8 +847,7 @@ class Table(object):
         self.touch()
 
     def dispose(self):
-        """Release what the rows occupy (DROP TABLE); a rollback of the
-        DROP reloads them from the BEGIN snapshot."""
+        """Release what the rows occupy (DROP TABLE)."""
         self.store.clear()
 
     # -- secondary indexes ------------------------------------------------
@@ -970,13 +992,28 @@ class Table(object):
                 if row.get(col.name) == value:
                     yield col, value, row
 
-    def _check_unique(self, new_row):
-        """PK/UNIQUE enforcement for an image about to be inserted."""
+    def _check_unique(self, new_row, txn):
+        """PK/UNIQUE enforcement for an image about to be inserted.  A
+        key stays taken while another transaction's delete of it is
+        pending: its ROLLBACK re-admits the row."""
         for col, value, _ in self._unique_matches(new_row):
             raise ExecutionError(
                 "Duplicate entry '%s' for key '%s'" % (value, col.name),
                 errno=1062,
             )
+        for tomb in self._tombstones:
+            if tomb.owner is None or tomb.owner is txn:
+                continue
+            hidden = _committed_behind(tomb)
+            if hidden is None:
+                continue
+            for col in self._unique_columns():
+                value = new_row.get(col.name)
+                if value is not None and hidden.row.get(col.name) == value:
+                    raise ExecutionError(
+                        "Duplicate entry '%s' for key '%s'"
+                        % (value, col.name), errno=1062,
+                    )
 
     def unique_conflicts(self, values):
         """Current rows that collide with *values* on any PK/UNIQUE
@@ -1079,6 +1116,22 @@ class MemoryRows(object):
     def settle(self, rowid=None):
         pass
 
+    def revert(self, rowid, row):
+        """Make *row* — the last committed image, ``None`` for no row —
+        the latest state at *rowid* again (ROLLBACK).  The caller
+        excludes every scan, so the lists are edited in place."""
+        rowids, rows = self._lists
+        at = bisect_left(rowids, rowid)
+        stored = at < len(rowids) and rowids[at] == rowid
+        if row is None:
+            if stored:
+                del rowids[at], rows[at]
+        elif stored:
+            rows[at] = row
+        else:
+            rowids.insert(at, rowid)
+            rows.insert(at, row)
+
     def rewrite(self, mutator):
         for row in self._lists[1]:
             mutator(row)
@@ -1099,8 +1152,8 @@ class PagedRows(object):
     checkpoint describes, whatever moment a crash picks.  It waits in
     ``_pending`` (rowid → image, or ``None`` for a removal), where
     :meth:`get` and :meth:`rows` see it in place of the tree's copy, and
-    moves into the tree when the table seals it (:meth:`settle`).
-    :meth:`clear` drops it unwritten — that is the rollback.
+    moves into the tree when the table seals it (:meth:`settle`) or is
+    dropped unwritten when the table undoes it (:meth:`revert`).
     """
 
     def __init__(self, page_store, meta=None):
@@ -1186,6 +1239,17 @@ class PagedRows(object):
         for rowid in sorted(pending):
             if pending[rowid] is None:
                 self._tree.delete(rowid)
+
+    def revert(self, rowid, row):
+        """Make *row* — the last committed image, ``None`` for no row —
+        the latest state at *rowid* again (ROLLBACK): the tree never
+        saw what was pending, so dropping the overlay entry is all."""
+        if rowid not in self._pending:
+            return
+        if self._pending.pop(rowid) is not None:
+            self._count -= 1
+        if row is not None:
+            self._count += 1
 
     def rewrite(self, mutator):
         """Apply *mutator* to every image in place; the caller has

@@ -146,6 +146,51 @@ class WalRecord(object):
         return "WalRecord(%d, %s tx=%d)" % (self.lsn, self.op, self.tx)
 
 
+class CommitGrouper(object):
+    """The committed-unit state machine, written once.
+
+    Feed it a log's records in order (:meth:`feed`) and it hands back
+    the unit each one closes: BEGIN opens a transaction, a transaction's
+    STMT is buffered, COMMIT releases the buffered statements as one
+    unit, ROLLBACK discards them, and an autocommit (tx 0) STMT is its
+    own unit.  Recovery, the dry-run audit and the replica apply loop
+    (live and after a restart) all group through this class.
+    """
+
+    __slots__ = ("open_tx", "committed", "rolled_back", "commit_lsn")
+
+    def __init__(self):
+        #: statement records of the transactions still open, by tx id
+        self.open_tx = {}
+        #: commit / rollback markers seen
+        self.committed = 0
+        self.rolled_back = 0
+        #: LSN of the newest durability point (0: none yet)
+        self.commit_lsn = 0
+
+    def feed(self, record):
+        """The statement records of the committed unit *record* closes
+        (possibly none: an empty transaction), or ``None`` when it
+        closes no unit."""
+        op = record.op
+        if op == WalRecord.STMT:
+            if record.tx:
+                self.open_tx.setdefault(record.tx, []).append(record)
+                return None
+            self.commit_lsn = record.lsn
+            return (record,)
+        if op == WalRecord.COMMIT:
+            self.committed += 1
+            self.commit_lsn = record.lsn
+            return self.open_tx.pop(record.tx, ())
+        if op == WalRecord.BEGIN:
+            self.open_tx[record.tx] = []
+        elif op == WalRecord.ROLLBACK:
+            self.rolled_back += 1
+            self.open_tx.pop(record.tx, None)
+        return None
+
+
 class ScanResult(object):
     """What :func:`scan_log` found in a log file."""
 
@@ -161,7 +206,8 @@ class ScanResult(object):
 
 
 def scan_log(path):
-    """Read every intact record of the log at *path*.
+    """Read every intact record of the log at *path* (a drained
+    :class:`LogStream`).
 
     Returns a :class:`ScanResult`.  A partial record at end-of-file is a
     torn tail (normal after a kill): scanning stops and reports the
@@ -170,57 +216,28 @@ def scan_log(path):
     the clean-prefix records, so callers can still act on the undamaged
     history.
     """
-    if faults_mod.ACTIVE is not None:
-        faults_mod.fire("wal.recover")
-    if not os.path.exists(path):
-        return ScanResult([], 0, 0)
-    with open(path, "rb") as handle:
-        data = handle.read()
+    stream = LogStream(path)
     records = []
-    offset = 0
-    total = len(data)
-    while offset < total:
-        if total - offset < _HEADER.size:
-            break  # torn header
-        length, crc = _HEADER.unpack_from(data, offset)
-        end = offset + _HEADER.size + length
-        if length > MAX_RECORD_BYTES or end > total:
-            break  # torn payload (or length field of a torn header)
-        payload = data[offset + _HEADER.size:end]
-        damaged = (zlib.crc32(payload) & 0xFFFFFFFF) != crc
-        record = None
-        if not damaged:
-            try:
-                record = WalRecord.from_payload(payload)
-            except (ValueError, KeyError, UnicodeDecodeError):
-                damaged = True
-        if damaged:
-            if end < total:
-                raise WalCorruptionError(
-                    "WAL record at byte %d fails its checksum with valid "
-                    "data after it (mid-log corruption, not a torn tail)"
-                    % offset,
-                    offset=offset,
-                    clean_records=records,
-                )
-            break  # damaged final record == torn tail
-        records.append(record)
-        offset = end
-    return ScanResult(records, offset, total - offset)
+    try:
+        for record in stream:
+            records.append(record)
+    except WalCorruptionError as exc:
+        exc.clean_records = records
+        raise
+    return ScanResult(records, stream.clean_offset, stream.torn_bytes)
 
 
 class LogStream(object):
-    """Iterate a log's intact records in bounded memory.
+    """The log's framing, read side: iterate the intact records of the
+    file at *path* in bounded memory (*chunk_size* slices).
 
-    :func:`scan_log` materialises every record before returning — fine
-    for recovery (which buffers open transactions anyway) but wasteful
-    for audits of large logs.  Iterating a ``LogStream`` reads the file
-    in *chunk_size* slices and yields records as they frame; after the
-    iterator is exhausted, :attr:`clean_offset`, :attr:`torn_bytes`,
-    :attr:`records_seen` and :attr:`last_lsn` describe what was found.
-    Mid-log corruption raises :class:`WalCorruptionError` exactly like
-    :func:`scan_log` (but with an empty ``clean_records`` — the clean
-    prefix was already yielded, not retained).
+    A partial or CRC-failing record at end-of-file is a torn tail — the
+    iteration just ends; a damaged record with more data after it is
+    mid-log corruption and raises :class:`WalCorruptionError` (its
+    ``clean_records`` empty: the clean prefix was already yielded, not
+    retained).  Afterwards :attr:`clean_offset`, :attr:`torn_bytes`,
+    :attr:`records_seen`, :attr:`ops` and :attr:`last_lsn` describe
+    what was found.
     """
 
     def __init__(self, path, chunk_size=1 << 16):
@@ -229,6 +246,8 @@ class LogStream(object):
         self.clean_offset = 0
         self.torn_bytes = 0
         self.records_seen = 0
+        #: records seen, by kind
+        self.ops = {}
         self.last_lsn = 0
 
     def __iter__(self):
@@ -237,39 +256,34 @@ class LogStream(object):
         if not os.path.exists(self.path):
             return
         total = os.path.getsize(self.path)
-        buf = b""
         with open(self.path, "rb") as handle:
-            while True:
-                while len(buf) < _HEADER.size:
+            buf = b""
+            at = 0      # buf[at:] is the file from clean_offset on
+
+            def have(count):
+                """Whether *count* bytes are buffered (reading more
+                until they are, or the file ends)."""
+                nonlocal buf, at
+                while len(buf) - at < count:
                     chunk = handle.read(self.chunk_size)
                     if not chunk:
-                        break
-                    buf += chunk
-                if len(buf) < _HEADER.size:
-                    self.torn_bytes = total - self.clean_offset
-                    return  # torn header (or clean EOF)
-                length, crc = _HEADER.unpack_from(buf, 0)
+                        return False
+                    buf, at = buf[at:] + chunk, 0
+                return True
+
+            while have(_HEADER.size):   # else: torn header, or clean EOF
+                length, crc = _HEADER.unpack_from(buf, at)
                 need = _HEADER.size + length
-                if length > MAX_RECORD_BYTES:
-                    self.torn_bytes = total - self.clean_offset
-                    return  # length field of a torn header
-                while len(buf) < need:
-                    chunk = handle.read(self.chunk_size)
-                    if not chunk:
-                        break
-                    buf += chunk
-                if len(buf) < need:
-                    self.torn_bytes = total - self.clean_offset
-                    return  # torn payload
-                payload = bytes(buf[_HEADER.size:need])
-                damaged = (zlib.crc32(payload) & 0xFFFFFFFF) != crc
+                if length > MAX_RECORD_BYTES or not have(need):
+                    break   # torn payload (or length field of a torn header)
+                payload = buf[at + _HEADER.size:at + need]
                 record = None
-                if not damaged:
+                if (zlib.crc32(payload) & 0xFFFFFFFF) == crc:
                     try:
                         record = WalRecord.from_payload(payload)
                     except (ValueError, KeyError, UnicodeDecodeError):
-                        damaged = True
-                if damaged:
+                        pass
+                if record is None:
                     if self.clean_offset + need < total:
                         raise WalCorruptionError(
                             "WAL record at byte %d fails its checksum "
@@ -279,19 +293,14 @@ class LogStream(object):
                             offset=self.clean_offset,
                             clean_records=[],
                         )
-                    self.torn_bytes = total - self.clean_offset
-                    return  # damaged final record == torn tail
+                    break   # damaged final record == torn tail
+                at += need
                 self.clean_offset += need
                 self.records_seen += 1
+                self.ops[record.op] = self.ops.get(record.op, 0) + 1
                 self.last_lsn = record.lsn
-                buf = buf[need:]
                 yield record
-
-
-def scan_log_stream(path, chunk_size=1 << 16):
-    """A :class:`LogStream` over the log at *path* — the streaming
-    counterpart of :func:`scan_log`."""
-    return LogStream(path, chunk_size=chunk_size)
+        self.torn_bytes = total - self.clean_offset
 
 
 class WriteAheadLog(object):

@@ -15,42 +15,12 @@ from repro.sqldb.engine import (
     LockManager,
     LockPlan,
     lock_plan,
-    referenced_tables,
 )
 from repro.sqldb.parser import parse_one
 
 
 def _plan(sql):
     return lock_plan(parse_one(sql))
-
-
-class TestReferencedTables(object):
-    def test_simple_select(self):
-        assert referenced_tables(parse_one("SELECT a FROM t")) == {"t"}
-
-    def test_join_collects_both_sides(self):
-        stmt = parse_one(
-            "SELECT o.id FROM orders o JOIN custs c ON o.cust = c.id"
-        )
-        assert referenced_tables(stmt) == {"orders", "custs"}
-
-    def test_subquery_in_where(self):
-        stmt = parse_one(
-            "SELECT a FROM t WHERE b IN (SELECT b FROM u WHERE c = 1)"
-        )
-        assert referenced_tables(stmt) == {"t", "u"}
-
-    def test_alias_qualifiers_are_not_tables(self):
-        stmt = parse_one(
-            "SELECT o.id FROM orders o WHERE o.total > 1"
-        )
-        assert referenced_tables(stmt) == {"orders"}
-
-    def test_delete_with_subquery(self):
-        stmt = parse_one(
-            "DELETE FROM t WHERE a IN (SELECT a FROM Src)"
-        )
-        assert referenced_tables(stmt) == {"t", "src"}
 
 
 class TestClassification(object):

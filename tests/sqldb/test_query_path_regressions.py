@@ -4,13 +4,15 @@ Each test documents a defect that sat on the hot query path:
 
 * ``Connection.query()``/``multi_query()`` crashed with ``IndexError``
   on comment-only or empty input (``results[-1]`` on an empty list);
-* ``Database.rollback()`` only restored rows of tables that existed at
-  ``BEGIN`` *and* still existed — tables created mid-transaction
-  survived rollback and tables dropped mid-transaction stayed gone;
+* a mid-transaction ``CREATE``/``DROP TABLE`` used to roll back half
+  way (rows of surviving tables restored, the catalog not); the
+  catalog is now outside transactions the way MySQL's is — DDL ends the
+  open transaction with an implicit COMMIT before it runs;
 * the virtual clock went backwards after 11:59:59 of uptime
   (``12 + hours % 12`` wrapped 23:59:59 → 12:00:00 of the same day).
 """
 
+from repro.sqldb import wal
 from repro.sqldb.connection import Connection, QueryOutcome
 from repro.sqldb.engine import Database
 
@@ -54,8 +56,12 @@ class TestEmptyAndCommentOnlyQueries(object):
 
 
 class TestRollbackCatalogRestore(object):
-    def _db(self):
-        database = Database()
+    """ROLLBACK restores no catalog: DDL inside a transaction commits
+    what came before it and is itself final (MySQL 5.7 manual 13.3.3)."""
+
+    def _db(self, tmp_path=None):
+        database = Database() if tmp_path is None \
+            else Database.recover(str(tmp_path))
         database.seed(
             "CREATE TABLE t (id INT PRIMARY KEY AUTO_INCREMENT, "
             "a VARCHAR(10));"
@@ -63,35 +69,46 @@ class TestRollbackCatalogRestore(object):
         )
         return database, Connection(database)
 
-    def test_table_created_mid_transaction_rolls_back(self):
+    def test_table_created_mid_transaction_survives_rollback(self):
         database, conn = self._db()
         conn.query("BEGIN")
+        assert conn.query("INSERT INTO t (a) VALUES ('before')").ok
         assert conn.query("CREATE TABLE mid (x INT)").ok
+        assert not conn.in_transaction
         assert conn.query("INSERT INTO mid (x) VALUES (1)").ok
         conn.query("ROLLBACK")
-        assert "mid" not in database.tables
+        assert "mid" in database.tables
+        assert len(database.table("mid")) == 1
+        # the row inserted before the DDL was committed by it
+        assert [r["a"] for r in database.table("t").rows] == \
+            ["x", "y", "before"]
 
-    def test_table_dropped_mid_transaction_is_restored_with_rows(self):
+    def test_table_dropped_mid_transaction_stays_dropped(self):
         database, conn = self._db()
         conn.query("BEGIN")
         assert conn.query("DROP TABLE t").ok
         conn.query("ROLLBACK")
-        assert "t" in database.tables
-        assert len(database.table("t").rows) == 2
-        # and the restored table is live: DML works against it
-        assert conn.query("INSERT INTO t (a) VALUES ('z')").ok
+        assert "t" not in database.tables
+
+    def test_failed_ddl_still_commits_the_open_transaction(self):
+        database, conn = self._db()
+        conn.query("BEGIN")
+        conn.query("INSERT INTO t (a) VALUES ('kept')")
+        assert conn.query("CREATE TABLE t (x INT)").error.errno == 1050
+        conn.query("ROLLBACK")
         assert len(database.table("t")) == 3
 
-    def test_drop_then_recreate_rolls_back_to_original(self):
+    def test_drop_then_recreate_rolls_back_only_the_rows(self):
         database, conn = self._db()
         conn.query("BEGIN")
         conn.query("DROP TABLE t")
         conn.query("CREATE TABLE t (other INT)")
+        conn.query("BEGIN")
         conn.query("INSERT INTO t (other) VALUES (9)")
         conn.query("ROLLBACK")
         table = database.table("t")
-        assert table.column_names() == ["id", "a"]
-        assert [r["a"] for r in table.rows] == ["x", "y"]
+        assert table.column_names() == ["other"]
+        assert table.rows == []     # only the row versions rolled back
 
     def test_commit_keeps_mid_transaction_catalog_changes(self):
         database, conn = self._db()
@@ -102,14 +119,34 @@ class TestRollbackCatalogRestore(object):
         assert "mid" in database.tables
         assert "t" not in database.tables
 
-    def test_rollback_of_catalog_change_invalidates_cached_validation(self):
+    def test_rollback_of_catalog_change_undoes_nothing_and_cache_revalidates(
+            self):
         database, conn = self._db()
         conn.query("BEGIN")
         conn.query("CREATE TABLE mid (x INT)")
         assert conn.query("SELECT x FROM mid").ok  # validated + cached
+        conn.query("DROP TABLE mid")
         conn.query("ROLLBACK")
         outcome = conn.query("SELECT x FROM mid")
-        assert not outcome.ok  # table is gone again; must re-validate
+        assert not outcome.ok  # DDL bumped the version: re-validated
+
+    def test_wal_shows_commit_then_autocommit_ddl(self, tmp_path):
+        database, conn = self._db(tmp_path)
+        first = database.durable_lsn
+        conn.query("BEGIN")
+        conn.query("INSERT INTO t (a) VALUES ('z')")
+        conn.query("TRUNCATE TABLE t")
+        conn.query("ROLLBACK")      # outside a transaction: logs nothing
+        database.close()
+        records = wal.scan_log(wal.log_path(str(tmp_path))).records
+        assert [(rec.op, rec.tx != 0) for rec in records
+                if rec.lsn > first] == [
+            ("begin", True), ("stmt", True), ("commit", True),
+            ("stmt", False),
+        ]
+        recovered = Database.recover(str(tmp_path))
+        assert recovered.table("t").rows == []
+        recovered.close()
 
 
 class TestVirtualClockMonotonic(object):

@@ -200,25 +200,25 @@ class TestAutoIncrementRollback(object):
 
 
 class TestSchemaRollback(object):
-    def test_ddl_inside_transaction_rolls_back_and_recovers(self, tmp_path):
-        """ALTER/CREATE INDEX inside a rolled-back transaction must
-        leave no trace — live or after recovery."""
+    def test_ddl_inside_transaction_commits_and_recovers(self, tmp_path):
+        """ALTER/CREATE INDEX end the open transaction (MySQL's
+        implicit commit): a later ROLLBACK finds nothing to undo, and
+        recovery replays the same history."""
         db = _seeded(tmp_path)
-        columns_before = [c.name for c in db.table("t").columns]
         db.begin()
+        db.run("INSERT INTO t (v) VALUES ('before')")
         db.run("ALTER TABLE t ADD COLUMN extra INT DEFAULT 0")
+        assert not db.in_transaction
         db.run("CREATE INDEX idx_v ON t (v)")
-        assert "extra" in [c.name for c in db.table("t").columns]
         version_mid = db.schema_version
         db.rollback()
-        assert [c.name for c in db.table("t").columns] == columns_before
-        assert "idx_v" not in db.table("t").indexes
-        # the un-ALTER is itself a catalog change: cached validations of
-        # the widened table must stop matching
-        assert db.schema_version > version_mid
+        assert "extra" in [c.name for c in db.table("t").columns]
+        assert "idx_v" in db.table("t").indexes
+        assert [row["v"] for row in db.table("t").rows][-1] == "before"
+        assert db.schema_version == version_mid
         live = state_digest(db)
         db.close()
         recovered = Database.recover(str(tmp_path))
         assert state_digest(recovered) == live
-        assert "extra" not in [c.name for c in recovered.table("t").columns]
+        assert "extra" in [c.name for c in recovered.table("t").columns]
         recovered.close()

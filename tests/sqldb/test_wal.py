@@ -86,6 +86,34 @@ class TestTornTail(object):
             assert scan.clean_offset <= offset
             assert scan.torn_bytes == offset - scan.clean_offset
 
+    @pytest.mark.parametrize("chunk_size", [1, 8, 13, 64])
+    def test_stream_frames_the_same_whatever_its_chunk_size(
+            self, tmp_path, chunk_size):
+        """Records straddle read boundaries at every alignment; the
+        byte-at-a-time reference (``iter_frames``) says what is there."""
+        log = wal.WriteAheadLog(str(tmp_path))
+        _fill(log)
+        log.close()
+        data = wal.read_log_bytes(wal.log_path(str(tmp_path)))
+        torn = str(tmp_path / "torn.log")
+        for offset in range(len(data) + 1):
+            wal.write_log_bytes(torn, data[:offset])
+            stream = wal.LogStream(torn, chunk_size=chunk_size)
+            frames = list(wal.iter_frames(data[:offset]))
+            assert [r.lsn for r in stream] == [r.lsn for r, _end in frames]
+            assert stream.clean_offset == (frames[-1][1] if frames else 0)
+            assert stream.torn_bytes == offset - stream.clean_offset
+            assert stream.records_seen == sum(stream.ops.values()) \
+                == len(frames)
+        # and mid-log damage is still told from a torn tail
+        flipped = bytearray(data)
+        flipped[frames[0][1] + 12] ^= 0x40
+        wal.write_log_bytes(torn, bytes(flipped))
+        stream = wal.LogStream(torn, chunk_size=chunk_size)
+        with pytest.raises(WalCorruptionError) as info:
+            list(stream)
+        assert info.value.offset == stream.clean_offset == frames[0][1]
+
     def test_truncate_log_removes_the_tail(self, tmp_path):
         log = wal.WriteAheadLog(str(tmp_path))
         _fill(log)
@@ -97,6 +125,32 @@ class TestTornTail(object):
         assert scan.torn_bytes == 2
         wal.truncate_log(path, scan.clean_offset)
         assert wal.read_log_bytes(path) == data
+
+
+class TestCommitGrouper(object):
+    def test_units_close_at_durability_points(self, tmp_path):
+        log = wal.WriteAheadLog(str(tmp_path))
+        _fill(log)                                      # 1: stmt; 2-4: tx 1
+        log.append(wal.WalRecord.BEGIN, tx=2)           # 5
+        log.append(wal.WalRecord.STMT, tx=2, sql="A")   # 6
+        log.append(wal.WalRecord.BEGIN, tx=3)           # 7
+        log.append(wal.WalRecord.ROLLBACK, tx=2)        # 8
+        log.append(wal.WalRecord.COMMIT, tx=3,
+                   durability_point=True)               # 9: empty unit
+        log.append(wal.WalRecord.BEGIN, tx=4)           # 10
+        log.append(wal.WalRecord.STMT, tx=4, sql="B")   # 11: never closed
+        log.close()
+        units = wal.CommitGrouper()
+        closed = {}
+        for record in wal.scan_log(wal.log_path(str(tmp_path))).records:
+            unit = units.feed(record)
+            if unit is not None:
+                closed[record.lsn] = [held.lsn for held in unit]
+        assert closed == {1: [1], 4: [3], 9: []}
+        assert (units.committed, units.rolled_back) == (2, 1)
+        assert units.commit_lsn == 9
+        assert {tx: [held.lsn for held in held_records]
+                for tx, held_records in units.open_tx.items()} == {4: [11]}
 
 
 class TestMidLogCorruption(object):

@@ -1544,3 +1544,145 @@ def test_fifo_gate_catches_a_private_server(tmp_path):
         "        return self.free_at\n"
     )
     assert _fifo_arithmetic_violations(str(home)) == []
+
+
+SQLDB_ROOT = os.path.join(SRC_ROOT, "repro", "sqldb")
+
+#: what BEGIN would have to call to copy a table
+_TABLE_COPY_CALLS = frozenset(["acquire_write", "clone", "rows",
+                               "snapshot_state"])
+_SNAPSHOT_UNDO = frozenset(["snapshot_state", "restore_state"])
+_LOOPS = (ast.For, ast.While, ast.ListComp, ast.SetComp, ast.DictComp,
+          ast.GeneratorExp)
+
+
+def _table_snapshot_violations(path):
+    """A transaction is the row versions it owns (``Session.write_txn``);
+    ROLLBACK undoes them by rowid.  The mechanism this replaced — BEGIN
+    copies every table, ROLLBACK writes the copy back over whatever
+    other sessions committed meanwhile — must not grow back: ``begin``
+    loops over nothing and calls nothing that copies or locks a table,
+    and no ``snapshot_state`` / ``restore_state`` exists to call."""
+    with open(path) as handle:
+        tree = ast.parse(handle.read(), filename=path)
+    rel = os.path.relpath(path, REPO_ROOT)
+    problems = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.FunctionDef) and node.name in _SNAPSHOT_UNDO:
+            problems.append("%s:%d: %s() — undo is by rowid, from the "
+                            "transaction's own entries"
+                            % (rel, node.lineno, node.name))
+    session = _class_def(tree, "Session")
+    begins = [] if session is None else [
+        node for node in session.body
+        if isinstance(node, ast.FunctionDef) and node.name == "begin"]
+    for begin in begins:
+        for node in ast.walk(begin):
+            if isinstance(node, _LOOPS):
+                problems.append("%s:%d: Session.begin loops — BEGIN costs "
+                                "the same whatever the tables hold"
+                                % (rel, node.lineno))
+            elif (isinstance(node, ast.Call)
+                    and isinstance(node.func, ast.Attribute)
+                    and node.func.attr in _TABLE_COPY_CALLS):
+                problems.append("%s:%d: Session.begin calls %s()"
+                                % (rel, node.lineno, node.func.attr))
+    return problems
+
+
+def test_begin_copies_no_table():
+    for name in ("engine.py", "storage.py"):
+        assert _table_snapshot_violations(
+            os.path.join(SQLDB_ROOT, name)) == [], name
+    # and the gate looked at the real thing
+    with open(os.path.join(SQLDB_ROOT, "engine.py")) as handle:
+        session = _class_def(ast.parse(handle.read()), "Session")
+    assert "begin" in {node.name for node in session.body
+                       if isinstance(node, ast.FunctionDef)}
+
+
+def test_table_snapshot_gate_catches_a_begin_time_copy(tmp_path):
+    bad = tmp_path / "engine.py"
+    bad.write_text(
+        "class Session:\n"
+        "    def begin(self):\n"
+        "        db = self.database\n"
+        "        db.lock_manager.catalog.acquire_write()\n"
+        "        self._tx_snapshot = {name: table.snapshot_state()\n"
+        "                             for name, table in db.tables.items()}\n"
+        "    def rollback(self):\n"
+        "        for table in self.database.tables.values():\n"   # not begin
+        "            table.undo(self.write_txn)\n"
+        "class Table:\n"
+        "    def snapshot_state(self):\n"
+        "        return [row.clone() for row in self.store.rows()]\n"
+        "    def restore_state(self, state):\n"
+        "        self.store.clear()\n"
+    )
+    problems = _table_snapshot_violations(str(bad))
+    assert len(problems) == 5
+    assert sum("undo is by rowid" in problem for problem in problems) == 2
+    assert sum("Session.begin loops" in problem for problem in problems) == 1
+    for call in ("acquire_write", "snapshot_state"):
+        assert any("Session.begin calls %s()" % call in problem
+                   for problem in problems)
+
+
+def _commit_grouping_violations(path):
+    """"BEGIN opens, a transaction's STMT buffers, COMMIT releases,
+    ROLLBACK discards" is one state machine,
+    :class:`repro.sqldb.wal.CommitGrouper`.  It used to be written four
+    times; a function outside ``wal.py`` that compares a record's
+    ``op`` (or a local named for it) against both the BEGIN and the
+    COMMIT marker is a fifth."""
+    with open(path) as handle:
+        tree = ast.parse(handle.read(), filename=path)
+    rel = os.path.relpath(path, REPO_ROOT)
+    problems = []
+    for func in ast.walk(tree):
+        if not isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        compared = set()
+        for node in ast.walk(func):
+            if not isinstance(node, ast.Compare):
+                continue
+            sides = [node.left] + list(node.comparators)
+            if any(getattr(side, "attr", getattr(side, "id", None)) == "op"
+                   for side in sides):
+                compared.update(side.attr for side in sides
+                                if isinstance(side, ast.Attribute))
+        if {"BEGIN", "COMMIT"} <= compared:
+            problems.append("%s:%d: %s() groups records into committed "
+                            "units itself — feed a CommitGrouper"
+                            % (rel, func.lineno, func.name))
+    return problems
+
+
+def test_committed_units_are_grouped_in_one_place():
+    problems = []
+    for path in _python_files(SRC_ROOT):
+        if path != os.path.join(SQLDB_ROOT, "wal.py"):
+            problems.extend(_commit_grouping_violations(path))
+    assert problems == [], "\n".join(problems)
+    # the one grouper is there, and it is what the gate would flag
+    assert any("feed()" in problem for problem in
+               _commit_grouping_violations(os.path.join(SQLDB_ROOT,
+                                                        "wal.py")))
+
+
+def test_commit_grouping_gate_catches_a_fifth_grouper(tmp_path):
+    bad = tmp_path / "apply.py"
+    bad.write_text(
+        "def offer(self, record):\n"
+        "    durable = record.op == WalRecord.COMMIT or (\n"     # fine
+        "        record.op == WalRecord.STMT and record.tx == 0)\n"
+        "    return durable\n"
+        "def regroup(self, records):\n"
+        "    for rec in records:\n"
+        "        if rec.op == wal_mod.WalRecord.BEGIN:\n"
+        "            self._open_tx[rec.tx] = []\n"
+        "        elif rec.op == wal_mod.WalRecord.COMMIT:\n"
+        "            self._apply(self._open_tx.pop(rec.tx, []))\n"
+    )
+    problems = _commit_grouping_violations(str(bad))
+    assert len(problems) == 1 and "regroup()" in problems[0]

@@ -46,21 +46,28 @@ def test_index_is_plan_invariant(rows, needle):
 
 
 @settings(max_examples=40, deadline=None)
-@given(rows_strategy, balances)
-def test_rollback_is_identity(rows, new_value):
+@given(rows_strategy, balances, st.booleans())
+def test_rollback_is_identity(rows, new_value, other_commits):
     """BEGIN, arbitrary writes, ROLLBACK leaves the table exactly as it
-    was (rows and auto-increment counter)."""
+    would be without them (rows and auto-increment counter) — also when
+    a second session commits a row in between."""
     database, conn = _make_db(rows)
     table = database.table("t")
-    before_rows = [dict(row) for row in table.rows]
-    before_auto = table._auto_counter
+    expected_rows = [dict(row) for row in table.rows]
+    expected_auto = table._auto_counter
     conn.query_or_raise("BEGIN")
     conn.query_or_raise("UPDATE t SET val = %d" % new_value)
+    if other_commits:
+        Connection(database).query_or_raise(
+            "INSERT INTO t (name, val) VALUES ('other', 1)")
+        expected_auto += 1
+        expected_rows.append(
+            {"id": expected_auto, "name": "other", "val": 1})
     conn.query_or_raise("DELETE FROM t WHERE MOD(val, 2) = 0")
     conn.query_or_raise("INSERT INTO t (name, val) VALUES ('ghost', 1)")
     conn.query_or_raise("ROLLBACK")
-    assert table.rows == before_rows
-    assert table._auto_counter == before_auto
+    assert table.rows == expected_rows
+    assert table._auto_counter == expected_auto
 
 
 @settings(max_examples=40, deadline=None)
