@@ -16,16 +16,26 @@ single-node :class:`repro.sqldb.connection.Connection`:
   moment the lease expires and election promotes a survivor.  Same
   determinism story as the base connection's retry path: one seed, one
   schedule.
+
+Whether a statement is a read is a property of its *shape*.  A caller
+that routed the statement already knows it and says so
+(``query(sql, read=...)`` — the shard router, and its gather legs);
+otherwise the class is looked up the way the engine looks up a
+pipeline (:class:`repro.sqldb.cache.PipelineCache`: raw text, then
+shape) and the text is parsed only when both probes miss.
 """
 
 import random
 
 from repro.core.resilience import RetryStats
 from repro.replica.node import Role
+from repro.sqldb.cache import PipelineCache
 from repro.sqldb.connection import Connection, QueryOutcome
 from repro.sqldb.engine import _READ_STATEMENTS
 from repro.sqldb.errors import QueryBlocked, SQLError, TransientEngineError
+from repro.sqldb.lexer import tokenize
 from repro.sqldb.parser import parse_sql
+from repro.sqldb.planner import ShardRoute
 
 
 class RoutingConnection(object):
@@ -47,6 +57,9 @@ class RoutingConnection(object):
         self._rng = random.Random(seed)
         self.charset = charset
         self._conns = {}
+        #: text | shape -> :class:`ShardRoute`, of which only ``read``
+        #: (and the shape's ``slots``) is used: no catalog, one epoch
+        self._classes = PipelineCache()
         self._round_robin = 0
         self.retry_stats = RetryStats()
         #: reads served by a replica vs the primary (the scale-out
@@ -58,13 +71,25 @@ class RoutingConnection(object):
     # -- routing -----------------------------------------------------------
 
     def _is_read(self, sql):
-        try:
-            statements, _comments = parse_sql(sql)
-        except SQLError:
-            return False  # the primary will produce the real error
-        return bool(statements) and all(
-            isinstance(stmt, _READ_STATEMENTS) for stmt in statements
-        )
+        cache = self._classes
+        route = cache.probe(None, sql, 0)
+        if route is None:
+            try:
+                lexed = tokenize(sql)
+                wild, route, _values = cache.probe_shape(None, lexed, 0)
+                if route is None:
+                    statements, _comments = parse_sql(
+                        sql, lexed, slots=wild is not None)
+                    route = ShardRoute("any", read=bool(statements) and all(
+                        isinstance(stmt, _READ_STATEMENTS)
+                        for stmt in statements))
+                    if wild is not None:
+                        route.slots = lexed.slots
+                        cache.put_shape(None, wild, lexed, 0, route)
+            except SQLError:
+                return False  # the primary will produce the real error
+            cache.put(None, sql, 0, route)
+        return route.read
 
     def _connection(self, node):
         conn = self._conns.get(node.name)
@@ -107,16 +132,18 @@ class RoutingConnection(object):
 
     # -- the client surface ------------------------------------------------
 
-    def query(self, sql):
+    def query(self, sql, read=None):
         """Run one statement somewhere in the set; returns a
-        :class:`~repro.sqldb.connection.QueryOutcome`.
+        :class:`~repro.sqldb.connection.QueryOutcome`.  *read* is the
+        statement's class when the caller already routed it.
 
         Deterministic SQL errors and SEPTIC blocks return immediately
         (they are verdicts, not faults).  Transient outcomes — no
         eligible node, a mid-flight engine fault — burn the retry
         budget, backing off in virtual ticks between attempts.
         """
-        read = self._is_read(sql)
+        if read is None:
+            read = self._is_read(sql)
         attempt = 0
         while True:
             node = self.pick_node(read)

@@ -10,9 +10,17 @@ touching the query path.
 
 Partitioning is CRC32 over a canonical encoding of the key value,
 modulo the shard count.  The canonical form folds exactly the
-equalities the engine's ``=`` folds — case-insensitive strings,
-``1 = 1.0`` numerics — so a WHERE clause and the stored row always
-agree on the shard.
+equalities the engine's ``=`` folds against a column of the key's type
+class (:func:`repro.sqldb.types.type_class`, recorded as the CREATE
+TABLE broadcasts), so a WHERE clause and the stored row always agree on
+the shard: a numeric key hashes :func:`~repro.sqldb.types.coerce_to_number`
+of the value (``'40'``, ``40``, ``40.0`` and ``'40abc'`` are one key,
+as they are to ``=``), a string key hashes the text an INSERT would
+store, folded by the function :func:`~repro.sqldb.types.compare` folds
+strings with.  A string key compared with a *number* is a numeric
+comparison — rows on several shards can match — so the planner never
+takes it for a shard-key equality.  A table whose CREATE never passed
+through the router has no class, and its values hash by their own type.
 
 Tables declare a shard key explicitly (:meth:`ShardCatalog.declare`)
 or pick one up from their CREATE TABLE as it broadcasts through the
@@ -26,12 +34,20 @@ routes every touch of it there.
 import zlib
 
 from repro.sqldb import ast_nodes as ast
+from repro.sqldb.types import (
+    _fold_string, coerce_to_number, render_value, type_class,
+)
 
 
-def _canonical(value):
-    """Byte encoding under which equal-under-SQL keys collide."""
+def _canonical(value, key_class=None):
+    """Byte encoding under which keys equal under SQL ``=`` against a
+    column of *key_class* collide."""
     if value is None:
         return b"\x00"
+    if key_class == "n":
+        value = coerce_to_number(value)
+    elif key_class == "s":
+        value = render_value(value)  # the text an INSERT stores
     if isinstance(value, bool):
         value = int(value)
     if isinstance(value, float) and value.is_integer():
@@ -42,9 +58,9 @@ def _canonical(value):
         return ("f:%r" % value).encode("ascii")
     if isinstance(value, bytes):
         return b"b:" + value
-    # strings compare case-insensitively in the engine (MySQL's default
-    # collation), so the hash must fold the same way
-    return ("s:" + str(value).lower()).encode("utf-8")
+    # strings compare case- and confusable-insensitively in the engine
+    # (MySQL's default collation), so the hash folds with its function
+    return ("s:" + _fold_string(value)).encode("utf-8")
 
 
 class ShardCatalog(object):
@@ -55,18 +71,24 @@ class ShardCatalog(object):
         if shard_count < 1:
             raise ValueError("need at least one shard")
         self.shard_count = shard_count
-        #: lowered table name -> {"key", "columns", "explicit"}
+        #: lowered table name -> {"key", "columns", "explicit",
+        #: "classes": lowered column name -> type class, as its CREATE
+        #: TABLE declared them}
         self._tables = {}
 
     # -- declarations --------------------------------------------------
+
+    def _entry(self, table):
+        return self._tables.setdefault(
+            table.lower(),
+            {"key": None, "columns": [], "explicit": False, "classes": {}},
+        )
 
     def declare(self, table, key_column, columns=None):
         """Declare *table*'s shard key (``None`` pins the table whole
         to shard 0).  Explicit declarations survive the table's CREATE
         broadcast."""
-        entry = self._tables.setdefault(
-            table.lower(), {"key": None, "columns": [], "explicit": False}
-        )
+        entry = self._entry(table)
         entry["key"] = key_column.lower() if key_column else None
         entry["explicit"] = True
         if columns is not None:
@@ -94,11 +116,10 @@ class ShardCatalog(object):
                 ]
 
     def _observe_create(self, stmt):
-        entry = self._tables.setdefault(
-            stmt.name.lower(),
-            {"key": None, "columns": [], "explicit": False},
-        )
+        entry = self._entry(stmt.name)
         entry["columns"] = [col.name for col in stmt.columns]
+        entry["classes"] = {col.name.lower(): type_class(col.type_name)
+                            for col in stmt.columns}
         if not entry["explicit"]:
             entry["key"] = self._default_key(stmt.columns)
 
@@ -117,6 +138,12 @@ class ShardCatalog(object):
         entry = self._tables.get(table.lower())
         return None if entry is None else entry["key"]
 
+    def key_class(self, table):
+        """Type class of *table*'s shard-key column — ``"n"``, ``"s"``,
+        or ``None`` when no CREATE TABLE told the router its type."""
+        entry = self._tables.get(table.lower())
+        return None if entry is None else entry["classes"].get(entry["key"])
+
     def columns(self, table):
         """Column names of *table* in declaration order (empty when its
         CREATE never passed through the router)."""
@@ -128,16 +155,17 @@ class ShardCatalog(object):
 
     # -- the partitioning function ------------------------------------
 
-    def shard_of(self, value):
-        """The shard ordinal a key *value* hashes to."""
-        return zlib.crc32(_canonical(value)) % self.shard_count
+    def shard_of(self, value, key_class=None):
+        """The shard ordinal a key *value* hashes to, compared the way
+        a column of *key_class* compares."""
+        return zlib.crc32(_canonical(value, key_class)) % self.shard_count
 
     def shard_for(self, table, value):
         """Shard ordinal for one key value of *table* (pinned tables
         always answer 0)."""
         if self.shard_key(table) is None:
             return 0
-        return self.shard_of(value)
+        return self.shard_of(value, self.key_class(table))
 
     def __repr__(self):
         return "ShardCatalog(%d shards, %d tables)" % (

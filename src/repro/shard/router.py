@@ -9,8 +9,9 @@ whole).  The router holds one failover-aware
 (:class:`repro.sqldb.planner.DistributedPlanner`):
 
 * **single-shard** — shard-key equality, keyed DML, keyed INSERT: the
-  original SQL text goes to exactly one shard, so that shard's pipeline
-  cache stays warm (the router never rewrites the hot path);
+  original SQL text goes to exactly one shard, byte for byte, so that
+  shard's pipeline cache stays warm (the router never rewrites the hot
+  path);
 * **scatter** — cross-shard SELECT: per-shard subqueries stream through
   a gather operator tree (``Union`` concat / partial→final ``Aggregate``
   / merge-``TopK``) built from :mod:`repro.sqldb.plan` nodes;
@@ -19,6 +20,18 @@ whole).  The router holds one failover-aware
   cache, which keys on each engine's own schema version) can serve a
   stale plan;
 * **pinned** — tables without a shard key live whole on shard 0.
+
+Routes are cached the way the engine caches pipelines
+(:class:`repro.sqldb.cache.PipelineCache`, the same class): a raw-text
+probe, then — after one tokenize — a probe by statement *shape*, and a
+parse only when both miss.  A shape entry is a route that decided
+nothing by a literal's value (single-shard, pinned): kind, table, which
+value slots carry the shard key, read or write — a new key on a known
+shape costs one tokenize and one CRC.  Scatter routes embed their
+literals in per-shard SQL and stay keyed by text.  The router only
+decides *where*; a text whose injected content changes the token stream
+has another shape key, is parsed and planned on its own, and reaches
+its shard unchanged.
 
 SEPTIC runs *inside each shard* against that shard's own ``QMStore`` —
 every shard sees the query after its own decode/parse, exactly the
@@ -33,13 +46,14 @@ sweep replay failovers deterministically.
 """
 
 import os
-from collections import OrderedDict
 
 from repro.replica.coordinator import ReplicaSet
 from repro.shard.catalog import ShardCatalog
 from repro.sqldb import plan as plan_mod
+from repro.sqldb.cache import PipelineCache
 from repro.sqldb.connection import QueryOutcome
 from repro.sqldb.errors import ExecutionError, SQLError
+from repro.sqldb.lexer import slot_values, tokenize
 from repro.sqldb.parser import parse_sql
 from repro.sqldb.planner import DistributedPlanner
 from repro.sqldb.storage import ResultSet
@@ -57,7 +71,9 @@ class _GatherContext(object):
         self._router = router
 
     def shard_rows(self, shard, sql):
-        outcome = self._router.connections[shard].query(sql)
+        # a leg is a SELECT by construction: no need to parse it to
+        # learn that a replica may serve it
+        outcome = self._router.connections[shard].query(sql, read=True)
         if outcome.error is not None:
             # a SEPTIC block (or any shard error) aborts the gather —
             # the generator chain unwinds before another shard is asked
@@ -97,11 +113,16 @@ class ShardRouter(object):
         #: it, so a stale distributed plan can never be served
         self.catalog_epoch = 0
         self.route_cache_size = route_cache_size
-        self._routes = OrderedDict()
+        #: ``(None, text | shape, catalog_epoch)`` -> ``(route, values)``
+        #: under a text, the :class:`ShardRoute` under a shape
+        self._routes = PipelineCache(route_cache_size)
         self.last_gather_stats = None
+        #: ``route_cache_hits`` counts every lookup served without a
+        #: parse, ``route_shape_hits`` the ones served by shape
         self.stats = {
             "single_shard": 0, "scatter": 0, "broadcast": 0, "pinned": 0,
-            "route_cache_hits": 0, "gather_peak_rows": 0,
+            "route_cache_hits": 0, "route_shape_hits": 0,
+            "gather_peak_rows": 0,
         }
 
     @property
@@ -120,31 +141,40 @@ class ShardRouter(object):
     # -- routing -------------------------------------------------------
 
     def _route(self, sql):
-        """``(stmt, ShardRoute)`` for one statement, LRU-cached per
-        catalog epoch."""
-        key = (sql, self.catalog_epoch)
-        hit = self._routes.get(key)
-        if hit is not None:
-            self._routes.move_to_end(key)
+        """``(ShardRoute, values)`` for one statement: the route, and
+        the text's literals in the route's slot order.  Probed by text,
+        then by shape; parsed only when both are new."""
+        cache, epoch = self._routes, self.catalog_epoch
+        bound = cache.probe(None, sql, epoch)
+        if bound is not None:
             self.stats["route_cache_hits"] += 1
-            return hit
-        statements, _comments = parse_sql(sql)
-        if len(statements) != 1:
-            raise ExecutionError(
-                "the shard router takes one statement per call",
-                errno=1235,
-            )
-        stmt = statements[0]
-        route = self.planner.route(stmt, sql)
-        self._routes[key] = (stmt, route)
-        if len(self._routes) > self.route_cache_size:
-            self._routes.popitem(last=False)
-        return stmt, route
+            return bound
+        lexed = tokenize(sql)
+        wild, route, values = cache.probe_shape(None, lexed, epoch)
+        if route is None:
+            statements, _comments = parse_sql(sql, lexed,
+                                              slots=wild is not None)
+            if len(statements) != 1:
+                raise ExecutionError(
+                    "the shard router takes one statement per call",
+                    errno=1235,
+                )
+            values = slot_values(lexed.tokens, lexed.slots)
+            route = self.planner.route(statements[0], values=values)
+            if wild is not None and route.plan is None:
+                route.slots = lexed.slots
+                route = cache.put_shape(None, wild, lexed, epoch, route)
+        else:
+            self.stats["route_cache_hits"] += 1
+            self.stats["route_shape_hits"] += 1
+        return cache.put(None, sql, epoch, (route, values))
 
-    def _target_shard(self, route):
+    def _target_shard(self, route, values):
+        """The one shard *route*'s keys name (0 when it has none: a
+        pinned table, or a route that fans out)."""
         ordinals = {
             self.catalog.shard_for(route.table, value)
-            for value in route.key_values
+            for value in route.keys(values)
         }
         if not ordinals:
             return 0
@@ -162,22 +192,19 @@ class ShardRouter(object):
         """Run one statement somewhere in the fleet; returns a
         :class:`~repro.sqldb.connection.QueryOutcome`."""
         try:
-            stmt, route = self._route(sql)
+            route, values = self._route(sql)
+            shard = self._target_shard(route, values)
         except SQLError as exc:
             return QueryOutcome(error=exc)
         if route.kind == "broadcast":
-            return self._broadcast(stmt, route)
+            return self._broadcast(sql, route.ddl)
         if route.kind == "scatter":
             return self._gather(route)
-        if route.kind == "single":
-            try:
-                shard = self._target_shard(route)
-            except SQLError as exc:
-                return QueryOutcome(error=exc)
-            self.stats["single_shard"] += 1
-            return self.connections[shard].query(route.sql)
-        self.stats["pinned"] += 1
-        return self.connections[0].query(route.sql)
+        self.stats["single_shard" if route.kind == "single"
+                   else "pinned"] += 1
+        # the shard gets the text the client sent, byte for byte; the
+        # router only tells its replica set which class of node may run it
+        return self.connections[shard].query(sql, read=route.read)
 
     def query_or_raise(self, sql):
         outcome = self.query(sql)
@@ -185,7 +212,7 @@ class ShardRouter(object):
             raise outcome.error
         return outcome
 
-    def _broadcast(self, stmt, route):
+    def _broadcast(self, sql, stmt):
         """DDL to every shard.  The epoch bumps *first* so concurrent
         route lookups re-plan, and each shard engine bumps its own
         schema version as the DDL lands — its pipeline cache can never
@@ -197,7 +224,7 @@ class ShardRouter(object):
         self.catalog.observe_ddl(stmt)
         outcome = QueryOutcome()
         for connection in self.connections:
-            outcome = connection.query(route.sql)
+            outcome = connection.query(sql, read=False)
             if not outcome.ok:
                 return outcome
         self.stats["broadcast"] += 1

@@ -27,6 +27,7 @@ from repro.sqldb import ast_nodes as ast
 from repro.sqldb import plan as plan_mod
 from repro.sqldb.errors import ExecutionError
 from repro.sqldb.functions import is_aggregate
+from repro.sqldb.prepared import literal_for
 from repro.sqldb.types import type_class
 
 
@@ -546,7 +547,10 @@ def _field_label(expr):
 #
 # * ``"single"`` — shard-key equality (or a keyed DML/INSERT): the
 #   original SQL text runs on exactly one shard, preserving that
-#   shard's warm pipeline-cache path;
+#   shard's warm pipeline-cache path.  The key may be a ``Param`` slot
+#   of a slotting parse: the route then names the slot, the value is
+#   read late from each text's values vector, and one route serves
+#   every text of the statement's shape;
 # * ``"scatter"`` — a cross-shard SELECT: ``plan`` is a
 #   :class:`~repro.sqldb.plan.PhysicalPlan` whose leaves are
 #   :class:`~repro.sqldb.plan.ShardScan` nodes carrying rewritten
@@ -573,26 +577,65 @@ _DECOMPOSABLE_AGGREGATES = ("COUNT", "SUM", "MIN", "MAX", "AVG")
 
 
 class ShardRoute(object):
-    """One routed statement: where it runs and what runs there."""
+    """One routed statement: where it runs and what runs there.
 
-    __slots__ = ("kind", "table", "key_values", "sql", "plan")
+    A route without a ``plan`` decided nothing by a data literal's
+    value, so the router may file it under the statement's *shape*: it
+    then holds kind, table, key slots and read class — no AST, and
+    ``sql`` only when the caller of :meth:`DistributedPlanner.route`
+    passed one."""
+
+    __slots__ = ("kind", "table", "key_values", "key_slots", "read",
+                 "slots", "sql", "plan", "ddl")
 
     def __init__(self, kind, table=None, key_values=(), sql=None,
-                 plan=None):
+                 plan=None, key_slots=(), read=False, ddl=None):
         self.kind = kind
         self.table = table
         #: shard-key values for ``"single"`` routes — the router hashes
         #: them; more than one distinct target shard is a routing error
         self.key_values = tuple(key_values)
+        #: ... and the value slots that carry further ones, read from
+        #: the values vector of the text being routed
+        self.key_slots = tuple(key_slots)
+        #: the statement only reads: a replica may serve it
+        self.read = read
+        #: token positions of the statement's value slots, in slot
+        #: order — set by whoever files the route under its shape
+        self.slots = ()
         self.sql = sql
         self.plan = plan
+        #: the parsed statement of a ``"broadcast"`` route (the catalog
+        #: observes it as it fans out)
+        self.ddl = ddl
+
+    def keys(self, values=()):
+        """Every shard-key value of a text whose slots hold *values*."""
+        return self.key_values + tuple(values[slot]
+                                       for slot in self.key_slots)
 
     def __repr__(self):
         if self.kind == "scatter":
             return "ShardRoute(scatter, %r)" % (self.plan,)
-        return "ShardRoute(%s, table=%r, keys=%r)" % (
-            self.kind, self.table, self.key_values
+        return "ShardRoute(%s, table=%r, keys=%r, slots=%r)" % (
+            self.kind, self.table, self.key_values, self.key_slots
         )
+
+
+def _bind_slots(node, values):
+    """Put *values* back where a slotting parse left ``Param`` slots, in
+    place: the tree an unslotted parse of the same text builds.  A
+    scatter's per-shard SQL and gather plan embed the literals, so they
+    are planned from this tree and cached by text."""
+    if isinstance(node, ast.Param):
+        if node.index < len(values):
+            return literal_for(values[node.index])
+    elif isinstance(node, (list, tuple)):
+        return type(node)(_bind_slots(item, values) for item in node)
+    elif isinstance(node, ast.Node):
+        for field in node._fields():
+            setattr(node, field, _bind_slots(getattr(node, field), values))
+    return node
 
 
 def _unsupported(what):
@@ -618,40 +661,71 @@ class DistributedPlanner(object):
 
     # -- classification ------------------------------------------------
 
-    def route(self, stmt, sql_text):
-        """The :class:`ShardRoute` for one parsed statement."""
+    def route(self, stmt, sql_text=None, values=()):
+        """The :class:`ShardRoute` for one parsed statement.  *values*
+        is the values vector of a slotting parse: its ``Param`` slots
+        count as the constants they stand for, and only their *types*
+        (which every text of the shape shares) are looked at unless the
+        statement scatters."""
         if isinstance(stmt, _BROADCAST_STATEMENTS):
-            return ShardRoute("broadcast", sql=sql_text)
+            return ShardRoute("broadcast", sql=sql_text, ddl=stmt)
         if isinstance(stmt, (ast.Begin, ast.Commit, ast.Rollback)):
             raise _unsupported("an explicit transaction")
         if isinstance(stmt, ast.Insert):
-            return self._route_insert(stmt, sql_text)
+            return self._route_insert(stmt, sql_text, values)
         if isinstance(stmt, (ast.Update, ast.Delete)):
-            return self._route_dml(stmt, sql_text)
+            return self._route_dml(stmt, sql_text, values)
         if isinstance(stmt, ast.Select):
-            return self._route_select(stmt, sql_text)
+            return self._route_select(stmt, sql_text, values)
         # SHOW TABLES / DESCRIBE / EXPLAIN: schema is identical on every
         # shard (DDL broadcasts), so any one shard answers
-        return ShardRoute("any", sql=sql_text)
+        return ShardRoute("any", sql=sql_text, read=True)
 
     def _key_for(self, table):
         return self.catalog.shard_key(table)
 
-    def _where_key_value(self, stmt, alias, key):
-        """The literal the WHERE clause pins the shard key to, if any."""
+    @staticmethod
+    def _constant(node, values):
+        """``(True, value)`` when *node* is a constant this pass can
+        read — a literal, or a slot *values* fills — else ``(False,
+        None)``: an expression, or a ``?`` bound after routing."""
+        if isinstance(node, ast.Literal):
+            return True, node.value
+        if isinstance(node, ast.Param) and node.index < len(values):
+            return True, values[node.index]
+        return False, None
+
+    def _single(self, table, nodes, sql_text, read=False):
+        """The single-shard route keyed by constant *nodes*: a literal's
+        value now, a slot's late."""
+        return ShardRoute(
+            "single", table=table, sql=sql_text, read=read,
+            key_values=[node.value for node in nodes
+                        if isinstance(node, ast.Literal)],
+            key_slots=[node.index for node in nodes
+                       if isinstance(node, ast.Param)],
+        )
+
+    def _where_key(self, stmt, table, alias, key, values):
+        """The constant node the WHERE clause pins the shard key to, if
+        any.  A string key compared with a number is no pin: the engine
+        compares numerically there, and rows on several shards match."""
         if stmt.where is None:
             return None
+        strings_only = self.catalog.key_class(table) == "s"
         for operand in _and_operands(stmt.where):
             pair = _equality_pair(operand, alias)
-            if (pair is not None and pair[0].lower() == key
-                    and isinstance(pair[1], ast.Literal)
-                    and pair[1].type_tag != "null"):
-                return pair[0], pair[1].value
+            if pair is None or pair[0].lower() != key:
+                continue
+            known, value = self._constant(pair[1], values)
+            if known and value is not None and (
+                    isinstance(value, str) or not strings_only):
+                return pair[1]
         return None
 
     # -- writes --------------------------------------------------------
 
-    def _route_insert(self, stmt, sql_text):
+    def _route_insert(self, stmt, sql_text, values):
         key = self._key_for(stmt.table)
         if key is None:
             return ShardRoute("any", table=stmt.table, sql=sql_text)
@@ -668,34 +742,32 @@ class DistributedPlanner(object):
                                                              key)
             )
         position = lowered.index(key)
-        values = []
+        nodes = []
         for row in stmt.rows:
-            if position >= len(row) or not isinstance(row[position],
-                                                      ast.Literal):
+            if position >= len(row) \
+                    or not self._constant(row[position], values)[0]:
                 raise _unsupported(
                     "INSERT into %r with a non-literal shard key"
                     % stmt.table
                 )
-            values.append(row[position].value)
-        return ShardRoute("single", table=stmt.table, key_values=values,
-                          sql=sql_text)
+            nodes.append(row[position])
+        return self._single(stmt.table, nodes, sql_text)
 
-    def _route_dml(self, stmt, sql_text):
+    def _route_dml(self, stmt, sql_text, values):
         key = self._key_for(stmt.table)
         if key is None:
             return ShardRoute("any", table=stmt.table, sql=sql_text)
-        pair = self._where_key_value(stmt, stmt.table, key)
-        if pair is None:
+        node = self._where_key(stmt, stmt.table, stmt.table, key, values)
+        if node is None:
             raise _unsupported(
                 "multi-shard %s of %r (no shard-key equality on %r)"
                 % (type(stmt).__name__.upper(), stmt.table, key)
             )
-        return ShardRoute("single", table=stmt.table,
-                          key_values=(pair[1],), sql=sql_text)
+        return self._single(stmt.table, (node,), sql_text)
 
     # -- reads ---------------------------------------------------------
 
-    def _route_select(self, stmt, sql_text):
+    def _route_select(self, stmt, sql_text, values):
         if stmt.unions:
             raise _unsupported("UNION")
         sources = list(stmt.tables) + [join.table for join in stmt.joins]
@@ -704,8 +776,9 @@ class DistributedPlanner(object):
                 raise _unsupported("a FROM subquery")
         if not sources:
             # SELECT without FROM: pure expression, any shard answers
-            return ShardRoute("any", sql=sql_text)
-        keyed = []          # shard-key values pinning sharded sources
+            return ShardRoute("any", sql=sql_text, read=True)
+        keyed = []          # constants pinning sharded sources' keys
+        classes = set()     # ... and the type classes of those keys
         pinned = 0          # unsharded sources (whole table on shard 0)
         scatterable = []    # sharded sources without a key equality
         for ref in sources:
@@ -713,22 +786,26 @@ class DistributedPlanner(object):
             if key is None:
                 pinned += 1
                 continue
-            pair = self._where_key_value(stmt, ref.alias or ref.name, key)
-            if pair is None:
+            node = self._where_key(stmt, ref.name, ref.alias or ref.name,
+                                   key, values)
+            if node is None:
                 scatterable.append(ref)
             else:
-                keyed.append(pair[1])
-        if not scatterable and not pinned:
+                keyed.append(node)
+                classes.add(self.catalog.key_class(ref.name))
+        if not scatterable and not pinned and len(classes) == 1:
             # every source has a shard-key equality: single-shard (the
-            # router verifies the key values co-locate)
-            return ShardRoute("single", table=sources[0].name,
-                              key_values=keyed, sql=sql_text)
+            # router verifies the key values co-locate; keys of unlike
+            # classes hash unlike, so such a join is cross-shard)
+            return self._single(sources[0].name, keyed, sql_text,
+                                read=True)
         if len(sources) == 1:
             if pinned:
                 # the only source lives whole on shard 0
                 return ShardRoute("any", table=sources[0].name,
-                                  sql=sql_text)
-            return self._scatter_select(stmt, sources[0])
+                                  sql=sql_text, read=True)
+            return self._scatter_select(_bind_slots(stmt, values),
+                                        sources[0])
         raise _unsupported("a cross-shard join")
 
     # -- scatter/gather plan construction ------------------------------
@@ -775,14 +852,17 @@ class DistributedPlanner(object):
 
     @staticmethod
     def _limit_ints(limit):
-        """LIMIT/OFFSET as plan-time ints (literals only across shards)."""
-        count = limit.count
-        offset = limit.offset
-        if not isinstance(count, ast.Literal) or (
-                offset is not None and not isinstance(offset, ast.Literal)):
-            raise _unsupported("a non-literal cross-shard LIMIT")
-        return (max(int(count.value), 0),
-                0 if offset is None else max(int(offset.value), 0))
+        """LIMIT/OFFSET as plan-time ints (integer literals only across
+        shards: ``LIMIT NULL`` or ``LIMIT ?`` has no count to merge by)."""
+        ints = []
+        for node in (limit.count, limit.offset):
+            if node is None:
+                ints.append(0)
+            elif isinstance(node, ast.Literal) and node.type_tag == "int":
+                ints.append(max(node.value, 0))
+            else:
+                raise _unsupported("a non-integer cross-shard LIMIT")
+        return tuple(ints)
 
     def _shard_scans(self, stmt):
         """One :class:`ShardScan` per shard ordinal for *stmt*."""

@@ -1004,7 +1004,9 @@ def test_hook_shortcut_gate_catches_a_second_exit(tmp_path):
 #: where planner.py / plan.py may read ``.value`` off an AST node: the
 #: places the parser guarantees a ``Literal`` (it never turns these into
 #: slots — see ``repro.sqldb.parser.Parser``), and the distributed
-#: planner, which only ever sees the router's own slot-free parse
+#: planner: its routes are cached by the router, not in a shared plan —
+#: a slot's value is read from the values vector (``_constant``) and a
+#: scatter is planned from the slot-free tree ``_bind_slots`` restores
 _LITERAL_VALUE_READERS = frozenset([
     "_field_label",         # a select-list field that is a bare literal
     "_pair_key_fn",         # ORDER BY <position>
@@ -1686,3 +1688,110 @@ def test_commit_grouping_gate_catches_a_fifth_grouper(tmp_path):
     )
     problems = _commit_grouping_violations(str(bad))
     assert len(problems) == 1 and "regroup()" in problems[0]
+
+
+REPLICA_ROOT = os.path.join(SRC_ROOT, "repro", "replica")
+
+
+def _probe_results(func):
+    """Names *func* binds to the result of a cache probe (a call to a
+    ``probe*`` method), alone or by tuple unpacking."""
+    names = set()
+    for node in ast.walk(func):
+        if (isinstance(node, ast.Assign) and isinstance(node.value, ast.Call)
+                and getattr(node.value.func, "attr", "").startswith("probe")):
+            for target in node.targets:
+                names.update(leaf.id for leaf in ast.walk(target)
+                             if isinstance(leaf, ast.Name))
+    return names
+
+
+def _route_parse_violations(paths):
+    """The fleet routes by statement shape: in the packages in front of
+    the engines (``shard/``, ``replica/``) a text is parsed only when
+    the route cache has neither the text nor its shape.  So, over one
+    package's files: ``parse_sql`` is called from one function at most;
+    every call sits in the body of an ``if <probe result> is None:``
+    of its own function and in the ``else`` of none; and no module keeps
+    an ``OrderedDict`` LRU of its own beside the shared
+    :class:`repro.sqldb.cache.PipelineCache`."""
+    problems = []
+    callers = []
+    for path in paths:
+        with open(path) as handle:
+            tree = ast.parse(handle.read(), filename=path)
+        rel = os.path.relpath(path, REPO_ROOT)
+        for node in ast.walk(tree):
+            if getattr(node, "id", getattr(node, "attr", None)) \
+                    == "OrderedDict" or (
+                        isinstance(node, ast.alias)
+                        and node.name == "OrderedDict"):
+                problems.append("%s:%d: an OrderedDict of its own — routes "
+                                "are cached in the shared PipelineCache"
+                                % (rel, getattr(node, "lineno", 0)))
+        for func in ast.walk(tree):
+            if not isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            probed = _probe_results(func)
+            guarded, hit_side = set(), set()
+            for node in ast.walk(func):
+                test = getattr(node, "test", None)
+                if (isinstance(node, ast.If) and isinstance(test, ast.Compare)
+                        and isinstance(test.left, ast.Name)
+                        and test.left.id in probed
+                        and len(test.ops) == 1
+                        and isinstance(test.ops[0], ast.Is)
+                        and getattr(test.comparators[0], "value", 0) is None):
+                    for stmt in node.body:
+                        guarded.update(id(sub) for sub in ast.walk(stmt))
+                    for stmt in node.orelse:
+                        hit_side.update(id(sub) for sub in ast.walk(stmt))
+            calls = [node for node in ast.walk(func)
+                     if isinstance(node, ast.Call)
+                     and _call_name(node) == "parse_sql"]
+            if calls:
+                callers.append("%s:%s()" % (rel, func.name))
+            for call in calls:
+                if id(call) not in guarded - hit_side:
+                    problems.append(
+                        "%s:%d: %s() parses without a cache miss — "
+                        "parse_sql belongs under `if <probe result> is "
+                        "None:`" % (rel, call.lineno, func.name))
+    if len(callers) > 1:
+        problems.append("parse_sql is called from %d functions (%s) — one "
+                        "per package" % (len(callers), ", ".join(callers)))
+    return problems
+
+
+def test_fleet_parses_only_on_a_route_cache_miss():
+    for root in (SHARD_ROOT, REPLICA_ROOT):
+        problems = _route_parse_violations(list(_python_files(root)))
+        assert problems == [], "\n".join(problems)
+
+
+def test_route_parse_gate_catches_an_unconditional_parse(tmp_path):
+    bad = tmp_path / "router.py"
+    bad.write_text(
+        "from collections import OrderedDict\n"                 # flagged
+        "class RoutingConnection(object):\n"
+        "    def _is_read(self, sql):\n"
+        "        statements, _comments = parse_sql(sql)\n"      # flagged
+        "        return all(isinstance(s, READS) for s in statements)\n"
+        "class ShardRouter(object):\n"
+        "    def _route(self, sql):\n"
+        "        bound = self._routes.probe(None, sql, self.epoch)\n"
+        "        if bound is None:\n"
+        "            wild, route, values = self._routes.probe_shape(\n"
+        "                None, tokenize(sql), self.epoch)\n"
+        "            if route is None:\n"
+        "                route = self.plan(parse_sql(sql))\n"   # the way
+        "            else:\n"
+        "                check(parse_sql(sql), route)\n"        # flagged
+        "        return bound\n"
+    )
+    problems = _route_parse_violations([str(bad)])
+    assert len(problems) == 4
+    assert ":1:" in problems[0] and "OrderedDict" in problems[0]
+    assert ":4:" in problems[1] and "_is_read()" in problems[1]
+    assert ":15:" in problems[2] and "_route()" in problems[2]
+    assert "2 functions" in problems[3]
