@@ -22,6 +22,12 @@ execution's strings (before that, each such write took the full run).
 of the ``Filter(SeqScan)`` under every keyed UPDATE/DELETE, measured as
 a prepared DELETE of an absent key on a 2,000-row table — scan, env
 row, compiled predicate, nothing else.
+
+``client:`` is what the connector adds on the path every statement
+takes: a warm ``Connection.query`` and a warm ``execute_prepared`` of a
+one-row point read that succeed first time — one outcome allocated, no
+retry bookkeeping touched.  Compare two commits by running this file in
+both within the same minute (the host's clock speed drifts).
 """
 
 from repro.core.detector import AttackDetector
@@ -142,6 +148,35 @@ def _filter_cost(rows=2000, executions=20, rounds=5):
     return 1e6 * best
 
 
+def _client_costs(calls=2000, rounds=7):
+    """``{call: µs}`` for a warm point read through the connector, as
+    text and as a prepared execution; best of *rounds*."""
+    import time
+
+    from repro.sqldb.connection import Connection
+
+    database = Database()
+    conn = Connection(database)
+    assert conn.query("CREATE TABLE kv (k INT PRIMARY KEY, v INT)").ok
+    assert conn.query("INSERT INTO kv VALUES (1, 10), (2, 20)").ok
+    sql = "SELECT v FROM kv WHERE k = 1"
+    prepared = conn.prepare("SELECT v FROM kv WHERE k = ?")
+    runs = {"query": lambda: conn.query(sql),
+            "execute_prepared": lambda: conn.execute_prepared(prepared, 1)}
+    costs = {}
+    for name, run in sorted(runs.items()):
+        assert run().rows == [(10,)]
+        best = None
+        for _ in range(rounds):
+            start = time.perf_counter()
+            for _ in range(calls):
+                run()
+            sample = (time.perf_counter() - start) / calls
+            best = sample if best is None else min(best, sample)
+        costs[name] = 1e6 * best
+    return costs
+
+
 def test_microcosts_artifact(report):
     """Headline stage costs (min-of-5, 200 calls per sample)."""
     import time
@@ -173,6 +208,9 @@ def test_microcosts_artifact(report):
     # its shape's verdict: the check plus the plugins, not a run
     assert hook["L1 hit"] < hook["L2 hit"] < hook["cold"]
     assert hook["L1 hit"] < hook["write path"] < hook["L2 hit"]
+    for call, micros in sorted(_client_costs().items()):
+        report.line("client: warm %-17s %6.2f us" % (call, micros))
+        report.metric("client_" + call, round(micros, 3), "us")
     filter_us = _filter_cost()
     report.line("filter: %.2f us/row (SeqScan + Filter, 2,000-row kv)"
                 % filter_us)

@@ -26,6 +26,9 @@ degrade gracefully instead:
   is refused like an attack), ``fail_open`` lets it run with
   detection-style logging (availability first) — the two columns of the
   paper's Table I applied to SEPTIC's own failures.
+* :class:`RetryLoop` + :class:`RetryStats` — the one transient-retry
+  loop every client connector runs (capped exponential backoff, seeded
+  jitter, exact accounting) and its counters.
 * :class:`RWLock` + :func:`make_lock`/:func:`make_rlock` — the locking
   toolkit for the whole package.  Table-granular reader–writer locks let
   SELECT-heavy traffic overlap while writers stay exclusive; the factory
@@ -34,6 +37,7 @@ degrade gracefully instead:
   the system is auditable from one place.
 """
 
+import random
 import threading
 
 
@@ -312,7 +316,7 @@ class CircuitBreaker(object):
 
 
 class RetryStats(object):
-    """Counters for the client connector's transient-retry path.
+    """Counters for the client connectors' :class:`RetryLoop`.
 
     One instance hangs off every :class:`repro.sqldb.engine.Database`
     (aggregating across all its connections) and one off each
@@ -358,3 +362,85 @@ class RetryStats(object):
         return "RetryStats(attempts=%d, retries=%d, exhausted=%d)" % (
             self.attempts, self.retries, self.exhausted
         )
+
+
+class RetryLoop(object):
+    """The one transient-retry loop under every client connector.
+
+    An *attempt* is any callable returning ``(results, error)``, *error*
+    being ``None`` or a :class:`~repro.sqldb.errors.SQLError`.
+    :meth:`run` makes the first attempt and hands its answer straight
+    back unless it failed *transiently*; only then does it count, wait
+    and try again, up to *retries* times.  Two rules keep a retry safe:
+
+    * **never retry a block** — a SEPTIC verdict is not a fault
+      (``QueryBlocked.transient`` is false, like every deterministic
+      SQL error), so it is returned the first time it is seen;
+    * **never retry past partial results** — a truthy *results* beside
+      the error means part of a script already took effect.
+
+    A first-writer-wins write conflict (errno 1213) is transient and
+    rides the same loop: the engine checks for conflicts before it
+    touches a row, so a retried autocommit statement never applies
+    twice.  Inside an explicit transaction the retry keeps the
+    transaction's snapshot and conflicts again — MySQL's advice holds:
+    roll back and restart the whole transaction.
+
+    The delay before retry *n* is ``min(cap, backoff * 2**(n-1))``
+    scaled by a seeded factor in ``[1, 1 + jitter]`` — same seed, same
+    schedule, so retrying clients de-correlate yet replay exactly.  The
+    loop is parameterised only by how a delay is made to pass: *wait*
+    is ``time.sleep`` (seconds) for a ``Connection`` and
+    ``ReplicaSet.tick`` for a ``RoutingConnection``, whose delays are
+    *whole_ticks* of the set's virtual clock, at least one — there the
+    waiting is what lets a dead primary's lease expire.  Every counter
+    is bumped in each of *stats*.
+    """
+
+    __slots__ = ("retries", "backoff", "cap", "jitter", "whole_ticks",
+                 "stats", "_rng", "_wait")
+
+    def __init__(self, retries, backoff, cap, jitter, seed, wait, stats,
+                 whole_ticks=False):
+        self.retries = retries
+        self.backoff = backoff
+        self.cap = cap
+        self.jitter = jitter
+        self.whole_ticks = whole_ticks
+        self.stats = stats
+        self._rng = random.Random(seed)
+        self._wait = wait
+
+    def delay(self, attempt):
+        """The delay before retry *attempt* (1-based); each call draws
+        the next jitter factor of the seeded schedule."""
+        base = min(self.cap, self.backoff * (2 ** (attempt - 1)))
+        if self.jitter:
+            base *= 1.0 + self.jitter * self._rng.random()
+        return max(1, int(round(base))) if self.whole_ticks else base
+
+    def _count(self, counter):
+        for stats in self.stats:
+            stats.bump(counter)
+
+    def run(self, attempt, *args):
+        """``attempt(*args)``, retried while it fails transiently."""
+        results, error = attempt(*args)
+        retried = 0
+        while error is not None and error.transient:
+            if not retried:
+                self._count("attempts")
+            if results or retried >= self.retries:
+                # partial results make a retry unsafe; otherwise the
+                # budget is spent (or was zero to begin with)
+                self._count("exhausted" if retried else "gave_up")
+                break
+            retried += 1
+            self._count("retries")
+            delay = self.delay(retried)
+            if delay:
+                for stats in self.stats:
+                    stats.add_backoff(delay)
+                self._wait(delay)
+            results, error = attempt(*args)
+        return results, error

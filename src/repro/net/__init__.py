@@ -7,7 +7,7 @@ package (a lint gate enforces it); the rest of the system sees only the
 :class:`~repro.net.pool.ConnectionPool` objects.
 """
 
-from repro.net.client import NetClient, NetOutcome, RemoteError
+from repro.net.client import NetClient, RemoteError
 from repro.net.pool import ConnectionPool
 from repro.net.protocol import NetProtocolError, TornFrameError
 from repro.net.server import NetServer
@@ -15,7 +15,6 @@ from repro.net.server import NetServer
 __all__ = [
     "ConnectionPool",
     "NetClient",
-    "NetOutcome",
     "NetProtocolError",
     "NetServer",
     "RemoteError",

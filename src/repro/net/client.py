@@ -1,14 +1,15 @@
 """Synchronous socket client for the wire protocol.
 
 Mirrors the in-process :class:`repro.sqldb.connection.Connection`
-surface (``query`` → outcome with ``ok``/``rows``/``error``) and adds
-the two things only a real socket can express:
+surface (``query`` → the same
+:class:`~repro.sqldb.connection.QueryOutcome`, rehydrated from the
+response frame) and adds the two things only a real socket can express:
 
 * **pipelining** — ``send_query()``/``send_execute()`` enqueue a
   command without waiting; ``drain()`` then reads the responses, which
   the server returns strictly in command order (each response echoes
-  the command's ``seq``, and the client verifies it).  One round trip
-  amortizes over the whole window;
+  the command's ``seq``, and :meth:`NetClient.drain` verifies it).
+  One round trip amortizes over the whole window;
 * **server-side prepared statements** — ``prepare()`` returns a
   statement handle whose id lives on the server; ``prepare_cached()``
   reuses handles per SQL text, so a pooled connection's hot statements
@@ -16,14 +17,18 @@ the two things only a real socket can express:
   through the pipeline cache keyed by statement id).
 
 A torn response frame (server killed mid-write) surfaces as
-:class:`~repro.net.protocol.TornFrameError` — never as an OK — so an
-unacknowledged write stays unacknowledged.
+:class:`~repro.net.protocol.TornFrameError` — never as an OK, and never
+captured into an outcome — so an unacknowledged write stays
+unacknowledged.
 """
 
 import socket
+from collections import deque
 
 from repro.net import protocol
+from repro.sqldb.connection import ClientSession, QueryOutcome
 from repro.sqldb.errors import QueryBlocked, SQLError
+from repro.sqldb.storage import ResultSet
 
 
 class RemoteError(SQLError):
@@ -38,37 +43,10 @@ class RemoteError(SQLError):
         self.kind = kind
         self.blocked = blocked
 
-
-class NetOutcome(object):
-    """What one pipelined command produced (client-side QueryOutcome)."""
-
-    __slots__ = ("columns", "rows", "affected_rows", "last_insert_id",
-                 "error", "seq")
-
-    def __init__(self, columns=None, rows=None, affected_rows=0,
-                 last_insert_id=None, error=None, seq=None):
-        self.columns = columns or []
-        self.rows = [] if rows is None else rows
-        self.affected_rows = affected_rows
-        self.last_insert_id = last_insert_id
-        self.error = error
-        self.seq = seq
-
-    @property
-    def ok(self):
-        return self.error is None
-
-    def scalar(self):
-        if not self.rows:
-            return None
-        return self.rows[0][0]
-
-    def __repr__(self):
-        if self.error is not None:
-            return "NetOutcome(error=%r)" % str(self.error)
-        if self.columns:
-            return "NetOutcome(%d rows)" % len(self.rows)
-        return "NetOutcome(affected=%d)" % self.affected_rows
+    @classmethod
+    def from_frame(cls, payload, message="unknown error"):
+        return cls(payload.get("message", message), payload.get("errno"),
+                   payload.get("kind"), payload.get("blocked", False))
 
 
 class NetPreparedHandle(object):
@@ -87,7 +65,7 @@ class NetPreparedHandle(object):
         )
 
 
-class NetClient(object):
+class NetClient(ClientSession):
     """One TCP connection to a :class:`repro.net.server.NetServer`."""
 
     def __init__(self, host, port, charset="utf8", multi_statements=False,
@@ -99,8 +77,9 @@ class NetClient(object):
                                               timeout=timeout)
         self._sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
         self._seq = 0
-        #: commands sent whose responses have not been read yet
-        self._pending = 0
+        #: seqs of the commands sent whose responses have not been read
+        #: yet, oldest first — the order the server answers in
+        self._pending = deque()
         #: encoded frames awaiting one coalesced ``sendall`` — a
         #: pipelined window ships as a single syscall (see :meth:`flush`)
         self._outbuf = bytearray()
@@ -118,9 +97,7 @@ class NetClient(object):
         opcode, payload = self._read_frame()
         if opcode == protocol.ERR:
             self.close()
-            raise RemoteError(payload.get("message", "handshake refused"),
-                              errno=payload.get("errno"),
-                              kind=payload.get("kind"))
+            raise RemoteError.from_frame(payload, "handshake refused")
         if opcode != protocol.HANDSHAKE_OK:
             self.close()
             raise protocol.NetProtocolError(
@@ -174,73 +151,67 @@ class NetClient(object):
 
     # -- pipelined sends ---------------------------------------------------
 
-    def _next_seq(self):
+    def _enqueue(self, opcode, payload):
+        """Buffer one command under the next seq; returns the seq."""
         self._seq += 1
+        payload["seq"] = self._seq
+        self._send(opcode, payload)
+        self._pending.append(self._seq)
         return self._seq
 
     def send_query(self, sql):
         """Enqueue a COM_QUERY without waiting; returns its seq."""
-        seq = self._next_seq()
-        self._send(protocol.COM_QUERY, {"sql": sql, "seq": seq})
-        self._pending += 1
-        return seq
+        return self._enqueue(protocol.COM_QUERY, {"sql": sql})
 
     def send_execute(self, handle, params=()):
         """Enqueue a COM_STMT_EXECUTE without waiting; returns its seq."""
-        seq = self._next_seq()
-        self._send(protocol.COM_STMT_EXECUTE, {
-            "stmt_id": handle.statement_id,
-            "params": list(params),
-            "seq": seq,
+        return self._enqueue(protocol.COM_STMT_EXECUTE, {
+            "stmt_id": handle.statement_id, "params": list(params),
         })
-        self._pending += 1
-        return seq
 
     def send_ping(self):
-        seq = self._next_seq()
-        self._send(protocol.COM_PING, {"seq": seq})
-        self._pending += 1
-        return seq
+        return self._enqueue(protocol.COM_PING, {})
+
+    def _read_response(self):
+        """The next response frame, held to the command it must answer:
+        the server answers in command order and echoes each ``seq``, so
+        any other seq means the stream is out of step and no frame after
+        it can be trusted."""
+        opcode, payload = self._read_frame()
+        expected = self._pending.popleft()
+        if payload.get("seq") != expected:
+            raise protocol.NetProtocolError(
+                "response carries seq %r, the oldest unanswered command "
+                "is seq %r" % (payload.get("seq"), expected))
+        return opcode, payload
 
     def drain(self, count=None):
         """Read *count* pending responses (default: all), in command
-        order.  Returns a list of :class:`NetOutcome`."""
+        order.  Returns a list of
+        :class:`~repro.sqldb.connection.QueryOutcome`."""
         if count is None:
-            count = self._pending
-        outcomes = []
-        for _ in range(count):
-            opcode, payload = self._read_frame()
-            self._pending -= 1
-            outcomes.append(self._to_outcome(opcode, payload))
-        return outcomes
+            count = len(self._pending)
+        return [self._to_outcome(*self._read_response())
+                for _ in range(count)]
 
     @property
     def pending(self):
-        return self._pending
+        return len(self._pending)
 
     def _to_outcome(self, opcode, payload):
         seq = payload.get("seq")
         if opcode == protocol.ERR:
-            return NetOutcome(error=RemoteError(
-                payload.get("message", "unknown error"),
-                errno=payload.get("errno"),
-                kind=payload.get("kind"),
-                blocked=payload.get("blocked", False),
-            ), seq=seq)
+            return QueryOutcome(error=RemoteError.from_frame(payload),
+                                seq=seq)
         if opcode == protocol.RESULTSET:
-            return NetOutcome(
-                columns=payload.get("columns", []),
-                rows=[tuple(row) for row in payload.get("rows", [])],
-                seq=seq,
-            )
+            return QueryOutcome(ResultSet(payload.get("columns", ()),
+                                          payload.get("rows", ())), seq=seq)
         if opcode == protocol.OK:
-            return NetOutcome(
+            return QueryOutcome(
                 affected_rows=payload.get("affected", 0),
-                last_insert_id=payload.get("last_insert_id"),
-                seq=seq,
-            )
+                last_insert_id=payload.get("last_insert_id"), seq=seq)
         if opcode == protocol.PONG:
-            return NetOutcome(seq=seq)
+            return QueryOutcome(seq=seq)
         raise protocol.NetProtocolError(
             "unexpected response opcode %s"
             % protocol.OPCODE_NAMES.get(opcode, opcode)
@@ -254,21 +225,23 @@ class NetClient(object):
         self.send_query(sql)
         return self.drain(1)[0]
 
-    def query_or_raise(self, sql):
-        outcome = self.query(sql)
-        if not outcome.ok:
-            raise outcome.error
-        return outcome
+    def _call(self, opcode, payload):
+        """One command whose answer is not an outcome: sent and answered
+        on its own, never behind pipelined commands whose responses it
+        would otherwise read as its own."""
+        if self._pending:
+            raise protocol.NetProtocolError(
+                "%d pipelined responses are pending: drain() them first"
+                % len(self._pending))
+        self._enqueue(opcode, payload)
+        return self._read_response()
 
     def prepare(self, sql):
         """COM_STMT_PREPARE; returns a :class:`NetPreparedHandle`."""
-        seq = self._next_seq()
-        self._send(protocol.COM_STMT_PREPARE, {"sql": sql, "seq": seq})
-        opcode, payload = self._read_frame()
+        opcode, payload = self._call(protocol.COM_STMT_PREPARE,
+                                     {"sql": sql})
         if opcode == protocol.ERR:
-            raise RemoteError(payload.get("message", "prepare failed"),
-                              errno=payload.get("errno"),
-                              kind=payload.get("kind"))
+            raise RemoteError.from_frame(payload, "prepare failed")
         if opcode != protocol.STMT_PREPARE_OK:
             raise protocol.NetProtocolError(
                 "expected STMT_PREPARE_OK, got %s"
@@ -296,20 +269,16 @@ class NetClient(object):
         return self.drain(1)[0]
 
     def close_statement(self, handle):
-        seq = self._next_seq()
-        self._send(protocol.COM_STMT_CLOSE, {
-            "stmt_id": handle.statement_id, "seq": seq,
-        })
+        opcode, _payload = self._call(protocol.COM_STMT_CLOSE,
+                                      {"stmt_id": handle.statement_id})
         self._handle_cache.pop(handle.sql, None)
-        opcode, _payload = self._read_frame()
         return opcode == protocol.OK
 
     def ping(self):
         """Health check; ``False`` means the connection is dead."""
         try:
             self.send_ping()
-            outcome = self.drain(1)[0]
-            return outcome.ok
+            return self.drain(1)[0].ok
         except (protocol.NetProtocolError, OSError):
             return False
 
@@ -329,12 +298,5 @@ class NetClient(object):
         except OSError:
             pass
 
-    def __enter__(self):
-        return self
 
-    def __exit__(self, *exc_info):
-        self.close()
-
-
-__all__ = ["NetClient", "NetOutcome", "NetPreparedHandle", "RemoteError",
-           "QueryBlocked"]
+__all__ = ["NetClient", "NetPreparedHandle", "RemoteError", "QueryBlocked"]

@@ -515,7 +515,7 @@ class NetServer(object):
             return (protocol.PONG, {"seq": seq})
         if opcode == protocol.COM_QUERY:
             outcome = conn.query(payload.get("sql", ""))
-            return self._outcome_frame(conn, outcome, seq)
+            return self._outcome_frame(outcome, seq)
         if opcode == protocol.COM_STMT_PREPARE:
             evictions_before = conn.statement_evictions
             try:
@@ -534,7 +534,7 @@ class NetServer(object):
             outcome = conn.execute_statement(
                 payload.get("stmt_id"), tuple(payload.get("params", ()))
             )
-            return self._outcome_frame(conn, outcome, seq)
+            return self._outcome_frame(outcome, seq)
         if opcode == protocol.COM_STMT_CLOSE:
             known = conn.close_statement(payload.get("stmt_id"))
             return (protocol.OK, {"affected": 0, "known": known,
@@ -545,7 +545,7 @@ class NetServer(object):
             "seq": seq,
         })
 
-    def _outcome_frame(self, conn, outcome, seq):
+    def _outcome_frame(self, outcome, seq):
         if outcome.error is not None:
             return self._error_frame(outcome.error, seq)
         if outcome.result_set is not None:
@@ -556,7 +556,7 @@ class NetServer(object):
             })
         return (protocol.OK, {
             "affected": outcome.affected_rows,
-            "last_insert_id": conn.last_insert_id,
+            "last_insert_id": outcome.last_insert_id,
             "seq": seq,
         })
 

@@ -9,12 +9,12 @@ single-node :class:`repro.sqldb.connection.Connection`:
   the set's committed frontier — the bounded-staleness contract; the
   primary serves them when no replica qualifies;
 * **transient failures** (no live primary mid-failover, an injected
-  engine fault) are retried against the survivors with seeded
-  exponential backoff + jitter — measured in **virtual ticks**, charged
-  via ``ReplicaSet.tick``, so the backoff itself drives heartbeat
-  rounds forward and a write stalled on a dead primary un-stalls the
-  moment the lease expires and election promotes a survivor.  Same
-  determinism story as the base connection's retry path: one seed, one
+  engine fault) are retried against the survivors by the same
+  :class:`~repro.core.resilience.RetryLoop` the base connection runs —
+  here its delays are **virtual ticks**, charged via
+  ``ReplicaSet.tick``, so the backoff itself drives heartbeat rounds
+  forward and a write stalled on a dead primary un-stalls the moment
+  the lease expires and election promotes a survivor.  One seed, one
   schedule.
 
 Whether a statement is a read is a property of its *shape*.  A caller
@@ -25,20 +25,20 @@ pipeline (:class:`repro.sqldb.cache.PipelineCache`: raw text, then
 shape) and the text is parsed only when both probes miss.
 """
 
-import random
-
-from repro.core.resilience import RetryStats
+from repro.core.resilience import RetryLoop, RetryStats
 from repro.replica.node import Role
 from repro.sqldb.cache import PipelineCache
-from repro.sqldb.connection import Connection, QueryOutcome
+from repro.sqldb.connection import (
+    ClientSession, Connection, QueryOutcome, captured,
+)
 from repro.sqldb.engine import _READ_STATEMENTS
-from repro.sqldb.errors import QueryBlocked, SQLError, TransientEngineError
+from repro.sqldb.errors import SQLError, TransientEngineError
 from repro.sqldb.lexer import tokenize
 from repro.sqldb.parser import parse_sql
 from repro.sqldb.planner import ShardRoute
 
 
-class RoutingConnection(object):
+class RoutingConnection(ClientSession):
     """Routes queries across a replica set with bounded-staleness reads
     and virtual-time retry/backoff."""
 
@@ -50,18 +50,17 @@ class RoutingConnection(object):
         #: may be and still serve this client's reads (0 = exactly
         #: caught up)
         self.max_lag_lsn = max_lag_lsn
-        self.retries = retries
-        self.backoff_ticks = backoff_ticks
-        self.backoff_cap_ticks = backoff_cap_ticks
-        self.jitter = jitter
-        self._rng = random.Random(seed)
+        self.retry_stats = RetryStats()
+        #: waiting IS what lets the lease expire and the election run
+        self.retry = RetryLoop(
+            retries, backoff_ticks, backoff_cap_ticks, jitter, seed,
+            replica_set.tick, (self.retry_stats,), whole_ticks=True)
         self.charset = charset
         self._conns = {}
         #: text | shape -> :class:`ShardRoute`, of which only ``read``
         #: (and the shape's ``slots``) is used: no catalog, one epoch
         self._classes = PipelineCache()
         self._round_robin = 0
-        self.retry_stats = RetryStats()
         #: reads served by a replica vs the primary (the scale-out
         #: split the benchmarks measure)
         self.reads_on_replicas = 0
@@ -93,9 +92,10 @@ class RoutingConnection(object):
 
     def _connection(self, node):
         conn = self._conns.get(node.name)
-        if conn is None or conn.database is not node.database:
+        if conn is None:
             # the router does its own retrying (across nodes, in
-            # virtual time), so the per-node connection gets no budget
+            # virtual time), so the per-node connection gets no budget;
+            # a node's database keeps its identity across a restart
             conn = Connection(node.database, charset=self.charset)
             self._conns[node.name] = conn
         return conn
@@ -123,13 +123,6 @@ class RoutingConnection(object):
             return node
         return primary
 
-    def _next_backoff_ticks(self, attempt):
-        base = min(self.backoff_cap_ticks,
-                   self.backoff_ticks * (2 ** (attempt - 1)))
-        if self.jitter:
-            base *= 1.0 + self.jitter * self._rng.random()
-        return max(1, int(round(base)))
-
     # -- the client surface ------------------------------------------------
 
     def query(self, sql, read=None):
@@ -142,53 +135,37 @@ class RoutingConnection(object):
         eligible node, a mid-flight engine fault — burn the retry
         budget, backing off in virtual ticks between attempts.
         """
+        outcome, error = self.retry.run(captured, self._attempt, sql, read)
+        return outcome if error is None else QueryOutcome(error=error)
+
+    def _attempt(self, sql, read):
         if read is None:
             read = self._is_read(sql)
-        attempt = 0
-        while True:
-            node = self.pick_node(read)
-            if node is None:
-                outcome = QueryOutcome(error=TransientEngineError(
-                    "no live node can serve this %s right now "
-                    "(failover in progress?)"
-                    % ("read" if read else "write"),
-                ))
-            else:
-                outcome = self._connection(node).query(sql)
-            if outcome.ok:
-                if read:
-                    if node.role == Role.PRIMARY:
-                        self.reads_on_primary += 1
-                    else:
-                        self.reads_on_replicas += 1
-                else:
-                    self.writes_routed += 1
-                return outcome
-            error = outcome.error
-            transient = (
-                getattr(error, "transient", False)
-                and not isinstance(error, QueryBlocked)
-            )
-            if not transient:
-                return outcome
-            if attempt == 0:
-                self.retry_stats.bump("attempts")
-            if attempt >= self.retries:
-                self.retry_stats.bump("exhausted")
-                return outcome
-            attempt += 1
-            self.retry_stats.bump("retries")
-            ticks = self._next_backoff_ticks(attempt)
-            self.retry_stats.add_backoff(ticks)
-            # virtual-time backoff: waiting IS what lets the lease
-            # expire and the election run
-            self._set.tick(ticks)
+        node = self.pick_node(read)
+        if node is None:
+            raise TransientEngineError(
+                "no live node can serve this %s right now "
+                "(failover in progress?)" % ("read" if read else "write"))
+        outcome = self._connection(node).query(sql)
+        if outcome.error is not None:
+            return (), outcome.error
+        if not read:
+            self.writes_routed += 1
+        elif node.role == Role.PRIMARY:
+            self.reads_on_primary += 1
+        else:
+            self.reads_on_replicas += 1
+        return outcome, None
 
-    def query_or_raise(self, sql):
-        outcome = self.query(sql)
-        if not outcome.ok:
-            raise outcome.error
-        return outcome
+    def close(self):
+        """End every per-node session (idempotent): a transaction this
+        client left open rolls back, so nothing it abandoned keeps a
+        node from checkpointing.  A dead node's sessions died with it
+        (its restart ends them), and its log takes no rollback marker."""
+        while self._conns:
+            name, conn = self._conns.popitem()
+            if self._set.node(name).alive:
+                conn.close()
 
     def __repr__(self):
         return ("RoutingConnection(max_lag_lsn=%d, reads r/p=%d/%d, "

@@ -9,18 +9,24 @@ what makes the partitioning function swappable (and auditable) without
 touching the query path.
 
 Partitioning is CRC32 over a canonical encoding of the key value,
-modulo the shard count.  The canonical form folds exactly the
-equalities the engine's ``=`` folds against a column of the key's type
-class (:func:`repro.sqldb.types.type_class`, recorded as the CREATE
-TABLE broadcasts), so a WHERE clause and the stored row always agree on
-the shard: a numeric key hashes :func:`~repro.sqldb.types.coerce_to_number`
-of the value (``'40'``, ``40``, ``40.0`` and ``'40abc'`` are one key,
-as they are to ``=``), a string key hashes the text an INSERT would
-store, folded by the function :func:`~repro.sqldb.types.compare` folds
-strings with.  A string key compared with a *number* is a numeric
-comparison — rows on several shards can match — so the planner never
-takes it for a shard-key equality.  A table whose CREATE never passed
-through the router has no class, and its values hash by their own type.
+modulo the shard count.  What is hashed is the value the key column
+*holds*: the catalog records each column's declared type as the CREATE
+TABLE broadcasts and runs a key through
+:func:`repro.sqldb.types.store_convert` — the conversion ``Table``
+applies to every INSERT — before encoding it, so ``40.7`` into an INT
+key hashes as the ``40`` the shard stores, and an over-long string as
+its truncation.  The encoding then folds exactly the equalities the
+engine's ``=`` folds: integral floats with integers, and strings by the
+function :func:`~repro.sqldb.types.compare` folds strings with.  A
+WHERE constant goes through the same conversion, which keeps every row
+it can equal on the shard it names (``'40'``, ``40.0`` and ``'40abc'``
+all reach the row holding ``40``; a constant no stored value can equal
+— ``40.7`` against an INT key — names *some* shard, whose engine finds
+nothing, as every engine would).  A string key compared with a
+*number* is a numeric comparison — rows on several shards can match —
+so the planner never takes it for a shard-key equality.  A table whose
+CREATE never passed through the router has no type, and its values
+hash as written.
 
 Tables declare a shard key explicitly (:meth:`ShardCatalog.declare`)
 or pick one up from their CREATE TABLE as it broadcasts through the
@@ -34,20 +40,13 @@ routes every touch of it there.
 import zlib
 
 from repro.sqldb import ast_nodes as ast
-from repro.sqldb.types import (
-    _fold_string, coerce_to_number, render_value, type_class,
-)
+from repro.sqldb.types import _fold_string, store_convert, type_class
 
 
-def _canonical(value, key_class=None):
-    """Byte encoding under which keys equal under SQL ``=`` against a
-    column of *key_class* collide."""
+def _canonical(value):
+    """Byte encoding under which values equal under SQL ``=`` collide."""
     if value is None:
         return b"\x00"
-    if key_class == "n":
-        value = coerce_to_number(value)
-    elif key_class == "s":
-        value = render_value(value)  # the text an INSERT stores
     if isinstance(value, bool):
         value = int(value)
     if isinstance(value, float) and value.is_integer():
@@ -72,8 +71,8 @@ class ShardCatalog(object):
             raise ValueError("need at least one shard")
         self.shard_count = shard_count
         #: lowered table name -> {"key", "columns", "explicit",
-        #: "classes": lowered column name -> type class, as its CREATE
-        #: TABLE declared them}
+        #: "types": lowered column name -> (type name, length), as its
+        #: CREATE TABLE declared them}
         self._tables = {}
 
     # -- declarations --------------------------------------------------
@@ -81,7 +80,7 @@ class ShardCatalog(object):
     def _entry(self, table):
         return self._tables.setdefault(
             table.lower(),
-            {"key": None, "columns": [], "explicit": False, "classes": {}},
+            {"key": None, "columns": [], "explicit": False, "types": {}},
         )
 
     def declare(self, table, key_column, columns=None):
@@ -118,8 +117,8 @@ class ShardCatalog(object):
     def _observe_create(self, stmt):
         entry = self._entry(stmt.name)
         entry["columns"] = [col.name for col in stmt.columns]
-        entry["classes"] = {col.name.lower(): type_class(col.type_name)
-                            for col in stmt.columns}
+        entry["types"] = {col.name.lower(): (col.type_name.upper(), col.length)
+                          for col in stmt.columns}
         if not entry["explicit"]:
             entry["key"] = self._default_key(stmt.columns)
 
@@ -138,11 +137,18 @@ class ShardCatalog(object):
         entry = self._tables.get(table.lower())
         return None if entry is None else entry["key"]
 
+    def key_type(self, table):
+        """``(type name, length)`` of *table*'s shard-key column, or
+        ``None`` when no CREATE TABLE told the router its type.  Keys of
+        two tables co-locate only when these agree."""
+        entry = self._tables.get(table.lower())
+        return None if entry is None else entry["types"].get(entry["key"])
+
     def key_class(self, table):
         """Type class of *table*'s shard-key column — ``"n"``, ``"s"``,
-        or ``None`` when no CREATE TABLE told the router its type."""
-        entry = self._tables.get(table.lower())
-        return None if entry is None else entry["classes"].get(entry["key"])
+        or ``None`` with its type unknown."""
+        key_type = self.key_type(table)
+        return None if key_type is None else type_class(key_type[0])
 
     def columns(self, table):
         """Column names of *table* in declaration order (empty when its
@@ -155,17 +161,19 @@ class ShardCatalog(object):
 
     # -- the partitioning function ------------------------------------
 
-    def shard_of(self, value, key_class=None):
-        """The shard ordinal a key *value* hashes to, compared the way
-        a column of *key_class* compares."""
-        return zlib.crc32(_canonical(value, key_class)) % self.shard_count
+    def shard_of(self, value):
+        """The shard ordinal a stored key *value* hashes to."""
+        return zlib.crc32(_canonical(value)) % self.shard_count
 
     def shard_for(self, table, value):
-        """Shard ordinal for one key value of *table* (pinned tables
-        always answer 0)."""
+        """Shard ordinal for one key value of *table* as its key column
+        will hold it (pinned tables always answer 0)."""
         if self.shard_key(table) is None:
             return 0
-        return self.shard_of(value, self.key_class(table))
+        key_type = self.key_type(table)
+        if key_type is not None:
+            value = store_convert(value, *key_type)
+        return self.shard_of(value)
 
     def __repr__(self):
         return "ShardCatalog(%d shards, %d tables)" % (

@@ -51,8 +51,8 @@ from repro.replica.coordinator import ReplicaSet
 from repro.shard.catalog import ShardCatalog
 from repro.sqldb import plan as plan_mod
 from repro.sqldb.cache import PipelineCache
-from repro.sqldb.connection import QueryOutcome
-from repro.sqldb.errors import ExecutionError, SQLError
+from repro.sqldb.connection import ClientSession, QueryOutcome, captured
+from repro.sqldb.errors import ExecutionError
 from repro.sqldb.lexer import slot_values, tokenize
 from repro.sqldb.parser import parse_sql
 from repro.sqldb.planner import DistributedPlanner
@@ -82,7 +82,7 @@ class _GatherContext(object):
             yield row
 
 
-class ShardRouter(object):
+class ShardRouter(ClientSession):
     """Front N replica-set shards with planner-driven routing."""
 
     def __init__(self, workdir, shards=2, replicas=1, septic_factory=None,
@@ -190,27 +190,25 @@ class ShardRouter(object):
 
     def query(self, sql):
         """Run one statement somewhere in the fleet; returns a
-        :class:`~repro.sqldb.connection.QueryOutcome`."""
-        try:
-            route, values = self._route(sql)
-            shard = self._target_shard(route, values)
-        except SQLError as exc:
-            return QueryOutcome(error=exc)
+        :class:`~repro.sqldb.connection.QueryOutcome`.  Whatever routing
+        or gathering raises — a refusal, a shard's error mid-gather, a
+        raw fault — comes back captured; the per-shard connections do
+        the retrying."""
+        outcome, error = captured(self._run, sql)
+        return outcome if error is None else QueryOutcome(error=error)
+
+    def _run(self, sql):
+        route, values = self._route(sql)
+        shard = self._target_shard(route, values)
         if route.kind == "broadcast":
-            return self._broadcast(sql, route.ddl)
+            return self._broadcast(sql, route.ddl), None
         if route.kind == "scatter":
-            return self._gather(route)
+            return self._gather(route), None
         self.stats["single_shard" if route.kind == "single"
                    else "pinned"] += 1
         # the shard gets the text the client sent, byte for byte; the
         # router only tells its replica set which class of node may run it
-        return self.connections[shard].query(sql, read=route.read)
-
-    def query_or_raise(self, sql):
-        outcome = self.query(sql)
-        if not outcome.ok:
-            raise outcome.error
-        return outcome
+        return self.connections[shard].query(sql, read=route.read), None
 
     def _broadcast(self, sql, stmt):
         """DDL to every shard.  The epoch bumps *first* so concurrent
@@ -233,10 +231,7 @@ class ShardRouter(object):
     def _gather(self, route):
         stats = plan_mod.StageStats()
         state = plan_mod.ExecState(_GatherContext(self), stats)
-        try:
-            rows = [out for _, out in route.plan.root.rows(state)]
-        except SQLError as exc:
-            return QueryOutcome(error=exc)
+        rows = [out for _, out in route.plan.root.rows(state)]
         self.stats["scatter"] += 1
         self.last_gather_stats = stats
         if stats.peak_materialized_rows > self.stats["gather_peak_rows"]:
@@ -280,15 +275,12 @@ class ShardRouter(object):
         }
 
     def close(self):
+        """End every per-shard session, then stop the shards — in that
+        order, so an abandoned session's rollback still finds its log."""
+        for connection in self.connections:
+            connection.close()
         for replica_set in self.shard_sets:
             replica_set.close()
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *_exc):
-        self.close()
-        return False
 
     def __repr__(self):
         return "ShardRouter(%d shards, epoch=%d)" % (self.shard_count,

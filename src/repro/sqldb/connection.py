@@ -11,31 +11,39 @@ applications use:
 * per-connection charset (what makes the GBK escape-eating attack work).
 """
 
-import random
 import time
 from collections import OrderedDict
 
-from repro.core.resilience import RetryStats
+from repro.core.resilience import RetryLoop, RetryStats
 from repro.sqldb import charset as charset_mod
 from repro.sqldb.errors import (
     ExecutionError,
-    QueryBlocked,
     SQLError,
     TransientEngineError,
 )
 
 
 class QueryOutcome(object):
-    """What the client sees back from one ``query()`` call."""
+    """What a client sees back from one statement — the only outcome
+    type, whichever façade ran it (in process, routed, sharded, or
+    rehydrated from a wire frame)."""
 
-    __slots__ = ("result_set", "affected_rows", "error", "sleep_seconds")
+    __slots__ = ("result_set", "affected_rows", "error", "sleep_seconds",
+                 "last_insert_id", "seq")
 
-    def __init__(self, result_set=None, affected_rows=0, error=None,
-                 sleep_seconds=0.0):
+    def __init__(self, result_set=None, affected_rows=0, sleep_seconds=0.0,
+                 last_insert_id=None, error=None, seq=None):
+        # an execution's result, field for field ...
         self.result_set = result_set
         self.affected_rows = affected_rows
-        self.error = error
         self.sleep_seconds = sleep_seconds
+        #: the AUTO_INCREMENT id this statement generated (``None``
+        #: when it generated none)
+        self.last_insert_id = last_insert_id
+        # ... or the error that stood in for one
+        self.error = error
+        #: the wire command this answers (``None`` off the wire)
+        self.seq = seq
 
     @property
     def ok(self):
@@ -45,6 +53,14 @@ class QueryOutcome(object):
     def rows(self):
         return [] if self.result_set is None else self.result_set.rows
 
+    @property
+    def columns(self):
+        return [] if self.result_set is None else self.result_set.columns
+
+    def scalar(self):
+        """First column of the first row, or ``None`` without one."""
+        return None if self.result_set is None else self.result_set.scalar()
+
     def __repr__(self):
         if self.error is not None:
             return "QueryOutcome(error=%r)" % str(self.error)
@@ -53,7 +69,49 @@ class QueryOutcome(object):
         return "QueryOutcome(affected=%d)" % self.affected_rows
 
 
-class Connection(object):
+def captured(call, *args):
+    """``call(*args)`` — a ``(results, error)`` pair — under the client
+    error contract: whatever it raises comes back as the *error* of an
+    empty pair, and that error is always a real :class:`SQLError`.  A
+    raw exception (an engine bug, an injected fault) becomes the
+    transient errno-2013 "lost connection", so it never reaches
+    application code and the retry loop may try again."""
+    try:
+        return call(*args)
+    except SQLError as exc:
+        return (), exc
+    except Exception as exc:  # engine bug / injected fault
+        return (), TransientEngineError(
+            "lost connection to engine during query (%s: %s)"
+            % (type(exc).__name__, exc)
+        )
+
+
+class ClientSession(object):
+    """What every client façade has beyond its own ``query`` (one
+    statement in, one :class:`QueryOutcome` out, errors captured) and
+    ``close`` (idempotent; releases what the session holds)."""
+
+    def query_or_raise(self, sql):
+        """Run one statement, raising on error (admin/seed convenience)."""
+        outcome = self.query(sql)
+        if outcome.error is not None:
+            raise outcome.error
+        return outcome
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *_exc):
+        self.close()
+        return False
+
+
+def _execute(prepared, params):
+    return prepared.execute(*params), None
+
+
+class Connection(ClientSession):
     """A client connection to a :class:`repro.sqldb.engine.Database`."""
 
     #: default cap on the server-side statement registry (MySQL's
@@ -67,27 +125,16 @@ class Connection(object):
         self.charset = charset or database.charset
         self.multi_statements = multi_statements
         self.last_error = None
-        #: retry budget for *transient* engine faults (never for
-        #: deterministic SQL errors, never for SEPTIC blocks)
-        self.retries = retries
-        #: base delay for exponential backoff between retries, seconds
-        self.backoff = backoff
-        #: ceiling on one backoff delay (before jitter) — the doubling
-        #: is capped so a deep retry never sleeps unboundedly
-        self.backoff_cap = backoff_cap
-        #: jitter fraction: each delay is scaled by a seeded-random
-        #: factor in ``[1, 1 + jitter]`` so retrying clients de-correlate
-        #: instead of stampeding the engine in lockstep (0 disables)
-        self.jitter = jitter
-        #: seeded RNG driving the jitter — same seed, same delays, so
-        #: retry schedules are reproducible run to run
-        self._retry_rng = random.Random(retry_seed)
-        self._sleep = sleep if sleep is not None else time.sleep
-        #: how many transient-fault retries this connection has issued
-        self.transient_retries = 0
         #: per-connection retry counters; every bump is mirrored into
         #: ``database.retry_stats`` (the aggregate Septic.status() shows)
         self.retry_stats = RetryStats()
+        #: the retry budget for *transient* engine faults: *retries*
+        #: tries, *backoff* seconds doubling up to *backoff_cap*, each
+        #: scaled by a *retry_seed*-ed factor in ``[1, 1 + jitter]``
+        self.retry = RetryLoop(
+            retries, backoff, backoff_cap, jitter, retry_seed,
+            sleep if sleep is not None else time.sleep,
+            (self.retry_stats, database.retry_stats))
         #: server-side per-connection state (transactions, insert id)
         self._session = database.create_session(self.charset)
         #: server-side prepared-statement registry: the ids handed to
@@ -121,85 +168,14 @@ class Connection(object):
         for what it cannot protect against)."""
         return charset_mod.escape_string(value)
 
-    def _bump(self, counter, amount=1):
-        """Mirror one retry counter into the per-connection stats and
-        the database-wide aggregate."""
-        self.retry_stats.bump(counter, amount)
-        aggregate = getattr(self._db, "retry_stats", None)
-        if aggregate is not None:
-            aggregate.bump(counter, amount)
+    @property
+    def transient_retries(self):
+        """How many transient-fault retries this connection has issued."""
+        return self.retry_stats.retries
 
-    def next_backoff(self, attempt):
-        """The delay before retry *attempt* (1-based): capped
-        exponential growth from :attr:`backoff`, scaled by a seeded
-        jitter factor in ``[1, 1 + jitter]``.  Deterministic per
-        connection seed — tests and the DES replay identical
-        schedules."""
-        base = min(self.backoff_cap, self.backoff * (2 ** (attempt - 1)))
-        if self.jitter:
-            base *= 1.0 + self.jitter * self._retry_rng.random()
-        return base
-
-    def _guarded(self, runner):
-        """Run *runner* (→ ``(results, error)``) under the connection's
-        error contract: the caller always gets back ``(results, error)``
-        where *error* is ``None`` or a real :class:`SQLError` — raw
-        exceptions never escape to application code.
-
-        Transient faults (``error.transient``) that produced **no**
-        partial results are retried up to :attr:`retries` times with
-        exponential backoff.  SEPTIC blocks are verdicts, not faults:
-        they are never retried.  Partial multi-statement failures are
-        never retried either — the executed prefix already took effect.
-
-        :class:`~repro.sqldb.errors.WriteConflictError` (first-writer-
-        wins under snapshot isolation) rides this same path: the engine
-        checks for conflicts before touching any row, so a retried
-        autocommit statement never double-applies.  Inside an explicit
-        transaction a retry keeps the transaction's original snapshot
-        and will conflict again — MySQL's errno 1213 advice applies:
-        roll back and restart the whole transaction.
-        """
-        attempt = 0
-        while True:
-            try:
-                results, error = runner()
-            except QueryBlocked as exc:
-                return [], exc
-            except SQLError as exc:
-                results, error = [], exc
-            except Exception as exc:  # engine bug / injected fault
-                results, error = [], TransientEngineError(
-                    "lost connection to engine during query (%s: %s)"
-                    % (type(exc).__name__, exc)
-                )
-            transient = (
-                error is not None
-                and getattr(error, "transient", False)
-                and not isinstance(error, QueryBlocked)
-            )
-            if error is None or not transient:
-                return results, error
-            if attempt == 0:
-                self._bump("attempts")
-            if results or attempt >= self.retries:
-                # partial results make a retry unsafe; otherwise the
-                # budget is spent (or was zero to begin with)
-                if attempt >= 1:
-                    self._bump("exhausted")
-                else:
-                    self._bump("gave_up")
-                return results, error
-            attempt += 1
-            self.transient_retries += 1
-            self._bump("retries")
-            if self.backoff:
-                delay = self.next_backoff(attempt)
-                self.retry_stats.add_backoff(delay)
-                aggregate = getattr(self._db, "retry_stats", None)
-                if aggregate is not None:
-                    aggregate.add_backoff(delay)
-                self._sleep(delay)
+    # Every statement runs ``retry.run(captured, ...)``: captured, so the
+    # caller only ever sees a real SQLError, never a raw exception; then
+    # retried while the error is transient (see RetryLoop for the rules).
 
     def query(self, sql):
         """Run one statement; returns a :class:`QueryOutcome`.
@@ -209,12 +185,9 @@ class Connection(object):
         Transient engine faults are retried per the connection's retry
         budget before being reported.
         """
-        results, error = self._guarded(
-            lambda: self._db.run_partial(
-                sql, multi=self.multi_statements, charset=self.charset,
-                session=self._session,
-            )
-        )
+        results, error = self.retry.run(
+            captured, self._db.run_partial, sql, self.multi_statements,
+            self.charset, self._session)
         self.last_error = error
         if error is not None:
             return QueryOutcome(error=error)
@@ -224,10 +197,8 @@ class Connection(object):
             return QueryOutcome()
         last = results[-1]
         return QueryOutcome(
-            result_set=last.result_set,
-            affected_rows=last.affected_rows,
-            sleep_seconds=sum(r.sleep_seconds for r in results),
-        )
+            last.result_set, last.affected_rows,
+            sum(r.sleep_seconds for r in results), last.last_insert_id)
 
     def multi_query(self, sql):
         """Run several ``;``-separated statements (opt-in, like
@@ -239,19 +210,13 @@ class Connection(object):
         matching ``mysqli_multi_query``'s contract of processing results
         until the first failing statement.
         """
-        results, error = self._guarded(
-            lambda: self._db.run_partial(
-                sql, multi=True, charset=self.charset,
-                session=self._session,
-            )
-        )
+        results, error = self.retry.run(
+            captured, self._db.run_partial, sql, True, self.charset,
+            self._session)
         self.last_error = error
         outcomes = [
-            QueryOutcome(
-                result_set=r.result_set,
-                affected_rows=r.affected_rows,
-                sleep_seconds=r.sleep_seconds,
-            )
+            QueryOutcome(r.result_set, r.affected_rows, r.sleep_seconds,
+                         r.last_insert_id)
             for r in results
         ]
         if error is not None:
@@ -275,25 +240,14 @@ class Connection(object):
 
     def execute_prepared(self, prepared, *params):
         """Execute a prepared statement, returning a
-        :class:`QueryOutcome` (errors captured like :meth:`query`)."""
-        try:
-            result = prepared.execute(*params)
-        except SQLError as exc:
-            self.last_error = exc
-            return QueryOutcome(error=exc)
-        except Exception as exc:  # engine bug / injected fault
-            error = TransientEngineError(
-                "lost connection to engine during query (%s: %s)"
-                % (type(exc).__name__, exc)
-            )
-            self.last_error = error
+        :class:`QueryOutcome` (errors captured and transient faults
+        retried like :meth:`query`)."""
+        result, error = self.retry.run(captured, _execute, prepared, params)
+        self.last_error = error
+        if error is not None:
             return QueryOutcome(error=error)
-        self.last_error = None
-        return QueryOutcome(
-            result_set=result.result_set,
-            affected_rows=result.affected_rows,
-            sleep_seconds=result.sleep_seconds,
-        )
+        return QueryOutcome(result.result_set, result.affected_rows,
+                            result.sleep_seconds, result.last_insert_id)
 
     # -- the server-side statement registry ------------------------------
     #
@@ -366,10 +320,3 @@ class Connection(object):
         that keeps the server from checkpointing."""
         self._session.rollback()
         self._statements.clear()
-
-    def query_or_raise(self, sql):
-        """Run one statement, raising on error (admin/seed convenience)."""
-        outcome = self.query(sql)
-        if not outcome.ok:
-            raise outcome.error
-        return outcome

@@ -778,7 +778,7 @@ class DistributedPlanner(object):
             # SELECT without FROM: pure expression, any shard answers
             return ShardRoute("any", sql=sql_text, read=True)
         keyed = []          # constants pinning sharded sources' keys
-        classes = set()     # ... and the type classes of those keys
+        types = set()       # ... and the declared types of those keys
         pinned = 0          # unsharded sources (whole table on shard 0)
         scatterable = []    # sharded sources without a key equality
         for ref in sources:
@@ -792,11 +792,12 @@ class DistributedPlanner(object):
                 scatterable.append(ref)
             else:
                 keyed.append(node)
-                classes.add(self.catalog.key_class(ref.name))
-        if not scatterable and not pinned and len(classes) == 1:
+                types.add(self.catalog.key_type(ref.name))
+        if not scatterable and not pinned and len(types) == 1:
             # every source has a shard-key equality: single-shard (the
-            # router verifies the key values co-locate; keys of unlike
-            # classes hash unlike, so such a join is cross-shard)
+            # router verifies the key values co-locate, hashing each as
+            # the first source's key column stores it — which is how its
+            # own column does only when the declared types agree)
             return self._single(sources[0].name, keyed, sql_text,
                                 read=True)
         if len(sources) == 1:

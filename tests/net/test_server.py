@@ -6,6 +6,7 @@ from repro.core.logger import SepticLogger
 from repro.core.septic import Mode, Septic
 from repro.net.client import NetClient, RemoteError
 from repro.net.pool import ConnectionPool, PoolExhaustedError
+from repro.net.protocol import NetProtocolError
 from repro.net.server import NetServer
 from repro.sqldb.engine import Database
 from tests.conftest import TICKETS_SCHEMA
@@ -29,6 +30,19 @@ class TestQueries(object):
             "SELECT creditCard FROM tickets WHERE reservID = 'NEW1'"
         )
         assert row.scalar() == 7
+
+    def test_ok_frame_carries_the_statements_own_insert_id(self, client):
+        """At a73f262 the OK frame read the *session's* last insert id
+        at encode time, so an UPDATE reported the previous INSERT's."""
+        insert = client.query_or_raise(
+            "INSERT INTO tickets (reservID, creditCard) VALUES ('NEW2', 8)"
+        )
+        assert insert.last_insert_id == client.query_or_raise(
+            "SELECT id FROM tickets WHERE reservID = 'NEW2'").scalar()
+        update = client.query_or_raise(
+            "UPDATE tickets SET creditCard = 9 WHERE reservID = 'NEW2'")
+        assert update.affected_rows == 1
+        assert update.last_insert_id is None
 
     def test_error_travels_as_err_frame(self, client):
         outcome = client.query("SELEKT nonsense")
@@ -70,6 +84,36 @@ class TestPipelining(object):
         assert outcomes[0].scalar() == 1
         assert outcomes[2].error is not None
         assert outcomes[3].scalar() == 2
+
+    def test_a_round_trip_cannot_eat_a_pipelined_acknowledgement(self,
+                                                                 client):
+        """At a73f262 ``close_statement`` behind two pipelined commands
+        read the INSERT's OK frame as its own answer, and ``drain()``
+        then handed the SELECT's rows back for the INSERT."""
+        handle = client.prepare("SELECT reservID FROM tickets WHERE id = ?")
+        sent = [client.send_query(
+                    "INSERT INTO tickets (reservID, creditCard) "
+                    "VALUES ('PIPE', 5)"),
+                client.send_query("SELECT COUNT(*) FROM tickets")]
+        with pytest.raises(NetProtocolError):
+            client.close_statement(handle)
+        with pytest.raises(NetProtocolError):
+            client.prepare("SELECT 1")
+        insert, select = client.drain()
+        assert [insert.seq, select.seq] == sent
+        assert insert.affected_rows == 1 and insert.rows == []
+        assert select.scalar() == 4
+        # nothing was closed, nothing is pending: the handle still works
+        assert client.execute(handle, 1).rows == [("ID34FG",)]
+        assert client.close_statement(handle) is True
+
+    def test_drain_refuses_a_response_to_another_command(self, client):
+        client.send_query("SELECT 1")
+        # as if an earlier command's response were still owed
+        client._pending.appendleft(client._pending[0] - 1)
+        with pytest.raises(NetProtocolError) as excinfo:
+            client.drain(1)
+        assert "seq" in str(excinfo.value)
 
     def test_deep_pipeline_batches_executor_hops(self, served):
         database, server = served

@@ -1,13 +1,14 @@
 """RoutingConnection: bounded-staleness reads, write routing, and
-virtual-time retry through a failover."""
+virtual-time retry through a failover.  (That verdicts — SQL errors,
+SEPTIC blocks — are never retried is a row of
+``tests/test_session_contract.py``.)"""
 
 import pytest
 
 from repro.benchlab.crashsweep import MarkerSeptic
 from repro.replica import ReplicaSet, Role
 from repro.sqldb.connection import Connection
-from repro.sqldb.errors import (QueryBlocked, TransientEngineError,
-                                ValidationError)
+from repro.sqldb.errors import TransientEngineError
 
 
 def make_set(tmp_path, **kwargs):
@@ -111,6 +112,22 @@ class TestWriteRouting(object):
         assert "x" in names
         replica_set.close()
 
+    def test_close_mid_failover_leaves_the_dead_node_alone(self, tmp_path):
+        replica_set = make_set(tmp_path)
+        seed_rows(replica_set)
+        router = replica_set.connect(retries=8, seed=3)
+        router.query_or_raise("BEGIN")
+        router.query_or_raise("INSERT INTO items (name) VALUES ('lost')")
+        dead = replica_set.kill_primary()
+        router.close()  # the dead primary's log takes no rollback marker
+        with router:    # and the same object routes on, to the survivor
+            assert router.query("INSERT INTO items (name) "
+                                "VALUES ('kept')").ok
+        assert replica_set.primary is not dead
+        dead.restart()  # which is what ends the session the crash orphaned
+        assert not dead.database.in_transaction
+        replica_set.close()
+
     def test_retry_budget_exhausts_when_no_one_can_lead(self, tmp_path):
         replica_set = make_set(tmp_path, replicas=0)
         seed_rows(replica_set)
@@ -125,38 +142,34 @@ class TestWriteRouting(object):
 
     def test_backoff_schedule_is_seeded_deterministic(self, tmp_path):
         replica_set = make_set(tmp_path)
-        ticks_a = [replica_set.connect(seed=5)._next_backoff_ticks(n)
-                   for n in range(1, 6)]
-        ticks_b = [replica_set.connect(seed=5)._next_backoff_ticks(n)
-                   for n in range(1, 6)]
-        ticks_c = [replica_set.connect(seed=6)._next_backoff_ticks(n)
-                   for n in range(1, 6)]
-        assert ticks_a == ticks_b
-        assert ticks_a != ticks_c
+
+        def ticks(seed):
+            schedule = replica_set.connect(seed=seed).retry.delay
+            return [schedule(n) for n in range(1, 9)]
+
+        def seconds(seed):
+            conn = Connection(replica_set.primary.database, backoff=0.01,
+                              retry_seed=seed)
+            return [conn.retry.delay(n) for n in range(1, 9)]
+
+        assert ticks(5) == ticks(5) != ticks(6)
         # bounded: between the pure-exponential base and base * 1.5, cap 16
-        for attempt, ticks in enumerate(ticks_a, start=1):
+        for attempt, delay in enumerate(ticks(5), start=1):
             base = min(16, 2 ** (attempt - 1))
-            assert base <= ticks <= max(1, round(base * 1.5))
-        replica_set.close()
-
-
-class TestVerdictsAreNotRetried(object):
-    def test_septic_block_returns_immediately(self, tmp_path):
-        replica_set = make_set(tmp_path)
-        seed_rows(replica_set)
-        router = replica_set.connect(retries=5)
-        outcome = router.query("INSERT INTO items (name) VALUES ('evil')")
-        assert isinstance(outcome.error, QueryBlocked)
-        assert router.retry_stats.as_dict()["retries"] == 0
-        replica_set.close()
-
-    def test_sql_errors_return_immediately(self, tmp_path):
-        replica_set = make_set(tmp_path)
-        seed_rows(replica_set)
-        router = replica_set.connect(retries=5)
-        outcome = router.query("SELECT * FROM no_such_table")
-        assert isinstance(outcome.error, ValidationError)
-        assert router.retry_stats.as_dict()["retries"] == 0
+            assert base <= delay <= max(1, round(base * 1.5))
+        # one loop, two clocks — and each seed's schedule is what
+        # ``RoutingConnection._next_backoff_ticks`` and
+        # ``Connection.next_backoff`` computed at a73f262, value for value
+        assert ticks(5) == [1, 3, 6, 12, 22, 23, 16, 20]
+        assert ticks(6) == [1, 3, 5, 9, 16, 21, 20, 22]
+        assert seconds(5) == pytest.approx([
+            0.01311450847444851, 0.027417869892607298, 0.055903871311313934,
+            0.11769801135108202, 0.21919188597919445, 0.4675719994664667,
+            0.6492816730507568, 1.5779984988019873], rel=1e-12)
+        assert seconds(6) == pytest.approx([
+            0.013966700418808316, 0.028219540423197267, 0.049700692558618906,
+            0.09046485931778632, 0.1600361371908057, 0.42605097006140286,
+            0.7904813622606224, 1.7662276064626516], rel=1e-12)
         replica_set.close()
 
 

@@ -381,6 +381,10 @@ def test_every_family_with_every_kind(routers):
     """The same property, exhaustively over the corpus with one pair of
     each kind — and the keyed families really are served by shape."""
     warm, _cold = routers
+    # what the hypothesis test above happened to route is not part of
+    # this property (a cached ``VALUES (null, null)`` made the NULL
+    # sibling below a shape hit about one run in forty)
+    warm._routes.clear()
     fixed = {"string": ("'alice'", "'Bob'"), "hex": ("0x41", "x'626f62'"),
              "int": ("40", "7"), "float": ("40.0", "4.5"),
              "other": ("NULL", "-5")}
@@ -596,6 +600,34 @@ class TestKeyComparesLikeTheEngine(object):
             routed, single = both("SELECT amount FROM accounts "
                                   "WHERE owner = '%d'" % number)
             assert _rows(routed) == _rows(single) == [(number,)]
+
+    def test_key_hashes_as_its_column_stores_it(self, fleet_and_twin):
+        """At a73f262 the router hashed ``0.7`` and the shard stored
+        ``0``: 15 of these 20 keyed reads found nothing, and a keyed
+        UPDATE or DELETE was acknowledged with 0 rows."""
+        both = fleet_and_twin
+        for number in range(20):
+            both("INSERT INTO n (id, v) VALUES (%s, %d)"
+                 % (number + 0.7, number))
+        for number in range(20):
+            routed, single = both("SELECT v FROM n WHERE id = %d" % number)
+            assert _rows(routed) == _rows(single) == [(number,)]
+        routed, single = both("UPDATE n SET v = -1 WHERE id = '7'")
+        assert routed.affected_rows == single.affected_rows == 1
+        routed, single = both("DELETE FROM n WHERE id = 13.0")
+        assert routed.affected_rows == single.affected_rows == 1
+        # a constant no stored value equals names some shard, which
+        # finds nothing — as the single node does
+        routed, single = both("SELECT v FROM n WHERE id = 7.7")
+        assert _rows(routed) == _rows(single) == []
+        # and VARCHAR(16) truncates on the way in
+        for index in range(8):
+            both(INSERT % ("a-sixteen-char-%d-and-then-some" % index, index))
+        for index in range(8):
+            routed, single = both(
+                "SELECT amount FROM accounts WHERE owner = '%s'"
+                % ("a-sixteen-char-%d-and-then-some" % index)[:16])
+            assert _rows(routed) == _rows(single) == [(index,)]
 
     def test_confusable_quote_folds_like_compare(self, tmp_path):
         # a strict connection charset stores U+02BC as data; `=` still

@@ -150,6 +150,9 @@ class TestMultiQuerySemantics(object):
 
 
 class TestTransientRetry(object):
+    # that deterministic errors and SEPTIC blocks are never retried is a
+    # row of tests/test_session_contract.py, for every façade
+
     def test_flaky_fault_retried_to_success(self, db):
         delays = []
         conn = Connection(db, retries=3, backoff=0.01, jitter=0.0,
@@ -204,22 +207,6 @@ class TestTransientRetry(object):
             outcome = conn.query("SELECT * FROM tickets")
         assert isinstance(outcome.error, TransientEngineError)
         assert conn.transient_retries == 1
-
-    def test_deterministic_errors_are_not_retried(self, db):
-        conn = Connection(db, retries=5)
-        outcome = conn.query("SELECT * FROM no_such_table")
-        assert isinstance(outcome.error, ValidationError)
-        assert conn.transient_retries == 0
-
-    def test_septic_block_is_never_retried(self, septic_db):
-        septic, database, _ = septic_db
-        conn = Connection(database, retries=5)
-        before = septic.stats.queries_processed
-        outcome = conn.query(TICKET_QUERY % ("' OR 1=1 -- ", "1"))
-        assert isinstance(outcome.error, QueryBlocked)
-        assert conn.transient_retries == 0
-        # the attack hit the hook exactly once
-        assert septic.stats.queries_processed == before + 1
 
     def test_no_retries_by_default(self, db):
         conn = Connection(db)

@@ -1795,3 +1795,171 @@ def test_route_parse_gate_catches_an_unconditional_parse(tmp_path):
     assert ":4:" in problems[1] and "_is_read()" in problems[1]
     assert ":15:" in problems[2] and "_route()" in problems[2]
     assert "2 functions" in problems[3]
+
+
+#: ``attacks.corpus.AttackOutcome`` grades an attack run, not a
+#: statement — another concept than the client outcome, exempt by name
+_OUTCOME_EXEMPT = frozenset(["AttackOutcome"])
+#: page-I/O retry is the pager's own fail-closed loop, not a client's
+_BACKOFF_EXEMPT = frozenset([os.path.join("sqldb", "pager.py")])
+
+
+def _is_backoff_formula(node):
+    """``2 ** (<name> - 1)`` — the doubling of a retry schedule."""
+    return (isinstance(node, ast.BinOp) and isinstance(node.op, ast.Pow)
+            and getattr(node.left, "value", None) == 2
+            and isinstance(node.right, ast.BinOp)
+            and isinstance(node.right.op, ast.Sub)
+            and getattr(node.right.right, "value", None) == 1)
+
+
+def _session_contract_violations(root):
+    """The client session contract has one owner per piece, under
+    ``Connection``, ``RoutingConnection``, ``ShardRouter`` and
+    ``NetClient`` alike: one outcome class (``QueryOutcome``), one
+    ``query_or_raise``, one capture of a raw exception as the "lost
+    connection to engine" error, one backoff formula.  Each was written
+    two to four times; a second copy of any of them is a façade growing
+    its own contract again."""
+    found = {"outcome": [], "query_or_raise": [], "capture": [],
+             "backoff": []}
+    for path in _python_files(root):
+        with open(path) as handle:
+            tree = ast.parse(handle.read(), filename=path)
+        rel = os.path.relpath(path, root)
+        # docstrings may talk about the capture; only code performs it
+        docstrings = {
+            id(node.body[0].value) for node in ast.walk(tree)
+            if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef,
+                                 ast.AsyncFunctionDef))
+            and ast.get_docstring(node, clean=False) is not None}
+        for node in ast.walk(tree):
+            where = "%s:%d" % (rel, getattr(node, "lineno", 0))
+            if isinstance(node, ast.ClassDef) \
+                    and node.name.endswith("Outcome") \
+                    and node.name not in _OUTCOME_EXEMPT:
+                found["outcome"].append("%s %s" % (where, node.name))
+            elif isinstance(node, ast.FunctionDef) \
+                    and node.name == "query_or_raise":
+                found["query_or_raise"].append(where)
+            elif isinstance(node, ast.Constant) \
+                    and isinstance(node.value, str) \
+                    and "lost connection to engine" in node.value \
+                    and id(node) not in docstrings:
+                found["capture"].append(where)
+            elif _is_backoff_formula(node) and not any(
+                    rel.endswith(exempt) for exempt in _BACKOFF_EXEMPT):
+                found["backoff"].append(where)
+    problems = []
+    for what, places in sorted(found.items()):
+        if len(places) != 1:
+            problems.append("%d × %s (%s) — the session contract keeps "
+                            "exactly one" % (len(places), what,
+                                             ", ".join(places) or "none"))
+    return problems, found
+
+
+def test_session_contract_has_one_owner_per_piece():
+    problems, found = _session_contract_violations(
+        os.path.join(SRC_ROOT, "repro"))
+    assert problems == [], "\n".join(problems)
+    assert found["outcome"][0].endswith(" QueryOutcome")
+    for what, module in (("outcome", "sqldb/connection.py"),
+                         ("query_or_raise", "sqldb/connection.py"),
+                         ("capture", "sqldb/connection.py"),
+                         ("backoff", "core/resilience.py")):
+        assert found[what][0].startswith(module + ":"), found[what]
+
+
+def test_session_contract_gate_catches_a_second_copy(tmp_path):
+    package = tmp_path / "repro"
+    (package / "sqldb").mkdir(parents=True)
+    (package / "net").mkdir()
+    (package / "sqldb" / "connection.py").write_text(
+        "class QueryOutcome(object):\n"
+        "    pass\n"
+        "class AttackOutcome(object):\n"                        # exempt
+        "    pass\n"
+        "def captured(call):\n"
+        "    '''lost connection to engine, says the docstring'''\n"  # fine
+        "    raise Lost('lost connection to engine during query')\n"
+        "def query_or_raise(self, sql):\n"
+        "    return base * (2 ** (attempt - 1))\n"
+    )
+    (package / "sqldb" / "pager.py").write_text(
+        "backoff = IO_BACKOFF * (2 ** (attempt - 1))\n"         # exempt
+    )
+    problems, _found = _session_contract_violations(str(package))
+    assert problems == []
+    (package / "net" / "client.py").write_text(
+        "class NetOutcome(object):\n"                           # flagged
+        "    def query_or_raise(self, sql):\n"                  # flagged
+        "        raise Lost('lost connection to engine (%s)' % sql)\n"
+        "    def _ticks(self, attempt):\n"
+        "        return min(16, 2 ** (attempt - 1))\n"          # flagged
+    )
+    problems, _found = _session_contract_violations(str(package))
+    assert len(problems) == 4
+    joined = "\n".join(problems)
+    assert "2 × outcome" in joined and "NetOutcome" in joined
+    assert "2 × query_or_raise" in joined
+    assert "2 × capture" in joined and "2 × backoff" in joined
+
+
+def _load_spans():
+    """``benchmarks/e2e/spans.py``, imported read-only (it defines the
+    shim table; nothing is installed until a ``Tracer`` is asked to)."""
+    import importlib.util
+
+    spec = importlib.util.spec_from_file_location(
+        "_e2e_spans", os.path.join(REPO_ROOT, "benchmarks", "e2e",
+                                   "spans.py"))
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def _unresolved_shims(shims):
+    """Rows of the benchmark's shim table — ``(module, class or None,
+    attribute, layer)`` — that no longer name a callable.  The
+    benchmark patches these names from outside ``src/``; a refactor
+    that moves one must turn red here, not at benchmark time."""
+    import importlib
+
+    problems = []
+    for module_name, class_name, attribute, _layer in shims:
+        dotted = ".".join(part for part in (module_name, class_name,
+                                            attribute) if part)
+        try:
+            owner = importlib.import_module(module_name)
+            if class_name is not None:
+                owner = getattr(owner, class_name)
+            target = getattr(owner, attribute)
+        except (ImportError, AttributeError) as exc:
+            problems.append("%s does not resolve (%s)" % (dotted, exc))
+            continue
+        if not callable(target):
+            problems.append("%s is not callable" % dotted)
+    return problems
+
+
+def test_every_benchmark_shim_resolves():
+    spans = _load_spans()
+    assert len(spans.SHIMS) >= 40
+    problems = _unresolved_shims(spans.SHIMS)
+    assert problems == [], "\n".join(problems)
+
+
+def test_shim_gate_catches_a_moved_name():
+    problems = _unresolved_shims((
+        ("repro.sqldb.connection", "Connection", "query", "x"),   # fine
+        ("repro.net.client", "NetClient", "_next_seq", "x"),      # gone
+        ("repro.net.client", "NetOutcome", "scalar", "x"),        # gone
+        ("repro.replica.no_such_module", None, "parse_sql", "x"),
+        ("repro.sqldb.connection", "Connection", "MAX_STATEMENTS", "x"),
+    ))
+    assert len(problems) == 4
+    assert "NetClient._next_seq does not resolve" in problems[0]
+    assert "NetOutcome" in problems[1]
+    assert "no_such_module" in problems[2]
+    assert "MAX_STATEMENTS is not callable" in problems[3]
