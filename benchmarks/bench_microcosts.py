@@ -7,13 +7,11 @@ malicious inputs).  Also ablates the two-step detection design: how much
 work the cheap structural check saves on structurally-mutated attacks.
 
 The ``hook:`` rows are the whole hook (``Database.septic_seconds_total``
-per query) at its three memo states: **L1 hit** — the statement's cache
+per query) at its two memo states: **L1 hit** — the statement's cache
 entry holds a verdict (reached on this text or on another text of its
-shape); **L2 hit** — the statement has no cache entry, its shape is
-known to SEPTIC (QM, internal ID and the comparison's outcome come from
-the shape memos); **cold** — nothing is memoised, every product is
-derived.  The pipeline cache is emptied before every L2 and cold sample:
-a new text alone no longer reaches L2, it rides its shape's entry.
+shape); **cold** — the statement has no cache entry, so nothing is
+memoised and every product is derived (the pipeline cache is emptied
+before every cold sample: a new text alone rides its shape's entry).
 **write path** is a warm INSERT shape executed with values never seen:
 the shape's verdict holds and the stored-injection plugins read this
 execution's strings (before that, each such write took the full run).
@@ -94,15 +92,9 @@ def _hook_costs(samples=300, rounds=5):
             best = mean if best is None else min(best, mean)
         return 1e6 * best
 
-    def cold():
-        # a SEPTIC that has the models and has memoised nothing
-        database.septic = fresh_septic(store=trainer.store)
-        database.pipeline_cache.clear()
-
-    costs = {"cold": measure(cold, new_text)}
+    # a SEPTIC that has the models; what it memoises goes with the cache
     database.septic = fresh_septic(store=trainer.store)
-    assert conn.query(HOOK_SQL).ok and conn.query(HOOK_SQL).ok
-    costs["L2 hit"] = measure(database.pipeline_cache.clear, new_text)
+    costs = {"cold": measure(database.pipeline_cache.clear, new_text)}
     assert conn.query(HOOK_SQL).ok and conn.query(HOOK_SQL).ok
     costs["L1 hit"] = measure(lambda: None, lambda: HOOK_SQL)
     # a warm write shape, new values every time (trained first: the
@@ -200,14 +192,13 @@ def test_microcosts_artifact(report):
     report.metric("qs_build", round(qs_us, 3), "us")
     report.metric("qm_build", round(qm_us, 3), "us")
     hook = _hook_costs()
-    for state in ("L1 hit", "L2 hit", "cold", "write path"):
+    for state in ("L1 hit", "cold", "write path"):
         report.line("hook: %-10s %6.2f us" % (state, hook[state]))
         report.metric("hook_" + state.lower().replace(" ", "_"),
                       round(hook[state], 3), "us")
-    # each level must pay for itself, and a write with new values rides
+    # the memo must pay for itself, and a write with new values rides
     # its shape's verdict: the check plus the plugins, not a run
-    assert hook["L1 hit"] < hook["L2 hit"] < hook["cold"]
-    assert hook["L1 hit"] < hook["write path"] < hook["L2 hit"]
+    assert hook["L1 hit"] < hook["write path"] < hook["cold"]
     for call, micros in sorted(_client_costs().items()):
         report.line("client: warm %-17s %6.2f us" % (call, micros))
         report.metric("client_" + call, round(micros, 3), "us")

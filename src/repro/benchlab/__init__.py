@@ -30,11 +30,6 @@ from repro.benchlab.report import (
     format_result_line,
     format_scaling_rows,
 )
-from repro.benchlab.netlab import (
-    NetLabResult,
-    run_netlab_experiment,
-    run_pipelined,
-)
 from repro.benchlab.chaos import (
     ChaosResult,
     default_chaos_plan,
@@ -59,7 +54,4 @@ __all__ = [
     "default_chaos_plan",
     "format_chaos_result",
     "run_chaos",
-    "NetLabResult",
-    "run_netlab_experiment",
-    "run_pipelined",
 ]

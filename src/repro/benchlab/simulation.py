@@ -7,7 +7,7 @@ deterministic for simultaneous events.
 
 :class:`FifoResource` is the one queueing primitive the closed-loop
 experiments share: a serial server whose work is priced in virtual time
-(the netlab executor, a replica serving reads, a shard).
+(a replica serving reads, a shard).
 """
 
 import heapq

@@ -22,30 +22,30 @@ circuit breaker, and converted into the configured fail-policy outcome —
 ``fail_closed`` drops the query like an attack, ``fail_open`` lets it
 run detection-style (see :mod:`repro.core.resilience`).
 
-Two memo levels keep the hook cheap without changing a verdict.  **L1**:
-a pipeline-cache entry (one statement shape, executed with many values)
+One memo keeps the hook cheap without changing a verdict: a
+pipeline-cache entry (one statement shape, executed with many values)
+keeps the query model and ID the manager derived from it, and
 remembers that its last full run ended benign against a known model,
 and with what (:class:`_Verdict`); while all of that still holds, the
-next execution costs the check plus the run's bookkeeping.  The verdict
-serves other values than the ones it was reached with where the learned
-model has ⊥ for every data node; where the run's stored-injection
-plugins read the values (INSERT/UPDATE/REPLACE under ``detect_stored``)
-it names the slots they read, and the check runs the same plugins over
-this execution's strings in those slots — a hit there takes the full
-run, the only place an attack is reported or dropped.
-**L2**: a statement not seen before still rarely has a new *shape*; the
-manager interns QM and internal ID per shape, and the benign outcome of
-the node-by-node comparison is remembered per ``(shape, learned
-model)``.  Attacks, unknown queries, TRAINING and every contained fault
-always take the full path.
+next execution costs the check plus the run's bookkeeping.  A verdict
+is only left where it serves every value the shape can carry: the
+learned model has ⊥ for every data node (a model that pins a literal
+leaves none, and is compared every time).  Where the run's
+stored-injection plugins read the values (INSERT/UPDATE/REPLACE under
+``detect_stored``) the verdict names the slots they read, and the check
+runs the same plugins over this execution's strings in those slots — a
+hit there takes the full run, the only place an attack is reported or
+dropped.  Attacks, unknown and candidate-matched queries, TRAINING and
+every contained fault always take the full path; so does everything
+when there is no pipeline cache.
 """
 
 from repro import faults as faults_mod
 from repro.core import resilience
-from repro.core.detector import BENIGN, AttackDetector, AttackType
+from repro.core.detector import AttackDetector, AttackType
 from repro.core.id_generator import IdGenerator
 from repro.core.logger import EventKind, SepticLogger
-from repro.core.manager import BoundedMemo, QSQMManager
+from repro.core.manager import QSQMManager
 from repro.core.query_model import BOTTOM
 from repro.core.resilience import FailPolicy
 from repro.core.store import QMStore
@@ -135,9 +135,9 @@ class _Verdict(object):
     known model — everything that run's outcome depended on, as read
     *before* it was used (immutable; see ``Septic._verdict_holds``)."""
 
-    __slots__ = ("full_id", "model", "basis", "events", "slots", "values")
+    __slots__ = ("full_id", "model", "basis", "events", "slots")
 
-    def __init__(self, full_id, model, basis, events, slots, values):
+    def __init__(self, full_id, model, basis, events, slots):
         self.full_id = full_id
         #: the learned model object the store served for the ID
         self.model = model
@@ -148,28 +148,6 @@ class _Verdict(object):
         #: indices of the value slots the run's stored-injection plugins
         #: inspected; every execution's strings there face them again
         self.slots = slots
-        #: the values vector the run saw, when the model pins a literal;
-        #: ``None`` when it has ⊥ for all data
-        self.values = values
-
-    def covers(self, values):
-        """Whether the run would have ended the same on *values*."""
-        return self.values is None or self.values == values
-
-
-def _remembered(context, memo):
-    """The verdict of an earlier full run of this statement that covers
-    this execution's values: the one its shape keeps, else the one its
-    very text keeps."""
-    verdict = memo.verdict
-    if verdict is not None and verdict.covers(context.values):
-        return verdict
-    text = context.text
-    if text is not None:
-        verdict = text.verdict
-        if verdict is not None and verdict.covers(context.values):
-            return verdict
-    return None
 
 
 def _inputs_pass(verdict, values):
@@ -231,10 +209,6 @@ class Septic(object):
         #: the database whose data dir co-persists the store (set by
         #: :meth:`bind_store`) — its retry stats ride ``status()``
         self.bound_database = None
-        #: ``(shape, id(learned model)) -> (model, detector)`` for which
-        #: the SQLI comparison came out benign — a pure function of the
-        #: two, so it is not walked again (see :meth:`_compare`)
-        self._benign = BoundedMemo()
         # a recovered store entry is an operator-relevant incident
         self.store.on_recover = self._store_recovered
 
@@ -373,10 +347,6 @@ class Septic(object):
             stats.queries_processed += 1
         memo = getattr(context, "memo", None)
         verdict = memo.verdict if memo is not None else None
-        if memo is not None and (verdict is None
-                                 or verdict.values is not None):
-            # none for the shape, or one tied to the values it saw
-            verdict = _remembered(context, memo)
         if verdict is not None and self._verdict_holds(verdict) and (
                 not verdict.slots
                 or _inputs_pass(verdict, context.values)):
@@ -565,25 +535,22 @@ class Septic(object):
         if checkpoint is not None:
             checkpoint()
         memo = getattr(context, "memo", None)
-        if memo is not None and model is not None:
+        if memo is not None and model is not None \
+                and _abstracts_all_data(model):
             # benign against a known model.  The run logged QS_BUILT,
             # ID_GENERATED, QM_FOUND and QUERY_EXECUTED, plus
             # COMPARISON_OK when it compared — none of them significant.
             # The entry is shared by every text of the statement's
-            # shape; the outcome holds for their values too unless the
-            # model pins a literal — given that the values the plugins
+            # shape, and the outcome holds for their values too: the
+            # model has ⊥ wherever they go (one that pins a literal
+            # leaves no verdict) — given that the values the plugins
             # read here pass them again there.
             slots = ()
             if detect_stored and structure.command() in ("INSERT", "UPDATE"):
                 slots = tuple(item.value.index for item in context.stack
                               if item.value.__class__ is Slot)
-            shared = _abstracts_all_data(model)
-            holder = memo if shared or context.text is None \
-                else context.text
-            holder.verdict = _Verdict(
-                query_id.value, model, basis, 4 + bool(detect_sqli),
-                slots, None if shared else context.values,
-            )
+            memo.verdict = _Verdict(query_id.value, model, basis,
+                                    4 + bool(detect_sqli), slots)
 
     def _sqli_detection(self, lookup, detector, candidates, checkpoint=None):
         """Run the two-step comparison.
@@ -593,8 +560,7 @@ class Septic(object):
         """
         structure = lookup.structure
         if lookup.model is not None:
-            return self._compare(structure, lookup.model, lookup.shape,
-                                 detector)
+            return detector.detect_sqli(structure, lookup.model)
         if candidates:
             # match against every model learned for this call site; an
             # attack is flagged only if none matches
@@ -609,29 +575,6 @@ class Septic(object):
                     best = detection  # prefer the most precise mismatch
             return best
         return None
-
-    def _compare(self, structure, model, shape, detector):
-        """``detector.detect_sqli`` against the learned *model*.
-
-        Whether the comparison passes depends only on the query's shape
-        and the model — data values face ⊥ and are not looked at, which
-        is checked of the model — so a pass is remembered per ``(shape,
-        model object)`` and the walk skipped next time.  A mismatch is
-        never remembered: its report quotes the query's values.  An
-        armed fault plan always gets the real call (``detector.run``
-        fires inside it).
-        """
-        if shape is None or faults_mod.ACTIVE is not None:
-            return detector.detect_sqli(structure, model)
-        key = (shape, id(model))
-        seen = self._benign.get(key)
-        # the entry holds the model, so its id cannot have been reused
-        if seen is not None and seen[0] is model and seen[1] is detector:
-            return BENIGN
-        detection = detector.detect_sqli(structure, model)
-        if not detection.is_attack and _abstracts_all_data(model):
-            self._benign.put(key, (model, detector))
-        return detection
 
     def _handle_attack(self, detection, query_id, context, model):
         self.stats.bump("attacks_detected")

@@ -58,12 +58,16 @@ class SepticTrainer(object):
             )
         return requests
 
-    def train(self, passes=1, set_prevention=False):
-        """Run the crawler in training mode.
+    def train(self, passes=1, set_prevention=False, requests=None):
+        """Run the crawler — or replay *requests* — in training mode.
 
         Ensures SEPTIC is in training mode for the duration; optionally
         switches it to prevention afterwards (the demo's phase C → D
-        transition).  Returns a :class:`TrainingReport`.
+        transition).  An explicit request list covers the paper's other
+        training triggers: "application unit tests" or queries issued
+        "manually by the programmer" — any recorded request sequence
+        works (e.g. a BenchLab workload).  Returns a
+        :class:`TrainingReport`.
         """
         previous_mode = self.septic.mode
         if previous_mode != Mode.TRAINING:
@@ -72,33 +76,7 @@ class SepticTrainer(object):
         sent = 0
         failures = []
         for _ in range(max(passes, 1)):
-            for request in self.crawl():
-                response = self.app.handle(request)
-                sent += 1
-                if response.status >= 500:
-                    failures.append((request, response))
-        models_after = len(self.septic.store)
-        if set_prevention:
-            self.septic.mode = Mode.PREVENTION
-        elif previous_mode != Mode.TRAINING:
-            self.septic.mode = previous_mode
-        return TrainingReport(sent, models_before, models_after, failures)
-
-    def train_with_requests(self, requests, passes=1, set_prevention=False):
-        """Train from an explicit request list instead of crawling.
-
-        Covers the paper's other training triggers: "application unit
-        tests" or queries issued "manually by the programmer" — any
-        recorded request sequence works (e.g. a BenchLab workload).
-        """
-        previous_mode = self.septic.mode
-        if previous_mode != Mode.TRAINING:
-            self.septic.mode = Mode.TRAINING
-        models_before = len(self.septic.store)
-        sent = 0
-        failures = []
-        for _ in range(max(passes, 1)):
-            for request in requests:
+            for request in (self.crawl() if requests is None else requests):
                 response = self.app.handle(request)
                 sent += 1
                 if response.status >= 500:

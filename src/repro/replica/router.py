@@ -33,9 +33,18 @@ from repro.sqldb.connection import (
 )
 from repro.sqldb.engine import _READ_STATEMENTS
 from repro.sqldb.errors import SQLError, TransientEngineError
-from repro.sqldb.lexer import tokenize
 from repro.sqldb.parser import parse_sql
 from repro.sqldb.planner import ShardRoute
+
+
+def _classify(sql, lexed, slots):
+    """The class cache's builder: parse a statement whose text and
+    shape are both new, and keep whether it only reads."""
+    statements, _comments = parse_sql(sql, lexed, slots=slots)
+    route = ShardRoute("any", read=bool(statements) and all(
+        isinstance(stmt, _READ_STATEMENTS) for stmt in statements))
+    route.slots = lexed.slots
+    return route, (), True
 
 
 class RoutingConnection(ClientSession):
@@ -70,25 +79,10 @@ class RoutingConnection(ClientSession):
     # -- routing -----------------------------------------------------------
 
     def _is_read(self, sql):
-        cache = self._classes
-        route = cache.probe(None, sql, 0)
-        if route is None:
-            try:
-                lexed = tokenize(sql)
-                wild, route, _values = cache.probe_shape(None, lexed, 0)
-                if route is None:
-                    statements, _comments = parse_sql(
-                        sql, lexed, slots=wild is not None)
-                    route = ShardRoute("any", read=bool(statements) and all(
-                        isinstance(stmt, _READ_STATEMENTS)
-                        for stmt in statements))
-                    if wild is not None:
-                        route.slots = lexed.slots
-                        cache.put_shape(None, wild, lexed, 0, route)
-            except SQLError:
-                return False  # the primary will produce the real error
-            cache.put(None, sql, 0, route)
-        return route.read
+        try:
+            return self._classes.resolve(None, sql, 0, _classify).entry.read
+        except SQLError:
+            return False  # the primary will produce the real error
 
     def _connection(self, node):
         conn = self._conns.get(node.name)

@@ -53,7 +53,7 @@ from repro.sqldb import plan as plan_mod
 from repro.sqldb.cache import PipelineCache
 from repro.sqldb.connection import ClientSession, QueryOutcome, captured
 from repro.sqldb.errors import ExecutionError
-from repro.sqldb.lexer import slot_values, tokenize
+from repro.sqldb.lexer import slot_values
 from repro.sqldb.parser import parse_sql
 from repro.sqldb.planner import DistributedPlanner
 from repro.sqldb.storage import ResultSet
@@ -113,21 +113,25 @@ class ShardRouter(ClientSession):
         #: it, so a stale distributed plan can never be served
         self.catalog_epoch = 0
         self.route_cache_size = route_cache_size
-        #: ``(None, text | shape, catalog_epoch)`` -> ``(route, values)``
-        #: under a text, the :class:`ShardRoute` under a shape
+        #: ``(None, text | shape, catalog_epoch)`` -> the text's
+        #: binding (route, values) under a text, the :class:`ShardRoute`
+        #: under a shape
         self._routes = PipelineCache(route_cache_size)
         self.last_gather_stats = None
-        #: ``route_cache_hits`` counts every lookup served without a
-        #: parse, ``route_shape_hits`` the ones served by shape
-        self.stats = {
-            "single_shard": 0, "scatter": 0, "broadcast": 0, "pinned": 0,
-            "route_cache_hits": 0, "route_shape_hits": 0,
-            "gather_peak_rows": 0,
-        }
+        self._counts = {"single_shard": 0, "scatter": 0, "broadcast": 0,
+                        "pinned": 0, "gather_peak_rows": 0}
 
     @property
     def shard_count(self):
         return len(self.shard_sets)
+
+    @property
+    def stats(self):
+        """Routing counters (a snapshot): ``route_cache_hits`` is every
+        lookup served without a parse, ``route_shape_hits`` the ones
+        served by shape — the route cache's own counts."""
+        return dict(self._counts, route_cache_hits=self._routes.hits,
+                    route_shape_hits=self._routes.shape_hits)
 
     # -- catalog surface ----------------------------------------------
 
@@ -144,30 +148,25 @@ class ShardRouter(ClientSession):
         """``(ShardRoute, values)`` for one statement: the route, and
         the text's literals in the route's slot order.  Probed by text,
         then by shape; parsed only when both are new."""
-        cache, epoch = self._routes, self.catalog_epoch
-        bound = cache.probe(None, sql, epoch)
-        if bound is not None:
-            self.stats["route_cache_hits"] += 1
-            return bound
-        lexed = tokenize(sql)
-        wild, route, values = cache.probe_shape(None, lexed, epoch)
-        if route is None:
-            statements, _comments = parse_sql(sql, lexed,
-                                              slots=wild is not None)
-            if len(statements) != 1:
-                raise ExecutionError(
-                    "the shard router takes one statement per call",
-                    errno=1235,
-                )
-            values = slot_values(lexed.tokens, lexed.slots)
-            route = self.planner.route(statements[0], values=values)
-            if wild is not None and route.plan is None:
-                route.slots = lexed.slots
-                route = cache.put_shape(None, wild, lexed, epoch, route)
-        else:
-            self.stats["route_cache_hits"] += 1
-            self.stats["route_shape_hits"] += 1
-        return cache.put(None, sql, epoch, (route, values))
+        bound = self._routes.resolve(None, sql, self.catalog_epoch,
+                                     self._plan_route)
+        return bound.entry, bound.values
+
+    def _plan_route(self, sql, lexed, slots):
+        """The route cache's builder: parse and plan a statement whose
+        text and shape are both new.  A route that decided nothing by a
+        literal's value is filed by shape."""
+        statements, comments = parse_sql(sql, lexed, slots=slots)
+        if len(statements) != 1:
+            raise ExecutionError(
+                "the shard router takes one statement per call",
+                errno=1235,
+            )
+        values = slot_values(lexed.tokens, lexed.slots)
+        route = self.planner.route(statements[0], values=values,
+                                   comments=comments)
+        route.slots = lexed.slots
+        return route, values, route.plan is None
 
     def _target_shard(self, route, values):
         """The one shard *route*'s keys name (0 when it has none: a
@@ -204,8 +203,8 @@ class ShardRouter(ClientSession):
             return self._broadcast(sql, route.ddl), None
         if route.kind == "scatter":
             return self._gather(route), None
-        self.stats["single_shard" if route.kind == "single"
-                   else "pinned"] += 1
+        self._counts["single_shard" if route.kind == "single"
+                     else "pinned"] += 1
         # the shard gets the text the client sent, byte for byte; the
         # router only tells its replica set which class of node may run it
         return self.connections[shard].query(sql, read=route.read), None
@@ -225,17 +224,17 @@ class ShardRouter(ClientSession):
             outcome = connection.query(sql, read=False)
             if not outcome.ok:
                 return outcome
-        self.stats["broadcast"] += 1
+        self._counts["broadcast"] += 1
         return outcome
 
     def _gather(self, route):
         stats = plan_mod.StageStats()
         state = plan_mod.ExecState(_GatherContext(self), stats)
         rows = [out for _, out in route.plan.root.rows(state)]
-        self.stats["scatter"] += 1
+        self._counts["scatter"] += 1
         self.last_gather_stats = stats
-        if stats.peak_materialized_rows > self.stats["gather_peak_rows"]:
-            self.stats["gather_peak_rows"] = stats.peak_materialized_rows
+        if stats.peak_materialized_rows > self._counts["gather_peak_rows"]:
+            self._counts["gather_peak_rows"] = stats.peak_materialized_rows
         return QueryOutcome(
             result_set=ResultSet(route.plan.columns, rows)
         )
@@ -266,7 +265,7 @@ class ShardRouter(ClientSession):
             "shards": self.shard_count,
             "catalog_epoch": self.catalog_epoch,
             "tables": self.catalog.tables(),
-            "stats": dict(self.stats),
+            "stats": self.stats,
             "primaries": [
                 None if replica_set.primary is None
                 else replica_set.primary.name

@@ -52,7 +52,7 @@ from collections import OrderedDict
 
 from repro import faults as faults_mod
 from repro.core.resilience import make_lock
-from repro.sqldb.lexer import slot_values, wildcard_key
+from repro.sqldb.lexer import slot_values, tokenize, wildcard_key
 
 #: wildcard keys whose pinned-literal positions are remembered; cleared
 #: whole when full (a client can mint keys at will)
@@ -60,7 +60,8 @@ PINS_MAX = 4096
 
 
 class SepticMemo(object):
-    """Per-cache-entry memo of the SEPTIC hook's derived products.
+    """Per-cache-entry memo of the SEPTIC hook's derived products — the
+    only place anything SEPTIC derives from a query outlives it.
 
     Filled lazily by :meth:`repro.core.manager.QSQMManager.receive` on
     the first hook invocation for the entry; the products depend on the
@@ -76,11 +77,10 @@ class SepticMemo(object):
     of one.
     """
 
-    __slots__ = ("model_of_query", "shape", "query_id", "verdict")
+    __slots__ = ("model_of_query", "query_id", "verdict")
 
     def __init__(self):
         self.model_of_query = None
-        self.shape = None
         self.query_id = None
         self.verdict = None
 
@@ -129,17 +129,14 @@ class CacheEntry(object):
 class TextBinding(object):
     """What the cache knows about one raw text: the entry of its shape,
     the text's own literals as that entry's values vector, and its
-    decoded form.  ``verdict`` is SEPTIC's slot for a verdict reached
-    with exactly these values that other texts of the shape cannot
-    share (the entry's memo keeps the ones they can)."""
+    decoded form."""
 
-    __slots__ = ("entry", "values", "decoded", "verdict")
+    __slots__ = ("entry", "values", "decoded")
 
     def __init__(self, entry, values, decoded):
         self.entry = entry
         self.values = values
         self.decoded = decoded
-        self.verdict = None
 
 
 class PipelineCache(object):
@@ -192,8 +189,8 @@ class PipelineCache(object):
         return record.entry if isinstance(record, TextBinding) else record
 
     def probe(self, charset, raw_sql, schema_version):
-        """The engine's first probe: the :class:`TextBinding` of a text
-        seen before, else ``None`` — not yet a miss, the shape probe
+        """The first probe: the :class:`TextBinding` of a text seen
+        before, else ``None`` — not yet a miss, the shape probe
         follows."""
         with self._lock:
             record = self._lookup((charset, raw_sql, schema_version))
@@ -271,6 +268,55 @@ class PipelineCache(object):
             self._pins[wild] = pins
         return self.put(charset, self._shape_key(wild, lexed, pins),
                         schema_version, entry)
+
+    # -- the probe sequence ------------------------------------------------
+
+    def resolve(self, charset, text, schema_version, build, decode=None):
+        """The :class:`TextBinding` of *text*, by the one probe sequence
+        every front end runs (the engine for pipelines, the shard and
+        replica routers for routes): by text; then, decoded
+        (``decode(text, charset)``, when the caller's texts need it) and
+        tokenized, by shape; and only when both miss ``build(decoded,
+        lexed, slots) -> (record, values, by_shape)`` — the caller
+        parses, leaving value slots where *slots* says the statement
+        takes them, and makes what it caches of a statement.  The record
+        is filed under its shape when *by_shape* says nothing in it
+        depends on a value, and under the text either way.
+
+        Hits and misses are counted here.  A cache fault never fails a
+        statement: a probe that raises is a miss, an insertion that
+        raises is skipped (the record is still used).  What *decode*,
+        the lexer or *build* raise is the statement's own error.
+        """
+        try:
+            bound = self.probe(charset, text, schema_version)
+        except Exception:
+            bound = None  # a broken cache degrades to the cold path
+        if bound is not None:
+            return bound
+        decoded = text if decode is None else decode(text, charset)
+        lexed = tokenize(decoded)
+        try:
+            wild, record, values = self.probe_shape(charset, lexed,
+                                                    schema_version)
+        except Exception:
+            wild = record = None  # parse, and keep the record unfiled
+        by_shape = False
+        if record is None:
+            record, values, by_shape = build(decoded, lexed,
+                                             wild is not None)
+        bound = TextBinding(record, values, decoded)
+        try:
+            if by_shape and wild is not None:
+                # on a racy double-fill the first insertion wins, so
+                # every thread shares one record (one SEPTIC memo) per
+                # shape
+                bound.entry = self.put_shape(charset, wild, lexed,
+                                             schema_version, record)
+            bound = self.put(charset, text, schema_version, bound)
+        except Exception:
+            pass  # cache insertion is best-effort
+        return bound
 
     def clear(self):
         with self._lock:

@@ -193,14 +193,32 @@ class LockManager(object):
         return out
 
 
+def _decode(sql, charset):
+    """The query text as the lexer should see it."""
+    if faults_mod.ACTIVE is not None:
+        faults_mod.fire("charset.decode")
+    return charset_mod.decode_query(sql, charset)
+
+
+def _build_entry(decoded, lexed, slots):
+    """What the pipeline cache keeps of a statement it has to parse
+    (:meth:`repro.sqldb.cache.PipelineCache.resolve`'s builder): the
+    :class:`CacheEntry` of its shape, and the text's own literals as
+    the entry's values."""
+    statements, comments = parse_sql(decoded, lexed, slots=slots)
+    values = slot_values(lexed.tokens, lexed.slots)
+    return (CacheEntry(statements, comments, lexed.slots, slot_tags(values)),
+            values, True)
+
+
 class QueryContext(object):
     """Everything SEPTIC's hook receives about one statement."""
 
     __slots__ = ("_sql", "statement", "stack", "comments", "database",
-                 "memo", "values", "text", "stage_stats")
+                 "memo", "values", "stage_stats")
 
     def __init__(self, sql, statement, stack, comments, database,
-                 memo=None, values=(), text=None):
+                 memo=None, values=()):
         #: the decoded query text; ``None`` (a prepared execution) is
         #: rendered from statement and values when somebody asks
         self._sql = sql
@@ -218,10 +236,6 @@ class QueryContext(object):
         self.memo = memo
         #: this execution's values vector (data literals / parameters)
         self.values = values
-        #: the query text's :class:`repro.sqldb.cache.TextBinding` when
-        #: it is cached (its ``verdict`` slot is per text, where the
-        #: memo's is per statement shape)
-        self.text = text
         #: per-stage instrumentation (:class:`repro.sqldb.plan.StageStats`)
         #: filled by the executor after the statement's plan ran
         self.stage_stats = None
@@ -323,8 +337,12 @@ class Session(object):
                     undo_txn(txn)
             finally:
                 db.lock_manager.catalog.release_write()
-        if wal_mod.ATTACHED and db._wal is not None and self.tx_id:
-            db._wal.append(wal_mod.WalRecord.ROLLBACK, tx=self.tx_id)
+        wal = db._wal
+        # a log a crash abandoned takes no marker, and needs none:
+        # recovery discards a transaction that never committed
+        if wal_mod.ATTACHED and wal is not None and not wal.closed \
+                and self.tx_id:
+            wal.append(wal_mod.WalRecord.ROLLBACK, tx=self.tx_id)
         self._end()
 
     def _end(self):
@@ -1381,23 +1399,24 @@ class Database(object):
             session = self._default_session
         effective_charset = charset or session.charset
         cache = self.pipeline_cache
-        bound = None
-        if cache is not None:
-            try:
-                bound = cache.probe(effective_charset, sql,
-                                    self.schema_version)
-            except Exception:
-                bound = None  # a broken cache degrades to the cold path
-        if bound is None:
-            try:
-                bound = self._bind_text(sql, effective_charset, cache)
-            except SQLError as exc:
-                return [], exc
-            except Exception as exc:
-                return [], TransientEngineError(
-                    "engine fault while preparing query (%s: %s)"
-                    % (type(exc).__name__, exc)
-                )
+        try:
+            if cache is not None:
+                # a warm text costs this one lookup
+                bound = cache.resolve(effective_charset, sql,
+                                      self.schema_version, _build_entry,
+                                      _decode)
+            else:
+                decoded = _decode(sql, effective_charset)
+                entry, values, _shared = _build_entry(
+                    decoded, tokenize(decoded), False)
+                bound = TextBinding(entry, values, decoded)
+        except SQLError as exc:
+            return [], exc
+        except Exception as exc:
+            return [], TransientEngineError(
+                "engine fault while preparing query (%s: %s)"
+                % (type(exc).__name__, exc)
+            )
         entry = bound.entry
         if len(entry.statements) > 1 and not multi:
             return [], MultiStatementError(
@@ -1418,7 +1437,6 @@ class Database(object):
                         bound.decoded, stmt, entry.comments,
                         session=session, entry=memo_entry,
                         values=bound.values,
-                        text=bound if memo_entry is not None else None,
                     )
                 )
             except SQLError as exc:
@@ -1429,45 +1447,6 @@ class Database(object):
                     % (type(exc).__name__, exc)
                 )
         return results, None
-
-    def _bind_text(self, sql, charset, cache):
-        """The :class:`~repro.sqldb.cache.TextBinding` of a text the
-        cache has not seen: decode, tokenize, and take the entry of the
-        text's shape — parsing only when that shape is new too — with
-        the text's own literals as the values.  The binding is cached,
-        so the text's exact repeat skips all of this."""
-        if faults_mod.ACTIVE is not None:
-            faults_mod.fire("charset.decode")
-        decoded = charset_mod.decode_query(sql, charset)
-        lexed = tokenize(decoded)
-        version = self.schema_version
-        wild = entry = None
-        values = ()
-        if cache is not None:
-            try:
-                wild, entry, values = cache.probe_shape(charset, lexed,
-                                                        version)
-            except Exception:
-                wild = entry = None  # a broken cache: parse, own entry
-        parsed = entry is None
-        if parsed:
-            statements, comments = parse_sql(decoded, lexed,
-                                             slots=wild is not None)
-            values = slot_values(lexed.tokens, lexed.slots)
-            entry = CacheEntry(statements, comments, lexed.slots,
-                               slot_tags(values))
-        bound = TextBinding(entry, values, decoded)
-        if cache is not None:
-            try:
-                if parsed and wild is not None:
-                    # on a racy double-fill the first insertion wins,
-                    # so every thread shares one SEPTIC memo per shape
-                    bound.entry = cache.put_shape(charset, wild, lexed,
-                                                  version, entry)
-                bound = cache.put(charset, sql, version, bound)
-            except Exception:
-                pass  # cache insertion is best-effort
-        return bound
 
     def run_statement(self, statement, comments=(), session=None,
                       entry=None, values=()):
@@ -1488,7 +1467,7 @@ class Database(object):
                                    values=values)
 
     def _run_statement(self, decoded_sql, stmt, comments, session=None,
-                       entry=None, values=(), text=None):
+                       entry=None, values=()):
         if session is None:
             session = self._default_session
         with self._stats_lock:
@@ -1504,7 +1483,7 @@ class Database(object):
         if self.septic is not None and stack:
             memo = entry.septic_memo if entry is not None else None
             context = QueryContext(decoded_sql, stmt, stack, comments, self,
-                                   memo=memo, values=values, text=text)
+                                   memo=memo, values=values)
             start = time.perf_counter()
             try:
                 self.septic.process_query(context)

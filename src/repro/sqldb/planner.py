@@ -661,12 +661,16 @@ class DistributedPlanner(object):
 
     # -- classification ------------------------------------------------
 
-    def route(self, stmt, sql_text=None, values=()):
+    def route(self, stmt, sql_text=None, values=(), comments=()):
         """The :class:`ShardRoute` for one parsed statement.  *values*
         is the values vector of a slotting parse: its ``Param`` slots
         count as the constants they stand for, and only their *types*
         (which every text of the shape shares) are looked at unless the
-        statement scatters."""
+        statement scatters.  *comments* are the parse's comment bodies:
+        a scatter's legs are re-rendered SQL, and carry them again —
+        they are the call site's external identifier, without which a
+        shard would learn the leg as an unknown query instead of
+        comparing it with the call site's models."""
         if isinstance(stmt, _BROADCAST_STATEMENTS):
             return ShardRoute("broadcast", sql=sql_text, ddl=stmt)
         if isinstance(stmt, (ast.Begin, ast.Commit, ast.Rollback)):
@@ -676,7 +680,7 @@ class DistributedPlanner(object):
         if isinstance(stmt, (ast.Update, ast.Delete)):
             return self._route_dml(stmt, sql_text, values)
         if isinstance(stmt, ast.Select):
-            return self._route_select(stmt, sql_text, values)
+            return self._route_select(stmt, sql_text, values, comments)
         # SHOW TABLES / DESCRIBE / EXPLAIN: schema is identical on every
         # shard (DDL broadcasts), so any one shard answers
         return ShardRoute("any", sql=sql_text, read=True)
@@ -767,7 +771,7 @@ class DistributedPlanner(object):
 
     # -- reads ---------------------------------------------------------
 
-    def _route_select(self, stmt, sql_text, values):
+    def _route_select(self, stmt, sql_text, values, comments):
         if stmt.unions:
             raise _unsupported("UNION")
         sources = list(stmt.tables) + [join.table for join in stmt.joins]
@@ -806,7 +810,7 @@ class DistributedPlanner(object):
                 return ShardRoute("any", table=sources[0].name,
                                   sql=sql_text, read=True)
             return self._scatter_select(_bind_slots(stmt, values),
-                                        sources[0])
+                                        sources[0], comments)
         raise _unsupported("a cross-shard join")
 
     # -- scatter/gather plan construction ------------------------------
@@ -865,31 +869,36 @@ class DistributedPlanner(object):
                 raise _unsupported("a non-integer cross-shard LIMIT")
         return tuple(ints)
 
-    def _shard_scans(self, stmt):
-        """One :class:`ShardScan` per shard ordinal for *stmt*."""
+    def _shard_scans(self, stmt, comments):
+        """One :class:`ShardScan` per shard ordinal for *stmt*, the
+        statement's *comments* back in front of its SQL (a line
+        comment's body may hold ``*/``; it goes back as a line)."""
         from repro.sqldb.unparse import to_sql
 
-        sql = to_sql(stmt)
+        sql = "".join(
+            "-- %s\n" % body if "*/" in body else "/* %s */ " % body
+            for body in comments) + to_sql(stmt)
         return [self._mk(plan_mod.ShardScan(shard, sql))
                 for shard in range(self.shard_count)]
 
-    def _scatter_select(self, stmt, ref):
+    def _scatter_select(self, stmt, ref, comments):
         if stmt.having is not None:
             raise _unsupported("cross-shard HAVING")
         fields = self._output_fields(stmt, ref.name)
         columns = [f.alias or _field_label(f.expr) for f in fields]
         aggregates = _collect_aggregates(stmt)
         if aggregates or stmt.group_by:
-            root = self._gather_aggregate(stmt, ref, fields, columns)
+            gather = self._gather_aggregate
         elif stmt.order_by and stmt.limit is not None:
-            root = self._gather_topk(stmt, ref, fields, columns)
+            gather = self._gather_topk
         else:
-            root = self._gather_union(stmt, ref, fields, columns)
+            gather = self._gather_union
+        root = gather(stmt, ref, fields, columns, comments)
         plan = plan_mod.PhysicalPlan("select", root, columns=columns,
                                      tables=(ref.name.lower(),))
         return ShardRoute("scatter", table=ref.name, plan=plan)
 
-    def _gather_union(self, stmt, ref, fields, columns):
+    def _gather_union(self, stmt, ref, fields, columns, comments):
         """Plain SELECT: concatenate disjoint partitions; DISTINCT
         dedupes above the gather, a bare LIMIT pushes down fused."""
         per_shard = ast.Select(
@@ -906,7 +915,8 @@ class DistributedPlanner(object):
             # validated here so the Sort above the gather never needs an
             # evaluation context
             self._order_key_indexes(stmt.order_by, columns)
-        root = self._mk(plan_mod.GatherUnion(self._shard_scans(per_shard)))
+        root = self._mk(plan_mod.GatherUnion(
+            self._shard_scans(per_shard, comments)))
         if stmt.distinct:
             root = self._mk(plan_mod.Distinct(root))
         if stmt.order_by:
@@ -918,7 +928,7 @@ class DistributedPlanner(object):
             ))
         return root
 
-    def _gather_topk(self, stmt, ref, fields, columns):
+    def _gather_topk(self, stmt, ref, fields, columns, comments):
         """ORDER BY + LIMIT: each shard returns its local top
         ``offset + count`` rows and the gather merge-heaps them."""
         if stmt.distinct:
@@ -932,11 +942,11 @@ class DistributedPlanner(object):
             limit=ast.Limit(ast.Literal(count + offset, "int")),
         )
         return self._mk(plan_mod.GatherTopK(
-            self._shard_scans(per_shard), key_indexes, descending,
+            self._shard_scans(per_shard, comments), key_indexes, descending,
             count, offset,
         ))
 
-    def _gather_aggregate(self, stmt, ref, fields, columns):
+    def _gather_aggregate(self, stmt, ref, fields, columns, comments):
         """COUNT/SUM/MIN/MAX/AVG (with optional GROUP BY): shards
         compute partials, the gather merges and finalizes."""
         if stmt.distinct:
@@ -1002,7 +1012,8 @@ class DistributedPlanner(object):
             group_by=group_exprs,
         )
         root = self._mk(plan_mod.GatherAggregate(
-            self._shard_scans(per_shard), key_indexes, merges, finals,
+            self._shard_scans(per_shard, comments), key_indexes, merges,
+            finals,
             ", ".join(describe),
         ))
         if stmt.order_by:

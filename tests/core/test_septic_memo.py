@@ -1,24 +1,25 @@
-"""SEPTIC's two memo levels: what a hit may skip, what invalidates it.
+"""SEPTIC's one memo: what a hit may skip, what invalidates it.
 
-L1 is the verdict a pipeline-cache entry keeps of its last full run;
-L2 is what the manager and the hook remember per query *shape*.  The
-sibling ``test_verdict_invariance.py`` shows neither changes an
-outcome; here each term of the validity predicate gets a case, the
-hit paths get a count-based budget, and the caps get a flood.
+A pipeline-cache entry keeps the QM and ID derived from its statement
+shape and the verdict of its last full run — and nothing SEPTIC derives
+from a query lives anywhere else.  The sibling
+``test_verdict_invariance.py`` shows the memo changes no outcome; here
+each term of the validity predicate gets a case, the hit path gets a
+count-based budget, a model that pins a literal is shown to leave no
+verdict, and a flood of shapes is shown to leave nothing behind.
 """
 
 import sys
 import threading
-from collections import Counter
+import types
+from collections import Counter, deque
 
 import pytest
 
 from repro import faults
-from repro.core import id_generator as id_generator_mod
-from repro.core import manager as manager_mod
 from repro.core.detector import AttackDetector, Detection
 from repro.core.logger import EventKind, SepticLogger
-from repro.core.manager import BoundedMemo, LookupResult, QSQMManager
+from repro.core.manager import LookupResult, QSQMManager
 from repro.core.plugins import default_plugins
 from repro.core.query_model import QueryModel
 from repro.core.query_structure import QueryStructure
@@ -27,6 +28,8 @@ from repro.core.septic import Mode, Septic
 from repro.sqldb.connection import Connection
 from repro.sqldb.engine import Database, QueryContext
 from repro.sqldb.errors import QueryBlocked
+from repro.net.client import NetClient
+from repro.net.server import NetServer
 from repro.sqldb.items import Item
 
 SELECT = "/* septic:memo:1 */ SELECT a, b FROM t WHERE a = 1 AND c = 3"
@@ -427,46 +430,76 @@ def test_no_pass_is_served_from_a_stale_verdict():
     assert observed.count(True) > 30 and observed.count(False) > 90
 
 
-# -- L2: shapes ---------------------------------------------------------------
+# -- one memo: nothing else outlives a query -----------------------------------
+
+_ATOMS = (str, bytes, int, float, bool, type(None), type,
+          types.ModuleType, types.FunctionType, types.BuiltinFunctionType)
+
+
+def _entries_held(root, exempt):
+    """How many entries the containers reachable from *root* hold in
+    all (instance attributes count as entries of their object), not
+    descending into *exempt*."""
+    seen = {id(obj) for obj in exempt}
+    total = 0
+    pending = [root]
+    while pending:
+        obj = pending.pop()
+        if id(obj) in seen or isinstance(obj, _ATOMS):
+            continue
+        seen.add(id(obj))
+        if isinstance(obj, dict):
+            total += len(obj)
+            pending.extend(obj.keys())
+            pending.extend(obj.values())
+        elif isinstance(obj, (list, tuple, set, frozenset, deque)):
+            total += len(obj)
+            pending.extend(obj)
+        else:
+            if isinstance(obj, types.MethodType):
+                pending.append(obj.__self__)
+            pending.append(getattr(obj, "__dict__", None))
+            for cls in type(obj).__mro__:
+                for slot in cls.__dict__.get("__slots__", ()):
+                    pending.append(getattr(obj, slot, None))
+    return total
+
 
 class TestShapeMemo(object):
-    def test_bounded_memo_evicts_oldest_first(self, monkeypatch):
-        monkeypatch.setattr(manager_mod, "SHAPE_MEMO_MAX", 3)
-        memo = BoundedMemo()
-        for key in "abcd":
-            memo.put(key, key.upper())
-        assert len(memo) == 3
-        assert memo.get("a") is None
-        assert memo.get("d") == "D"
-        memo.put("b", "again")                  # an update is no growth
-        assert len(memo) == 3 and memo.get("b") == "again"
-
-    def test_caps_hold_under_ten_times_cap_distinct_shapes(self,
-                                                           monkeypatch):
-        monkeypatch.setattr(manager_mod, "SHAPE_MEMO_MAX", 16)
+    def test_caps_hold_under_ten_times_cap_distinct_shapes(self):
+        """160 new shapes, each from a new call site and run twice,
+        through an 8-entry cache: afterwards nothing reachable from the
+        hook is larger than before, bar the model store and the event
+        register (at 55a1d75 three shape-keyed maps sat at their caps)."""
         septic = Septic(mode=Mode.PREVENTION)
         database = Database(septic=septic, cache_size=8)
         database.seed("CREATE TABLE wide (%s)" % ", ".join(
             "c%d INT" % index for index in range(160)))
         conn = Connection(database)
+        assert conn.query("SELECT c0 FROM wide").ok     # every path taken
+        assert conn.query("SELECT c0 FROM wide ").ok    # once, lazily built
         seeded = len(septic.store)
+        exempt = (septic.store, septic.logger)
+        held = (_entries_held(septic, exempt),
+                _entries_held(septic.manager, exempt))
         for index in range(160):
-            # a new shape, a new call site and (second run) a new
-            # (shape, model) pair every time
             sql = "/* septic:flood:%d */ SELECT c%d FROM wide" % (
                 index, index)
             assert conn.query(sql).ok
             assert conn.query(sql + " ").ok
         assert len(septic.store) == seeded + 160
-        assert len(septic.manager._shapes) == 16
-        assert len(septic.manager._externals) == 16
-        assert len(septic._benign) == 16
-        # a shape that was evicted is simply derived again, identically
+        assert (_entries_held(septic, exempt),
+                _entries_held(septic.manager, exempt)) == held
+        # the census does see a map that grows
+        septic.manager.seen = {index: None for index in range(3)}
+        assert _entries_held(septic, exempt) == held[0] + 4
+        # a shape the cache evicted is simply derived again, identically
         first = "/* septic:flood:0 */ SELECT c0 FROM wide"
         assert conn.query(first + "  ").ok
-        assert septic.stats.unknown_queries == 160
+        assert septic.stats.unknown_queries == 161
+        assert len(septic.store) == seeded + 160
 
-    def test_non_string_element_values_get_no_shape(self):
+    def test_non_string_element_values_keep_their_own_ids(self):
         # 1, 1.0 and True are one dict key but three canonical texts
         manager = QSQMManager()
         ids = set()
@@ -474,29 +507,57 @@ class TestShapeMemo(object):
             stack = [Item("FROM_TABLE", "t"), Item("FUNC_ITEM", value)]
             lookup = manager.receive(
                 QueryContext("q", None, stack, [], None))
-            assert lookup.shape is None
             ids.add(lookup.query_id.value)
         assert len(ids) == 3
-        assert len(manager._shapes) == 0
 
-    def test_pinned_literal_models_are_compared_every_time(self):
+    def test_pinned_literal_models_are_compared_every_time(self,
+                                                           full_runs):
         """A hand-written model may pin a data value; then passing is
-        not a function of the shape, and must not be remembered."""
+        not a function of the shape, and a run against it leaves no
+        verdict: the same-shape text with another value is still
+        blocked, by ``query``, ``execute_prepared`` and over the wire
+        (at 55a1d75 a verdict was left on the text)."""
         septic, database, conn = _stack()
         entry = database.pipeline_cache.get("utf8", SELECT,
                                             database.schema_version)
-        query_id = entry.septic_memo.query_id
+        memo = entry.septic_memo
         pinned = QueryModel(
             Item(node.kind, node.value)
             for node in QueryStructure.from_stack(
                 entry.stack, (1, 3)))                    # a = 1, c = 3
         septic.store.clear()
-        septic.store.put(query_id, pinned)
-        remembered = len(septic._benign)
-        assert conn.query(SELECT).ok
+        septic.store.put(memo.query_id, pinned)
         other = SELECT.replace("a = 1", "a = 2")         # same shape
-        assert isinstance(conn.query(other).error, QueryBlocked)
-        assert len(septic._benign) == remembered
+        handle = conn.prepare(SELECT.replace("a = 1", "a = ?")
+                              .replace("c = 3", "c = ?"))
+        server = NetServer(database)
+        server.start()
+        try:
+            with NetClient(server.host, server.port) as wire:
+                runs = [
+                    (lambda: conn.query(SELECT),
+                     lambda: conn.query(other)),
+                    (lambda: conn.execute_prepared(handle, 1, 3),
+                     lambda: conn.execute_prepared(handle, 2, 3)),
+                    (lambda: wire.query(SELECT),
+                     lambda: wire.query(other)),
+                ]
+                for matching, differing in runs:
+                    for _ in range(2):
+                        before = full_runs["receive"]
+                        assert matching().ok
+                        assert differing().error.errno == 3090
+                        assert full_runs["receive"] == before + 2
+        finally:
+            server.stop()
+        assert memo.verdict is None or not septic._verdict_holds(
+            memo.verdict)
+        assert septic.stats.queries_dropped == 6
+        # with the learned model back, the shape keeps a verdict again
+        septic.store.clear()
+        septic.store.put(memo.query_id, memo.model_of_query)
+        assert _runs(full_runs, conn) == 1
+        assert _runs(full_runs, conn, other) == 0
 
 
 # -- the hit paths' budget, by count ------------------------------------------
@@ -567,12 +628,11 @@ def test_l1_hit_budget(monkeypatch, counted_locks):
         # slot the plugins read ('plain text'), whose string faces them
         # again on every hit — and nothing else of a run is repeated
         verdict = entry.septic_memo.verdict
-        assert verdict is not None and text.verdict is None
+        assert verdict is not None
         assert verdict.slots == (() if sql is SELECT else (0, 1))
         context = QueryContext(text.decoded, entry.statements[0],
                                entry.stack, entry.comments, database,
-                               memo=entry.septic_memo, values=text.values,
-                               text=text)
+                               memo=entry.septic_memo, values=text.values)
         processed = septic.stats.queries_processed
         counted_locks.acquisitions = 0
         septic.process_query(context)
@@ -581,31 +641,9 @@ def test_l1_hit_budget(monkeypatch, counted_locks):
     assert counts == Counter()
 
 
-def test_l2_hit_budget(monkeypatch):
-    septic, _database, conn = _stack()
-    counts = Counter()
-    _count_calls(monkeypatch, counts, QueryModel, "canonical")
-    md5 = id_generator_mod.hashlib.md5
-
-    def counting_md5(*args, **kwargs):
-        counts["md5"] += 1
-        return md5(*args, **kwargs)
-
-    monkeypatch.setattr(id_generator_mod.hashlib, "md5", counting_md5)
-    _count_calls(monkeypatch, counts, AttackDetector, "detect_sqli")
-    processed = septic.stats.queries_processed
-    assert conn.query(SELECT.replace("a = 1", "a = 41")).ok
-    assert conn.query(UPDATE.replace("a = 2", "a = 42")).ok
-    assert septic.stats.queries_processed == processed + 2
-    assert counts == Counter()
-    # the gate would notice: a new shape does all of it
-    assert conn.query("SELECT b FROM t WHERE c = 5").ok
-    assert counts["QueryModel.canonical"] >= 1 and counts["md5"] == 1
-
-
 def test_stored_injection_plugins_still_see_every_new_value():
-    """L2 remembers shapes, never values: an UPDATE of a known shape
-    with a payload in its data is still caught."""
+    """The memo remembers shapes, never values: an UPDATE of a known
+    shape with a payload in its data is still caught."""
     septic, _database, conn = _stack()
     outcome = conn.query(
         UPDATE.replace("plain text", "<script>alert(1)</script>"))

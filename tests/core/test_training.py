@@ -77,9 +77,8 @@ class TestTrainWithRequests(object):
         septic = Septic(mode=Mode.TRAINING)
         app = ZeroCMS(Database(septic=septic))
         trainer = SepticTrainer(app, septic)
-        report = trainer.train_with_requests(
-            app.workload_requests(), set_prevention=True
-        )
+        report = trainer.train(requests=app.workload_requests(),
+                               set_prevention=True)
         assert report.models_learned > 5
         assert septic.mode == Mode.PREVENTION
         for request in app.workload_requests():
@@ -93,5 +92,5 @@ class TestTrainWithRequests(object):
         app = ZeroCMS(Database(septic=septic))
         trainer = SepticTrainer(app, septic)
         septic.mode = Mode.DETECTION
-        trainer.train_with_requests(app.workload_requests())
+        trainer.train(requests=app.workload_requests())
         assert septic.mode == Mode.DETECTION

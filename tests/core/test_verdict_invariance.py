@@ -1,30 +1,31 @@
-"""Verdict invariance: the memo levels change what the hook costs,
-never what it decides or records.
+"""Verdict invariance: the memo changes what the hook costs, never what
+it decides or records.
 
 The statements the four applications issue for their recorded requests,
 plus those of every ``repro.attacks`` case, are replayed through local
-``query``, ``execute_prepared`` and the wire — four times, so that
-every statement meets the hook cold (nothing memoised), L2-hot (its
-shape known to SEPTIC, the pipeline cache empty), shape-hot (the same
-statements with *other literals*: texts never seen, whose cache entries
-were warmed by a different text of the shape) and L1-hot (its own text
-cached).  The same replay runs against a control with every memo off:
-no pipeline cache, and shape memos that forget what they are told.
+``query``, ``execute_prepared`` and the wire — three times, so that
+every statement meets the hook cold (the pipeline cache empty, nothing
+memoised), shape-hot (the same statements with *other literals*: texts
+never seen, whose cache entries — QM, ID and verdict with them — were
+warmed by a different text of the shape) and L1-hot (its own text
+cached).  The same replay runs against a control that has no pipeline
+cache, and so no memo at all: the cold hook, every time.
 Blocked/allowed per statement, ``SepticStats.as_dict()`` and kind +
 query ID + sequence number of every significant event must be identical
 after each pass, in PREVENTION and DETECTION and under all four Figure 5
 configurations.
 
 The second half is the argument that makes sharing an entry safe, as a
-property over the same statements and seeded mutations of them: equal
-shape keys ⇒ equal item-stack shapes ⇒ same QM and ID, and an attack
-that finds its shape's benign verdict waiting fails the verdict's check
-of its inputs and is blocked by the full run, as the control blocks it.
+property over the same statements and seeded mutations of them: texts
+on one entry ⇒ equal item-stack shapes ⇒ one QM and one ID, and an
+attack that finds its shape's benign verdict waiting fails the
+verdict's check of its inputs and is blocked by the full run, as the
+control blocks it.
 
 The last part sends stored-injection payloads — one per default plugin —
 through *warm* INSERT, REPLACE and UPDATE shapes, by ``query``,
 ``execute_prepared``, the wire and a 2-shard router, against the same
-control.
+control and under the same four configurations.
 """
 
 import random
@@ -38,9 +39,8 @@ from repro.apps.refbase import Refbase
 from repro.apps.waspmon import WaspMon
 from repro.apps.zerocms import ZeroCMS
 from repro.attacks.corpus import waspmon_attacks
-from repro.core import manager as manager_mod
 from repro.core import septic as septic_mod
-from repro.core.manager import QSQMManager, structure_and_shape
+from repro.core.manager import QSQMManager
 from repro.core.query_structure import QueryStructure
 from repro.core.query_model import QueryModel
 from repro.core.septic import Mode, Septic, SepticConfig
@@ -50,7 +50,7 @@ from repro.net.server import NetServer
 from repro.shard import ShardRouter
 from repro.sqldb import charset as charset_mod
 from repro.sqldb.connection import Connection
-from repro.sqldb.engine import Database, QueryContext
+from repro.sqldb.engine import Database
 from repro.sqldb.errors import QueryBlocked, SQLError
 from repro.sqldb.parser import parse_sql
 from repro.sqldb.validator import validate
@@ -59,7 +59,7 @@ from repro.web.app import PhpRuntime
 from tests.conftest import vary_literals
 
 APPS = (WaspMon, AddressBook, Refbase, ZeroCMS)
-PASSES = ("cold", "L2-hot", "shape-hot", "L1-hot")
+PASSES = ("cold", "shape-hot", "L1-hot")
 
 
 def _recorded_requests(app):
@@ -216,11 +216,11 @@ def _significant(septic):
 
 def _replay(statements, variants, entry_point, mode, flags, cache_size,
             counts=None):
-    """Train, hand the models to a fresh SEPTIC (empty memos) in *mode*
-    under *flags*, and replay once per pass — *variants* in the
-    shape-hot pass, over the cache the L2-hot pass filled.  Returns one
-    observation per stage — training, then each pass — and, per pass,
-    what *counts* (a ``Counter`` some patched callables bump) read."""
+    """Train, hand the models to a fresh SEPTIC in *mode* under *flags*,
+    and replay once per pass — *variants* in the shape-hot pass, over
+    the cache the cold pass filled.  Returns one observation per stage
+    — training, then each pass — and, per pass, what *counts* (a
+    ``Counter`` some patched callables bump) read."""
     database, trainer, _apps = _trained_stack(cache_size)
     observed = [("training", None, trainer.stats.as_dict(),
                  _significant(trainer))]
@@ -231,9 +231,8 @@ def _replay(statements, variants, entry_point, mode, flags, cache_size,
     per_pass = []
     try:
         for name in PASSES:
-            if name in ("cold", "L2-hot") and \
-                    database.pipeline_cache is not None:
-                database.pipeline_cache.clear()
+            if name == "cold" and database.pipeline_cache is not None:
+                database.pipeline_cache.clear()     # training filled it
             if counts is not None:
                 counts.clear()
             texts = variants if name == "shape-hot" else statements
@@ -247,7 +246,7 @@ def _replay(statements, variants, entry_point, mode, flags, cache_size,
 
 
 def _count_avoidable_work(monkeypatch):
-    """A ``Counter`` of the calls the memos exist to avoid."""
+    """A ``Counter`` of the calls the memo exists to avoid."""
     counts = Counter()
     receive = QSQMManager.receive
     from_structure = QueryModel.__dict__["from_structure"].__func__
@@ -274,20 +273,16 @@ def _count_avoidable_work(monkeypatch):
 @pytest.fixture(scope="module")
 def controls():
     """Control observations per (entry point, mode, flags): no pipeline
-    cache, and shape memos that forget what they are told.  Filled on
-    first use by :func:`_control`."""
+    cache, so no memo — the cold hook.  Filled on first use by
+    :func:`_control`."""
     return {}
 
 
-def _control(controls, statements, variants, entry_point, mode, flags,
-             monkeypatch):
+def _control(controls, statements, variants, entry_point, mode, flags):
     key = (entry_point, mode, flags)
     if key not in controls:
-        with monkeypatch.context() as patch:
-            patch.setattr(manager_mod.BoundedMemo, "put",
-                          lambda self, key_, value: None)
-            controls[key], _ = _replay(statements, variants, entry_point,
-                                       mode, flags, cache_size=0)
+        controls[key], _ = _replay(statements, variants, entry_point,
+                                   mode, flags, cache_size=0)
     return controls[key]
 
 
@@ -298,10 +293,10 @@ def test_memos_change_no_verdict_stat_or_event(statements, variants,
                                                controls, monkeypatch,
                                                entry_point, mode, flags):
     control = _control(controls, statements, variants, entry_point, mode,
-                       flags, monkeypatch)
+                       flags)
     counts = _count_avoidable_work(monkeypatch)
-    # large enough that the last pass finds every entry of the second
-    memoised, (cold, l2_hot, shape_hot, l1_hot) = _replay(
+    # large enough that the last pass finds every entry of the first
+    memoised, (cold, shape_hot, l1_hot) = _replay(
         statements, variants, entry_point, mode, flags, cache_size=4096,
         counts=counts)
     for expected, actual in zip(control, memoised):
@@ -313,26 +308,25 @@ def test_memos_change_no_verdict_stat_or_event(statements, variants,
 
     # the passes were what they claim to be
     assert cold["from_structure"] > 0
-    assert l2_hot["from_structure"] == l1_hot["from_structure"] == 0
+    assert l1_hot["from_structure"] == 0
     assert l1_hot["receive"] < cold["receive"] // 2
-    assert l1_hot["receive"] < l2_hot["receive"]
-    assert shape_hot["from_structure"] == 0
     if entry_point != "execute_prepared":
         # (a zero-parameter handle per text has no other text to share
-        # with; literal texts do, and skip parser and full run alike)
+        # with; literal texts do, and skip parser, derivation and full
+        # run alike)
         assert l1_hot["parse"] == 0 < cold["parse"]
         assert shape_hot["parse"] < cold["parse"] // 2
-        assert shape_hot["receive"] < l2_hot["receive"]
+        assert shape_hot["from_structure"] < cold["from_structure"] // 2
+        assert shape_hot["receive"] < cold["receive"]
 
 
-def test_the_replay_blocks_and_passes(statements, variants, controls,
-                                      monkeypatch):
+def test_the_replay_blocks_and_passes(statements, variants, controls):
     """The corpus exercises both verdicts (else equality above is
     vacuous), and DETECTION blocks nothing."""
     prevention = _control(controls, statements, variants, "query",
-                          Mode.PREVENTION, "YY", monkeypatch)
+                          Mode.PREVENTION, "YY")
     detection = _control(controls, statements, variants, "query",
-                         Mode.DETECTION, "YY", monkeypatch)
+                         Mode.DETECTION, "YY")
     for _name, verdicts, stats, _events in prevention[1:]:
         assert verdicts.count("blocked") >= 15
         assert verdicts.count("ok") >= 60
@@ -381,8 +375,7 @@ def _cold_stack(database, sql, charset):
     return validate(statements[0], database.tables)
 
 
-def test_texts_that_share_an_entry_share_a_stack_shape(statements,
-                                                       monkeypatch):
+def test_texts_that_share_an_entry_share_a_stack_shape(statements):
     rng = random.Random(4099)
     texts = []
     for sql, charset in statements:
@@ -392,15 +385,12 @@ def test_texts_that_share_an_entry_share_a_stack_shape(statements,
             # is an injection under the other
             texts.append((mutated, "utf8"))
             texts.append((mutated, "gbk"))
-    with monkeypatch.context() as patch:
-        patch.setattr(manager_mod.BoundedMemo, "put",
-                      lambda self, key_, value: None)
-        control_db, trainer, _apps = _trained_stack(cache_size=0)
-        control = Septic(mode=Mode.PREVENTION, store=trainer.store)
-        control_db.septic = control
-        driver = _Local(control_db)
-        truth = [[driver.run(sql, charset) for sql, charset in texts]
-                 for _round in range(2)]
+    control_db, trainer, _apps = _trained_stack(cache_size=0)
+    control = Septic(mode=Mode.PREVENTION, store=trainer.store)
+    control_db.septic = control
+    driver = _Local(control_db)
+    truth = [[driver.run(sql, charset) for sql, charset in texts]
+             for _round in range(2)]
     database, trainer, _apps = _trained_stack(cache_size=1 << 16)
     septic = Septic(mode=Mode.PREVENTION, store=trainer.store)
     database.septic = septic
@@ -426,9 +416,7 @@ def test_texts_that_share_an_entry_share_a_stack_shape(statements,
             # a blocked text is still blocked when its shape holds a
             # benign verdict (a stored payload in a known INSERT or
             # UPDATE): its inputs do not pass, so it took the full run
-            context = QueryContext(text.decoded, None, entry.stack, [],
-                                   database, values=text.values, text=text)
-            held = septic_mod._remembered(context, entry.septic_memo)
+            held = entry.septic_memo.verdict
             if held is not None:
                 assert held.slots, sql
                 assert not septic_mod._inputs_pass(held, text.values), sql
@@ -445,14 +433,16 @@ def test_texts_that_share_an_entry_share_a_stack_shape(statements,
                 # the late-bound stack is the cold stack, item for item
                 assert QueryStructure.from_stack(
                     entry.stack, text.values).nodes == cold, sql
-            cold = structure_and_shape(cold)[1]
+            # one entry, one QM: what the entry's memo may keep
+            cold = QueryModel.from_structure(
+                QueryStructure.from_stack(cold)).canonical()
         groups.setdefault(id(entry), []).append((cold, sql))
     assert blocked_on_a_benign_shape > 5
     shared = [group for group in groups.values() if len(group) > 1]
     assert len(shared) > 30
     for group in shared:
-        shapes = {shape for shape, _sql in group}
-        assert len(shapes) == 1, [sql for _shape, sql in group][:3]
+        models = {model for model, _sql in group}
+        assert len(models) == 1, [sql for _model, sql in group][:3]
 
 
 # -- stored payloads through warm write shapes --------------------------------
@@ -614,14 +604,15 @@ def _replay_writes(entry_point, mode, flags, cache, tmp_path):
         driver.close()
 
 
-@pytest.mark.parametrize("flags", ["NY", "YY"])
+@pytest.mark.parametrize("flags", ["NN", "YN", "NY", "YY"])
 @pytest.mark.parametrize("mode", [Mode.PREVENTION, Mode.DETECTION])
 @pytest.mark.parametrize("entry_point", sorted(WRITE_ENTRY_POINTS))
 def test_stored_payloads_through_warm_write_shapes(entry_point, mode, flags,
                                                    tmp_path, monkeypatch):
     """A shape's benign verdict serves other benign values and no
-    payload: verdicts, counters and events with their sequence numbers
-    are the control's, and only the benign repeats skipped the run."""
+    payload the configuration looks for: verdicts, counters and events
+    with their sequence numbers are the control's, and only what the
+    full run would have passed skipped it."""
     counts = _count_avoidable_work(monkeypatch)
     control = _replay_writes(entry_point, mode, flags, False, tmp_path)
     control_runs = counts["receive"]
@@ -629,16 +620,19 @@ def test_stored_payloads_through_warm_write_shapes(entry_point, mode, flags,
     warm = _replay_writes(entry_point, mode, flags, True, tmp_path)
     assert warm == control
     verdicts, stats, _events = warm
-    payloads = len(_WRITES) * len(_PAYLOADS)
-    expected = "blocked" if mode == Mode.PREVENTION else "ok"
+    # the plugins only run under detect_stored: without it a payload is
+    # data like any other, and rides the shape's verdict
+    sent = len(_WRITES) * len(_PAYLOADS)
+    payloads = sent if flags[1] == "Y" else 0       # ... that are caught
+    expected = "blocked" if payloads and mode == Mode.PREVENTION else "ok"
     assert verdicts.count("blocked") == (
         payloads if mode == Mode.PREVENTION else 0)
     assert [verdict for (_template, values), verdict
             in zip(_write_script()[1], verdicts)
-            if set(values) & set(_PAYLOADS.values())] == [expected] * payloads
+            if set(values) & set(_PAYLOADS.values())] == [expected] * sent
     assert sum(stat["stored_detected"] for stat in stats) == payloads
-    # every payload took the full run; of the benign writes after the
-    # warm-up, none did where one node runs them all
+    # every detected payload took the full run; of the benign writes
+    # after the warm-up, none did where one node runs them all
     assert payloads <= counts["receive"] < control_runs
     if entry_point != "router":
         per_shape = 2 + 2 * len(_PAYLOADS)

@@ -24,8 +24,7 @@ import os
 import pytest
 from hypothesis import given, settings, strategies as st
 
-import repro.replica.router as replica_router_mod
-import repro.shard.router as shard_router_mod
+import repro.sqldb.cache as cache_mod
 import repro.sqldb.engine as engine_mod
 from repro.attacks import payloads
 from repro.benchlab.crashsweep import MarkerSeptic, generate_sharded_workload
@@ -99,8 +98,8 @@ def count_front_end_work(monkeypatch):
         real_init(self, *args, **kwargs)
 
     monkeypatch.setattr(parser_mod.Parser, "__init__", counting_init)
-    for module in (parser_mod, engine_mod, shard_router_mod,
-                   replica_router_mod):
+    # (every front end tokenizes inside ``PipelineCache.resolve``)
+    for module in (parser_mod, engine_mod, cache_mod):
         real = module.tokenize
 
         def counting_tokenize(sql, _real=real):
@@ -335,11 +334,11 @@ def reference(router, sql):
     """The same decision from an unslotted parse: literals in the tree,
     no cache — what the text-keyed router computed for every text."""
     try:
-        statements, _comments = parse_sql(sql)
+        statements, comments = parse_sql(sql)
         if len(statements) != 1:
             raise ExecutionError(
                 "the shard router takes one statement per call", errno=1235)
-        route = router.planner.route(statements[0], sql)
+        route = router.planner.route(statements[0], sql, comments=comments)
         assert route.key_slots == () and route.slots == ()
         return describe_route(router, route, ())
     except SQLError as exc:
@@ -524,6 +523,37 @@ def test_attacks_never_reuse_a_warm_keyed_route(tmp_path):
     assert warm.stats["route_shape_hits"] == before + 1
     warm.close()
     cold.close()
+
+
+def test_a_scattered_leg_keeps_its_call_site(tmp_path):
+    """Found by PR 18, open until 55a1d75: a scattered SELECT reached
+    its shards re-rendered without the statement's comments, so the
+    call site's external identifier was lost and a numeric tautology on
+    a non-key column was *learned* as an unknown query instead of
+    being compared with the call site's models."""
+    router, databases = _trained_fleet(tmp_path / "fleet")
+    site = "/* septic:report:1 */ SELECT owner FROM accounts WHERE amount = %s"
+    for septic in (database.septic for database in databases):
+        septic.mode = Mode.TRAINING
+    assert router.query(site % "5").ok           # amount is no shard key
+    for septic in (database.septic for database in databases):
+        septic.mode = Mode.PREVENTION
+    models = [len(database.septic.store) for database in databases]
+    scatters = router.stats["scatter"]
+    assert router.query(site % "6").ok
+    outcome = router.query(site % "0 OR 1=1")
+    assert outcome.error is not None and outcome.error.errno == 3090
+    assert router.stats["scatter"] == scatters + 1   # blocked mid-gather
+    assert [len(database.septic.store) for database in databases] == models
+    assert sum(database.septic.stats.unknown_queries
+               for database in databases) == 0
+    # every leg carried the identifier, line comments included
+    plan = router.planner.route(
+        parse_sql("SELECT owner FROM accounts")[0][0],
+        comments=["septic:x", "odd */ body"]).plan
+    assert plan_mod.render_tree(plan).count(
+        "/* septic:x */ -- odd */ body\nSELECT") == router.shard_count
+    router.close()
 
 
 # -- the partitioning function compares like the engine's `=` ------------------

@@ -795,14 +795,6 @@ def test_async_blocking_gate_catches_a_sleep(tmp_path):
     assert "open() inside coroutine handler" in problems[1]
 
 
-def test_netlab_never_reads_the_wall_clock():
-    """NetLab's pipelining model runs purely on the Simulator's virtual
-    clock — a wall-clock read would make its speedup load-dependent."""
-    path = os.path.join(SRC_ROOT, "repro", "benchlab", "netlab.py")
-    problems = _wall_clock_violations(path)
-    assert problems == [], "\n".join(problems)
-
-
 SHARD_ROOT = os.path.join(SRC_ROOT, "repro", "shard")
 
 #: modules/calls that implement (or smell like) hash partitioning —
@@ -999,6 +991,126 @@ def test_hook_shortcut_gate_catches_a_second_exit(tmp_path):
     problems = _hook_shortcut_violations(str(bad))
     assert len(problems) == 2
     assert ":7:" in problems[0] and ":9:" in problems[1]
+
+
+#: what may keep a mapping between two queries under ``repro/core``: the
+#: learned-model store (that is its job) and the event register
+_SEPTIC_STATE_OWNERS = frozenset(["QMStore", "SepticLogger"])
+_MAPPING_MAKERS = frozenset([
+    "dict", "OrderedDict", "defaultdict", "Counter", "ChainMap", "set",
+    "WeakValueDictionary", "WeakKeyDictionary"])
+_MEMOIZERS = frozenset(["lru_cache", "cache", "cached_property"])
+
+
+def _makes_a_mapping(value):
+    return isinstance(value, (ast.Dict, ast.DictComp, ast.Set, ast.SetComp)) \
+        or (isinstance(value, ast.Call)
+            and _call_name(value) in _MAPPING_MAKERS)
+
+
+def _septic_state_violations(paths):
+    """The only SEPTIC product that survives a query lives on the
+    pipeline-cache entry's ``SepticMemo``.  So under ``repro/core`` no
+    module-level name, class attribute or instance attribute is bound
+    to a mapping (or a set) — something a later query could look itself
+    up in — and nothing is wrapped in a memoizing decorator, except in
+    the model store and the event register.  Locals are a query's own."""
+    problems = []
+
+    def walk(node, owner, in_function, rel):
+        if isinstance(node, ast.ClassDef):
+            owner, in_function = node.name, False
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            for decorator in node.decorator_list:
+                target = decorator.func if isinstance(decorator, ast.Call) \
+                    else decorator
+                name = getattr(target, "id", getattr(target, "attr", None))
+                if name in _MEMOIZERS and owner not in _SEPTIC_STATE_OWNERS:
+                    problems.append(
+                        "%s:%d: @%s keeps results between queries"
+                        % (rel, node.lineno, name))
+            in_function = True
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)) \
+                and node.value is not None \
+                and owner not in _SEPTIC_STATE_OWNERS \
+                and _makes_a_mapping(node.value):
+            targets = node.targets if isinstance(node, ast.Assign) \
+                else [node.target]
+            for target in targets:
+                on_self = (isinstance(target, ast.Attribute)
+                           and getattr(target.value, "id", None)
+                           in ("self", "cls"))
+                if on_self or not in_function:
+                    problems.append(
+                        "%s:%d: %s holds a mapping that outlives a query — "
+                        "what SEPTIC remembers of a statement lives on its "
+                        "cache entry's SepticMemo"
+                        % (rel, node.lineno, ast.unparse(target)))
+        for child in ast.iter_child_nodes(node):
+            walk(child, owner, in_function, rel)
+
+    for path in paths:
+        with open(path) as handle:
+            tree = ast.parse(handle.read(), filename=path)
+        walk(tree, None, False, os.path.relpath(path, REPO_ROOT))
+    return problems
+
+
+def test_septic_keeps_nothing_between_queries_but_the_memo():
+    core = os.path.join(SRC_ROOT, "repro", "core")
+    problems = _septic_state_violations(list(_python_files(core)))
+    assert problems == [], "\n".join(problems)
+    # the exempt owners exist, and the memo is where the gate says
+    for module, owner in (("store.py", "QMStore"),
+                          ("logger.py", "SepticLogger")):
+        with open(os.path.join(core, module)) as handle:
+            assert "\nclass %s(" % owner in handle.read()
+    with open(os.path.join(SQLDB_ROOT, "cache.py")) as handle:
+        assert "\nclass SepticMemo(" in handle.read()
+    # ... and the hook still has its one early return, no more
+    path = os.path.join(core, "septic.py")
+    assert _hook_shortcut_violations(path) == []
+    with open(path) as handle:
+        hook = [node for node in ast.walk(ast.parse(handle.read()))
+                if isinstance(node, ast.FunctionDef)
+                and node.name == "process_query"]
+    assert len(hook) == 1
+    assert sum(isinstance(node, ast.Return)
+               for node in ast.walk(hook[0])) == 1
+
+
+def test_septic_state_gate_catches_a_second_memo(tmp_path):
+    bad = tmp_path / "septic.py"
+    bad.write_text(
+        "from functools import lru_cache\n"
+        "_EXTERNALS = {}\n"                                     # flagged
+        "class Septic(object):\n"
+        "    shapes = OrderedDict()\n"                          # flagged
+        "    def __init__(self):\n"
+        "        self._seen = {}\n"                             # flagged
+        "        self.stats = SepticStats()\n"
+        "    def process_query(self, context):\n"
+        "        key = tuple((item.kind, item.value)\n"
+        "                    for item in context.stack)\n"
+        "        if self._seen.get(key) is context.memo:\n"
+        "            return\n"
+        "        counts = {}\n"                                 # a local
+        "        self._seen[key] = context.memo\n"
+        "    @lru_cache(maxsize=4096)\n"                        # flagged
+        "    def _internal_id(self, canonical):\n"
+        "        return md5(canonical)\n"
+        "class QMStore(object):\n"
+        "    def __init__(self):\n"
+        "        self._models = {}\n"                           # its job
+    )
+    problems = _septic_state_violations([str(bad)])
+    assert len(problems) == 4, problems
+    assert ":2:" in problems[0] and "_EXTERNALS" in problems[0]
+    assert ":4:" in problems[1] and "shapes" in problems[1]
+    assert ":6:" in problems[2] and "self._seen" in problems[2]
+    assert ":16:" in problems[3] and "lru_cache" in problems[3]
+    # the planted memo is also a second way out of the hook
+    assert len(_hook_shortcut_violations(str(bad))) == 1
 
 
 #: where planner.py / plan.py may read ``.value`` off an AST node: the
@@ -1476,9 +1588,9 @@ _FIFO_RESOURCE = ("simulation.py", "FifoResource")
 def _fifo_arithmetic_violations(path):
     """Serial-server arithmetic — ``start = max(arrival, free_at)``
     followed by storing ``start + service`` into a ``busy...`` /
-    ``free_at`` slot — lives only in :class:`FifoResource`.  Three
-    private copies of it (netlab's server, the failover DES's dict, the
-    scale-out DES's list) were one concept."""
+    ``free_at`` slot — lives only in :class:`FifoResource`.  Private
+    copies of it (the failover DES's dict, the scale-out DES's list)
+    were one concept."""
     with open(path) as handle:
         tree = ast.parse(handle.read(), filename=path)
     rel = os.path.relpath(path, REPO_ROOT)
@@ -1513,13 +1625,12 @@ def test_fifo_arithmetic_lives_in_the_shared_resource():
     # the exempt class exists and is what the experiments use
     with open(os.path.join(BENCHLAB_ROOT, _FIFO_RESOURCE[0])) as handle:
         assert "\nclass %s(" % _FIFO_RESOURCE[1] in handle.read()
-    for user in ("netlab.py", "harness.py"):
-        with open(os.path.join(BENCHLAB_ROOT, user)) as handle:
-            assert "FifoResource()" in handle.read(), user
+    with open(os.path.join(BENCHLAB_ROOT, "harness.py")) as handle:
+        assert "FifoResource()" in handle.read()
 
 
 def test_fifo_gate_catches_a_private_server(tmp_path):
-    bad = tmp_path / "netlab.py"
+    bad = tmp_path / "harness.py"
     bad.write_text(
         "class _SharedServer:\n"
         "    def serve(self, arrival, count):\n"
@@ -1693,34 +1804,28 @@ def test_commit_grouping_gate_catches_a_fifth_grouper(tmp_path):
 REPLICA_ROOT = os.path.join(SRC_ROOT, "repro", "replica")
 
 
-def _probe_results(func):
-    """Names *func* binds to the result of a cache probe (a call to a
-    ``probe*`` method), alone or by tuple unpacking."""
-    names = set()
-    for node in ast.walk(func):
-        if (isinstance(node, ast.Assign) and isinstance(node.value, ast.Call)
-                and getattr(node.value.func, "attr", "").startswith("probe")):
-            for target in node.targets:
-                names.update(leaf.id for leaf in ast.walk(target)
-                             if isinstance(leaf, ast.Name))
-    return names
+def _is_resolve_call(node):
+    return (isinstance(node, ast.Call)
+            and getattr(node.func, "attr", None) == "resolve")
 
 
 def _route_parse_violations(paths):
     """The fleet routes by statement shape: in the packages in front of
     the engines (``shard/``, ``replica/``) a text is parsed only when
-    the route cache has neither the text nor its shape.  So, over one
+    the route cache has neither the text nor its shape — a decision
+    :meth:`repro.sqldb.cache.PipelineCache.resolve` owns.  So, over one
     package's files: ``parse_sql`` is called from one function at most;
-    every call sits in the body of an ``if <probe result> is None:``
-    of its own function and in the ``else`` of none; and no module keeps
-    an ``OrderedDict`` LRU of its own beside the shared
-    :class:`repro.sqldb.cache.PipelineCache`."""
+    that function is the builder handed to a ``.resolve(...)`` call and
+    is referred to nowhere else (nobody calls it past the cache); and
+    no module keeps an ``OrderedDict`` LRU of its own beside the shared
+    cache."""
     problems = []
-    callers = []
+    trees = []
     for path in paths:
         with open(path) as handle:
             tree = ast.parse(handle.read(), filename=path)
         rel = os.path.relpath(path, REPO_ROOT)
+        trees.append((rel, tree))
         for node in ast.walk(tree):
             if getattr(node, "id", getattr(node, "attr", None)) \
                     == "OrderedDict" or (
@@ -1729,37 +1834,46 @@ def _route_parse_violations(paths):
                 problems.append("%s:%d: an OrderedDict of its own — routes "
                                 "are cached in the shared PipelineCache"
                                 % (rel, getattr(node, "lineno", 0)))
+    handed = set()      # ids of the nodes handed to a resolve call
+    builders = set()    # ... and their names
+    for _rel, tree in trees:
+        for node in ast.walk(tree):
+            if _is_resolve_call(node):
+                for arg in node.args + [kw.value for kw in node.keywords]:
+                    name = getattr(arg, "id", getattr(arg, "attr", None))
+                    if name is not None:
+                        handed.add(id(arg))
+                        builders.add(name)
+    callers = []
+    for rel, tree in trees:
         for func in ast.walk(tree):
             if not isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 continue
-            probed = _probe_results(func)
-            guarded, hit_side = set(), set()
-            for node in ast.walk(func):
-                test = getattr(node, "test", None)
-                if (isinstance(node, ast.If) and isinstance(test, ast.Compare)
-                        and isinstance(test.left, ast.Name)
-                        and test.left.id in probed
-                        and len(test.ops) == 1
-                        and isinstance(test.ops[0], ast.Is)
-                        and getattr(test.comparators[0], "value", 0) is None):
-                    for stmt in node.body:
-                        guarded.update(id(sub) for sub in ast.walk(stmt))
-                    for stmt in node.orelse:
-                        hit_side.update(id(sub) for sub in ast.walk(stmt))
             calls = [node for node in ast.walk(func)
                      if isinstance(node, ast.Call)
                      and _call_name(node) == "parse_sql"]
-            if calls:
-                callers.append("%s:%s()" % (rel, func.name))
-            for call in calls:
-                if id(call) not in guarded - hit_side:
-                    problems.append(
-                        "%s:%d: %s() parses without a cache miss — "
-                        "parse_sql belongs under `if <probe result> is "
-                        "None:`" % (rel, call.lineno, func.name))
+            if not calls:
+                continue
+            callers.append((rel, func.name))
+            if func.name not in builders:
+                problems.append(
+                    "%s:%d: %s() parses without a cache miss — parse_sql "
+                    "belongs in the builder handed to PipelineCache."
+                    "resolve" % (rel, calls[0].lineno, func.name))
+    parsing = {name for _rel, name in callers} & builders
+    for rel, tree in trees:
+        for node in ast.walk(tree):
+            if getattr(node, "id", getattr(node, "attr", None)) in parsing \
+                    and id(node) not in handed:
+                problems.append(
+                    "%s:%d: %s() is used past the route cache — only "
+                    "resolve() may call the builder"
+                    % (rel, node.lineno,
+                       getattr(node, "id", getattr(node, "attr", None))))
     if len(callers) > 1:
         problems.append("parse_sql is called from %d functions (%s) — one "
-                        "per package" % (len(callers), ", ".join(callers)))
+                        "per package" % (len(callers), ", ".join(
+                            "%s:%s()" % caller for caller in callers)))
     return problems
 
 
@@ -1767,6 +1881,9 @@ def test_fleet_parses_only_on_a_route_cache_miss():
     for root in (SHARD_ROOT, REPLICA_ROOT):
         problems = _route_parse_violations(list(_python_files(root)))
         assert problems == [], "\n".join(problems)
+        # and the gate is looking at a package that does route by shape
+        assert any(".resolve(" in open(path).read()
+                   for path in _python_files(root)), root
 
 
 def test_route_parse_gate_catches_an_unconditional_parse(tmp_path):
@@ -1779,21 +1896,18 @@ def test_route_parse_gate_catches_an_unconditional_parse(tmp_path):
         "        return all(isinstance(s, READS) for s in statements)\n"
         "class ShardRouter(object):\n"
         "    def _route(self, sql):\n"
-        "        bound = self._routes.probe(None, sql, self.epoch)\n"
-        "        if bound is None:\n"
-        "            wild, route, values = self._routes.probe_shape(\n"
-        "                None, tokenize(sql), self.epoch)\n"
-        "            if route is None:\n"
-        "                route = self.plan(parse_sql(sql))\n"   # the way
-        "            else:\n"
-        "                check(parse_sql(sql), route)\n"        # flagged
-        "        return bound\n"
+        "        return self._routes.resolve(None, sql, self.epoch,\n"
+        "                                    self._plan)\n"      # the way
+        "    def _plan(self, sql, lexed, slots):\n"
+        "        return self.plan(parse_sql(sql, lexed, slots=slots))\n"
+        "    def _check(self, sql, route):\n"
+        "        return self._plan(sql, tokenize(sql), False)\n"  # flagged
     )
     problems = _route_parse_violations([str(bad)])
     assert len(problems) == 4
     assert ":1:" in problems[0] and "OrderedDict" in problems[0]
     assert ":4:" in problems[1] and "_is_read()" in problems[1]
-    assert ":15:" in problems[2] and "_route()" in problems[2]
+    assert ":13:" in problems[2] and "_plan()" in problems[2]
     assert "2 functions" in problems[3]
 
 

@@ -267,13 +267,17 @@ def test_raw_exception_under_query_is_transient_2013(facade, monkeypatch):
 def test_armed_route_cache_fault_never_reaches_the_application(facade):
     """Defect (i): the routers' route caches are ``PipelineCache``s and
     share its ``cache.lookup`` fault site; at a73f262 an armed fault
-    there left ``query`` as a raw ``InjectedFault``."""
+    there left ``query`` as a raw ``InjectedFault``, and until 55a1d75
+    as a captured 2013.  ``PipelineCache.resolve`` now contains it for
+    every front end the way the engine always did: a probe that raises
+    is a miss, the statement is parsed and served, no budget is spent."""
     plan = FaultPlan()
     plan.inject("cache.lookup", FaultKind.RAISE)
     with faults.armed(plan):
         outcome = facade.client.query(READ)
-    assert outcome.error.errno == 2013 and outcome.error.transient
-    assert "InjectedFault" in str(outcome.error)
+    assert plan.hits_by_site["cache.lookup"] >= 2   # router's and engine's
+    assert outcome.ok and outcome.rows == [("one",)]
+    assert facade.count("retries") == 0
     assert facade.client.query_or_raise(READ).rows == [("one",)]
 
 
@@ -357,3 +361,25 @@ def test_abandoned_begin_then_close_lets_checkpoint_run(facade):
     assert facade.closed()
     if not isinstance(client, ShardRouter):  # its close() stops the fleet
         assert facade.primaries[0].checkpoint() is not None
+
+
+@pytest.mark.parametrize("facade", ["connection", "wire"], indirect=True)
+def test_close_never_raises_when_a_crash_abandoned_the_log(facade):
+    """Recorded as "left as it was" by PR 19: at 55a1d75 ``close()`` on
+    a session with an open transaction raised ``WalError`` (1030, "WAL
+    is closed") once a crash had abandoned its database's log — so
+    ``with Connection(...)`` masked the caller's own error, and the
+    wire server's teardown hop failed with the session still open.  The
+    versions are undone in memory; a log that is gone takes no marker,
+    and recovery discards the unfinished transaction anyway."""
+    client, database = facade.client, facade.engines[0]
+    with pytest.raises(KeyError, match="the caller's own"):
+        with client:
+            client.query_or_raise("BEGIN")
+            client.query_or_raise("INSERT INTO t VALUES (3, 'three')")
+            database.wal.abandon()      # what a crash leaves behind
+            raise KeyError("the caller's own")
+    facade.settle()
+    assert facade.closed()
+    assert sorted(row["id"] for row in database.table("t").rows) == [1, 2]
+    client.close()  # idempotent
