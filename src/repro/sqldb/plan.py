@@ -1135,12 +1135,13 @@ class UpdateSink(_TargetSink):
     """UPDATE execution over the targets :class:`_TargetSink` selects."""
 
     kind = "update_sink"
-    __slots__ = ("assignments",)
+    __slots__ = ("assignments", "assigned")
 
     def __init__(self, child, stmt, alias):
         _TargetSink.__init__(self, child, stmt, alias)
         self.assignments = [(col, compile_expr(expr))
                             for col, expr in stmt.assignments]
+        self.assigned = frozenset(col.lower() for col, _ in stmt.assignments)
 
     def label(self):
         return "UpdateSink(%s)" % self.alias
@@ -1153,12 +1154,14 @@ class UpdateSink(_TargetSink):
         table = ctx.database.table(self.stmt.table)
         targets = self._targets(state)
         txn = ctx.write_txn
-        # First-writer-wins pass over every target before the first
-        # mutation: a conflict aborts the statement with zero rows
-        # changed, so the transient-retry path never double-applies.
+        # Every check runs over every target before the first mutation:
+        # a write conflict or a duplicate key aborts the statement with
+        # zero rows changed, so the transient-retry path never
+        # double-applies and a failed statement has no partial effects
+        # for its replay to reproduce.
         for stored, _ in targets:
             table.check_write(stored, txn)
-        changed = 0
+        changes = []
         for stored, env in targets:
             updates = {}
             for col, expr in self.assignments:
@@ -1171,12 +1174,14 @@ class UpdateSink(_TargetSink):
             delta = {k: v for k, v in updates.items()
                      if stored.get(k) != v}
             if delta:
-                table.update_row(stored, delta, txn=txn)
-                changed += 1
-        rec["rows_out"] = changed
+                changes.append((stored, delta))
+        table.check_unique_update(self.assigned, changes, txn)
+        for stored, delta in changes:
+            table.update_row(stored, delta, txn=txn)
+        rec["rows_out"] = len(changes)
         rec["close_tick"] = state.stats.tick()
         return ExecutionResult(
-            affected_rows=changed, sleep_seconds=ctx.sleep_seconds
+            affected_rows=len(changes), sleep_seconds=ctx.sleep_seconds
         )
 
 

@@ -312,6 +312,15 @@ def _implicit_default(col):
     return 0
 
 
+def _duplicate_entry(value, column_name):
+    """MySQL's errno 1062 for *value* already held in a PK/UNIQUE
+    column."""
+    return ExecutionError(
+        "Duplicate entry '%s' for key '%s'" % (value, column_name),
+        errno=1062,
+    )
+
+
 def _absent_value(col):
     """What a row stores in *col* when nothing supplied a value: the
     declared DEFAULT, else the implicit default of a NOT NULL column,
@@ -811,12 +820,16 @@ class Table(object):
     # -- durability (checkpoint snapshots) --------------------------------
 
     def to_dict(self):
-        """JSON-serializable full state (the checkpoint unit): plain
-        column dicts, the same bytes whatever store holds the rows."""
+        """JSON-serializable full state (the checkpoint unit).  A row is
+        the array of its values in the order of ``columns`` — the names
+        are written once per table, not once per row — and the same
+        whatever store holds the rows."""
+        names = self.column_names()
         return {
             "name": self.name,
             "columns": [col.to_dict() for col in self.columns],
-            "rows": [dict(row) for row in self.store.rows()],
+            "rows": [[row.get(name) for name in names]
+                     for row in self.store.rows()],
             "auto_counter": self._auto_counter,
             "indexes": dict(self.indexes),
         }
@@ -835,13 +848,27 @@ class Table(object):
         return table
 
     def load_rows(self, rows):
-        """Replace the content with the plain column dicts *rows*, under
-        fresh rowids (checkpoint load, page-corruption rebuild)."""
+        """Replace the content with *rows*, under fresh rowids
+        (checkpoint load, page-corruption rebuild).  A row is a value
+        array in the order of ``columns``, as :meth:`to_dict` writes it,
+        or a column dict, as checkpoints written before the array layout
+        hold it.  Every row is read before the old content goes, so a
+        row that does not fit the schema leaves the table as it was."""
+        names = self.column_names()
+        images = []
+        for values in rows:
+            if isinstance(values, dict):
+                images.append(Row(values))
+            elif len(values) == len(names):
+                images.append(Row(zip(names, values)))
+            else:
+                raise ValueError("a row of table '%s' holds %d values for "
+                                 "%d columns" % (self.name, len(values),
+                                                 len(names)))
         self._meta = {}
         self._tombstones = []
         self.store.clear()
-        for columns in rows:
-            row = Row(columns)
+        for row in images:
             row.rowid = self.store.new_rowid()
             self.store.append(row)
         self.touch()
@@ -992,15 +1019,16 @@ class Table(object):
                 if row.get(col.name) == value:
                     yield col, value, row
 
-    def _check_unique(self, new_row, txn):
-        """PK/UNIQUE enforcement for an image about to be inserted.  A
-        key stays taken while another transaction's delete of it is
+    def _check_unique(self, values, txn, vacated=frozenset()):
+        """PK/UNIQUE enforcement for the storage-form *values* about to
+        be stored: an inserted image, or the keys an UPDATE changes.
+        *vacated* names, as ``(column, rowid)``, the current rows whose
+        value in that column the same statement has already replaced.
+        A key stays taken while another transaction's delete of it is
         pending: its ROLLBACK re-admits the row."""
-        for col, value, _ in self._unique_matches(new_row):
-            raise ExecutionError(
-                "Duplicate entry '%s' for key '%s'" % (value, col.name),
-                errno=1062,
-            )
+        for col, value, row in self._unique_matches(values):
+            if (col.name, row.rowid) not in vacated:
+                raise _duplicate_entry(value, col.name)
         for tomb in self._tombstones:
             if tomb.owner is None or tomb.owner is txn:
                 continue
@@ -1008,12 +1036,40 @@ class Table(object):
             if hidden is None:
                 continue
             for col in self._unique_columns():
-                value = new_row.get(col.name)
+                value = values.get(col.name)
                 if value is not None and hidden.row.get(col.name) == value:
-                    raise ExecutionError(
-                        "Duplicate entry '%s' for key '%s'"
-                        % (value, col.name), errno=1062,
-                    )
+                    raise _duplicate_entry(value, col.name)
+
+    def check_unique_update(self, columns, changes, txn):
+        """PK/UNIQUE enforcement for one UPDATE whose SET list names
+        *columns*, run before its first mutation.  *changes* holds
+        ``(stored row, changed values)`` per target, in the order the
+        statement applies them.  As in InnoDB, each new image is checked
+        against the latest state with the earlier targets' new images in
+        place: a key an earlier target left is free, one it took is
+        taken — so ``SET id = id + 1`` over ascending ids collides where
+        ``ORDER BY id DESC`` does not.  Costs nothing when *columns*
+        names no PK/UNIQUE column."""
+        keyed = [col.name for col in self._unique_columns()
+                 if col.name in columns]
+        if not keyed:
+            return
+        vacated = set()     # (column, rowid) whose old key is gone
+        claimed = set()     # (column, value) an earlier target now holds
+        for stored, delta in changes:
+            values = {}
+            for name in keyed:
+                if name in delta:
+                    vacated.add((name, stored.rowid))
+                    if delta[name] is not None:
+                        values[name] = delta[name]
+            if not values:
+                continue
+            for name, value in values.items():
+                if (name, value) in claimed:
+                    raise _duplicate_entry(value, name)
+            self._check_unique(values, txn, vacated)
+            claimed.update(values.items())
 
     def unique_conflicts(self, values):
         """Current rows that collide with *values* on any PK/UNIQUE

@@ -29,7 +29,17 @@ durability is the *logical statement*, re-executed deterministically):
   being guessed around;
 * a **checkpoint** is a full catalog+rows snapshot written atomically
   (tmp file + ``os.replace`` + fsync), after which the log is rotated
-  (truncated); records at or below the checkpoint LSN are dead.
+  (truncated); records at or below the checkpoint LSN are dead.  The
+  image is encoded once, compactly, and framed like a log record::
+
+      image := magic | u32 length | u32 crc32(packed) | packed
+      packed := zlib(JSON body, compact separators, sorted keys)
+
+  The CRC covers the compressed bytes exactly as they sit on disk, so
+  loading checks length and CRC before it decompresses anything and
+  never re-encodes the body.  A file that starts with ``{`` is the
+  JSON-text layout earlier versions wrote (``{"crc", "body"}``, single
+  line or indented) and still loads.
 
 Hot-path contract: when no database has a WAL attached, the only cost
 production code pays is ``if wal.ATTACHED:`` — one module-attribute
@@ -59,6 +69,14 @@ _HEADER = struct.Struct("<II")
 #: sanity bound on one record (a length field larger than this is framing
 #: damage, not a real record)
 MAX_RECORD_BYTES = 16 * 1024 * 1024
+
+#: first bytes of a checkpoint image (none of them a ``{``, which marks
+#: the JSON-text layout of earlier versions)
+_IMAGE_MAGIC = b"\x89CKPT\r\n"
+
+#: zlib level of the checkpoint image: the fastest one — the image is
+#: rewritten whole at every checkpoint, on the writer's clock
+_IMAGE_LEVEL = 1
 
 #: default file names inside a data directory
 LOG_NAME = "wal.log"
@@ -484,8 +502,9 @@ class WriteAheadLog(object):
         """Durably write *state* as the checkpoint, then rotate the log.
 
         *state* must be a JSON-serializable dict; this method stamps it
-        with the current LSN frontier and a CRC32 over the canonical
-        body.  The sequence is crash-safe at every step:
+        with the current LSN frontier and writes it as one framed,
+        compressed image (module docstring).  The sequence is crash-safe
+        at every step:
 
         1. the new checkpoint lands in a tmp file and replaces the old
            one atomically (a kill mid-write leaves the old one valid);
@@ -502,13 +521,16 @@ class WriteAheadLog(object):
             lsn = self.next_lsn - 1
             body = dict(state)
             body["lsn"] = lsn
-            # encoded once: the blob the CRC covers is the blob on disk
-            blob = json.dumps(body, sort_keys=True)
+            # encoded once: the bytes the CRC covers are the bytes on disk
+            packed = zlib.compress(
+                json.dumps(body, sort_keys=True,
+                           separators=(",", ":")).encode("utf-8"),
+                _IMAGE_LEVEL)
             target = checkpoint_path(self.data_dir)
             tmp = target + ".tmp"
-            with open(tmp, "w") as handle:
-                handle.write('{"crc": %d, "body": %s}' % (
-                    zlib.crc32(blob.encode("utf-8")) & 0xFFFFFFFF, blob))
+            with open(tmp, "wb") as handle:
+                handle.write(_IMAGE_MAGIC + _HEADER.pack(
+                    len(packed), zlib.crc32(packed) & 0xFFFFFFFF) + packed)
                 handle.flush()
                 if self.sync_mode != "off":
                     os.fsync(handle.fileno())
@@ -565,23 +587,55 @@ class WriteAheadLog(object):
 def load_checkpoint(data_dir):
     """The checkpoint body for *data_dir*, or ``None`` when absent.
 
-    A checkpoint whose CRC does not match is worse than none — the full
-    catalog snapshot cannot be trusted — so it raises
-    :class:`WalCorruptionError` instead of being silently skipped.
+    A checkpoint that is cut short, fails its CRC or does not decode is
+    worse than none — the full catalog snapshot cannot be trusted — so
+    it raises :class:`WalCorruptionError` instead of being silently
+    skipped.  Length and CRC are checked on the bytes as read, before
+    anything is decompressed.
     """
     path = checkpoint_path(data_dir)
     if not os.path.exists(path):
         return None
-    with open(path) as handle:
-        try:
-            document = json.load(handle)
-        except ValueError as exc:
-            raise WalCorruptionError(
-                "checkpoint file %r is not valid JSON: %s" % (path, exc)
-            )
+    with open(path, "rb") as handle:
+        data = handle.read()
+    if data.startswith(b"{"):
+        return _load_text_checkpoint(path, data)
+    start = len(_IMAGE_MAGIC) + _HEADER.size
+    if len(data) < start or not data.startswith(_IMAGE_MAGIC):
+        raise WalCorruptionError(
+            "checkpoint file %r has an unexpected layout" % path
+        )
+    length, crc = _HEADER.unpack_from(data, len(_IMAGE_MAGIC))
+    packed = data[start:]
+    if length != len(packed):
+        raise WalCorruptionError(
+            "checkpoint file %r holds %d image bytes, its header says %d"
+            % (path, len(packed), length)
+        )
+    if (zlib.crc32(packed) & 0xFFFFFFFF) != crc:
+        raise WalCorruptionError(
+            "checkpoint file %r fails its checksum" % path
+        )
     try:
+        return json.loads(zlib.decompress(packed).decode("utf-8"))
+    except (zlib.error, ValueError) as exc:
+        raise WalCorruptionError(
+            "checkpoint file %r does not decode: %s" % (path, exc)
+        )
+
+
+def _load_text_checkpoint(path, data):
+    """The body of a checkpoint in the JSON-text layout earlier versions
+    wrote: ``{"crc": …, "body": …}``, the CRC over the body re-encoded
+    with sorted keys (which is why this layout pays a second encode)."""
+    try:
+        document = json.loads(data.decode("utf-8"))
         body = document["body"]
         crc = document["crc"]
+    except ValueError as exc:
+        raise WalCorruptionError(
+            "checkpoint file %r is not valid JSON: %s" % (path, exc)
+        )
     except (KeyError, TypeError):
         raise WalCorruptionError(
             "checkpoint file %r has an unexpected layout" % path

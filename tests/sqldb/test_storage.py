@@ -74,8 +74,9 @@ class TestTable(object):
         row = table.rows[0]
         assert row.rowid == 1
         assert sorted(row) == ["id", "name", "score", "tag"]
-        assert table.to_dict()["rows"] == [dict(row)]
-        assert type(table.to_dict()["rows"][0]) is dict
+        # the checkpoint form is the values in column order, nothing more
+        assert table.to_dict()["rows"] == [[1, "a", 1.5, None]]
+        assert type(table.to_dict()["rows"][0]) is list
 
     def test_update_and_delete_name_rows_by_rowid(self, table):
         table.insert({"name": "a"})

@@ -1,0 +1,106 @@
+"""UPDATE keeps PRIMARY KEY and UNIQUE, as InnoDB does: row by row in
+target order, each new image checked against the latest state with the
+earlier targets' new images in place.  A statement that fails changes
+zero rows, is logged ``failed`` and fails again on replay.  Every case
+runs on both row stores (see ``conftest.backend``).
+"""
+
+import pytest
+
+from repro.benchlab.crashsweep import state_digest, verify_index_consistency
+from repro.sqldb import wal
+from repro.sqldb.connection import Connection
+
+SCHEMA = ("CREATE TABLE t (id INT PRIMARY KEY, u VARCHAR(5) UNIQUE, v INT);"
+          "INSERT INTO t VALUES (1, 'a', 10), (2, 'b', 20), (3, 'c', 30)")
+
+ORIGINAL = [(1, "a", 10), (2, "b", 20), (3, "c", 30)]
+
+
+def _rows(conn):
+    return conn.query_or_raise("SELECT id, u, v FROM t ORDER BY id").rows
+
+
+class TestUpdateUniqueness(object):
+    storage = "memory"
+
+    @pytest.fixture
+    def conn(self, backend):
+        database = backend.recover()
+        database.seed(SCHEMA)
+        return Connection(database)
+
+    @pytest.mark.parametrize("sql", [
+        "UPDATE t SET id = 2 WHERE id = 1",
+        "UPDATE t SET u = 'c' WHERE id = 2",
+        # ascending: the first target's new key is the second's old one
+        "UPDATE t SET id = id + 1",
+        # two targets claim one new key
+        "UPDATE t SET u = 'z'",
+        "UPDATE t SET id = 3, v = 0 WHERE id < 3",
+    ])
+    def test_a_duplicate_key_fails_and_changes_nothing(self, conn, sql):
+        outcome = conn.query(sql)
+        assert outcome.error is not None and outcome.error.errno == 1062
+        assert _rows(conn) == ORIGINAL
+        assert verify_index_consistency(conn.database) == []
+
+    @pytest.mark.parametrize("sql, expected", [
+        # descending: each key is freed before the next target takes it
+        ("UPDATE t SET id = id + 1 ORDER BY id DESC",
+         [(2, "a", 10), (3, "b", 20), (4, "c", 30)]),
+        ("UPDATE t SET u = NULL",
+         [(1, None, 10), (2, None, 20), (3, None, 30)]),
+        ("UPDATE t SET u = 'a' WHERE id = 1", ORIGINAL),
+        ("UPDATE t SET v = 0 WHERE id < 3",
+         [(1, "a", 0), (2, "b", 0), (3, "c", 30)]),
+    ])
+    def test_an_update_that_keeps_keys_distinct_succeeds(self, conn, sql,
+                                                         expected):
+        conn.query_or_raise(sql)
+        assert _rows(conn) == expected
+        assert verify_index_consistency(conn.database) == []
+
+    def test_a_key_an_earlier_target_vacated_is_free(self, conn):
+        conn.query_or_raise("DELETE FROM t WHERE id = 1")
+        conn.query_or_raise("UPDATE t SET id = id - 1, u = NULL "
+                            "WHERE id > 1 ORDER BY id")
+        conn.query_or_raise("UPDATE t SET u = 'c' WHERE id = 1")
+        assert _rows(conn) == [(1, "c", 20), (2, None, 30)]
+        assert verify_index_consistency(conn.database) == []
+
+    def test_inside_a_transaction_only_the_statement_fails(self, conn):
+        conn.query_or_raise("BEGIN")
+        conn.query_or_raise("UPDATE t SET v = 99 WHERE id = 3")
+        assert conn.query("UPDATE t SET id = id + 1").error.errno == 1062
+        conn.query_or_raise("COMMIT")
+        assert _rows(conn) == ORIGINAL[:2] + [(3, "c", 99)]
+
+    def test_a_failed_update_is_logged_failed_and_replays(self, backend):
+        database = backend.recover()
+        database.seed(SCHEMA)
+        conn = Connection(database)
+        assert conn.query("UPDATE t SET id = id + 1").error.errno == 1062
+        conn.query_or_raise("UPDATE t SET v = v + 1 WHERE id = 1")
+        records = wal.scan_log(wal.log_path(database.data_dir)).records
+        failed = [record.sql for record in records if record.failed]
+        assert len(failed) == 1 and failed[0].startswith("UPDATE")
+        live = state_digest(database)
+        database.close()
+        recovered = backend.recover()
+        assert state_digest(recovered) == live
+        assert _rows(Connection(recovered)) == [(1, "a", 11)] + ORIGINAL[1:]
+
+    def test_a_set_list_without_keys_never_probes(self, conn, monkeypatch):
+        table = conn.database.table("t")
+
+        def refuse(values):
+            raise AssertionError("probed %r" % (values,))
+
+        monkeypatch.setattr(table, "_unique_matches", refuse)
+        conn.query_or_raise("UPDATE t SET v = v + 1")
+        assert [row[2] for row in _rows(conn)] == [11, 21, 31]
+
+
+class TestUpdateUniquenessPaged(TestUpdateUniqueness):
+    storage = "paged"

@@ -7,14 +7,17 @@ atomic at every step, and the hot path pays exactly one module-attribute
 read when no WAL is attached.
 """
 
+import copy
 import json
 import os
+import struct
 import threading
 import zlib
 
 import pytest
 
 from repro import faults
+from repro.benchlab.crashsweep import state_digest
 from repro.sqldb import wal
 from repro.sqldb.connection import Connection
 from repro.sqldb.engine import Database
@@ -201,11 +204,15 @@ class TestCheckpoint(object):
         log = wal.WriteAheadLog(str(tmp_path))
         log.write_checkpoint({"tables": []})
         log.close()
-        path = wal.checkpoint_path(str(tmp_path))
-        with open(path) as handle:  # test-only: forging bit rot
-            text = handle.read()
-        with open(path, "w") as handle:
-            handle.write(text.replace('"lsn"', '"lsm"'))
+        data = _read_image(tmp_path)
+        # test-only: forging bit rot in the compressed bytes
+        _write_image(tmp_path, data[:-3] + bytes([data[-3] ^ 0x04])
+                     + data[-2:])
+        with pytest.raises(WalCorruptionError):
+            wal.load_checkpoint(str(tmp_path))
+        # and in a checkpoint of the JSON-text layout
+        body = json.loads(zlib.decompress(_unframe(data)[2]))
+        _write_image(tmp_path, _text_layout(body).replace(b'"lsn"', b'"lsm"'))
         with pytest.raises(WalCorruptionError):
             wal.load_checkpoint(str(tmp_path))
 
@@ -213,16 +220,18 @@ class TestCheckpoint(object):
         assert wal.load_checkpoint(str(tmp_path)) is None
 
     def test_image_is_the_checksummed_blob(self, tmp_path):
-        """One encode: the bytes the CRC covers are the bytes on disk."""
+        """One encode: the CRC covers the compressed bytes exactly as
+        they sit on disk, and they inflate to the compact body."""
         log = wal.WriteAheadLog(str(tmp_path))
         log.write_checkpoint({"tables": [{"name": "t", "rows": [[1, "é"]]}]})
         log.close()
-        with open(wal.checkpoint_path(str(tmp_path))) as handle:
-            text = handle.read()
+        length, crc, packed = _unframe(_read_image(tmp_path))
+        assert length == len(packed)
+        assert crc == zlib.crc32(packed) & 0xFFFFFFFF
         body = wal.load_checkpoint(str(tmp_path))
-        blob = json.dumps(body, sort_keys=True)
-        assert text == '{"crc": %d, "body": %s}' % (
-            zlib.crc32(blob.encode("utf-8")) & 0xFFFFFFFF, blob)
+        assert zlib.decompress(packed) == json.dumps(
+            body, sort_keys=True, separators=(",", ":")).encode("utf-8")
+        assert body["tables"][0]["rows"] == [[1, "é"]]
 
     def test_indented_checkpoint_of_the_parent_commit_recovers(self,
                                                                tmp_path):
@@ -235,12 +244,8 @@ class TestCheckpoint(object):
         database.checkpoint()
         conn.query("INSERT INTO t VALUES (3, 'three')")
         database.close()
-        # test-only: the layout write_checkpoint had until this change
-        body = wal.load_checkpoint(data_dir)
-        blob = json.dumps(body, sort_keys=True)
-        with open(wal.checkpoint_path(data_dir), "w") as handle:
-            json.dump({"crc": zlib.crc32(blob.encode("utf-8")) & 0xFFFFFFFF,
-                       "body": body}, handle, indent=1, sort_keys=True)
+        body = _as_column_dicts(wal.load_checkpoint(data_dir))
+        _write_image(tmp_path, _text_layout(body, indent=1))
         assert wal.load_checkpoint(data_dir) == body
         recovered = Database.recover(data_dir)
         rows = Connection(recovered).query("SELECT id, v FROM t ORDER BY id")
@@ -255,14 +260,148 @@ class TestCheckpoint(object):
         log.write_checkpoint({"tables": [{"name": "t", "rows": [[1, "x"]]}],
                               "schema_version": 2})
         log.close()
-        path = wal.checkpoint_path(str(tmp_path))
-        with open(path) as handle:
-            text = handle.read()
-        for cut in range(len(text)):
-            with open(path, "w") as handle:
-                handle.write(text[:cut])
+        data = _read_image(tmp_path)
+        for cut in range(len(data)):
+            _write_image(tmp_path, data[:cut])
             with pytest.raises(WalCorruptionError):
                 wal.load_checkpoint(str(tmp_path))
+
+
+# -- test-only access to the image bytes (forging damage and the layouts
+#    earlier versions wrote)
+
+def _read_image(data_dir):
+    with open(wal.checkpoint_path(str(data_dir)), "rb") as handle:
+        return handle.read()
+
+
+def _write_image(data_dir, data):
+    with open(wal.checkpoint_path(str(data_dir)), "wb") as handle:
+        handle.write(data)
+
+
+def _unframe(data):
+    """``(length, crc, packed)`` of an image: magic, u32, u32, bytes."""
+    magic = wal._IMAGE_MAGIC
+    assert data.startswith(magic)
+    length, crc = struct.unpack_from("<II", data, len(magic))
+    return length, crc, data[len(magic) + 8:]
+
+
+def _as_column_dicts(body):
+    """*body* with every row a column dict, as the row layout was before
+    rows became value arrays."""
+    body = copy.deepcopy(body)
+    for table in body["tables"]:
+        names = [column["name"] for column in table["columns"]]
+        table["rows"] = [dict(zip(names, row)) for row in table["rows"]]
+    return body
+
+
+def _text_layout(body, indent=None):
+    """The JSON-text image earlier versions wrote: single-line
+    ``{"crc": …, "body": …}`` (``indent=None``) or the indented form
+    before that, the CRC over the body re-encoded with sorted keys."""
+    blob = json.dumps(body, sort_keys=True)
+    crc = zlib.crc32(blob.encode("utf-8")) & 0xFFFFFFFF
+    if indent is None:
+        text = '{"crc": %d, "body": %s}' % (crc, blob)
+    else:
+        text = json.dumps({"crc": crc, "body": body}, indent=indent,
+                          sort_keys=True)
+    return text.encode("utf-8")
+
+
+#: one row per stored value kind: NULLs, negative and 64-bit ints,
+#: floats, the empty string, U+02BC and other non-ASCII text, DATE and
+#: DATETIME text
+KINDS_SCHEMA = ("CREATE TABLE kinds (id INT PRIMARY KEY, i BIGINT, "
+                "f DOUBLE, s VARCHAR(40), t TEXT, d DATE, dt DATETIME)")
+KINDS = [
+    (1, None, None, None, None, None, None),
+    (2, -7, -2.5, "", "ʼ", "2016-07-05", "2016-07-05 12:00:00"),
+    (3, 2 ** 63 - 1, 1e-300, "OʼReilly", "日本語 ü €",
+     "0000-00-00", "0000-00-00 00:00:00"),
+    (4, -2 ** 63, 0.1, "tab\tquote\"back\\slash", "\U0001f600", "", ""),
+    (5, 0, -0.0, "  ", "line\nbreak", "1999-12-31", "1999-12-31 23:59:59"),
+]
+
+
+class TestCheckpointImage(object):
+    """The image through a real engine: every value kind survives
+    checkpoint + recovery, the layouts earlier versions wrote still
+    recover to the same state, and damage is always a
+    :class:`WalCorruptionError`."""
+
+    storage = "memory"
+
+    def _kinds_database(self, backend):
+        database = backend.recover()
+        database.seed(KINDS_SCHEMA)
+        table = database.table("kinds")
+        names = table.column_names()
+        for values in KINDS:
+            table.insert(dict(zip(names, values)))
+        database.checkpoint()
+        # a log tail above the checkpoint replays on top of the image
+        database.run("UPDATE kinds SET s = 'tail' WHERE id = 5")
+        return database
+
+    def test_every_value_kind_round_trips(self, backend):
+        database = self._kinds_database(backend)
+        live = state_digest(database)
+        stored = [tuple(row[name] for name in database.table(
+            "kinds").column_names()) for row in database.table("kinds").rows]
+        database.close()
+        recovered = backend.recover()
+        assert state_digest(recovered) == live
+        rows = [tuple(row[name] for name in recovered.table(
+            "kinds").column_names()) for row in recovered.table("kinds").rows]
+        assert rows == stored
+        assert [type(value) for value in rows[3]] == [
+            int, int, float, str, str, str, str]
+        assert str(rows[4][2]) == "-0.0"
+
+    @pytest.mark.parametrize("indent", [None, 1])
+    def test_text_layouts_of_earlier_versions_recover(self, backend,
+                                                      tmp_path, indent):
+        database = self._kinds_database(backend)
+        live = state_digest(database)
+        database.close()
+        data_dir = tmp_path / "db"
+        body = _as_column_dicts(wal.load_checkpoint(str(data_dir)))
+        _write_image(data_dir, _text_layout(body, indent=indent))
+        assert wal.load_checkpoint(str(data_dir)) == body
+        recovered = backend.recover()
+        assert state_digest(recovered) == live
+
+    def test_every_cut_and_every_bit_flip_is_corruption(self, backend,
+                                                        tmp_path):
+        database = backend.recover()
+        database.seed("CREATE TABLE t (id INT PRIMARY KEY, v VARCHAR(8));"
+                      "INSERT INTO t VALUES (1, 'xé'), (2, NULL)")
+        database.checkpoint()
+        database.close()
+        data_dir = tmp_path / "db"
+        data = _read_image(data_dir)
+        damaged = [data[:cut] for cut in range(len(data))]
+        damaged.append(data + b"\x00")
+        for at in range(len(data)):
+            for bit in range(8):
+                flipped = bytearray(data)
+                flipped[at] ^= 1 << bit
+                damaged.append(bytes(flipped))
+        for image in damaged:
+            _write_image(data_dir, image)
+            with pytest.raises(WalCorruptionError):
+                wal.load_checkpoint(str(data_dir))
+        _write_image(data_dir, data)
+        assert wal.load_checkpoint(str(data_dir))["tables"][0]["rows"] == [
+            [1, "xé"], [2, None]]
+
+
+class TestCheckpointImagePaged(TestCheckpointImage):
+    storage = "paged"
 
 
 class TestSyncModes(object):

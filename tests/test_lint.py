@@ -207,6 +207,81 @@ def test_wal_access_gate_catches_violations(tmp_path):
     assert any("literal 'wal.log'" in p for p in problems)
 
 
+#: zlib calls that pack or unpack a checkpoint image
+_IMAGE_CODEC_CALLS = frozenset(["compress", "decompress", "compressobj",
+                                "decompressobj"])
+#: the name wal.py gives the image magic
+_IMAGE_MAGIC_NAME = "_IMAGE_MAGIC"
+
+
+def _image_codec_violations(path):
+    """Checkpoint-image encapsulation check for one file: no zlib
+    (de)compression and no image magic, by name or as bytes.  A second
+    packer or unpacker would be a second image format beside wal.py's,
+    one whose bytes the CRC rule there does not cover."""
+    from repro.sqldb import wal
+
+    with open(path) as handle:
+        tree = ast.parse(handle.read(), filename=path)
+    rel = os.path.relpath(path, REPO_ROOT)
+    problems = []
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Attribute)
+                and isinstance(node.value, ast.Name)
+                and node.value.id == "zlib"
+                and node.attr in _IMAGE_CODEC_CALLS):
+            problems.append("%s:%d: zlib.%s — only repro/sqldb/wal.py may "
+                            "pack or unpack checkpoint images"
+                            % (rel, node.lineno, node.attr))
+        elif isinstance(node, ast.ImportFrom) and node.module == "zlib":
+            for alias in node.names:
+                if alias.name in _IMAGE_CODEC_CALLS:
+                    problems.append("%s:%d: from zlib import %s — only "
+                                    "repro/sqldb/wal.py may (de)compress"
+                                    % (rel, node.lineno, alias.name))
+        elif ((isinstance(node, ast.Name) and node.id == _IMAGE_MAGIC_NAME)
+              or (isinstance(node, ast.Attribute)
+                  and node.attr == _IMAGE_MAGIC_NAME)
+              or (isinstance(node, ast.Constant)
+                  and isinstance(node.value, bytes)
+                  and wal._IMAGE_MAGIC in node.value)):
+            problems.append("%s:%d: the checkpoint image magic — only "
+                            "repro/sqldb/wal.py may name it"
+                            % (rel, node.lineno))
+    return problems
+
+
+def test_checkpoint_image_is_packed_only_by_the_wal_module():
+    wal_py = os.path.abspath(
+        os.path.join(SRC_ROOT, "repro", "sqldb", "wal.py"))
+    assert _image_codec_violations(wal_py) != []     # the gate sees it
+    problems = []
+    for path in _python_files(SRC_ROOT):
+        if os.path.abspath(path) != wal_py:
+            problems.extend(_image_codec_violations(path))
+    assert problems == [], "\n".join(problems)
+
+
+def test_image_codec_gate_catches_a_second_unpacker(tmp_path):
+    """A ``zlib.decompress(...)`` planted in another module of the
+    package turns the gate red, and so does naming the magic there."""
+    engine_py = os.path.join(SRC_ROOT, "repro", "sqldb", "engine.py")
+    assert _image_codec_violations(engine_py) == []
+    with open(engine_py) as handle:
+        source = handle.read()
+    planted = tmp_path / "engine.py"
+    planted.write_text(
+        source
+        + "\n\nimport zlib\n\n\n"
+        + "def _peek_image(data):\n"
+        + "    return zlib.decompress(data[len(wal_mod._IMAGE_MAGIC) + 8:])\n"
+    )
+    problems = _image_codec_violations(str(planted))
+    assert len(problems) == 2, problems
+    assert "zlib.decompress" in problems[0]
+    assert "image magic" in problems[1]
+
+
 #: on-disk names of the paged-storage files — only pager.py may know
 #: them; everything else goes through the Pager/PageStore API so page
 #: framing, CRC and the doublewrite protocol cannot be bypassed
