@@ -37,11 +37,10 @@ def _build():
 
 
 def _run(database, sql):
-    """Rows, scan rows-out and peak materialization for one query."""
-    executor = database._executor
-    executor.plan_stats["peak_materialized_rows"] = 0
+    """Rows, scan rows-out and peak materialization for one query (the
+    execution's own StageStats: each starts from zero)."""
     rows = database.run(sql)[0].result_set.rows
-    stats = executor.last_stage_stats
+    stats = database._executor.last_stage_stats
     scans = stats.find("seq_scan")
     scan_out = scans[0]["rows_out"] if scans else 0
     return rows, scan_out, stats.peak_materialized_rows

@@ -13,8 +13,9 @@ whole).  The router holds one failover-aware
   shard's pipeline cache stays warm (the router never rewrites the hot
   path);
 * **scatter** — cross-shard SELECT: per-shard subqueries stream through
-  a gather operator tree (``Union`` concat / partial→final ``Aggregate``
-  / merge-``TopK``) built from :mod:`repro.sqldb.plan` nodes;
+  a gather built from the ordinary :mod:`repro.sqldb.plan` nodes
+  (``Concat`` or the partial→final ``GatherAggregate``, then Distinct /
+  ``Sort`` / ``TopK`` / ``Limit``);
 * **broadcast** — DDL fans out to every shard, *after* the router's
   catalog epoch bumps so no cached route (and no per-shard pipeline
   cache, which keys on each engine's own schema version) can serve a
@@ -62,10 +63,12 @@ from repro.sqldb.storage import ResultSet
 class _GatherContext(object):
     """Duck-typed ``ExecState.ctx`` for gather trees.  The only leaf
     below a gather is :class:`~repro.sqldb.plan.ShardScan`, and the only
-    thing it needs is ``shard_rows`` — there is no local database, no
-    read view, no expression environment."""
+    thing it needs is ``shard_rows`` — there is no local database and no
+    read view.  The one expression a gather evaluates is its LIMIT, an
+    integer literal: it reads no row (``row`` is ``None``)."""
 
     __slots__ = ("_router",)
+    row = None
 
     def __init__(self, router):
         self._router = router

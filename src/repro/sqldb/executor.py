@@ -5,8 +5,9 @@ access paths, join strategies and the top-k choice all live in
 :mod:`repro.sqldb.planner`, and the streaming operators that carry them
 out live in :mod:`repro.sqldb.plan`.  What remains here is dispatch,
 the DDL/SHOW/transaction handlers (which execute directly against the
-catalog), plan preparation/caching, and the rollup of per-execution
-:class:`~repro.sqldb.plan.StageStats` into :attr:`Executor.plan_stats`.
+catalog) and plan preparation/caching.  What a plan did is on its
+execution's :class:`~repro.sqldb.plan.StageStats`
+(:attr:`Executor.last_stage_stats`, ``QueryContext.stage_stats``).
 """
 
 from repro.sqldb import ast_nodes as ast
@@ -59,14 +60,6 @@ class Executor(object):
         #: legacy strategies against the indexed ones on equal footing
         self.enable_hash_join = True
         self.enable_topk = True
-        #: counts of the strategies that actually ran (plan testability),
-        #: rolled up from each execution's StageStats
-        self.plan_stats = {
-            "index_eq": 0, "index_range": 0, "full_scans": 0,
-            "hash_joins": 0, "nested_loop_joins": 0,
-            "topk_orders": 0, "full_sorts": 0,
-            "peak_materialized_rows": 0,
-        }
         #: StageStats of the most recently executed plan
         self.last_stage_stats = None
         #: subquery plans memoized by AST identity — correlated
@@ -130,16 +123,8 @@ class Executor(object):
         self._subplan_memo[key] = (select, fingerprint, plan)
         return plan
 
-    def _absorb(self, stats, query_context=None):
-        """Roll one execution's StageStats into the cumulative
-        plan_stats, and expose them for instrumentation."""
-        plan_stats = self.plan_stats
-        for name, amount in stats.counters.items():
-            plan_stats[name] = plan_stats.get(name, 0) + amount
-        if stats.peak_materialized_rows > \
-                plan_stats["peak_materialized_rows"]:
-            plan_stats["peak_materialized_rows"] = \
-                stats.peak_materialized_rows
+    def _record(self, stats, query_context):
+        """Expose one execution's StageStats for instrumentation."""
         self.last_stage_stats = stats
         if query_context is not None:
             query_context.stage_stats = stats
@@ -167,7 +152,7 @@ class Executor(object):
             finally:
                 self._db.close_read_view(view)
             state.stats.note_materialized(len(rows))
-            self._absorb(state.stats, query_context)
+            self._record(state.stats, query_context)
             return ExecutionResult(
                 result_set=ResultSet(prepared.columns, rows),
                 sleep_seconds=ctx.sleep_seconds,
@@ -189,7 +174,7 @@ class Executor(object):
                 # visible exactly as they always were
                 if own_txn:
                     self._db._seal_txn(txn)
-            self._absorb(state.stats, query_context)
+            self._record(state.stats, query_context)
             return result
         if isinstance(stmt, _IMPLICIT_COMMIT):
             session.commit()
@@ -266,10 +251,7 @@ class Executor(object):
             ctx.read_view = outer_ctx.read_view
         plan = self._subquery_plan(select, params)
         state = ExecState(ctx, outer_row=outer_row)
-        rows = [out for _, out in plan.root.rows(state)]
-        state.stats.note_materialized(len(rows))
-        self._absorb(state.stats)
-        return rows
+        return [out for _, out in plan.root.rows(state)]
 
     # -- DDL ----------------------------------------------------------------------
 

@@ -4,25 +4,34 @@ Physical plans produced by :mod:`repro.sqldb.planner` are trees of
 :class:`PlanNode` operators in the classic Volcano/iterator style: every
 operator exposes :meth:`PlanNode.rows`, a generator that pulls from its
 children lazily.  Non-blocking operators (scans, Filter, Project,
-Distinct, Limit) never materialize their input, which is what makes
-``LIMIT n`` stop the upstream scan after *n* rows.  Blocking operators
-(joins, Aggregate, Sort, TopK, Union, the DML sinks) buffer exactly the
-rows their algorithm requires and report the high-water mark through
-:attr:`StageStats.peak_materialized_rows`.
+Concat, Distinct, Limit) never materialize their input, which is what
+makes ``LIMIT n`` stop the upstream scan after *n* rows.  Blocking
+operators (joins, Aggregate, Sort, TopK, the DML sinks) buffer exactly
+the rows their algorithm requires and report the high-water mark
+through :attr:`StageStats.peak_materialized_rows`.
+
+Each of "order, dedupe, cut to a window" has one operator, whoever
+asks: :class:`Sort` / :class:`TopK` order (their keys come from
+:func:`order_keys`, the only code that maps an ORDER BY item to a
+column), :class:`Distinct` dedupes, :class:`Limit` windows, and
+:class:`Concat` appends streams.  A UNION, a shard gather and a single
+SELECT are different arrangements of the same nodes.
 
 Two stream shapes flow through a tree:
 
 * below :class:`Project`: *env rows* — dicts keyed ``"alias.col"`` plus
   ``"__source__alias"`` pointing at the stored row dict;
-* at and above :class:`Project`: ``(env_row, out_tuple)`` pairs
-  (:class:`Union` yields ``(None, out_tuple)``).
+* at and above :class:`Project`: ``(env_row, out_tuple)`` pairs.  The
+  distributed leaves (:class:`ShardScan`, :class:`GatherAggregate`)
+  yield ``(None, out_tuple)``: a shard's rows arrive already projected,
+  so ordering above a gather reads output columns only.
 
 Every execution threads an :class:`ExecState` through the tree; its
 :class:`StageStats` records per-node rows-out, open/close ticks on a
-deterministic virtual clock, and the strategy counters that
-:attr:`Executor.plan_stats` rolls up.  ``EXPLAIN`` is a straight
-rendering of the tree (:func:`render_explain`), as are the golden-plan
-snapshots (:func:`render_tree`) — there is no parallel bookkeeping.
+deterministic virtual clock, and the strategy counters.  ``EXPLAIN`` is
+a straight rendering of the tree (:func:`render_explain`), as are the
+golden-plan snapshots (:func:`render_tree`) — there is no parallel
+bookkeeping.
 
 An operator compiles the expressions it is given when it is built
 (:func:`repro.sqldb.expression.compile_expr`) and calls the closures
@@ -87,7 +96,9 @@ class StageStats(object):
         self.ticks = 0
         #: high-water mark of rows buffered at once by blocking operators
         self.peak_materialized_rows = 0
-        #: strategy counters (same keys as Executor.plan_stats)
+        #: strategy counters: ``full_scans``, ``index_eq``,
+        #: ``index_range``, ``hash_joins``, ``nested_loop_joins``,
+        #: ``topk_orders``, ``full_sorts``
         self.counters = {}
 
     def tick(self):
@@ -219,7 +230,7 @@ def _env_rows(stored_rows, alias, outer_row):
 
 class SeqScan(PlanNode):
     """Full-table scan.  ``counted`` marks the first-table fallback scan
-    (the one ``plan_stats["full_scans"]`` has always counted); join and
+    (the one the ``full_scans`` counter has always counted); join and
     comma-list right sides scan too but were never counted."""
 
     kind = "seq_scan"
@@ -437,6 +448,22 @@ class Distinct(PlanNode):
                 yield (src, out)
 
 
+class Concat(PlanNode):
+    """Its children's streams one after another: UNION ALL, and the
+    gather over disjoint shard partitions.  Holds no rows."""
+
+    kind = "concat"
+    __slots__ = ()
+
+    def label(self):
+        return "Concat(%d inputs)" % len(self.children)
+
+    def _generate(self, state):
+        for child in self.children:
+            for pair in child.rows(state):
+                yield pair
+
+
 class Limit(PlanNode):
     """Streaming LIMIT/OFFSET: stops pulling from upstream once the
     window is emitted — the early-exit that makes ``LIMIT n`` scan
@@ -473,7 +500,8 @@ class Limit(PlanNode):
 class NestedLoopJoin(PlanNode):
     """Nested-loop join; buffers the inner side only (the outer side
     streams).  ``counted`` distinguishes explicit JOIN clauses (counted
-    in ``plan_stats``) from comma-list cross products (never were)."""
+    in ``nested_loop_joins``) from comma-list cross products (never
+    were)."""
 
     kind = "nested_loop_join"
     blocking = True
@@ -700,148 +728,77 @@ class Aggregate(PlanNode):
 
 class Sort(PlanNode):
     """Full ORDER BY sort (no LIMIT to fuse with): materializes, then
-    runs a stable multi-key sort honouring per-key direction."""
+    runs the stable multi-key sort :func:`_sort_items`."""
 
     kind = "sort"
     blocking = True
-    __slots__ = ("order_by", "columns", "keys_for")
+    __slots__ = ("ordering",)
 
-    def __init__(self, child, order_by, columns):
+    def __init__(self, child, ordering):
         PlanNode.__init__(self, (child,))
-        self.order_by = tuple(order_by)
-        self.columns = list(columns)
-        self.keys_for = _pair_key_fn(self.order_by, self.columns)
+        #: ``(keys_for, descending)`` from :func:`order_keys`
+        self.ordering = ordering
 
     def label(self):
-        return "Sort(%d keys)" % len(self.order_by)
+        return "Sort(%d keys)" % len(self.ordering[1])
 
     def _generate(self, state):
         ctx = state.ctx
         state.stats.count("full_sorts")
-        keys_for = self.keys_for
-        decorated = [
-            (keys_for(pair, ctx), position, pair)
-            for position, pair in enumerate(self.children[0].rows(state))
-        ]
+        keys_for, descending = self.ordering
+        decorated = [(keys_for(pair, ctx), pair)
+                     for pair in self.children[0].rows(state)]
         state.stats.note_materialized(len(decorated))
-        for pos in range(len(self.order_by) - 1, -1, -1):
-            reverse = self.order_by[pos].direction == "DESC"
-            decorated.sort(key=lambda item: item[0][pos], reverse=reverse)
-        for _, _, pair in decorated:
+        _sort_items(decorated, descending)
+        for _, pair in decorated:
             yield pair
 
 
 class TopK(PlanNode):
     """ORDER BY fused with LIMIT: streams the decorated input into
-    ``heapq.nsmallest`` over the same total order :class:`Sort`
-    produces (per-key direction, stable by original position), holding
-    at most ``offset + count`` rows — never the full input."""
+    ``heapq.nsmallest`` under :func:`_item_order` — the total order
+    :class:`Sort` produces (per-key direction, stable by arrival) —
+    holding at most ``offset + count`` rows, never the full input.
+    Above a shard gather every shard already returns at most that many,
+    so the cross-shard peak is O(limit) however large the table is."""
 
     kind = "topk"
     blocking = True
-    __slots__ = ("order_by", "columns", "window", "keys_for")
+    __slots__ = ("ordering", "window")
 
-    def __init__(self, child, order_by, columns, count_expr, offset_expr):
+    def __init__(self, child, ordering, count_expr, offset_expr):
         PlanNode.__init__(self, (child,))
-        self.order_by = tuple(order_by)
-        self.columns = list(columns)
+        self.ordering = ordering
         self.window = (compile_expr(count_expr), _compiled(offset_expr))
-        self.keys_for = _pair_key_fn(self.order_by, self.columns)
 
     def label(self):
-        return "TopK(%d keys)" % len(self.order_by)
+        return "TopK(%d keys)" % len(self.ordering[1])
 
     def _generate(self, state):
         ctx = state.ctx
         count, offset = _window(self.window, ctx)
-        k = offset + count
         state.stats.count("topk_orders")
-        keys_for = self.keys_for
-        descending = [o.direction == "DESC" for o in self.order_by]
-
-        def compare_items(a, b):
-            for pos, desc in enumerate(descending):
-                key_a, key_b = a[0][pos], b[0][pos]
-                if key_a == key_b:
-                    continue
-                less = key_a < key_b
-                if desc:
-                    less = not less
-                return -1 if less else 1
-            return -1 if a[1] < b[1] else 1     # stability tiebreak
-
+        keys_for, descending = self.ordering
         decorated = (
             (keys_for(pair, ctx), position, pair)
             for position, pair in enumerate(self.children[0].rows(state))
         )
-        top = heapq.nsmallest(k, decorated,
-                              key=functools.cmp_to_key(compare_items))
+        top = heapq.nsmallest(offset + count, decorated,
+                              key=_item_order(descending))
         state.stats.note_materialized(len(top))
         for _, _, pair in top:
             yield pair
 
 
-class Union(PlanNode):
-    """UNION merge: children are the head select followed by every
-    branch; ``all_flags[i]`` is the ALL flag of branch ``i``.  The
-    union-level ORDER BY (position or output name only) and LIMIT apply
-    to the merged rows.  Yields ``(None, out_tuple)`` pairs — no single
-    env row describes a merged output row."""
-
-    kind = "union"
-    blocking = True
-    __slots__ = ("all_flags", "order_by", "window", "columns")
-
-    def __init__(self, children, all_flags, order_by, limit, columns):
-        PlanNode.__init__(self, children)
-        self.all_flags = tuple(all_flags)
-        self.order_by = tuple(order_by)
-        self.window = None if limit is None else (
-            compile_expr(limit.count), _compiled(limit.offset))
-        self.columns = list(columns)
-
-    def label(self):
-        return "Union(%d branches)" % (len(self.children) - 1)
-
-    def _generate(self, state):
-        rows = [out for _, out in self.children[0].rows(state)]
-        dedupe = False
-        for branch, all_flag in zip(self.children[1:], self.all_flags):
-            for _, out in branch.rows(state):
-                rows.append(out)
-            if not all_flag:
-                dedupe = True
-        state.stats.note_materialized(len(rows))
-        if dedupe:
-            seen = set()
-            deduped = []
-            for row in rows:
-                key = _fold_row(row)
-                if key not in seen:
-                    seen.add(key)
-                    deduped.append(row)
-            rows = deduped
-        if self.order_by:
-            rows = _order_union_rows(rows, self.order_by, self.columns)
-        if self.window is not None:
-            count, offset = _window(self.window, state.ctx)
-            rows = rows[offset:offset + count]
-        for out in rows:
-            yield (None, out)
-
-
 # -- distributed gather operators --------------------------------------
 #
-# Leaves and merge nodes for cross-shard plans built by
+# Leaves and the aggregate merge for cross-shard plans built by
 # :class:`repro.sqldb.planner.DistributedPlanner`.  These trees never
 # touch local tables: :class:`ShardScan` pulls already-projected result
 # tuples from a shard through the execution context (the shard router
-# supplies a context whose ``shard_rows`` runs SQL text on one shard),
-# so everything above speaks the ``(None, out_tuple)`` pair shape a
-# :class:`Union` produces.  The merge nodes hold only what their
-# algebra requires: the union gather streams, the aggregate gather
-# holds one accumulator per group, and the top-k gather a bounded heap
-# of ``offset + count`` rows — O(limit), never O(table).
+# supplies a context whose ``shard_rows`` runs SQL text on one shard).
+# Everything else in a gather is an ordinary operator — Concat,
+# Distinct, Sort, TopK, Limit — over ``(None, out_tuple)`` pairs.
 
 
 class ShardScan(PlanNode):
@@ -864,23 +821,6 @@ class ShardScan(PlanNode):
     def _generate(self, state):
         for out in state.ctx.shard_rows(self.shard, self.sql):
             yield (None, tuple(out))
-
-
-class GatherUnion(PlanNode):
-    """Concatenate shard streams.  Hash partitions are disjoint, so a
-    plain cross-shard SELECT needs no dedupe — this gather is fully
-    streaming and holds no rows."""
-
-    kind = "gather_union"
-    __slots__ = ()
-
-    def label(self):
-        return "Gather(union, %d shards)" % len(self.children)
-
-    def _generate(self, state):
-        for child in self.children:
-            for pair in child.rows(state):
-                yield pair
 
 
 def _merge_partial(op, a, b):
@@ -948,70 +888,6 @@ class GatherAggregate(PlanNode):
                 else:
                     out.append(acc[spec[1]])
             yield (None, tuple(out))
-
-
-class GatherTopK(PlanNode):
-    """Merge per-shard top-k streams under the global ORDER BY.
-
-    Every shard already returns at most ``offset + count`` rows (the
-    planner pushes the fused limit down), and this node keeps a bounded
-    heap of the same size — the cross-shard peak stays O(limit) however
-    large the table is.  Order keys are output-column positions
-    (*key_indexes*) compared through :func:`sort_key` with per-key
-    direction; arrival order breaks ties, matching the single-node
-    :class:`TopK` stability contract."""
-
-    kind = "gather_topk"
-    blocking = True
-    __slots__ = ("key_indexes", "descending", "count", "offset")
-
-    def __init__(self, children, key_indexes, descending, count, offset=0):
-        PlanNode.__init__(self, children)
-        self.key_indexes = tuple(key_indexes)
-        self.descending = tuple(descending)
-        self.count = count
-        self.offset = offset
-
-    def label(self):
-        return "Gather(merge-topk, k=%d)" % (self.count + self.offset)
-
-    def _rank(self, a, b):
-        """-1 when *a* outranks *b* in the final output order."""
-        for pos, desc in enumerate(self.descending):
-            key_a, key_b = a[0][pos], b[0][pos]
-            if key_a == key_b:
-                continue
-            less = key_a < key_b
-            if desc:
-                less = not less
-            return -1 if less else 1
-        return -1 if a[1] < b[1] else 1             # stability tiebreak
-
-    def _generate(self, state):
-        k = self.count + self.offset
-        if k <= 0:
-            return
-        # min-heap keyed "worst ranks first": the root is always the
-        # worst of the k best seen, so pushpop evicts correctly
-        worst_first = functools.cmp_to_key(
-            lambda a, b: -self._rank(a, b)
-        )
-        heap = []
-        sequence = 0
-        for child in self.children:
-            for _, out in child.rows(state):
-                keys = [sort_key(out[i]) for i in self.key_indexes]
-                item = worst_first((keys, sequence, out))
-                sequence += 1
-                if len(heap) < k:
-                    heapq.heappush(heap, item)
-                    state.stats.note_materialized(len(heap))
-                else:
-                    heapq.heappushpop(heap, item)
-        ordered = sorted(heap)      # worst → best under worst_first
-        ordered.reverse()
-        for item in ordered[self.offset:]:
-            yield (None, item.obj[2])
 
 
 # -- DML sinks ---------------------------------------------------------
@@ -1102,14 +978,15 @@ class _TargetSink(PlanNode):
     pre-mutation."""
 
     blocking = True
-    __slots__ = ("stmt", "alias", "order", "limit")
+    __slots__ = ("stmt", "alias", "order", "descending", "limit")
 
     def __init__(self, child, stmt, alias):
         PlanNode.__init__(self, (child,))
         self.stmt = stmt
         self.alias = alias
-        self.order = [(compile_expr(item.expr), item.direction == "DESC")
-                      for item in stmt.order_by or ()]
+        order_by = stmt.order_by or ()
+        self.order = [compile_expr(item.expr) for item in order_by]
+        self.descending = [item.direction == "DESC" for item in order_by]
         self.limit = None if stmt.limit is None \
             else compile_expr(stmt.limit.count)
 
@@ -1118,17 +995,17 @@ class _TargetSink(PlanNode):
         (with LIMIT, MySQL updates/deletes the first N *in order*)."""
         ctx = state.ctx
         source_key = "__source__%s" % self.alias
+        order = self.order
         targets = [
-            (row[source_key], row)
+            ([sort_key(expr(row, ctx)) for expr in order],
+             (row[source_key], row))
             for row in self.children[0].rows(state)
         ]
         state.stats.note_materialized(len(targets))
-        for expr, reverse in reversed(self.order):
-            targets.sort(key=lambda pair: sort_key(expr(pair[1], ctx)),
-                         reverse=reverse)
+        _sort_items(targets, self.descending)
         if self.limit is not None:
             targets = targets[: max(int(self.limit(ctx.row, ctx)), 0)]
-        return targets
+        return [target for _, target in targets]
 
 
 class UpdateSink(_TargetSink):
@@ -1269,7 +1146,7 @@ def _explain_node(node, database, rows):
     if isinstance(node, _EXPLAIN_TRANSPARENT):
         _explain_node(node.children[0], database, rows)
         return
-    if isinstance(node, Union):
+    if isinstance(node, Concat):
         for child in node.children:
             _explain_node(child, database, rows)
         return
@@ -1316,7 +1193,7 @@ def _merge(a, b):
 
 
 def _fold_row(out):
-    """Case-folded dedupe key for DISTINCT / UNION."""
+    """Case-folded dedupe key for DISTINCT."""
     return tuple(v.lower() if isinstance(v, str) else v for v in out)
 
 
@@ -1340,68 +1217,69 @@ def _window(window, ctx):
             0 if offset is None else max(int(offset(ctx.row, ctx)), 0))
 
 
-def _pair_key_fn(order_by, columns):
-    """ORDER BY key extractor ``keys_for(pair, ctx)`` over ``(env_row,
-    out_tuple)`` pairs: positional refs and unqualified output-name
-    refs read the output tuple, anything else evaluates against the
-    env row."""
+def order_keys(order_by, columns, foreign=None):
+    """The one place an ORDER BY item becomes a sort key.
+
+    Returns ``(keys_for, descending)``: ``keys_for(pair, ctx)`` reads
+    the keys of one ``(env_row, out_tuple)`` pair.  A position
+    (``ORDER BY 2``, always a parser-pinned literal) or an unqualified
+    output name reads the output tuple; a position out of range is
+    MySQL's 1054, raised here, at plan time, whether or not a row ever
+    arrives.  Any other expression evaluates against the env row —
+    unless *foreign* is given: above a UNION or a shard gather no env
+    row describes an output row, and ``foreign(expr)`` is the error to
+    raise instead."""
     lowered = [c.lower() for c in columns]
 
     def reader(expr):
+        index = None
         if isinstance(expr, ast.Literal) and expr.type_tag == "int":
-            position = expr.value
-
-            def positional(src, out, ctx):
-                if not 0 < position <= len(out):
-                    raise ExecutionError(
-                        "Unknown column '%d' in 'order clause'" % position
-                    )
-                return out[position - 1]
-            return positional
-        if (
-            isinstance(expr, ast.ColumnRef)
-            and expr.table is None
-            and expr.name.lower() in lowered
-        ):
-            idx = lowered.index(expr.name.lower())
-            return lambda src, out, ctx: out[idx]
+            if not 0 < expr.value <= len(columns):
+                raise ExecutionError(
+                    "Unknown column '%d' in 'order clause'" % expr.value,
+                    errno=1054,
+                )
+            index = expr.value - 1
+        elif isinstance(expr, ast.ColumnRef) and expr.table is None \
+                and expr.name.lower() in lowered:
+            index = lowered.index(expr.name.lower())
+        if index is not None:
+            return lambda src, out, ctx: out[index]
+        if foreign is not None:
+            raise foreign(expr)
         fn = compile_expr(expr)
         return lambda src, out, ctx: fn(src, ctx)
 
-    readers = [reader(order.expr) for order in order_by]
+    readers = [reader(item.expr) for item in order_by]
 
     def keys_for(pair, ctx):
         src, out = pair
         return [sort_key(read(src, out, ctx)) for read in readers]
 
-    return keys_for
+    return keys_for, tuple(item.direction == "DESC" for item in order_by)
 
 
-def _order_union_rows(rows, order_by, columns):
-    """Union-level ORDER BY: by position or output column name."""
-    lowered = [c.lower() for c in columns]
+def _sort_items(items, descending):
+    """Stable multi-key sort, in place, of ``(keys, ...)`` items: one
+    pass per key, last key first, each honouring its direction — the
+    ordering :class:`Sort` and the DML target sinks share."""
+    for pos in range(len(descending) - 1, -1, -1):
+        items.sort(key=lambda item: item[0][pos], reverse=descending[pos])
 
-    def key_index(expr):
-        if isinstance(expr, ast.Literal) and expr.type_tag == "int":
-            idx = expr.value - 1
-            if idx < 0 or idx >= len(columns):
-                raise ExecutionError(
-                    "Unknown column '%s' in 'order clause'" % expr.value
-                )
-            return idx
-        if isinstance(expr, ast.ColumnRef) and expr.table is None and \
-                expr.name.lower() in lowered:
-            return lowered.index(expr.name.lower())
-        raise ExecutionError(
-            "ORDER BY on a UNION must name an output column"
-        )
 
-    indexed = [(key_index(o.expr), o.direction == "DESC")
-               for o in order_by]
-    rows = list(rows)
-    for idx, reverse in reversed(indexed):
-        rows.sort(key=lambda row: sort_key(row[idx]), reverse=reverse)
-    return rows
+def _item_order(descending):
+    """Sort key over ``(keys, position, payload)`` items ranking them in
+    :func:`_sort_items`' order, the arrival position breaking ties."""
+
+    def compare(a, b):
+        for pos, desc in enumerate(descending):
+            key_a, key_b = a[0][pos], b[0][pos]
+            if key_a == key_b:
+                continue
+            return -1 if (key_a < key_b) != desc else 1
+        return -1 if a[1] < b[1] else 1     # stability tiebreak
+
+    return functools.cmp_to_key(compare)
 
 
 def _compile_aggregate(node):

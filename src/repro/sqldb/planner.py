@@ -29,6 +29,7 @@ from repro.sqldb.errors import ExecutionError
 from repro.sqldb.functions import is_aggregate
 from repro.sqldb.prepared import literal_for
 from repro.sqldb.types import type_class
+from repro.sqldb.unparse import to_sql
 
 
 # -- physical planning -------------------------------------------------
@@ -86,29 +87,47 @@ class Planner(object):
     # -- SELECT --------------------------------------------------------
 
     def _plan_select(self, stmt):
-        if not stmt.unions:
-            return self._plan_single(stmt)
-        # UNION: plan the head without the union-level ORDER BY/LIMIT
-        # (they apply to the merged rows) and check branch arity here,
-        # at plan time — cached statements are shared between
-        # executions, so neither planning nor execution mutates them.
-        head, columns = self._plan_single(stmt, skip_order_limit=True)
-        children = [head]
-        flags = []
-        for all_flag, branch in stmt.unions:
-            branch_root, branch_cols = self._plan_single(branch)
+        node, columns = self._plan_single(stmt)
+        foreign = None
+        if stmt.unions:
+            # the statement's ORDER BY / LIMIT belong to the union and
+            # may only name its output columns
+            node = self._plan_union(node, columns, stmt.unions)
+            foreign = _union_order_error
+        node = _order_limit(self._mk, node, stmt, columns,
+                            self.enable_topk, foreign)
+        return node, columns
+
+    def _plan_union(self, head, columns, unions):
+        """Concat of the branches with Distinct where MySQL puts it: a
+        DISTINCT union dedupes everything to its left, overriding any
+        ALL union there, and ALL branches after the last DISTINCT one
+        append as they come (5.7 manual 13.2.9.3).  Branch arity is
+        checked here, at plan time — cached statements are shared
+        between executions, so neither planning nor execution mutates
+        them."""
+        inputs = [head]
+        deduped = 0
+        for all_flag, branch in unions:
+            branch_root, branch_cols = self._plan_select(branch)
             if len(branch_cols) != len(columns):
                 raise ExecutionError(
                     "The used SELECT statements have a different "
                     "number of columns", errno=1222,
                 )
-            children.append(branch_root)
-            flags.append(all_flag)
-        union = self._mk(plan_mod.Union(children, flags, stmt.order_by,
-                                        stmt.limit, columns))
-        return union, columns
+            inputs.append(branch_root)
+            if not all_flag:
+                deduped = len(inputs)
+        if deduped:
+            merged = self._mk(plan_mod.Concat(inputs[:deduped]))
+            inputs[:deduped] = [self._mk(plan_mod.Distinct(merged))]
+        if len(inputs) == 1:
+            return inputs[0]
+        return self._mk(plan_mod.Concat(inputs))
 
-    def _plan_single(self, stmt, skip_order_limit=False):
+    def _plan_single(self, stmt):
+        """One SELECT up to its DISTINCT; :meth:`_plan_select` adds the
+        ORDER BY / LIMIT tail."""
         node, source_columns = self._plan_sources(stmt)
         if stmt.where is not None:
             node = self._mk(plan_mod.Filter(node, stmt.where, "where"))
@@ -123,21 +142,6 @@ class Planner(object):
         node = self._mk(plan_mod.Project(node, columns, specs))
         if stmt.distinct:
             node = self._mk(plan_mod.Distinct(node))
-        if not skip_order_limit:
-            if stmt.order_by:
-                # the top-k decision: ORDER BY fused with LIMIT runs as
-                # a bounded heap instead of a full sort
-                if stmt.limit is not None and self.enable_topk:
-                    node = self._mk(plan_mod.TopK(
-                        node, stmt.order_by, columns,
-                        stmt.limit.count, stmt.limit.offset,
-                    ))
-                else:
-                    node = self._mk(plan_mod.Sort(node, stmt.order_by,
-                                                  columns))
-            if stmt.limit is not None:
-                node = self._mk(plan_mod.Limit(node, stmt.limit.count,
-                                               stmt.limit.offset))
         return node, columns
 
     def _plan_sources(self, stmt):
@@ -532,6 +536,28 @@ def _field_label(expr):
     return type(expr).__name__.lower()
 
 
+def _order_limit(mk, node, stmt, columns, topk=True, foreign=None):
+    """The ORDER BY / LIMIT tail every SELECT shape gets — a single
+    SELECT, a UNION, a shard gather.  The top-k decision: ORDER BY fused
+    with LIMIT runs as a bounded heap instead of a full sort.  *foreign*
+    goes to :func:`~repro.sqldb.plan.order_keys`."""
+    if stmt.order_by:
+        ordering = plan_mod.order_keys(stmt.order_by, columns, foreign)
+        if stmt.limit is not None and topk:
+            node = mk(plan_mod.TopK(node, ordering, stmt.limit.count,
+                                    stmt.limit.offset))
+        else:
+            node = mk(plan_mod.Sort(node, ordering))
+    if stmt.limit is not None:
+        node = mk(plan_mod.Limit(node, stmt.limit.count, stmt.limit.offset))
+    return node
+
+
+def _union_order_error(expr):
+    return ExecutionError(
+        "Unknown column '%s' in 'order clause'" % to_sql(expr), errno=1054)
+
+
 # -- distributed planning ----------------------------------------------
 #
 # The sharding pass.  A :class:`DistributedPlanner` classifies one
@@ -554,9 +580,10 @@ def _field_label(expr):
 # * ``"scatter"`` — a cross-shard SELECT: ``plan`` is a
 #   :class:`~repro.sqldb.plan.PhysicalPlan` whose leaves are
 #   :class:`~repro.sqldb.plan.ShardScan` nodes carrying rewritten
-#   per-shard SQL, merged by a gather operator (union / partial→final
-#   aggregate / merge-topk) and optionally the ordinary streaming
-#   operators (Distinct, Sort, Limit) above it;
+#   per-shard SQL, merged by :class:`~repro.sqldb.plan.Concat` or the
+#   partial→final :class:`~repro.sqldb.plan.GatherAggregate`, under the
+#   same Distinct and ORDER BY / LIMIT tail a single SELECT gets
+#   (``Limit(TopK(Concat(ShardScan…)))`` for a cross-shard top-k);
 # * ``"broadcast"`` — DDL fanned out to every shard;
 # * ``"any"`` — statements without sharded state (SHOW/DESCRIBE, or a
 #   table the catalog pins whole to shard 0).
@@ -643,6 +670,10 @@ def _unsupported(what):
         "%s is not supported across shards (v1: single-shard writes, "
         "scatter/gather reads)" % what, errno=_UNSUPPORTED_ERRNO,
     )
+
+
+def _shard_order_error(expr):
+    return _unsupported("cross-shard ORDER BY on a non-output column")
 
 
 class DistributedPlanner(object):
@@ -835,26 +866,6 @@ class DistributedPlanner(object):
                 fields.append(field)
         return fields
 
-    def _order_key_indexes(self, order_by, columns):
-        """Map each ORDER BY expression to an output-column position.
-        Cross-shard ordering happens over result tuples — the key must
-        be something every shard already returned."""
-        lowered = [c.lower() for c in columns]
-        indexes = []
-        for item in order_by:
-            expr = item.expr
-            if isinstance(expr, ast.Literal) and expr.type_tag == "int" \
-                    and 1 <= expr.value <= len(columns):
-                indexes.append(expr.value - 1)
-            elif isinstance(expr, ast.ColumnRef) and expr.table is None \
-                    and expr.name.lower() in lowered:
-                indexes.append(lowered.index(expr.name.lower()))
-            else:
-                raise _unsupported(
-                    "cross-shard ORDER BY on a non-output column"
-                )
-        return indexes
-
     @staticmethod
     def _limit_ints(limit):
         """LIMIT/OFFSET as plan-time ints (integer literals only across
@@ -873,8 +884,6 @@ class DistributedPlanner(object):
         """One :class:`ShardScan` per shard ordinal for *stmt*, the
         statement's *comments* back in front of its SQL (a line
         comment's body may hold ``*/``; it goes back as a line)."""
-        from repro.sqldb.unparse import to_sql
-
         sql = "".join(
             "-- %s\n" % body if "*/" in body else "/* %s */ " % body
             for body in comments) + to_sql(stmt)
@@ -886,65 +895,39 @@ class DistributedPlanner(object):
             raise _unsupported("cross-shard HAVING")
         fields = self._output_fields(stmt, ref.name)
         columns = [f.alias or _field_label(f.expr) for f in fields]
-        aggregates = _collect_aggregates(stmt)
-        if aggregates or stmt.group_by:
-            gather = self._gather_aggregate
-        elif stmt.order_by and stmt.limit is not None:
-            gather = self._gather_topk
+        window = None if stmt.limit is None \
+            else self._limit_ints(stmt.limit)
+        if _collect_aggregates(stmt) or stmt.group_by:
+            root = self._gather_aggregate(stmt, ref, fields, columns,
+                                          comments)
         else:
-            gather = self._gather_union
-        root = gather(stmt, ref, fields, columns, comments)
+            root = self._gather_rows(stmt, ref, fields, window, comments)
+        # the gather's rows are result tuples: ordering may only read
+        # what every shard returned
+        root = _order_limit(self._mk, root, stmt, columns,
+                            foreign=_shard_order_error)
         plan = plan_mod.PhysicalPlan("select", root, columns=columns,
                                      tables=(ref.name.lower(),))
         return ShardRoute("scatter", table=ref.name, plan=plan)
 
-    def _gather_union(self, stmt, ref, fields, columns, comments):
-        """Plain SELECT: concatenate disjoint partitions; DISTINCT
-        dedupes above the gather, a bare LIMIT pushes down fused."""
+    def _gather_rows(self, stmt, ref, fields, window, comments):
+        """Plain SELECT: concatenate disjoint partitions, DISTINCT above
+        the gather.  ORDER BY and a LIMIT of ``offset + count`` push
+        down, so each shard returns at most the rows the TopK above the
+        gather keeps."""
+        if stmt.distinct and stmt.order_by and window is not None:
+            raise _unsupported("cross-shard SELECT DISTINCT ... LIMIT")
         per_shard = ast.Select(
             fields=fields, tables=[ref], where=stmt.where,
             order_by=list(stmt.order_by), distinct=stmt.distinct,
         )
-        count = offset = None
-        if stmt.limit is not None:
-            count, offset = self._limit_ints(stmt.limit)
-            per_shard.limit = ast.Limit(
-                ast.Literal(count + offset, "int")
-            )
-        if stmt.order_by:
-            # validated here so the Sort above the gather never needs an
-            # evaluation context
-            self._order_key_indexes(stmt.order_by, columns)
-        root = self._mk(plan_mod.GatherUnion(
+        if window is not None:
+            per_shard.limit = ast.Limit(ast.Literal(sum(window), "int"))
+        root = self._mk(plan_mod.Concat(
             self._shard_scans(per_shard, comments)))
         if stmt.distinct:
             root = self._mk(plan_mod.Distinct(root))
-        if stmt.order_by:
-            root = self._mk(plan_mod.Sort(root, stmt.order_by, columns))
-        if stmt.limit is not None:
-            root = self._mk(plan_mod.Limit(
-                root, ast.Literal(count, "int"),
-                None if not offset else ast.Literal(offset, "int"),
-            ))
         return root
-
-    def _gather_topk(self, stmt, ref, fields, columns, comments):
-        """ORDER BY + LIMIT: each shard returns its local top
-        ``offset + count`` rows and the gather merge-heaps them."""
-        if stmt.distinct:
-            raise _unsupported("cross-shard SELECT DISTINCT ... LIMIT")
-        count, offset = self._limit_ints(stmt.limit)
-        key_indexes = self._order_key_indexes(stmt.order_by, columns)
-        descending = [o.direction == "DESC" for o in stmt.order_by]
-        per_shard = ast.Select(
-            fields=fields, tables=[ref], where=stmt.where,
-            order_by=list(stmt.order_by),
-            limit=ast.Limit(ast.Literal(count + offset, "int")),
-        )
-        return self._mk(plan_mod.GatherTopK(
-            self._shard_scans(per_shard, comments), key_indexes, descending,
-            count, offset,
-        ))
 
     def _gather_aggregate(self, stmt, ref, fields, columns, comments):
         """COUNT/SUM/MIN/MAX/AVG (with optional GROUP BY): shards
@@ -1011,27 +994,7 @@ class DistributedPlanner(object):
             fields=partial_fields, tables=[ref], where=stmt.where,
             group_by=group_exprs,
         )
-        root = self._mk(plan_mod.GatherAggregate(
+        return self._mk(plan_mod.GatherAggregate(
             self._shard_scans(per_shard, comments), key_indexes, merges,
-            finals,
-            ", ".join(describe),
+            finals, ", ".join(describe),
         ))
-        if stmt.order_by:
-            key_indexes = self._order_key_indexes(stmt.order_by, columns)
-            if stmt.limit is not None:
-                count, offset = self._limit_ints(stmt.limit)
-                root = self._mk(plan_mod.GatherTopK(
-                    (root,), key_indexes,
-                    [o.direction == "DESC" for o in stmt.order_by],
-                    count, offset,
-                ))
-            else:
-                root = self._mk(plan_mod.Sort(root, stmt.order_by,
-                                              columns))
-        elif stmt.limit is not None:
-            count, offset = self._limit_ints(stmt.limit)
-            root = self._mk(plan_mod.Limit(
-                root, ast.Literal(count, "int"),
-                None if not offset else ast.Literal(offset, "int"),
-            ))
-        return root

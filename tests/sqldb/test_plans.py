@@ -122,15 +122,18 @@ GOLDEN_PLANS = [
      "Distinct\n"
      "  Project(category)\n"
      "    SeqScan(products)"),
+    # a UNION is no operator of its own: the branches concatenate and
+    # the ordinary Distinct dedupes them (MySQL's DISTINCT union)
     ("SELECT name FROM products WHERE category = 'veg' "
      "UNION SELECT name FROM products WHERE id = 1",
-     "Union(1 branches)\n"
-     "  Project(name)\n"
-     "    Filter(where)\n"
-     "      IndexEqScan(products.category = 'veg')\n"
-     "  Project(name)\n"
-     "    Filter(where)\n"
-     "      IndexEqScan(products.id = 1)"),
+     "Distinct\n"
+     "  Concat(2 inputs)\n"
+     "    Project(name)\n"
+     "      Filter(where)\n"
+     "        IndexEqScan(products.category = 'veg')\n"
+     "    Project(name)\n"
+     "      Filter(where)\n"
+     "        IndexEqScan(products.id = 1)"),
     ("SELECT t.name FROM (SELECT name, price FROM products "
      "WHERE price > 0.4) t WHERE t.price < 1.5",
      "Project(name)\n"
@@ -187,12 +190,13 @@ class TestPlanMetadata(object):
         conn = Connection(shop)
         sql = "SELECT name FROM products ORDER BY price LIMIT 2"
         assert [r[0] for r in rows(shop, sql)] == ["carrot", "banana"]
-        before = shop._executor.plan_stats["topk_orders"]
+        assert shop._executor.last_stage_stats.counters == {
+            "full_scans": 1, "topk_orders": 1}
         shop._executor.enable_topk = False
         assert [r[0] for r in rows(shop, sql)] == ["carrot", "banana"]
-        stats = shop._executor.plan_stats
-        assert stats["topk_orders"] == before  # replanned without TopK
-        assert stats["full_sorts"] >= 1
+        # replanned without TopK
+        assert shop._executor.last_stage_stats.counters == {
+            "full_scans": 1, "full_sorts": 1}
         del conn
 
 
@@ -286,10 +290,14 @@ class TestStreamingExecution(object):
         stats = big._executor.last_stage_stats
         assert stats.peak_materialized_rows <= 4 * 5
 
-    def test_peak_rolls_up_into_plan_stats(self, big):
-        big._executor.plan_stats["peak_materialized_rows"] = 0
+    def test_peak_is_per_execution(self, big):
+        """No cumulative rollup: each execution's StageStats starts at
+        zero, so a full sort's peak never shows on the next query."""
+        big._executor.enable_topk = False
         rows(big, "SELECT id FROM events ORDER BY val LIMIT 5")
-        assert big._executor.plan_stats["peak_materialized_rows"] >= 1
+        assert big._executor.last_stage_stats.peak_materialized_rows >= 500
+        rows(big, "SELECT id FROM events LIMIT 1")
+        assert big._executor.last_stage_stats.peak_materialized_rows <= 4
 
 
 class TestStageInstrumentation(object):
@@ -372,8 +380,10 @@ class TestDistributedPlans(object):
         route = self.route(dplanner,
                            "SELECT reservID, creditCard FROM tickets")
         assert route.kind == "scatter"
+        # the gather over disjoint partitions is the same Concat a
+        # UNION ALL runs
         assert plan_mod.render_tree(route.plan) == (
-            "Gather(union, 2 shards)\n"
+            "Concat(2 inputs)\n"
             "  ShardScan(shard=0: SELECT reservID, creditCard "
             "FROM tickets)\n"
             "  ShardScan(shard=1: SELECT reservID, creditCard "
@@ -404,11 +414,15 @@ class TestDistributedPlans(object):
             dplanner, "SELECT reservID, price FROM tickets "
                       "ORDER BY price DESC LIMIT 3")
         assert route.kind == "scatter"
+        # the merge is the single-node ORDER BY / LIMIT tail over a
+        # Concat; the push-down to the shards is unchanged
         assert plan_mod.render_tree(route.plan) == (
-            "Gather(merge-topk, k=3)\n"
-            "  ShardScan(shard=0: SELECT reservID, price FROM tickets "
+            "Limit\n"
+            "  TopK(1 keys)\n"
+            "    Concat(2 inputs)\n"
+            "      ShardScan(shard=0: SELECT reservID, price FROM tickets "
             "ORDER BY price DESC LIMIT 3)\n"
-            "  ShardScan(shard=1: SELECT reservID, price FROM tickets "
+            "      ShardScan(shard=1: SELECT reservID, price FROM tickets "
             "ORDER BY price DESC LIMIT 3)"
         )
 

@@ -445,9 +445,10 @@ def _topk_sort_violations(plan_path, planner_path):
     """ORDER BY + LIMIT must go through the heap top-k, not a full sort.
 
     Checks three facts about the plan layer: the ``TopK`` operator
-    exists in plan.py, it never calls ``sorted()`` over its input (the
-    bounded heap is the point), and the planner's ORDER BY + LIMIT
-    branch actually constructs it.
+    exists in plan.py, it never sorts its input — no ``sorted()``, no
+    ``.sort()``, no call to the ``_sort_items`` helper :class:`Sort`
+    uses (the bounded heap is the point) — and the planner's ORDER BY +
+    LIMIT branch actually constructs it.
     """
     with open(plan_path) as handle:
         plan_tree = ast.parse(handle.read(), filename=plan_path)
@@ -458,13 +459,15 @@ def _topk_sort_violations(plan_path, planner_path):
         return ["%s: no TopK operator — ORDER BY + LIMIT has no "
                 "top-k path" % rel_plan]
     for node in ast.walk(topk):
-        if (isinstance(node, ast.Call)
-                and isinstance(node.func, ast.Name)
-                and node.func.id == "sorted"):
+        if not isinstance(node, ast.Call):
+            continue
+        name = getattr(node.func, "id", None) or "." + getattr(
+            node.func, "attr", "")
+        if name in ("sorted", ".sort", "_sort_items"):
             problems.append(
-                "%s:%d: sorted() inside TopK — the top-k path "
+                "%s:%d: %s() inside TopK — the top-k path "
                 "must use a bounded heap, not a full sort"
-                % (rel_plan, node.lineno)
+                % (rel_plan, node.lineno, name)
             )
     with open(planner_path) as handle:
         planner_tree = ast.parse(handle.read(), filename=planner_path)
@@ -505,19 +508,89 @@ def test_topk_gate_catches_a_full_sort(tmp_path):
     problems = _topk_sort_violations(str(bad_plan), str(good_planner))
     assert len(problems) == 1
     assert "sorted() inside TopK" in problems[0]
+    bad_plan.write_text(
+        "class TopK:\n"
+        "    def _generate(self, state):\n"
+        "        _sort_items(self.items, self.descending)\n"
+    )
+    problems = _topk_sort_violations(str(bad_plan), str(good_planner))
+    assert len(problems) == 1
+    assert "_sort_items() inside TopK" in problems[0]
+
+
+#: the plan.py code that may order rows: the two ordering operators and
+#: the stable multi-key sort that Sort and the DML target sinks share
+_ORDERING_OWNERS = frozenset(["Sort", "TopK", "_sort_items"])
+
+
+def _ordering_violations(path, owners=_ORDERING_OWNERS):
+    """One owner for ordering: inside plan.py only ``Sort``, ``TopK`` and
+    ``_sort_items`` may call ``.sort()`` / ``sorted()`` or touch
+    ``heapq``.  A private sort elsewhere (a UNION merge, a gather, a DML
+    sink) is a second ORDER BY semantics waiting to drift from the
+    first."""
+    with open(path) as handle:
+        tree = ast.parse(handle.read(), filename=path)
+    rel = os.path.relpath(path, REPO_ROOT)
+    problems = []
+    for top in tree.body:
+        owner = getattr(top, "name", None)
+        if owner in owners:
+            continue
+        for node in ast.walk(top):
+            what = None
+            if isinstance(node, ast.Call):
+                func = node.func
+                if isinstance(func, ast.Name) and func.id == "sorted":
+                    what = "sorted()"
+                elif isinstance(func, ast.Attribute) \
+                        and func.attr == "sort":
+                    what = ".sort()"
+            elif isinstance(node, ast.Name) and node.id == "heapq":
+                what = "heapq"
+            if what is not None:
+                problems.append(
+                    "%s:%d: %s in %s — only %s may order rows"
+                    % (rel, node.lineno, what, owner or "<module>",
+                       ", ".join(sorted(owners))))
+    return problems
+
+
+def test_only_sort_and_topk_order_rows():
+    plan_py = os.path.join(SRC_ROOT, "repro", "sqldb", "plan.py")
+    problems = _ordering_violations(plan_py)
+    assert problems == [], "\n".join(problems)
+
+
+def test_ordering_gate_catches_a_private_sort(tmp_path):
+    """The twin: plan.py with a ``rows.sort(...)`` planted in its own
+    Concat turns the gate red, naming Concat."""
+    plan_py = os.path.join(SRC_ROOT, "repro", "sqldb", "plan.py")
+    with open(plan_py) as handle:
+        source = handle.read()
+    concat = ast.get_source_segment(
+        source, _class_def(ast.parse(source), "Concat"))
+    loop = "        for child in self.children:\n"
+    assert loop in concat
+    planted = concat.replace(
+        loop, "        rows = []\n        rows.sort(key=len)\n" + loop, 1)
+    bad = tmp_path / "plan.py"
+    bad.write_text(source.replace(concat, planted))
+    problems = _ordering_violations(str(bad))
+    assert len(problems) == 1, problems
+    assert ".sort() in Concat" in problems[0]
 
 
 #: plan.py operators allowed to buffer their input — blocking by
-#: algorithm (a join's inner side, grouping, sorting, top-k, union
-#: merge) or by mutation discipline (the DML sinks fix their targets
-#: before the first write).  Everything else must stream.
+#: algorithm (a join's inner side, grouping, sorting, top-k) or by
+#: mutation discipline (the DML sinks fix their targets before the
+#: first write).  Everything else must stream.
 _BLOCKING_OPERATORS = frozenset([
-    "NestedLoopJoin", "HashJoin", "Aggregate", "Sort", "TopK", "Union",
+    "NestedLoopJoin", "HashJoin", "Aggregate", "Sort", "TopK",
     "InsertSink", "UpdateSink", "DeleteSink",
-    # gather-side blockers: partial-aggregate merge buffers its groups,
-    # merge-topk keeps the bounded heap (GatherUnion and ShardScan are
-    # deliberately NOT here — they must stream)
-    "GatherAggregate", "GatherTopK",
+    # the partial-aggregate merge buffers its groups (Concat and
+    # ShardScan are deliberately NOT here — they must stream)
+    "GatherAggregate",
 ])
 
 
@@ -1196,8 +1269,7 @@ def test_septic_state_gate_catches_a_second_memo(tmp_path):
 #: scatter is planned from the slot-free tree ``_bind_slots`` restores
 _LITERAL_VALUE_READERS = frozenset([
     "_field_label",         # a select-list field that is a bare literal
-    "_pair_key_fn",         # ORDER BY <position>
-    "_order_union_rows",    # ORDER BY <position> over a UNION
+    "order_keys",           # ORDER BY <position>
     "DistributedPlanner",
 ])
 
