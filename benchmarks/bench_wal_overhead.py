@@ -21,6 +21,12 @@ and paged storage: bytes on disk per row, the engine's checkpoint call
 (``Database.checkpoint``: snapshot, encode, write, rotate — under
 ``sync=off``, so the time is the CPU's, not the disk's) and the image
 load recovery starts from (``wal.load_checkpoint``).
+
+A third prices the log record itself, over every record of a mixed
+workload (autocommit INSERTs and UPDATEs with ``NOW()``, transactions
+committed and rolled back): framed bytes per record by kind, the
+encode of a record from its fields and the decode of its payload (µs
+per record), and ``wal.scan_log`` over a log of 10 k such records.
 """
 
 import os
@@ -41,6 +47,11 @@ KV_SCHEMA = "CREATE TABLE kv (k INT PRIMARY KEY, v VARCHAR(32), n INT)"
 
 SCHEMA = ("CREATE TABLE readings (id INT AUTO_INCREMENT PRIMARY KEY, "
           "device VARCHAR(20), watts INT, taken DATETIME)")
+
+LOG_RECORDS = 10000
+CODEC_REPEATS = 5
+#: the frame header: u32 length + u32 CRC32
+FRAME_HEADER_BYTES = 8
 
 
 def _run_writes(database):
@@ -116,6 +127,80 @@ def _measure_checkpoint(storage, rows):
     return image_bytes, write_ms, load_ms
 
 
+def _sample_records():
+    """Every log record of a small mixed workload."""
+    tmp = tempfile.mkdtemp(prefix="wal-bench-")
+    database = Database.recover(tmp, wal_sync="off")
+    try:
+        conn = Connection(database)
+        conn.query_or_raise(SCHEMA)
+        for block in range(40):
+            in_tx = block % 4 == 0
+            if in_tx:
+                conn.query_or_raise("BEGIN")
+            for index in range(4):
+                conn.query_or_raise(
+                    "INSERT INTO readings (device, watts, taken) "
+                    "VALUES ('dev-%d', %d, NOW())" % (index, block + index))
+            conn.query_or_raise("UPDATE readings SET watts = watts + 1 "
+                                "WHERE id = %d" % (block + 1))
+            if in_tx:
+                conn.query_or_raise("ROLLBACK" if block % 8 else "COMMIT")
+        database.close()
+        return wal.scan_log(wal.log_path(tmp)).records
+    finally:
+        shutil.rmtree(tmp, ignore_errors=True)
+
+
+def _encode(record):
+    """*record* encoded from its fields (a fresh record: nothing cached)."""
+    return wal.WalRecord(record.lsn, record.op, tx=record.tx,
+                         sql=record.sql, clock=record.clock,
+                         rand=record.rand, failed=record.failed).payload
+
+
+def _per_record_us(action, items):
+    """Median over CODEC_REPEATS passes of *action* over *items*, in µs
+    per item."""
+    samples = []
+    for _ in range(CODEC_REPEATS):
+        start = time.perf_counter()
+        for item in items:
+            action(item)
+        samples.append(1e6 * (time.perf_counter() - start) / len(items))
+    samples.sort()
+    return samples[len(samples) // 2]
+
+
+def _measure_log_records():
+    """``(framed bytes by kind, encode µs, decode µs, 10 k-record log
+    bytes, scan ms)``."""
+    records = _sample_records()
+    framed = {}
+    for record in records:
+        framed.setdefault(record.op, []).append(
+            FRAME_HEADER_BYTES + len(_encode(record)))
+    payloads = [_encode(record) for record in records]
+    encode_us = _per_record_us(_encode, records)
+    decode_us = _per_record_us(wal.WalRecord.from_payload, payloads)
+    tmp = tempfile.mkdtemp(prefix="wal-bench-")
+    try:
+        log = wal.WriteAheadLog(tmp, sync_mode="off")
+        for index in range(LOG_RECORDS):
+            record = records[index % len(records)]
+            log.append(record.op, tx=record.tx, sql=record.sql,
+                       clock=record.clock, rand=record.rand,
+                       failed=record.failed)
+        log.close()
+        path = wal.log_path(tmp)
+        log_bytes = os.path.getsize(path)
+        scan_ms = _median_ms(lambda: wal.scan_log(path), CODEC_REPEATS)
+        assert len(wal.scan_log(path).records) == LOG_RECORDS
+    finally:
+        shutil.rmtree(tmp, ignore_errors=True)
+    return framed, encode_us, decode_us, log_bytes, scan_ms
+
+
 def test_wal_overhead_artifact(report, benchmark):
     def run_measurements():
         results = {}
@@ -125,6 +210,7 @@ def test_wal_overhead_artifact(report, benchmark):
         for storage in ("memory", "paged"):
             for rows in CHECKPOINT_ROWS:
                 results[storage, rows] = _measure_checkpoint(storage, rows)
+        results["records"] = _measure_log_records()
         return results
 
     results = benchmark.pedantic(run_measurements, rounds=1, iterations=1)
@@ -176,6 +262,35 @@ def test_wal_overhead_artifact(report, benchmark):
     report.table(["storage", "rows", "image bytes", "bytes/row",
                   "write (ms)", "load (ms)"], rows,
                  widths=[10, 8, 14, 12, 13, 12])
+
+    framed, encode_us, decode_us, log_bytes, scan_ms = results["records"]
+    count = sum(len(sizes) for sizes in framed.values())
+    report.line()
+    report.line("Log records — the %d records of a mixed workload "
+                "(autocommit INSERT / UPDATE with NOW(), transactions "
+                "committed and rolled back), median of %d passes"
+                % (count, CODEC_REPEATS))
+    report.line()
+    rows = []
+    for kind in ("stmt", "begin", "commit", "rollback", "all"):
+        sizes = (sum(framed.values(), []) if kind == "all"
+                 else framed.get(kind, []))
+        if not sizes:
+            continue
+        per_record = sum(sizes) / len(sizes)
+        rows.append([kind, str(len(sizes)), "%.1f" % per_record])
+        report.metric("log_bytes_per_record_%s" % kind,
+                      round(per_record, 1), "bytes")
+    report.table(["kind", "records", "framed bytes/record"], rows,
+                 widths=[10, 10, 22])
+    report.line()
+    report.line("encode %.2f us / record, decode %.2f us / record; a "
+                "%d-record log is %d bytes and scan_log reads it in %.1f ms"
+                % (encode_us, decode_us, LOG_RECORDS, log_bytes, scan_ms))
+    report.metric("log_encode_us", round(encode_us, 2), "us")
+    report.metric("log_decode_us", round(decode_us, 2), "us")
+    report.metric("log_10k_bytes", log_bytes, "bytes")
+    report.metric("log_scan_10k_ms", round(scan_ms, 1), "ms")
 
     for key in ("commit", "batch", "off"):
         if key in results and base:

@@ -11,8 +11,10 @@ The state machine, per heartbeat boundary (every ``heartbeat_interval``
 ticks):
 
 1. **ship** — the live primary's un-fetched log records go to every
-   live replica, each batch stamped with the primary's epoch and each
-   record with a ship CRC (:func:`repro.replica.node.shipped_crc`);
+   live replica as the payload bytes its log holds (picked by the LSN
+   at their fixed place, never decoded here), each batch stamped with
+   the primary's epoch and each record with a ship CRC over those
+   bytes (:func:`repro.replica.node.shipped_crc`);
    when the primary's SEPTIC store changed since the last round, its
    snapshot rides along so detection models stay consistent set-wide;
 2. **heartbeat** — live replicas refresh their lease from the primary's
@@ -46,8 +48,9 @@ from repro.sqldb.errors import WalError
 
 class ShippedBatch(object):
     """One epoch-stamped shipment: ``entries`` is a list of
-    ``(WalRecord, ship_crc)`` pairs in LSN order; ``store_payload`` is
-    an optional SEPTIC QM-store snapshot riding along."""
+    ``(payload, ship_crc)`` pairs in LSN order, each payload a record's
+    bytes as the primary's log holds them; ``store_payload`` is an
+    optional SEPTIC QM-store snapshot riding along."""
 
     __slots__ = ("epoch", "entries", "store_payload")
 
@@ -63,20 +66,34 @@ class ShippedBatch(object):
         )
 
 
+def flip_a_bit(payload):
+    """In-flight damage to a record's bytes: one bit of its last byte."""
+    damaged = bytearray(payload)
+    damaged[-1] ^= 0x01
+    return bytes(damaged)
+
+
+def damage_a_field(payload):
+    """In-flight damage to a record's fields: it arrives well-formed,
+    encoded afresh, with its transaction id one off."""
+    record = wal_mod.WalRecord.from_payload(payload)
+    return wal_mod.WalRecord(
+        record.lsn, record.op, tx=record.tx + 1, sql=record.sql,
+        clock=record.clock, rand=record.rand, failed=record.failed,
+    ).payload
+
+
 def corrupt_shipment(entries, rng):
     """Corruptor for the ``replica.ship`` site: damage one in-flight
-    record (its payload no longer matches its ship CRC), leaving the
-    primary's log untouched."""
+    record — a flipped bit or a changed field, so its bytes no longer
+    match its ship CRC — leaving the primary's log untouched."""
     if not entries:
         return entries
     index = rng.randrange(len(entries))
-    record, crc = entries[index]
-    twisted = wal_mod.WalRecord(
-        record.lsn, record.op, tx=record.tx, sql=record.sql,
-        clock=record.clock + 1, rand=record.rand, failed=record.failed,
-    )
+    damage = rng.choice((flip_a_bit, damage_a_field))
+    payload, crc = entries[index]
     entries = list(entries)
-    entries[index] = (twisted, crc)
+    entries[index] = (damage(payload), crc)
     return entries
 
 
@@ -242,21 +259,28 @@ class ReplicaSet(object):
             source = self.primary
         if source is None or not source.alive:
             return 0
+        store_payload = self._store_snapshot_if_changed(source)
+        targets = [node for node in self.nodes
+                   if node is not source and node.alive
+                   and node.role == Role.REPLICA
+                   and node.name not in self._partitioned]
+        if not targets:
+            return 0
+        # ship bytes, not records: what some target has yet to see is
+        # picked by the LSN at its fixed place; each replica decodes
+        # the bytes that reach it once they pass their CRC
         data = wal_mod.read_log_bytes(
             wal_mod.log_path(source.database.data_dir))
-        records = [record for record, _end in wal_mod.iter_frames(data)]
-        store_payload = self._store_snapshot_if_changed(source)
+        low = min(node.applier.last_seen_lsn for node in targets)
+        frames = [(lsn, payload, shipped_crc(payload)) for lsn, payload
+                  in wal_mod.iter_payloads(data, after_lsn=low)]
         total = 0
-        for node in self.nodes:
-            if (node is source or not node.alive
-                    or node.role != Role.REPLICA
-                    or node.name in self._partitioned):
+        for node in targets:
+            seen = node.applier.last_seen_lsn
+            entries = [(payload, crc) for lsn, payload, crc in frames
+                       if lsn > seen]
+            if not entries and store_payload is None:
                 continue
-            pending = [record for record in records
-                       if record.lsn > node.applier.last_seen_lsn]
-            if not pending and store_payload is None:
-                continue
-            entries = [(record, shipped_crc(record)) for record in pending]
             if faults_mod.ACTIVE is not None:
                 try:
                     entries = faults_mod.fire("replica.ship",

@@ -7,23 +7,27 @@ The node is where the two failover-safety mechanisms live:
   epoch it has ever accepted and rejects anything older, so a *zombie*
   primary (partitioned away, unaware it was deposed) can keep producing
   records forever without any survivor applying one of them;
-* **ship integrity** — each shipped record travels with a CRC32 over
-  its canonical payload, recomputed on arrival.  A record corrupted in
-  flight (the ``replica.ship`` fault site's ``corrupt`` kind) is
-  rejected before it touches the replica's log, and ingestion of the
-  batch stops there — the applier's position did not advance, so the
-  next ship round simply re-sends the suffix.
+* **ship integrity** — a record ships as the payload bytes the
+  primary's log holds, with a CRC32 over them.  On arrival the CRC is
+  recomputed over the bytes that arrived, and only bytes that pass are
+  decoded: the record the replica applies and the bytes its log
+  appends are one and the same, and nothing re-encodes them.  A record
+  corrupted in flight (the ``replica.ship`` fault site's ``corrupt``
+  kind) is rejected before it touches the replica's log, and ingestion
+  of the batch stops there — the applier's position did not advance,
+  so the next ship round simply re-sends the suffix.
 """
 
 import zlib
 
 from repro.replica.apply import ReplicaApplier
+from repro.sqldb import wal as wal_mod
 
 
-def shipped_crc(record):
-    """The integrity checksum a record ships with (CRC32 over the same
-    canonical payload the WAL frames on disk)."""
-    return zlib.crc32(record.to_payload()) & 0xFFFFFFFF
+def shipped_crc(payload):
+    """The integrity checksum a record ships with: CRC32 over its
+    payload bytes as the primary's log holds them."""
+    return zlib.crc32(payload) & 0xFFFFFFFF
 
 
 class Role(object):
@@ -79,8 +83,14 @@ class ReplicaNode(object):
             return 0
         self.epoch = batch.epoch
         ingested = 0
-        for record, crc in batch.entries:
-            if shipped_crc(record) != crc:
+        for payload, crc in batch.entries:
+            record = None
+            if shipped_crc(payload) == crc:
+                try:
+                    record = wal_mod.WalRecord.from_payload(payload)
+                except ValueError:
+                    pass    # passes its CRC yet does not decode: damage
+            if record is None:
                 # damaged in flight: stop here, the suffix re-ships
                 self.corrupt_rejects += 1
                 break

@@ -305,7 +305,10 @@ class Session(object):
             self.tx_id = db._next_tx_id()
             db._wal.append(wal_mod.WalRecord.BEGIN, tx=self.tx_id)
 
-    def commit(self):
+    def commit(self, under_locks=False):
+        """Commit the open transaction.  *under_locks*: the caller holds
+        a statement's locks (the implicit COMMIT before DDL), so a
+        checkpoint this commit makes due waits for their release."""
         if self.write_txn is None:
             return  # COMMIT outside a transaction is a no-op
         db = self.database
@@ -320,6 +323,8 @@ class Session(object):
         if lsn is not None:
             db._note_commit_point()
         self._end()
+        if not under_locks:
+            db._checkpoint_if_due()
 
     def rollback(self):
         txn = self.write_txn
@@ -424,6 +429,11 @@ class Database(object):
         #: durability points between automatic checkpoints (0 = manual)
         self.checkpoint_interval = 0
         self._commit_points_since_checkpoint = 0
+        #: a commit point made an automatic checkpoint due; it runs once
+        #: the statement that reached the point has released its locks
+        self._checkpoint_due = False
+        #: one checkpoint at a time: each rotates the log to its own cut
+        self._checkpoint_lock = threading.Lock()
         #: WAL transaction-id counter
         self._tx_counter = 0
         #: highest LSN seen during recovery (next append starts above it)
@@ -857,53 +867,87 @@ class Database(object):
         while a retention pin (a lagging replica) still needs log
         records the rotation would truncate.  Returns the checkpoint
         LSN when written.
+
+        The image and the LSN it covers are cut together, with the
+        catalog held exclusively.  Every durable statement holds the
+        catalog, shared or exclusive, from its execution through its
+        log append, so at the cut none is between the two: each is in
+        the image and at or below the cut, or in neither and appended
+        after it, where the rotation keeps it.  So the caller must hold
+        no statement lock; an automatic checkpoint waits for the
+        statement that made it due to release its locks
+        (:meth:`_note_commit_point`).  Only the cut is exclusive: the
+        doublewrite batch, the image file, the rotation and the home
+        writes run from bytes already encoded, with statements running
+        again; on paged storage the catalog is taken once more to settle
+        the pages the images hold (a page changed since stays dirty) and
+        to re-list the pages the scrubber walks.
         """
-        if self._wal is None:
+        wal = self._wal
+        if wal is None:
             raise WalError("no WAL attached")
-        if self._tx_sessions:
-            return None
-        low_water = self.retention_low_water()
-        if low_water is not None and low_water < self._wal.last_lsn:
-            self.checkpoints_deferred += 1
-            return None
-        with self.catalog_lock:
-            state = {
-                "tables": [
-                    table.to_dict() for table in self.tables.values()
-                ],
-                "schema_version": self.schema_version,
-                "clock": self._clock_ticks,
-                "rand": self._rand_calls,
-                "seed": self._rand_seed,
-                "tx_counter": self._tx_counter,
-            }
-        images = None
-        store = self.page_store
-        if store is not None:
-            # doublewrite-first checkpoint protocol: (1) every dirty
-            # page image lands in the sealed doublewrite batch, (2) the
-            # checkpoint JSON references the batch id, (3) only then do
-            # the home writes start.  Recovery applies the doublewrite
-            # copies over the home file exactly when the sealed batch
-            # matches the JSON's — so whichever step a crash tears, the
-            # home file reconstructs to a consistent checkpoint image.
-            images = store.collect_images(lsn=self._wal.last_lsn)
-            batch = store.checkpoint_begin(images)
-            state["pages"] = {
-                "batch": batch,
-                "page_size": store.pager.page_size,
-                "page_count": store.pager.page_count,
-                "freelist": sorted(store.pager.freelist),
-                "tables": {
-                    name: table.store.pages_meta()
-                    for name, table in self.tables.items()
-                },
-            }
-        lsn = self._wal.write_checkpoint(state)
-        if store is not None:
-            store.checkpoint_finish(images)
-            self._rebuild_scrub_set()
-        self._commit_points_since_checkpoint = 0
+        catalog = self.lock_manager.catalog
+        with self._checkpoint_lock:
+            catalog.acquire_write()
+            try:
+                if self._tx_sessions:
+                    return None
+                cut = wal.frontier()
+                low_water = self.retention_low_water()
+                if low_water is not None and low_water < cut[0]:
+                    self.checkpoints_deferred += 1
+                    return None
+                with self.catalog_lock:
+                    state = {
+                        "tables": [
+                            table.to_dict() for table in self.tables.values()
+                        ],
+                        "schema_version": self.schema_version,
+                        "clock": self._clock_ticks,
+                        "rand": self._rand_calls,
+                        "seed": self._rand_seed,
+                        "tx_counter": self._tx_counter,
+                    }
+                images = None
+                store = self.page_store
+                if store is not None:
+                    # the page images are encoded here, so what follows
+                    # the cut writes bytes no statement can change
+                    images, taken = store.collect_images(lsn=cut[0])
+                    state["pages"] = {
+                        "page_size": store.pager.page_size,
+                        "page_count": store.pager.page_count,
+                        "freelist": sorted(store.pager.freelist),
+                        "tables": {
+                            name: table.store.pages_meta()
+                            for name, table in self.tables.items()
+                        },
+                    }
+            finally:
+                catalog.release_write()
+            if store is not None:
+                # doublewrite-first checkpoint protocol: (1) every dirty
+                # page image lands in the sealed doublewrite batch, (2)
+                # the checkpoint JSON references the batch id, (3) only
+                # then do the home writes start.  Recovery applies the
+                # doublewrite copies over the home file exactly when the
+                # sealed batch matches the JSON's — so whichever step a
+                # crash tears, the home file reconstructs to a
+                # consistent image.
+                state["pages"]["batch"] = store.checkpoint_begin(images)
+            lsn = wal.write_checkpoint(state, cut)
+            if store is not None:
+                store.checkpoint_finish(images)
+                # with statements excluded again: a page changed after
+                # the cut must stay dirty, and the scrub set's tree walk
+                # goes through the buffer pool the statements share
+                catalog.acquire_write()
+                try:
+                    store.settle(taken)
+                    self._rebuild_scrub_set()
+                finally:
+                    catalog.release_write()
+            self._commit_points_since_checkpoint = 0
         # GC rides the checkpoint: reclaim version chains and tombstones
         # no pinned read view can still need
         horizon = self.mvcc_horizon()
@@ -1050,10 +1094,23 @@ class Database(object):
             return self._tx_counter
 
     def _note_commit_point(self):
+        """Count a durability point; every ``checkpoint_interval`` of
+        them make a checkpoint due.  It is not written here: a commit
+        point is often reached under a statement's locks (an autocommit
+        statement's log append, the implicit COMMIT before DDL), and
+        :meth:`checkpoint` takes the catalog exclusively — it runs from
+        :meth:`_checkpoint_if_due` once they are released."""
         if not self.checkpoint_interval:
             return
         self._commit_points_since_checkpoint += 1
         if self._commit_points_since_checkpoint >= self.checkpoint_interval:
+            self._checkpoint_due = True
+
+    def _checkpoint_if_due(self):
+        """Write the checkpoint a commit point made due (the caller
+        holds no statement lock)."""
+        if self._checkpoint_due:
+            self._checkpoint_due = False
             self.checkpoint()  # stays pending while a tx is open
 
     def _wal_prepare(self, stmt, values):
@@ -1555,6 +1612,10 @@ class Database(object):
         finally:
             if plan is not None:
                 self.lock_manager.release(plan)
+            if self._checkpoint_due:
+                # the locks are released: a checkpoint this statement's
+                # commit point made due runs now, failed statement or not
+                self._checkpoint_if_due()
         with self._stats_lock:
             self.statements_executed += 1
         if result.last_insert_id is not None:

@@ -177,7 +177,7 @@ class Executor(object):
             self._record(state.stats, query_context)
             return result
         if isinstance(stmt, _IMPLICIT_COMMIT):
-            session.commit()
+            session.commit(under_locks=True)
         if isinstance(stmt, ast.CreateTable):
             return self._create_table(stmt)
         if isinstance(stmt, ast.DropTable):

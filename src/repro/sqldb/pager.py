@@ -34,6 +34,12 @@ Three files live in a data directory:
     instead; a reload prefers the spill copy.  The file is volatile by
     design: recovery ignores it and the next checkpoint clears it.
 
+Every dirty frame and every spill copy carries a **version**, fresh at
+each change.  A checkpoint takes its page images at the cut and homes
+them while statements run again, so it settles (marks clean, drops the
+spill copy of) only what is still at the version its image was taken
+from: a page changed after the cut stays dirty for the next one.
+
 The three ``pager.read`` / ``pager.write`` / ``pager.fsync`` fault
 sites wrap every raw I/O with a bounded retry (backoff charged to the
 virtual :data:`repro.core.resilience.HOOK_CLOCK`, never a real sleep)
@@ -50,6 +56,7 @@ construction never rewrites a page whose checksum verifies
 (``false_repairs`` stays 0).
 """
 
+import itertools
 import json
 import os
 import struct
@@ -83,6 +90,9 @@ IO_BACKOFF = 0.01
 PAGES_NAME = "pages.db"
 DOUBLEWRITE_NAME = "doublewrite.db"
 SPILL_NAME = "spill.db"
+
+#: version stamps of frames and spill copies (``next`` is atomic)
+_VERSIONS = itertools.count(1)
 
 
 def pages_path(data_dir):
@@ -174,6 +184,8 @@ class Pager(object):
         self.freelist = []
         #: page_no -> spill slot (volatile, cleared at checkpoint)
         self._spill_slots = {}
+        #: page_no -> version of its spill copy
+        self._spill_versions = {}
         self._spill_next = 0
         self.closed = False
         # counters (Septic.status / benches read these)
@@ -454,6 +466,7 @@ class Pager(object):
                 slot = self._spill_next
                 self._spill_next += 1
                 self._spill_slots[page_no] = slot
+            self._spill_versions[page_no] = next(_VERSIONS)
             offset = slot * self.page_size
 
             def operation():
@@ -476,16 +489,30 @@ class Pager(object):
         return decode_page(data, page_no, self.page_size)
 
     def spill_images(self):
-        """Current spill copies as ``{page_no: (lsn, payload)}`` — the
-        checkpoint folds in spilled pages that are no longer resident."""
+        """Current spill copies as ``{page_no: (lsn, payload)}``, and
+        ``{page_no: version}`` of each — the checkpoint folds in spilled
+        pages that are no longer resident."""
         images = {}
-        for page_no in sorted(self._spill_slots):
-            images[page_no] = self.spill_read(page_no)
-        return images
+        with self._lock:
+            for page_no in sorted(self._spill_slots):
+                images[page_no] = self.spill_read(page_no)
+            return images, dict(self._spill_versions)
+
+    def settle_spill(self, versions):
+        """Drop the spill copies still at the *versions* a checkpoint
+        homed; the file is emptied once none is left."""
+        with self._lock:
+            for page_no, version in versions.items():
+                if self._spill_versions.get(page_no) == version:
+                    del self._spill_slots[page_no]
+                    del self._spill_versions[page_no]
+            if not self._spill_slots:
+                self.clear_spill()
 
     def clear_spill(self):
         with self._lock:
             self._spill_slots = {}
+            self._spill_versions = {}
             self._spill_next = 0
             self._spill.truncate(0)
 
@@ -530,7 +557,8 @@ class Pager(object):
 class Frame(object):
     """One buffer-pool slot: a decoded page node plus its bookkeeping."""
 
-    __slots__ = ("page_no", "node", "dirty", "pin_count", "ref", "lsn")
+    __slots__ = ("page_no", "node", "dirty", "pin_count", "ref", "lsn",
+                 "version")
 
     def __init__(self, page_no, node, dirty, lsn):
         self.page_no = page_no
@@ -539,6 +567,7 @@ class Frame(object):
         self.pin_count = 0
         self.ref = True
         self.lsn = lsn
+        self.version = next(_VERSIONS)
 
 
 class BufferPool(object):
@@ -668,6 +697,7 @@ class BufferPool(object):
                 "cannot dirty page %d: not resident" % page_no
             )
         frame.dirty = True
+        frame.version = next(_VERSIONS)
         if lsn > frame.lsn:
             frame.lsn = lsn
 
@@ -676,17 +706,23 @@ class BufferPool(object):
         self._frames.pop(page_no, None)
 
     def dirty_images(self):
-        """``{page_no: (lsn, payload)}`` of every dirty resident frame."""
-        images = {}
+        """``{page_no: (lsn, payload)}`` of every dirty resident frame,
+        and ``{page_no: version}`` of each."""
+        images, versions = {}, {}
         for page_no in sorted(self._frames):
             frame = self._frames[page_no]
             if frame.dirty:
                 images[page_no] = (frame.lsn, self.encoder(frame.node))
-        return images
+                versions[page_no] = frame.version
+        return images, versions
 
-    def mark_all_clean(self):
-        for frame in self._frames.values():
-            frame.dirty = False
+    def settle(self, versions):
+        """Mark clean the frames still at the *versions* a checkpoint
+        homed; one changed since stays dirty."""
+        for page_no, version in versions.items():
+            frame = self._frames.get(page_no)
+            if frame is not None and frame.version == version:
+                frame.dirty = False
 
     def clear(self):
         self._frames = {}
@@ -892,12 +928,14 @@ class PageStore(object):
         resident frames win over their (older) spill copies; spilled
         pages no longer resident ride along.  With *lsn* the images are
         stamped with it (the checkpoint's log position — the page-LSN
-        audit reads these back)."""
-        images = {}
-        for page_no, (page_lsn, payload) in \
-                self.pager.spill_images().items():
-            images[page_no] = (page_lsn, payload)
-        images.update(self.pool.dirty_images())
+        audit reads these back).
+
+        Returns ``(images, taken)``: *taken* holds the version of every
+        frame and spill copy an image was taken from, for
+        :meth:`settle`."""
+        images, spill_versions = self.pager.spill_images()
+        resident, frame_versions = self.pool.dirty_images()
+        images.update(resident)
         return {
             page_no: encode_page(
                 page_no, payload,
@@ -905,7 +943,7 @@ class PageStore(object):
                 self.pager.page_size,
             )
             for page_no, (page_lsn, payload) in images.items()
-        }
+        }, (frame_versions, spill_versions)
 
     def checkpoint_begin(self, images):
         """Phase 1 (before the checkpoint JSON lands): write + seal the
@@ -915,14 +953,21 @@ class PageStore(object):
         return self.batch_id
 
     def checkpoint_finish(self, images):
-        """Phase 2 (after the JSON landed): home the images, fsync,
-        drop the spill and settle every frame clean."""
+        """Phase 2 (after the JSON landed): home the images and fsync."""
         for page_no in sorted(images):
             self.pager.write_home_raw(page_no, images[page_no])
         if images:
             self.pager.fsync_home()
-        self.pager.clear_spill()
-        self.pool.mark_all_clean()
+
+    def settle(self, taken):
+        """Phase 3 (the images are home): mark clean the frames, and
+        drop the spill copies, still at the version *taken* from
+        :meth:`collect_images` recorded — the caller excludes every
+        statement meanwhile, so none changes a page between the check
+        and the mark."""
+        frame_versions, spill_versions = taken
+        self.pager.settle_spill(spill_versions)
+        self.pool.settle(frame_versions)
 
     def restore_allocation(self, state):
         self.pager.set_allocation(state.get("page_count", 0),

@@ -9,14 +9,34 @@ durability is the *logical statement*, re-executed deterministically):
 
 * the **log** is a single append-only file of length-prefixed records::
 
-      record := u32 payload_length | u32 crc32(payload) | payload
-      payload := JSON {lsn, op, tx, sql, clock, rand, failed}
+      record  := u32 payload_length | u32 crc32(payload) | payload
+      payload := u8 kind | u8 flags | varint lsn | [varint tx]
+                 | [varint clock | varint rand | utf-8 sql]
 
-  ``op`` is ``stmt`` for a logged statement or a ``begin`` / ``commit``
-  / ``rollback`` transaction marker.  Every record carries a strictly
-  increasing **LSN**.  ``clock`` and ``rand`` snapshot the engine's
-  virtual clock and RNG-draw count *before* the statement ran, so
-  replay of ``NOW()``/``RAND()`` is bit-identical;
+  ``kind`` 1–4 is ``stmt`` for a logged statement or a ``begin`` /
+  ``commit`` / ``rollback`` transaction marker; ``flags`` say whether
+  the record carries a tx id, whether it carries a statement (clock,
+  rand and the text, which runs to the end of the payload) and whether
+  that statement failed.  Varints are unsigned LEB128.  Every record
+  carries a strictly increasing **LSN**, always from byte 2 on, so a
+  reader can skip a record without decoding it.  ``clock`` and
+  ``rand`` snapshot the engine's virtual clock and RNG-draw count
+  *before* the statement ran, so replay of ``NOW()``/``RAND()`` is
+  bit-identical.
+
+  A payload whose first byte is ``{`` is the sorted-key JSON object
+  ``{lsn, op, tx, sql, clock, rand, failed}`` earlier versions wrote:
+  one branch of the decoder still reads it, no writer produces it.  The
+  header did not change with the payload, so the framing rules below
+  (torn tail vs mid-log damage) hold for both and a log may mix them.
+  A payload that passes its CRC but does not decode is damage like any
+  other.
+
+  A :class:`WalRecord` is **encoded once**: it keeps the bytes it was
+  encoded as (the append path) or decoded from (a log read).  The CRC
+  a primary ships a record with, the check on arrival and the
+  replica's own append all use those bytes, so a replica's log is
+  byte-identical to its primary's over the range it was shipped;
 * **COMMIT is the durability point**: autocommit statements and
   ``commit`` markers are fsynced (per-commit or batched, see *sync
   modes* below); anything after the last fsync may be lost in a crash
@@ -28,9 +48,10 @@ durability is the *logical statement*, re-executed deterministically):
   it raises :class:`~repro.sqldb.errors.WalCorruptionError` instead of
   being guessed around;
 * a **checkpoint** is a full catalog+rows snapshot written atomically
-  (tmp file + ``os.replace`` + fsync), after which the log is rotated
-  (truncated); records at or below the checkpoint LSN are dead.  The
-  image is encoded once, compactly, and framed like a log record::
+  (tmp file + ``os.replace`` + fsync), after which the log is rotated:
+  the records the snapshot covers are dropped, any appended after it
+  was cut are kept.  The image is encoded once, compactly, and framed
+  like a log record::
 
       image := magic | u32 length | u32 crc32(packed) | packed
       packed := zlib(JSON body, compact separators, sorted keys)
@@ -70,6 +91,23 @@ _HEADER = struct.Struct("<II")
 #: damage, not a real record)
 MAX_RECORD_BYTES = 16 * 1024 * 1024
 
+#: a payload's first byte, by record kind, and back
+_KIND_CODES = {"stmt": 1, "begin": 2, "commit": 3, "rollback": 4}
+_KIND_NAMES = {code: op for op, code in _KIND_CODES.items()}
+
+#: payload flag bits: a tx id follows the LSN; clock, rand and the
+#: statement text follow; the statement failed
+_HAS_TX = 0x01
+_HAS_SQL = 0x02
+_FAILED = 0x04
+_FLAGS = _HAS_TX | _HAS_SQL | _FAILED
+
+#: a varint longer than this is damage, not a 64-bit number
+_MAX_VARINT_BYTES = 10
+
+#: the first byte of a payload earlier versions wrote (a JSON object)
+_LEGACY_PAYLOAD = b"{"
+
 #: first bytes of a checkpoint image (none of them a ``{``, which marks
 #: the JSON-text layout of earlier versions)
 _IMAGE_MAGIC = b"\x89CKPT\r\n"
@@ -104,9 +142,10 @@ def qm_store_path(data_dir):
 
 
 class WalRecord(object):
-    """One decoded log record."""
+    """One log record, and the payload bytes it is stored as."""
 
-    __slots__ = ("lsn", "op", "tx", "sql", "clock", "rand", "failed")
+    __slots__ = ("lsn", "op", "tx", "sql", "clock", "rand", "failed",
+                 "_payload")
 
     #: record kinds
     STMT = "stmt"
@@ -115,7 +154,7 @@ class WalRecord(object):
     ROLLBACK = "rollback"
 
     def __init__(self, lsn, op, tx=0, sql=None, clock=0, rand=0,
-                 failed=False):
+                 failed=False, payload=None):
         self.lsn = lsn
         self.op = op
         #: transaction id (0 = autocommit)
@@ -131,37 +170,124 @@ class WalRecord(object):
         #: managed before the failing one); replay re-runs it and
         #: expects the same error
         self.failed = failed
+        #: the encoded bytes: the ones the record was decoded from, or
+        #: ``None`` until :attr:`payload` first encodes them
+        self._payload = payload
 
-    def to_payload(self):
-        body = {"lsn": self.lsn, "op": self.op}
-        if self.tx:
-            body["tx"] = self.tx
-        if self.sql is not None:
-            body["sql"] = self.sql
-            body["clock"] = self.clock
-            body["rand"] = self.rand
-        if self.failed:
-            body["failed"] = True
-        return json.dumps(body, sort_keys=True).encode("utf-8")
+    @property
+    def payload(self):
+        """The record's payload bytes (module docstring) — those it was
+        decoded from, or encoded on first use and kept: nothing encodes
+        a record twice."""
+        payload = self._payload
+        if payload is None:
+            payload = self._payload = _encode(self)
+        return payload
 
     @classmethod
     def from_payload(cls, payload):
-        body = json.loads(payload.decode("utf-8"))
-        return cls(
-            lsn=body["lsn"],
-            op=body["op"],
-            tx=body.get("tx", 0),
-            sql=body.get("sql"),
-            clock=body.get("clock", 0),
-            rand=body.get("rand", 0),
-            failed=body.get("failed", False),
-        )
+        """Decode one payload, binary or the JSON of earlier versions.
+        A payload that does not decode raises :class:`ValueError`,
+        whatever is wrong with it."""
+        payload = bytes(payload)
+        if payload[:1] == _LEGACY_PAYLOAD:
+            return _decode_legacy(payload)
+        return _decode(payload)
 
     def __repr__(self):
         if self.op == self.STMT:
             return "WalRecord(%d, stmt tx=%d, %r)" % (self.lsn, self.tx,
                                                       (self.sql or "")[:40])
         return "WalRecord(%d, %s tx=%d)" % (self.lsn, self.op, self.tx)
+
+
+# -- the record codec ---------------------------------------------------------
+
+
+def _put_varint(out, value):
+    while value > 0x7F:
+        out.append((value & 0x7F) | 0x80)
+        value >>= 7
+    out.append(value)
+
+
+def _get_varint(data, at):
+    """``(value, offset after it)`` of the varint at ``data[at:]``."""
+    value = shift = 0
+    for index in range(at, min(len(data), at + _MAX_VARINT_BYTES)):
+        byte = data[index]
+        value |= (byte & 0x7F) << shift
+        if byte < 0x80:
+            return value, index + 1
+        shift += 7
+    raise ValueError("varint at byte %d runs past the end of the record"
+                     % at)
+
+
+def _encode(record):
+    """The one encoder: *record*'s binary payload."""
+    out = bytearray((_KIND_CODES[record.op], 0))
+    flags = 0
+    _put_varint(out, record.lsn)
+    if record.tx:
+        flags |= _HAS_TX
+        _put_varint(out, record.tx)
+    if record.sql is not None:
+        flags |= _HAS_SQL
+        _put_varint(out, record.clock)
+        _put_varint(out, record.rand)
+        out += record.sql.encode("utf-8", "surrogatepass")
+    if record.failed:
+        flags |= _FAILED
+    out[1] = flags
+    return bytes(out)
+
+
+def _decode(payload):
+    """The one decoder of binary payloads."""
+    if len(payload) < 3:   # kind, flags, and at least one LSN byte
+        raise ValueError("record payload of %d bytes" % len(payload))
+    op = _KIND_NAMES.get(payload[0])
+    flags = payload[1]
+    if op is None or flags & ~_FLAGS:
+        raise ValueError("unknown record kind %d / flags %#x"
+                         % (payload[0], flags))
+    lsn, at = _get_varint(payload, 2)
+    tx = clock = rand = 0
+    sql = None
+    if flags & _HAS_TX:
+        tx, at = _get_varint(payload, at)
+    if flags & _HAS_SQL:
+        clock, at = _get_varint(payload, at)
+        rand, at = _get_varint(payload, at)
+        sql = payload[at:].decode("utf-8", "surrogatepass")
+    elif at != len(payload):
+        raise ValueError("%d stray bytes after the record"
+                         % (len(payload) - at))
+    return WalRecord(lsn, op, tx, sql, clock, rand, bool(flags & _FAILED),
+                     payload)
+
+
+def _decode_legacy(payload):
+    """The legacy branch: a payload earlier versions wrote, the
+    sorted-key JSON object ``{lsn, op, tx, sql, clock, rand, failed}``.
+    The record keeps those bytes, so a replica appends them as shipped."""
+    body = json.loads(payload.decode("utf-8"))
+    try:
+        return WalRecord(body["lsn"], body["op"], tx=body.get("tx", 0),
+                         sql=body.get("sql"), clock=body.get("clock", 0),
+                         rand=body.get("rand", 0),
+                         failed=body.get("failed", False), payload=payload)
+    except (KeyError, TypeError, AttributeError) as exc:
+        raise ValueError("legacy record payload lacks %s" % exc)
+
+
+def payload_lsn(payload):
+    """The LSN of an encoded record, read from its fixed place without
+    decoding the rest (a legacy payload is decoded whole)."""
+    if payload[:1] == _LEGACY_PAYLOAD:
+        return WalRecord.from_payload(payload).lsn
+    return _get_varint(payload, 2)[0]
 
 
 class CommitGrouper(object):
@@ -253,7 +379,8 @@ class LogStream(object):
     iteration just ends; a damaged record with more data after it is
     mid-log corruption and raises :class:`WalCorruptionError` (its
     ``clean_records`` empty: the clean prefix was already yielded, not
-    retained).  Afterwards :attr:`clean_offset`, :attr:`torn_bytes`,
+    retained).  A record that passes its CRC but does not decode is
+    damaged too.  Afterwards :attr:`clean_offset`, :attr:`torn_bytes`,
     :attr:`records_seen`, :attr:`ops` and :attr:`last_lsn` describe
     what was found.
     """
@@ -299,7 +426,7 @@ class LogStream(object):
                 if (zlib.crc32(payload) & 0xFFFFFFFF) == crc:
                     try:
                         record = WalRecord.from_payload(payload)
-                    except (ValueError, KeyError, UnicodeDecodeError):
+                    except ValueError:
                         pass
                 if record is None:
                     if self.clean_offset + need < total:
@@ -364,6 +491,8 @@ class WriteAheadLog(object):
         # in-process "kill" loses nothing to user-space buffers and the
         # fsync boundary models exactly what a real power cut loses
         self._handle = open(self.path, "ab", buffering=0)
+        #: the log file's length: where the next record lands
+        self._size = os.path.getsize(self.path)
         self.closed = False
 
     # -- the append path ---------------------------------------------------
@@ -387,16 +516,18 @@ class WriteAheadLog(object):
         return record.lsn
 
     def append_record(self, record, durability_point=False):
-        """Append an already-stamped :class:`WalRecord` verbatim.
+        """Append an already-stamped :class:`WalRecord` verbatim: the
+        payload bytes it carries, not a re-encoding of its fields.
 
         The replication apply path: a replica writes the records its
-        primary shipped into its *own* log, keeping the primary's LSNs,
-        so the replica's on-disk history is byte-for-byte replayable by
-        the ordinary recovery path — and promotion needs no log rewrite.
-        The log's LSN counter follows the record (``next_lsn`` becomes
-        ``record.lsn + 1``); appending a record at or below the current
-        frontier would shadow existing history and raises
-        :class:`~repro.sqldb.errors.WalError` instead.
+        primary shipped into its *own* log, keeping the primary's LSNs
+        and bytes, so the replica's on-disk history is byte-for-byte
+        the primary's, replayable by the ordinary recovery path — and
+        promotion needs no log rewrite.  The log's LSN counter follows
+        the record (``next_lsn`` becomes ``record.lsn + 1``); appending
+        a record at or below the current frontier would shadow existing
+        history and raises :class:`~repro.sqldb.errors.WalError`
+        instead.
         """
         with self._lock:
             if self.closed:
@@ -417,13 +548,14 @@ class WriteAheadLog(object):
         the lock is released."""
         if faults_mod.ACTIVE is not None:
             faults_mod.fire("wal.append")
-        payload = record.to_payload()
+        payload = record.payload
         blob = _HEADER.pack(len(payload),
                             zlib.crc32(payload) & 0xFFFFFFFF) + payload
         self._handle.write(blob)
         self.next_lsn = record.lsn + 1
         self.records_appended += 1
         self.bytes_written += len(blob)
+        self._size += len(blob)
         if not durability_point:
             return False
         self.commits += 1
@@ -482,6 +614,13 @@ class WriteAheadLog(object):
         with self._lock:
             return self.next_lsn - 1
 
+    def frontier(self):
+        """``(lsn, offset)``: the newest LSN appended and the log length
+        after it — the cut a checkpoint image is stamped with, read
+        while the image is snapshotted (:meth:`write_checkpoint`)."""
+        with self._lock:
+            return self.next_lsn - 1, self._size
+
     @property
     def pending_unsynced_commits(self):
         """Durability points appended but not yet fsynced.
@@ -498,19 +637,23 @@ class WriteAheadLog(object):
 
     # -- checkpoints -------------------------------------------------------
 
-    def write_checkpoint(self, state):
+    def write_checkpoint(self, state, cut):
         """Durably write *state* as the checkpoint, then rotate the log.
 
         *state* must be a JSON-serializable dict; this method stamps it
-        with the current LSN frontier and writes it as one framed,
-        compressed image (module docstring).  The sequence is crash-safe
-        at every step:
+        with the LSN of *cut* — the :meth:`frontier` read while *state*
+        was snapshotted, never one read afterwards — and writes it as
+        one framed, compressed image (module docstring).  The sequence
+        is crash-safe at every step:
 
         1. the new checkpoint lands in a tmp file and replaces the old
            one atomically (a kill mid-write leaves the old one valid);
-        2. only after the replace is fsynced is the log truncated (a
+        2. only after the replace is fsynced does the log rotate (a
            kill in between leaves stale records the replay watermark
-           skips).
+           skips).  Rotation drops the log up to the cut; records
+           appended after it — the image does not hold them — move to
+           the front of a fresh log, swapped in the same tmp + replace
+           way.
 
         Returns the checkpoint LSN.
         """
@@ -518,7 +661,7 @@ class WriteAheadLog(object):
             if faults_mod.ACTIVE is not None:
                 faults_mod.fire("wal.checkpoint")
             self.fsync()
-            lsn = self.next_lsn - 1
+            lsn, offset = cut
             body = dict(state)
             body["lsn"] = lsn
             # encoded once: the bytes the CRC covers are the bytes on disk
@@ -526,21 +669,40 @@ class WriteAheadLog(object):
                 json.dumps(body, sort_keys=True,
                            separators=(",", ":")).encode("utf-8"),
                 _IMAGE_LEVEL)
-            target = checkpoint_path(self.data_dir)
-            tmp = target + ".tmp"
-            with open(tmp, "wb") as handle:
-                handle.write(_IMAGE_MAGIC + _HEADER.pack(
+            self._replace_file(
+                checkpoint_path(self.data_dir),
+                _IMAGE_MAGIC + _HEADER.pack(
                     len(packed), zlib.crc32(packed) & 0xFFFFFFFF) + packed)
-                handle.flush()
-                if self.sync_mode != "off":
-                    os.fsync(handle.fileno())
-            os.replace(tmp, target)
-            # rotate: everything <= lsn now lives in the checkpoint
-            self._handle.close()
+            self._rotate(offset)
+            return lsn
+
+    def _replace_file(self, target, data):
+        """Make *data* the file *target*: tmp file, fsync, replace."""
+        tmp = target + ".tmp"
+        with open(tmp, "wb") as handle:
+            handle.write(data)
+            handle.flush()
+            if self.sync_mode != "off":
+                os.fsync(handle.fileno())
+        os.replace(tmp, target)
+
+    def _rotate(self, offset):
+        """Drop the log's first *offset* bytes (what the checkpoint
+        holds), keeping the records appended after them."""
+        self._handle.close()
+        tail = b""
+        if offset < self._size:
+            with open(self.path, "rb") as handle:
+                handle.seek(offset)
+                tail = handle.read()
+        if tail:
+            self._replace_file(self.path, tail)
+            self.bytes_written += len(tail)
+        else:
             with open(self.path, "wb"):
                 pass  # truncate
-            self._handle = open(self.path, "ab", buffering=0)
-            return lsn
+        self._size = len(tail)
+        self._handle = open(self.path, "ab", buffering=0)
 
     def close(self):
         """Flush, fsync and release the log handle (clean shutdown)."""
@@ -677,12 +839,9 @@ def write_log_bytes(path, data):
         handle.write(data)
 
 
-def iter_frames(data):
-    """Yield ``(record, end_offset)`` for every intact frame in *data*.
-
-    Stops at the first damaged or partial frame (callers feed it known-
-    clean golden logs; use :func:`scan_log` for real recovery).
-    """
+def _intact_payloads(data):
+    """Yield ``(payload, end_offset)`` for every frame in *data* up to
+    the first damaged or partial one."""
     offset = 0
     total = len(data)
     while offset + _HEADER.size <= total:
@@ -693,9 +852,35 @@ def iter_frames(data):
         payload = data[offset + _HEADER.size:end]
         if (zlib.crc32(payload) & 0xFFFFFFFF) != crc:
             return
+        yield payload, end
+        offset = end
+
+
+def iter_frames(data):
+    """Yield ``(record, end_offset)`` for every intact frame in *data*.
+
+    Stops at the first damaged or partial frame (callers feed it known-
+    clean golden logs; use :func:`scan_log` for real recovery).
+    """
+    for payload, end in _intact_payloads(data):
         try:
             record = WalRecord.from_payload(payload)
-        except (ValueError, KeyError, UnicodeDecodeError):
+        except ValueError:
             return
         yield record, end
-        offset = end
+
+
+def iter_payloads(data, after_lsn=0):
+    """Yield ``(lsn, payload)`` for every intact frame in *data* whose
+    LSN is above *after_lsn*.  The LSN is read from its fixed place and
+    nothing is decoded: a ship round sends a live log's bytes, and the
+    replica decodes what arrived once it has checked it.  Stops where
+    :func:`iter_frames` does.
+    """
+    for payload, _end in _intact_payloads(data):
+        try:
+            lsn = payload_lsn(payload)
+        except ValueError:
+            return
+        if lsn > after_lsn:
+            yield lsn, payload

@@ -8,7 +8,10 @@ from repro.benchlab.crashsweep import MarkerSeptic, state_digest
 from repro.core.septic import Mode, Septic
 from repro.core.store import QMStore
 from repro.faults.plan import FaultKind, FaultPlan, InjectedFault
-from repro.replica import ReplicaSet, Role
+from repro.replica import ReplicaSet, Role, ShippedBatch
+from repro.replica.coordinator import damage_a_field, flip_a_bit
+from repro.replica.node import shipped_crc
+from repro.sqldb import wal as wal_mod
 from repro.sqldb.connection import Connection
 from repro.sqldb.errors import QueryBlocked
 
@@ -60,6 +63,34 @@ class TestHeartbeatsAndShipping(object):
             names = [row.get("name")
                      for row in node.database.tables["items"].rows]
             assert "evil" not in names
+        replica_set.close()
+
+    def test_a_round_decodes_only_what_arrives(self, tmp_path, monkeypatch):
+        """The log is read whole, but records ship as bytes picked by
+        their LSN: after k new records each replica decodes the k that
+        reach it, nothing else is decoded, and a round with nothing new
+        decodes none."""
+        replica_set = make_set(tmp_path)
+        conn = seed_rows(replica_set)
+        replica_set.ship()
+        decoded = []
+        decode = wal_mod.WalRecord.from_payload.__func__
+
+        def counting(cls, payload):
+            decoded.append(payload)
+            return decode(cls, payload)
+
+        monkeypatch.setattr(wal_mod.WalRecord, "from_payload",
+                            classmethod(counting))
+        for index in range(3):
+            conn.query_or_raise(
+                "INSERT INTO items (name) VALUES ('new%d')" % index)
+        replica_set.ship()
+        assert len(decoded) == 3 * len(replica_set.replicas())
+        replica_set.ship()
+        assert len(decoded) == 3 * len(replica_set.replicas())
+        for node in replica_set.replicas():
+            assert node.applied_lsn == replica_set.frontier_lsn()
         replica_set.close()
 
     def test_qm_store_co_applies_to_replicas(self, tmp_path):
@@ -223,6 +254,37 @@ class TestFaultSites(object):
         assert replica.applied_lsn == replica_set.frontier_lsn()
         assert (state_digest(replica.database)
                 == state_digest(replica_set.primary.database))
+        replica_set.close()
+
+    @pytest.mark.parametrize("damage", [flip_a_bit, damage_a_field])
+    def test_damaged_bytes_and_damaged_fields_are_rejected(self, tmp_path,
+                                                           damage):
+        """Whatever the damage, the record fails its ship CRC: nothing
+        of it reaches the replica's log or state.  What the replica
+        applies is decoded from the bytes its log appends, so after a
+        restart it recovers to the state it served."""
+        replica_set = make_set(tmp_path, replicas=1)
+        seed_rows(replica_set)
+        primary, replica = replica_set.nodes
+        data = wal_mod.read_log_bytes(
+            wal_mod.log_path(primary.database.data_dir))
+        entries = [(payload, shipped_crc(payload))
+                   for _lsn, payload in wal_mod.iter_payloads(data)]
+        payload, crc = entries[-1]
+        assert damage(payload) != payload
+        entries[-1] = (damage(payload), crc)
+        assert replica.receive(ShippedBatch(primary.epoch, entries)) \
+            == len(entries) - 1
+        assert replica.corrupt_rejects == 1
+        assert wal_mod.read_log_bytes(wal_mod.log_path(
+            replica.database.data_dir)) == data[:len(data) - 8 - len(payload)]
+        replica_set.ship()
+        assert replica.applied_lsn == replica_set.frontier_lsn()
+        served = state_digest(replica.database)
+        assert served == state_digest(primary.database)
+        replica.crash()
+        replica.restart()
+        assert state_digest(replica.database) == served
         replica_set.close()
 
     def test_apply_fault_propagates(self, tmp_path):

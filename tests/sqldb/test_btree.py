@@ -115,7 +115,8 @@ class TestCorruptionTolerance(object):
         store = make_store(tmp_path, page_size=256)
         tree = BTree(store)
         fill(tree, 80)
-        for page_no, image in store.collect_images(lsn=1).items():
+        images, _taken = store.collect_images(lsn=1)
+        for page_no, image in images.items():
             store.pager.write_home_raw(page_no, image)
         store.pager.clear_spill()
         store.pool.clear()

@@ -28,11 +28,14 @@ from repro.sqldb.engine import Database
 
 #: label, seed, checkpoint_after, kill offsets, durability points in the
 #: log — the coverage the parent's artifacts record, pinned so a sweep
-#: that silently enumerates fewer sites turns red
+#: that silently enumerates fewer sites turns red.  The offsets follow
+#: the log's byte count: binary record payloads (kind, flags, varints,
+#: text) took them from 3592 / 2460 / 3594 under the JSON payload to
+#: the numbers below; the durability points did not move.
 SWEEPS = [
-    ("seed1", 1, None, 3592, 25),
-    ("seed2-checkpointed", 2, 8, 2460, 18),
-    ("seed3", 3, None, 3594, 25),
+    ("seed1", 1, None, 1904, 25),
+    ("seed2-checkpointed", 2, 8, 1274, 18),
+    ("seed3", 3, None, 1906, 25),
 ]
 
 
@@ -69,7 +72,7 @@ def test_batch_sync_sweep_crosses_the_unsynced_backlog(tmp_path):
                        str(tmp_path), 1)
     assert report.ok, format_report(report)
     assert report.name == "wal-batch"
-    assert report.counters["log_bytes"] == 3591
+    assert report.counters["log_bytes"] == 1903    # 3591 as JSON payloads
     assert report.counters["durability_points"] == 25
     # the deferred-fsync kill window was actually open during the run
     assert report.counters["max_unsynced_backlog"] == 15

@@ -11,13 +11,20 @@ import copy
 import json
 import os
 import struct
+import sys
 import threading
 import zlib
 
 import pytest
 
 from repro import faults
-from repro.benchlab.crashsweep import state_digest
+from repro.benchlab.crashsweep import (
+    WAL_COMMIT_SWEEP,
+    format_report,
+    run_sweep,
+    state_digest,
+)
+from repro.replica import ReplicaSet
 from repro.sqldb import wal
 from repro.sqldb.connection import Connection
 from repro.sqldb.engine import Database
@@ -108,9 +115,11 @@ class TestTornTail(object):
             assert stream.torn_bytes == offset - stream.clean_offset
             assert stream.records_seen == sum(stream.ops.values()) \
                 == len(frames)
-        # and mid-log damage is still told from a torn tail
+        # and mid-log damage is still told from a torn tail (a payload
+        # byte of the second record — a damaged length field would read
+        # as a torn tail, rightly)
         flipped = bytearray(data)
-        flipped[frames[0][1] + 12] ^= 0x40
+        flipped[frames[0][1] + 8 + 2] ^= 0x40
         wal.write_log_bytes(torn, bytes(flipped))
         stream = wal.LogStream(torn, chunk_size=chunk_size)
         with pytest.raises(WalCorruptionError) as info:
@@ -164,8 +173,9 @@ class TestMidLogCorruption(object):
         path = wal.log_path(str(tmp_path))
         data = bytearray(wal.read_log_bytes(path))
         boundaries = [end for _r, end in wal.iter_frames(bytes(data))]
-        # flip one payload byte of the SECOND record (valid data follows)
-        data[boundaries[0] + 12] ^= 0x40
+        # flip one payload byte (past the 8-byte header) of the SECOND
+        # record (valid data follows)
+        data[boundaries[0] + 8 + 2] ^= 0x40
         wal.write_log_bytes(path, bytes(data))
         with pytest.raises(WalCorruptionError) as info:
             wal.scan_log(path)
@@ -190,7 +200,8 @@ class TestCheckpoint(object):
     def test_checkpoint_round_trip_and_rotation(self, tmp_path):
         log = wal.WriteAheadLog(str(tmp_path))
         _fill(log)
-        lsn = log.write_checkpoint({"tables": [], "schema_version": 3})
+        lsn = log.write_checkpoint({"tables": [], "schema_version": 3},
+                                   log.frontier())
         assert lsn == 4
         body = wal.load_checkpoint(str(tmp_path))
         assert body["lsn"] == 4 and body["schema_version"] == 3
@@ -202,7 +213,7 @@ class TestCheckpoint(object):
 
     def test_damaged_checkpoint_refuses_to_load(self, tmp_path):
         log = wal.WriteAheadLog(str(tmp_path))
-        log.write_checkpoint({"tables": []})
+        log.write_checkpoint({"tables": []}, log.frontier())
         log.close()
         data = _read_image(tmp_path)
         # test-only: forging bit rot in the compressed bytes
@@ -223,7 +234,8 @@ class TestCheckpoint(object):
         """One encode: the CRC covers the compressed bytes exactly as
         they sit on disk, and they inflate to the compact body."""
         log = wal.WriteAheadLog(str(tmp_path))
-        log.write_checkpoint({"tables": [{"name": "t", "rows": [[1, "é"]]}]})
+        log.write_checkpoint({"tables": [{"name": "t", "rows": [[1, "é"]]}]},
+                             log.frontier())
         log.close()
         length, crc, packed = _unframe(_read_image(tmp_path))
         assert length == len(packed)
@@ -258,7 +270,7 @@ class TestCheckpoint(object):
         checkpoint; this is the second line)."""
         log = wal.WriteAheadLog(str(tmp_path))
         log.write_checkpoint({"tables": [{"name": "t", "rows": [[1, "x"]]}],
-                              "schema_version": 2})
+                              "schema_version": 2}, log.frontier())
         log.close()
         data = _read_image(tmp_path)
         for cut in range(len(data)):
@@ -456,7 +468,7 @@ class TestSyncModes(object):
         log.append(wal.WalRecord.STMT, sql="X", durability_point=True)
         log.append(wal.WalRecord.STMT, sql="X", durability_point=True)
         assert log.pending_unsynced_commits == 2
-        log.write_checkpoint({"tables": []})
+        log.write_checkpoint({"tables": []}, log.frontier())
         assert log.pending_unsynced_commits == 0  # synced before rotation
         assert log.fsync_calls >= 1
         log.close()
@@ -632,3 +644,432 @@ class TestFaultSites(object):
         recovered = Database.recover(str(tmp_path))
         assert len(recovered.table("t")) == 1
         recovered.close()
+
+
+class TestCheckpointWindow(object):
+    """A checkpoint cuts its image and the LSN that image covers in one
+    step: a statement committed while the image is written is logged
+    after the cut and kept by the rotation — never in neither.  On
+    paged storage its pages stay dirty: the checkpoint settles only the
+    page versions its images hold."""
+
+    storage = "memory"
+
+    def test_a_commit_inside_the_checkpoint_window_survives(
+            self, backend, monkeypatch):
+        database = backend.recover()
+        writer, other = Connection(database), Connection(database)
+        writer.query_or_raise(
+            "CREATE TABLE t (id INT PRIMARY KEY, v VARCHAR(10))")
+        writer.query_or_raise("INSERT INTO t VALUES (1, 'before')")
+        real = database.wal.write_checkpoint
+
+        def write_checkpoint(*args, **kwargs):
+            # the image is cut; a second session commits before the WAL
+            # stamps it and rotates the log
+            other.query_or_raise("INSERT INTO t VALUES (2, 'inside')")
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(database.wal, "write_checkpoint",
+                            write_checkpoint)
+        database.checkpoint()
+        monkeypatch.undo()
+        # every frame leaves the pool: one settled clean by mistake is
+        # dropped unwritten, and its row is gone live
+        backend.churn(database)
+        expected = [(1, "before"), (2, "inside")]
+        assert writer.query("SELECT id, v FROM t ORDER BY id").rows \
+            == expected
+        live = state_digest(database)
+        database.close()
+        recovered = backend.recover()
+        assert Connection(recovered).query(
+            "SELECT id, v FROM t ORDER BY id").rows == expected
+        assert state_digest(recovered) == live
+
+    def test_writers_beside_a_checkpointer_lose_no_acked_row(self, backend):
+        """Real threads: four writers commit while a fifth thread
+        checkpoints in a loop, the switch interval shortened so they
+        interleave finely; every acknowledged row is there live (after
+        the pool is churned) and after recovery."""
+        database = backend.recover()
+        database.run("CREATE TABLE t (id INT PRIMARY KEY, w INT, "
+                     "pad VARCHAR(60))")
+        acked = []
+        done = threading.Event()
+
+        def writer(w):
+            conn = Connection(database)
+            for index in range(40):
+                key = w * 1000 + index
+                if conn.query("INSERT INTO t VALUES (%d, %d, '%s')"
+                              % (key, w, "p" * 50)).ok:
+                    acked.append(key)
+
+        def checkpointer():
+            while not done.is_set():
+                database.checkpoint()
+
+        threads = [threading.Thread(target=writer, args=(w,))
+                   for w in range(4)]
+        looping = threading.Thread(target=checkpointer)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            looping.start()
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(60)
+            done.set()
+            looping.join(60)
+        finally:
+            done.set()
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads + [looping])
+        assert len(acked) == 160
+        backend.churn(database)
+        assert sorted(row["id"] for row in database.table("t").rows) \
+            == sorted(acked)
+        database.close()
+        recovered = backend.recover()
+        assert sorted(row["id"] for row in recovered.table("t").rows) \
+            == sorted(acked)
+
+
+class TestCheckpointWindowPaged(TestCheckpointWindow):
+    storage = "paged"
+
+
+class TestCheckpointCut(object):
+    """When an automatic checkpoint runs."""
+
+    def test_automatic_checkpoints_wait_for_the_statement_locks(
+            self, tmp_path):
+        """A commit point is often reached under a statement's locks —
+        an autocommit statement's log append, the implicit COMMIT
+        before DDL — and a checkpoint takes the catalog exclusively: it
+        runs once they are released (inside, it would deadlock)."""
+        data_dir = str(tmp_path)
+        database = Database.recover(data_dir, checkpoint_interval=1)
+        conn = Connection(database)
+
+        def checkpointed_lsn():
+            return wal.load_checkpoint(data_dir)["lsn"]
+
+        conn.query_or_raise("CREATE TABLE t (id INT PRIMARY KEY, v INT)")
+        conn.query_or_raise("INSERT INTO t VALUES (1, 1)")
+        assert checkpointed_lsn() == database.durable_lsn == 2
+        conn.query_or_raise("BEGIN")
+        conn.query_or_raise("INSERT INTO t VALUES (2, 2)")
+        conn.query_or_raise("CREATE TABLE u (id INT)")   # commits first
+        assert checkpointed_lsn() == database.durable_lsn
+        conn.begin()
+        conn.query_or_raise("INSERT INTO t VALUES (3, 3)")
+        conn.commit()                    # holds no lock: checkpoints now
+        assert checkpointed_lsn() == database.durable_lsn
+        assert wal.read_log_bytes(wal.log_path(data_dir)) == b""
+        live = state_digest(database)
+        database.close()
+        recovered = Database.recover(data_dir)
+        assert state_digest(recovered) == live
+        recovered.close()
+
+    def test_a_failed_statement_runs_the_checkpoint_it_made_due(
+            self, tmp_path):
+        """A failed autocommit statement is a commit point too (it is
+        logged, and replay repeats its partial effects): the checkpoint
+        it makes due runs as it returns, not at the next success."""
+        data_dir = str(tmp_path)
+        database = Database.recover(data_dir, checkpoint_interval=1)
+        conn = Connection(database)
+        conn.query_or_raise("CREATE TABLE t (id INT PRIMARY KEY, v INT)")
+        conn.query_or_raise("INSERT INTO t VALUES (1, 1)")
+        assert not conn.query("INSERT INTO t VALUES (2, 2), (1, 1)").ok
+        assert len(database.table("t")) == 2
+        assert wal.load_checkpoint(data_dir)["lsn"] \
+            == database.durable_lsn == 3
+        assert wal.read_log_bytes(wal.log_path(data_dir)) == b""
+        live = state_digest(database)
+        database.close()
+        recovered = Database.recover(data_dir)
+        assert state_digest(recovered) == live
+        recovered.close()
+
+# -- the record payload -------------------------------------------------------
+#
+# Test-side copies of the payload earlier versions wrote, to forge the
+# logs they left behind.
+
+
+def _legacy_payload(record):
+    """The sorted-key JSON payload earlier versions wrote for *record*."""
+    body = {"lsn": record.lsn, "op": record.op}
+    if record.tx:
+        body["tx"] = record.tx
+    if record.sql is not None:
+        body.update(sql=record.sql, clock=record.clock, rand=record.rand)
+    if record.failed:
+        body["failed"] = True
+    return json.dumps(body, sort_keys=True).encode("utf-8")
+
+
+def _frame(payload):
+    return struct.pack("<II", len(payload),
+                       zlib.crc32(payload) & 0xFFFFFFFF) + payload
+
+
+def _as_legacy(data):
+    """The log *data*, every frame re-written with the legacy payload."""
+    return b"".join(_frame(_legacy_payload(record))
+                    for record, _end in wal.iter_frames(data))
+
+
+def _fields(record):
+    return (record.lsn, record.op, record.tx, record.sql, record.clock,
+            record.rand, record.failed)
+
+
+#: every kind and flag, and the edges of each field
+RECORDS = [
+    wal.WalRecord(1, wal.WalRecord.STMT, sql="INSERT INTO t VALUES (1)"),
+    wal.WalRecord(2, wal.WalRecord.BEGIN, tx=1),
+    wal.WalRecord(3, wal.WalRecord.STMT, tx=1, sql="", clock=127, rand=128),
+    wal.WalRecord(4, wal.WalRecord.COMMIT, tx=1),
+    wal.WalRecord(5, wal.WalRecord.ROLLBACK, tx=2 ** 40),
+    wal.WalRecord(2 ** 63 - 1, wal.WalRecord.STMT,
+                  sql="UPDATE t SET v = 'Oʼ 日本 \U0001f600'",
+                  clock=2 ** 32, rand=300, failed=True),
+    wal.WalRecord(7, wal.WalRecord.STMT, sql="SELECT '\ud800'"),
+]
+
+
+class TestRecordPayload(object):
+    def test_layout(self):
+        record = wal.WalRecord(300, wal.WalRecord.STMT, tx=5, sql="ʼ",
+                               clock=2, rand=1, failed=True)
+        assert record.payload == (b"\x01\x07\xac\x02\x05\x02\x01"
+                                  + "ʼ".encode("utf-8"))
+        marker = wal.WalRecord(7, wal.WalRecord.COMMIT)
+        assert marker.payload == b"\x03\x00\x07"
+
+    @pytest.mark.parametrize("index", range(len(RECORDS)))
+    def test_binary_and_legacy_payloads_round_trip(self, index):
+        record = RECORDS[index]
+        for payload in (record.payload, _legacy_payload(record)):
+            decoded = wal.WalRecord.from_payload(payload)
+            assert _fields(decoded) == _fields(record)
+            assert decoded.payload == payload      # kept, not re-encoded
+            assert wal.payload_lsn(payload) == record.lsn
+
+    def test_a_record_is_encoded_once(self, tmp_path, monkeypatch):
+        """Appended, scanned back and appended to a second log (what a
+        replica does): one encode per record, and the second log is the
+        first byte for byte."""
+        encoded = []
+        encode = wal._encode
+        monkeypatch.setattr(wal, "_encode", lambda record: encoded.append(
+            record.lsn) or encode(record))
+        log = wal.WriteAheadLog(str(tmp_path))
+        _fill(log)
+        log.close()
+        assert encoded == [1, 2, 3, 4]
+        records = wal.scan_log(wal.log_path(str(tmp_path))).records
+        os.makedirs(str(tmp_path / "replica"))
+        replica_log = wal.WriteAheadLog(str(tmp_path / "replica"))
+        for record in records:
+            replica_log.append_record(record)
+        replica_log.close()
+        assert encoded == [1, 2, 3, 4]
+        assert (wal.read_log_bytes(wal.log_path(str(tmp_path / "replica")))
+                == wal.read_log_bytes(wal.log_path(str(tmp_path))))
+
+    @pytest.mark.parametrize("payload", [
+        b"", b"\x01", b"\x01\x00",                 # too short
+        b"\x09\x00\x01",                           # unknown kind
+        b"\x01\x80\x01",                           # unknown flag
+        b"\x01\x00\x81",                           # LSN runs past the end
+        b"\x02\x01\x05\xff",                       # tx runs past the end
+        b"\x01\x02\x05\x00\x00\xff\xfe",           # text is not UTF-8
+        b"\x03\x00\x05\x00",                       # a stray byte
+        b"\x01\x00" + b"\xff" * 11 + b"\x01",      # an LSN past 64 bits
+        b'{"op": "stmt"}', b'{"lsn": 1}', b"{not json",  # legacy
+    ])
+    def test_an_undecodable_payload_is_a_value_error(self, payload):
+        with pytest.raises(ValueError):
+            wal.WalRecord.from_payload(payload)
+
+    def test_every_cut_and_bit_flip_decodes_or_is_a_value_error(self):
+        """A payload that passes its CRC can still hold anything: no
+        damage to a real payload escapes the codec as another error."""
+        for record in RECORDS:
+            payload = record.payload
+            variants = [payload[:cut] for cut in range(len(payload))]
+            for at in range(len(payload)):
+                for bit in range(8):
+                    flipped = bytearray(payload)
+                    flipped[at] ^= 1 << bit
+                    variants.append(bytes(flipped))
+            for variant in variants:
+                try:
+                    wal.WalRecord.from_payload(variant)
+                except ValueError:
+                    pass
+
+    @pytest.mark.parametrize("payload", [
+        b"\x09\x00\x05", b"\x01\x00\x85", b"\x01\x02\x05\x00\x00\xff",
+    ], ids=["unknown-kind", "varint-past-the-end", "bad-utf8"])
+    def test_a_crc_valid_record_that_does_not_decode_is_damage(
+            self, tmp_path, payload):
+        log = wal.WriteAheadLog(str(tmp_path))
+        _fill(log)
+        log.close()
+        path = wal.log_path(str(tmp_path))
+        data = wal.read_log_bytes(path)
+        first = next(wal.iter_frames(data))[1]
+        wal.write_log_bytes(path, data[:first] + _frame(payload)
+                            + data[first:])
+        with pytest.raises(WalCorruptionError) as info:
+            wal.scan_log(path)
+        assert info.value.offset == first
+        assert [r.lsn for r in info.value.clean_records] == [1]
+        # the same record at the end of the log is a torn tail
+        wal.write_log_bytes(path, data + _frame(payload))
+        scan = wal.scan_log(path)
+        assert [r.lsn for r in scan.records] == [1, 2, 3, 4]
+        assert scan.torn_bytes == len(_frame(payload))
+
+    def test_every_bit_flip_in_a_payload_with_data_after_it_raises(
+            self, tmp_path):
+        log = wal.WriteAheadLog(str(tmp_path))
+        _fill(log)
+        log.close()
+        path = wal.log_path(str(tmp_path))
+        data = wal.read_log_bytes(path)
+        ends = [end for _r, end in wal.iter_frames(data)]
+        for start, end in zip([0] + ends[:-2], ends[:-1]):
+            for at in range(start + 8, end):
+                for bit in range(8):
+                    flipped = bytearray(data)
+                    flipped[at] ^= 1 << bit
+                    wal.write_log_bytes(path, bytes(flipped))
+                    with pytest.raises(WalCorruptionError) as info:
+                        wal.scan_log(path)
+                    assert info.value.offset == start
+
+
+def _history(database):
+    """A short history over every record shape: DDL, autocommit and
+    transactional writes, a commit, a rollback, a failed multi-row
+    INSERT that keeps its first row, ``NOW()`` / ``RAND()`` and U+02BC
+    text (bound as a parameter: in a literal the charset folds it to a
+    quote).  Returns the live state digest."""
+    conn = Connection(database)
+    for sql in ("CREATE TABLE t (id INT PRIMARY KEY, v VARCHAR(40), "
+                "at DATETIME, r DOUBLE)",
+                "INSERT INTO t VALUES (1, 'first', NOW(), RAND())",
+                "BEGIN", "INSERT INTO t VALUES (2, 'kept', NOW(), RAND())",
+                "COMMIT",
+                "BEGIN", "INSERT INTO t VALUES (3, 'gone', NOW(), 0)",
+                "ROLLBACK"):
+        conn.query_or_raise(sql)
+    update = conn.prepare("UPDATE t SET v = ? WHERE id = ?")
+    assert conn.execute_prepared(update, "Oʼ Reilly ʼʼ", 2).ok
+    assert not conn.query("INSERT INTO t VALUES (4, 'partial', NOW(), 0), "
+                          "(1, 'dup', NOW(), 0)").ok
+    assert len(database.table("t")) == 3
+    return state_digest(database)
+
+
+def _log_of(database):
+    return wal.read_log_bytes(wal.log_path(database.data_dir))
+
+
+class TestLegacyPayloads(object):
+    """A log in the JSON payload earlier versions wrote recovers to the
+    state it was written from, on either row store."""
+
+    storage = "memory"
+
+    def test_a_legacy_log_recovers_to_the_same_state(self, backend):
+        database = backend.recover()
+        live = _history(database)
+        data = _log_of(database)
+        database.close()
+        records = [record for record, _end in wal.iter_frames(data)]
+        assert {record.op for record in records} == {
+            "stmt", "begin", "commit", "rollback"}
+        assert any(record.failed for record in records)
+        legacy = _as_legacy(data)
+        assert legacy[8:9] == b"{" and len(legacy) > len(data)
+        wal.write_log_bytes(wal.log_path(database.data_dir), legacy)
+        recovered = backend.recover()
+        assert state_digest(recovered) == live
+        assert recovered.recovery_report["log_records"] == len(records)
+
+
+class TestLegacyPayloadsPaged(TestLegacyPayloads):
+    storage = "paged"
+
+
+def test_legacy_records_then_binary_ones_recover_torn_anywhere(tmp_path):
+    """The log an upgraded server keeps: the records written before the
+    upgrade in the legacy payload, those after it binary.  Killed at
+    every byte offset it recovers to exactly the committed prefix."""
+    def golden(own, data_dir, seed):
+        run = WAL_COMMIT_SWEEP.golden(own, data_dir, seed)
+        data = run.facts["data"]
+        ends = [end for _record, end in wal.iter_frames(data)]
+        upgrade = ends[len(ends) // 2]
+        mixed = _as_legacy(data[:upgrade]) + data[upgrade:]
+        assert mixed[8:9] == b"{" and mixed.endswith(data[upgrade:])
+        run.facts.update(data=mixed, ends=[
+            end for record, end in wal.iter_frames(mixed)
+            if record.op == wal.WalRecord.COMMIT
+            or (record.op == wal.WalRecord.STMT and record.tx == 0)])
+        run.counters.update(log_bytes=len(mixed))
+        return run
+
+    report = run_sweep(WAL_COMMIT_SWEEP._replace(name="wal-legacy-prefix",
+                                                 golden=golden),
+                       str(tmp_path), 1)
+    assert report.ok, format_report(report)
+    assert report.sites == report.counters["log_bytes"] + 1
+    assert report.counters["durability_points"] == 25
+
+
+class TestShippedBytes(object):
+    """A replica appends the bytes it was shipped: its log is its
+    primary's over the shipped range, a legacy one included."""
+
+    def test_the_replica_log_is_the_primary_log(self, tmp_path):
+        replica_set = ReplicaSet(str(tmp_path / "set"), replicas=1)
+        primary, replica = replica_set.nodes
+        live = _history(primary.database)
+        replica_set.ship()
+        assert _log_of(replica.database) == _log_of(primary.database)
+        assert state_digest(replica.database) == live
+        replica_set.close()
+
+    def test_a_replica_fed_a_legacy_primary_log_applies_it(self, tmp_path):
+        primary_dir = str(tmp_path / "set" / "node0")
+        database = Database.recover(primary_dir)
+        live = _history(database)
+        legacy = _as_legacy(_log_of(database))
+        database.close()
+        wal.write_log_bytes(wal.log_path(primary_dir), legacy)
+        replica_set = ReplicaSet(str(tmp_path / "set"), replicas=1)
+        primary, replica = replica_set.nodes
+        assert state_digest(primary.database) == live
+        replica_set.ship()
+        assert state_digest(replica.database) == live
+        assert _log_of(replica.database) == legacy
+        # what the upgraded primary writes next is binary, on both logs
+        Connection(primary.database).query_or_raise(
+            "INSERT INTO t VALUES (5, 'new', NOW(), 0)")
+        replica_set.ship()
+        assert _log_of(replica.database) == _log_of(primary.database)
+        assert _log_of(primary.database)[len(legacy) + 8:][:1] == b"\x01"
+        assert (state_digest(replica.database)
+                == state_digest(primary.database))
+        replica_set.close()

@@ -1948,6 +1948,103 @@ def test_commit_grouping_gate_catches_a_fifth_grouper(tmp_path):
     assert len(problems) == 1 and "regroup()" in problems[0]
 
 
+#: what a WAL record carries (``repro.sqldb.wal.WalRecord``'s fields)
+_WAL_RECORD_FIELDS = frozenset(["lsn", "op", "tx", "sql", "clock", "rand",
+                                "failed", "payload"])
+
+
+def _names_a_record_field(node):
+    return ((isinstance(node, ast.Attribute)
+             and node.attr in _WAL_RECORD_FIELDS)
+            or (isinstance(node, ast.Constant)
+                and node.value in _WAL_RECORD_FIELDS))
+
+
+def _checksums_its_argument(function):
+    """Every ``zlib.crc32`` in *function* runs over its first parameter
+    as given — stored bytes, not an encoding made on the spot."""
+    param = function.args.args[0].arg if function.args.args else None
+    calls = [node for node in ast.walk(function)
+             if isinstance(node, ast.Call)
+             and isinstance(node.func, ast.Attribute)
+             and node.func.attr == "crc32"]
+    return bool(calls) and all(
+        len(call.args) == 1 and isinstance(call.args[0], ast.Name)
+        and call.args[0].id == param for call in calls)
+
+
+def _record_codec_violations(path):
+    """WAL record payloads have one encoder and one decoder, both in
+    ``wal.py`` (``WalRecord.payload`` / ``WalRecord.from_payload``).
+    Elsewhere: no ``json.dumps`` / ``json.loads`` over a record's
+    fields, no ``to_payload`` (the re-encoder records had before they
+    kept their bytes), and ``shipped_crc`` checksums the payload bytes
+    it is handed, not a re-encoding of a record."""
+    with open(path) as handle:
+        tree = ast.parse(handle.read(), filename=path)
+    rel = os.path.relpath(path, REPO_ROOT)
+    problems = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and node.attr == "to_payload":
+            problems.append("%s:%d: .to_payload — WAL records are encoded "
+                            "only in repro/sqldb/wal.py (WalRecord.payload)"
+                            % (rel, node.lineno))
+        elif (isinstance(node, ast.Call)
+              and isinstance(node.func, ast.Attribute)
+              and isinstance(node.func.value, ast.Name)
+              and node.func.value.id == "json"
+              and node.func.attr in ("dumps", "loads")
+              and any(_names_a_record_field(inner)
+                      for arg in node.args for inner in ast.walk(arg))):
+            problems.append("%s:%d: json.%s of a WAL record — only "
+                            "repro/sqldb/wal.py encodes or decodes one"
+                            % (rel, node.lineno, node.func.attr))
+        elif (isinstance(node, ast.FunctionDef)
+              and node.name == "shipped_crc"
+              and not _checksums_its_argument(node)):
+            problems.append("%s:%d: shipped_crc() does not checksum the "
+                            "payload bytes it is handed"
+                            % (rel, node.lineno))
+    return problems
+
+
+def test_wal_record_payloads_have_one_codec():
+    wal_py = os.path.join(SQLDB_ROOT, "wal.py")
+    with open(wal_py) as handle:
+        codec = handle.read()
+    # the one encoder and the one decoder the rest of src/ calls
+    assert "def _encode(record):" in codec and "def from_payload(" in codec
+    problems = []
+    for path in _python_files(SRC_ROOT):
+        if path != wal_py:
+            problems.extend(_record_codec_violations(path))
+    assert problems == [], "\n".join(problems)
+    with open(os.path.join(SRC_ROOT, "repro", "replica", "node.py")) as handle:
+        assert "def shipped_crc(" in handle.read()   # the one it inspects
+
+
+def test_record_codec_gate_catches_a_reencoded_ship_crc(tmp_path):
+    """A ship CRC over a fresh encoding of the record — what every
+    shipped record paid for before records kept their bytes — turns
+    the gate red twice: a second encoder, and a CRC that does not run
+    over the stored bytes."""
+    node_py = os.path.join(SRC_ROOT, "repro", "replica", "node.py")
+    assert _record_codec_violations(node_py) == []
+    with open(node_py) as handle:
+        source = handle.read()
+    stored = "zlib.crc32(payload)"
+    assert stored in source
+    planted = tmp_path / "node.py"
+    planted.write_text("import json\n" + source.replace(
+        stored,
+        'zlib.crc32(json.dumps({"lsn": record.lsn, "op": record.op, '
+        '"sql": record.sql}, sort_keys=True).encode("utf-8"))'))
+    problems = _record_codec_violations(str(planted))
+    assert len(problems) == 2, problems
+    assert any("json.dumps of a WAL record" in p for p in problems)
+    assert any("shipped_crc() does not checksum" in p for p in problems)
+
+
 REPLICA_ROOT = os.path.join(SRC_ROOT, "repro", "replica")
 
 
