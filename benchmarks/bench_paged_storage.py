@@ -1,6 +1,6 @@
 """E18 — paged storage under pressure, as a regenerable artifact.
 
-Three claims from the paged-storage work, measured in one artifact
+Four claims from the paged-storage work, measured in one artifact
 (``out/BENCH_paged_storage.json``):
 
 1. *Bounded residency* — a working set several times the buffer pool
@@ -8,10 +8,15 @@ Three claims from the paged-storage work, measured in one artifact
    evicts, it never balloons).
 2. *Warm-scan overhead* — once the working set is resident, full scans
    through the paged backend stay within 1.5x the in-memory backend.
-3. *Crash + corruption sweeps* — kill-at-every-page-write/doublewrite
+3. *Scans with a write trickle* — scans over a table ten times an
+   8-frame pool, an INSERT into a second table after every few, a
+   checkpoint every few writes: the pool evicts clean pages first, so
+   no scan steals the leaf a write dirtied and each write costs only
+   its checkpoint's page writes.
+4. *Crash + corruption sweeps* — kill-at-every-page-write/doublewrite
    offset over three seeds (0 lost commits, 0 phantom rows, every torn
-   page repaired) and a seeded bit-flip sweep (100% detection, 0 false
-   repairs).
+   page repaired, kills inside spill writes included) and a seeded
+   bit-flip sweep (100% detection, 0 false repairs).
 """
 
 import shutil
@@ -78,12 +83,56 @@ def _warm_scan(workdir):
     return mem_s, paged_s
 
 
+TRICKLE_ROWS = 1200
+TRICKLE_WRITES = 24
+TRICKLE_SCANS = 3
+TRICKLE_CHECKPOINT_EVERY = 8
+
+
+def _write_trickle(workdir):
+    """``scan_paged``'s shape in process: ``TRICKLE_ROWS`` rows on 4 KiB
+    pages (ten times an 8-frame pool), three GROUP BY scans per audit
+    INSERT, a checkpoint every eight INSERTs.  Page bytes are counted as
+    the e2e harness counts them: pager writes x page size."""
+    db = Database.recover(workdir + "/trickle", seed=1, storage="paged",
+                          page_size=4096, pool_pages=8)
+    db.run("CREATE TABLE orders (id INT PRIMARY KEY, status VARCHAR(10), "
+           "amount INT, note VARCHAR(120))")
+    db.run("CREATE TABLE audit (id INT PRIMARY KEY, order_id INT)")
+    for start in range(0, TRICKLE_ROWS, 200):
+        db.run("INSERT INTO orders (id, status, amount, note) VALUES "
+               + ", ".join("(%d, '%s', %d, '%s')"
+                           % (i, ("new", "paid", "sent")[i % 3], i,
+                              "n" * (80 + i % 40))
+                           for i in range(start, start + 200)))
+    db.checkpoint()
+    pool, pager = db.page_store.pool, db.page_store.pager
+    steals, writes = pool.dirty_flushes, pager.writes
+    for i in range(TRICKLE_WRITES):
+        for _ in range(TRICKLE_SCANS):
+            db.run("SELECT status, COUNT(*), SUM(amount) FROM orders "
+                   "GROUP BY status")
+        db.run("INSERT INTO audit (id, order_id) VALUES (%d, %d)" % (i, i))
+        if (i + 1) % TRICKLE_CHECKPOINT_EVERY == 0:
+            db.checkpoint()
+    result = {
+        "table_pages": len(db.tables["orders"].store.pages()),
+        "capacity": pool.capacity,
+        "steals": pool.dirty_flushes - steals,
+        "page_writes": pager.writes - writes,
+        "page_size": pager.page_size,
+    }
+    db.close()
+    return result
+
+
 def test_paged_storage(report, benchmark):
     workdir = tempfile.mkdtemp(prefix="paged-storage-")
     try:
         def run():
             residency = _bounded_residency(workdir)
             warm = _warm_scan(workdir)
+            trickle = _write_trickle(workdir)
             crash = []
             for seed in SWEEP_SEEDS:
                 start = time.perf_counter()
@@ -91,9 +140,9 @@ def test_paged_storage(report, benchmark):
                               time.perf_counter() - start))
             corrupt = [run_sweep(BITFLIP_SWEEP, workdir, seed, flips=6)
                        for seed in SWEEP_SEEDS]
-            return residency, warm, crash, corrupt
+            return residency, warm, trickle, crash, corrupt
 
-        residency, warm, crash, corrupt = benchmark.pedantic(
+        residency, warm, trickle, crash, corrupt = benchmark.pedantic(
             run, rounds=1, iterations=1)
     finally:
         shutil.rmtree(workdir, ignore_errors=True)
@@ -118,7 +167,24 @@ def test_paged_storage(report, benchmark):
     report.line("paged (warm pool):  %.3f ms/scan" % (paged_s * 1e3))
     report.line("ratio:              %.2fx (budget 1.5x)" % ratio)
     report.line()
-    report.line("E18c — kill at every page-write/doublewrite offset, "
+    page_bytes = trickle["page_writes"] * trickle["page_size"]
+    report.line("E18c — scans with a write trickle: %d rows on %d pages "
+                "(%.1fx an %d-frame pool), %d scans per INSERT, a "
+                "checkpoint every %d INSERTs"
+                % (TRICKLE_ROWS, trickle["table_pages"],
+                   trickle["table_pages"] / float(trickle["capacity"]),
+                   trickle["capacity"], TRICKLE_SCANS,
+                   TRICKLE_CHECKPOINT_EVERY))
+    report.line()
+    report.line("acked writes:       %d" % TRICKLE_WRITES)
+    report.line("steals:             %d" % trickle["steals"])
+    report.line("page writes:        %d (%.3f per acked write)"
+                % (trickle["page_writes"],
+                   trickle["page_writes"] / float(TRICKLE_WRITES)))
+    report.line("page bytes / write: %.0f (pager writes x page size)"
+                % (page_bytes / float(TRICKLE_WRITES)))
+    report.line()
+    report.line("E18d — kill at every page-write/doublewrite offset, "
                 "then seeded bit-flip corruption")
     report.line()
     for result, elapsed in crash:
@@ -145,6 +211,12 @@ def test_paged_storage(report, benchmark):
     report.metric("evictions", stats["evictions"], "evictions")
     report.metric("warm_scan_ratio", round(ratio, 3), "x")
     report.metric("warm_scan_paged_ms", round(paged_s * 1e3, 3), "ms")
+    report.metric("trickle_steals", trickle["steals"], "steals")
+    report.metric("trickle_page_writes_per_write",
+                  round(trickle["page_writes"] / float(TRICKLE_WRITES), 3),
+                  "writes")
+    report.metric("trickle_page_bytes_per_write",
+                  round(page_bytes / float(TRICKLE_WRITES), 1), "bytes")
     report.metric("page_write_kills", kills, "kills")
     report.metric("lost_or_phantom_states", lost, "states")
     report.metric("torn_pages_repaired", torn, "pages")
@@ -157,9 +229,12 @@ def test_paged_storage(report, benchmark):
     assert stats["pages_cached"] <= stats["capacity"]
     assert stats["evictions"] > 0
     assert ratio <= 1.5, "warm paged scans %.2fx the in-RAM baseline" % ratio
+    assert trickle["table_pages"] >= 10 * trickle["capacity"]
+    assert trickle["steals"] == 0
     for result, _elapsed in crash:
         assert result.ok, format_report(result)
         assert result.sites == result.counters["raw_writes"] * 4
+        assert result.counters["dirty_flushes"] > 0
     for result in corrupt:
         assert result.ok, format_report(result)
     assert torn > 0

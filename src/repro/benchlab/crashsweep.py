@@ -574,10 +574,36 @@ FAILOVER_SWEEP = SweepConfig(
 # -- paged storage: kill at every raw page write, then flip bits --------------
 
 
-def _paged_run(own, data_dir, seed, pool_pages, crash_plan=None):
-    """Run the seed's workload on paged storage, digesting every
-    durability point, with a mid-workload checkpoint and a final
-    checkpoint (the big page-write burst the kill sweep targets).
+def _paged_workload(seed):
+    """The seed's workload grown past a 4-frame pool of 4 KiB pages, and
+    the op index of its mid-workload checkpoint.
+
+    Just before that checkpoint a ``bulk`` table of six ~1 KiB rows
+    loads: every frame is dirty meanwhile, so the pool steals (WAL
+    barrier, spill write) until the checkpoint homes it all.  Last, a
+    write, a read and a write over it: the read's scan evicts clean
+    pages around the dirty leaf the first write left."""
+    ops = generate_workload(seed)
+    half = len(ops) // 2
+    rng = random.Random("bulk-%s" % seed)
+    rows = 6
+    pads = ["b" * rng.randrange(900, 1100) for _ in range(rows)]
+    ops[half:half] = [
+        ("q", "CREATE TABLE bulk (k INT PRIMARY KEY, pad VARCHAR(1200))"),
+        ("q", "INSERT INTO bulk (k, pad) VALUES " + ", ".join(
+            "(%d, '%s')" % pair for pair in enumerate(pads)))]
+    ops += [("q", "UPDATE bulk SET pad = 'short' WHERE k = %d"
+                  % rng.randrange(rows)),
+            ("q", "SELECT COUNT(*), SUM(LENGTH(pad)) FROM bulk"),
+            ("q", "INSERT INTO bulk (k, pad) VALUES (%d, 'tail')" % rows)]
+    return ops, half + 1
+
+
+def _paged_run(own, data_dir, seed, pool_pages, workload, crash_plan=None):
+    """Run *workload* (``(ops, checkpoint_after)``) on paged storage,
+    digesting every durability point, with a checkpoint after op
+    ``checkpoint_after`` and a final one (the big page-write burst the
+    kill sweep targets).
 
     With ``crash_plan`` ``(write_index, byte_offset)`` a crash is
     planted before the first op, in whole-run raw-write coordinates.
@@ -588,9 +614,8 @@ def _paged_run(own, data_dir, seed, pool_pages, crash_plan=None):
         storage="paged", pool_pages=pool_pages)))
     if crash_plan is not None:
         database.page_store.pager.plant_crash(*crash_plan)
-    ops = generate_workload(seed)
     try:
-        run = _digest_run(database, seed, ops, len(ops) // 2)
+        run = _digest_run(database, seed, *workload)
         database.checkpoint()
     except pager_mod.SimulatedCrash:
         if crash_plan is None:
@@ -601,10 +626,14 @@ def _paged_run(own, data_dir, seed, pool_pages, crash_plan=None):
 
 def _paged_golden(own, data_dir, seed):
     """The golden paged run fixes the write schedule: spill flushes
-    during the workload under a small pool, then the checkpoint's
+    while ``bulk`` loads into a 4-frame pool, then each checkpoint's
     doublewrite body, seal and sorted home writes."""
-    database, run = _paged_run(own, data_dir, seed, 4)
-    run.counters["raw_writes"] = database.page_store.pager.raw_writes
+    database, run = _paged_run(own, data_dir, seed, 4,
+                               _paged_workload(seed))
+    pool = database.page_store.pool
+    run.counters.update(raw_writes=database.page_store.pager.raw_writes,
+                        dirty_flushes=pool.dirty_flushes,
+                        clean_evictions=pool.evictions - pool.dirty_flushes)
     database.close()
     return run
 
@@ -625,7 +654,7 @@ def _paged_recover(own, victim_dir, golden, site, counters):
     area (never by rebuilding a table), and leave every index
     consistent with a full scan."""
     database, run = _paged_run(own, victim_dir, golden.seed, 4,
-                               crash_plan=site)
+                               _paged_workload(golden.seed), crash_plan=site)
     if run is not None:
         # the plan never fired (schedule drift) — a correctness bug in
         # the sweep itself, not the engine
@@ -643,14 +672,24 @@ def _paged_recover(own, victim_dir, golden, site, counters):
     yield from _state_problems(database, expected)
 
 
+def _paged_expect(golden, _counters):
+    """Both kinds of eviction ran, so some kill sites sit inside a spill
+    write (every dirty flush is one raw write)."""
+    if not golden.counters["dirty_flushes"]:
+        yield "coverage", "the golden run stole no page"
+    if not golden.counters["clean_evictions"]:
+        yield "coverage", "the golden run evicted no clean page"
+
+
 PAGED_SWEEP = SweepConfig("paged", _paged_golden, _paged_sites,
-                          _paged_recover)
+                          _paged_recover, _paged_expect)
 
 
 def _bitflip_golden(own, data_dir, seed, flips=6):
     """The paged workload, left open: the rounds corrupt and scrub this
     very database, so repairs accumulate like they would in service."""
-    database, run = _paged_run(own, data_dir, seed, 6)
+    ops = generate_workload(seed)
+    database, run = _paged_run(own, data_dir, seed, 6, (ops, len(ops) // 2))
     run.facts.update(database=database, baseline=state_digest(database),
                      rng=random.Random("corrupt-%s" % seed), flips=flips)
     run.counters["detected"] = 0

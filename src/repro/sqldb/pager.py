@@ -31,8 +31,11 @@ Three files live in a data directory:
 ``spill.db``
     Steal support.  Evicting a *dirty* page between checkpoints must
     not touch the home file (see above), so dirty evictions spill here
-    instead; a reload prefers the spill copy.  The file is volatile by
-    design: recovery ignores it and the next checkpoint clears it.
+    instead; a reload prefers the spill copy.  The pool steals only
+    when every unpinned frame is dirty, so this file sees the pages of
+    a working set that outgrows the pool between checkpoints, not the
+    leaf a write left beside a scan.  The file is volatile by design:
+    recovery ignores it and the next checkpoint clears it.
 
 Every dirty frame and every spill copy carries a **version**, fresh at
 each change.  A checkpoint takes its page images at the cut and homes
@@ -46,14 +49,14 @@ virtual :data:`repro.core.resilience.HOOK_CLOCK`, never a real sleep)
 before escalating as :class:`~repro.sqldb.errors.PagerError` into the
 fail-closed containment boundary.
 
-:class:`BufferPool` caches decoded page nodes with clock eviction and
-pin counts — eviction **refuses** pinned pages (hard error when every
-frame is pinned, never a silent unpin).  :class:`Scrubber` walks the
-reachable (checkpointed) pages a few per virtual tick, quarantines
-checksum mismatches and repairs them — doublewrite copy first, then a
-clean resident frame, then WAL redo, then a caught-up replica — and by
-construction never rewrites a page whose checksum verifies
-(``false_repairs`` stays 0).
+:class:`BufferPool` caches decoded page nodes with clean-first clock
+eviction and pin counts — eviction **refuses** pinned pages (hard error
+when every frame is pinned, never a silent unpin).  :class:`Scrubber`
+walks the reachable (checkpointed) pages a few per virtual tick,
+quarantines checksum mismatches and repairs them — doublewrite copy
+first, then a clean resident frame, then WAL redo, then a caught-up
+replica — and by construction never rewrites a page whose checksum
+verifies (``false_repairs`` stays 0).
 """
 
 import itertools
@@ -571,11 +574,15 @@ class Frame(object):
 
 
 class BufferPool(object):
-    """Pinned-page cache with clock (second-chance) eviction.
+    """Pinned-page cache with clean-first clock (second-chance)
+    eviction.
 
-    Steal / no-force discipline: evicting a dirty frame first runs the
-    WAL barrier (``wal_barrier``, set by the engine — flush the log so
-    no page image can outrun its log records), then **spills** the page
+    Replacement prefers clean frames, as InnoDB's LRU does: a clean
+    victim costs nothing, so while any unpinned frame is clean the
+    clock passes over dirty ones.  Steal / no-force discipline: when
+    every unpinned frame is dirty, evicting one first runs the WAL
+    barrier (``wal_barrier``, set by the engine — flush the log so no
+    page image can outrun its log records), then **spills** the page
     (never the home file, which must stay checkpoint-consistent); a
     commit never forces page writes.  Eviction skips pinned frames and
     raises :class:`PagerError` when every frame is pinned — a pinned
@@ -590,8 +597,11 @@ class BufferPool(object):
         #: callable run before a dirty steal (or None)
         self.wal_barrier = None
         self._frames = {}
+        #: the clock: every resident page once, in admission order
         self._ring = []
         self._hand = 0
+        #: resident frames that are dirty
+        self._dirty = 0
         self.hits = 0
         self.misses = 0
         self.evictions = 0
@@ -635,30 +645,37 @@ class BufferPool(object):
             self._evict_one()
         self._frames[frame.page_no] = frame
         self._ring.append(frame.page_no)
+        if frame.dirty:
+            self._dirty += 1
 
     def _evict_one(self):
-        sweeps = 0
-        limit = 2 * len(self._ring) + 1
-        while sweeps < limit:
-            sweeps += 1
-            if not self._ring:
-                break
-            if self._hand >= len(self._ring):
+        """Evict one unpinned frame, clean first.  While an unpinned
+        clean frame is resident the hand passes over dirty frames as it
+        passes over pinned ones, and second chance picks among the
+        clean ones.  A dirty frame is stolen only when every unpinned
+        frame is dirty: the dirty count says so at once when every frame
+        is, one revolution that meets no unpinned clean frame says so
+        when the clean ones are all pinned."""
+        ring, frames = self._ring, self._frames
+        size = len(ring)
+        steal = self._dirty >= size
+        clean_seen = False
+        for step in range(3 * size):
+            if step == size and not clean_seen:
+                steal = True
+            if self._hand >= size:
                 self._hand = 0
-            page_no = self._ring[self._hand]
-            frame = self._frames.get(page_no)
-            if frame is None:
-                del self._ring[self._hand]
-                continue
-            if frame.pin_count > 0:
+            frame = frames[ring[self._hand]]
+            if frame.pin_count > 0 or (frame.dirty and not steal):
                 self._hand += 1
                 continue
+            clean_seen = True
             if frame.ref:
                 frame.ref = False
                 self._hand += 1
                 continue
-            del self._ring[self._hand]
-            del self._frames[page_no]
+            del ring[self._hand]
+            del frames[frame.page_no]
             self._evict_frame(frame)
             return
         self.pin_denials += 1
@@ -670,6 +687,7 @@ class BufferPool(object):
     def _evict_frame(self, frame):
         self.evictions += 1
         if frame.dirty:
+            self._dirty -= 1
             # steal: the WAL barrier first (no page image may outrun
             # its log records), then spill — never the home file
             if self.wal_barrier is not None:
@@ -696,14 +714,26 @@ class BufferPool(object):
             raise PagerError(
                 "cannot dirty page %d: not resident" % page_no
             )
-        frame.dirty = True
+        if not frame.dirty:
+            frame.dirty = True
+            self._dirty += 1
         frame.version = next(_VERSIONS)
         if lsn > frame.lsn:
             frame.lsn = lsn
 
     def drop(self, page_no):
-        """Forget a frame without writing (the page was freed)."""
-        self._frames.pop(page_no, None)
+        """Forget a frame without writing (the page was freed).  It
+        leaves the clock too: a page freed and reallocated while
+        resident is listed once, not once per allocation."""
+        frame = self._frames.pop(page_no, None)
+        if frame is None:
+            return
+        if frame.dirty:
+            self._dirty -= 1
+        index = self._ring.index(page_no)
+        del self._ring[index]
+        if index < self._hand:
+            self._hand -= 1
 
     def dirty_images(self):
         """``{page_no: (lsn, payload)}`` of every dirty resident frame,
@@ -723,11 +753,13 @@ class BufferPool(object):
             frame = self._frames.get(page_no)
             if frame is not None and frame.version == version:
                 frame.dirty = False
+                self._dirty -= 1
 
     def clear(self):
         self._frames = {}
         self._ring = []
         self._hand = 0
+        self._dirty = 0
 
     def pinned_pages(self):
         return sorted(p for p, f in self._frames.items() if f.pin_count)

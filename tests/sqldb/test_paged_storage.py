@@ -123,17 +123,28 @@ class TestPendingOverlay(object):
         db.close()
 
 
-class TestPinDiscipline(object):
-    def _store(self, tmp_path, capacity=4):
-        return PageStore(str(tmp_path / "d"), page_size=512,
-                         pool_pages=capacity, sync=False,
-                         encoder=lambda node: json.dumps(
-                             node, sort_keys=True).encode("utf-8"),
-                         decoder=lambda payload: json.loads(
-                             payload.decode("utf-8")))
+def node_store(tmp_path, capacity=4):
+    """A page store of JSON nodes, with no engine above it."""
+    return PageStore(str(tmp_path / "d"), page_size=512,
+                     pool_pages=capacity, sync=False,
+                     encoder=lambda node: json.dumps(
+                         node, sort_keys=True).encode("utf-8"),
+                     decoder=lambda payload: json.loads(
+                         payload.decode("utf-8")))
 
+
+def home_every_page(store):
+    """A checkpoint's page half: every dirty image homed, then settled
+    (every frame is clean afterwards)."""
+    images, taken = store.collect_images()
+    store.checkpoint_begin(images)
+    store.checkpoint_finish(images)
+    store.settle(taken)
+
+
+class TestPinDiscipline(object):
     def test_eviction_refuses_pinned_frames(self, tmp_path):
-        store = self._store(tmp_path)
+        store = node_store(tmp_path)
         pool = store.pool
         pages = [pool.new_page({"p": i}) for i in range(4)]
         for page_no in pages:
@@ -153,7 +164,7 @@ class TestPinDiscipline(object):
         never exceeds capacity, a pinned page is never evicted, and
         every page read back equals what was written (through spill
         round trips included)."""
-        store = self._store(tmp_path)
+        store = node_store(tmp_path)
         pool = store.pool
         rng = random.Random(42)
         model = {}
@@ -190,6 +201,141 @@ class TestPinDiscipline(object):
         # full audit: every page round-trips after the churn
         for page_no in sorted(model):
             assert pool.fetch(page_no) == model[page_no]
+        store.close()
+
+
+class TestCleanFirstEviction(object):
+    """The pool replaces clean pages first, as InnoDB does: a dirty
+    frame is stolen (WAL barrier, then a spill write) only when every
+    unpinned frame is dirty."""
+
+    @staticmethod
+    def _record_steals(store, monkeypatch):
+        """Log every WAL barrier and spill write, in order."""
+        events = []
+        real_spill = store.pager.spill_write
+
+        def spill_write(page_no, payload, lsn):
+            events.append(("spill", page_no))
+            real_spill(page_no, payload, lsn)
+
+        monkeypatch.setattr(store.pager, "spill_write", spill_write)
+        real_barrier = store.pool.wal_barrier
+
+        def barrier():
+            events.append("barrier")
+            if real_barrier is not None:
+                real_barrier()
+
+        store.pool.wal_barrier = barrier
+        return events
+
+    def test_a_scan_keeps_the_dirty_leaf_and_steals_nothing(
+            self, tmp_path, monkeypatch):
+        db = paged_db(tmp_path, pool_pages=8)
+        db.run("CREATE TABLE t (id INT PRIMARY KEY, pad VARCHAR(60))")
+        for start in range(0, 600, 100):
+            db.run("INSERT INTO t (id, pad) VALUES " + ", ".join(
+                "(%d, '%s')" % (i, "p" * 50)
+                for i in range(start, start + 100)))
+        db.checkpoint()
+        store = db.page_store
+        pool = store.pool
+        assert len(db.tables["t"].store.pages()) >= 10 * pool.capacity
+        events = self._record_steals(store, monkeypatch)
+        db.run("UPDATE t SET pad = 'changed' WHERE id = 300")
+        images, _versions = pool.dirty_images()
+        assert len(images) == 1
+        (leaf,) = images
+        evictions, flushes = pool.evictions, pool.dirty_flushes
+        for _ in range(3):
+            rows = db.run("SELECT COUNT(*), SUM(LENGTH(pad)) FROM t")
+            assert rows[0].result_set.rows == [(600, 599 * 50 + 7)]
+        assert pool.evictions - evictions >= 3 * 10 * pool.capacity
+        assert events == []
+        assert pool.dirty_flushes == flushes
+        assert store.pager.stats_dict()["spill_pages"] == 0
+        assert list(pool.dirty_images()[0]) == [leaf]
+        # the next checkpoint homes the leaf the scans left resident
+        db.checkpoint()
+        assert pool.dirty_images()[0] == {}
+        _lsn, payload = store.pager.read_page(leaf)
+        assert payload == pool.encoder(pool.fetch(leaf))
+        assert {"id": 300, "pad": "changed"} in pool.fetch(leaf)["r"]
+        assert events == []
+        db.close()
+
+    def test_every_unpinned_frame_dirty_steals_barrier_first(
+            self, tmp_path, monkeypatch):
+        store = node_store(tmp_path)
+        pool = store.pool
+        pages = [pool.new_page({"p": i}) for i in range(4)]
+        home_every_page(store)
+        events = self._record_steals(store, monkeypatch)
+        for page_no in pages[:3]:
+            pool.mark_dirty(page_no)
+        # one clean frame left: it is the victim, and nothing is written
+        pool.new_page({"p": 4})
+        assert pages[3] not in pool and events == []
+        # every frame dirty: the clock steals, the barrier first
+        pool.new_page({"p": 5})
+        assert len(events) == 2 and events[0] == "barrier"
+        assert events[1][0] == "spill" and events[1][1] not in pool
+        assert pool.dirty_flushes == 1
+        # the clean frames all pinned: a dirty one is stolen
+        home_every_page(store)
+        resident = [page_no for page_no in range(1, 8) if page_no in pool]
+        clean, dirty = resident[:2], resident[2:]
+        for page_no in clean:
+            pool.pin(page_no)
+        for page_no in dirty:
+            pool.mark_dirty(page_no)
+        del events[:]
+        pool.new_page({"p": 6})
+        assert len(events) == 2 and events[0] == "barrier"
+        assert events[1][0] == "spill" and events[1][1] in dirty
+        assert all(page_no in pool for page_no in clean)
+        store.close()
+
+    def test_a_pinned_frame_is_never_a_victim(self, tmp_path):
+        store = node_store(tmp_path)
+        pool = store.pool
+        pages = [pool.new_page({"p": i}) for i in range(4)]
+        home_every_page(store)
+        pool.mark_dirty(pages[0])
+        pool.mark_dirty(pages[2])
+        pool.pin(pages[1])      # the only clean frame but one
+        victims = []
+        for _ in range(3):
+            resident = [page_no for page_no in pages if page_no in pool]
+            pool._evict_one()
+            victims.extend(page_no for page_no in resident
+                           if page_no not in pool)
+        # clean before dirty, and never the pinned page
+        assert victims == [pages[3], pages[0], pages[2]]
+        with pytest.raises(PagerError):
+            pool._evict_one()
+        assert pages[1] in pool
+        assert pool.dirty_flushes == 2
+        store.close()
+
+
+class TestClockRing(object):
+    def test_a_freed_and_reallocated_page_is_listed_once(self, tmp_path):
+        """A page freed while resident and reallocated is one frame, so
+        one place on the clock — not one per allocation, which gave it
+        a second chance per listing and grew the ring without bound."""
+        store = node_store(tmp_path, capacity=2)
+        pool = store.pool
+        first = pool.new_page({"p": "first"})
+        second = pool.new_page({"p": "second"})
+        for round_no in range(5):
+            store.free_page(first)
+            assert pool.new_page({"p": round_no}) == first
+        assert sorted(pool._ring) == sorted([first, second])
+        # the clock evicts the older page, not the reallocated one
+        pool.new_page({"p": "third"})
+        assert first in pool and second not in pool
         store.close()
 
 

@@ -827,6 +827,65 @@ def test_pager_and_btree_never_read_the_wall_clock():
     assert problems == [], "\n".join(problems)
 
 
+def _steal_violations(path):
+    """The write-ahead rule for a steal: every function in pager.py that
+    calls ``spill_write`` calls ``wal_barrier`` before it, so no page
+    image reaches the spill file ahead of its log records.  Returns
+    ``(problems, spill call sites)``."""
+    with open(path) as handle:
+        tree = ast.parse(handle.read(), filename=path)
+    problems, sites = [], []
+    for func in ast.walk(tree):
+        if not isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        calls = sorted(
+            (node.lineno, node.col_offset, node.func.attr)
+            for node in ast.walk(func)
+            if isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Attribute)
+            and node.func.attr in ("spill_write", "wal_barrier"))
+        barrier = False
+        for line, _col, name in calls:
+            if name == "wal_barrier":
+                barrier = True
+                continue
+            sites.append(func.name)
+            if not barrier:
+                problems.append(
+                    "%s:%d: %s() calls spill_write with no wal_barrier() "
+                    "before it" % (os.path.basename(path), line, func.name))
+    return problems, sites
+
+
+def test_every_steal_runs_the_wal_barrier_first():
+    pager_py = os.path.join(SRC_ROOT, "repro", "sqldb", "pager.py")
+    problems, sites = _steal_violations(pager_py)
+    assert problems == [], "\n".join(problems)
+    assert sites == ["_evict_frame"]
+
+
+@pytest.mark.parametrize("plant", ["dropped", "after"])
+def test_steal_gate_catches_a_barrier_less_spill(tmp_path, plant):
+    """The twin: a copy of pager.py whose steal spills with the barrier
+    deleted, or moved after the spill write, turns the gate red."""
+    pager_py = os.path.join(SRC_ROOT, "repro", "sqldb", "pager.py")
+    with open(pager_py) as handle:
+        source = handle.read()
+    barrier = ("            if self.wal_barrier is not None:\n"
+               "                self.wal_barrier()\n")
+    spill = ("            self.pager.spill_write(frame.page_no, payload, "
+             "frame.lsn)\n")
+    assert source.count(barrier) == 1 and source.count(spill) == 1
+    planted = source.replace(barrier, "", 1)
+    if plant == "after":
+        planted = planted.replace(spill, spill + barrier, 1)
+    bad = tmp_path / "pager.py"
+    bad.write_text(planted)
+    problems, _sites = _steal_violations(str(bad))
+    assert len(problems) == 1, problems
+    assert "_evict_frame() calls spill_write" in problems[0]
+
+
 def test_wall_clock_gate_catches_a_sleep(tmp_path):
     bad = tmp_path / "bad_clock.py"
     bad.write_text(
