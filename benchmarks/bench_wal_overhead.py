@@ -17,10 +17,14 @@ the price of a bounded tail of acknowledged-but-unsynced commits.
 
 A second section prices the checkpoint image — written whole at every
 checkpoint — over a ``kv``-shaped table of 2 k and 20 k rows on memory
-and paged storage: bytes on disk per row, the engine's checkpoint call
-(``Database.checkpoint``: snapshot, encode, write, rotate — under
-``sync=off``, so the time is the CPU's, not the disk's) and the image
-load recovery starts from (``wal.load_checkpoint``).
+and paged storage, and over ``scan_paged``'s three tables (the e2e
+workload's own load, plus an audit trickle): bytes on disk per row, the
+engine's checkpoint call (``Database.checkpoint``: snapshot, encode,
+write, rotate — under ``sync=off``, so the time is the CPU's, not the
+disk's) and the image load recovery starts from
+(``wal.load_checkpoint``), at each zlib level of ``IMAGE_LEVELS``.  It
+also times, in process CPU, the checkpoint ``scan_paged`` takes after
+each audit INSERT (one dirty leaf, a doublewrite batch, the image).
 
 A third prices the log record itself, over every record of a mixed
 workload (autocommit INSERTs and UPDATEs with ``NOW()``, transactions
@@ -29,21 +33,29 @@ encode of a record from its fields and the decode of its payload (µs
 per record), and ``wal.scan_log`` over a log of 10 k such records.
 """
 
+import itertools
 import os
+import random
 import shutil
+import sys
 import tempfile
 import time
 
 from repro.sqldb import wal
 from repro.sqldb.connection import Connection
 from repro.sqldb.engine import Database
+from repro.sqldb.storage import image_rows
 
 WRITES = 400
 REPEATS = 3
 
-CHECKPOINT_ROWS = (2000, 20000)
 CHECKPOINT_REPEATS = 5
 KV_SCHEMA = "CREATE TABLE kv (k INT PRIMARY KEY, v VARCHAR(32), n INT)"
+#: zlib levels the image section compares (the engine writes
+#: ``wal._IMAGE_LEVEL``)
+IMAGE_LEVELS = (1, 6)
+#: audit rows on top of ``scan_paged``'s load (a few slices' trickle)
+AUDIT_ROWS = 300
 
 SCHEMA = ("CREATE TABLE readings (id INT AUTO_INCREMENT PRIMARY KEY, "
           "device VARCHAR(20), watts INT, taken DATETIME)")
@@ -93,38 +105,107 @@ def _durable_build(sync_mode):
     return build
 
 
-def _median_ms(action, repeats):
+def _median_ms(action, repeats, clock=time.perf_counter):
     samples = []
     for _ in range(repeats):
-        start = time.perf_counter()
+        start = clock()
         action()
-        samples.append(1e3 * (time.perf_counter() - start))
+        samples.append(1e3 * (clock() - start))
     samples.sort()
     return samples[len(samples) // 2]
 
 
-def _measure_checkpoint(storage, rows):
-    """``(image bytes, write ms, load ms)`` for a ``kv`` table of *rows*
-    rows on *storage*; the times are medians after one warm-up
-    checkpoint (which, on paged storage, also writes every page)."""
-    tmp = tempfile.mkdtemp(prefix="wal-bench-")
-    database = Database.recover(tmp, wal_sync="off", storage=storage)
-    try:
+def _load_kv(rows):
+    def load(database):
         database.seed(KV_SCHEMA)
         table = database.table("kv")
         for key in range(rows):
-            table.insert({"k": key, "v": "value-%06d" % key, "n": key * 7})
+            table.insert({"k": key, "v": "value-%06d" % key,
+                          "n": key * 7})
+        return rows
+    return load
+
+
+def _scan_paged_module():
+    """``benchmarks/e2e/wl_scan_paged.py``, imported read-only for its
+    schema and seeded load."""
+    sys.path.insert(0, os.path.join(os.path.dirname(
+        os.path.abspath(__file__)), "e2e"))
+    try:
+        import wl_scan_paged
+    finally:
+        sys.path.pop(0)
+    return wl_scan_paged
+
+
+def _load_scan_paged(database):
+    """``scan_paged``'s tables as its workload loads them, and an audit
+    trickle; returns the row count."""
+    workload = _scan_paged_module()
+    conn = Connection(database)
+    for statement in workload.SCHEMA + tuple(workload.load_statements(1.0)):
+        conn.query_or_raise(statement)
+    orders, customers = workload.sizes(1.0)
+    rng = random.Random(5)
+    for audit_id in range(AUDIT_ROWS):
+        conn.query_or_raise(workload.AUDIT_SQL
+                            % (audit_id, rng.randrange(orders)))
+    return orders + customers + AUDIT_ROWS
+
+
+#: image data sets: (label, storage options, loader); ``scan_paged``
+#: on its workload's pages and pool
+IMAGE_DATA = [
+    ("kv 2k, memory", {"storage": "memory"}, _load_kv(2000)),
+    ("kv 20k, memory", {"storage": "memory"}, _load_kv(20000)),
+    ("kv 2k, paged", {"storage": "paged"}, _load_kv(2000)),
+    ("kv 20k, paged", {"storage": "paged"}, _load_kv(20000)),
+    ("scan_paged, paged", {"storage": "paged",
+                           "page_size": _scan_paged_module().PAGE_SIZE,
+                           "pool_pages": _scan_paged_module().POOL_PAGES},
+     _load_scan_paged),
+]
+
+
+def _measure_checkpoint(options, load, level):
+    """``(rows, image bytes, write ms, load ms, audit checkpoint CPU ms)``
+    for the tables *load* fills in a database opened with *options*,
+    the image packed at zlib *level*; the times are medians after one
+    warm-up checkpoint (which, on paged storage, also writes every
+    page).  The last is ``None`` but for ``scan_paged``'s tables."""
+    tmp = tempfile.mkdtemp(prefix="wal-bench-")
+    saved = wal._IMAGE_LEVEL
+    wal._IMAGE_LEVEL = level
+    database = Database.recover(tmp, wal_sync="off", **options)
+    try:
+        rows = load(database)
         database.checkpoint()
         write_ms = _median_ms(database.checkpoint, CHECKPOINT_REPEATS)
         image_bytes = os.path.getsize(wal.checkpoint_path(tmp))
         load_ms = _median_ms(lambda: wal.load_checkpoint(tmp),
                              CHECKPOINT_REPEATS)
-        loaded = wal.load_checkpoint(tmp)["tables"][0]["rows"]
-        assert len(loaded) == rows
+        tables = wal.load_checkpoint(tmp)["tables"]
+        assert sum(len(table.value_rows()) for table in
+                   database.tables.values()) == rows == sum(
+            len(image_rows(table)) for table in tables)
+        audit_ms = None
+        if "audit" in database.tables:
+            conn = Connection(database)
+            ids = itertools.count(AUDIT_ROWS)
+
+            def audited_checkpoint():
+                conn.query_or_raise(
+                    "INSERT INTO audit (id, order_id, action) "
+                    "VALUES (%d, 1, 'viewed')" % next(ids))
+                database.checkpoint()
+
+            audit_ms = _median_ms(audited_checkpoint, 3 * CHECKPOINT_REPEATS,
+                                  clock=time.process_time)
     finally:
+        wal._IMAGE_LEVEL = saved
         database.close()
         shutil.rmtree(tmp, ignore_errors=True)
-    return image_bytes, write_ms, load_ms
+    return rows, image_bytes, write_ms, load_ms, audit_ms
 
 
 def _sample_records():
@@ -207,9 +288,10 @@ def test_wal_overhead_artifact(report, benchmark):
         results["none"] = _measure(lambda: (Database(), lambda: None))
         for mode in ("off", "batch", "commit"):
             results[mode] = _measure(_durable_build(mode))
-        for storage in ("memory", "paged"):
-            for rows in CHECKPOINT_ROWS:
-                results[storage, rows] = _measure_checkpoint(storage, rows)
+        for level in IMAGE_LEVELS:
+            for label, options, load in IMAGE_DATA:
+                results[label, level] = _measure_checkpoint(options, load,
+                                                            level)
         results["records"] = _measure_log_records()
         return results
 
@@ -244,24 +326,39 @@ def test_wal_overhead_artifact(report, benchmark):
 
     report.line()
     report.line("Checkpoint image — kv (k INT PRIMARY KEY, v VARCHAR(32), "
-                "n INT), median of %d checkpoints after a warm-up"
-                % CHECKPOINT_REPEATS)
+                "n INT) and scan_paged's customers / orders / audit, "
+                "median of %d checkpoints after a warm-up, at zlib "
+                "levels %s (the engine writes level %d)"
+                % (CHECKPOINT_REPEATS, " and ".join(map(str, IMAGE_LEVELS)),
+                   wal._IMAGE_LEVEL))
     report.line()
     rows = []
-    for storage in ("memory", "paged"):
-        for count in CHECKPOINT_ROWS:
-            image_bytes, write_ms, load_ms = results[storage, count]
-            rows.append([storage, str(count), str(image_bytes),
-                         "%.1f" % (image_bytes / count), "%.2f" % write_ms,
+    for level in IMAGE_LEVELS:
+        for label, _options, _load in IMAGE_DATA:
+            count, image_bytes, write_ms, load_ms, _audit = results[
+                label, level]
+            rows.append([str(level), label, str(count), str(image_bytes),
+                         "%.2f" % (image_bytes / count), "%.2f" % write_ms,
                          "%.2f" % load_ms])
-            prefix = "checkpoint_%s_%dk_" % (storage, count // 1000)
-            report.metric(prefix + "bytes_per_row",
-                          round(image_bytes / count, 2), "bytes")
+            prefix = "image_level%d_%s_" % (
+                level, label.replace(",", "").replace(" ", "_"))
+            report.metric(prefix + "bytes", image_bytes, "bytes")
             report.metric(prefix + "write_ms", round(write_ms, 2), "ms")
             report.metric(prefix + "load_ms", round(load_ms, 2), "ms")
-    report.table(["storage", "rows", "image bytes", "bytes/row",
+    report.table(["level", "data", "rows", "image bytes", "bytes/row",
                   "write (ms)", "load (ms)"], rows,
-                 widths=[10, 8, 14, 12, 13, 12])
+                 widths=[7, 20, 8, 13, 11, 12, 10])
+    report.line()
+    audit = {level: results["scan_paged, paged", level][4]
+             for level in IMAGE_LEVELS}
+    report.line("scan_paged's checkpoint after one audit INSERT, median "
+                "of %d, process CPU: %s"
+                % (3 * CHECKPOINT_REPEATS, ", ".join(
+                    "%.2f ms at level %d" % (audit[level], level)
+                    for level in IMAGE_LEVELS)))
+    for level in IMAGE_LEVELS:
+        report.metric("scan_paged_checkpoint_cpu_ms_level%d" % level,
+                      round(audit[level], 2), "ms")
 
     framed, encode_us, decode_us, log_bytes, scan_ms = results["records"]
     count = sum(len(sizes) for sizes in framed.values())

@@ -438,7 +438,7 @@ class ReplicaSet(object):
                 "table %r re-fed from %s (applied_lsn=%d)"
                 % (table_name, best[1].name, best[0]),
             )
-            return table.to_dict()["rows"]
+            return table.value_rows()
 
         primary_node.database.register_page_repair_source(provider)
 

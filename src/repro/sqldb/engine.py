@@ -1011,7 +1011,7 @@ class Database(object):
             source = scratch.tables.get(table_name)
             if source is None:
                 return False
-            rows = source.to_dict()["rows"]
+            rows = source.value_rows()
         except (SQLError, KeyError, TypeError, ValueError):
             return False
         return self._rebuild_table_from_rows(table_name, rows)

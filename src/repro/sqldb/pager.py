@@ -979,9 +979,15 @@ class PageStore(object):
 
     def checkpoint_begin(self, images):
         """Phase 1 (before the checkpoint JSON lands): write + seal the
-        doublewrite batch.  Returns the batch id the JSON must carry."""
+        doublewrite batch.  Returns the batch id the JSON must carry.
+
+        With no images nothing is written: the id still moves on, so
+        the batch left sealed in the file — already home, and homed
+        again by nothing this checkpoint writes — no longer matches the
+        JSON and recovery leaves it alone."""
         self.batch_id += 1
-        self.pager.write_doublewrite(images, self.batch_id)
+        if images:
+            self.pager.write_doublewrite(images, self.batch_id)
         return self.batch_id
 
     def checkpoint_finish(self, images):

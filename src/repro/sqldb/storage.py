@@ -43,8 +43,10 @@ the API's back — ALTER TABLE, :meth:`Table.touch`) rebuilds on next
 use, and ``index_stats()['rebuilds']`` makes that observable.
 """
 
+import operator
 import sys
 from bisect import bisect_left, bisect_right, insort
+from itertools import accumulate
 
 from repro.sqldb.btree import BTree, Row
 from repro.sqldb.errors import ExecutionError, WriteConflictError
@@ -820,16 +822,24 @@ class Table(object):
     # -- durability (checkpoint snapshots) --------------------------------
 
     def to_dict(self):
-        """JSON-serializable full state (the checkpoint unit).  A row is
-        the array of its values in the order of ``columns`` — the names
-        are written once per table, not once per row — and the same
-        whatever store holds the rows."""
-        names = self.column_names()
+        """JSON-serializable full state (the checkpoint unit), the same
+        whatever store holds the rows.  The rows are written column by
+        column (:func:`_column_image`): ``"cols"`` holds one list per
+        column in the order of ``columns``, and ``"delta"`` the indexes
+        of the lists stored as differences."""
+        rows = list(self.store.rows())
+        cols = []
+        delta = []
+        for at, name in enumerate(self.column_names()):
+            stored, coded = _column_image([row.get(name) for row in rows])
+            cols.append(stored)
+            if coded:
+                delta.append(at)
         return {
             "name": self.name,
             "columns": [col.to_dict() for col in self.columns],
-            "rows": [[row.get(name) for name in names]
-                     for row in self.store.rows()],
+            "cols": cols,
+            "delta": delta,
             "auto_counter": self._auto_counter,
             "indexes": dict(self.indexes),
         }
@@ -838,22 +848,31 @@ class Table(object):
     def from_dict(cls, data, store=None, adopt=False):
         """Rebuild a table from its checkpoint entry.  With *adopt* the
         *store* already holds the rows (a paged store re-opened onto its
-        checkpointed pages) and ``data["rows"]`` is not loaded."""
+        checkpointed pages) and the image's rows are not loaded."""
         table = cls(data["name"],
                     [Column.from_dict(c) for c in data["columns"]], store)
         table._auto_counter = data.get("auto_counter", 0)
         table.indexes = dict(data.get("indexes", {}))
         if not adopt:
-            table.load_rows(data.get("rows", []))
+            table.load_rows(image_rows(data))
         return table
+
+    def value_rows(self):
+        """The latest-state rows as value arrays in the order of
+        ``columns`` — what :meth:`load_rows` takes back (a page repair
+        re-feeding a table from another copy of it)."""
+        names = self.column_names()
+        return [[row.get(name) for name in names]
+                for row in self.store.rows()]
 
     def load_rows(self, rows):
         """Replace the content with *rows*, under fresh rowids
         (checkpoint load, page-corruption rebuild).  A row is a value
-        array in the order of ``columns``, as :meth:`to_dict` writes it,
-        or a column dict, as checkpoints written before the array layout
-        hold it.  Every row is read before the old content goes, so a
-        row that does not fit the schema leaves the table as it was."""
+        array in the order of ``columns``, as :meth:`value_rows` and
+        :func:`image_rows` give it, or a column dict, as checkpoints
+        written before the array layout hold it.  Every row is read
+        before the old content goes, so a row that does not fit the
+        schema leaves the table as it was."""
         names = self.column_names()
         images = []
         for values in rows:
@@ -1098,6 +1117,49 @@ class Table(object):
         return "Table(%r, %d cols, %d rows)" % (
             self.name, len(self.columns), len(self.store)
         )
+
+
+# -- checkpoint image layout ------------------------------------------------
+#
+# A table image holds its rows column-major, so the compressor that
+# packs the image sees one column's similar values side by side.  An
+# integer column whose neighbours in rowid order are close — keys and
+# counters assigned in insertion order — is stored as its first value
+# followed by successive differences, when that text is the shorter.
+
+def _column_image(values):
+    """``(stored, coded)``: *values* as an image stores them, and whether
+    they are stored as differences.  Only a column of plain ints
+    qualifies (one bool, NULL or float keeps it plain), and only when
+    the differences print shorter than the values."""
+    if set(map(type, values)) != {int}:
+        return values, False
+    diffs = [values[0]]
+    diffs.extend(map(operator.sub, values[1:], values))
+    if len(",".join(map(str, diffs))) < len(",".join(map(str, values))):
+        return diffs, True
+    return values, False
+
+
+def image_rows(data):
+    """The rows of table image *data* as value sequences in the order of
+    its ``columns``, whatever layout wrote it: the column-major
+    ``"cols"`` (:meth:`Table.to_dict`), or the ``"rows"`` of earlier
+    versions — value arrays, or column dicts before those."""
+    cols = data.get("cols")
+    if cols is None:
+        return data.get("rows", [])
+    if (len(cols) != len(data["columns"])
+            or len(set(map(len, cols))) > 1):
+        raise ValueError("the image of table '%s' holds %d columns of "
+                         "lengths %s for %d columns"
+                         % (data["name"], len(cols),
+                            sorted(set(map(len, cols))),
+                            len(data["columns"])))
+    cols = list(cols)
+    for at in data.get("delta", ()):
+        cols[at] = list(accumulate(cols[at]))
+    return list(zip(*cols))
 
 
 class MemoryRows(object):

@@ -357,6 +357,28 @@ class TestRecoveryRoundTrip(object):
         assert verify_index_consistency(recovered) == []
         recovered.close()
 
+    def test_a_clean_checkpoint_writes_no_doublewrite_batch(self, tmp_path):
+        """A checkpoint with no dirty page leaves the page files alone
+        (no batch body, no seal, no fsync), and a kill right after it
+        recovers the same state: the JSON names a batch id the sealed
+        leftover does not carry, so recovery never re-applies it."""
+        db = paged_db(tmp_path)
+        for sql in STATEMENTS:
+            db.run(sql)
+        db.checkpoint()
+        golden = state_digest(db)
+        pager = db.page_store.pager
+        before = (pager.writes, pager.fsyncs, db.page_store.batch_id)
+        db.checkpoint()
+        assert (pager.writes, pager.fsyncs) == before[:2]
+        assert db.page_store.batch_id == before[2] + 1
+        assert pager.load_doublewrite()[0] == before[2]
+        db.reopen()
+        assert db.recovery_report["pages"]["dw_applied"] == 0
+        assert state_digest(db) == golden
+        assert verify_index_consistency(db) == []
+        db.close()
+
     def test_reopen_into_memory_backend_reads_the_same_wal(self, tmp_path):
         """The backends share one WAL format: a directory written by
         the paged engine recovers bit-identically on the in-memory

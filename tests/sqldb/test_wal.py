@@ -7,9 +7,12 @@ atomic at every step, and the hot path pays exactly one module-attribute
 read when no WAL is attached.
 """
 
+import collections
 import copy
+import itertools
 import json
 import os
+import random
 import struct
 import sys
 import threading
@@ -29,6 +32,7 @@ from repro.sqldb import wal
 from repro.sqldb.connection import Connection
 from repro.sqldb.engine import Database
 from repro.sqldb.errors import SQLError, WalCorruptionError, WalError
+from repro.sqldb.storage import image_rows
 
 
 def _fill(log):
@@ -300,14 +304,34 @@ def _unframe(data):
     return length, crc, data[len(magic) + 8:]
 
 
+def _as_row_arrays(body):
+    """*body* in the layout the binary image had before it went
+    column-major: each table's rows as value arrays under ``"rows"``."""
+    body = copy.deepcopy(body)
+    for table in body["tables"]:
+        table["rows"] = [list(row) for row in image_rows(table)]
+        table.pop("cols", None)
+        table.pop("delta", None)
+    return body
+
+
 def _as_column_dicts(body):
     """*body* with every row a column dict, as the row layout was before
     rows became value arrays."""
-    body = copy.deepcopy(body)
+    body = _as_row_arrays(body)
     for table in body["tables"]:
         names = [column["name"] for column in table["columns"]]
         table["rows"] = [dict(zip(names, row)) for row in table["rows"]]
     return body
+
+
+def _binary_layout(body):
+    """The framed, compressed image of *body*, as :mod:`wal` writes it."""
+    packed = zlib.compress(json.dumps(body, sort_keys=True,
+                                      separators=(",", ":")).encode("utf-8"),
+                           wal._IMAGE_LEVEL)
+    return (wal._IMAGE_MAGIC + struct.pack(
+        "<II", len(packed), zlib.crc32(packed) & 0xFFFFFFFF) + packed)
 
 
 def _text_layout(body, indent=None):
@@ -387,6 +411,21 @@ class TestCheckpointImage(object):
         recovered = backend.recover()
         assert state_digest(recovered) == live
 
+    def test_row_array_layout_of_the_parent_commit_recovers(self, backend,
+                                                            tmp_path):
+        """The binary image with row-array rows (before the column-major
+        layout) still recovers to the same state."""
+        database = self._kinds_database(backend)
+        live = state_digest(database)
+        database.close()
+        data_dir = tmp_path / "db"
+        body = _as_row_arrays(wal.load_checkpoint(str(data_dir)))
+        assert "cols" not in body["tables"][0]
+        _write_image(data_dir, _binary_layout(body))
+        assert wal.load_checkpoint(str(data_dir)) == body
+        recovered = backend.recover()
+        assert state_digest(recovered) == live
+
     def test_every_cut_and_every_bit_flip_is_corruption(self, backend,
                                                         tmp_path):
         database = backend.recover()
@@ -408,12 +447,60 @@ class TestCheckpointImage(object):
             with pytest.raises(WalCorruptionError):
                 wal.load_checkpoint(str(data_dir))
         _write_image(data_dir, data)
-        assert wal.load_checkpoint(str(data_dir))["tables"][0]["rows"] == [
-            [1, "xé"], [2, None]]
+        assert image_rows(wal.load_checkpoint(str(data_dir))["tables"][0]) \
+            == [(1, "xé"), (2, None)]
 
 
 class TestCheckpointImagePaged(TestCheckpointImage):
     storage = "paged"
+
+
+def _kv_database(rows=2000, ops=4000, seed=7):
+    """A ``kv`` table the way a keyed read/write mix leaves it: keys
+    loaded in order, then *ops* seeded operations — half reads, a
+    quarter updates of Zipf-hot keys, 15 % new keys appended past the
+    load, 10 % deletes of the oldest appended key."""
+    rng = random.Random(seed)
+    database = Database()
+    database.seed("CREATE TABLE kv (k INT PRIMARY KEY, v VARCHAR(32), "
+                  "n INT)")
+    table = database.table("kv")
+    for key in range(rows):
+        table.insert({"k": key, "v": "val-%06d" % key, "n": key % 997})
+    hot = list(range(rows))
+    rng.shuffle(hot)
+    zipf = list(itertools.accumulate(1.0 / rank
+                                     for rank in range(1, rows + 1)))
+    appended = collections.deque()
+    for counter in range(1, ops + 1):
+        pick = rng.random()
+        if pick < 0.50:
+            continue
+        if pick < 0.75:
+            key = rng.choices(hot, cum_weights=zipf)[0]
+            table.update_row(table.index_lookup("k", key)[0],
+                             {"v": "upd-%d" % counter, "n": counter})
+        elif pick < 0.90 or not appended:
+            key = rows + counter
+            table.insert({"k": key, "v": "ins-%d" % counter,
+                          "n": counter % 1009})
+            appended.append(key)
+        else:
+            table.delete_rows(table.index_lookup("k", appended.popleft()))
+    return database
+
+
+class TestImageSize(object):
+    def test_a_kv_image_is_at_most_60_percent_of_the_row_arrays(self):
+        """Column-major with key-like columns as differences: the packed
+        image of a seeded 2 000-row ``kv`` table stays at most 60 % of
+        the bytes the row-array layout packs the same rows into."""
+        database = _kv_database()
+        body = {"tables": [database.table("kv").to_dict()]}
+        assert body["tables"][0]["delta"] == [0, 2]     # k and n
+        column_major = len(_binary_layout(body))
+        row_arrays = len(_binary_layout(_as_row_arrays(body)))
+        assert column_major <= 0.60 * row_arrays, (column_major, row_arrays)
 
 
 class TestSyncModes(object):

@@ -2380,3 +2380,72 @@ def test_shim_gate_catches_a_moved_name():
     assert "NetOutcome" in problems[1]
     assert "no_such_module" in problems[2]
     assert "MAX_STATEMENTS is not callable" in problems[3]
+
+
+def _reads_an_image(node, images):
+    """Is *node* a ``….to_dict()`` call, or a name bound to one?"""
+    if isinstance(node, ast.Name):
+        return node.id in images
+    return (isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Attribute)
+            and node.func.attr == "to_dict")
+
+
+def _table_image_read_violations(path):
+    """The layout of a table image is the storage module's to write and
+    read: anywhere else, a ``to_dict()`` result — directly, or through
+    a name bound to one (scope-blind, like the undefined-names pass) —
+    is passed on whole, never subscripted or ``.get``-ed.  Code after a
+    table's rows asks the table (``Table.value_rows``) or decodes an
+    image with ``storage.image_rows``."""
+    with open(path) as handle:
+        tree = ast.parse(handle.read(), filename=path)
+    rel = os.path.relpath(path, REPO_ROOT)
+    images = {target.id
+              for node in ast.walk(tree) if isinstance(node, ast.Assign)
+              and _reads_an_image(node.value, ())
+              for target in node.targets if isinstance(target, ast.Name)}
+    problems = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Subscript):
+            image = node.value
+        elif (isinstance(node, ast.Call)
+                and isinstance(node.func, ast.Attribute)
+                and node.func.attr == "get"):
+            image = node.func.value
+        else:
+            continue
+        if _reads_an_image(image, images):
+            problems.append("%s:%d: reads inside a to_dict() image — only "
+                            "repro/sqldb/storage.py knows its layout"
+                            % (rel, node.lineno))
+    return problems
+
+
+def test_table_images_are_read_only_by_the_storage_module():
+    storage_py = os.path.abspath(os.path.join(SQLDB_ROOT, "storage.py"))
+    problems = []
+    for path in _python_files(SRC_ROOT):
+        if os.path.abspath(path) != storage_py:
+            problems.extend(_table_image_read_violations(path))
+    assert problems == [], "\n".join(problems)
+
+
+def test_table_image_gate_catches_a_layout_reader(tmp_path):
+    """The replica page-repair source indexing the image it builds, or
+    a name bound to one, turns the gate red."""
+    coordinator_py = os.path.join(REPLICA_ROOT, "coordinator.py")
+    assert _table_image_read_violations(coordinator_py) == []
+    with open(coordinator_py) as handle:
+        source = handle.read()
+    live = "            return table.value_rows()\n"
+    assert source.count(live) == 1
+    planted = tmp_path / "coordinator.py"
+    planted.write_text(source.replace(
+        live, '            return table.to_dict()["rows"]\n'))
+    problems = _table_image_read_violations(str(planted))
+    assert len(problems) == 1 and "coordinator.py:" in problems[0], problems
+    planted.write_text(source.replace(
+        live, "            image = table.to_dict()\n"
+              "            return image.get('cols')\n"))
+    assert len(_table_image_read_violations(str(planted))) == 1
