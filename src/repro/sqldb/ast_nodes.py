@@ -1,50 +1,87 @@
 """AST node classes for the mini-MySQL parser.
 
-Nodes are plain data holders; behaviour lives in the validator
+Nodes are dataclasses: plain data holders with structural ``==`` and a
+``repr`` that tests can assert on.  Behaviour lives in the validator
 (item-stack construction), the evaluator (:mod:`repro.sqldb.expression`)
-and the executor.  Every node implements ``__repr__`` and structural
-``__eq__`` so tests can assert on parse trees directly.
+and the executor.
+
+A class's field order is its child order.  :func:`children`,
+:func:`walk` and :func:`transform` are the only code that enumerates a
+node's children — node fields, and the nodes inside list and tuple
+fields (``Insert.rows`` is a list of lists, ``Case.whens`` a list of
+``(condition, result)`` pairs, ``Select.unions`` of ``(all, Select)``).
+The validator pushes an expression's operands in that order, then its
+``label``: the operator text the item stack and ``to_sql`` both print.
 """
+
+from __future__ import annotations
+
+from dataclasses import dataclass, field, replace
+from operator import attrgetter
+
+#: the decorator of every concrete node class (structural ``==``, a
+#: ``repr``, fields in ``__slots__``)
+_node = dataclass(slots=True)
 
 
 class Node(object):
-    """Base class providing structural equality over ``__slots__``."""
+    """Base class of every tree node."""
 
     __slots__ = ()
 
-    def _fields(self):
-        out = []
-        for cls in type(self).__mro__:
-            out.extend(getattr(cls, "__slots__", ()))
-        return out
 
-    def __eq__(self, other):
-        if type(self) is not type(other):
-            return False
-        return all(
-            getattr(self, f) == getattr(other, f) for f in self._fields()
-        )
-
-    def __ne__(self, other):
-        return not self.__eq__(other)
-
-    def __hash__(self):
-        return hash(
-            (type(self).__name__,)
-            + tuple(_hashable(getattr(self, f)) for f in self._fields())
-        )
-
-    def __repr__(self):
-        args = ", ".join(
-            "%s=%r" % (f, getattr(self, f)) for f in self._fields()
-        )
-        return "%s(%s)" % (type(self).__name__, args)
+def children(node):
+    """The nodes directly under *node*, in field order (a dataclass's
+    ``__match_args__`` are its fields)."""
+    out = []
+    for name in node.__match_args__:
+        _collect(out, getattr(node, name))
+    return out
 
 
-def _hashable(value):
-    if isinstance(value, list):
-        return tuple(_hashable(v) for v in value)
-    return value
+def _collect(out, value):
+    if isinstance(value, Node):
+        out.append(value)
+    elif isinstance(value, (list, tuple)):
+        for item in value:
+            _collect(out, item)
+    return out
+
+
+def walk(tree, prune=None):
+    """Every node of *tree* (a node, or a list / tuple holding nodes),
+    parents before children, children in field order.  A node for which
+    ``prune(node)`` is true is yielded but not descended into."""
+    pending = _collect([], tree)[::-1]
+    while pending:
+        node = pending.pop()
+        yield node
+        if prune is None or not prune(node):
+            pending.extend(children(node)[::-1])
+
+
+def transform(tree, fn):
+    """*tree* rebuilt bottom-up: each node's children are transformed
+    first, then ``fn(node)`` stands where the node stood (*fn* returns
+    the node itself to keep it).  Nothing is mutated; a subtree *fn*
+    leaves alone is shared, not copied."""
+    if isinstance(tree, Node):
+        changed = {}
+        for name in tree.__match_args__:
+            value = getattr(tree, name)
+            new = transform(value, fn)
+            if new is not value:
+                changed[name] = new
+        return fn(replace(tree, **changed) if changed else tree)
+    if isinstance(tree, (list, tuple)):
+        items = [transform(item, fn) for item in tree]
+        if any(new is not old for new, old in zip(items, tree)):
+            return type(tree)(items)
+    return tree
+
+
+def _negatable(word):
+    return property(lambda self: "NOT " + word if self.negated else word)
 
 
 # ---------------------------------------------------------------------------
@@ -55,79 +92,77 @@ class Expr(Node):
     __slots__ = ()
 
 
+@_node
 class Literal(Expr):
     """A literal constant.  ``type_tag`` is one of ``int``, ``float``,
     ``string``, ``null``, ``bool`` — the validator maps it to a DATA item
     kind."""
 
-    __slots__ = ("value", "type_tag")
-
-    def __init__(self, value, type_tag):
-        self.value = value
-        self.type_tag = type_tag
+    value: object
+    type_tag: str
 
 
+@_node
 class Param(Expr):
     """A value slot: a ``?`` placeholder, or the place where a data
     literal stood in a statement the pipeline cache shares between
     texts.  ``index`` is the slot's position in the values vector an
     execution supplies; the node itself never holds a value."""
 
-    __slots__ = ("index",)
-
-    def __init__(self, index=None):
-        self.index = index
+    index: int = None
 
 
+@_node
 class ColumnRef(Expr):
     """Reference to a column, optionally qualified by table/alias."""
 
-    __slots__ = ("table", "name")
-
-    def __init__(self, name, table=None):
-        self.name = name
-        self.table = table
+    name: str
+    table: str = None
 
 
+@_node
 class Star(Expr):
     """``*`` or ``table.*`` in a select list or ``COUNT(*)``."""
 
-    __slots__ = ("table",)
-
-    def __init__(self, table=None):
-        self.table = table
+    table: str = None
 
 
+@_node
 class FuncCall(Expr):
     """Function invocation, including aggregates."""
 
-    __slots__ = ("name", "args", "distinct")
+    name: str
+    args: list[Expr]
+    distinct: bool = False
 
-    def __init__(self, name, args, distinct=False):
-        self.name = name.upper()
-        self.args = args
-        self.distinct = distinct
+    label = property(attrgetter("name"))
+
+    def __post_init__(self):
+        self.name = self.name.upper()
 
 
+@_node
 class UnaryOp(Expr):
-    __slots__ = ("op", "operand")
+    """Prefix operator: ``-x``, ``+x``, ``~x``, ``!x``."""
 
-    def __init__(self, op, operand):
-        self.op = op
-        self.operand = operand
+    op: str
+    operand: Expr
+
+    label = property(attrgetter("op"))
 
 
+@_node
 class BinaryOp(Expr):
     """Arithmetic / comparison / bitwise binary operator."""
 
-    __slots__ = ("op", "left", "right")
+    op: str
+    left: Expr
+    right: Expr
 
-    def __init__(self, op, left, right):
-        self.op = op
-        self.left = left
-        self.right = right
+    label = property(attrgetter("op"))
 
 
+@_node
 class Cond(Expr):
     """N-ary logical condition (AND / OR / XOR).
 
@@ -137,93 +172,105 @@ class Cond(Expr):
     example in the paper's Figure 4).
     """
 
-    __slots__ = ("op", "operands")
+    op: str
+    operands: list[Expr]
 
-    def __init__(self, op, operands):
-        self.op = op
-        self.operands = operands
+    label = property(attrgetter("op"))
 
 
+@_node
 class Not(Expr):
-    __slots__ = ("operand",)
+    """``NOT expr``."""
 
-    def __init__(self, operand):
-        self.operand = operand
+    operand: Expr
+
+    label = "NOT"
 
 
+@_node
 class InList(Expr):
-    __slots__ = ("expr", "items", "negated")
+    """``expr [NOT] IN (items)``; *items* is a list or a ``Subquery``."""
 
-    def __init__(self, expr, items, negated=False):
-        self.expr = expr
-        self.items = items
-        self.negated = negated
+    expr: Expr
+    items: list[Expr] | Subquery
+    negated: bool = False
+
+    label = _negatable("IN")
 
 
+@_node
 class Between(Expr):
-    __slots__ = ("expr", "low", "high", "negated")
+    """``expr [NOT] BETWEEN low AND high``."""
 
-    def __init__(self, expr, low, high, negated=False):
-        self.expr = expr
-        self.low = low
-        self.high = high
-        self.negated = negated
+    expr: Expr
+    low: Expr
+    high: Expr
+    negated: bool = False
+
+    label = _negatable("BETWEEN")
 
 
+@_node
 class IsNull(Expr):
-    __slots__ = ("expr", "negated")
+    """``expr IS [NOT] NULL``."""
 
-    def __init__(self, expr, negated=False):
-        self.expr = expr
-        self.negated = negated
+    expr: Expr
+    negated: bool = False
+
+    label = property(
+        lambda self: "IS NOT NULL" if self.negated else "IS NULL")
 
 
+@_node
 class Like(Expr):
     """LIKE / REGEXP pattern match."""
 
-    __slots__ = ("expr", "pattern", "negated", "op")
+    expr: Expr
+    pattern: Expr
+    negated: bool = False
+    op: str = "LIKE"
 
-    def __init__(self, expr, pattern, negated=False, op="LIKE"):
-        self.expr = expr
-        self.pattern = pattern
-        self.negated = negated
-        self.op = op
+    label = property(
+        lambda self: "NOT " + self.op if self.negated else self.op)
 
 
+@_node
 class Case(Expr):
     """``CASE [operand] WHEN .. THEN .. [ELSE ..] END``."""
 
-    __slots__ = ("operand", "whens", "default")
-
-    def __init__(self, whens, operand=None, default=None):
-        self.operand = operand
-        self.whens = whens          # list of (cond_expr, result_expr)
-        self.default = default
+    operand: Expr | None
+    whens: list[tuple[Expr, Expr]]
+    default: Expr | None = None
 
 
+@_node
 class Cast(Expr):
     """``CAST(expr AS type)`` / ``CONVERT(expr, type)``."""
 
-    __slots__ = ("expr", "type_name")
+    expr: Expr
+    type_name: str
 
-    def __init__(self, expr, type_name):
-        self.expr = expr
-        self.type_name = type_name.upper()
+    label = property(lambda self: "CAST " + self.type_name)
+
+    def __post_init__(self):
+        self.type_name = self.type_name.upper()
 
 
+@_node
 class Subquery(Expr):
-    __slots__ = ("select",)
+    """A scalar subquery, or the list of ``IN (SELECT ...)``."""
 
-    def __init__(self, select):
-        self.select = select
+    select: Select
 
 
+@_node
 class Exists(Expr):
-    __slots__ = ("select", "negated")
+    """``[NOT] EXISTS (SELECT ...)``."""
 
-    def __init__(self, select, negated=False):
-        self.select = select
-        self.negated = negated
+    select: Select
+    negated: bool = False
+
+    label = _negatable("EXISTS")
 
 
 # ---------------------------------------------------------------------------
@@ -234,238 +281,212 @@ class Statement(Node):
     __slots__ = ()
 
 
+@_node
 class SelectField(Node):
-    __slots__ = ("expr", "alias")
+    """One select-list entry: ``expr [AS alias]``."""
 
-    def __init__(self, expr, alias=None):
-        self.expr = expr
-        self.alias = alias
+    expr: Expr
+    alias: str = None
 
 
+@_node
 class TableRef(Node):
-    __slots__ = ("name", "alias")
+    """A base table in FROM / JOIN: ``name [AS alias]``."""
 
-    def __init__(self, name, alias=None):
-        self.name = name
-        self.alias = alias
+    name: str
+    alias: str = None
 
 
+@_node
 class DerivedTable(Node):
     """A subquery in the FROM clause: ``FROM (SELECT ...) alias``."""
 
-    __slots__ = ("select", "alias")
-
-    def __init__(self, select, alias):
-        self.select = select
-        self.alias = alias
+    select: Select
+    alias: str
 
 
+@_node
 class Join(Node):
     """A JOIN clause attached to the preceding table."""
 
-    __slots__ = ("kind", "table", "on")
-
-    def __init__(self, kind, table, on=None):
-        self.kind = kind            # INNER / LEFT / RIGHT / CROSS
-        self.table = table
-        self.on = on
+    kind: str                   # INNER / LEFT / RIGHT / CROSS
+    table: TableRef | DerivedTable
+    on: Expr = None
 
 
+@_node
 class OrderItem(Node):
-    __slots__ = ("expr", "direction")
+    """One ORDER BY key: ``expr ASC|DESC``."""
 
-    def __init__(self, expr, direction="ASC"):
-        self.expr = expr
-        self.direction = direction
+    expr: Expr
+    direction: str = "ASC"
 
 
+@_node
 class Limit(Node):
-    __slots__ = ("count", "offset")
+    """``LIMIT count [OFFSET offset]``."""
 
-    def __init__(self, count, offset=None):
-        self.count = count
-        self.offset = offset
+    count: Expr
+    offset: Expr = None
 
 
+def _list():
+    return field(default_factory=list)
+
+
+@_node
 class Select(Statement):
-    __slots__ = (
-        "fields", "tables", "joins", "where", "group_by", "having",
-        "order_by", "limit", "distinct", "unions",
-    )
+    """``SELECT``; ORDER BY / LIMIT apply to the whole union when
+    there are ``unions``."""
 
-    def __init__(
-        self,
-        fields,
-        tables=None,
-        joins=None,
-        where=None,
-        group_by=None,
-        having=None,
-        order_by=None,
-        limit=None,
-        distinct=False,
-        unions=None,
-    ):
-        self.fields = fields
-        self.tables = tables or []
-        self.joins = joins or []
-        self.where = where
-        self.group_by = group_by or []
-        self.having = having
-        self.order_by = order_by or []
-        self.limit = limit
-        self.distinct = distinct
-        #: list of (all_flag, Select) attached by UNION
-        self.unions = unions or []
+    fields: list[SelectField]
+    tables: list[TableRef | DerivedTable] = _list()
+    joins: list[Join] = _list()
+    where: Expr = None
+    group_by: list[Expr] = _list()
+    having: Expr = None
+    order_by: list[OrderItem] = _list()
+    limit: Limit = None
+    distinct: bool = False
+    #: ``(all_flag, Select)`` per UNION branch
+    unions: list[tuple[bool, Select]] = _list()
 
 
+@_node
 class Insert(Statement):
-    __slots__ = ("table", "columns", "rows", "ignore", "replace",
-                 "on_duplicate")
+    """``INSERT`` / ``REPLACE``, ``VALUES`` or ``SET`` form."""
 
-    def __init__(self, table, columns, rows, ignore=False, replace=False,
-                 on_duplicate=None):
-        self.table = table
-        self.columns = columns      # list of column names (may be empty)
-        self.rows = rows            # list of list of Expr
-        self.ignore = ignore
-        #: REPLACE INTO semantics (delete conflicting row, then insert)
-        self.replace = replace
-        #: ON DUPLICATE KEY UPDATE assignments: list of (column, Expr)
-        self.on_duplicate = on_duplicate or []
+    table: str
+    columns: list[str]          # may be empty: every column, in order
+    rows: list[list[Expr]]
+    ignore: bool = False
+    #: REPLACE INTO semantics (delete conflicting row, then insert)
+    replace: bool = False
+    #: ON DUPLICATE KEY UPDATE assignments
+    on_duplicate: list[tuple[str, Expr]] = _list()
 
 
+@_node
 class Update(Statement):
-    __slots__ = ("table", "assignments", "where", "order_by", "limit")
+    """``UPDATE table SET ... [WHERE] [ORDER BY] [LIMIT]``."""
 
-    def __init__(self, table, assignments, where=None, order_by=None,
-                 limit=None):
-        self.table = table
-        self.assignments = assignments  # list of (column_name, Expr)
-        self.where = where
-        self.order_by = order_by or []
-        self.limit = limit
+    table: str
+    assignments: list[tuple[str, Expr]]
+    where: Expr = None
+    order_by: list[OrderItem] = _list()
+    limit: Limit = None
 
 
+@_node
 class Delete(Statement):
-    __slots__ = ("table", "where", "order_by", "limit")
+    """``DELETE FROM table [WHERE] [ORDER BY] [LIMIT]``."""
 
-    def __init__(self, table, where=None, order_by=None, limit=None):
-        self.table = table
-        self.where = where
-        self.order_by = order_by or []
-        self.limit = limit
+    table: str
+    where: Expr = None
+    order_by: list[OrderItem] = _list()
+    limit: Limit = None
 
 
+@_node
 class ColumnDef(Node):
-    __slots__ = (
-        "name", "type_name", "length", "not_null", "primary_key",
-        "auto_increment", "default", "unique",
-    )
+    """One column of ``CREATE TABLE`` / ``ALTER TABLE ... ADD``."""
 
-    def __init__(self, name, type_name, length=None, not_null=False,
-                 primary_key=False, auto_increment=False, default=None,
-                 unique=False):
-        self.name = name
-        self.type_name = type_name
-        self.length = length
-        self.not_null = not_null
-        self.primary_key = primary_key
-        self.auto_increment = auto_increment
-        self.default = default
-        self.unique = unique
+    name: str
+    type_name: str
+    length: int = None
+    not_null: bool = False
+    primary_key: bool = False
+    auto_increment: bool = False
+    default: Expr = None
+    unique: bool = False
 
 
+@_node
 class CreateTable(Statement):
-    __slots__ = ("name", "columns", "if_not_exists")
+    """``CREATE TABLE [IF NOT EXISTS] name (columns)``."""
 
-    def __init__(self, name, columns, if_not_exists=False):
-        self.name = name
-        self.columns = columns
-        self.if_not_exists = if_not_exists
+    name: str
+    columns: list[ColumnDef]
+    if_not_exists: bool = False
 
 
+@_node
 class DropTable(Statement):
-    __slots__ = ("name", "if_exists")
+    """``DROP TABLE [IF EXISTS] name``."""
 
-    def __init__(self, name, if_exists=False):
-        self.name = name
-        self.if_exists = if_exists
+    name: str
+    if_exists: bool = False
 
 
+@_node
 class Begin(Statement):
     """``BEGIN`` / ``START TRANSACTION``."""
 
-    __slots__ = ()
 
-
+@_node
 class Commit(Statement):
-    __slots__ = ()
+    """``COMMIT``."""
 
 
+@_node
 class Rollback(Statement):
-    __slots__ = ()
+    """``ROLLBACK``."""
 
 
+@_node
 class CreateIndex(Statement):
-    __slots__ = ("name", "table", "column")
+    """``CREATE INDEX name ON table (column)``."""
 
-    def __init__(self, name, table, column):
-        self.name = name
-        self.table = table
-        self.column = column
+    name: str
+    table: str
+    column: str
 
 
+@_node
 class DropIndex(Statement):
-    __slots__ = ("name", "table")
+    """``DROP INDEX name ON table``."""
 
-    def __init__(self, name, table):
-        self.name = name
-        self.table = table
+    name: str
+    table: str
 
 
+@_node
 class AlterTableAddColumn(Statement):
     """``ALTER TABLE t ADD [COLUMN] <coldef>``."""
 
-    __slots__ = ("table", "column_def")
-
-    def __init__(self, table, column_def):
-        self.table = table
-        self.column_def = column_def
+    table: str
+    column_def: ColumnDef
 
 
+@_node
 class AlterTableDropColumn(Statement):
     """``ALTER TABLE t DROP [COLUMN] name``."""
 
-    __slots__ = ("table", "column")
-
-    def __init__(self, table, column):
-        self.table = table
-        self.column = column
+    table: str
+    column: str
 
 
+@_node
 class TruncateTable(Statement):
-    __slots__ = ("table",)
+    """``TRUNCATE [TABLE] table``."""
 
-    def __init__(self, table):
-        self.table = table
+    table: str
 
 
+@_node
 class Explain(Statement):
     """``EXPLAIN <select>`` — reports the access plan."""
 
-    __slots__ = ("select",)
-
-    def __init__(self, select):
-        self.select = select
+    select: Select
 
 
+@_node
 class ShowTables(Statement):
-    __slots__ = ()
+    """``SHOW TABLES``."""
 
 
+@_node
 class Describe(Statement):
-    __slots__ = ("table",)
+    """``DESCRIBE table``."""
 
-    def __init__(self, table):
-        self.table = table
+    table: str

@@ -244,10 +244,7 @@ class QueryContext(object):
     def sql(self):
         """The query text as decoded — what the events quote."""
         if self._sql is None:
-            try:
-                self._sql = to_sql(self.statement, self.values)
-            except TypeError:
-                self._sql = "<prepared:%s>" % type(self.statement).__name__
+            self._sql = to_sql(self.statement, self.values)
         return self._sql
 
     @property
@@ -1121,13 +1118,7 @@ class Database(object):
         statements the WAL does not persist."""
         if not isinstance(stmt, _DURABLE_STATEMENTS):
             return None
-        try:
-            sql_text = to_sql(stmt, values)
-        except TypeError as exc:
-            raise WalError(
-                "cannot serialize %s for the WAL (%s)"
-                % (type(stmt).__name__, exc)
-            )
+        sql_text = to_sql(stmt, values)
         with self._clock_lock:
             return (sql_text, self._clock_ticks, self._rand_calls)
 

@@ -15,6 +15,7 @@ MySQL quirks reproduced here:
 * backtick-quoted identifiers.
 """
 
+import math
 import re
 
 from repro.sqldb.errors import LexerError
@@ -104,10 +105,18 @@ class LexResult(object):
         self.slots = ()
 
 
+def _double(text):
+    value = float(text)
+    if not math.isfinite(value):
+        raise LexerError("Illegal double '%s' value found during parsing"
+                         % text, errno=1367)
+    return value
+
+
 #: token type -> (Python conversion, literal type tag) of a data literal
 LITERALS = {
     TokenType.INT: (int, "int"),
-    TokenType.FLOAT: (float, "float"),
+    TokenType.FLOAT: (_double, "float"),
     TokenType.STRING: (str, "string"),
     TokenType.HEX: (str, "string"),
 }

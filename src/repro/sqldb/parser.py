@@ -214,7 +214,8 @@ class Parser(object):
     # -- SELECT ----------------------------------------------------------
 
     def _parse_select(self, allow_union=True):
-        if self._accept(TokenType.OP, "("):
+        parenthesised = self._accept(TokenType.OP, "(")
+        if parenthesised:
             select = self._parse_select()
             self._expect(TokenType.OP, ")")
         else:
@@ -249,23 +250,32 @@ class Parser(object):
                 limit=limit,
                 distinct=distinct,
             )
-        if allow_union:
+        if allow_union and self._peek().matches(TokenType.KEYWORD, "UNION"):
+            if parenthesised and (select.order_by or select.limit is not None):
+                # the union's ORDER BY / LIMIT live on its first branch,
+                # which therefore cannot carry clauses of its own
+                raise ParseError(
+                    "ORDER BY / LIMIT inside a parenthesised first UNION "
+                    "branch is not supported")
             while self._accept_kw("UNION"):
                 all_flag = bool(self._accept_kw("ALL"))
                 self._accept_kw("DISTINCT")
+                bare = not self._peek().matches(TokenType.OP, "(")
                 rhs = self._parse_select(allow_union=False)
                 select.unions.append((all_flag, rhs))
-            if select.unions:
+            last = select.unions[-1][1]
+            if bare:
                 # MySQL: a trailing ORDER BY / LIMIT applies to the whole
-                # union; the last branch parsed greedily, so lift them up.
-                last = select.unions[-1][1]
+                # union; the bare last branch parsed them greedily, so
+                # lift them up (a parenthesised one keeps its own)
                 if last.order_by and not select.order_by:
                     select.order_by, last.order_by = last.order_by, []
                 if last.limit is not None and select.limit is None:
                     select.limit, last.limit = last.limit, None
-                if self._peek().matches(TokenType.KEYWORD, "ORDER"):
-                    select.order_by = self._parse_order_by()
-                    select.limit = self._parse_limit()
+            elif self._peek().type == TokenType.KEYWORD and \
+                    self._peek().value in ("ORDER", "LIMIT"):
+                select.order_by = self._parse_order_by()
+                select.limit = self._parse_limit()
         return select
 
     def _parse_select_field(self):
@@ -843,4 +853,4 @@ class Parser(object):
         if self._accept_kw("ELSE"):
             default = self._parse_expr()
         self._expect_kw("END")
-        return ast.Case(whens, operand, default)
+        return ast.Case(operand=operand, whens=whens, default=default)

@@ -847,7 +847,8 @@ class GatherAggregate(PlanNode):
     fold), then projects the output per *finals*: ``("col", i)`` passes
     a merged column through (COUNT and SUM finalize as SUM of partials,
     MIN/MAX as MIN/MAX), ``("avg", i, j)`` divides a merged SUM by a
-    merged COUNT.  Holds one accumulator per group — O(groups), not
+    merged COUNT, ``("expr", ...)`` evaluates an expression over merged
+    aggregates.  Holds one accumulator per group — O(groups), not
     O(rows)."""
 
     kind = "gather_aggregate"
@@ -858,7 +859,14 @@ class GatherAggregate(PlanNode):
         PlanNode.__init__(self, children)
         self.key_indexes = tuple(key_indexes)
         self.merges = tuple(merges)
-        self.finals = tuple(finals)
+        #: ``("expr", expr, ((aggregate, spec), ...))`` evaluates *expr*
+        #: with each aggregate's finalized value in its ``__agg__`` key
+        self.finals = tuple(
+            spec if spec[0] != "expr" else (
+                "expr", compile_expr(spec[1]),
+                tuple(("__agg__%s" % _agg_key(agg), part)
+                      for agg, part in spec[2]))
+            for spec in finals)
         self.describe = describe
 
     def label(self):
@@ -878,16 +886,21 @@ class GatherAggregate(PlanNode):
                         if op != "key":
                             acc[idx] = _merge_partial(op, acc[idx],
                                                       out[idx])
+        ctx = state.ctx
         for acc in groups.values():
-            out = []
-            for spec in self.finals:
-                if spec[0] == "avg":
-                    total, count = acc[spec[1]], acc[spec[2]]
-                    out.append(None if not count or total is None
-                               else total / float(count))
-                else:
-                    out.append(acc[spec[1]])
-            yield (None, tuple(out))
+            yield (None, tuple(_finalize(spec, acc, ctx)
+                               for spec in self.finals))
+
+
+def _finalize(spec, acc, ctx):
+    """One output column of a merged partial-aggregate row."""
+    if spec[0] == "avg":
+        total, count = acc[spec[1]], acc[spec[2]]
+        return None if not count or total is None else total / float(count)
+    if spec[0] == "expr":
+        return spec[1]({key: _finalize(part, acc, ctx)
+                        for key, part in spec[2]}, ctx)
+    return acc[spec[1]]
 
 
 # -- DML sinks ---------------------------------------------------------

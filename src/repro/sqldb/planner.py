@@ -27,7 +27,7 @@ from repro.sqldb import ast_nodes as ast
 from repro.sqldb import plan as plan_mod
 from repro.sqldb.errors import ExecutionError
 from repro.sqldb.functions import is_aggregate
-from repro.sqldb.prepared import literal_for
+from repro.sqldb.prepared import bind_values
 from repro.sqldb.types import type_class
 from repro.sqldb.unparse import to_sql
 
@@ -131,7 +131,7 @@ class Planner(object):
         node, source_columns = self._plan_sources(stmt)
         if stmt.where is not None:
             node = self._mk(plan_mod.Filter(node, stmt.where, "where"))
-        aggregates = _collect_aggregates(stmt)
+        aggregates = _aggregates((stmt.fields, stmt.having, stmt.order_by))
         if stmt.group_by or aggregates:
             node = self._mk(plan_mod.Aggregate(node, stmt.group_by,
                                                aggregates))
@@ -394,55 +394,18 @@ class Planner(object):
 # -- AST walking helpers -----------------------------------------------
 
 
-def _collect_aggregates(stmt):
-    aggregates = []
+def _aggregates(tree):
+    """The aggregate calls in *tree* that its SELECT computes per group
+    (none inside a nested query)."""
+    return [node for node in ast.walk(tree, _stops) if _is_aggregate(node)]
 
-    def walk(node):
-        if node is None:
-            return
-        if isinstance(node, ast.FuncCall):
-            if is_aggregate(node.name):
-                aggregates.append(node)
-                return  # no nested aggregates
-            for arg in node.args:
-                walk(arg)
-        elif isinstance(node, ast.SelectField):
-            walk(node.expr)
-        elif isinstance(node, ast.BinaryOp):
-            walk(node.left)
-            walk(node.right)
-        elif isinstance(node, (ast.UnaryOp, ast.Not)):
-            walk(node.operand)
-        elif isinstance(node, ast.Cond):
-            for operand in node.operands:
-                walk(operand)
-        elif isinstance(node, ast.InList):
-            walk(node.expr)
-            if not isinstance(node.items, ast.Subquery):
-                for item in node.items:
-                    walk(item)
-        elif isinstance(node, ast.Between):
-            walk(node.expr)
-            walk(node.low)
-            walk(node.high)
-        elif isinstance(node, (ast.IsNull,)):
-            walk(node.expr)
-        elif isinstance(node, ast.Like):
-            walk(node.expr)
-            walk(node.pattern)
-        elif isinstance(node, ast.Case):
-            walk(node.operand)
-            for cond, result in node.whens:
-                walk(cond)
-                walk(result)
-            walk(node.default)
 
-    for field in stmt.fields:
-        walk(field)
-    walk(stmt.having)
-    for order in stmt.order_by:
-        walk(order.expr)
-    return aggregates
+def _stops(node):
+    return isinstance(node, ast.Select) or _is_aggregate(node)
+
+
+def _is_aggregate(node):
+    return isinstance(node, ast.FuncCall) and is_aggregate(node.name)
 
 
 def _and_operands(expr):
@@ -649,22 +612,6 @@ class ShardRoute(object):
         )
 
 
-def _bind_slots(node, values):
-    """Put *values* back where a slotting parse left ``Param`` slots, in
-    place: the tree an unslotted parse of the same text builds.  A
-    scatter's per-shard SQL and gather plan embed the literals, so they
-    are planned from this tree and cached by text."""
-    if isinstance(node, ast.Param):
-        if node.index < len(values):
-            return literal_for(values[node.index])
-    elif isinstance(node, (list, tuple)):
-        return type(node)(_bind_slots(item, values) for item in node)
-    elif isinstance(node, ast.Node):
-        for field in node._fields():
-            setattr(node, field, _bind_slots(getattr(node, field), values))
-    return node
-
-
 def _unsupported(what):
     return ExecutionError(
         "%s is not supported across shards (v1: single-shard writes, "
@@ -840,7 +787,10 @@ class DistributedPlanner(object):
                 # the only source lives whole on shard 0
                 return ShardRoute("any", table=sources[0].name,
                                   sql=sql_text, read=True)
-            return self._scatter_select(_bind_slots(stmt, values),
+            # a scatter's per-shard SQL and gather plan embed the
+            # literals, so they are planned from the unslotted tree and
+            # cached by text
+            return self._scatter_select(bind_values(stmt, values),
                                         sources[0], comments)
         raise _unsupported("a cross-shard join")
 
@@ -897,7 +847,7 @@ class DistributedPlanner(object):
         columns = [f.alias or _field_label(f.expr) for f in fields]
         window = None if stmt.limit is None \
             else self._limit_ints(stmt.limit)
-        if _collect_aggregates(stmt) or stmt.group_by:
+        if stmt.group_by or _aggregates((stmt.fields, stmt.order_by)):
             root = self._gather_aggregate(stmt, ref, fields, columns,
                                           comments)
         else:
@@ -940,44 +890,47 @@ class DistributedPlanner(object):
         finals = []             # output projection over merged partials
         describe = []
         key_indexes = []
+
+        def partial(agg):
+            """Shard-side partial column(s) of one aggregate call; returns
+            the final spec that reads its merged value."""
+            name = agg.name
+            if name not in _DECOMPOSABLE_AGGREGATES:
+                raise _unsupported("cross-shard aggregate %s()" % name)
+            if agg.distinct:
+                raise _unsupported("cross-shard %s(DISTINCT ...)" % name)
+            index = len(partial_fields)
+            if name == "AVG":
+                partial_fields.extend(
+                    ast.SelectField(ast.FuncCall(fold, list(agg.args)))
+                    for fold in ("SUM", "COUNT"))
+                merges.extend(("sum", "sum"))
+                describe.append("avg->sum/count")
+                return ("avg", index, index + 1)
+            partial_fields.append(ast.SelectField(agg))
+            merges.append("sum" if name in ("COUNT", "SUM")
+                          else name.lower())
+            describe.append("count->sum" if name == "COUNT"
+                            else name.lower())
+            return ("col", index)
+
         for field, column in zip(fields, columns):
             expr = field.expr
-            if isinstance(expr, ast.FuncCall) and is_aggregate(expr.name):
-                name = expr.name.upper()
-                if name not in _DECOMPOSABLE_AGGREGATES:
-                    raise _unsupported(
-                        "cross-shard aggregate %s()" % name
-                    )
-                if expr.distinct:
-                    raise _unsupported(
-                        "cross-shard %s(DISTINCT ...)" % name
-                    )
-                if name == "AVG":
-                    sum_idx = len(partial_fields)
-                    partial_fields.append(ast.SelectField(
-                        ast.FuncCall("SUM", list(expr.args))
-                    ))
-                    merges.append("sum")
-                    partial_fields.append(ast.SelectField(
-                        ast.FuncCall("COUNT", list(expr.args))
-                    ))
-                    merges.append("sum")
-                    finals.append(("avg", sum_idx, sum_idx + 1))
-                    describe.append("avg->sum/count")
-                else:
-                    finals.append(("col", len(partial_fields)))
-                    partial_fields.append(ast.SelectField(expr))
-                    merges.append("sum" if name in ("COUNT", "SUM")
-                                  else name.lower())
-                    describe.append(
-                        "count->sum" if name == "COUNT" else name.lower()
-                    )
+            if _is_aggregate(expr):
+                finals.append(partial(expr))
             elif any(expr == group for group in group_exprs):
                 key_indexes.append(len(partial_fields))
                 finals.append(("col", len(partial_fields)))
                 partial_fields.append(field)
                 merges.append("key")
                 describe.append(column.lower())
+            elif _aggregates(expr) and not any(
+                    isinstance(node, (ast.ColumnRef, ast.Star, ast.Select))
+                    for node in ast.walk(expr, _stops)):
+                # an expression over aggregates only (CAST(SUM(a) AS
+                # CHAR)): the gather evaluates it on their merged values
+                finals.append(("expr", expr, tuple(
+                    (agg, partial(agg)) for agg in _aggregates(expr))))
             else:
                 raise _unsupported(
                     "cross-shard SELECT of a non-grouped column"

@@ -13,6 +13,7 @@ Two properties matter for the reproduction:
 """
 
 import itertools
+import math
 
 from repro.sqldb import ast_nodes as ast
 from repro.sqldb.errors import ExecutionError, ParseError
@@ -33,12 +34,26 @@ def literal_for(value):
     if isinstance(value, int):
         return ast.Literal(value, "int")
     if isinstance(value, float):
+        if not math.isfinite(value):
+            # no SQL literal spells it: the WAL could not log it
+            raise ExecutionError("Illegal double '%r' value found during "
+                                 "parsing" % value, errno=1367)
         return ast.Literal(value, "float")
     if isinstance(value, str):
         return ast.Literal(value, "string")
     raise ExecutionError(
         "cannot bind parameter of type %s" % type(value).__name__
     )
+
+
+def bind_values(tree, values):
+    """*tree* with each ``Param`` slot that *values* fills replaced by
+    its literal: the tree an unslotted parse of the same text builds."""
+    def bind(node):
+        if isinstance(node, ast.Param) and node.index < len(values):
+            return literal_for(values[node.index])
+        return node
+    return ast.transform(tree, bind)
 
 
 def slot_tags(values):
@@ -89,6 +104,9 @@ class PreparedStatement(object):
                 % (self.param_count, len(params)),
                 errno=2031,
             )
+        # every execution, cached or not: a value no literal spells is
+        # refused before it reaches a plan or the WAL
+        tags = slot_tags(params)
         database = self._database
         cache = getattr(database, "pipeline_cache", None)
         # the types themselves: 1, 1.0 and True (equal as dict keys)
@@ -105,7 +123,7 @@ class PreparedStatement(object):
             from repro.sqldb.cache import CacheEntry
 
             entry = CacheEntry([self._statement], list(self._comments),
-                               slot_tags=slot_tags(params))
+                               slot_tags=tags)
             if cache is not None:
                 try:
                     entry = cache.put(self._charset, key,

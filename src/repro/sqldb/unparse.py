@@ -11,6 +11,7 @@ string literals.
 
 from repro.sqldb import ast_nodes as ast
 from repro.sqldb.charset import escape_string
+from repro.sqldb.prepared import literal_for
 
 
 def to_sql(node, params=None):
@@ -54,25 +55,25 @@ def _func(node, params):
     inner = ", ".join(to_sql(arg, params) for arg in node.args)
     if node.distinct:
         inner = "DISTINCT " + inner
-    return "%s(%s)" % (node.name, inner)
+    return "%s(%s)" % (node.label, inner)
 
 
 def _unary(node, params):
-    return "%s(%s)" % (node.op, to_sql(node.operand, params))
+    return "%s(%s)" % (node.label, to_sql(node.operand, params))
 
 
 def _binary(node, params):
-    return "(%s %s %s)" % (to_sql(node.left, params), node.op,
+    return "(%s %s %s)" % (to_sql(node.left, params), node.label,
                            to_sql(node.right, params))
 
 
 def _cond(node, params):
-    joiner = " %s " % node.op
+    joiner = " %s " % node.label
     return "(%s)" % joiner.join(to_sql(op, params) for op in node.operands)
 
 
 def _not(node, params):
-    return "(NOT %s)" % to_sql(node.operand, params)
+    return "(%s %s)" % (node.label, to_sql(node.operand, params))
 
 
 def _in_list(node, params):
@@ -80,26 +81,22 @@ def _in_list(node, params):
         inner = to_sql(node.items.select, params)
     else:
         inner = ", ".join(to_sql(item, params) for item in node.items)
-    keyword = "NOT IN" if node.negated else "IN"
-    return "(%s %s (%s))" % (to_sql(node.expr, params), keyword, inner)
+    return "(%s %s (%s))" % (to_sql(node.expr, params), node.label, inner)
 
 
 def _between(node, params):
-    keyword = "NOT BETWEEN" if node.negated else "BETWEEN"
     return "(%s %s %s AND %s)" % (
-        to_sql(node.expr, params), keyword, to_sql(node.low, params),
+        to_sql(node.expr, params), node.label, to_sql(node.low, params),
         to_sql(node.high, params)
     )
 
 
 def _is_null(node, params):
-    keyword = "IS NOT NULL" if node.negated else "IS NULL"
-    return "(%s %s)" % (to_sql(node.expr, params), keyword)
+    return "(%s %s)" % (to_sql(node.expr, params), node.label)
 
 
 def _like(node, params):
-    keyword = node.op if not node.negated else "NOT " + node.op
-    return "(%s %s %s)" % (to_sql(node.expr, params), keyword,
+    return "(%s %s %s)" % (to_sql(node.expr, params), node.label,
                            to_sql(node.pattern, params))
 
 
@@ -125,123 +122,117 @@ def _subquery(node, params):
 
 
 def _exists(node, params):
-    keyword = "NOT EXISTS" if node.negated else "EXISTS"
-    return "%s (%s)" % (keyword, to_sql(node.select, params))
+    return "%s (%s)" % (node.label, to_sql(node.select, params))
 
 
 def _param(node, params):
     if params is None or node.index is None or node.index >= len(params):
         return "?"
-    from repro.sqldb.prepared import literal_for
-
     return _literal(literal_for(params[node.index]), params)
 
 
 # -- statement pieces ----------------------------------------------------------
 
-def _table_source(ref, params):
-    if isinstance(ref, ast.DerivedTable):
-        return "(%s) AS %s" % (to_sql(ref.select, params), ref.alias)
-    if ref.alias:
-        return "%s AS %s" % (ref.name, ref.alias)
-    return ref.name
+def _list(nodes, params):
+    return ", ".join(to_sql(node, params) for node in nodes)
 
 
-def _order_clause(order_by, params):
-    if not order_by:
+def _select_field(node, params):
+    text = to_sql(node.expr, params)
+    return "%s AS %s" % (text, node.alias) if node.alias else text
+
+
+def _table_ref(node, params):
+    return "%s AS %s" % (node.name, node.alias) if node.alias else node.name
+
+
+def _derived_table(node, params):
+    return "(%s) AS %s" % (to_sql(node.select, params), node.alias)
+
+
+def _join(node, params):
+    text = "%s JOIN %s" % (node.kind, to_sql(node.table, params))
+    if node.on is not None:
+        text += " ON %s" % to_sql(node.on, params)
+    return text
+
+
+def _order_item(node, params):
+    return "%s %s" % (to_sql(node.expr, params), node.direction)
+
+
+def _limit(node, params):
+    text = "LIMIT %s" % to_sql(node.count, params)
+    if node.offset is not None:
+        text += " OFFSET %s" % to_sql(node.offset, params)
+    return text
+
+
+def _where(node, params):
+    if node.where is None:
         return ""
-    items = ", ".join(
-        "%s %s" % (to_sql(item.expr, params), item.direction)
-        for item in order_by
-    )
-    return " ORDER BY " + items
+    return " WHERE %s" % to_sql(node.where, params)
 
 
-def _limit_clause(limit, params):
-    if limit is None:
-        return ""
-    if limit.offset is not None:
-        return " LIMIT %s OFFSET %s" % (
-            to_sql(limit.count, params), to_sql(limit.offset, params)
-        )
-    return " LIMIT %s" % to_sql(limit.count, params)
+def _order_limit(node, params):
+    text = ""
+    if node.order_by:
+        text = " ORDER BY " + _list(node.order_by, params)
+    if node.limit is not None:
+        text += " " + _limit(node.limit, params)
+    return text
+
+
+def _assignments(pairs, params):
+    return ", ".join("%s = %s" % (column, to_sql(expr, params))
+                     for column, expr in pairs)
 
 
 def _select(node, params):
-    fields = ", ".join(
-        to_sql(field.expr, params)
-        + (" AS %s" % field.alias if field.alias else "")
-        for field in node.fields
-    )
-    parts = ["SELECT "]
-    if node.distinct:
-        parts.append("DISTINCT ")
-    parts.append(fields)
+    parts = ["SELECT ", "DISTINCT " if node.distinct else "",
+             _list(node.fields, params)]
     if node.tables:
-        parts.append(" FROM ")
-        parts.append(", ".join(_table_source(t, params)
-                               for t in node.tables))
+        parts.append(" FROM " + _list(node.tables, params))
     for join in node.joins:
-        parts.append(" %s JOIN %s" % (join.kind,
-                                      _table_source(join.table, params)))
-        if join.on is not None:
-            parts.append(" ON %s" % to_sql(join.on, params))
-    if node.where is not None:
-        parts.append(" WHERE %s" % to_sql(node.where, params))
+        parts.append(" " + _join(join, params))
+    parts.append(_where(node, params))
     if node.group_by:
-        parts.append(" GROUP BY " +
-                     ", ".join(to_sql(g, params) for g in node.group_by))
+        parts.append(" GROUP BY " + _list(node.group_by, params))
         if node.having is not None:
             parts.append(" HAVING %s" % to_sql(node.having, params))
-    parts.append(_order_clause(node.order_by, params))
-    parts.append(_limit_clause(node.limit, params))
-    text = "".join(parts)
+    parts.append(_order_limit(node, params))
     for all_flag, branch in node.unions:
-        text += " UNION %s%s" % ("ALL " if all_flag else "",
-                                 to_sql(branch, params))
-    return text
+        text = to_sql(branch, params)
+        if branch.order_by or branch.limit is not None or branch.unions:
+            # the branch's own clauses: bare, a re-parse would give a
+            # trailing ORDER BY / LIMIT to the whole union
+            text = "(%s)" % text
+        parts.append(" UNION %s%s" % ("ALL " if all_flag else "", text))
+    return "".join(parts)
 
 
 def _insert(node, params):
     verb = "REPLACE" if node.replace else "INSERT"
     if node.ignore:
         verb += " IGNORE"
-    columns = ""
-    if node.columns:
-        columns = " (%s)" % ", ".join(node.columns)
-    rows = ", ".join(
-        "(%s)" % ", ".join(to_sql(expr, params) for expr in row)
-        for row in node.rows
-    )
+    columns = " (%s)" % ", ".join(node.columns) if node.columns else ""
+    rows = ", ".join("(%s)" % _list(row, params) for row in node.rows)
     text = "%s INTO %s%s VALUES %s" % (verb, node.table, columns, rows)
     if node.on_duplicate:
-        text += " ON DUPLICATE KEY UPDATE " + ", ".join(
-            "%s = %s" % (col, to_sql(expr, params))
-            for col, expr in node.on_duplicate
-        )
+        text += " ON DUPLICATE KEY UPDATE " + _assignments(
+            node.on_duplicate, params)
     return text
 
 
 def _update(node, params):
-    text = "UPDATE %s SET %s" % (
-        node.table,
-        ", ".join("%s = %s" % (col, to_sql(expr, params))
-                  for col, expr in node.assignments),
-    )
-    if node.where is not None:
-        text += " WHERE %s" % to_sql(node.where, params)
-    text += _order_clause(node.order_by, params)
-    text += _limit_clause(node.limit, params)
-    return text
+    return "UPDATE %s SET %s%s%s" % (
+        node.table, _assignments(node.assignments, params),
+        _where(node, params), _order_limit(node, params))
 
 
 def _delete(node, params):
-    text = "DELETE FROM %s" % node.table
-    if node.where is not None:
-        text += " WHERE %s" % to_sql(node.where, params)
-    text += _order_clause(node.order_by, params)
-    text += _limit_clause(node.limit, params)
-    return text
+    return "DELETE FROM %s%s%s" % (node.table, _where(node, params),
+                                   _order_limit(node, params))
 
 
 # -- DDL ----------------------------------------------------------------------
@@ -269,10 +260,8 @@ def _column_def(cdef, params):
 
 def _create_table(node, params):
     return "CREATE TABLE %s%s (%s)" % (
-        "IF NOT EXISTS " if node.if_not_exists else "",
-        node.name,
-        ", ".join(_column_def(c, params) for c in node.columns),
-    )
+        "IF NOT EXISTS " if node.if_not_exists else "", node.name,
+        _list(node.columns, params))
 
 
 def _drop_table(node, params):
@@ -286,34 +275,10 @@ def _create_index(node, params):
                                            node.column)
 
 
-def _drop_index(node, params):
-    return "DROP INDEX %s ON %s" % (node.name, node.table)
-
-
 def _alter_add_column(node, params):
     return "ALTER TABLE %s ADD COLUMN %s" % (
         node.table, _column_def(node.column_def, params)
     )
-
-
-def _alter_drop_column(node, params):
-    return "ALTER TABLE %s DROP COLUMN %s" % (node.table, node.column)
-
-
-def _truncate_table(node, params):
-    return "TRUNCATE TABLE %s" % node.table
-
-
-def _begin(node, params):
-    return "BEGIN"
-
-
-def _commit(node, params):
-    return "COMMIT"
-
-
-def _rollback(node, params):
-    return "ROLLBACK"
 
 
 _RENDERERS = {
@@ -334,18 +299,31 @@ _RENDERERS = {
     ast.Cast: _cast,
     ast.Subquery: _subquery,
     ast.Exists: _exists,
+    ast.SelectField: _select_field,
+    ast.TableRef: _table_ref,
+    ast.DerivedTable: _derived_table,
+    ast.Join: _join,
+    ast.OrderItem: _order_item,
+    ast.Limit: _limit,
     ast.Select: _select,
     ast.Insert: _insert,
     ast.Update: _update,
     ast.Delete: _delete,
+    ast.ColumnDef: _column_def,
     ast.CreateTable: _create_table,
     ast.DropTable: _drop_table,
     ast.CreateIndex: _create_index,
-    ast.DropIndex: _drop_index,
+    ast.DropIndex: lambda node, params: "DROP INDEX %s ON %s" % (
+        node.name, node.table),
     ast.AlterTableAddColumn: _alter_add_column,
-    ast.AlterTableDropColumn: _alter_drop_column,
-    ast.TruncateTable: _truncate_table,
-    ast.Begin: _begin,
-    ast.Commit: _commit,
-    ast.Rollback: _rollback,
+    ast.AlterTableDropColumn: lambda node, params:
+        "ALTER TABLE %s DROP COLUMN %s" % (node.table, node.column),
+    ast.TruncateTable: lambda node, params: "TRUNCATE TABLE " + node.table,
+    ast.Begin: lambda node, params: "BEGIN",
+    ast.Commit: lambda node, params: "COMMIT",
+    ast.Rollback: lambda node, params: "ROLLBACK",
+    ast.Explain: lambda node, params: "EXPLAIN " + to_sql(node.select,
+                                                          params),
+    ast.ShowTables: lambda node, params: "SHOW TABLES",
+    ast.Describe: lambda node, params: "DESCRIBE " + node.table,
 }

@@ -61,7 +61,13 @@ class _StackBuilder(object):
     # -- public ----------------------------------------------------------
 
     def build(self, statement):
-        self._dispatch_statement(statement)
+        build = _STATEMENTS.get(type(statement))
+        if build is not None:
+            build(self, statement)
+        elif not isinstance(statement, _NO_USER_DATA):
+            raise ValidationError(
+                "cannot validate statement %r" % type(statement).__name__
+            )
         return self._stack
 
     # -- helpers -----------------------------------------------------------
@@ -112,32 +118,6 @@ class _StackBuilder(object):
 
     # -- statements ----------------------------------------------------------
 
-    def _dispatch_statement(self, stmt):
-        if isinstance(stmt, ast.Select):
-            self._build_select(stmt)
-        elif isinstance(stmt, ast.Insert):
-            self._build_insert(stmt)
-        elif isinstance(stmt, ast.Update):
-            self._build_update(stmt)
-        elif isinstance(stmt, ast.Delete):
-            self._build_delete(stmt)
-        elif isinstance(stmt, ast.Explain):
-            # EXPLAIN validates (and models) like the underlying SELECT
-            self._build_select(stmt.select)
-        elif isinstance(stmt, (ast.CreateTable, ast.DropTable,
-                               ast.ShowTables, ast.Describe, ast.Begin,
-                               ast.Commit, ast.Rollback, ast.CreateIndex,
-                               ast.DropIndex, ast.AlterTableAddColumn,
-                               ast.AlterTableDropColumn,
-                               ast.TruncateTable)):
-            # DDL/metadata statements have no user-data nodes; SEPTIC does
-            # not model them, but the engine still validates them.
-            pass
-        else:
-            raise ValidationError(
-                "cannot validate statement %r" % type(stmt).__name__
-            )
-
     def _open_scope(self, tables, joins):
         scope = {}
         for ref in tables:
@@ -155,216 +135,118 @@ class _StackBuilder(object):
             scope[(ref.alias or ref.name).lower()] = \
                 self._check_table(ref.name)
 
-    def _build_select(self, stmt):
+    def _select(self, stmt):
         self._open_scope(stmt.tables, stmt.joins)
         self._alias_scopes.append(
             {f.alias.lower() for f in stmt.fields if f.alias}
         )
-        try:
-            for ref in stmt.tables:
-                self._push_table_source(ref)
-            for join in stmt.joins:
-                self._push(ItemKind.JOIN_ITEM, join.kind)
-                self._push_table_source(join.table)
-                if join.on is not None:
-                    self._expr(join.on)
-            for field in stmt.fields:
-                if isinstance(field.expr, ast.Star):
-                    self._push(ItemKind.SELECT_FIELD, "*")
-                else:
-                    self._expr(field.expr)
-            if stmt.where is not None:
-                self._expr(stmt.where)
-            for expr in stmt.group_by:
-                self._push(ItemKind.GROUP_ITEM, "GROUP")
-                self._expr(expr)
-            if stmt.having is not None:
-                self._push(ItemKind.HAVING_ITEM, "HAVING")
-                self._expr(stmt.having)
-            for order in stmt.order_by:
-                self._push(ItemKind.ORDER_ITEM, order.direction)
-                self._expr(order.expr)
-            if stmt.limit is not None:
-                self._push(ItemKind.LIMIT_ITEM, "LIMIT")
-                self._expr(stmt.limit.count)
-                if stmt.limit.offset is not None:
-                    self._expr(stmt.limit.offset)
-        finally:
-            self._scopes.pop()
-            self._alias_scopes.pop()
+        for ref in stmt.tables:
+            self._table_source(ref)
+        for join in stmt.joins:
+            self._push(ItemKind.JOIN_ITEM, join.kind)
+            self._table_source(join.table)
+            if join.on is not None:
+                self._expr(join.on)
+        for field in stmt.fields:
+            self._expr(field.expr)
+        if stmt.where is not None:
+            self._expr(stmt.where)
+        for expr in stmt.group_by:
+            self._push(ItemKind.GROUP_ITEM, "GROUP")
+            self._expr(expr)
+        if stmt.having is not None:
+            self._push(ItemKind.HAVING_ITEM, "HAVING")
+            self._expr(stmt.having)
+        self._order_limit(stmt)
+        # (a failed validation discards the builder: no try/finally)
+        self._scopes.pop()
+        self._alias_scopes.pop()
         for all_flag, branch in stmt.unions:
             self._push(ItemKind.UNION_ITEM, "ALL" if all_flag else "DISTINCT")
-            self._build_select(branch)
+            self._select(branch)
 
-    def _push_table_source(self, ref):
+    def _table_source(self, ref):
         if isinstance(ref, ast.DerivedTable):
-            self._push(ItemKind.SUBSELECT_ITEM, "BEGIN")
-            self._build_select(ref.select)
-            self._push(ItemKind.SUBSELECT_ITEM, "END")
+            self._subselect(ref.select)
             self._push(ItemKind.FROM_TABLE, ref.alias.lower())
         else:
             self._push(ItemKind.FROM_TABLE, ref.name.lower())
 
-    def _build_insert(self, stmt):
-        table = self._check_table(stmt.table)
-        kind = ItemKind.REPLACE_TABLE if stmt.replace \
-            else ItemKind.INSERT_TABLE
+    def _subselect(self, select):
+        self._push(ItemKind.SUBSELECT_ITEM, "BEGIN")
+        self._select(select)
+        self._push(ItemKind.SUBSELECT_ITEM, "END")
+
+    def _order_limit(self, stmt):
+        for order in stmt.order_by:
+            self._push(ItemKind.ORDER_ITEM, order.direction)
+            self._expr(order.expr)
+        if stmt.limit is not None:
+            self._push(ItemKind.LIMIT_ITEM, "LIMIT")
+            for expr in ast.children(stmt.limit):
+                self._expr(expr)
+
+    def _target(self, kind, name):
+        """Push a DML statement's target table and scope it (for the
+        rest of the build: the statement is the whole build)."""
+        table = self._check_table(name)
         self._push(kind, table)
         self._scopes.append({table: table})
-        try:
-            columns = stmt.columns
-            if not columns and self._catalog is not None:
-                columns = self._catalog[table].column_names()
-            for col in columns:
-                self._push(
-                    ItemKind.INSERT_FIELD, self._check_column(col, table)
-                )
-            for row in stmt.rows:
-                if columns and len(row) != len(columns):
-                    raise ValidationError(
-                        "Column count doesn't match value count"
-                    )
-                self._push(ItemKind.ROW_ITEM, "ROW")
-                for expr in row:
-                    self._expr(expr)
-            for col, expr in stmt.on_duplicate:
-                self._push(
-                    ItemKind.UPDATE_FIELD, self._check_column(col, table)
-                )
-                self._expr(expr)
-        finally:
-            self._scopes.pop()
+        return table
 
-    def _build_update(self, stmt):
-        table = self._check_table(stmt.table)
-        self._push(ItemKind.UPDATE_TABLE, table)
-        self._scopes.append({table: table})
-        try:
-            for col, expr in stmt.assignments:
-                self._push(
-                    ItemKind.UPDATE_FIELD, self._check_column(col, table)
-                )
-                self._expr(expr)
-            if stmt.where is not None:
-                self._expr(stmt.where)
-            for order in stmt.order_by:
-                self._push(ItemKind.ORDER_ITEM, order.direction)
-                self._expr(order.expr)
-            if stmt.limit is not None:
-                self._push(ItemKind.LIMIT_ITEM, "LIMIT")
-                self._expr(stmt.limit.count)
-        finally:
-            self._scopes.pop()
+    def _assignments(self, assignments, table):
+        for col, expr in assignments:
+            self._push(ItemKind.UPDATE_FIELD, self._check_column(col, table))
+            self._expr(expr)
 
-    def _build_delete(self, stmt):
-        table = self._check_table(stmt.table)
-        self._push(ItemKind.DELETE_TABLE, table)
-        self._scopes.append({table: table})
-        try:
-            if stmt.where is not None:
-                self._expr(stmt.where)
-            for order in stmt.order_by:
-                self._push(ItemKind.ORDER_ITEM, order.direction)
-                self._expr(order.expr)
-            if stmt.limit is not None:
-                self._push(ItemKind.LIMIT_ITEM, "LIMIT")
-                self._expr(stmt.limit.count)
-        finally:
-            self._scopes.pop()
+    def _insert(self, stmt):
+        table = self._target(ItemKind.REPLACE_TABLE if stmt.replace
+                             else ItemKind.INSERT_TABLE, stmt.table)
+        columns = stmt.columns
+        if not columns and self._catalog is not None:
+            columns = self._catalog[table].column_names()
+        for col in columns:
+            self._push(ItemKind.INSERT_FIELD, self._check_column(col, table))
+        for row in stmt.rows:
+            if columns and len(row) != len(columns):
+                raise ValidationError("Column count doesn't match value count")
+            self._push(ItemKind.ROW_ITEM, "ROW")
+            for expr in row:
+                self._expr(expr)
+        self._assignments(stmt.on_duplicate, table)
+
+    def _update(self, stmt):
+        table = self._target(ItemKind.UPDATE_TABLE, stmt.table)
+        self._assignments(stmt.assignments, table)
+        self._where_order_limit(stmt)
+
+    def _delete(self, stmt):
+        self._target(ItemKind.DELETE_TABLE, stmt.table)
+        self._where_order_limit(stmt)
+
+    def _where_order_limit(self, stmt):
+        if stmt.where is not None:
+            self._expr(stmt.where)
+        self._order_limit(stmt)
 
     # -- expressions (postorder) ----------------------------------------------
 
     def _expr(self, node):
-        if isinstance(node, ast.Literal):
-            self._literal(node)
-        elif isinstance(node, ast.Param):
-            index = node.index
-            if index is not None and index < len(self._slot_tags):
-                self._push(_DATA_KINDS[self._slot_tags[index]], Slot(index))
-            else:
-                self._push(ItemKind.PARAM_ITEM, "?")
-        elif isinstance(node, ast.ColumnRef):
-            self._push(
-                ItemKind.FIELD_ITEM, self._check_column(node.name, node.table)
-            )
-        elif isinstance(node, ast.Star):
-            self._push(ItemKind.SELECT_FIELD, "*")
-        elif isinstance(node, ast.FuncCall):
-            for arg in node.args:
-                self._expr(arg)
-            self._push(ItemKind.FUNC_ITEM, node.name)
-        elif isinstance(node, ast.UnaryOp):
-            self._expr(node.operand)
-            self._push(ItemKind.FUNC_ITEM, node.op)
-        elif isinstance(node, ast.BinaryOp):
-            self._expr(node.left)
-            self._expr(node.right)
-            self._push(ItemKind.FUNC_ITEM, node.op)
-        elif isinstance(node, ast.Cond):
-            for operand in node.operands:
-                self._expr(operand)
-            self._push(ItemKind.COND_ITEM, node.op)
-        elif isinstance(node, ast.Not):
-            self._expr(node.operand)
-            self._push(ItemKind.FUNC_ITEM, "NOT")
-        elif isinstance(node, ast.InList):
-            self._expr(node.expr)
-            if isinstance(node.items, ast.Subquery):
-                self._expr(node.items)
-            else:
-                for item in node.items:
-                    self._expr(item)
-            self._push(
-                ItemKind.FUNC_ITEM, "NOT IN" if node.negated else "IN"
-            )
-        elif isinstance(node, ast.Between):
-            self._expr(node.expr)
-            self._expr(node.low)
-            self._expr(node.high)
-            self._push(
-                ItemKind.FUNC_ITEM,
-                "NOT BETWEEN" if node.negated else "BETWEEN",
-            )
-        elif isinstance(node, ast.IsNull):
-            self._expr(node.expr)
-            self._push(
-                ItemKind.FUNC_ITEM,
-                "IS NOT NULL" if node.negated else "IS NULL",
-            )
-        elif isinstance(node, ast.Like):
-            self._expr(node.expr)
-            self._expr(node.pattern)
-            op = node.op if not node.negated else "NOT " + node.op
-            self._push(ItemKind.FUNC_ITEM, op)
-        elif isinstance(node, ast.Cast):
-            self._expr(node.expr)
-            self._push(ItemKind.FUNC_ITEM, "CAST %s" % node.type_name)
-        elif isinstance(node, ast.Case):
-            self._push(ItemKind.CASE_ITEM, "CASE")
-            if node.operand is not None:
-                self._expr(node.operand)
-            for cond, result in node.whens:
-                self._expr(cond)
-                self._expr(result)
-            if node.default is not None:
-                self._expr(node.default)
-            self._push(ItemKind.CASE_ITEM, "END")
-        elif isinstance(node, ast.Subquery):
-            self._push(ItemKind.SUBSELECT_ITEM, "BEGIN")
-            self._build_select(node.select)
-            self._push(ItemKind.SUBSELECT_ITEM, "END")
-        elif isinstance(node, ast.Exists):
-            self._push(ItemKind.SUBSELECT_ITEM, "BEGIN")
-            self._build_select(node.select)
-            self._push(ItemKind.SUBSELECT_ITEM, "END")
-            self._push(
-                ItemKind.FUNC_ITEM,
-                "NOT EXISTS" if node.negated else "EXISTS",
-            )
-        else:
+        """Operands before operator: a node's children in field order,
+        then its ``label`` — except for the kinds :data:`_EXPRESSIONS`
+        builds by hand."""
+        special = _EXPRESSIONS.get(node.__class__)
+        if special is not None:
+            special(self, node)
+            return
+        if not isinstance(node, ast.Expr):
             raise ValidationError(
                 "cannot build items for %r" % type(node).__name__
             )
+        for child in ast.children(node):
+            self._expr(child)
+        self._push(ItemKind.COND_ITEM if node.__class__ is ast.Cond
+                   else ItemKind.FUNC_ITEM, node.label)
 
     def _literal(self, node):
         kind = _DATA_KINDS.get(node.type_tag)
@@ -376,3 +258,58 @@ class _StackBuilder(object):
         elif node.type_tag == "null":
             value = None
         self._push(kind, value)
+
+    def _param(self, node):
+        index = node.index
+        if index is not None and index < len(self._slot_tags):
+            self._push(_DATA_KINDS[self._slot_tags[index]], Slot(index))
+        else:
+            self._push(ItemKind.PARAM_ITEM, "?")
+
+    def _column(self, node):
+        self._push(ItemKind.FIELD_ITEM,
+                   self._check_column(node.name, node.table))
+
+    def _star(self, node):
+        self._push(ItemKind.SELECT_FIELD, "*")
+
+    def _case(self, node):
+        self._push(ItemKind.CASE_ITEM, "CASE")
+        for child in ast.children(node):
+            self._expr(child)
+        self._push(ItemKind.CASE_ITEM, "END")
+
+    def _subquery(self, node):
+        self._subselect(node.select)
+
+    def _exists(self, node):
+        self._subselect(node.select)
+        self._push(ItemKind.FUNC_ITEM, node.label)
+
+
+_STATEMENTS = {
+    ast.Select: _StackBuilder._select,
+    ast.Insert: _StackBuilder._insert,
+    ast.Update: _StackBuilder._update,
+    ast.Delete: _StackBuilder._delete,
+    # EXPLAIN validates (and models) like the underlying SELECT
+    ast.Explain: lambda builder, stmt: builder._select(stmt.select),
+}
+
+#: DDL / metadata / transaction statements hold no user-data nodes:
+#: SEPTIC does not model them, and their stack is empty
+_NO_USER_DATA = (
+    ast.CreateTable, ast.DropTable, ast.ShowTables, ast.Describe,
+    ast.Begin, ast.Commit, ast.Rollback, ast.CreateIndex, ast.DropIndex,
+    ast.AlterTableAddColumn, ast.AlterTableDropColumn, ast.TruncateTable,
+)
+
+_EXPRESSIONS = {
+    ast.Literal: _StackBuilder._literal,
+    ast.Param: _StackBuilder._param,
+    ast.ColumnRef: _StackBuilder._column,
+    ast.Star: _StackBuilder._star,
+    ast.Case: _StackBuilder._case,
+    ast.Subquery: _StackBuilder._subquery,
+    ast.Exists: _StackBuilder._exists,
+}

@@ -405,10 +405,10 @@ def test_every_family_with_every_kind(routers):
 
 
 def test_bound_slots_are_the_unslotted_tree():
-    """``_bind_slots`` (what a scatter is planned from) rebuilds exactly
+    """``bind_values`` (what a scatter is planned from) rebuilds exactly
     the tree an unslotted parse of the text builds."""
     from repro.sqldb.lexer import slot_values, tokenize
-    from repro.sqldb.planner import _bind_slots
+    from repro.sqldb.prepared import bind_values
 
     checked = 0
     for template in CORPUS:
@@ -421,7 +421,7 @@ def test_bound_slots_are_the_unslotted_tree():
             except SQLError:
                 continue
             values = slot_values(lexed.tokens, lexed.slots)
-            assert _bind_slots(slotted, values) == parse_sql(sql)[0]
+            assert bind_values(slotted, values) == parse_sql(sql)[0]
             checked += 1
     assert checked > 100
 

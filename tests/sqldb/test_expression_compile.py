@@ -102,7 +102,7 @@ def _branches(children):
         "case": st.tuples(st.lists(pairs, min_size=1, max_size=2),
                           st.one_of(st.none(), children),
                           st.one_of(st.none(), children)).map(
-            lambda t: ast.Case(*t)),
+            lambda t: ast.Case(operand=t[1], whens=t[0], default=t[2])),
         "cast": st.tuples(children, st.sampled_from(
             ["SIGNED", "UNSIGNED", "INT", "DECIMAL", "DOUBLE", "CHAR",
              "DATE", "BLOB"])).map(lambda t: ast.Cast(*t)),

@@ -222,3 +222,65 @@ class TestSchemaRollback(object):
         assert state_digest(recovered) == live
         assert "extra" in [c.name for c in recovered.table("t").columns]
         recovered.close()
+
+
+NON_FINITE = [float("inf"), float("-inf"), float("nan")]
+
+
+class TestNonFiniteDoubles(object):
+    """No SQL literal spells a non-finite double, so the WAL could not
+    log one: it is refused (1367, "Illegal double") before it reaches a
+    plan — prepared or over the wire, first execution of a type
+    signature or a cached one — and the data directory stays
+    recoverable."""
+
+    def _logged(self, data_dir):
+        return [rec.sql for rec in
+                wal.scan_log(wal.log_path(str(data_dir))).records]
+
+    def _check(self, data_dir, db, execute):
+        db.run("CREATE TABLE f (k INT PRIMARY KEY, x DOUBLE)")
+        assert execute(1, 1.5).error is None
+        logged = self._logged(data_dir)
+        for key, value in enumerate(NON_FINITE, start=2):
+            outcome = execute(key, value)
+            assert outcome.error is not None
+            assert outcome.error.errno == 1367
+        assert self._logged(data_dir) == logged
+        live = state_digest(db)
+        db.close()
+        recovered = Database.recover(str(data_dir))
+        assert state_digest(recovered) == live
+        assert [row["k"] for row in recovered.table("f").rows] == [1]
+        recovered.close()
+
+    def test_connection(self, tmp_path):
+        db = Database.recover(str(tmp_path))
+        conn = Connection(db)
+        prepared = conn.prepare("INSERT INTO f VALUES (?, ?)")
+        self._check(tmp_path, db, lambda key, value:
+                    conn.execute_prepared(prepared, key, value))
+
+    def test_wire(self, tmp_path):
+        from repro.net.client import NetClient
+        from repro.net.server import NetServer
+
+        db = Database.recover(str(tmp_path))
+        server = NetServer(db)
+        server.start()
+        try:
+            with NetClient(server.host, server.port) as client:
+                def execute(key, value):
+                    handle = client.prepare("INSERT INTO f VALUES (?, ?)")
+                    return client.execute(handle, key, value)
+                self._check(tmp_path, db, execute)
+        finally:
+            server.stop()
+
+    def test_text_literal_out_of_range(self, tmp_path):
+        db = Database.recover(str(tmp_path))
+        conn = Connection(db)
+        # a shape-cached text takes the first one's entry
+        self._check(tmp_path, db, lambda key, value: conn.query(
+            "INSERT INTO f VALUES (%d, %s)" % (key, value if value == 1.5
+                                               else "-1e999")))

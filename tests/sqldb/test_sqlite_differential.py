@@ -144,3 +144,57 @@ def test_router_agrees_with_sqlite(router, rows, statement):
         return
     got = [tuple(row) for row in outcome.rows]
     assert _same(got, _sqlite(rows, sql), ordered), sql
+
+
+#: an aggregate under CAST, in each clause that may hold one: (engine
+#: SQL, the same statement in sqlite3's spelling of the cast types)
+CAST_AGGREGATES = [
+    ("SELECT CAST(SUM(a) AS CHAR) FROM t",
+     "SELECT CAST(SUM(a) AS TEXT) FROM t"),
+    ("SELECT b FROM t GROUP BY b HAVING CAST(SUM(a) AS SIGNED) > 2 "
+     "ORDER BY b",
+     "SELECT b FROM t GROUP BY b HAVING CAST(SUM(a) AS INTEGER) > 2 "
+     "ORDER BY b"),
+    ("SELECT b FROM t GROUP BY b ORDER BY CAST(MAX(a) AS SIGNED) DESC, b",
+     "SELECT b FROM t GROUP BY b ORDER BY CAST(MAX(a) AS INTEGER) DESC, b"),
+]
+CAST_ROWS = [(1, 1, 0), (2, 1, 0), (3, 2, 0), (-1, 2, 0), (4, None, 0)]
+
+
+@pytest.mark.parametrize("sql,oracle", CAST_AGGREGATES)
+def test_aggregate_under_cast_agrees_with_sqlite(sql, oracle):
+    database = Database()
+    database.seed(SCHEMA)
+    conn = Connection(database)
+    for insert in _inserts(CAST_ROWS):
+        conn.query_or_raise(insert)
+    got = [tuple(row) for row in conn.query_or_raise(sql).rows]
+    assert got == _sqlite(CAST_ROWS, oracle)
+
+
+#: a cross-shard HAVING, or an ORDER BY the shards do not return, is
+#: refused (1235) whatever it holds
+SCATTER_REFUSED = {CAST_AGGREGATES[1][0]: "HAVING",
+                   CAST_AGGREGATES[2][0]: "non-output"}
+SCATTER_CASTS = CAST_AGGREGATES + [
+    ("SELECT b, CAST(MAX(a) AS SIGNED) - 1 AS m, AVG(a) FROM t GROUP BY b "
+     "ORDER BY m, b",
+     "SELECT b, CAST(MAX(a) AS INTEGER) - 1 AS m, AVG(a) FROM t GROUP BY b "
+     "ORDER BY m, b"),
+]
+
+
+@pytest.mark.parametrize("sql,oracle", SCATTER_CASTS)
+def test_router_aggregate_under_cast_agrees_with_sqlite(router, sql, oracle):
+    router.query_or_raise("DROP TABLE IF EXISTS t")
+    router.query_or_raise(SCHEMA)
+    for insert in _inserts(CAST_ROWS):
+        router.query_or_raise(insert)
+    outcome = router.query(sql)
+    if sql in SCATTER_REFUSED:
+        assert outcome.error.errno == 1235, outcome.error
+        assert SCATTER_REFUSED[sql] in str(outcome.error)
+        return
+    assert outcome.error is None, outcome.error
+    assert [tuple(row) for row in outcome.rows] == \
+        _sqlite(CAST_ROWS, oracle)

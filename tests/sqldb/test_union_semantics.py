@@ -191,3 +191,66 @@ class TestScatter(object):
             == 2
         assert router.query_or_raise(
             "SELECT COUNT(*) FROM t LIMIT 1").rows == [(3,)]
+
+
+#: a parenthesised branch keeps its own ORDER BY / LIMIT (MySQL 5.7
+#: manual 13.2.9.3), over t = (1, 1, 2); sorted rows MySQL returns
+OWN_CLAUSES = [
+    ("SELECT 1 UNION ALL (SELECT 2 LIMIT 1)", [1, 2]),
+    ("SELECT a FROM t UNION ALL (SELECT a FROM t ORDER BY a DESC LIMIT 1)",
+     [1, 1, 2, 2]),
+    ("SELECT a FROM t UNION ALL (SELECT a FROM t ORDER BY a LIMIT 1) "
+     "ORDER BY a DESC LIMIT 3", [1, 1, 2]),
+    ("SELECT a FROM t UNION ALL (SELECT a FROM t ORDER BY a DESC LIMIT 2) "
+     "LIMIT 4", [1, 1, 2, 2]),
+]
+
+#: a parenthesised first branch with clauses of its own is refused
+HEAD_CLAUSES = "(SELECT a FROM t ORDER BY a DESC LIMIT 1) UNION ALL " \
+    "SELECT a FROM t"
+
+
+def _assert_head_refused(outcome):
+    assert outcome.error is not None
+    assert outcome.error.errno == 1064
+    assert "parenthesised first UNION branch" in str(outcome.error)
+
+
+class TestParenthesisedBranch(object):
+    @pytest.mark.parametrize("sql,expected", OWN_CLAUSES)
+    def test_local(self, sql, expected):
+        rows = Connection(_database()).query_or_raise(sql).rows
+        assert sorted(row[0] for row in rows) == expected
+
+    @pytest.mark.parametrize("sql,expected", OWN_CLAUSES[1:])
+    def test_prepared(self, sql, expected):
+        conn = Connection(_database())
+        prepared = conn.prepare(sql.replace("FROM t", "FROM t WHERE a >= ?"))
+        bound = conn.execute_prepared(prepared, *[0] * sql.count("FROM t"))
+        assert sorted(row[0] for row in bound.rows) == expected
+
+    @pytest.mark.parametrize("sql,expected", OWN_CLAUSES)
+    def test_wire(self, served, sql, expected):
+        _database, server = served
+        with NetClient(server.host, server.port) as client:
+            rows = client.query_or_raise(sql).rows
+        assert sorted(row[0] for row in rows) == expected
+
+    def test_ordered_tail_applies_to_the_union(self):
+        rows = Connection(_database()).query_or_raise(OWN_CLAUSES[2][0]).rows
+        assert rows == [(2,), (1,), (1,)]
+
+    def test_head_with_its_own_clauses_is_refused(self, served):
+        _assert_head_refused(Connection(_database()).query(HEAD_CLAUSES))
+        conn = Connection(_database())
+        with pytest.raises(Exception) as caught:
+            conn.prepare(HEAD_CLAUSES)
+        assert caught.value.errno == 1064
+        _database_, server = served
+        with NetClient(server.host, server.port) as client:
+            _assert_head_refused(client.query(HEAD_CLAUSES))
+
+    def test_parenthesised_head_without_clauses_still_unions(self):
+        rows = Connection(_database()).query_or_raise(
+            "(SELECT a FROM t) UNION ALL (SELECT a FROM t LIMIT 1)").rows
+        assert len(rows) == 4

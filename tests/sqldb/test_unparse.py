@@ -47,6 +47,9 @@ CORPUS = [
     "SELECT * FROM (SELECT a FROM t) AS d WHERE d.a = 1",
     "SELECT a FROM t UNION SELECT b FROM u",
     "SELECT a FROM t UNION ALL SELECT b FROM u",
+    "SELECT 1 UNION ALL (SELECT 2 LIMIT 1)",
+    "SELECT a FROM t UNION ALL (SELECT a FROM t ORDER BY a DESC LIMIT 1)",
+    "SELECT a FROM t UNION (SELECT b FROM u LIMIT 2) ORDER BY a LIMIT 3",
     "SELECT 1 + 2 * 3 - 4 / 5",
     "SELECT a | b & c << 1",
     "SELECT * FROM t WHERE a = ?",
@@ -59,6 +62,19 @@ CORPUS = [
     "UPDATE t SET a = 1 ORDER BY id LIMIT 2",
     "DELETE FROM t WHERE a = 1",
     "DELETE FROM t ORDER BY a DESC LIMIT 1",
+    "CREATE TABLE IF NOT EXISTS t (id INT PRIMARY KEY AUTO_INCREMENT, "
+    "name VARCHAR(20) NOT NULL DEFAULT 'x', code INT UNIQUE)",
+    "CREATE TABLE t (a INT, b FLOAT DEFAULT 1.5, c VARCHAR(8) DEFAULT NULL)",
+    "ALTER TABLE t ADD COLUMN c INT DEFAULT 0",
+    "ALTER TABLE t DROP COLUMN c",
+    "CREATE INDEX idx_a ON t (a)",
+    "DROP INDEX idx_a ON t",
+    "TRUNCATE TABLE t",
+    "DROP TABLE IF EXISTS t",
+    "DROP TABLE t",
+    "BEGIN",
+    "COMMIT",
+    "ROLLBACK",
 ]
 
 

@@ -17,7 +17,9 @@ trees for the byte-compile pass):
 import ast
 import builtins
 import compileall
+import dataclasses
 import os
+import re
 import sys
 
 import pytest
@@ -1325,7 +1327,7 @@ def test_septic_state_gate_catches_a_second_memo(tmp_path):
 #: slots — see ``repro.sqldb.parser.Parser``), and the distributed
 #: planner: its routes are cached by the router, not in a shared plan —
 #: a slot's value is read from the values vector (``_constant``) and a
-#: scatter is planned from the slot-free tree ``_bind_slots`` restores
+#: scatter is planned from the slot-free tree ``prepared.bind_values`` builds
 _LITERAL_VALUE_READERS = frozenset([
     "_field_label",         # a select-list field that is a bare literal
     "order_keys",           # ORDER BY <position>
@@ -2449,3 +2451,175 @@ def test_table_image_gate_catches_a_layout_reader(tmp_path):
         live, "            image = table.to_dict()\n"
               "            return image.get('cols')\n"))
     assert len(_table_image_read_violations(str(planted))) == 1
+
+
+# -- one tree, one walker -----------------------------------------------------
+
+#: statements whose parse holds every node class of ``ast_nodes`` with
+#: every node-valued field filled at least once
+_TREE_CORPUS = [
+    "SELECT DISTINCT a, b AS bee, t.*, -a, ~b, COUNT(*), COUNT(DISTINCT a),"
+    " CAST(SUM(a) AS CHAR), CASE a WHEN 1 THEN 'x' ELSE 'y' END,"
+    " (SELECT MAX(a) FROM u) FROM t JOIN u ON t.x = u.x"
+    " LEFT JOIN (SELECT 1 AS x) AS d ON d.x = t.x"
+    " WHERE NOT a IN (1, ?) AND b NOT IN (SELECT b FROM u)"
+    " AND a BETWEEN 1 AND 5 AND a IS NOT NULL AND a LIKE 'x%'"
+    " AND EXISTS (SELECT 1 FROM u) OR a XOR b"
+    " GROUP BY a HAVING COUNT(*) > 1 ORDER BY a DESC LIMIT 5 OFFSET 2"
+    " UNION ALL SELECT 1, 2, 3, 4, 5, 6, 7, 8, 9, 10",
+    "INSERT INTO t (a, b) VALUES (1, 'x'), (2, NULL)"
+    " ON DUPLICATE KEY UPDATE b = b + 1",
+    "UPDATE t SET a = 1 WHERE id = 3 ORDER BY id LIMIT 2",
+    "DELETE FROM t WHERE a = 1 ORDER BY a LIMIT 1",
+    "CREATE TABLE t (id INT PRIMARY KEY, v VARCHAR(8) DEFAULT 'x')",
+    "ALTER TABLE t ADD COLUMN c INT DEFAULT 0",
+    "ALTER TABLE t DROP COLUMN c", "CREATE INDEX i ON t (a)",
+    "DROP INDEX i ON t", "TRUNCATE TABLE t", "DROP TABLE t",
+    "BEGIN", "COMMIT", "ROLLBACK", "EXPLAIN SELECT 1", "SHOW TABLES",
+    "DESCRIBE t",
+]
+
+
+def _tree_classes(module):
+    return [cls for cls in vars(module).values()
+            if isinstance(cls, type) and dataclasses.is_dataclass(cls)]
+
+
+def _node_fields(cls, module):
+    """The fields of *cls* whose annotation names a node class."""
+    node_names = {name for name, value in vars(module).items()
+                  if isinstance(value, type)
+                  and issubclass(value, module.Node)}
+    return [f.name for f in dataclasses.fields(cls)
+            if node_names & set(re.findall(r"\w+", str(f.type)))]
+
+
+def _plant(value, make, planted):
+    """*value* with every node in it (through lists and tuples)
+    replaced by a fresh ``make()``, each noted in *planted*."""
+    from repro.sqldb import ast_nodes as tree
+
+    if isinstance(value, (list, tuple)):
+        return type(value)(_plant(item, make, planted) for item in value)
+    if isinstance(value, tree.Node):
+        planted.append(make())
+        return planted[-1]
+    return value
+
+
+def _planted(node, name, make):
+    """*node* with field *name* planted, and the planted nodes."""
+    planted = []
+    value = _plant(getattr(node, name), make, planted)
+    return dataclasses.replace(node, **{name: value}), planted
+
+
+def _reaches(nodes, planted):
+    return all(any(p is n for n in nodes) for p in planted)
+
+
+def _tree_walker_violations(classes, examples):
+    """For every node class: ``walk`` reaches a sentinel planted in each
+    node-valued field (lists, lists of lists and tuples included), and
+    the planner's aggregate collector an aggregate planted in each such
+    field of an expression; ``to_sql`` renders an example; ``validate``
+    accepts every statement and (in a select list) every expression;
+    ``compile_expr`` has an evaluator for every expression."""
+    from repro.sqldb import ast_nodes as tree
+    from repro.sqldb import expression, planner
+    from repro.sqldb.errors import SQLError
+    from repro.sqldb.unparse import to_sql
+    from repro.sqldb.validator import validate
+
+    def aggregate():
+        return tree.FuncCall("SUM", [tree.ColumnRef("a")])
+
+    problems = []
+    for cls in classes:
+        found = examples.get(cls, [])
+        if not found:
+            problems.append("%s: no example in the corpus" % cls.__name__)
+            continue
+        for name in _node_fields(cls, tree):
+            holders = [node for node in found
+                       if _planted(node, name, tree.Star)[1]]
+            if not holders:
+                problems.append("%s.%s: never holds a node in the corpus"
+                                % (cls.__name__, name))
+                continue
+            planted, stars = _planted(holders[0], name, tree.Star)
+            if not _reaches(list(tree.walk(planted)), stars):
+                problems.append("walk misses %s.%s" % (cls.__name__, name))
+            # in an expression, outside an aggregate call and a nested
+            # query (whose aggregates are their own)
+            holders = [node for node in holders
+                       if isinstance(node, tree.Expr)
+                       and not planner._is_aggregate(node)]
+            if not holders or "Select" in str(
+                    cls.__dataclass_fields__[name].type):
+                continue
+            planted, sums = _planted(holders[0], name, aggregate)
+            if not _reaches(planner._aggregates(planted), sums):
+                problems.append("aggregates under %s.%s are missed"
+                                % (cls.__name__, name))
+        example = found[0]
+        try:
+            to_sql(example)
+        except Exception as exc:
+            problems.append("to_sql(%s): %r" % (cls.__name__, exc))
+        try:
+            if issubclass(cls, tree.Expr):
+                validate(tree.Select([tree.SelectField(example)]))
+            elif issubclass(cls, tree.Statement):
+                validate(example)
+        except Exception as exc:
+            problems.append("validate(%s): %r" % (cls.__name__, exc))
+        if issubclass(cls, tree.Expr):
+            try:
+                expression.compile_expr(example)({}, None)
+            except SQLError as exc:
+                if "cannot evaluate" in str(exc):
+                    problems.append("compile_expr(%s): %s"
+                                    % (cls.__name__, exc))
+            except Exception:
+                pass    # run without a row or a context: beside the point
+    return problems
+
+
+def _tree_examples():
+    from repro.sqldb import ast_nodes as tree
+    from repro.sqldb.parser import parse_sql
+
+    examples = {}
+    for sql in _TREE_CORPUS:
+        for node in tree.walk(parse_sql(sql)[0]):
+            examples.setdefault(type(node), []).append(node)
+    return examples
+
+
+def test_every_node_class_has_one_walk_and_every_walker_covers_it():
+    from repro.sqldb import ast_nodes as tree
+
+    classes = _tree_classes(tree)
+    bases = {tree.Node, tree.Expr, tree.Statement}
+    assert set(classes) == {cls for cls in vars(tree).values()
+                            if isinstance(cls, type)
+                            and issubclass(cls, tree.Node)} - bases
+    problems = _tree_walker_violations(classes, _tree_examples())
+    assert problems == [], "\n".join(problems)
+
+
+def test_tree_gate_catches_an_expression_without_a_renderer():
+    """The twin: a new expression class that nothing but the generic
+    walk knows turns the gate red."""
+    from repro.sqldb import ast_nodes as tree
+
+    @dataclasses.dataclass(slots=True)
+    class Twice(tree.Expr):
+        operand: tree.Expr
+
+    examples = _tree_examples()
+    examples[Twice] = [Twice(tree.ColumnRef("a"))]
+    problems = _tree_walker_violations([Twice], examples)
+    assert [p.split("(")[0].split(":")[0] for p in problems] == [
+        "to_sql", "validate", "compile_expr"], problems
