@@ -1,14 +1,14 @@
 """Socket front-end throughput: pipelining + pooling vs round trips,
 and group-commit fsync amortization.
 
-Two headline gates for the PR-9 front end:
+Two headline gates for the socket front end:
 
 * **pipelined+pooled ≥ 3× one-query-per-round-trip** at 8 concurrent
   client threads — the baseline is the unoptimized web-tier client: a
   fresh connection per query (no pooling), one command per round trip
   (no pipelining).  The pooled side reuses connections and statement
   handles; the pipelined side ships a 16-command window as one coalesced
-  send, one server executor hop and one response burst.  The persistent
+  send, one server-side batch and one response burst.  The persistent
   round-trip discipline (keep the connection, still one query per round
   trip) is reported alongside to split the two contributions;
 * **group-commit fsyncs ≤ ¼ of per-commit mode** for the same write
@@ -186,7 +186,7 @@ def test_net_throughput(report):
         widths=(24, 12, 10),
     )
     report.line()
-    report.line("server: %d commands in %d executor batches"
+    report.line("server: %d commands in %d batches"
                 % (stats["commands"], stats["batches"]))
     report.line()
     report.line("group commit (%d commits across %d connections):"

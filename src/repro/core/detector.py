@@ -13,6 +13,8 @@ Two kinds of discovery:
   precise validation second.
 """
 
+import re
+
 from repro import faults as faults_mod
 from repro.core.query_model import BOTTOM
 from repro.core.plugins import default_plugins
@@ -62,6 +64,24 @@ class Detection(object):
 
 
 BENIGN = Detection(False)
+
+
+def step1_prefilter(plugins):
+    """One compiled character class joining every plugin's
+    ``step1_chars`` — a string it does not match is one that no
+    plugin's ``suspicious()`` can flag, so it passes them all without
+    running one.  ``None`` when a plugin declares no characters (it has
+    to run on everything) or there are no plugins."""
+    chars = set()
+    for plugin in plugins:
+        declared = getattr(plugin, "step1_chars", None)
+        if not declared:
+            return None
+        chars.update(declared)
+    if not chars:
+        return None
+    return re.compile("[%s]" % "".join(re.escape(char)
+                                       for char in sorted(chars)))
 
 
 class AttackDetector(object):

@@ -12,6 +12,11 @@ class StoredInjectionPlugin(object):
     #: label recorded by the logger, e.g. ``"STORED_XSS"``
     attack_type = "STORED"
 
+    #: characters :meth:`suspicious` cannot flag a string without (any
+    #: one of them, matched case-sensitively); ``None`` declares none,
+    #: and then the plugin runs on every input
+    step1_chars = None
+
     def suspicious(self, text):
         """Step 1: lightweight check for characters/tokens associated with
         this plugin's attack class.  Must be cheap — it runs on every

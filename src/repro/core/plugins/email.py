@@ -38,6 +38,7 @@ class EmailHeaderInjectionPlugin(StoredInjectionPlugin):
     """Detects CR/LF header-injection payloads in stored inputs."""
 
     attack_type = "STORED_EMAIL_HEADER"
+    step1_chars = "\r\n%"
 
     def suspicious(self, text):
         return bool(_STEP1_RE.search(text))

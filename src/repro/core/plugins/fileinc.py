@@ -42,6 +42,7 @@ class RFIPlugin(StoredInjectionPlugin):
     """Remote file inclusion: URLs/wrappers pointing at executable code."""
 
     attack_type = "STORED_RFI"
+    step1_chars = ":"
 
     def suspicious(self, text):
         # every scheme ends in a colon: most inputs stop at this test
@@ -55,6 +56,7 @@ class LFIPlugin(StoredInjectionPlugin):
     """Local file inclusion: path traversal and sensitive-file targets."""
 
     attack_type = "STORED_LFI"
+    step1_chars = "./\\%\x00"
 
     def suspicious(self, text):
         return bool(_LFI_CHARS_RE.search(text))

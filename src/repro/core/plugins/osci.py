@@ -32,6 +32,7 @@ class OSCIPlugin(StoredInjectionPlugin):
     """Detects shell metacharacter sequences that chain OS commands."""
 
     attack_type = "STORED_OSCI"
+    step1_chars = ";|&`$\n%"
 
     def suspicious(self, text):
         return bool(_METACHAR_START_RE.search(text)

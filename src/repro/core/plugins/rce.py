@@ -36,6 +36,7 @@ class RCEPlugin(StoredInjectionPlugin):
     """Detects stored payloads that execute as code server-side."""
 
     attack_type = "STORED_RCE"
+    step1_chars = "<($%{"
 
     def suspicious(self, text):
         return bool(_STEP1_START_RE.search(text) and _STEP1_RE.search(text))

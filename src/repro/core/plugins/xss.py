@@ -56,6 +56,7 @@ class StoredXSSPlugin(StoredInjectionPlugin):
     """Detects persistent cross-site scripting payloads."""
 
     attack_type = "STORED_XSS"
+    step1_chars = "<>"
 
     def suspicious(self, text):
         return "<" in text or ">" in text

@@ -33,7 +33,8 @@ learned model has ⊥ for every data node (a model that pins a literal
 leaves none, and is compared every time).  Where the run's
 stored-injection plugins read the values (INSERT/UPDATE/REPLACE under
 ``detect_stored``) the verdict names the slots they read, and the check
-runs the same plugins over this execution's strings in those slots — a
+runs the same plugins over this execution's strings in those slots (a
+string with none of the characters their step 1 needs skips them) — a
 hit there takes the full run, the only place an attack is reported or
 dropped.  Attacks, unknown and candidate-matched queries, TRAINING and
 every contained fault always take the full path; so does everything
@@ -42,7 +43,8 @@ when there is no pipeline cache.
 
 from repro import faults as faults_mod
 from repro.core import resilience
-from repro.core.detector import AttackDetector, AttackType
+from repro.core.detector import (AttackDetector, AttackType,
+                                 step1_prefilter)
 from repro.core.id_generator import IdGenerator
 from repro.core.logger import EventKind, SepticLogger
 from repro.core.manager import QSQMManager
@@ -135,14 +137,24 @@ class _Verdict(object):
     known model — everything that run's outcome depended on, as read
     *before* it was used (immutable; see ``Septic._verdict_holds``)."""
 
-    __slots__ = ("full_id", "model", "basis", "events", "slots")
+    __slots__ = ("full_id", "model", "mode", "detect_sqli", "detect_stored",
+                 "incremental_learning", "detector", "plugins", "prefilter",
+                 "events", "slots")
 
     def __init__(self, full_id, model, basis, events, slots):
         self.full_id = full_id
         #: the learned model object the store served for the ID
         self.model = model
-        #: what :meth:`Septic._basis` returned to the run
-        self.basis = basis
+        # what :meth:`Septic._basis` returned to the run, field by field
+        (self.mode, self.detect_sqli, self.detect_stored,
+         self.incremental_learning, self.detector, plugins) = basis
+        #: a list, so the check compares it with the detector's own
+        #: list without copying either
+        self.plugins = list(plugins)
+        #: the plugins' step-1 characters as one pattern, or None (no
+        #: slots, or a plugin that declares none): a string it misses
+        #: passes every plugin without running them
+        self.prefilter = step1_prefilter(plugins) if slots else None
         #: non-significant events the run logged (all of its events)
         self.events = events
         #: indices of the value slots the run's stored-injection plugins
@@ -155,11 +167,13 @@ def _inputs_pass(verdict, values):
     run inspected passes every plugin that run used (pinned literals
     are part of the entry's key: that run saw them).  A plugin that
     raises passes nothing: the full run contains its fault."""
-    plugins = verdict.basis[-1]
+    plugins = verdict.plugins
+    prefilter = verdict.prefilter
     try:
         for index in verdict.slots:
             value = values[index]
-            if isinstance(value, str):
+            if isinstance(value, str) and (
+                    prefilter is None or prefilter.search(value)):
                 for plugin in plugins:
                     if plugin.inspect(value):
                         return False
@@ -345,7 +359,7 @@ class Septic(object):
         stats = self.stats
         with stats._lock:       # bump(), without its lookups by name
             stats.queries_processed += 1
-        memo = getattr(context, "memo", None)
+        memo = context.memo
         verdict = memo.verdict if memo is not None else None
         if verdict is not None and self._verdict_holds(verdict) and (
                 not verdict.slots
@@ -406,11 +420,20 @@ class Septic(object):
         and nothing may be in force that makes a run do more than
         compare — an armed fault plan, a verifying store, a verbose
         register, or a breaker that is open, probing or counting faults.
+        The settings are compared one by one against what
+        :meth:`_basis` gave the run, so a hit builds nothing.
         """
+        config = self.config
+        detector = self.detector
         return (
             faults_mod.ACTIVE is None
-            and self.store.serves(verdict.full_id, verdict.model)
-            and verdict.basis == self._basis(self._mode)
+            and verdict.mode == self._mode
+            and verdict.detect_sqli == config.detect_sqli
+            and verdict.detect_stored == config.detect_stored
+            and verdict.incremental_learning == config.incremental_learning
+            and verdict.detector == detector
+            and verdict.plugins == detector.plugins
+            and self.manager.store.serves(verdict.full_id, verdict.model)
             and self.breaker.quiescent
             and not self.logger.verbose
         )
@@ -534,7 +557,7 @@ class Septic(object):
         self.logger.log(EventKind.QUERY_EXECUTED, query_id=query_id.value)
         if checkpoint is not None:
             checkpoint()
-        memo = getattr(context, "memo", None)
+        memo = context.memo
         if memo is not None and model is not None \
                 and _abstracts_all_data(model):
             # benign against a known model.  The run logged QS_BUILT,

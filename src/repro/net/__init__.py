@@ -1,7 +1,7 @@
 """The wire-protocol front end: socket server, client driver, pool.
 
-Everything that touches raw sockets or asyncio streams lives in this
-package (a lint gate enforces it); the rest of the system sees only the
+Everything that touches raw sockets lives in this package (a lint
+gate enforces it); the rest of the system sees only the
 :class:`~repro.net.server.NetServer` /
 :class:`~repro.net.client.NetClient` /
 :class:`~repro.net.pool.ConnectionPool` objects.

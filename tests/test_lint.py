@@ -1004,6 +1004,79 @@ def test_async_blocking_gate_catches_a_sleep(tmp_path):
     assert "open() inside coroutine handler" in problems[1]
 
 
+#: the locks every connection thread of the front end shares: the
+#: counters' mutex and the group-commit condition
+_NET_SHARED_LOCKS = frozenset(["_stats_lock", "_gate"])
+
+#: calls that can block for as long as a peer or the disk likes: socket
+#: I/O, the engine (``Connection`` and its methods, a batch) and fsync
+_BLOCKING_UNDER_SHARED_LOCK = frozenset([
+    "recv", "recv_into", "send", "sendall", "accept", "connect",
+    "sync_to", "wal_sync_to", "_run_batch", "_dispatch", "_ship",
+    "Connection", "begin", "close", "close_statement", "commit",
+    "execute_prepared", "execute_statement", "multi_query", "prepare",
+    "prepare_statement", "query", "query_or_raise", "rollback",
+])
+
+
+def _shared_lock_blocking_violations(path):
+    """Blocking calls under a lock every connection thread shares: one
+    such call stalls every connection behind it.  The front end may
+    only count, copy and wait on the condition while it holds one."""
+    with open(path) as handle:
+        tree = ast.parse(handle.read(), filename=path)
+    problems = []
+    rel = os.path.relpath(path, REPO_ROOT)
+    for block in ast.walk(tree):
+        if not isinstance(block, ast.With):
+            continue
+        held = [item.context_expr.attr for item in block.items
+                if isinstance(item.context_expr, ast.Attribute)
+                and item.context_expr.attr in _NET_SHARED_LOCKS]
+        if not held:
+            continue
+        for stmt in block.body:
+            for node in ast.walk(stmt):
+                if isinstance(node, ast.Call) and \
+                        _call_name(node) in _BLOCKING_UNDER_SHARED_LOCK:
+                    problems.append("%s:%d: %s() under %s"
+                                    % (rel, node.lineno, _call_name(node),
+                                       held[0]))
+    return problems
+
+
+def test_net_shared_locks_never_cover_a_blocking_call():
+    problems = []
+    for path in _python_files(NET_ROOT):
+        problems.extend(_shared_lock_blocking_violations(path))
+    assert problems == [], "\n".join(problems)
+    # and the gate is looking at the locks the server really shares
+    with open(os.path.join(NET_ROOT, "server.py")) as handle:
+        source = handle.read()
+    for lock in _NET_SHARED_LOCKS:
+        assert "with self.%s:" % lock in source, lock
+
+
+def test_shared_lock_gate_catches_a_sendall(tmp_path):
+    bad = tmp_path / "bad_server.py"
+    bad.write_text(
+        "class Server(object):\n"
+        "    def reply(self, sock, blob):\n"
+        "        with self._stats_lock:\n"
+        "            self._stats['commands'] += 1\n"
+        "            sock.sendall(blob)\n"
+        "        sock.sendall(blob)\n"
+        "    def sync(self, lsn):\n"
+        "        with self._gate:\n"
+        "            self._gate.wait()\n"
+        "            self._database.wal_sync_to(lsn)\n"
+    )
+    problems = _shared_lock_blocking_violations(str(bad))
+    assert len(problems) == 2
+    assert ":5: sendall() under _stats_lock" in problems[0]
+    assert ":10: wal_sync_to() under _gate" in problems[1]
+
+
 SHARD_ROOT = os.path.join(SRC_ROOT, "repro", "shard")
 
 #: modules/calls that implement (or smell like) hash partitioning —
