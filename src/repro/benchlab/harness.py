@@ -10,17 +10,6 @@ configurations (NN / YN / NY / YY), reporting average-latency overheads.
 
 ``run_scaling_experiment`` reproduces the §II-F ramp: 1→4 machines with
 one browser each, then 8/12/16/20 browsers on four machines.
-
-``run_lock_experiment`` measures the engine's statement-level lock
-hierarchy: it classifies a real workload with the engine's own
-:func:`repro.sqldb.engine.lock_plan`, measures each statement's real
-single-threaded service time, then replays N virtual workers through a
-discrete-event model of the reader–writer locks
-(:class:`LockContentionModel`).  Virtual time is what makes the result
-deterministic and GIL-independent: under the GIL, real threads cannot
-overlap CPU-bound statements, so wall-clock timing would show ~1× no
-matter how good the locking is — the model shows the *schedule* the
-lock hierarchy admits.
 """
 
 import random
@@ -33,8 +22,7 @@ from repro.benchlab.workload import workload_for
 from repro.core.logger import SepticLogger
 from repro.core.septic import Mode, Septic, SepticConfig
 from repro.sqldb.connection import Connection
-from repro.sqldb.engine import Database, LockPlan
-from repro.sqldb.parser import parse_sql
+from repro.sqldb.engine import Database
 from repro.web.server import WebServer
 
 #: SEPTIC detection configurations of Figure 5 (None = original MySQL)
@@ -215,135 +203,6 @@ def run_scaling_experiment(app_class, loops=5, workers=8, repeats=1):
     return rows
 
 
-# ---------------------------------------------------------------------------
-# Lock-contention model (the concurrent read path experiment)
-# ---------------------------------------------------------------------------
-
-
-class _VirtualRWLock(object):
-    """A reader–writer lock in virtual time.
-
-    Mirrors :class:`repro.core.resilience.RWLock` semantics — shared
-    readers, exclusive writers, writer preference, FIFO among waiting
-    writers — but grants happen on the simulator's clock instead of a
-    condition variable, so a schedule of thousands of statements plays
-    out in microseconds of real time and is bit-for-bit reproducible.
-    """
-
-    __slots__ = ("simulator", "readers", "writer", "queue",
-                 "grants", "contended")
-
-    def __init__(self, simulator):
-        self.simulator = simulator
-        self.readers = 0
-        self.writer = False
-        #: FIFO of (shared, callback) waiting for the lock
-        self.queue = []
-        self.grants = 0
-        self.contended = 0
-
-    def acquire(self, shared, callback):
-        if not self.queue:
-            if shared and not self.writer:
-                self.readers += 1
-                self.grants += 1
-                self.simulator.schedule(0.0, callback)
-                return
-            if not shared and not self.writer and self.readers == 0:
-                self.writer = True
-                self.grants += 1
-                self.simulator.schedule(0.0, callback)
-                return
-        self.contended += 1
-        self.queue.append((shared, callback))
-
-    def release(self, shared):
-        if shared:
-            self.readers -= 1
-        else:
-            self.writer = False
-        self._drain()
-
-    def _drain(self):
-        # grant the queue head; consecutive readers at the head are
-        # granted together (they overlap), a writer at the head waits
-        # for the lock to empty and then holds it alone
-        while self.queue:
-            shared, callback = self.queue[0]
-            if shared:
-                if self.writer:
-                    return
-                self.queue.pop(0)
-                self.readers += 1
-                self.grants += 1
-                self.simulator.schedule(0.0, callback)
-            else:
-                if self.writer or self.readers:
-                    return
-                self.queue.pop(0)
-                self.writer = True
-                self.grants += 1
-                self.simulator.schedule(0.0, callback)
-                return
-
-
-class LockContentionModel(object):
-    """Virtual-time replay of statements through an engine lock plan.
-
-    One :class:`_VirtualRWLock` per resource (the catalog plus each
-    table), acquired in the engine's global order — the same order
-    :class:`repro.sqldb.engine.LockManager` uses, so the admitted
-    schedule is the one the real engine would admit if its statements
-    ran on truly parallel cores.
-    """
-
-    CATALOG = "~catalog"
-
-    def __init__(self, simulator):
-        self.simulator = simulator
-        self._locks = {}
-        self.statements_done = 0
-
-    def resource(self, name):
-        lock = self._locks.get(name)
-        if lock is None:
-            lock = _VirtualRWLock(self.simulator)
-            self._locks[name] = lock
-        return lock
-
-    def run_statement(self, plan, service_time, done):
-        """Acquire *plan*'s locks in order, hold them for
-        *service_time* virtual seconds, release, then call *done*."""
-        if plan is None:
-            resources = []
-        else:
-            resources = [(self.CATALOG, plan.catalog_shared)]
-            resources.extend(plan.tables)
-
-        def acquire_next(index):
-            if index == len(resources):
-                self.simulator.schedule(service_time, finish)
-                return
-            name, shared = resources[index]
-            self.resource(name).acquire(
-                shared, lambda: acquire_next(index + 1)
-            )
-
-        def finish():
-            for name, shared in reversed(resources):
-                self.resource(name).release(shared)
-            self.statements_done += 1
-            done()
-
-        acquire_next(0)
-
-    def lock_stats(self):
-        return {
-            name: {"grants": lock.grants, "contended": lock.contended}
-            for name, lock in sorted(self._locks.items())
-        }
-
-
 class _Record(object):
     """A result record: keyword construction over ``__slots__``, every
     field required, nothing else accepted."""
@@ -358,150 +217,6 @@ class _Record(object):
 
     def as_dict(self):
         return {name: getattr(self, name) for name in self.__slots__}
-
-
-class LockExperimentResult(_Record):
-    """Outcome of one :func:`run_lock_experiment` run.
-
-    ``makespan`` is virtual seconds until the *last reader* finished
-    (the whole schedule, when there is no writer); ``service_total`` the
-    serial floor of the read side (sum of service times);
-    ``writer_makespan`` virtual seconds until the writer's statement
-    finished (``None`` without one)."""
-
-    __slots__ = ("lock_mode", "readers", "statements", "makespan",
-                 "service_total", "writer_makespan", "writer_service",
-                 "lock_stats")
-
-    @property
-    def throughput(self):
-        """Read-side statements per virtual second."""
-        if self.makespan <= 0:
-            return 0.0
-        return self.statements / self.makespan
-
-    def speedup_vs(self, baseline):
-        """Read-side throughput ratio against another run."""
-        if baseline.throughput == 0:
-            return 0.0
-        return self.throughput / baseline.throughput
-
-    @property
-    def readers_overlapped_writer(self):
-        """True when the read side completed while the writer's long
-        statement was still holding its table lock — the "writers never
-        block readers" claim, visible in the schedule itself."""
-        return (self.writer_makespan is not None
-                and self.makespan < self.writer_makespan)
-
-    def __repr__(self):
-        return ("LockExperimentResult(%s, %d readers, %d stmts, "
-                "makespan=%.6f, writer_makespan=%r)"
-                % (self.lock_mode, self.readers, self.statements,
-                   self.makespan, self.writer_makespan))
-
-
-def run_lock_experiment(setup_sql, reader_workload, writer_sql=None,
-                        readers=8, loops=5, lock_mode="shared",
-                        reader_service=None, writer_service=None):
-    """Replay *reader_workload* on *readers* virtual threads under the
-    engine's lock hierarchy — optionally racing one long writer — and
-    report the admitted schedule, in virtual time.
-
-    *setup_sql* seeds a real :class:`Database`; each statement of
-    *reader_workload* (single-statement SQL strings) is parsed once,
-    classified with the engine's own lock-plan logic, and its
-    single-threaded service time is measured live unless pinned via
-    *reader_service* (one float per statement — benchmarks comparing two
-    modes should pin both runs to the same times).  Then *readers*
-    virtual threads each run the workload *loops* times through
-    :class:`LockContentionModel`.
-
-    With *writer_sql* a single virtual writer runs that statement once,
-    issued first, with service time *writer_service* (long, so its table
-    lock is held across the whole read phase) — the MVCC demonstration:
-    under the engine's plans SELECTs take no table locks, so the read
-    side never queues behind the writer's table-X hold and finishes
-    while the UPDATE is still running
-    (:attr:`LockExperimentResult.readers_overlapped_writer`).
-
-    ``lock_mode="exclusive"`` is the serialized baseline the speedup
-    claims are measured against: a property of this *model*, not of the
-    engine — every plan is degraded to catalog-exclusive, exactly one
-    statement in the engine at a time.
-    """
-    if lock_mode not in ("shared", "exclusive"):
-        raise ValueError("lock_mode must be 'shared' or 'exclusive'")
-    database = Database()
-    if setup_sql:
-        database.seed(setup_sql)
-
-    def classify(sql, service):
-        statements, _comments = parse_sql(sql)
-        if len(statements) != 1:
-            raise ValueError("workload entries must hold one statement: %r"
-                             % sql)
-        plan = database._lock_plan_for(statements[0])
-        if plan is not None and lock_mode == "exclusive":
-            plan = LockPlan(catalog_shared=False)
-        if service is None:
-            start = time.perf_counter()
-            database.run(sql)
-            service = max(time.perf_counter() - start, 1e-7)
-        return plan, service
-
-    if reader_service is None:
-        reader_service = [None] * len(reader_workload)
-    script = [classify(sql, service)
-              for sql, service in zip(reader_workload, reader_service)]
-    writer = None
-    if writer_sql is not None:
-        writer = classify(writer_sql, writer_service)
-    simulator = Simulator()
-    model = LockContentionModel(simulator)
-    done = {"statements": 0, "reader_last": 0.0, "writer_last": None}
-
-    def start_reader():
-        items = script * loops
-
-        def run_next(index):
-            if index == len(items):
-                done["reader_last"] = max(done["reader_last"],
-                                          simulator.now)
-                return
-            plan, service = items[index]
-            model.run_statement(plan, service, lambda: advance(index))
-
-        def advance(index):
-            done["statements"] += 1
-            run_next(index + 1)
-
-        run_next(0)
-
-    def start_writer():
-        def finished():
-            done["writer_last"] = simulator.now
-
-        model.run_statement(*writer, done=finished)
-
-    # the writer issues first: in exclusive mode every reader queues
-    # behind its hold, in MVCC mode none of them do; the 1 ns stagger
-    # fixes the issue order deterministically without changing load
-    starters = [start_reader] * readers
-    if writer is not None:
-        starters.insert(0, start_writer)
-    for slot, start in enumerate(starters):
-        simulator.schedule(slot * 1e-9, start)
-    simulator.run()
-    return LockExperimentResult(
-        lock_mode=lock_mode, readers=readers,
-        statements=done["statements"], makespan=done["reader_last"],
-        service_total=sum(service for _plan, service in script)
-        * readers * loops,
-        writer_makespan=done["writer_last"],
-        writer_service=None if writer is None else writer[1],
-        lock_stats=model.lock_stats(),
-    )
 
 
 class FailoverExperimentResult(_Record):

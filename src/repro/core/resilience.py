@@ -64,8 +64,8 @@ class RWLock(object):
     global order, which is what makes deadlock freedom provable.
 
     Counters (``read_acquires``/``write_acquires``/``contended``) are
-    exact and cheap; the BenchLab contention model and the lock tests
-    read them to verify that shared mode really overlaps.
+    exact and cheap; the lock tests and the real-thread benchmarks read
+    them to verify that shared mode really overlaps.
     """
 
     __slots__ = ("_mutex", "_readers_done", "_writers_done", "_readers",

@@ -377,8 +377,8 @@ class Database(object):
     _EPOCH = "2016-07-05 12:00:00"
 
     def __init__(self, name="repro", septic=None, charset="utf8", seed=1,
-                 septic_fail_open=False, cache_size=512, storage="memory",
-                 page_size=4096, pool_pages=64):
+                 cache_size=512, storage="memory", page_size=4096,
+                 pool_pages=64):
         self.name = name
         #: ``"memory"`` keeps rows in plain lists (the historical
         #: backend); ``"paged"`` stores them in checksummed B-tree pages
@@ -394,11 +394,6 @@ class Database(object):
         self.page_store = None
         #: statement-scope RW locks (catalog + per table)
         self.lock_manager = LockManager()
-        #: policy when the SEPTIC hook itself crashes (not a QueryBlocked):
-        #: fail-closed (default) re-raises and the query does not execute;
-        #: fail-open logs nothing and lets the query through — the classic
-        #: availability-vs-security trade-off, exposed for testing.
-        self.septic_fail_open = septic_fail_open
         self.version = "5.7.16-repro"
         self.user = "webapp@localhost"
         self.tables = {}
@@ -667,9 +662,8 @@ class Database(object):
 
     @classmethod
     def recover(cls, data_dir, name="repro", septic=None, charset="utf8",
-                seed=1, septic_fail_open=False, cache_size=512,
-                wal_sync="commit", wal_batch_commits=16,
-                checkpoint_interval=0, strict=True,
+                seed=1, cache_size=512, wal_sync="commit",
+                wal_batch_commits=16, checkpoint_interval=0, strict=True,
                 storage="memory", page_size=4096, pool_pages=64):
         """Rebuild a database from *data_dir* and attach its WAL.
 
@@ -692,8 +686,7 @@ class Database(object):
         with durability enabled — the bootstrap path.
         """
         db = cls(name=name, septic=septic, charset=charset, seed=seed,
-                 septic_fail_open=septic_fail_open, cache_size=cache_size,
-                 storage=storage, page_size=page_size,
+                 cache_size=cache_size, storage=storage, page_size=page_size,
                  pool_pages=pool_pages)
         db._recover_state(data_dir, strict=strict)
         db.attach_wal(data_dir, sync_mode=wal_sync,
@@ -1538,11 +1531,12 @@ class Database(object):
             except QueryBlocked:
                 raise
             except Exception as exc:
-                if not self.septic_fail_open:
-                    raise ExecutionError(
-                        "internal protection error, query not executed "
-                        "(%s: %s)" % (type(exc).__name__, exc)
-                    )
+                # a hook that crashes (rather than blocking) fails closed:
+                # fail-open is the Septic object's own FailPolicy.OPEN
+                raise ExecutionError(
+                    "internal protection error, query not executed "
+                    "(%s: %s)" % (type(exc).__name__, exc)
+                )
             finally:
                 elapsed = time.perf_counter() - start
                 with self._stats_lock:

@@ -12,7 +12,7 @@ execution's :class:`~repro.sqldb.plan.StageStats`
 
 from repro.sqldb import ast_nodes as ast
 from repro.sqldb import plan as plan_mod
-from repro.sqldb.errors import ExecutionError
+from repro.sqldb.errors import ExecutionError, TransientEngineError
 from repro.sqldb.expression import EvalContext
 from repro.sqldb.plan import ExecutionResult, ExecState
 from repro.sqldb.planner import Planner
@@ -276,8 +276,24 @@ class Executor(object):
         self._db.drop_table(name)
         return ExecutionResult(affected_rows=0)
 
+    def _reshapable(self, name):
+        """The table an ALTER may reshape.  Reshaping settles pending
+        rows as committed, so while another session's open transaction
+        has written *name* the ALTER is refused, retryably (MySQL would
+        wait on that transaction's metadata lock): its ROLLBACK must
+        still undo them, as replay of the log does."""
+        table = self._db.table(name)
+        for session in list(self._db._tx_sessions):
+            txn = session.write_txn   # None once that session has ended
+            if txn is not None and any(
+                    entry[0] is table for entry in txn.entries):
+                raise TransientEngineError(
+                    "Lock wait timeout exceeded; table '%s' has rows "
+                    "pending in another transaction" % name, errno=1205)
+        return table
+
     def _alter_add_column(self, stmt):
-        table = self._db.table(stmt.table)
+        table = self._reshapable(stmt.table)
         cdef = stmt.column_def
         if table.has_column(cdef.name):
             raise ExecutionError(
@@ -288,7 +304,7 @@ class Executor(object):
         return ExecutionResult(affected_rows=table.row_count())
 
     def _alter_drop_column(self, stmt):
-        table = self._db.table(stmt.table)
+        table = self._reshapable(stmt.table)
         name = stmt.column.lower()
         if not table.has_column(name):
             raise ExecutionError(

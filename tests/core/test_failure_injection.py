@@ -33,30 +33,6 @@ class TestHookCrash(object):
         assert database.statements_executed == 0 or \
             "tickets" in database.tables  # the SELECT itself did not run
 
-    def test_fail_open_lets_queries_through(self):
-        database = Database(septic=None, septic_fail_open=True)
-        database.seed(TICKETS_SCHEMA)
-        database.septic = _CrashingSeptic()
-        conn = Connection(database)
-        outcome = conn.query("SELECT COUNT(*) FROM tickets")
-        assert outcome.ok
-        assert outcome.result_set.scalar() == 3
-
-    def test_fail_open_does_not_swallow_blocks(self):
-        """QueryBlocked is a verdict, not a crash: it must propagate even
-        under the fail-open policy."""
-        septic = Septic(mode=Mode.TRAINING)
-        database = Database(septic=septic, septic_fail_open=True)
-        database.seed(TICKETS_SCHEMA)
-        conn = Connection(database)
-        conn.query("/* septic:s:1 */ SELECT * FROM tickets WHERE id = 1")
-        septic.mode = Mode.PREVENTION
-        outcome = conn.query(
-            "/* septic:s:1 */ SELECT * FROM tickets WHERE id = 1 OR 1=1"
-        )
-        assert not outcome.ok
-        assert "SEPTIC" in str(outcome.error)
-
 
 class TestBrokenSink(object):
     def test_sink_exception_disables_sink_not_logging(self):

@@ -290,11 +290,16 @@ class TestFailPolicies(object):
         with pytest.raises(ValueError):
             Septic(fail_policy="fail_sideways")
 
-    def test_attack_verdict_is_not_a_fault(self):
-        septic, conn = _prevention_stack(FailPolicy.CLOSED)
+    @pytest.mark.parametrize("policy", FailPolicy.ALL)
+    def test_attack_verdict_is_not_a_fault(self, policy):
+        """QueryBlocked is a verdict, not a crash: fail-open lets crashed
+        checks through, never attacks."""
+        septic, conn = _prevention_stack(policy)
         outcome = conn.query(TICKET_QUERY % ("' OR 1=1 -- ", "1"))
         assert isinstance(outcome.error, QueryBlocked)
+        assert "SEPTIC" in str(outcome.error)
         assert septic.stats.internal_faults == 0
+        assert septic.stats.fail_open_passes == 0
         assert not septic.breaker.is_open
 
     def test_watchdog_contains_a_hang(self):

@@ -5,9 +5,10 @@ testable pieces: statements read through a pinned watermark and never
 see uncommitted or torn state; a transaction sees its own pending
 writes; first-writer-wins conflicts surface as the retryable errno 1213
 with zero partial effects; version chains are collected once no read
-view can need them; and a deterministic virtual-time schedule shows
-eight readers finishing while a long same-table UPDATE still holds its
-table lock.
+view can need them; and two parked-thread schedules on the real engine
+show a reader parked mid-scan never holding back a same-table writer,
+and a writer parked under its table lock never delaying a reader —
+each with a twin in which a planted SELECT table lock serializes them.
 """
 
 import sys
@@ -15,10 +16,13 @@ import threading
 
 import pytest
 
-from repro.benchlab.harness import run_lock_experiment
+from repro import faults
+from repro.benchlab.crashsweep import state_digest
+from repro.sqldb import ast_nodes as ast
+from repro.sqldb import engine
 from repro.sqldb.connection import Connection
-from repro.sqldb.engine import Database
-from repro.sqldb.errors import WriteConflictError
+from repro.sqldb.engine import Database, LockPlan
+from repro.sqldb.errors import TransientEngineError, WriteConflictError
 
 
 BANK_SCHEMA = (
@@ -404,27 +408,173 @@ class TestConcurrentReadersAndWriter(object):
         assert out_of_range == []
         assert len(db.table("items")) == base
 
-    def test_eight_readers_progress_during_long_update(self):
-        """Deterministic virtual time: with MVCC lock plans the whole
-        read side completes while one long UPDATE on the *same* table
-        is still holding its table lock; under the exclusive baseline
-        everything serializes behind it."""
-        setup = BANK_SCHEMA
-        reads = ["SELECT bal FROM accounts WHERE id = 1"]
-        write = "UPDATE accounts SET bal = bal + 1"
-        pinned = dict(reader_service=[1e-3], writer_service=1.0,
-                      readers=8, loops=5)
-        mvcc = run_lock_experiment(
-            setup, reads, write, lock_mode="shared", **pinned
-        )
-        serial = run_lock_experiment(
-            setup, reads, write, lock_mode="exclusive", **pinned
-        )
-        # every reader finished while the writer still held its lock
-        assert mvcc.readers_overlapped_writer
-        assert mvcc.makespan < mvcc.writer_service
-        # the exclusive baseline parks all reads behind the writer
-        assert not serial.readers_overlapped_writer
-        assert serial.makespan > serial.writer_service
-        assert mvcc.speedup_vs(serial) >= 4.0
-        assert mvcc.statements == serial.statements == 40
+
+# -- parked-thread schedules ------------------------------------------------
+#
+# "Writers never block readers" as two fixed schedules on the real
+# engine.  ``operator.next`` fires when each operator opens: for a SELECT
+# after ``Executor.execute`` has pinned the read view, for DML after the
+# statement's locks are taken and before its first mutation.  Parking
+# one named thread there holds it at exactly that point.  Each schedule
+# has a twin that plants a table-shared lock on SELECT — the lock plan
+# MVCC retired — and shows the property then fails.
+
+#: how long a schedule waits for the thread that should make progress;
+#: the green paths return as soon as it does, only the twins wait it out
+_BOUND = 2.0
+
+SCHEDULE_SCHEMA = (
+    "CREATE TABLE t (id INT PRIMARY KEY, v INT); "
+    "INSERT INTO t (id, v) VALUES (1, 0), (2, 0), (3, 0), (4, 0), (5, 0)"
+)
+SUM_COUNT = "SELECT SUM(v), COUNT(*) FROM t"
+
+
+class _Park(object):
+    """A fault plan that parks the thread named *name* at its first
+    ``operator.next`` until :meth:`release`; every other firing passes."""
+
+    def __init__(self, name):
+        self.name = name
+        self.parked = threading.Event()
+        self._released = threading.Event()
+
+    def fire(self, site, payload=None, corruptor=None):
+        if (site == "operator.next" and not self.parked.is_set()
+                and threading.current_thread().name == self.name):
+            self.parked.set()
+            self._released.wait()
+        return payload
+
+    def release(self):
+        self._released.set()
+
+
+def _plant_select_table_lock(monkeypatch):
+    """Make every SELECT hold table ``t`` shared for its whole run."""
+    retired = engine.lock_plan
+
+    def planted(stmt):
+        if isinstance(stmt, ast.Select):
+            return LockPlan(True, [("t", True)])
+        return retired(stmt)
+
+    monkeypatch.setattr(engine, "lock_plan", planted)
+
+
+def _run_parked(parked_name, parked_sql, other_sqls):
+    """Run *parked_sql* on a thread parked at its first operator, then
+    *other_sqls* on a second thread.  Returns ``(progressed, parked rows,
+    other rows)``: *progressed* is whether the second thread finished
+    while the first was still parked."""
+    db = Database()
+    db.seed(SCHEDULE_SCHEMA)
+    park = _Park(parked_name)
+    finished = threading.Event()
+    results, errors = {}, []
+
+    def run(name, sqls, done=None):
+        try:
+            with Connection(db) as conn:
+                results[name] = [conn.query_or_raise(sql).rows
+                                 for sql in sqls]
+        except Exception as exc:  # pragma: no cover - failure path
+            errors.append(exc)
+        finally:
+            if done is not None:
+                done.set()
+
+    parked = threading.Thread(target=run, name=parked_name,
+                              args=(parked_name, [parked_sql]))
+    other = threading.Thread(target=run, args=("other", other_sqls,
+                                               finished))
+    threads = [parked]
+    with faults.armed(park):
+        try:
+            parked.start()
+            assert park.parked.wait(_BOUND)
+            threads.append(other)
+            other.start()
+            progressed = finished.wait(_BOUND)
+        finally:
+            park.release()
+            for thread in threads:
+                thread.join(10 * _BOUND)
+    assert not any(thread.is_alive() for thread in threads)
+    assert errors == []
+    return progressed, results[parked_name][0], results["other"]
+
+
+def _parked_reader():
+    """Schedule (i): a reader parks inside a scan of ``t`` while a writer
+    commits three UPDATE + INSERT pairs on ``t``."""
+    writes = []
+    for new_id in (6, 7, 8):
+        writes += ["UPDATE t SET v = v + 1",
+                   "INSERT INTO t (id, v) VALUES (%d, 0)" % new_id]
+    return _run_parked("reader", SUM_COUNT, writes)
+
+
+def _parked_writer():
+    """Schedule (ii): a writer's UPDATE of ``t`` parks holding the table
+    exclusively while a reader sums ``t``."""
+    progressed, _, (rows,) = _run_parked(
+        "writer", "UPDATE t SET v = v + 1", [SUM_COUNT])
+    return progressed, rows
+
+
+class TestParkedSchedules(object):
+    def test_parked_reader_never_holds_back_a_writer(self):
+        progressed, snapshot, writes = _parked_reader()
+        assert progressed
+        assert len(writes) == 6
+        # the reader returns exactly the snapshot it pinned before parking
+        assert snapshot == [(0, 5)]
+
+    def test_planted_select_lock_holds_back_the_writer(self, monkeypatch):
+        _plant_select_table_lock(monkeypatch)
+        progressed, snapshot, _ = _parked_reader()
+        assert not progressed
+        assert snapshot == [(0, 5)]
+
+    def test_parked_writer_never_delays_a_reader(self):
+        progressed, rows = _parked_writer()
+        assert progressed
+        assert rows == [(0, 5)]          # the pre-write rows
+
+    def test_planted_select_lock_delays_the_reader(self, monkeypatch):
+        _plant_select_table_lock(monkeypatch)
+        progressed, rows = _parked_writer()
+        assert not progressed
+        assert rows == [(5, 5)]          # it read only after the commit
+
+
+class TestAlterBesidePendingRows(object):
+    """The catalog is not versioned: an ALTER that reshaped a table
+    while another session had rows pending in it would settle them as
+    committed, out of that session's ROLLBACK's reach — and out of step
+    with recovery, which never saw them commit."""
+
+    @pytest.mark.parametrize("alter", [
+        "ALTER TABLE t ADD COLUMN w INT",
+        "ALTER TABLE t DROP COLUMN x",
+    ], ids=["add", "drop"])
+    def test_alter_waits_out_another_sessions_pending_rows(self, tmp_path,
+                                                           alter):
+        db = Database.recover(str(tmp_path))
+        db.run("CREATE TABLE t (id INT PRIMARY KEY, v INT, x INT)")
+        db.run("CREATE TABLE u (id INT PRIMARY KEY)")
+        db.run("INSERT INTO t (id, v, x) VALUES (1, 10, 0)")
+        a, b = db.create_session(), db.create_session()
+        db.run("BEGIN", session=a)
+        db.run("INSERT INTO t (id, v, x) VALUES (2, 20, 0)", session=a)
+        with pytest.raises(TransientEngineError) as refused:
+            db.run(alter, session=b)
+        assert refused.value.errno == 1205
+        # a table the open transaction has not written can be reshaped
+        db.run("ALTER TABLE u ADD COLUMN n INT", session=b)
+        db.run("ROLLBACK", session=a)
+        assert [row["id"] for row in db.table("t").rows] == [1]
+        db.run(alter, session=b)           # the retry goes through
+        assert state_digest(db) == state_digest(
+            Database.recover(str(tmp_path)))

@@ -2696,3 +2696,45 @@ def test_tree_gate_catches_an_expression_without_a_renderer():
     problems = _tree_walker_violations([Twice], examples)
     assert [p.split("(")[0].split(":")[0] for p in problems] == [
         "to_sql", "validate", "compile_expr"], problems
+
+
+def _orphan_artefacts(bench_dir, out_dir):
+    """Artefacts in *out_dir* that no bench in *bench_dir* writes.  The
+    ``report`` fixture names ``BENCH_<name>.json`` and ``<name>.txt``
+    after the ``def test_<name>`` that produced them, so an artefact
+    without that function in some ``bench_*.py`` is left over from code
+    that is gone."""
+    benches = set()
+    for filename in os.listdir(bench_dir):
+        if filename.startswith("bench_") and filename.endswith(".py"):
+            with open(os.path.join(bench_dir, filename)) as handle:
+                tree = ast.parse(handle.read(), filename=filename)
+            benches.update(node.name for node in ast.walk(tree)
+                           if isinstance(node, ast.FunctionDef))
+    orphans = []
+    for filename in sorted(os.listdir(out_dir)):
+        match = re.match(r"BENCH_(.+)\.json$|(.+)\.txt$", filename)
+        if match is None:
+            continue
+        if "test_" + (match.group(1) or match.group(2)) not in benches:
+            orphans.append(filename)
+    return orphans
+
+
+def test_every_bench_artefact_has_its_bench():
+    bench_dir = os.path.join(REPO_ROOT, "benchmarks")
+    orphans = _orphan_artefacts(bench_dir, os.path.join(bench_dir, "out"))
+    assert orphans == [], "no bench writes: %s" % ", ".join(orphans)
+
+
+def test_artefact_gate_catches_an_orphan(tmp_path):
+    """The twin: an artefact whose bench function is gone is reported."""
+    (tmp_path / "bench_kept.py").write_text(
+        "def test_kept(report):\n    pass\n")
+    out = tmp_path / "out"
+    out.mkdir()
+    for filename in ("BENCH_kept.json", "kept.txt",
+                     "BENCH_gone.json", "gone.txt"):
+        (out / filename).write_text("")
+    assert _orphan_artefacts(str(tmp_path), str(out)) == [
+        "BENCH_gone.json", "gone.txt"]
