@@ -125,120 +125,6 @@ def run_chaos(app_class, plan=None, septic_flags="YY",
     )
 
 
-class KillRestartResult(object):
-    """What a kill+restart chaos run observed on both sides of the
-    crash: data-plane row counts, trained-model counts, the WAL
-    watermark, and the paired outputs of any caller probes."""
-
-    __slots__ = ("label", "rows_before", "rows_after", "models_before",
-                 "models_after", "wal_lsn", "unknown_delta",
-                 "recovery_report", "probe_pairs")
-
-    def __init__(self, label, rows_before, rows_after, models_before,
-                 models_after, wal_lsn, unknown_delta, recovery_report,
-                 probe_pairs):
-        self.label = label
-        #: {table: row count} immediately before / after the kill
-        self.rows_before = rows_before
-        self.rows_after = rows_after
-        #: learned models immediately before / after the kill
-        self.models_before = models_before
-        self.models_after = models_after
-        #: WAL watermark the reloaded model store carried
-        self.wal_lsn = wal_lsn
-        #: new ``unknown_queries`` during the post-restart workload
-        #: replay — 0 means every trained query was still recognized
-        self.unknown_delta = unknown_delta
-        #: :attr:`Database.recovery_report` of the restart
-        self.recovery_report = recovery_report
-        #: list of (before, after) outputs of each caller probe
-        self.probe_pairs = probe_pairs
-
-    @property
-    def consistent(self):
-        """The headline claim: the restarted server has the same data,
-        the same trained models, and every probe behaves identically."""
-        return (
-            self.rows_before == self.rows_after
-            and self.models_before == self.models_after
-            and self.unknown_delta == 0
-            and all(before == after for before, after in self.probe_pairs)
-        )
-
-    def __repr__(self):
-        return ("KillRestartResult(%s: rows %s->%s, models %d->%d, "
-                "consistent=%s)") % (self.label, self.rows_before,
-                                     self.rows_after, self.models_before,
-                                     self.models_after, self.consistent)
-
-
-def run_kill_restart(app_class, data_dir, septic_flags="YY",
-                     training_passes=1, probes=(), label=None):
-    """Kill the DBMS mid-service and prove nothing protective was lost.
-
-    Builds a *durable* SEPTIC stack (WAL-backed database, models
-    co-persisted with the LSN watermark), trains it, serves the workload
-    in prevention mode, then simulates a crash — the WAL handle is
-    abandoned un-synced and the database rebuilt from disk through the
-    recovery path, models reloaded from their co-persisted store.  Each
-    *probe* is called as ``probe(server, app, septic)`` before and after
-    the kill; a consistent run produces identical pairs (the canonical
-    probes: "is this trained query accepted?", "is this attack
-    blocked?").
-
-    Returns a :class:`KillRestartResult`.
-    """
-    from repro.core.logger import SepticLogger
-    from repro.core.septic import Septic, SepticConfig
-    from repro.sqldb.engine import Database
-    from repro.web.server import WebServer
-
-    septic = Septic(
-        mode=Mode.TRAINING,
-        config=SepticConfig.from_flags(septic_flags),
-        logger=SepticLogger(verbose=False),
-    )
-    database = Database.recover(data_dir, name=app_class.name,
-                                septic=septic)
-    septic.bind_store(database)
-    app = app_class(database)
-    server = WebServer(app)
-    for _ in range(training_passes):
-        for request in app.workload_requests():
-            app.handle(request)
-    septic.mode = Mode.PREVENTION
-    # serve one prevention-mode pass, then snapshot the "before" world
-    for request in app.workload_requests():
-        server.handle(request)
-    before_probes = [probe(server, app, septic) for probe in probes]
-    rows_before = {
-        name: len(table) for name, table in database.tables.items()
-    }
-    models_before = len(septic.store)
-    # -- the kill: un-synced handle drop + recovery from disk ------------
-    database.reopen()
-    septic.reload_models()
-    recovery_report = dict(database.recovery_report or {})
-    rows_after = {
-        name: len(table) for name, table in database.tables.items()
-    }
-    models_after = len(septic.store)
-    unknown_before = septic.stats.as_dict()["unknown_queries"]
-    for request in app.workload_requests():
-        server.handle(request)
-    unknown_delta = (
-        septic.stats.as_dict()["unknown_queries"] - unknown_before
-    )
-    after_probes = [probe(server, app, septic) for probe in probes]
-    database.close()
-    return KillRestartResult(
-        label or ("%s/%s kill+restart" % (app_class.name, septic_flags)),
-        rows_before, rows_after, models_before, models_after,
-        septic.store.wal_lsn, unknown_delta, recovery_report,
-        list(zip(before_probes, after_probes)),
-    )
-
-
 def format_chaos_result(result):
     """Human-readable chaos report (the benchmark artifact body)."""
     lines = [

@@ -82,14 +82,17 @@ class BenchLabResult(object):
 
 
 def build_stack(app_class, septic_flags=None, mode=Mode.PREVENTION,
-                training_passes=1, cache_size=512):
+                training_passes=1, cache_size=512, data_dir=None):
     """Build (server, app, septic) for one configuration.
 
     *septic_flags* is ``None`` for the original server (no SEPTIC) or a
     two-letter Y/N string (Figure 5 notation).  SEPTIC stacks are trained
     by replaying the workload in training mode first, like the demo.
     *cache_size* sizes the database's pipeline cache (``0`` disables it,
-    for cold-path ablations).
+    for cold-path ablations).  With a *data_dir* the stack is durable:
+    the database is recovered from that directory (WAL + checkpoint)
+    and SEPTIC's models are co-persisted with its LSN watermark, so
+    ``database.reopen()`` + ``septic.reload_models()`` is a restart.
     """
     septic = None
     if septic_flags is not None:
@@ -98,8 +101,14 @@ def build_stack(app_class, septic_flags=None, mode=Mode.PREVENTION,
             config=SepticConfig.from_flags(septic_flags),
             logger=SepticLogger(verbose=False),
         )
-    database = Database(name=app_class.name, septic=septic,
-                        cache_size=cache_size)
+    if data_dir is None:
+        database = Database(name=app_class.name, septic=septic,
+                            cache_size=cache_size)
+    else:
+        database = Database.recover(data_dir, name=app_class.name,
+                                    septic=septic, cache_size=cache_size)
+        if septic is not None:
+            septic.bind_store(database)
     app = app_class(database)
     if septic is not None:
         for _ in range(training_passes):

@@ -31,8 +31,6 @@ class EventKind(object):
     BREAKER_RESET = "BREAKER_RESET"
     STORE_RECOVERED = "STORE_RECOVERED"
     MODELS_RELOADED = "MODELS_RELOADED"
-    # -- plan-layer observability (opt-in, never significant) -----------
-    STAGE_TIMING = "STAGE_TIMING"
 
 
 #: kinds always recorded, even when not verbose (attack evidence and

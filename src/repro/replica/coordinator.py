@@ -149,6 +149,9 @@ class ReplicaSet(object):
             role = Role.PRIMARY if index == 0 else Role.REPLICA
             self.nodes.append(ReplicaNode(name, database, role=role))
         self._install_retention_pin(self.nodes[0])
+        if storage == "paged":
+            self.nodes[0].database.register_page_repair_source(
+                self._replica_rows)
 
     # -- membership --------------------------------------------------------
 
@@ -209,22 +212,6 @@ class ReplicaSet(object):
                 for node in self.replicas():
                     node.heartbeat(self.clock, self.epoch)
         self._check_leases()
-
-    def renew_leases(self):
-        """Re-stamp every live member's lease at the current tick.
-
-        An operator-driven full-stack restart (``WebServer.restart(
-        hard=True)``) bounces the primary through recovery; without a
-        renewal the downtime it causes would read as lost heartbeats
-        and could push a replica into a spurious election the moment
-        ticking resumes.  Returns the number of leases renewed."""
-        renewed = 0
-        for node in self.nodes:
-            if node.alive:
-                node.heartbeat(self.clock, self.epoch)
-                renewed += 1
-        self._log("leases_renewed", "%d nodes" % renewed)
-        return renewed
 
     def _check_leases(self):
         expired = [
@@ -401,46 +388,38 @@ class ReplicaSet(object):
 
     # -- storage repair ----------------------------------------------------
 
-    def register_storage_repair(self):
-        """Wire the primary's corruption scrubber to the replica fleet.
-
-        Installs a page-repair source on the primary's paged store
-        (requires ``storage="paged"``): when a quarantined page cannot
-        be repaired from the doublewrite area, a clean frame or local
-        WAL redo, the owning table's rows are fetched from the most
-        caught-up live replica and the table is rebuilt from them.
-        Only a replica at (or past) the primary's durable frontier
-        qualifies — repairing from a lagging replica would silently
-        roll the table back.
-        """
-        primary_node = self.nodes[0]
-
-        def provider(table_name):
-            primary = self.primary
-            if primary is None:
-                return None
-            frontier = primary.database.durable_lsn
-            best = None
-            for node in self.replicas():
-                if node.name in self._partitioned:
-                    continue
-                applied = node.applier.applied_lsn
-                if applied >= frontier and (
-                        best is None or applied > best[0]):
-                    best = (applied, node)
-            if best is None:
-                return None
-            table = best[1].database.tables.get(table_name)
-            if table is None:
-                return None
-            self._log(
-                "storage_repair",
-                "table %r re-fed from %s (applied_lsn=%d)"
-                % (table_name, best[1].name, best[0]),
-            )
-            return table.value_rows()
-
-        primary_node.database.register_page_repair_source(provider)
+    def _replica_rows(self, table_name):
+        """The primary scrubber's last repair source (installed by
+        ``__init__`` on a paged set): when a quarantined page cannot be
+        repaired from the doublewrite area, a clean frame or local WAL
+        redo, the owning table's rows come from the most caught-up live
+        replica and the table is rebuilt from them.  Only a replica at
+        (or past) the primary's durable frontier qualifies — repairing
+        from a lagging replica would silently roll the table back.
+        Returns the rows, or ``None`` when no replica qualifies."""
+        primary = self.primary
+        if primary is None:
+            return None
+        frontier = primary.database.durable_lsn
+        best = None
+        for node in self.replicas():
+            if node.name in self._partitioned:
+                continue
+            applied = node.applier.applied_lsn
+            if applied >= frontier and (
+                    best is None or applied > best[0]):
+                best = (applied, node)
+        if best is None:
+            return None
+        table = best[1].database.tables.get(table_name)
+        if table is None:
+            return None
+        self._log(
+            "storage_repair",
+            "table %r re-fed from %s (applied_lsn=%d)"
+            % (table_name, best[1].name, best[0]),
+        )
+        return table.value_rows()
 
     def _drop_replica(self, node, lag):
         node.role = Role.DETACHED

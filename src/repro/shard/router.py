@@ -59,6 +59,9 @@ from repro.sqldb.parser import parse_sql
 from repro.sqldb.planner import DistributedPlanner
 from repro.sqldb.storage import ResultSet
 
+#: distinct statement texts and shapes whose routes the router keeps
+ROUTE_CACHE_SIZE = 256
+
 
 class _GatherContext(object):
     """Duck-typed ``ExecState.ctx`` for gather trees.  The only leaf
@@ -91,7 +94,7 @@ class ShardRouter(ClientSession):
     def __init__(self, workdir, shards=2, replicas=1, septic_factory=None,
                  seed=1, charset=None, heartbeat_interval=5,
                  lease_intervals=3, wal_sync="commit", storage="memory",
-                 max_lag_lsn=0, route_cache_size=256):
+                 max_lag_lsn=0):
         self.catalog = ShardCatalog(shards)
         self.planner = DistributedPlanner(shards, self.catalog)
         self.shard_sets = [
@@ -115,11 +118,10 @@ class ShardRouter(ClientSession):
         #: bumped before every DDL broadcast; route-cache entries key on
         #: it, so a stale distributed plan can never be served
         self.catalog_epoch = 0
-        self.route_cache_size = route_cache_size
         #: ``(None, text | shape, catalog_epoch)`` -> the text's
         #: binding (route, values) under a text, the :class:`ShardRoute`
         #: under a shape
-        self._routes = PipelineCache(route_cache_size)
+        self._routes = PipelineCache(ROUTE_CACHE_SIZE)
         self.last_gather_stats = None
         self._counts = {"single_shard": 0, "scatter": 0, "broadcast": 0,
                         "pinned": 0, "gather_peak_rows": 0}

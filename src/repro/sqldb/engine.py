@@ -34,7 +34,6 @@ from datetime import datetime, timedelta
 
 from repro import faults as faults_mod
 from repro.core import resilience
-from repro.core.logger import EventKind
 from repro.sqldb import ast_nodes as ast
 from repro.sqldb import charset as charset_mod
 from repro.sqldb import wal as wal_mod
@@ -215,7 +214,7 @@ class QueryContext(object):
     """Everything SEPTIC's hook receives about one statement."""
 
     __slots__ = ("_sql", "statement", "stack", "comments", "database",
-                 "memo", "values", "stage_stats")
+                 "memo", "values")
 
     def __init__(self, sql, statement, stack, comments, database,
                  memo=None, values=()):
@@ -236,9 +235,6 @@ class QueryContext(object):
         self.memo = memo
         #: this execution's values vector (data literals / parameters)
         self.values = values
-        #: per-stage instrumentation (:class:`repro.sqldb.plan.StageStats`)
-        #: filled by the executor after the statement's plan ran
-        self.stage_stats = None
 
     @property
     def sql(self):
@@ -392,6 +388,10 @@ class Database(object):
         self.pool_pages = pool_pages
         #: the :class:`repro.sqldb.pager.PageStore` (paged storage only)
         self.page_store = None
+        #: scrubber repair sources beyond local WAL redo (see
+        #: :meth:`register_page_repair_source`); every page store a
+        #: recovery opens tries this very list, so they survive reopen()
+        self._page_repair_sources = []
         #: statement-scope RW locks (catalog + per table)
         self.lock_manager = LockManager()
         self.version = "5.7.16-repro"
@@ -478,9 +478,6 @@ class Database(object):
         #: cumulative wall-clock seconds spent inside the SEPTIC hook
         #: (measured live; the BenchLab harness reads this)
         self.septic_seconds_total = 0.0
-        #: opt-in: emit a STAGE_TIMING logger event per executed plan
-        #: (off by default — the pinned event streams stay unchanged)
-        self.log_stage_timings = False
         #: stats provider installed by the socket front end
         #: (:class:`repro.net.server.NetServer`); ``Septic.status()``
         #: surfaces its connection counters under ``"net"``
@@ -1025,7 +1022,8 @@ class Database(object):
     def register_page_repair_source(self, provider):
         """Install *provider(table_name) -> rows | None* (typically a
         caught-up replica's table snapshot) as a scrubber repair
-        source, tried after doublewrite / clean frame / WAL redo."""
+        source, tried after doublewrite / clean frame / WAL redo.  It
+        stays installed across :meth:`reopen`."""
         if self.page_store is None:
             raise WalError("page repair sources need paged storage")
 
@@ -1037,7 +1035,7 @@ class Database(object):
                 return False
             return self._rebuild_table_from_rows(table_name, rows)
 
-        self.page_store.scrubber.replica_sources.append(_repair)
+        self._page_repair_sources.append(_repair)
 
     def scrub(self, ticks=1):
         """Advance the online scrubber by *ticks* virtual ticks; each
@@ -1149,6 +1147,8 @@ class Database(object):
                 decoder=btree_mod.decode_node,
             )
             self.page_store.scrubber.redo_source = self._scrub_redo_repair
+            self.page_store.scrubber.replica_sources = \
+                self._page_repair_sources
             self.page_store.pool.wal_barrier = self._wal_barrier
             pages_state = (checkpoint or {}).get("pages") or {}
             self.page_store.restore_allocation(pages_state)
@@ -1576,7 +1576,7 @@ class Database(object):
             try:
                 result = self._executor.execute(
                     stmt, session=session, prepared=prepared,
-                    query_context=context, params=values,
+                    params=values,
                 )
             except ExecutionError:
                 # the statement failed but may have had partial effects
@@ -1605,25 +1605,7 @@ class Database(object):
             self.statements_executed += 1
         if result.last_insert_id is not None:
             session.last_insert_id = result.last_insert_id
-        if self.log_stage_timings and context is not None:
-            self._log_stage_timings(context.sql, context)
         return result
-
-    def _log_stage_timings(self, sql_text, context):
-        """Opt-in per-stage timing event (virtual-clock ticks and
-        rows-in/rows-out per operator).  Best-effort observability:
-        never allowed to fail a statement that already executed."""
-        stats = context.stage_stats
-        if stats is None or self.septic is None:
-            return
-        logger = getattr(self.septic, "logger", None)
-        if logger is None:
-            return
-        try:
-            logger.log(EventKind.STAGE_TIMING, query=sql_text,
-                       detail=stats.render_timings())
-        except Exception:
-            pass
 
     # -- convenience -------------------------------------------------------------
 

@@ -7,7 +7,7 @@ out live in :mod:`repro.sqldb.plan`.  What remains here is dispatch,
 the DDL/SHOW/transaction handlers (which execute directly against the
 catalog) and plan preparation/caching.  What a plan did is on its
 execution's :class:`~repro.sqldb.plan.StageStats`
-(:attr:`Executor.last_stage_stats`, ``QueryContext.stage_stats``).
+(:attr:`Executor.last_stage_stats`).
 """
 
 from repro.sqldb import ast_nodes as ast
@@ -123,16 +123,9 @@ class Executor(object):
         self._subplan_memo[key] = (select, fingerprint, plan)
         return plan
 
-    def _record(self, stats, query_context):
-        """Expose one execution's StageStats for instrumentation."""
-        self.last_stage_stats = stats
-        if query_context is not None:
-            query_context.stage_stats = stats
-
     # -- entry point -----------------------------------------------------
 
-    def execute(self, stmt, session=None, prepared=None,
-                query_context=None, params=()):
+    def execute(self, stmt, session=None, prepared=None, params=()):
         """Run *stmt*; *params* is the values vector its ``Param``
         slots read (the statement and its plan are shared, read-only)."""
         if session is None:
@@ -152,7 +145,7 @@ class Executor(object):
             finally:
                 self._db.close_read_view(view)
             state.stats.note_materialized(len(rows))
-            self._record(state.stats, query_context)
+            self.last_stage_stats = state.stats
             return ExecutionResult(
                 result_set=ResultSet(prepared.columns, rows),
                 sleep_seconds=ctx.sleep_seconds,
@@ -174,7 +167,7 @@ class Executor(object):
                 # visible exactly as they always were
                 if own_txn:
                     self._db._seal_txn(txn)
-            self._record(state.stats, query_context)
+            self.last_stage_stats = state.stats
             return result
         if isinstance(stmt, _IMPLICIT_COMMIT):
             session.commit(under_locks=True)

@@ -89,6 +89,9 @@ IO_ATTEMPTS = 3
 #: virtual seconds charged per retry (doubled each attempt)
 IO_BACKOFF = 0.01
 
+#: cold pages the scrubber verifies per virtual tick
+SCRUB_PAGES_PER_TICK = 2
+
 #: file names inside a data directory
 PAGES_NAME = "pages.db"
 DOUBLEWRITE_NAME = "doublewrite.db"
@@ -796,7 +799,10 @@ class Scrubber(object):
        table from the checkpoint's logical rows + the log tail and
        forces a checkpoint, re-homing every page atomically;
     4. a caught-up **replica** (``replica_sources``): same rebuild,
-       rows fetched from the replica instead of local redo.
+       rows fetched from the replica instead of local redo.  A paged
+       ``ReplicaSet`` installs this source on its primary itself, and
+       the engine hands its sources to every page store a recovery
+       opens, so they survive ``Database.reopen()``.
 
     A page that verifies is never rewritten — ``false_repairs`` counts
     the (structurally impossible) violations and the corruption sweep
@@ -805,10 +811,10 @@ class Scrubber(object):
     ``time``/``datetime`` out of this module).
     """
 
-    def __init__(self, pager, pool, pages_per_tick=2):
+    def __init__(self, pager, pool):
         self.pager = pager
         self.pool = pool
-        self.pages_per_tick = pages_per_tick
+        self.pages_per_tick = SCRUB_PAGES_PER_TICK
         #: page_no -> owning table name (the scan set)
         self._scan_map = {}
         self._scan_list = []
@@ -941,13 +947,11 @@ class PageStore(object):
     module free of any knowledge of what lives *inside* a page."""
 
     def __init__(self, data_dir, page_size=DEFAULT_PAGE_SIZE,
-                 pool_pages=64, sync=True, encoder=None, decoder=None,
-                 scrub_pages_per_tick=2):
+                 pool_pages=64, sync=True, encoder=None, decoder=None):
         self.pager = Pager(data_dir, page_size=page_size, sync=sync)
         self.pool = BufferPool(self.pager, capacity=pool_pages,
                                encoder=encoder, decoder=decoder)
-        self.scrubber = Scrubber(self.pager, self.pool,
-                                 pages_per_tick=scrub_pages_per_tick)
+        self.scrubber = Scrubber(self.pager, self.pool)
         #: doublewrite batch counter (persisted via the checkpoint)
         self.batch_id = 0
 

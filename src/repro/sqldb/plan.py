@@ -937,7 +937,8 @@ class InsertSink(PlanNode):
         table = ctx.database.table(stmt.table)
         columns = stmt.columns or table.column_names()
         # Evaluate every VALUES row up front so a bad expression — or a
-        # first-writer-wins conflict on the rows REPLACE / ON DUPLICATE
+        # first-writer-wins conflict on a key another transaction's
+        # pending UPDATE moved, or on the rows REPLACE / ON DUPLICATE
         # KEY UPDATE would mutate — surfaces before any row is touched.
         pending = []
         for row_exprs in self.rows_of:
@@ -947,8 +948,9 @@ class InsertSink(PlanNode):
                 )
             pending.append({col.lower(): expr(ctx.row, ctx)
                             for col, expr in zip(columns, row_exprs)})
-        if stmt.replace or stmt.on_duplicate:
-            for values in pending:
+        for values in pending:
+            table.check_moved_keys(values, txn)
+            if stmt.replace or stmt.on_duplicate:
                 for conflict in _unique_conflicts(table, values):
                     table.check_write(conflict, txn)
         inserted = 0

@@ -366,6 +366,10 @@ class Table(object):
         self._tombstones = []
         #: bumped once per statement that removes rows
         self._delete_epoch = 0
+        #: rowid -> pending meta of an open transaction's UPDATE that
+        #: moved a PK/UNIQUE value away from the committed image behind
+        #: it; that image holds its keys until the transaction ends
+        self._moved_keys = {}
 
     def has_column(self, name):
         return name.lower() in self._by_name
@@ -507,8 +511,14 @@ class Table(object):
             # publish the pending meta BEFORE the image swap: a
             # lock-free reader must never observe new_row without the
             # metadata that marks it invisible
-            self._meta[rowid] = _RowMeta(None, txn, prior)
+            self._meta[rowid] = meta = _RowMeta(None, txn, prior)
             txn.record(self, "write", new_row)
+            # a statement-scoped txn (no read stamp) seals before its
+            # table lock goes: no other writer can meet its images
+            if prior is not None and txn.read_stamp is not None and any(
+                    prior.row.get(col.name) != new_row.get(col.name)
+                    for col in self._unique_columns()):
+                self._moved_keys[rowid] = meta
         self.store.replace(new_row, pending=txn is not None)
         self._apply_delta(lambda index: index.replace(current, new_row))
         return new_row
@@ -608,6 +618,8 @@ class Table(object):
                     self._tombstones.remove(payload)
                 except ValueError:
                     pass
+        if self._moved_keys:
+            self._moved_keys.pop(rowid, None)
         self.store.settle(rowid)
 
     def undo(self, txn, kind, payload, auto):
@@ -642,6 +654,7 @@ class Table(object):
             else:
                 del self._meta[rowid]       # no row, or a settled one
             self.store.revert(rowid, committed)
+            self._moved_keys.pop(rowid, None)
 
             def delta(index):
                 if current is not None:
@@ -693,6 +706,7 @@ class Table(object):
         self.store.settle()
         self._meta = {}
         self._tombstones = []
+        self._moved_keys = {}
         self._auto_tip = None
 
     def _visible_row(self, row, meta, view):
@@ -886,6 +900,7 @@ class Table(object):
                                                  len(names)))
         self._meta = {}
         self._tombstones = []
+        self._moved_keys = {}
         self.store.clear()
         for row in images:
             row.rowid = self.store.new_rowid()
@@ -1044,7 +1059,9 @@ class Table(object):
         *vacated* names, as ``(column, rowid)``, the current rows whose
         value in that column the same statement has already replaced.
         A key stays taken while another transaction's delete of it is
-        pending: its ROLLBACK re-admits the row."""
+        pending: its ROLLBACK re-admits the row (a key its pending
+        UPDATE moved away is :meth:`check_moved_keys`'s, which the
+        statement runs before its first write)."""
         for col, value, row in self._unique_matches(values):
             if (col.name, row.rowid) not in vacated:
                 raise _duplicate_entry(value, col.name)
@@ -1058,6 +1075,29 @@ class Table(object):
                 value = values.get(col.name)
                 if value is not None and hidden.row.get(col.name) == value:
                     raise _duplicate_entry(value, col.name)
+
+    def check_moved_keys(self, values, txn):
+        """Raise :class:`WriteConflictError` when *values* hold a
+        PK/UNIQUE value that another open transaction's pending UPDATE
+        moved away from a committed row: until that transaction ends
+        the key is not free (its ROLLBACK brings the row back), nor
+        taken for good (its COMMIT frees it), so the writer retries.
+        Raised before anything changes, so nothing is logged.  Costs
+        one test while no such update is pending on the table."""
+        if not self._moved_keys:
+            return
+        for meta in self._moved_keys.values():
+            if meta.owner is txn:
+                continue
+            held = meta.prior.row
+            for col in self._unique_columns():
+                value = values.get(col.name)
+                if value is not None and held.get(col.name) == \
+                        self.convert(col.name, value):
+                    raise WriteConflictError(
+                        "Write conflict on table '%s': key '%s' was moved "
+                        "by another transaction's pending update; retry"
+                        % (self.name, value))
 
     def check_unique_update(self, columns, changes, txn):
         """PK/UNIQUE enforcement for one UPDATE whose SET list names
@@ -1087,6 +1127,7 @@ class Table(object):
             for name, value in values.items():
                 if (name, value) in claimed:
                     raise _duplicate_entry(value, name)
+            self.check_moved_keys(values, txn)
             self._check_unique(values, txn, vacated)
             claimed.update(values.items())
 

@@ -18,12 +18,9 @@ from repro.web.http import Response
 class WebServer(object):
     """Apache-alike: WAF first, application second."""
 
-    def __init__(self, app, waf=None, replica_set=None):
+    def __init__(self, app, waf=None):
         self.app = app
         self.waf = waf
-        #: optional :class:`repro.replica.coordinator.ReplicaSet` behind
-        #: this server, surfaced through :meth:`replication_status`
-        self.replica_set = replica_set
         #: the socket front end started by :meth:`serve_net` (or None)
         self.net_server = None
         self.requests_served = 0
@@ -73,12 +70,9 @@ class WebServer(object):
         ``hard=True`` bounces the whole stack, DBMS included: the
         database is rebuilt from its data directory through the
         crash-recovery path, SEPTIC reloads its persisted query models,
-        the socket front end (when attached) drops every wire
-        connection and rebinds, and the replica set's lease clock is
-        renewed — an operator-driven restart must not read as primary
-        downtime, or the first ticks afterwards would trigger a
-        spurious election.  Requires the database to have durability
-        attached (a no-op for a purely in-memory stack).
+        and the socket front end (when attached) drops every wire
+        connection and rebinds.  Requires the database to have
+        durability attached (a no-op for a purely in-memory stack).
         """
         self.requests_served = 0
         self.requests_blocked = 0
@@ -98,14 +92,5 @@ class WebServer(object):
         septic = getattr(database, "septic", None)
         if septic is not None and hasattr(septic, "reload_models"):
             septic.reload_models()
-        if self.replica_set is not None:
-            self.replica_set.renew_leases()
         if net_server is not None:
             self.serve_net(host=host, port=port)
-
-    def replication_status(self):
-        """Per-replica roles, applied LSNs and lags for an operator
-        dashboard, or ``None`` when no replica set is attached."""
-        if self.replica_set is None:
-            return None
-        return self.replica_set.status()

@@ -1,5 +1,6 @@
 """Replica-fed page repair: a caught-up replica is the scrubber's last
-repair source for a primary running paged storage."""
+repair source for a primary running paged storage.  A paged
+``ReplicaSet`` wires it itself, and the source survives a restart."""
 
 from repro.benchlab.crashsweep import MarkerSeptic, state_digest
 from repro.replica import ReplicaSet
@@ -47,7 +48,6 @@ def break_local_sources(replica_set, database, page_no):
 class TestReplicaFedRepair(object):
     def test_caught_up_replica_refeeds_a_corrupt_table(self, tmp_path):
         replica_set = make_set(tmp_path)
-        replica_set.register_storage_repair()
         seed_rows(replica_set)
         primary = replica_set.primary.database
         # replicas must catch up first: a retention pin defers the
@@ -73,7 +73,6 @@ class TestReplicaFedRepair(object):
         """A replica behind the primary's durable frontier must be
         rejected — re-feeding stale rows would roll the table back."""
         replica_set = make_set(tmp_path)
-        replica_set.register_storage_repair()
         conn = seed_rows(replica_set)
         primary = replica_set.primary.database
         replica_set.tick(2 * replica_set.heartbeat_interval)
@@ -97,6 +96,28 @@ class TestReplicaFedRepair(object):
         assert scrub_full_pass(primary) == 0
         stats = primary.storage_stats()["scrubber"]
         assert stats["repairs_by_source"].get("replica") == 1
+        assert stats["quarantined"] == 0
+        assert state_digest(primary) == golden
+        replica_set.close()
+
+    def test_repair_source_survives_a_primary_restart(self, tmp_path):
+        """The restart rebuilds the primary's page store through
+        recovery; the replica source must be installed in the new one."""
+        replica_set = make_set(tmp_path)
+        seed_rows(replica_set)
+        replica_set.tick(2 * replica_set.heartbeat_interval)
+        replica_set.primary.restart()
+        primary = replica_set.primary.database
+        assert primary.checkpoint() is not None
+        replica_set.tick(2 * replica_set.heartbeat_interval)
+        golden = state_digest(primary)
+
+        page_no = sorted(primary.tables["items"].store.pages())[0]
+        break_local_sources(replica_set, primary, page_no)
+        assert scrub_full_pass(primary) == 1
+
+        stats = primary.storage_stats()["scrubber"]
+        assert stats["repairs_by_source"] == {"replica": 1}
         assert stats["quarantined"] == 0
         assert state_digest(primary) == golden
         replica_set.close()

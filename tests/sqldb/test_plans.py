@@ -316,21 +316,6 @@ class TestStageInstrumentation(object):
         assert "Limit" in text
         assert "t=" in text
 
-    def test_stage_timing_events_are_opt_in(self, shop):
-        from repro.core.logger import EventKind, SepticLogger
-        from repro.core.septic import Mode, Septic
-        logger = SepticLogger(verbose=True)
-        database = Database(septic=Septic(mode=Mode.TRAINING, logger=logger))
-        database.seed("CREATE TABLE t (id INT PRIMARY KEY, v INT);"
-                      "INSERT INTO t VALUES (1, 10), (2, 20);")
-        rows(database, "SELECT v FROM t")
-        assert not logger.by_kind(EventKind.STAGE_TIMING)
-        database.log_stage_timings = True
-        rows(database, "SELECT v FROM t WHERE id = 1")
-        events = logger.by_kind(EventKind.STAGE_TIMING)
-        assert events
-        assert "IndexEqScan" in events[-1].detail
-
 
 def test_executor_owns_no_planning_decisions():
     """Acceptance pin: access-path and join-strategy choices live in

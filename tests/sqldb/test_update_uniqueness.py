@@ -104,3 +104,69 @@ class TestUpdateUniqueness(object):
 
 class TestUpdateUniquenessPaged(TestUpdateUniqueness):
     storage = "paged"
+
+
+def _logged(database):
+    return [(record.lsn, record.sql) for record in
+            wal.scan_log(wal.log_path(database.data_dir)).records]
+
+
+class TestKeyVacatedByAPendingUpdate(object):
+    """A's pending ``UPDATE t SET id = 5 WHERE id = 1`` has not vacated
+    key 1 for anyone else: its ROLLBACK brings the row back.  B's
+    write of key 1 is refused retryably (1213, nothing changed, nothing
+    logged); after A's ROLLBACK the retry is a duplicate, after A's
+    COMMIT it succeeds.  Live and recovered state agree in every case."""
+
+    storage = "memory"
+
+    @pytest.mark.parametrize("sql, after_rollback", [
+        ("INSERT INTO t VALUES (1, 'x', 99)", 1062),
+        # REPLACE deletes whatever holds the key: the restored row
+        ("REPLACE INTO t VALUES (1, 'x', 99)", None),
+        ("UPDATE t SET id = 1 WHERE id = 2", 1062),
+    ])
+    @pytest.mark.parametrize("end", ["ROLLBACK", "COMMIT"])
+    def test_a_key_a_pending_update_vacated_stays_held(
+            self, backend, sql, after_rollback, end):
+        database = backend.recover()
+        database.seed(SCHEMA)
+        a, b = Connection(database), Connection(database)
+        a.query_or_raise("BEGIN")
+        a.query_or_raise("UPDATE t SET id = 5 WHERE id = 1")
+        before = _logged(database)
+        assert b.query(sql).error.errno == 1213
+        assert _logged(database) == before
+        a.query_or_raise(end)
+        if end == "ROLLBACK":
+            assert _rows(b) == ORIGINAL
+        retry = b.query(sql)
+        if end == "ROLLBACK" and after_rollback is not None:
+            assert retry.error.errno == after_rollback
+            assert _rows(b) == ORIGINAL
+        else:
+            assert retry.error is None
+        ids = [row[0] for row in _rows(b)]
+        assert len(ids) == len(set(ids))
+        assert verify_index_consistency(database) == []
+        live = state_digest(database)
+        database.close()
+        assert state_digest(backend.recover()) == live
+
+    def test_a_key_its_own_transaction_vacated_is_free(self, backend):
+        database = backend.recover()
+        database.seed(SCHEMA)
+        a = Connection(database)
+        a.query_or_raise("BEGIN")
+        a.query_or_raise("UPDATE t SET id = 5 WHERE id = 1")
+        a.query_or_raise("INSERT INTO t VALUES (1, 'x', 99)")
+        a.query_or_raise("COMMIT")
+        assert _rows(a) == [(1, "x", 99), (2, "b", 20), (3, "c", 30),
+                            (5, "a", 10)]
+        live = state_digest(database)
+        database.close()
+        assert state_digest(backend.recover()) == live
+
+
+class TestKeyVacatedByAPendingUpdatePaged(TestKeyVacatedByAPendingUpdate):
+    storage = "paged"

@@ -21,6 +21,7 @@ import dataclasses
 import os
 import re
 import sys
+import tokenize
 
 import pytest
 
@@ -2513,16 +2514,16 @@ def test_table_image_gate_catches_a_layout_reader(tmp_path):
     assert _table_image_read_violations(coordinator_py) == []
     with open(coordinator_py) as handle:
         source = handle.read()
-    live = "            return table.value_rows()\n"
+    live = "        return table.value_rows()\n"
     assert source.count(live) == 1
     planted = tmp_path / "coordinator.py"
     planted.write_text(source.replace(
-        live, '            return table.to_dict()["rows"]\n'))
+        live, '        return table.to_dict()["rows"]\n'))
     problems = _table_image_read_violations(str(planted))
     assert len(problems) == 1 and "coordinator.py:" in problems[0], problems
     planted.write_text(source.replace(
-        live, "            image = table.to_dict()\n"
-              "            return image.get('cols')\n"))
+        live, "        image = table.to_dict()\n"
+              "        return image.get('cols')\n"))
     assert len(_table_image_read_violations(str(planted))) == 1
 
 
@@ -2738,3 +2739,81 @@ def test_artefact_gate_catches_an_orphan(tmp_path):
         (out / filename).write_text("")
     assert _orphan_artefacts(str(tmp_path), str(out)) == [
         "BENCH_gone.json", "gone.txt"]
+
+
+#: definitions in ``src/repro/`` that no program code names outside
+#: their own ``def`` / ``class``: reached only from ``tests/``, or
+#: called by a framework (``HTMLParser``'s ``handle_*`` callbacks).
+#: Frozen: entries may only be removed — wire a name into the program
+#: or delete it, never add it here.
+_TEST_ONLY = frozenset([
+    "EmailHeaderInjectionPlugin", "QueryDigest", "clear_log", "contains",
+    "drops", "export_json", "handle_data", "handle_endtag",
+    "handle_starttag", "htmlentities", "index_lookup", "index_range",
+    "index_stats", "is_data", "matches_any", "mvcc_stats",
+    "open_statements", "paper_workloads", "query_string", "quote_smart",
+    "read_pages_bytes", "rebuild_from_journal", "render_timings",
+    "render_tree", "restart", "rows_as_dicts", "strip_tags",
+    "transient_retries", "turn_off", "turn_on", "verify_integrity",
+])
+
+
+def _unreferenced_definitions(src_root, use_roots):
+    """Every non-dunder ``def`` / ``class`` name under *src_root* that
+    no NAME token in *use_roots* spells, other than the definitions'
+    own (a name defined twice needs a third token)."""
+    defined = {}
+    for path in _python_files(src_root):
+        with open(path) as handle:
+            tree = ast.parse(handle.read(), filename=path)
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                 ast.ClassDef)) and not (
+                    node.name.startswith("__")
+                    and node.name.endswith("__")):
+                defined[node.name] = defined.get(node.name, 0) + 1
+    spelled = dict.fromkeys(defined, 0)
+    for root in use_roots:
+        for path in _python_files(root):
+            with open(path, "rb") as handle:
+                for token in tokenize.tokenize(handle.readline):
+                    if (token.type == tokenize.NAME
+                            and token.string in spelled):
+                        spelled[token.string] += 1
+    return {name for name, count in defined.items()
+            if spelled[name] <= count}
+
+
+def test_every_definition_is_reached_from_the_program():
+    unreferenced = _unreferenced_definitions(
+        os.path.join(SRC_ROOT, "repro"),
+        [SRC_ROOT] + [os.path.join(REPO_ROOT, tree)
+                      for tree in ("benchmarks", "examples")])
+    assert unreferenced <= _TEST_ONLY, (
+        "only tests reach: %s" % ", ".join(sorted(unreferenced - _TEST_ONLY)))
+
+
+def test_reach_gate_catches_a_test_only_function(tmp_path):
+    """The twin: a new function only a test calls is reported; one the
+    program calls, and a dunder, are not."""
+    package = tmp_path / "src" / "repro"
+    package.mkdir(parents=True)
+    (package / "mod.py").write_text(
+        "class Kept(object):\n"
+        "    def __init__(self):\n"
+        "        self.value = helper()\n"
+        "\n"
+        "\n"
+        "def helper():\n"
+        "    return Kept\n"
+        "\n"
+        "\n"
+        "def only_tests_call_me():\n"
+        "    return 1\n")
+    tests = tmp_path / "tests"
+    tests.mkdir()
+    (tests / "test_mod.py").write_text(
+        "from repro.mod import only_tests_call_me\n"
+        "assert only_tests_call_me() == 1\n")
+    assert _unreferenced_definitions(
+        str(package), [str(tmp_path / "src")]) == {"only_tests_call_me"}
