@@ -44,14 +44,18 @@ class Report(object):
     def line(self, text=""):
         self.lines.append(text)
 
-    def metric(self, metric, value, unit):
-        """Register one headline number for the JSON sidecar."""
-        self.metrics.append({
+    def metric(self, metric, value, unit, kind=None):
+        """Register one headline number for the JSON sidecar; *kind*,
+        when given, tags it ``measured`` or ``modelled``."""
+        record = {
             "bench": self.name,
             "metric": metric,
             "value": value,
             "unit": unit,
-        })
+        }
+        if kind is not None:
+            record["kind"] = kind
+        self.metrics.append(record)
 
     def table(self, headers, rows, widths=None):
         widths = widths or [max(12, len(h) + 2) for h in headers]

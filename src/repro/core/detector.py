@@ -165,14 +165,18 @@ class AttackDetector(object):
                 if faults_mod.ACTIVE is not None:
                     faults_mod.fire("plugin." + plugin.name)
                 if plugin.inspect(node.value):
-                    return Detection(
-                        True,
-                        plugin.attack_type,
-                        detail="input %r flagged by %s"
-                        % (_truncate(node.value), plugin.name),
-                        plugin=plugin.name,
-                    )
+                    return stored_detection(plugin, node.value)
         return BENIGN
+
+
+def stored_detection(plugin, value):
+    """What the stored-injection check reports when *plugin* flags the
+    user input *value* — :meth:`AttackDetector.detect_stored`'s, and
+    SEPTIC's when a warm shape's verdict check caught the same input."""
+    return Detection(True, plugin.attack_type,
+                     detail="input %r flagged by %s"
+                     % (_truncate(value), plugin.name),
+                     plugin=plugin.name)
 
 
 def _truncate(text, limit=80):

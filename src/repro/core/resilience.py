@@ -240,16 +240,6 @@ class CircuitBreaker(object):
     def is_open(self):
         return self.state == BreakerState.OPEN
 
-    @property
-    def quiescent(self):
-        """CLOSED with no fault counted: :meth:`on_query` and
-        :meth:`record_success` would both change nothing, so a caller
-        that is about to make exactly those two calls may skip them.
-        (Unlocked reads of two fields; a fault recorded an instant
-        later is the same race as a query arriving an instant
-        earlier.)"""
-        return self.state == BreakerState.CLOSED and not self._consecutive
-
     def on_query(self):
         """Called once per processed query; walks OPEN toward HALF_OPEN.
 

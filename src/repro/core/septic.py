@@ -34,22 +34,27 @@ leaves none, and is compared every time).  Where the run's
 stored-injection plugins read the values (INSERT/UPDATE/REPLACE under
 ``detect_stored``) the verdict names the slots they read, and the check
 runs the same plugins over this execution's strings in those slots (a
-string with none of the characters their step 1 needs skips them) — a
-hit there takes the full run, the only place an attack is reported or
-dropped.  Attacks, unknown and candidate-matched queries, TRAINING and
-every contained fault always take the full path; so does everything
-when there is no pipeline cache.
+string with none of the characters their step 1 needs skips them).  A
+plugin hit there decides the query as the full run would: the
+comparison would pass (the model has ⊥ wherever values go), and the
+first value × plugin flagged in slot order is the detection
+``detect_stored`` would report — so it is reported and dropped
+without the run.  A plugin that raises takes the full run, which
+contains the fault.  Attacks (which leave no verdict), unknown and
+candidate-matched queries, TRAINING and every contained fault always
+take the full path; so does everything when there is no pipeline
+cache.
 """
 
 from repro import faults as faults_mod
 from repro.core import resilience
-from repro.core.detector import (AttackDetector, AttackType,
-                                 step1_prefilter)
+from repro.core.detector import (BENIGN, AttackDetector, AttackType,
+                                 step1_prefilter, stored_detection)
 from repro.core.id_generator import IdGenerator
 from repro.core.logger import EventKind, SepticLogger
 from repro.core.manager import QSQMManager
 from repro.core.query_model import BOTTOM
-from repro.core.resilience import FailPolicy
+from repro.core.resilience import BreakerState, FailPolicy
 from repro.core.store import QMStore
 from repro.sqldb.errors import QueryBlocked
 from repro.sqldb.items import DATA_KINDS, Slot
@@ -101,8 +106,9 @@ class SepticConfig(object):
 class SepticStats(object):
     """Counters exposed for the evaluation harness.
 
-    Increments go through :meth:`bump` under a lock: a ``+=`` on an
-    attribute is a read-modify-write, and with the hook running on many
+    Increments happen under ``_lock`` (:meth:`bump`, or a hot path's
+    own critical section): a ``+=`` on an attribute is a
+    read-modify-write, and with the hook running on many
     sessions concurrently lost updates would make the paper's exact
     counts (Table I, Figure 5) non-reproducible.
     """
@@ -162,11 +168,16 @@ class _Verdict(object):
         self.slots = slots
 
 
-def _inputs_pass(verdict, values):
-    """Whether every string this execution puts in a slot the verdict's
-    run inspected passes every plugin that run used (pinned literals
-    are part of the entry's key: that run saw them).  A plugin that
-    raises passes nothing: the full run contains its fault."""
+def _inspect_inputs(verdict, values):
+    """Run the plugins of the verdict's run over every string this
+    execution puts in a slot that run inspected (pinned literals are
+    part of the entry's key: that run saw them, and they passed).
+
+    :data:`BENIGN` when every string passes; else the :class:`Detection`
+    ``detect_stored`` would report — the first string a plugin flags,
+    in slot order (which is data-node order), and the first plugin that
+    flags it.  ``None`` when a plugin raises: the full run contains its
+    fault."""
     plugins = verdict.plugins
     prefilter = verdict.prefilter
     try:
@@ -176,10 +187,10 @@ def _inputs_pass(verdict, values):
                     prefilter is None or prefilter.search(value)):
                 for plugin in plugins:
                     if plugin.inspect(value):
-                        return False
+                        return stored_detection(plugin, value)
     except Exception:
-        return False
-    return True
+        return None
+    return BENIGN
 
 
 def _abstracts_all_data(model):
@@ -361,11 +372,29 @@ class Septic(object):
             stats.queries_processed += 1
         memo = context.memo
         verdict = memo.verdict if memo is not None else None
+        detection = BENIGN
         if verdict is not None and self._verdict_holds(verdict) and (
-                not verdict.slots
-                or _inputs_pass(verdict, context.values)):
-            # all the run not made would leave behind: its event numbers
-            self.logger.skip(verdict.events)
+                not verdict.slots or (detection := _inspect_inputs(
+                    verdict, context.values)) is not None):
+            logger = self.logger
+            if detection is BENIGN:
+                # all the run not made would leave behind: its event
+                # numbers (SepticLogger.skip, inline)
+                with logger._lock:
+                    logger._sequence += verdict.events
+            else:
+                # a stored payload in a shape whose verdict holds: the
+                # full run would pass the comparison (the model has ⊥
+                # wherever values go), number the verdict's events but
+                # QUERY_EXECUTED, then report this very detection
+                logger.skip(verdict.events - 1)
+                try:
+                    self._handle_attack(detection, verdict.full_id,
+                                        context, verdict.model)
+                except QueryBlocked:
+                    raise
+                except Exception as exc:    # contained as the run would
+                    self._contain(exc, context, watchdog=False)
             return
         self.breaker.on_query()
         checkpoint = None
@@ -412,19 +441,28 @@ class Septic(object):
     def _verdict_holds(self, verdict):
         """Whether a full run now would repeat the one *verdict* records.
 
-        With :func:`_inputs_pass`, the only condition under which
-        :meth:`process_query` may skip the run.  The store must still serve the very model object that
-        run compared against (one lock-free read of the published view,
-        so learning an unrelated query invalidates nothing); mode, the
-        three switches, detector and plugins must be the ones it read;
-        and nothing may be in force that makes a run do more than
-        compare — an armed fault plan, a verifying store, a verbose
-        register, or a breaker that is open, probing or counting faults.
-        The settings are compared one by one against what
-        :meth:`_basis` gave the run, so a hit builds nothing.
+        With :func:`_inspect_inputs`, the only condition under which
+        :meth:`process_query` may skip the run.  One predicate, every
+        term read in this frame (a hit makes no other call):
+
+        * no fault plan is armed;
+        * mode, the three switches, the detector and its plugin list are
+          the ones the run read (compared one by one against what
+          :meth:`_basis` gave it, so a hit builds nothing);
+        * the store serves the very model object that run compared
+          against — one lock-free read of the published view, so
+          learning an unrelated query invalidates nothing — and is not
+          paranoid (then every read verifies);
+        * the breaker is CLOSED with no fault counted, so its
+          ``on_query`` and ``record_success`` would change nothing (an
+          unlocked read of two fields: a fault recorded an instant later
+          is the same race as a query arriving an instant earlier);
+        * the register is not verbose (it would record the run's events).
         """
         config = self.config
         detector = self.detector
+        store = self.manager.store
+        breaker = self.breaker
         return (
             faults_mod.ACTIVE is None
             and verdict.mode == self._mode
@@ -433,8 +471,10 @@ class Septic(object):
             and verdict.incremental_learning == config.incremental_learning
             and verdict.detector == detector
             and verdict.plugins == detector.plugins
-            and self.manager.store.serves(verdict.full_id, verdict.model)
-            and self.breaker.quiescent
+            and not store.paranoid
+            and store._reads.models.get(verdict.full_id) is verdict.model
+            and breaker.state == BreakerState.CLOSED
+            and not breaker._consecutive
             and not self.logger.verbose
         )
 
@@ -532,7 +572,7 @@ class Septic(object):
             if checkpoint is not None:
                 checkpoint()
             if detection is not None and detection.is_attack:
-                self._handle_attack(detection, query_id, context,
+                self._handle_attack(detection, query_id.value, context,
                                     model or (candidates[0] if candidates
                                               else None))
                 return
@@ -546,7 +586,8 @@ class Septic(object):
             if checkpoint is not None:
                 checkpoint()
             if detection.is_attack:
-                self._handle_attack(detection, query_id, context, model)
+                self._handle_attack(detection, query_id.value, context,
+                                    model)
                 return
         if not known and not self.store.get(query_id):
             # Unknown query: incremental learning (administrator reviews
@@ -600,26 +641,32 @@ class Septic(object):
         return None
 
     def _handle_attack(self, detection, query_id, context, model):
-        self.stats.bump("attacks_detected")
-        if detection.attack_type == AttackType.SQLI:
-            self.stats.bump("sqli_detected")
-        else:
-            self.stats.bump("stored_detected")
+        """Count, log and (PREVENTION) drop one detected attack; the
+        counters move in one critical section."""
+        drop = self.effective_mode == Mode.PREVENTION
+        stats = self.stats
+        with stats._lock:
+            stats.attacks_detected += 1
+            if detection.attack_type == AttackType.SQLI:
+                stats.sqli_detected += 1
+            else:
+                stats.stored_detected += 1
+            if drop:
+                stats.queries_dropped += 1
         record = self.logger.log(
             EventKind.ATTACK_DETECTED,
             query=context.sql,
-            query_id=query_id.value,
+            query_id=query_id,
             model=model,
             attack_type=detection.attack_type,
             step=detection.step,
             detail=detection.detail,
         )
-        if self.effective_mode == Mode.PREVENTION:
-            self.stats.bump("queries_dropped")
+        if drop:
             self.logger.log(
                 EventKind.QUERY_DROPPED,
                 query=context.sql,
-                query_id=query_id.value,
+                query_id=query_id,
                 attack_type=detection.attack_type,
             )
             raise QueryBlocked(

@@ -154,19 +154,6 @@ class QMStore(object):
                 model = self._recover(full)
         return model
 
-    def serves(self, full, model):
-        """Whether a :meth:`get` for the full ID *full* would, right
-        now, hand back the very object *model* without verifying it.
-
-        One lock-free read of the published view and nothing else: no
-        fault site, no fingerprint check.  ``False`` while ``paranoid``,
-        because then ``get`` verifies.  For callers that already hold a
-        model from an earlier ``get`` and only need to know it is still
-        the current one.
-        """
-        return (not self.paranoid
-                and self._reads.models.get(full) is model)
-
     def models_for_external(self, external):
         """All models learned for an external identifier (call site).
 

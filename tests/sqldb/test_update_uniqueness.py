@@ -1,13 +1,16 @@
 """UPDATE keeps PRIMARY KEY and UNIQUE, as InnoDB does: row by row in
 target order, each new image checked against the latest state with the
 earlier targets' new images in place.  A statement that fails changes
-zero rows, is logged ``failed`` and fails again on replay.  Every case
-runs on both row stores (see ``conftest.backend``).
+zero rows, is logged ``failed`` and fails again on replay.  So does
+the update ON DUPLICATE KEY UPDATE makes.  Every case runs on both row
+stores (see ``conftest.backend``).
 """
 
 import pytest
 
 from repro.benchlab.crashsweep import state_digest, verify_index_consistency
+from repro.net.client import NetClient
+from repro.net.server import NetServer
 from repro.sqldb import wal
 from repro.sqldb.connection import Connection
 
@@ -169,4 +172,79 @@ class TestKeyVacatedByAPendingUpdate(object):
 
 
 class TestKeyVacatedByAPendingUpdatePaged(TestKeyVacatedByAPendingUpdate):
+    storage = "paged"
+
+
+ODKU_SCHEMA = ("CREATE TABLE t (id INT PRIMARY KEY, v INT);"
+               "INSERT INTO t VALUES (1, 10), (2, 20)")
+
+
+def _run_odku(database, entry_point, key, value, new_key):
+    """``INSERT INTO t VALUES (key, value) ON DUPLICATE KEY UPDATE
+    id = new_key`` through *entry_point*; returns the outcome."""
+    sql = "INSERT INTO t VALUES (%d, %d) ON DUPLICATE KEY UPDATE id = %d"
+    if entry_point == "query":
+        return Connection(database).query(sql % (key, value, new_key))
+    if entry_point == "execute_prepared":
+        conn = Connection(database)
+        handle = conn.prepare(sql.replace("%d", "?"))
+        return conn.execute_prepared(handle, key, value, new_key)
+    server = NetServer(database)
+    server.start()
+    try:
+        with NetClient(server.host, server.port) as client:
+            return client.query(sql % (key, value, new_key))
+    finally:
+        server.stop()
+
+
+class TestOnDuplicateKeyUpdateKeepsKeys(object):
+    """ON DUPLICATE KEY UPDATE updates the row it collided with as an
+    UPDATE would, keys included.  With rows (1, 10) and (2, 20), moving
+    row 1's key onto 2 is a duplicate: refused with 1062 before anything
+    changes, the record of it (if any) marked failed, and the recovered
+    table is the live one — by ``query``, ``execute_prepared`` and over
+    the wire, on both row stores (before, the statement succeeded and
+    left two rows with id 2, and recovery replayed them)."""
+
+    storage = "memory"
+
+    @pytest.mark.parametrize("entry_point",
+                             ["query", "execute_prepared", "wire"])
+    def test_a_key_moved_onto_another_rows_is_refused(self, backend,
+                                                      entry_point):
+        database = backend.recover()
+        database.seed(ODKU_SCHEMA)
+        log = wal.log_path(database.data_dir)
+        held = len(wal.scan_log(log).records)
+        outcome = _run_odku(database, entry_point, 1, 99, 2)
+        assert outcome.error is not None and outcome.error.errno == 1062
+        assert all(record.failed
+                   for record in wal.scan_log(log).records[held:])
+        conn = Connection(database)
+        rows = conn.query_or_raise("SELECT id, v FROM t ORDER BY id").rows
+        assert rows == [(1, 10), (2, 20)]
+        assert verify_index_consistency(database) == []
+        live = state_digest(database)
+        database.close()
+        assert state_digest(backend.recover()) == live
+
+    @pytest.mark.parametrize("entry_point",
+                             ["query", "execute_prepared", "wire"])
+    def test_a_key_moved_onto_a_free_value_is_updated(self, backend,
+                                                      entry_point):
+        database = backend.recover()
+        database.seed(ODKU_SCHEMA)
+        outcome = _run_odku(database, entry_point, 1, 99, 3)
+        assert outcome.error is None and outcome.affected_rows == 2
+        conn = Connection(database)
+        rows = conn.query_or_raise("SELECT id, v FROM t ORDER BY id").rows
+        assert rows == [(2, 20), (3, 10)]
+        live = state_digest(database)
+        database.close()
+        assert state_digest(backend.recover()) == live
+
+
+class TestOnDuplicateKeyUpdateKeepsKeysPaged(
+        TestOnDuplicateKeyUpdateKeepsKeys):
     storage = "paged"
