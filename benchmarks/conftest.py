@@ -18,19 +18,27 @@ import pytest
 OUT_DIR = os.path.join(os.path.dirname(__file__), "out")
 
 
-def _current_commit():
-    """The checked-out commit hash, or ``None`` outside a git checkout."""
+def _git(args, cwd):
+    """``git`` *args*' standard output in *cwd*, or ``None`` when it
+    cannot run or fails."""
     try:
-        out = subprocess.run(
-            ["git", "rev-parse", "HEAD"],
-            cwd=os.path.dirname(os.path.abspath(__file__)),
-            capture_output=True, text=True, timeout=10,
-        )
+        out = subprocess.run(["git"] + args, cwd=cwd, capture_output=True,
+                             text=True, timeout=10)
     except (OSError, subprocess.SubprocessError):
         return None
-    if out.returncode != 0:
+    return out.stdout if out.returncode == 0 else None
+
+
+def _current_commit(cwd=None):
+    """The checked-out commit hash, ``<hash>-dirty`` when the working
+    tree differs from it (numbers made before their commit exists are
+    not that commit's), or ``None`` outside a git checkout."""
+    cwd = cwd or os.path.dirname(os.path.abspath(__file__))
+    head = (_git(["rev-parse", "HEAD"], cwd) or "").strip()
+    if not head:
         return None
-    return out.stdout.strip() or None
+    status = _git(["status", "--porcelain"], cwd)
+    return head + "-dirty" if status is None or status.strip() else head
 
 
 class Report(object):

@@ -115,11 +115,14 @@ class SepticLogger(object):
         self._scan_from = 0
         self._lock = make_lock()
 
-    def log(self, kind, **fields):
+    def log(self, kind, skipped=0, **fields):
+        """Number and (if kept) record one event, after numbering the
+        *skipped* events a quiet caller counted before it (see
+        :meth:`skip`)."""
         if faults_mod.ACTIVE is not None:
             faults_mod.fire("logger.record")
         with self._lock:
-            self._sequence += 1
+            self._sequence += skipped + 1
             significant = kind in _SIGNIFICANT
             if not self.verbose and not significant:
                 return None

@@ -95,7 +95,9 @@ class RWLock(object):
     def release_read(self):
         with self._mutex:
             self._readers -= 1
-            if self._readers == 0:
+            # the last reader out can only be keeping writers waiting: a
+            # reader waits only while a writer holds the lock or waits
+            if self._readers == 0 and self._writers_waiting:
                 self._readers_done.notify_all()
 
     def acquire_write(self):

@@ -70,6 +70,12 @@ OPCODE_NAMES = {
 }
 
 
+#: one encoder for every frame: ``json.dumps`` with these arguments
+#: builds a fresh one per call
+_encode_json = json.JSONEncoder(separators=(",", ":"),
+                                ensure_ascii=False).encode
+
+
 class NetProtocolError(Exception):
     """A malformed or unexpected frame."""
 
@@ -88,9 +94,7 @@ def encode_frame(opcode, payload):
     conversation."""
     if faults_mod.ACTIVE is not None:
         faults_mod.fire("net.frame")
-    body = bytes([opcode]) + json.dumps(
-        payload, separators=(",", ":"), ensure_ascii=False
-    ).encode("utf-8")
+    body = bytes([opcode]) + _encode_json(payload).encode("utf-8")
     return HEADER.pack(len(body), zlib.crc32(body) & 0xFFFFFFFF) + body
 
 

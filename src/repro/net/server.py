@@ -514,9 +514,10 @@ class NetServer(object):
         if outcome.error is not None:
             return self._error_frame(outcome.error, seq)
         if outcome.result_set is not None:
+            # (a row tuple encodes as the JSON array a list would)
             return (protocol.RESULTSET, {
-                "columns": list(outcome.result_set.columns),
-                "rows": [list(row) for row in outcome.result_set.rows],
+                "columns": outcome.result_set.columns,
+                "rows": outcome.result_set.rows,
                 "seq": seq,
             })
         return (protocol.OK, {

@@ -41,6 +41,7 @@ to the node: they die with the plan and hold nothing of an execution.
 
 import functools
 import heapq
+import operator
 
 from repro import faults as faults_mod
 from repro.sqldb import ast_nodes as ast
@@ -106,15 +107,23 @@ class StageStats(object):
         return self.ticks
 
     def enter(self, node):
-        """Record for *node*, created at first open (idempotent)."""
+        """Record for *node*, created at first open (idempotent).  It
+        keeps the node, not its label: only a rendering reads the label
+        (:meth:`node_records`), and a warm statement renders nothing."""
         rec = self.nodes.get(node.node_id)
         if rec is None:
+            children = node.child_ids
+            if children is None:
+                # once per plan node: the plan serves every execution
+                children = node.child_ids = tuple(
+                    c.node_id for c in node.child_nodes())
+            self.ticks += 1
             rec = {
-                "label": node.label(),
+                "node": node,
                 "kind": node.kind,
-                "children": tuple(c.node_id for c in node.child_nodes()),
+                "children": children,
                 "rows_out": 0,
-                "open_tick": self.tick(),
+                "open_tick": self.ticks,
                 "close_tick": None,
             }
             self.nodes[node.node_id] = rec
@@ -142,6 +151,7 @@ class StageStats(object):
         out = []
         for node_id in self.order:
             rec = dict(self.nodes[node_id])
+            rec["label"] = rec.pop("node").label()
             rec["node_id"] = node_id
             rec["rows_in"] = self.rows_in(node_id)
             out.append(rec)
@@ -182,11 +192,13 @@ class PlanNode(object):
 
     kind = "node"
     blocking = False
-    __slots__ = ("node_id", "children")
+    __slots__ = ("node_id", "children", "child_ids")
 
     def __init__(self, children=()):
         self.node_id = 0
         self.children = tuple(children)
+        #: the node ids of :meth:`child_nodes`, filled at first open
+        self.child_ids = None
 
     def label(self):
         return self.kind
@@ -196,15 +208,16 @@ class PlanNode(object):
         return self.children
 
     def rows(self, state):
-        rec = state.stats.enter(self)
+        stats = state.stats
+        rec = stats.enter(self)
         if faults_mod.ACTIVE is not None:
             faults_mod.fire("operator.next")
-        stats = state.stats
         for row in self._generate(state):
             rec["rows_out"] += 1
             stats.ticks += 1
             yield row
-        rec["close_tick"] = stats.tick()
+        stats.ticks += 1
+        rec["close_tick"] = stats.ticks
 
     def _generate(self, state):
         raise NotImplementedError
@@ -779,12 +792,22 @@ class TopK(PlanNode):
         count, offset = _window(self.window, ctx)
         state.stats.count("topk_orders")
         keys_for, descending = self.ordering
-        decorated = (
-            (keys_for(pair, ctx), position, pair)
-            for position, pair in enumerate(self.children[0].rows(state))
-        )
-        top = heapq.nsmallest(offset + count, decorated,
-                              key=_item_order(descending))
+        rows = enumerate(self.children[0].rows(state))
+        if len(set(descending)) == 1:
+            # one direction for every key: the items compare as tuples
+            # (keys, then arrival — negated for the descending heap, so
+            # the earlier row still wins a tie) with no Python-level
+            # call per comparison
+            sign = -1 if descending[0] else 1
+            decorated = ((keys_for(pair, ctx), sign * position, pair)
+                         for position, pair in rows)
+            select = heapq.nlargest if descending[0] else heapq.nsmallest
+            top = select(offset + count, decorated)
+        else:
+            decorated = ((keys_for(pair, ctx), position, pair)
+                         for position, pair in rows)
+            top = heapq.nsmallest(offset + count, decorated,
+                                  key=_item_order(descending))
         state.stats.note_materialized(len(top))
         for _, _, pair in top:
             yield pair
@@ -1277,9 +1300,17 @@ def order_keys(order_by, columns, foreign=None):
 def _sort_items(items, descending):
     """Stable multi-key sort, in place, of ``(keys, ...)`` items: one
     pass per key, last key first, each honouring its direction — the
-    ordering :class:`Sort` and the DML target sinks share."""
+    ordering :class:`Sort` and the DML target sinks share.  With one
+    direction for every key that is one pass over the key lists."""
+    if len(set(descending)) == 1:
+        items.sort(key=_item_keys, reverse=descending[0])
+        return
     for pos in range(len(descending) - 1, -1, -1):
         items.sort(key=lambda item: item[0][pos], reverse=descending[pos])
+
+
+#: the ``keys`` of a ``(keys, ...)`` item, without a Python-level call
+_item_keys = operator.itemgetter(0)
 
 
 def _item_order(descending):

@@ -1,9 +1,11 @@
 """Unit tests for the reader–writer lock the engine's lock plans use."""
 
+import sys
 import threading
 import time
 
 from repro.core.resilience import RWLock, make_lock, make_rlock
+from repro.sqldb.engine import LockManager
 
 
 def _spin_until(predicate, timeout=5.0):
@@ -117,6 +119,83 @@ class TestWriterExclusion(object):
         reader_thread.join(timeout=5)
         assert order[0] == "write"
         assert sorted(order) == ["read", "write"]
+
+
+class TestStress(object):
+    """More threads than cores, a one-microsecond switch interval: the
+    last reader out wakes only a waiting writer (it skips the wake-up
+    when none waits), so a lost wake-up would leave a thread blocked
+    past its join timeout, and an overlap would break the invariant."""
+
+    def test_no_overlap_and_no_lost_wakeup(self):
+        lock = RWLock()
+        inside = {"readers": 0, "writers": 0}
+        guard = threading.Lock()
+        broken = []
+
+        def enter(kind, other):
+            with guard:
+                inside[kind] += 1
+                if inside[other] or (kind == "writers"
+                                     and inside["writers"] > 1):
+                    broken.append(dict(inside))
+
+        def leave(kind):
+            with guard:
+                inside[kind] -= 1
+
+        def reader():
+            for _ in range(300):
+                lock.acquire_read()
+                enter("readers", "writers")
+                leave("readers")
+                lock.release_read()
+
+        def writer():
+            for _ in range(150):
+                lock.acquire_write()
+                enter("writers", "readers")
+                leave("writers")
+                lock.release_write()
+
+        threads = [threading.Thread(target=reader) for _ in range(4)] + \
+            [threading.Thread(target=writer) for _ in range(2)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=30)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert broken == []
+        assert lock.state_dict()["readers"] == 0
+        assert lock.read_acquires == 4 * 300
+        assert lock.write_acquires == 2 * 150
+
+    def test_a_table_lock_is_made_once(self):
+        manager = LockManager()
+        barrier = threading.Barrier(6)
+        got = []
+
+        def fetch():
+            barrier.wait(timeout=10)
+            got.append(manager.table_lock("t"))
+
+        threads = [threading.Thread(target=fetch) for _ in range(6)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=10)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert len(got) == 6 and len(set(map(id, got))) == 1
 
 
 class TestFactories(object):

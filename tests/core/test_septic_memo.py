@@ -636,7 +636,8 @@ def test_l1_hit_budget(monkeypatch, counted_locks):
         processed = septic.stats.queries_processed
         counted_locks.acquisitions = 0
         septic.process_query(context)
-        assert counted_locks.acquisitions <= 2     # stats + sequence
+        # stats + sequence, under the one lock they share
+        assert counted_locks.acquisitions <= 1
         assert septic.stats.queries_processed == processed + 1
     assert counts == Counter()
 
