@@ -237,7 +237,8 @@ def _encode(record):
     """*record* encoded from its fields (a fresh record: nothing cached)."""
     return wal.WalRecord(record.lsn, record.op, tx=record.tx,
                          sql=record.sql, clock=record.clock,
-                         rand=record.rand, failed=record.failed).payload
+                         rand=record.rand, failed=record.failed,
+                         undone=record.undone).payload
 
 
 def _per_record_us(action, items):

@@ -31,8 +31,9 @@ ops for every configuration — golden or victim, local or routed.
 Workloads include DDL (CREATE/ALTER/INDEX/TRUNCATE/DROP), transactions
 (committed and rolled back), a SEPTIC-blocked statement mid-transaction
 (must never resurrect — it never reached the executor), a failing
-multi-row INSERT with partial effects, and ``NOW()``/``RAND()`` to
-exercise deterministic replay of the environment functions.  An indexed
+multi-row INSERT (taken back whole, logged as failed), and
+``NOW()``/``RAND()`` to exercise deterministic replay of the
+environment functions.  An indexed
 table with insert/update/delete churn rides along, and every recovered
 victim additionally passes :func:`verify_index_consistency` — each live
 index must agree with a fresh full scan, or the site counts as a
@@ -203,8 +204,9 @@ def generate_workload(seed):
                      "UPDATE items SET note = '%s' WHERE qty >= 0; "
                      "COMMIT" % MarkerSeptic.MARKER))
     ops.append(("q", "COMMIT"))
-    # failing multi-row INSERT: the first row sticks (partial effects),
-    # the duplicate key fails the statement — logged as failed=True
+    # failing multi-row INSERT: the duplicate key fails the statement,
+    # which is taken back whole (the first row does not stick) and
+    # logged as failed
     ops.append(("q", "INSERT INTO items (id, name, qty) "
                      "VALUES (70, 'keeper', 1), (70, 'dup', 2)"))
     for _ in range(rng.randrange(2, 4)):

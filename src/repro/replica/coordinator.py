@@ -80,6 +80,7 @@ def damage_a_field(payload):
     return wal_mod.WalRecord(
         record.lsn, record.op, tx=record.tx + 1, sql=record.sql,
         clock=record.clock, rand=record.rand, failed=record.failed,
+        undone=record.undone,
     ).payload
 
 

@@ -16,13 +16,15 @@ durability is the *logical statement*, re-executed deterministically):
   ``kind`` 1–4 is ``stmt`` for a logged statement or a ``begin`` /
   ``commit`` / ``rollback`` transaction marker; ``flags`` say whether
   the record carries a tx id, whether it carries a statement (clock,
-  rand and the text, which runs to the end of the payload) and whether
-  that statement failed.  Varints are unsigned LEB128.  Every record
-  carries a strictly increasing **LSN**, always from byte 2 on, so a
-  reader can skip a record without decoding it.  ``clock`` and
-  ``rand`` snapshot the engine's virtual clock and RNG-draw count
-  *before* the statement ran, so replay of ``NOW()``/``RAND()`` is
-  bit-identical.
+  rand and the text, which runs to the end of the payload), whether
+  that statement failed and whether, failing, it was taken back whole
+  (every failed statement this version logs is; one an earlier version
+  logged kept the rows it wrote before failing).  Varints are unsigned
+  LEB128.  Every record carries a strictly increasing **LSN**, always
+  from byte 2 on, so a reader can skip a record without decoding it.
+  ``clock`` and ``rand`` snapshot the engine's virtual clock and
+  RNG-draw count *before* the statement ran, so replay of
+  ``NOW()``/``RAND()`` is bit-identical.
 
   A payload whose first byte is ``{`` is the sorted-key JSON object
   ``{lsn, op, tx, sql, clock, rand, failed}`` earlier versions wrote:
@@ -96,11 +98,13 @@ _KIND_CODES = {"stmt": 1, "begin": 2, "commit": 3, "rollback": 4}
 _KIND_NAMES = {code: op for op, code in _KIND_CODES.items()}
 
 #: payload flag bits: a tx id follows the LSN; clock, rand and the
-#: statement text follow; the statement failed
+#: statement text follow; the statement failed; it failed and was taken
+#: back whole
 _HAS_TX = 0x01
 _HAS_SQL = 0x02
 _FAILED = 0x04
-_FLAGS = _HAS_TX | _HAS_SQL | _FAILED
+_UNDONE = 0x08
+_FLAGS = _HAS_TX | _HAS_SQL | _FAILED | _UNDONE
 
 #: a varint longer than this is damage, not a 64-bit number
 _MAX_VARINT_BYTES = 10
@@ -148,7 +152,7 @@ class WalRecord(object):
     """One log record, and the payload bytes it is stored as."""
 
     __slots__ = ("lsn", "op", "tx", "sql", "clock", "rand", "failed",
-                 "_payload")
+                 "undone", "_payload")
 
     #: record kinds
     STMT = "stmt"
@@ -157,7 +161,7 @@ class WalRecord(object):
     ROLLBACK = "rollback"
 
     def __init__(self, lsn, op, tx=0, sql=None, clock=0, rand=0,
-                 failed=False, payload=None):
+                 failed=False, undone=False, payload=None):
         self.lsn = lsn
         self.op = op
         #: transaction id (0 = autocommit)
@@ -168,11 +172,15 @@ class WalRecord(object):
         self.clock = clock
         #: RNG draws before the statement ran
         self.rand = rand
-        #: the statement raised an ExecutionError (it may still have had
-        #: partial effects — MySQL keeps the rows a multi-row INSERT
-        #: managed before the failing one); replay re-runs it and
+        #: the statement raised an ExecutionError; replay re-runs it and
         #: expects the same error
         self.failed = failed
+        #: the failed statement was taken back whole, as every one this
+        #: version logs is (InnoDB's statement rollback), and replay
+        #: takes it back too; a failed record without it comes from an
+        #: earlier version, whose server kept the rows the statement
+        #: wrote before failing, and replay keeps them
+        self.undone = undone
         #: the encoded bytes: the ones the record was decoded from, or
         #: ``None`` until :attr:`payload` first encodes them
         self._payload = payload
@@ -242,6 +250,8 @@ def _encode(record):
         out += record.sql.encode("utf-8", "surrogatepass")
     if record.failed:
         flags |= _FAILED
+    if record.undone:
+        flags |= _UNDONE
     out[1] = flags
     return bytes(out)
 
@@ -268,7 +278,7 @@ def _decode(payload):
         raise ValueError("%d stray bytes after the record"
                          % (len(payload) - at))
     return WalRecord(lsn, op, tx, sql, clock, rand, bool(flags & _FAILED),
-                     payload)
+                     bool(flags & _UNDONE), payload)
 
 
 def _decode_legacy(payload):
@@ -512,7 +522,8 @@ class WriteAheadLog(object):
             if self.closed:
                 raise WalError("WAL is closed")
             record = WalRecord(self.next_lsn, op, tx=tx, sql=sql,
-                               clock=clock, rand=rand, failed=failed)
+                               clock=clock, rand=rand, failed=failed,
+                               undone=failed)
             flush = self._write(record, durability_point)
         if flush:
             self.fsync()

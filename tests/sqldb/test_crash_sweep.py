@@ -2,7 +2,7 @@
 
 Three seeded workloads — DDL, transactions (committed, rolled back and
 SEPTIC-blocked mid-flight), ``NOW()``/``RAND()``, a failing statement
-with partial effects — each killed at **every byte offset** of its WAL
+taken back whole — each killed at **every byte offset** of its WAL
 and recovered.  At every offset the recovered state must equal the
 committed prefix a client could have been acknowledged about: zero lost
 committed transactions, zero resurrected rolled-back or blocked writes.
