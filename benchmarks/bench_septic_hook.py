@@ -20,10 +20,12 @@ median per path is reported.  The five paths:
 * **sqli full run** — a tautology appended to the warm read: a shape of
   its own, which never keeps a verdict, dropped by the comparison.
 
-Only orderings are asserted, never absolute times: a hit costs less
-than a full run, and a stored payload on a warm shape is decided by the
-check that caught it, so it costs less than the same payload's full run
-(before that, the check's plugin run came on top of the full run).
+The paths are sampled round-robin, one call each per round, so a
+change in the host's speed lands on all of them alike.  Only orderings
+are asserted, never absolute times: a hit costs less than a full run,
+and a stored payload on a warm shape is decided by the check that
+caught it, so it costs less than the same payload's full run (before
+that, the check's plugin run came on top of the full run).
 Compare two commits by running this file in both within the same
 minute (the host's clock speed drifts).
 """
@@ -128,11 +130,13 @@ def _hook_costs(samples=SAMPLES):
 
     makers = dict(zip(PATHS, (warm_hit, string_slots, after_scan, stored,
                               stored_full_run, sqli)))
-    costs = {}
-    for path in PATHS:
-        del timed.samples[:]
-        for _ in range(samples):
+    samples_of = {path: [] for path in PATHS}
+    # round-robin, one call per path per round: the medians compared
+    # come from the same seconds, whatever the host does meanwhile
+    for _ in range(samples):
+        for path in PATHS:
             sql, passes = makers[path]()
+            del timed.samples[:]
             timed.armed = True
             outcome = conn.query(sql)
             timed.armed = False
@@ -140,8 +144,10 @@ def _hook_costs(samples=SAMPLES):
                 assert outcome.ok, (sql, outcome.error)
             else:
                 assert isinstance(outcome.error, QueryBlocked), sql
-        assert len(timed.samples) == samples
-        costs[path] = statistics.median(timed.samples) / 1000.0
+            assert len(timed.samples) == 1
+            samples_of[path].append(timed.samples[0])
+    costs = {path: statistics.median(samples_of[path]) / 1000.0
+             for path in PATHS}
     return costs, septic.stats.as_dict()
 
 

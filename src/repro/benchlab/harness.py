@@ -21,6 +21,7 @@ from repro.benchlab.simulation import FifoResource, Simulator
 from repro.benchlab.workload import workload_for
 from repro.core.logger import SepticLogger
 from repro.core.septic import Mode, Septic, SepticConfig
+from repro.sqldb.cache import DEFAULT_CACHE_SIZE
 from repro.sqldb.connection import Connection
 from repro.sqldb.engine import Database
 from repro.web.server import WebServer
@@ -82,7 +83,8 @@ class BenchLabResult(object):
 
 
 def build_stack(app_class, septic_flags=None, mode=Mode.PREVENTION,
-                training_passes=1, cache_size=512, data_dir=None):
+                training_passes=1, cache_size=DEFAULT_CACHE_SIZE,
+                data_dir=None):
     """Build (server, app, septic) for one configuration.
 
     *septic_flags* is ``None`` for the original server (no SEPTIC) or a

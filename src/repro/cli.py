@@ -266,6 +266,12 @@ def _cmd_status(args, out):
     out.write("plugins:              %s\n" % ", ".join(status["plugins"]))
     for key, value in sorted(status["stats"].items()):
         out.write("stats.%-18s %d\n" % (key + ":", value))
+    cache = scenario.app.database.pipeline_cache.stats_dict()
+    out.write("pipeline cache:       %d hits (%d by text, %d by shape), "
+              "%d misses; %d/%d texts, %d evicted\n"
+              % (cache["hits"], cache["text_hits"], cache["shape_hits"],
+                 cache["misses"], cache["text_entries"], cache["max_texts"],
+                 cache["text_evictions"]))
     out.write("\nlast events:\n")
     for event in scenario.septic.logger.events[-8:]:
         out.write("  %s\n" % event.format()[:100])

@@ -341,7 +341,9 @@ class Septic(object):
                 storage_stats() if storage_stats is not None else None
             ),
             # pipeline-cache counters: hits (served without parsing, of
-            # which shape_hits missed by text), misses (parsed)
+            # which text_hits by a text binding and shape_hits by
+            # shape), misses (parsed); text_entries / text_evictions are
+            # the text tier's size and churn
             "pipeline_cache": (
                 pipeline_cache.stats_dict()
                 if pipeline_cache is not None else None

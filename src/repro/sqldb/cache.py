@@ -16,7 +16,10 @@ SEPTIC's memo and the physical plan.  An execution brings a *values
 vector* that evaluator, plan operators and SEPTIC read late; nothing
 per-execution is written into the entry, so sessions share it freely.
 
-:class:`PipelineCache` is one LRU map.  Every key carries the
+:class:`PipelineCache` is two LRU maps under one lock: the *entry tier*
+holds the records parsing made (shape and prepared-statement entries),
+the *text tier* the cheap bindings of raw texts to them, so a flood of
+distinct texts evicts only other texts.  Every key carries the
 connection charset and the catalog schema version (DDL bumps it, stale
 entries stop matching and age out — nothing ever walks the cache to
 invalidate), and is one of:
@@ -57,6 +60,15 @@ from repro.sqldb.lexer import slot_values, tokenize, wildcard_key
 #: wildcard keys whose pinned-literal positions are remembered; cleared
 #: whole when full (a client can mint keys at will)
 PINS_MAX = 4096
+
+#: entry-tier capacity of a database's pipeline cache (``Database``'s
+#: ``cache_size``)
+DEFAULT_CACHE_SIZE = 512
+
+#: text-tier capacity per entry-tier slot.  A binding holds ~0.4 KB and
+#: an entry ~10 KB (tracemalloc over ``app_replay``'s statements), so at
+#: 8 a full text tier costs about a third of a full entry tier
+TEXT_TIER_FACTOR = 8
 
 
 class SepticMemo(object):
@@ -140,84 +152,148 @@ class TextBinding(object):
 
 
 class PipelineCache(object):
-    """Thread-safe LRU cache of :class:`CacheEntry` objects."""
+    """Thread-safe two-tier LRU cache.
 
-    def __init__(self, max_entries=512):
+    The *entry tier* (*max_entries*) holds what parsing made: shape and
+    prepared-statement :class:`CacheEntry` objects, the routers' records
+    — and a :class:`TextBinding` whose record nothing else holds (a
+    script, DDL, a route that embeds its literals), since it costs what
+    an entry costs.  The *text tier* (``TEXT_TIER_FACTOR`` times as
+    many) holds the bindings of texts to records resident in the entry
+    tier.  A web application's literal-varied traffic is many texts
+    over few shapes, and a binding costs a fraction of an entry, so
+    texts get the larger tier — and their own: in one LRU a cycle of
+    texts longer than the cache never hits, and a flood of new texts
+    evicts the shapes, with their plans and SEPTIC verdicts, that every
+    later text of the shape needs.  A binding never evicts an entry; an
+    entry leaves with its bindings, so the text tier never keeps an
+    evicted entry alive.
+    """
+
+    def __init__(self, max_entries=DEFAULT_CACHE_SIZE):
         if max_entries <= 0:
             raise ValueError("max_entries must be positive")
         self.max_entries = max_entries
-        #: key -> :class:`TextBinding` under a raw-text key, else the
-        #: :class:`CacheEntry` itself
+        self.max_texts = TEXT_TIER_FACTOR * max_entries
+        #: the entry tier: key -> record
         self._entries = OrderedDict()
+        #: the text tier: raw-text key -> :class:`TextBinding`
+        self._texts = OrderedDict()
+        #: ``id()`` of each record in the entry tier (other than a
+        #: binding) -> the text-tier keys of the bindings it serves
+        self._served = {}
         #: wildcard key -> token positions of its pinned literals
         self._pins = {}
         self._lock = make_lock()
         #: lookups served without parsing / lookups that had to parse
         self.hits = 0
         self.misses = 0
+        #: the hits served by a text binding (no decode, no lexer)
+        self.text_hits = 0
         #: the hits that missed by text and were served by shape
         self.shape_hits = 0
+        #: records dropped by either tier / bindings dropped
         self.evictions = 0
+        self.text_evictions = 0
 
     # -- by key ------------------------------------------------------------
 
-    def _lookup(self, key):
-        """The record under *key* (refreshed), or ``None``; lock held.
+    @staticmethod
+    def _lookup(tier, key, fallback=None):
+        """The record under *key* in *tier* — else in *fallback*, when
+        given — refreshed, or ``None``; lock held.
 
         A ``cache.lookup`` fault may raise (the engine degrades to the
         cold path) or corrupt the lookup into a miss — never into a
         wrong entry.
         """
-        record = self._entries.get(key)
+        record = tier.get(key)
+        if record is None and fallback is not None:
+            tier = fallback
+            record = tier.get(key)
         if faults_mod.ACTIVE is not None:
             record = faults_mod.fire("cache.lookup", record,
                                      faults_mod.forget)
         if record is not None:
-            self._entries.move_to_end(key)
+            tier.move_to_end(key)
         return record
 
     def get(self, charset, key, schema_version):
-        """The entry under *key* — a raw SQL text or a prepared
-        statement's ``("stmt", id, types)`` — or ``None`` (counted
-        as hit/miss)."""
+        """The entry under *key* — a prepared statement's ``("stmt", id,
+        types)`` or a raw SQL text — or ``None`` (counted as hit/miss).
+        The entry tier is probed first, so a prepared execution's hit
+        costs one probe."""
         with self._lock:
-            record = self._lookup((charset, key, schema_version))
+            record = self._lookup(self._entries,
+                                  (charset, key, schema_version),
+                                  self._texts)
             if record is None:
                 self.misses += 1
                 return None
             self.hits += 1
-        return record.entry if isinstance(record, TextBinding) else record
+            if isinstance(record, TextBinding):
+                self.text_hits += 1
+                return record.entry
+        return record
 
     def probe(self, charset, raw_sql, schema_version):
         """The first probe: the :class:`TextBinding` of a text seen
         before, else ``None`` — not yet a miss, the shape probe
         follows."""
         with self._lock:
-            record = self._lookup((charset, raw_sql, schema_version))
+            record = self._lookup(self._texts,
+                                  (charset, raw_sql, schema_version),
+                                  self._entries)
             if record is not None:
                 self.hits += 1
+                self.text_hits += 1
             return record
 
     def put(self, charset, key, schema_version, record):
         """Insert *record* — a :class:`TextBinding` under a raw SQL
-        text, a :class:`CacheEntry` under any other key; evicts the
-        least-recently-used beyond capacity.
+        text, anything else under any other key; evicts its tier's
+        least-recently-used beyond capacity.  A binding goes to the
+        text tier when its entry is in the entry tier, else to the
+        entry tier.
 
         Returns the record actually cached — when two threads race to
         fill the same key, the first insertion wins and both use it, so
         the SEPTIC memo is shared rather than split.
         """
         key = (charset, key, schema_version)
+        binding = isinstance(record, TextBinding)
         with self._lock:
-            existing = self._entries.get(key)
+            served = self._served.get(id(record.entry)) if binding else None
+            if served is None:
+                tier, capacity = self._entries, self.max_entries
+            else:
+                tier, capacity = self._texts, self.max_texts
+            existing = tier.get(key)
             if existing is not None:
-                self._entries.move_to_end(key)
+                tier.move_to_end(key)
                 return existing
-            self._entries[key] = record
-            while len(self._entries) > self.max_entries:
-                self._entries.popitem(last=False)
-                self.evictions += 1
+            tier[key] = record
+            if served is not None:
+                served.add(key)
+            elif not binding:
+                self._served.setdefault(id(record), set())
+            while len(tier) > capacity:
+                self._evict(tier)
             return record
+
+    def _evict(self, tier):
+        """Drop *tier*'s least-recently-used record — an entry with the
+        bindings it serves; lock held."""
+        key, record = tier.popitem(last=False)
+        self.evictions += 1
+        if tier is self._texts:
+            self.text_evictions += 1
+            self._served[id(record.entry)].discard(key)
+            return
+        for text_key in self._served.pop(id(record), ()):
+            del self._texts[text_key]
+            self.evictions += 1
+            self.text_evictions += 1
 
     # -- by shape ----------------------------------------------------------
 
@@ -246,7 +322,8 @@ class PipelineCache(object):
             key = (charset, self._shape_key(wild, lexed, pins),
                    schema_version)
         with self._lock:
-            record = self._lookup(key) if key is not None else None
+            record = (self._lookup(self._entries, key)
+                      if key is not None else None)
             if record is None:
                 self.misses += 1
                 return wild, None, None
@@ -321,11 +398,14 @@ class PipelineCache(object):
     def clear(self):
         with self._lock:
             self._entries.clear()
+            self._texts.clear()
+            self._served.clear()
             self._pins.clear()
 
     def __len__(self):
+        """Records held, both tiers."""
         with self._lock:
-            return len(self._entries)
+            return len(self._entries) + len(self._texts)
 
     @property
     def hit_rate(self):
@@ -333,18 +413,30 @@ class PipelineCache(object):
         return (self.hits / total) if total else 0.0
 
     def stats_dict(self):
-        """Counters snapshot (benchmarks and the status display read it)."""
+        """Counters snapshot (benchmarks and the status display read
+        it): ``entries`` and ``evictions`` count both tiers, the
+        ``text_`` fields the text tier's share."""
+        with self._lock:
+            texts = len(self._texts)
+            entries = len(self._entries) + texts
         return {
-            "entries": len(self),
+            "entries": entries,
             "max_entries": self.max_entries,
+            "text_entries": texts,
+            "max_texts": self.max_texts,
             "hits": self.hits,
             "misses": self.misses,
+            "text_hits": self.text_hits,
             "shape_hits": self.shape_hits,
             "evictions": self.evictions,
+            "text_evictions": self.text_evictions,
             "hit_rate": self.hit_rate,
         }
 
     def __repr__(self):
-        return "PipelineCache(%d/%d entries, %.0f%% hits)" % (
-            len(self), self.max_entries, 100.0 * self.hit_rate
+        with self._lock:
+            entries, texts = len(self._entries), len(self._texts)
+        return "PipelineCache(%d/%d entries, %d/%d texts, %.0f%% hits)" % (
+            entries, self.max_entries, texts, self.max_texts,
+            100.0 * self.hit_rate
         )

@@ -37,7 +37,8 @@ from repro.core import resilience
 from repro.sqldb import ast_nodes as ast
 from repro.sqldb import charset as charset_mod
 from repro.sqldb import wal as wal_mod
-from repro.sqldb.cache import CacheEntry, PipelineCache, TextBinding
+from repro.sqldb.cache import (DEFAULT_CACHE_SIZE, CacheEntry, PipelineCache,
+                               TextBinding)
 from repro.sqldb.errors import (
     ExecutionError,
     MultiStatementError,
@@ -371,7 +372,8 @@ class Database(object):
     :class:`repro.core.septic.Septic` instance.  When it raises
     :class:`repro.sqldb.errors.QueryBlocked` the statement is dropped.
 
-    ``cache_size`` sizes the query-pipeline cache (LRU entries); ``0``
+    ``cache_size`` sizes the query-pipeline cache (its entry tier; the
+    text tier holds ``TEXT_TIER_FACTOR`` times as many texts); ``0``
     disables caching entirely (every statement re-decodes, re-parses and
     re-validates — the cold path, kept for benchmarks and ablations).
     """
@@ -380,8 +382,8 @@ class Database(object):
     _EPOCH = "2016-07-05 12:00:00"
 
     def __init__(self, name="repro", septic=None, charset="utf8", seed=1,
-                 cache_size=512, storage="memory", page_size=4096,
-                 pool_pages=64):
+                 cache_size=DEFAULT_CACHE_SIZE, storage="memory",
+                 page_size=4096, pool_pages=64):
         self.name = name
         #: ``"memory"`` keeps rows in plain lists (the historical
         #: backend); ``"paged"`` stores them in checksummed B-tree pages
@@ -701,7 +703,7 @@ class Database(object):
 
     @classmethod
     def recover(cls, data_dir, name="repro", septic=None, charset="utf8",
-                seed=1, cache_size=512, wal_sync="commit",
+                seed=1, cache_size=DEFAULT_CACHE_SIZE, wal_sync="commit",
                 wal_batch_commits=16, checkpoint_interval=0, strict=True,
                 storage="memory", page_size=4096, pool_pages=64):
         """Rebuild a database from *data_dir* and attach its WAL.

@@ -6,13 +6,18 @@ isolation, and the multi-session concurrency guarantees (exact SEPTIC
 stats under a thread storm).
 """
 
+import sys
 import threading
 
 import pytest
 
 from repro.core.logger import SepticLogger
+from repro.core.manager import QSQMManager
 from repro.core.septic import Mode, Septic
-from repro.sqldb.cache import CacheEntry, PipelineCache
+from repro.sqldb import cache as cache_mod
+from repro.sqldb import engine as engine_mod
+from repro.sqldb.cache import (TEXT_TIER_FACTOR, CacheEntry, PipelineCache,
+                               TextBinding)
 from repro.sqldb.connection import Connection
 from repro.sqldb.engine import Database
 
@@ -74,6 +79,135 @@ class TestPipelineCacheUnit(object):
         assert stats["entries"] == 1
         assert stats["hits"] == 1 and stats["misses"] == 1
         assert stats["hit_rate"] == 0.5
+
+    def test_a_binding_never_evicts_an_entry(self):
+        cache = PipelineCache(2)
+        first, second = self._entry(), self._entry()
+        cache.put("c", ("shape", 1), 0, first)
+        cache.put("c", ("shape", 2), 0, second)
+        texts = 3 * cache.max_texts
+        for number in range(texts):
+            entry = first if number % 2 else second
+            cache.put("c", "q%d" % number, 0,
+                      TextBinding(entry, (number,), "q%d" % number))
+        assert cache.get("c", ("shape", 1), 0) is first
+        assert cache.get("c", ("shape", 2), 0) is second
+        stats = cache.stats_dict()
+        assert stats["text_entries"] == cache.max_texts == 2 * TEXT_TIER_FACTOR
+        assert stats["entries"] == 2 + cache.max_texts
+        assert stats["text_evictions"] == stats["evictions"] == \
+            texts - cache.max_texts
+        # the newest bindings are the ones kept
+        assert cache.probe("c", "q%d" % (texts - 1), 0).values == \
+            (texts - 1,)
+        assert cache.probe("c", "q0", 0) is None
+        assert cache.stats_dict()["text_hits"] == 1
+
+    def test_an_entry_leaves_with_its_bindings(self):
+        # a binding must not keep an evicted entry alive: the text tier
+        # holds eight times as many records as the entry tier
+        cache = PipelineCache(1)
+        first, second = self._entry(), self._entry()
+        cache.put("c", ("shape", 1), 0, first)
+        for number in range(3):
+            cache.put("c", "q%d" % number, 0, TextBinding(first, (), ""))
+        cache.put("c", ("shape", 2), 0, second)
+        assert [cache.probe("c", "q%d" % n, 0) for n in range(3)] == \
+            [None] * 3
+        stats = cache.stats_dict()
+        assert (stats["entries"], stats["evictions"],
+                stats["text_evictions"]) == (1, 4, 3)
+
+    def test_a_binding_whose_entry_is_not_cached_is_an_entry(self):
+        # a script's or a DDL's binding is the only holder of its entry,
+        # so it is sized and evicted as one
+        cache = PipelineCache(2)
+        cache.put("c", "DROP TABLE a", 0,
+                  TextBinding(self._entry(), (), "DROP TABLE a"))
+        cache.put("c", ("shape", 1), 0, self._entry())
+        cache.put("c", ("shape", 2), 0, self._entry())
+        assert cache.probe("c", "DROP TABLE a", 0) is None
+        assert cache.stats_dict()["text_entries"] == 0
+        assert repr(cache) == \
+            "PipelineCache(2/2 entries, 0/16 texts, 0% hits)"
+
+
+class _Counted(object):
+    """Counts the calls of one function patched in its namespaces."""
+
+    def __init__(self, monkeypatch, function, *namespaces):
+        self.calls = 0
+
+        def counted(*args, **kwargs):
+            self.calls += 1
+            return function(*args, **kwargs)
+
+        for namespace in namespaces:
+            monkeypatch.setattr(namespace, function.__name__, counted)
+
+
+class TestTextTier(object):
+    """Texts and shapes are cached apart: a cycle of texts longer than
+    the entry tier still hits, and a flood of texts costs no shape."""
+
+    SHAPES = (
+        "SELECT reservID FROM tickets WHERE id = %d",
+        "SELECT id FROM tickets WHERE creditCard = %d",
+        "/* septic:flood.php:3 */ SELECT creditCard FROM tickets "
+        "WHERE id > %d",
+    )
+
+    def test_a_cyclic_working_set_past_the_entry_tier_hits(
+            self, monkeypatch):
+        database = Database(cache_size=4)
+        database.seed(TICKETS_SCHEMA)
+        texts = [shape % number for shape in self.SHAPES
+                 for number in range(10)]
+        # more texts than the entry tier holds, fewer than the text tier
+        assert 4 < len(texts) <= TEXT_TIER_FACTOR * 4
+        for sql in texts:
+            database.run(sql)
+        lexer = _Counted(monkeypatch, cache_mod.tokenize, cache_mod)
+        parser = _Counted(monkeypatch, engine_mod.parse_sql, engine_mod)
+        cache = database.pipeline_cache
+        hits = cache.hits
+        for sql in texts:
+            database.run(sql)
+        assert (lexer.calls, parser.calls) == (0, 0)
+        assert cache.hits - hits == len(texts)
+        assert cache.stats_dict()["text_hits"] >= len(texts)
+
+    def test_a_flood_of_texts_keeps_every_shape(self, monkeypatch):
+        septic = Septic(mode=Mode.TRAINING,
+                        logger=SepticLogger(verbose=False))
+        database = Database(septic=septic, cache_size=4)
+        database.seed(TICKETS_SCHEMA)
+        conn = Connection(database)
+        for shape in self.SHAPES:
+            conn.query_or_raise(shape % 1)
+        septic.mode = Mode.PREVENTION
+        cache = database.pipeline_cache
+        warm = {}
+        for shape in self.SHAPES[1:]:
+            conn.query_or_raise(shape % 2)      # the shape's verdict
+            entry = cache.probe("utf8", shape % 2,
+                                database.schema_version).entry
+            assert entry.septic_memo.verdict is not None
+            warm[shape] = (entry, entry.septic_memo.verdict)
+        flood = TEXT_TIER_FACTOR * 4 + 8
+        for number in range(flood):
+            conn.query_or_raise(self.SHAPES[0] % (1000 + number))
+        parser = _Counted(monkeypatch, engine_mod.parse_sql, engine_mod)
+        receive = _Counted(monkeypatch, QSQMManager.receive, QSQMManager)
+        for shape, (entry, verdict) in warm.items():
+            sql = shape % 3
+            conn.query_or_raise(sql)
+            served = cache.probe("utf8", sql, database.schema_version)
+            assert served.entry is entry
+            assert entry.septic_memo.verdict is verdict
+        assert (parser.calls, receive.calls) == (0, 0)
+        assert cache.stats_dict()["text_evictions"] >= \
+            flood - TEXT_TIER_FACTOR * 4
 
 
 class TestShapeKey(object):
@@ -462,6 +596,53 @@ class TestConcurrency(object):
         # every lookup after the initial fill(s) must hit
         assert cache.hits >= total - self.THREADS
         assert len(cache) >= 1
+
+    def test_tiers_stay_consistent_under_a_thread_storm(self):
+        # four threads on two cores churn both tiers at once: entries
+        # leave with their bindings while other threads bind texts to
+        # them; an insertion error is swallowed by resolve, so the
+        # invariants are checked on the cache itself
+        database = Database(cache_size=2)
+        database.seed(TICKETS_SCHEMA)
+        cache = database.pipeline_cache
+        shapes = ("SELECT id FROM tickets WHERE id = %d",
+                  "SELECT reservID FROM tickets WHERE id = %d",
+                  "SELECT creditCard FROM tickets WHERE id = %d")
+        errors = []
+
+        def worker(index):
+            try:
+                for number in range(60):
+                    sql = shapes[(number + index) % 3] % (number % 20)
+                    if not database.run(sql)[0].result_set.rows == \
+                            database.run(sql)[0].result_set.rows:
+                        errors.append("unstable result")
+            except Exception as exc:  # pragma: no cover - diagnostic
+                errors.append(repr(exc))
+
+        threads = [threading.Thread(target=worker, args=(i,))
+                   for i in range(self.THREADS)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60.0)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert errors == []
+        assert cache.stats_dict()["evictions"] > 0
+        assert len(cache._entries) <= cache.max_entries
+        assert len(cache._texts) <= cache.max_texts
+        # every binding in the text tier serves a resident record and is
+        # registered with it, and nothing else is
+        resident = {id(record) for record in cache._entries.values()}
+        assert set(cache._served) <= resident
+        for key, binding in cache._texts.items():
+            assert key in cache._served[id(binding.entry)]
+        assert sum(map(len, cache._served.values())) == len(cache._texts)
 
     def test_concurrent_ddl_and_queries_never_crash(self):
         database = _fresh_db()
