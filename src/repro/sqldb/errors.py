@@ -69,8 +69,9 @@ class WriteConflictError(TransientEngineError):
     tried to modify a row that another transaction has a pending version
     of (or that committed after this transaction's snapshot).  Surfaced
     with MySQL's deadlock errno because that is the error class clients
-    already treat as "roll back and retry"; the conflict check runs
-    *before* any row is touched, so a retry never double-applies."""
+    already treat as "roll back and retry".  A retry never double-applies:
+    the statement's rollback takes back whatever it wrote before the
+    conflict, so it leaves nothing behind and is never logged."""
 
     errno = 1213  # "Deadlock found when trying to get lock; try restarting"
 

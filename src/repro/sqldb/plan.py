@@ -959,10 +959,8 @@ class InsertSink(PlanNode):
         txn = ctx.write_txn
         table = ctx.database.table(stmt.table)
         columns = stmt.columns or table.column_names()
-        # Evaluate every VALUES row up front so a bad expression — or a
-        # first-writer-wins conflict on a key another transaction's
-        # pending UPDATE moved, or on the rows REPLACE / ON DUPLICATE
-        # KEY UPDATE would mutate — surfaces before any row is touched.
+        # Evaluate every VALUES row up front, so a bad expression
+        # surfaces before any row is touched.
         pending = []
         for row_exprs in self.rows_of:
             if len(row_exprs) != len(columns):
@@ -971,18 +969,16 @@ class InsertSink(PlanNode):
                 )
             pending.append({col.lower(): expr(ctx.row, ctx)
                             for col, expr in zip(columns, row_exprs)})
-        for values in pending:
-            table.check_moved_keys(values, txn)
-            if stmt.replace or stmt.on_duplicate:
-                for conflict in _unique_conflicts(table, values):
-                    table.check_write(conflict, txn)
         inserted = 0
         last_id = None
         for values in pending:
             if stmt.replace:
                 # REPLACE INTO: delete any row conflicting on a unique
                 # key, then insert (affected = deleted + inserted)
-                inserted += _delete_conflicting(table, values, txn)
+                conflicts = table.unique_conflicts(values)
+                if conflicts:
+                    table.delete_rows(conflicts, txn=txn)
+                inserted += len(conflicts)
             try:
                 auto = table.insert(values, txn=txn)
             except ExecutionError as exc:
@@ -1050,13 +1046,12 @@ class UpdateSink(_TargetSink):
     """UPDATE execution over the targets :class:`_TargetSink` selects."""
 
     kind = "update_sink"
-    __slots__ = ("assignments", "assigned")
+    __slots__ = ("assignments",)
 
     def __init__(self, child, stmt, alias):
         _TargetSink.__init__(self, child, stmt, alias)
         self.assignments = [(col, compile_expr(expr))
                             for col, expr in stmt.assignments]
-        self.assigned = frozenset(col.lower() for col, _ in stmt.assignments)
 
     def label(self):
         return "UpdateSink(%s)" % self.alias
@@ -1067,36 +1062,15 @@ class UpdateSink(_TargetSink):
             faults_mod.fire("operator.next")
         ctx = state.ctx
         table = ctx.database.table(self.stmt.table)
-        targets = self._targets(state)
-        txn = ctx.write_txn
-        # Every check runs over every target before the first mutation:
-        # a write conflict or a duplicate key aborts the statement with
-        # zero rows changed, so the transient-retry path never
-        # double-applies and a failed statement has no partial effects
-        # for its replay to reproduce.
-        for stored, _ in targets:
-            table.check_write(stored, txn)
-        changes = []
-        for stored, env in targets:
-            updates = {}
-            for col, expr in self.assignments:
-                if not table.has_column(col):
-                    raise ExecutionError(
-                        "Unknown column '%s' in 'field list'" % col,
-                        errno=1054,
-                    )
-                updates[col.lower()] = table.convert(col, expr(env, ctx))
-            delta = {k: v for k, v in updates.items()
-                     if stored.get(k) != v}
-            if delta:
-                changes.append((stored, delta))
-        table.check_unique_update(self.assigned, changes, txn)
-        for stored, delta in changes:
-            table.update_row(stored, delta, txn=txn)
-        rec["rows_out"] = len(changes)
+        changes = [(stored, {col: expr(env, ctx)
+                             for col, expr in self.assignments})
+                   for stored, env in self._targets(state)]
+        # update_rows checks every target before it changes the first
+        changed = len(table.update_rows(changes, txn=ctx.write_txn))
+        rec["rows_out"] = changed
         rec["close_tick"] = state.stats.tick()
         return ExecutionResult(
-            affected_rows=len(changes), sleep_seconds=ctx.sleep_seconds
+            affected_rows=changed, sleep_seconds=ctx.sleep_seconds
         )
 
 
@@ -1368,44 +1342,23 @@ def _compile_aggregate(node):
     return key, fold
 
 
-def _unique_conflicts(table, values):
-    """Live rows that collide with *values* on any unique key — the
-    table owns the scan so each storage backend (row list vs B-tree)
-    answers from its own structures."""
-    return table.unique_conflicts(values)
-
-
-def _delete_conflicting(table, values, txn=None):
-    conflicts = _unique_conflicts(table, values)
-    if conflicts:
-        table.delete_rows(conflicts, txn=txn)
-    return len(conflicts)
-
-
 def _apply_on_duplicate(table, assignments, new_values, ctx, txn=None):
     """ON DUPLICATE KEY UPDATE: update the conflicting row.
 
     ``VALUES(col)`` inside an assignment refers to the value the
     failed insert attempted for *col* (MySQL semantics): the env row
     carries those under :data:`ATTEMPTED_PREFIX`, where the compiled
-    ``VALUES`` call looks.  The update keeps PRIMARY KEY and UNIQUE as
-    an UPDATE does: a new key another row holds fails with 1062 before
-    anything changes.
+    ``VALUES`` call looks.  The update is an UPDATE of that one row,
+    keys and first-writer-wins included (:meth:`Table.update_row`).
     """
-    conflicts = _unique_conflicts(table, new_values)
+    conflicts = table.unique_conflicts(new_values)
     if not conflicts:
         return 0
     target = conflicts[0]
     env = {"%s.%s" % (table.name, k): v for k, v in target.items()}
     for name in table.column_names():
         env[ATTEMPTED_PREFIX + name.lower()] = new_values.get(name.lower())
-    updates = {}
-    for col, expr in assignments:
-        value = table.convert(col, expr(env, ctx))
-        if target.get(col.lower()) != value:
-            updates[col.lower()] = value
-    if updates:
-        table.check_unique_update(updates, [(target, updates)], txn)
-        table.update_row(target, updates, txn=txn)
+    updates = {col: expr(env, ctx) for col, expr in assignments}
     # MySQL reports 2 affected rows when an ODKU update changed one
-    return 2 if updates else 0
+    changed = table.update_row(target, updates, txn=txn)
+    return 0 if changed is None else 2

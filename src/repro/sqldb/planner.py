@@ -619,6 +619,15 @@ def _unsupported(what):
     )
 
 
+def _refuse_key_move(assignments, table, key):
+    """Refuse a write that assigns the shard key: the row's new key may
+    belong to another shard, and the row would stay on its old one."""
+    for col, _ in assignments:
+        if col.lower() == key:
+            raise _unsupported("an assignment to %r's shard key %r"
+                               % (table, key))
+
+
 def _shard_order_error(expr):
     return _unsupported("cross-shard ORDER BY on a non-output column")
 
@@ -723,6 +732,7 @@ class DistributedPlanner(object):
                 "INSERT into %r without its shard key %r" % (stmt.table,
                                                              key)
             )
+        _refuse_key_move(stmt.on_duplicate or (), stmt.table, key)
         position = lowered.index(key)
         nodes = []
         for row in stmt.rows:
@@ -745,6 +755,8 @@ class DistributedPlanner(object):
                 "multi-shard %s of %r (no shard-key equality on %r)"
                 % (type(stmt).__name__.upper(), stmt.table, key)
             )
+        if isinstance(stmt, ast.Update):
+            _refuse_key_move(stmt.assignments, stmt.table, key)
         return self._single(stmt.table, (node,), sql_text)
 
     # -- reads ---------------------------------------------------------

@@ -7,6 +7,9 @@ The module is split along one line: *what a row version means* versus
 version chains, tombstones, snapshot visibility, first-writer-wins,
 commit sealing, rollback (undo by rowid), vacuum, secondary indexes,
 uniqueness and the checkpoint form.  It exists once, for every backend.
+Its write primitives (:meth:`Table.insert`, :meth:`~Table.update_rows`,
+:meth:`~Table.delete_rows`) make every first-writer-wins and PK/UNIQUE
+check themselves; nothing above this module makes one.
 
 A **row store** owns placement and nothing else: append / replace /
 remove / get / revert by rowid, iteration of the latest state in rowid
@@ -441,14 +444,14 @@ class Table(object):
         """Insert a row from a ``{column: value}`` mapping.
 
         Applies type conversion (including silent VARCHAR truncation),
-        auto-increment, defaults, NOT NULL and UNIQUE/PRIMARY KEY checks.
-        With *txn* the row starts as a pending version, invisible to
-        snapshot readers until the transaction seals.  Returns the
-        auto-increment id used (or ``None``).
+        auto-increment, defaults, NOT NULL and the key rule
+        (:meth:`_check_keys`).  With *txn* the row starts as a pending
+        version, invisible to snapshot readers until the transaction
+        seals.  Returns the auto-increment id used (or ``None``).
         """
         mark = (self._auto_counter, self._auto_tip)
         row, used_auto = self._build_insert_row(values)
-        self._check_unique(row, txn)
+        self._check_keys(row, txn)
         row.rowid = self._auto_tip = self.store.new_rowid()
         # publish the pending metadata BEFORE the row becomes reachable:
         # a lock-free reader that catches the append must already find
@@ -464,10 +467,10 @@ class Table(object):
         """First-writer-wins gate: raise :class:`WriteConflictError` if
         *row* carries a pending version owned by another transaction, or
         — for snapshot transactions — a version that committed after the
-        transaction's read stamp (a lost update in the making).  Sinks
-        run this over every target *before* the first mutation, so a
-        conflicting statement has zero partial effects and is safe to
-        retry."""
+        transaction's read stamp (a lost update in the making).  The
+        write primitives run it over every target before they change
+        any; what a statement wrote before it met a conflict, its
+        statement rollback takes back, so the retry never double-applies."""
         meta = self._meta.get(row.rowid)
         if meta is None:
             return
@@ -491,22 +494,77 @@ class Table(object):
         rowid = getattr(row, "rowid", None)
         return None if rowid is None else self.store.get(rowid)
 
-    def update_row(self, row, updates, txn=None):
-        """Install a new version of one stored row.
+    def update_rows(self, changes, txn=None):
+        """Install a new version of each row in *changes*, a list of
+        ``(row, {column: value})`` in the order the statement applies
+        them; any image of a row names it.  The values are converted to
+        storage form, and a row they leave as it was gets no version.
 
-        The stored image is never edited in place: a fresh one replaces
-        it in the store, and the superseded image is chained behind the
-        new version's metadata so pinned read views keep seeing it.
-        Raises :class:`WriteConflictError` if another transaction owns a
-        pending version of the row.  Returns the new current image."""
-        current = self._current(row)
-        if current is None:
-            raise ExecutionError(
-                "row is not stored in table '%s'" % self.name
-            )
-        self.check_write(current, txn)
+        Every check runs before the first row changes: first-writer-wins
+        over every target (:meth:`check_write`), then the key rule
+        (:meth:`_check_keys`) over the PK/UNIQUE values the targets
+        change.  As in InnoDB, each new image is checked against the
+        latest state with the earlier targets' new images in place: a
+        key an earlier target left is free, one it took is taken — so
+        ``SET id = id + 1`` over ascending ids collides where ``ORDER
+        BY id DESC`` does not.  Returns the new images."""
+        deltas = []
+        for row, updates in changes:
+            current = self._current(row)
+            if current is None:
+                raise ExecutionError(
+                    "row is not stored in table '%s'" % self.name
+                )
+            self.check_write(current, txn)
+            stored = {}
+            for name, value in updates.items():
+                col = self._by_name.get(name.lower())
+                if col is None:
+                    raise ExecutionError(
+                        "Unknown column '%s' in 'field list'" % name,
+                        errno=1054,
+                    )
+                stored[col.name] = store_convert(value, col.type_name,
+                                                 col.length)
+            delta = {name: value for name, value in stored.items()
+                     if current.get(name) != value}
+            if delta:
+                deltas.append((current, delta))
+        keyed = [col.name for col in self._unique_columns()]
+        vacated = set()     # (column, rowid) whose old key is gone
+        claimed = set()     # (column, key) an earlier target now holds
+        for current, delta in deltas:
+            values = {}
+            for name in keyed:
+                if name in delta:
+                    vacated.add((name, current.rowid))
+                    if delta[name] is not None:
+                        values[name] = delta[name]
+            if not values:
+                continue
+            for name, value in values.items():
+                key = (name, sort_key(value))
+                if key in claimed:
+                    raise _duplicate_entry(value, name)
+                claimed.add(key)
+            self._check_keys(values, txn, vacated)
+        return [self._install(current, delta, txn)
+                for current, delta in deltas]
+
+    def update_row(self, row, updates, txn=None):
+        """:meth:`update_rows` for one row: its new image, or ``None``
+        when *updates* leave it as it was."""
+        changed = self.update_rows([(row, updates)], txn)
+        return changed[0] if changed else None
+
+    def _install(self, current, delta, txn):
+        """Install *current* with *delta* applied as the row's new
+        version.  The stored image is never edited in place: a fresh
+        one replaces it in the store, and the superseded image is
+        chained behind the new version's metadata so pinned read views
+        keep seeing it."""
         new_row = current.clone()
-        new_row.update(updates)
+        new_row.update(delta)
         rowid = new_row.rowid
         meta = self._meta.get(rowid)
         if txn is None:
@@ -538,7 +596,8 @@ class Table(object):
         before its table lock goes: no other writer can meet its images."""
         prior = meta.prior
         if prior is not None and txn.read_stamp is not None and any(
-                prior.row.get(col.name) != image.get(col.name)
+                sort_key(prior.row.get(col.name))
+                != sort_key(image.get(col.name))
                 for col in self._unique_columns()):
             self._moved_keys[image.rowid] = meta
 
@@ -1068,30 +1127,54 @@ class Table(object):
         return dict(self._index_stats)
 
     def _unique_matches(self, values):
-        """``(column, value, row)`` for every current row holding the
-        storage-form value *values* has on a PK/UNIQUE column: the
-        folded-key bucket narrows candidates, the exact ``==`` keeps the
-        storage-representation equality semantics.  Uniqueness is a
-        property of the latest state, so pending rows from other
-        transactions participate."""
+        """``(column, value, row)`` for every current row holding, on a
+        PK/UNIQUE column, a value equal to the storage-form value
+        *values* has there: the row sits in the value's :func:`sort_key`
+        bucket, which is the engine's ``=`` (case and confusables
+        folded).  Uniqueness is a property of the latest state, so
+        pending rows from other transactions participate."""
         for col in self._unique_columns():
             value = values.get(col.name)
             if value is None:
                 continue
             bucket = self._live_index(col.name).map.get(sort_key(value), ())
             for row in self._fetch(bucket):
-                if row.get(col.name) == value:
-                    yield col, value, row
+                yield col, value, row
 
-    def _check_unique(self, values, txn, vacated=frozenset()):
-        """PK/UNIQUE enforcement for the storage-form *values* about to
-        be stored: an inserted image, or the keys an UPDATE changes.
-        *vacated* names, as ``(column, rowid)``, the current rows whose
-        value in that column the same statement has already replaced.
-        A key stays taken while another transaction's delete of it is
-        pending: its ROLLBACK re-admits the row (a key its pending
-        UPDATE moved away is :meth:`check_moved_keys`'s, which the
-        statement runs before its first write)."""
+    def _shared_key(self, held, values):
+        """The first PK/UNIQUE ``(column, value)`` of *values* that the
+        row image *held* holds too, under the engine's ``=``."""
+        for col in self._unique_columns():
+            value = values.get(col.name)
+            if value is not None and \
+                    sort_key(held.get(col.name)) == sort_key(value):
+                return col.name, value
+        return None
+
+    def _check_keys(self, values, txn, vacated=frozenset()):
+        """The key rule for the storage-form *values* about to be
+        stored: an inserted image, or the keys one UPDATE target
+        changes.  A key is refused while
+
+        * another open transaction's pending UPDATE moved it away from a
+          committed row: its ROLLBACK brings the row back, its COMMIT
+          frees the key, so the writer gets the retryable
+          :class:`WriteConflictError`;
+        * a current row holds it (:meth:`_unique_matches`), unless
+          *vacated* names that row's value as ``(column, rowid)``: an
+          earlier target of the same UPDATE replaced it.  1062;
+        * another transaction's pending DELETE buried the committed row
+          holding it: its ROLLBACK re-admits the row.  1062.
+
+        The first costs one test while no such update is pending."""
+        for meta in self._moved_keys.values():
+            if meta.owner is not txn:
+                shared = self._shared_key(meta.prior.row, values)
+                if shared is not None:
+                    raise WriteConflictError(
+                        "Write conflict on table '%s': key '%s' was moved "
+                        "by another transaction's pending update; retry"
+                        % (self.name, shared[1]))
         for col, value, row in self._unique_matches(values):
             if (col.name, row.rowid) not in vacated:
                 raise _duplicate_entry(value, col.name)
@@ -1099,74 +1182,17 @@ class Table(object):
             if tomb.owner is None or tomb.owner is txn:
                 continue
             hidden = _committed_behind(tomb)
-            if hidden is None:
-                continue
-            for col in self._unique_columns():
-                value = values.get(col.name)
-                if value is not None and hidden.row.get(col.name) == value:
-                    raise _duplicate_entry(value, col.name)
-
-    def check_moved_keys(self, values, txn):
-        """Raise :class:`WriteConflictError` when *values* hold a
-        PK/UNIQUE value that another open transaction's pending UPDATE
-        moved away from a committed row: until that transaction ends
-        the key is not free (its ROLLBACK brings the row back), nor
-        taken for good (its COMMIT frees it), so the writer retries.
-        Raised before anything changes, so nothing is logged.  Costs
-        one test while no such update is pending on the table."""
-        if not self._moved_keys:
-            return
-        for meta in self._moved_keys.values():
-            if meta.owner is txn:
-                continue
-            held = meta.prior.row
-            for col in self._unique_columns():
-                value = values.get(col.name)
-                if value is not None and held.get(col.name) == \
-                        self.convert(col.name, value):
-                    raise WriteConflictError(
-                        "Write conflict on table '%s': key '%s' was moved "
-                        "by another transaction's pending update; retry"
-                        % (self.name, value))
-
-    def check_unique_update(self, columns, changes, txn):
-        """PK/UNIQUE enforcement for one UPDATE whose SET list names
-        *columns*, run before its first mutation.  *changes* holds
-        ``(stored row, changed values)`` per target, in the order the
-        statement applies them.  As in InnoDB, each new image is checked
-        against the latest state with the earlier targets' new images in
-        place: a key an earlier target left is free, one it took is
-        taken — so ``SET id = id + 1`` over ascending ids collides where
-        ``ORDER BY id DESC`` does not.  Costs nothing when *columns*
-        names no PK/UNIQUE column."""
-        keyed = [col.name for col in self._unique_columns()
-                 if col.name in columns]
-        if not keyed:
-            return
-        vacated = set()     # (column, rowid) whose old key is gone
-        claimed = set()     # (column, value) an earlier target now holds
-        for stored, delta in changes:
-            values = {}
-            for name in keyed:
-                if name in delta:
-                    vacated.add((name, stored.rowid))
-                    if delta[name] is not None:
-                        values[name] = delta[name]
-            if not values:
-                continue
-            for name, value in values.items():
-                if (name, value) in claimed:
-                    raise _duplicate_entry(value, name)
-            self.check_moved_keys(values, txn)
-            self._check_unique(values, txn, vacated)
-            claimed.update(values.items())
+            shared = hidden and self._shared_key(hidden.row, values)
+            if shared:
+                raise _duplicate_entry(shared[1], shared[0])
 
     def unique_conflicts(self, values):
         """Current rows that collide with *values* on any PK/UNIQUE
-        column, in rowid order (REPLACE / ON DUPLICATE KEY UPDATE target
-        discovery — ODKU updates the *first* conflict; the
-        first-writer-wins check is what turns a collision with another
-        transaction's pending row into a retryable conflict)."""
+        column, in rowid order: the rows REPLACE deletes and the row ON
+        DUPLICATE KEY UPDATE updates (the *first* conflict).  The write
+        that follows checks them: :meth:`delete_rows` /
+        :meth:`update_rows` turn a collision with another transaction's
+        pending row into a retryable conflict."""
         stored = {col.name: self.convert(col.name, values[col.name])
                   for col in self._unique_columns()
                   if values.get(col.name) is not None}

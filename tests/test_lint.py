@@ -1710,7 +1710,62 @@ def test_row_store_split_gate_catches_a_second_owner(tmp_path):
                for problem in problems) == 2
 
 
-BENCHLAB_ROOT = os.path.join(SRC_ROOT, "repro", "benchlab")
+#: the checks of the key rule (PRIMARY KEY / UNIQUE, first-writer-wins),
+#: with the names earlier versions gave them, so none grows back
+_KEY_RULE_CHECKS = frozenset(["check_write", "_check_keys", "_shared_key",
+                              "_unique_matches", "_check_unique",
+                              "check_moved_keys", "check_unique_update"])
+
+
+def _key_rule_violations(path):
+    """The key rule has one owner: ``Table``'s write primitives
+    (``insert``, ``update_rows`` / ``update_row``, ``delete_rows``) make
+    every PK/UNIQUE and first-writer-wins check themselves.  A call of
+    one of the checks anywhere else is a second owner, the split that
+    once let ON DUPLICATE KEY UPDATE store a key twice."""
+    with open(path) as handle:
+        tree = ast.parse(handle.read(), filename=path)
+    rel = os.path.relpath(path, REPO_ROOT)
+    return ["%s:%d: calls %s() — only repro/sqldb/storage.py checks keys "
+            "and write conflicts" % (rel, node.lineno, _call_name(node))
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Call)
+            and _call_name(node) in _KEY_RULE_CHECKS]
+
+
+def test_the_key_rule_has_one_owner():
+    storage_py = os.path.abspath(os.path.join(SRC_ROOT, "repro", "sqldb",
+                                              "storage.py"))
+    problems = []
+    for path in _python_files(SRC_ROOT):
+        if os.path.abspath(path) != storage_py:
+            problems.extend(_key_rule_violations(path))
+    assert problems == [], "\n".join(problems)
+    # the gate guards checks that exist
+    with open(storage_py) as handle:
+        tree = ast.parse(handle.read(), filename=storage_py)
+    defined = {node.name for node in ast.walk(tree)
+               if isinstance(node, ast.FunctionDef)}
+    assert {"check_write", "_check_keys", "_unique_matches"} <= defined
+
+
+def test_key_rule_gate_catches_a_check_in_the_plan_layer(tmp_path):
+    plan_py = os.path.join(SRC_ROOT, "repro", "sqldb", "plan.py")
+    assert _key_rule_violations(plan_py) == []
+    with open(plan_py) as handle:
+        source = handle.read()
+    live = "        changed = len(table.update_rows(changes, txn=ctx.write_txn))\n"
+    assert source.count(live) == 1
+    planted = tmp_path / "plan.py"
+    planted.write_text(source.replace(
+        live, "        for row, _ in changes:\n"
+              "            table.check_write(row, ctx.write_txn)\n" + live))
+    problems = _key_rule_violations(str(planted))
+    assert len(problems) == 1 and "plan.py:" in problems[0], problems
+    assert "check_write()" in problems[0]
+
+
+BENCHLAB_ROOT =os.path.join(SRC_ROOT, "repro", "benchlab")
 
 _SWEEP_KERNEL = "run_sweep"
 _SWEEP_DRIVERS = frozenset([_SWEEP_KERNEL, "drive_ops"])
